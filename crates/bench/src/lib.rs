@@ -1,7 +1,7 @@
 //! # finecc-bench — experiment harness
 //!
 //! One binary per paper artifact/claim (see `src/bin/`, indexed in
-//! EXPERIMENTS.md) and criterion micro-benchmarks (`benches/`). This
+//! EXPERIMENTS.md) and the repo benchmark (`src/bin/benchmark/`). This
 //! library holds the synthetic schemas the experiments share.
 
 use finecc_obs::{Collector, LatencySummary, MetricsRegistry, Obs, ObsConfig};

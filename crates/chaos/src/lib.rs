@@ -413,7 +413,9 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_no_ops() {
-        // No harness installed: everything is inert.
+        // No harness installed: everything is inert. Hold the install
+        // lock so no concurrently running test has one live meanwhile.
+        let _no_harness = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         yield_point(Site::TxnStart);
         assert_eq!(fault_at(Site::WalAppend), None);
         assert!(!disabled_at(Site::CommitPublishWait));
@@ -439,7 +441,9 @@ mod tests {
                     let in_section = &in_section;
                     let order = &order;
                     s.spawn(move || {
-                        let worker = register_worker().expect("scheduling harness");
+                        // A fixed slot per thread: the orders compared
+                        // below must not depend on OS startup order.
+                        let worker = register_worker_as(t as usize).expect("scheduling harness");
                         for _ in 0..10 {
                             // Exactly one worker runs at a time.
                             assert_eq!(in_section.fetch_add(1, Ordering::SeqCst), 0);

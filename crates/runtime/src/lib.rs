@@ -31,8 +31,13 @@
 //!   rw-antidependency validation after Cahill et al., surfacing as a
 //!   distinct validation-abort class in the statistics).
 //!
-//! The four lock schemes implement strict two-phase locking with
-//! deadlock-victim abort and undo-log rollback; the MVCC schemes abort
+//! The four lock schemes are **one** strict two-phase-locking skeleton
+//! ([`LockScheme`]: deadlock-victim abort, undo-log rollback, extent
+//! operations, commit) under four [`LockPolicy`]s — the paper's
+//! claim (5) made structural: they differ only in *which resource is
+//! locked in which mode when a message or a field access happens*, and
+//! in whether undo is a TAV write-projection or a per-field
+//! before-image (see [`schemes::lock`]). The MVCC schemes abort
 //! and retry write-write conflicts (and, under `mvcc-ssi`, dangerous
 //! structures at commit) instead. All expose lock-manager (and, where
 //! applicable, version-heap) statistics so the experiments can compare
@@ -50,6 +55,7 @@ pub use finecc_wal::{DurabilityLevel, WalConfig, WalStatsSnapshot};
 pub use metrics::register_env_metrics;
 pub use scheme::{CcScheme, SchemeKind};
 pub use schemes::fieldlock::FieldLockScheme;
+pub use schemes::lock::{LockPolicy, LockScheme};
 pub use schemes::mvcc::MvccScheme;
 pub use schemes::relational::RelationalScheme;
 pub use schemes::rw::RwScheme;

@@ -6,8 +6,7 @@ use finecc_lang::ExecError;
 use finecc_lock::StatsSnapshot;
 use finecc_model::{ClassId, Oid, Value};
 use finecc_mvcc::{IsolationLevel, MvccStatsSnapshot};
-use finecc_obs::Obs;
-use finecc_wal::{DurabilityLevel, Wal, WalConfig, WalStatsSnapshot};
+use finecc_wal::{DurabilityLevel, Wal, WalConfig};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -97,39 +96,10 @@ pub trait CcScheme: Send + Sync {
     /// Lock-manager statistics snapshot.
     fn stats(&self) -> StatsSnapshot;
 
-    /// Resets the statistics counters.
-    fn reset_stats(&self);
-
     /// Multi-version statistics, for schemes backed by a version heap
     /// (`None` for the pure locking schemes).
     fn mvcc_stats(&self) -> Option<MvccStatsSnapshot> {
         None
-    }
-
-    /// Write-ahead-log statistics, when durability is attached (`None`
-    /// at [`DurabilityLevel::None`]). Every scheme logs through the
-    /// environment's shared handle — the mvcc schemes via their heap's
-    /// commit path, the lock schemes via their undo-projection redo
-    /// images — so this default covers all six.
-    fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.env().wal.as_ref().map(|w| w.stats().snapshot())
-    }
-
-    /// The observability sink this scheme records into — the
-    /// environment's handle, which the lock managers / mvcc heap / WAL
-    /// cloned at construction. Disabled (every probe one branch)
-    /// unless [`Env::with_obs`] installed an enabled one.
-    fn obs(&self) -> &Arc<Obs> {
-        &self.env().obs
-    }
-
-    /// The scheme's durability level — a scheme parameter like the
-    /// isolation level.
-    fn durability(&self) -> DurabilityLevel {
-        self.env()
-            .wal
-            .as_ref()
-            .map_or(DurabilityLevel::None, |w| w.level())
     }
 
     /// Registers this scheme's live metric sources on a

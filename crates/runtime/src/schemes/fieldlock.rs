@@ -10,262 +10,96 @@
 //! read→write mid-transaction. Experiment E8 measures both effects.
 
 use crate::env::Env;
-use crate::scheme::CcScheme;
-use crate::schemes::interpreter;
-use crate::txn::Txn;
-use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{LockManager, LockMode, ResourceId, RwSource, StatsSnapshot, READ, WRITE};
-use finecc_model::{ClassId, FieldId, MethodId, Oid, Value};
-use std::collections::HashSet;
-use std::sync::Arc;
+use crate::schemes::lock::{transitive_rw_mode, LockAccess, LockPolicy, LockScheme, UndoStyle};
+use finecc_lang::ExecError;
+use finecc_lock::{LockMode, ResourceId, RwSource, READ, WRITE};
+use finecc_model::{ClassId, FieldId, MethodId, Oid};
+
+/// The field-locking policy: messages lock nothing but a class
+/// presence marker; every field access locks its `(instance, field)`.
+pub struct FieldLockPolicy;
 
 /// Run-time field locking.
-pub struct FieldLockScheme {
-    env: Env,
-    lm: LockManager<RwSource>,
-}
+pub type FieldLockScheme = LockScheme<FieldLockPolicy>;
 
-impl FieldLockScheme {
-    /// Builds the scheme.
-    pub fn new(env: Env) -> FieldLockScheme {
-        FieldLockScheme {
-            lm: LockManager::new(RwSource)
-                .with_timeout(env.lock_timeout)
-                .with_obs(std::sync::Arc::clone(&env.obs)),
-            env,
-        }
+impl LockPolicy for FieldLockPolicy {
+    type Source = RwSource;
+    const NAME: &'static str = "fieldlock";
+    const UNDO: UndoStyle = UndoStyle::PerField;
+
+    fn source(_: &Env) -> RwSource {
+        RwSource
     }
 
-    /// The underlying lock manager.
-    pub fn lock_manager(&self) -> &LockManager<RwSource> {
-        &self.lm
-    }
-}
-
-struct FlAccess<'a> {
-    env: &'a Env,
-    lm: &'a LockManager<RwSource>,
-    txn: &'a mut Txn,
-    covered: &'a HashSet<ClassId>,
-}
-
-impl FlAccess<'_> {
-    fn is_covered(&mut self, oid: Oid) -> Result<bool, ExecError> {
-        if self.covered.is_empty() {
-            return Ok(false);
-        }
-        let class = self.env.db.class_of(oid).map_err(Env::store_err)?;
-        Ok(self.covered.contains(&class))
-    }
-}
-
-impl DataAccess for FlAccess<'_> {
-    fn class_of(&mut self, oid: Oid) -> Result<ClassId, ExecError> {
-        self.env.db.class_of(oid).map_err(Env::store_err)
-    }
-
-    fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        if !self.is_covered(oid)? {
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Field(oid, field),
-                    LockMode::plain(READ),
-                )
-                .map_err(Env::lock_err)?;
-        }
-        self.env.db.read(oid, field).map_err(Env::store_err)
-    }
-
-    fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
-        if !self.is_covered(oid)? {
-            // Possible read→write escalation on this very field.
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Field(oid, field),
-                    LockMode::plain(WRITE),
-                )
-                .map_err(Env::lock_err)?;
-            let class = self.env.db.class_of(oid).map_err(Env::store_err)?;
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Class(class),
-                    LockMode::class(WRITE, false),
-                )
-                .map_err(Env::lock_err)?;
-        }
-        let old = self
-            .env
-            .db
-            .write(oid, field, value)
-            .map_err(Env::store_err)?;
-        self.txn.undo.record(oid, field, old);
-        Ok(())
-    }
-
-    fn on_message(&mut self, oid: Oid, class: ClassId, _mid: MethodId) -> Result<(), ExecError> {
-        if !self.covered.contains(&class) {
+    fn on_message(
+        cx: &mut LockAccess<'_, Self>,
+        _oid: Oid,
+        class: ClassId,
+        _mid: MethodId,
+    ) -> Result<(), ExecError> {
+        if !cx.is_covered(class) {
             // Presence marker: lets extent-level hierarchical locks see
             // concurrent instance users.
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Class(class),
-                    LockMode::class(READ, false),
-                )
-                .map_err(Env::lock_err)?;
+            cx.lock(ResourceId::Class(class), LockMode::class(READ, false))?;
         }
-        let _ = oid;
         Ok(())
     }
 
-    // on_self_message: no-op — field locks carry the protection.
-}
+    // on_self_message: default no-op — field locks carry the protection.
 
-impl CcScheme for FieldLockScheme {
-    fn name(&self) -> &'static str {
-        "fieldlock"
-    }
-
-    fn env(&self) -> &Env {
-        &self.env
-    }
-
-    fn begin(&self) -> Txn {
-        Txn::new(self.lm.begin())
-    }
-
-    fn send(
-        &self,
-        txn: &mut Txn,
+    fn on_field_read(
+        cx: &mut LockAccess<'_, Self>,
         oid: Oid,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, ExecError> {
-        let covered = HashSet::new();
-        let mut da = FlAccess {
-            env: &self.env,
-            lm: &self.lm,
-            txn,
-            covered: &covered,
-        };
-        interpreter(&self.env).send(&mut da, oid, method, args)
+        field: FieldId,
+    ) -> Result<(), ExecError> {
+        if !cx.covers_instance(oid)? {
+            cx.lock(ResourceId::Field(oid, field), LockMode::plain(READ))?;
+        }
+        Ok(())
     }
 
-    fn send_all(
-        &self,
-        txn: &mut Txn,
+    fn on_field_write(
+        cx: &mut LockAccess<'_, Self>,
+        oid: Oid,
+        field: FieldId,
+    ) -> Result<(), ExecError> {
+        let class = cx.class_of(oid)?;
+        if !cx.is_covered(class) {
+            // Possible read→write escalation on this very field.
+            cx.lock(ResourceId::Field(oid, field), LockMode::plain(WRITE))?;
+            cx.lock(ResourceId::Class(class), LockMode::class(WRITE, false))?;
+        }
+        Ok(())
+    }
+
+    fn on_extent(
+        cx: &mut LockAccess<'_, Self>,
         root: ClassId,
         method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        // A dynamic scheme has no compile-time vectors; extent operations
-        // announce their transitive classification (from the compiled
-        // TAVs, which any planner for bulk operations would need anyway).
-        for &c in self.env.schema.domain(root) {
-            let table = self.env.compiled.class(c);
-            let idx = table
-                .index_of(method)
-                .ok_or_else(|| ExecError::MessageNotUnderstood {
-                    class: c,
-                    method: method.to_string(),
-                })?;
-            let m = if table.tav(idx).collapse().is_write() {
-                WRITE
+        hierarchical: bool,
+    ) -> Result<(), ExecError> {
+        for &c in cx.env.schema.domain(root) {
+            // A dynamic scheme has no compile-time vectors of its own;
+            // covering a whole extent announces the transitive
+            // classification, selected instances a presence marker.
+            let m = if hierarchical {
+                transitive_rw_mode(cx.env, c, method)?
             } else {
                 READ
             };
-            self.lm
-                .acquire(txn.id, ResourceId::Class(c), LockMode::class(m, true))
-                .map_err(Env::lock_err)?;
+            cx.lock(ResourceId::Class(c), LockMode::class(m, hierarchical))?;
         }
-        let covered: HashSet<ClassId> = self.env.schema.domain(root).iter().copied().collect();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for oid in self.env.db.deep_extent(root) {
-            let mut da = FlAccess {
-                env: &self.env,
-                lm: &self.lm,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn send_some(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        oids: &[Oid],
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        for &c in self.env.schema.domain(root) {
-            self.lm
-                .acquire(txn.id, ResourceId::Class(c), LockMode::class(READ, false))
-                .map_err(Env::lock_err)?;
-        }
-        let covered = HashSet::new();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for &oid in oids {
-            let mut da = FlAccess {
-                env: &self.env,
-                lm: &self.lm,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
-        // Strict 2PL holds every lock to this point; nothing is left to
-        // validate. The commit sequence is drawn and the redo images
-        // are logged (write-ahead durability, when attached) while
-        // every lock is still held, so the log's timestamp order is a
-        // valid serialization order and the after-images are exactly
-        // what this transaction wrote. The one remaining failure is
-        // the log refusing the redo append: the env then rolls the
-        // transaction back under these same locks and the retryable
-        // error surfaces after they are released.
-        let seq = self.env.next_commit_seq();
-        let logged = self.env.log_commit_redo(&mut txn, seq);
-        self.lm.release_all(txn.id);
-        logged?;
-        Ok(seq)
-    }
-
-    fn abort(&self, mut txn: Txn) {
-        txn.undo.rollback(&self.env.db);
-        self.lm.release_all(txn.id);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.lm.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.lm.stats.reset();
-    }
-
-    fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        crate::metrics::register_env_metrics(reg, self.env(), labels);
-        let stats = Arc::clone(&self.lm.stats);
-        reg.register_fn(labels, move |c| stats.snapshot().collect_metrics(c));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::CcScheme;
     use finecc_lang::parser::FIGURE1_SOURCE;
     use finecc_lock::TryAcquire;
+    use finecc_model::Value;
 
     fn setup() -> (FieldLockScheme, Oid, Oid) {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();

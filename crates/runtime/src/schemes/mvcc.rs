@@ -50,11 +50,11 @@
 
 use crate::env::Env;
 use crate::scheme::CcScheme;
-use crate::schemes::interpreter;
+use crate::schemes::{interpreter, send_each};
 use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
 use finecc_lock::{LockStats, StatsSnapshot};
-use finecc_model::{ClassId, FieldId, MethodId, Oid, TxnId, Value};
+use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
 use finecc_mvcc::{
     CommitError, CommitPath, DurabilityLevel, IsolationLevel, MvccHeap, MvccStatsSnapshot,
     MvccWriteError, SsiConflict, Wal, WalConfig,
@@ -145,8 +145,8 @@ impl MvccScheme {
             .with_obs(Arc::clone(&env.obs)),
         );
         let mut env = env;
-        // Shared handle: `CcScheme::wal_stats`/`durability` read it
-        // from the environment uniformly across all six schemes.
+        // Shared handle: `Env::wal_stats`/`durability` read it
+        // uniformly across all six schemes.
         env.wal = Some(wal);
         Ok(MvccScheme {
             heap,
@@ -221,9 +221,6 @@ impl DataAccess for MvccAccess<'_> {
     // on_message / on_self_message: default no-ops. There is no lock to
     // announce — versioning replaces admission control for readers, and
     // writers are validated at each write.
-    fn on_message(&mut self, _: Oid, _: ClassId, _: MethodId) -> Result<(), ExecError> {
-        Ok(())
-    }
 }
 
 impl MvccScheme {
@@ -281,13 +278,8 @@ impl CcScheme for MvccScheme {
         method: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, ExecError> {
-        let interp = interpreter(&self.env);
-        let mut da = self.access(txn);
-        let mut out = Vec::new();
-        for oid in self.env.db.deep_extent(root) {
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
+        let extent = self.env.db.deep_extent(root);
+        send_each(&self.env, &mut self.access(txn), extent, method, args)
     }
 
     fn send_some(
@@ -299,13 +291,8 @@ impl CcScheme for MvccScheme {
         args: &[Value],
     ) -> Result<Vec<Value>, ExecError> {
         let _ = root; // No intentional class locks to take.
-        let interp = interpreter(&self.env);
-        let mut da = self.access(txn);
-        let mut out = Vec::new();
-        for &oid in oids {
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
+        let oids = oids.iter().copied();
+        send_each(&self.env, &mut self.access(txn), oids, method, args)
     }
 
     fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
@@ -331,11 +318,6 @@ impl CcScheme for MvccScheme {
 
     fn stats(&self) -> StatsSnapshot {
         self.lock_stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.lock_stats.reset();
-        self.heap.stats.reset();
     }
 
     fn mvcc_stats(&self) -> Option<MvccStatsSnapshot> {
@@ -520,7 +502,7 @@ mod tests {
             &dir,
         )
         .unwrap();
-        assert_eq!(s.durability(), DurabilityLevel::WalSync);
+        assert_eq!(s.env().durability(), DurabilityLevel::WalSync);
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m1", &[Value::Int(9)]).unwrap();
         s.commit(txn).unwrap();
@@ -528,7 +510,7 @@ mod tests {
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m2", &[Value::Int(77)]).unwrap();
         s.abort(txn);
-        let wal = s.wal_stats().unwrap();
+        let wal = s.env().wal_stats().unwrap();
         assert!(wal.appends >= 1 && wal.log_fsyncs >= 1 && wal.log_bytes > 0);
         drop(s);
         let (heap, info) = MvccHeap::recover(
@@ -547,8 +529,8 @@ mod tests {
     #[test]
     fn durability_level_none_changes_nothing() {
         let (s, _, o2) = setup();
-        assert_eq!(s.durability(), DurabilityLevel::None);
-        assert!(s.wal_stats().is_none());
+        assert_eq!(s.env().durability(), DurabilityLevel::None);
+        assert!(s.env().wal_stats().is_none());
         assert!(s.checkpoint().is_none(), "no log, no online checkpoint");
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m2", &[Value::Int(3)]).unwrap();
@@ -579,7 +561,7 @@ mod tests {
             .expect("durable mvcc scheme checkpoints online")
             .expect("quiet checkpoint succeeds");
         assert!(ts >= 4);
-        let wal = s.wal_stats().unwrap();
+        let wal = s.env().wal_stats().unwrap();
         assert_eq!(wal.truncations, 2, "maintenance ran at genesis + online");
         assert!(wal.truncated_bytes > 0, "pre-image commits were dropped");
         let _ = std::fs::remove_dir_all(&dir);

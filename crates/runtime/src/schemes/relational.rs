@@ -19,298 +19,129 @@
 //! parallelism of TAVs — the two are incomparable (§5.2).
 
 use crate::env::Env;
-use crate::scheme::CcScheme;
-use crate::schemes::interpreter;
-use crate::txn::Txn;
+use crate::schemes::lock::{
+    mode_index, not_understood, rw_mode, LockAccess, LockPolicy, LockScheme, UndoStyle,
+};
 use finecc_core::{AccessMode, AccessVector};
-use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{LockManager, LockMode, ResourceId, RwSource, StatsSnapshot, READ, WRITE};
-use finecc_model::{ClassId, FieldId, MethodId, Oid, Value};
-use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use finecc_lang::ExecError;
+use finecc_lock::{LockMode, ResourceId, RwSource, READ, WRITE};
+use finecc_model::{ClassId, MethodId, Oid};
+use std::collections::BTreeMap;
+
+/// The relational policy: a top message is a query whose statically
+/// analyzed access pattern (its TAV) is locked tuple by tuple.
+pub struct RelationalPolicy;
 
 /// Relational decomposition with tuple locking.
-pub struct RelationalScheme {
-    env: Env,
-    lm: LockManager<RwSource>,
-    /// Per class: the root of its hierarchy (last of the linearization).
-    roots: Vec<ClassId>,
-    /// Per class: the primary key — the first locally-declared field of
-    /// the hierarchy root (None if the root declares no fields).
-    keys: Vec<Option<FieldId>>,
+pub type RelationalScheme = LockScheme<RelationalPolicy>;
+
+/// The tuple-lock plan of an access vector evaluated on an instance of
+/// `class`: which relations are touched, in which RW mode. A key
+/// write escalates to write locks across the whole hierarchy (FK
+/// propagation).
+fn tuple_plan(env: &Env, class: ClassId, av: &AccessVector) -> Vec<(ClassId, u16)> {
+    // The hierarchy root closes the linearization; its first
+    // locally-declared field is the primary key (if it declares any).
+    let linearization = &env.schema.class(class).linearization;
+    let root = *linearization.last().expect("linearization contains self");
+    let key = env.schema.class(root).own_fields.first();
+    if key.is_some_and(|&k| av.mode_of(k).is_write()) {
+        let mut rels: Vec<ClassId> = linearization.clone();
+        rels.extend_from_slice(env.schema.domain(root));
+        rels.sort_unstable();
+        rels.dedup();
+        return rels.into_iter().map(|c| (c, WRITE)).collect();
+    }
+    let mut by_rel: BTreeMap<ClassId, AccessMode> = BTreeMap::new();
+    for (f, m) in av.iter() {
+        let owner = env.schema.field(f).owner;
+        let e = by_rel.entry(owner).or_insert(AccessMode::Null);
+        *e = e.join(m);
+    }
+    by_rel.into_iter().map(|(c, m)| (c, rw_mode(m))).collect()
 }
 
-impl RelationalScheme {
-    /// Builds the scheme, deriving the relational mapping from the schema.
-    pub fn new(env: Env) -> RelationalScheme {
-        let mut roots = Vec::with_capacity(env.schema.class_count());
-        let mut keys = Vec::with_capacity(env.schema.class_count());
-        for ci in env.schema.classes() {
-            let root = *ci
-                .linearization
-                .last()
-                .expect("linearization contains self");
-            roots.push(root);
-            keys.push(env.schema.class(root).own_fields.first().copied());
-        }
-        RelationalScheme {
-            lm: LockManager::new(RwSource)
-                .with_timeout(env.lock_timeout)
-                .with_obs(std::sync::Arc::clone(&env.obs)),
-            env,
-            roots,
-            keys,
+/// The joined relation-lock plan of an extent operation over the
+/// domain rooted at `root`.
+fn extent_plan(env: &Env, root: ClassId, method: &str) -> Result<Vec<(ClassId, u16)>, ExecError> {
+    let mut joined: BTreeMap<ClassId, u16> = BTreeMap::new();
+    for &c in env.schema.domain(root) {
+        let tav = env.compiled.class(c).tav(mode_index(env, c, method)?);
+        for (rel, m) in tuple_plan(env, c, tav) {
+            let e = joined.entry(rel).or_insert(READ);
+            *e = (*e).max(m);
         }
     }
+    Ok(joined.into_iter().collect())
+}
 
-    /// The underlying lock manager.
-    pub fn lock_manager(&self) -> &LockManager<RwSource> {
-        &self.lm
-    }
-
-    /// The tuple-lock plan of an access vector evaluated on an instance of
-    /// `class`: which relations are touched, in which RW mode. A key
-    /// write escalates to write locks across the whole hierarchy (FK
-    /// propagation).
+impl LockScheme<RelationalPolicy> {
+    /// The tuple-lock plan of an access vector evaluated on an instance
+    /// of `class`: `(relation, READ | WRITE)` in relation order.
     pub fn tuple_plan(&self, class: ClassId, av: &AccessVector) -> Vec<(ClassId, u16)> {
-        let key = self.keys[class.index()];
-        let key_written = key.is_some_and(|k| av.mode_of(k).is_write());
-        if key_written {
-            let root = self.roots[class.index()];
-            let mut rels: Vec<ClassId> = self.env.schema.class(class).linearization.clone();
-            rels.extend_from_slice(self.env.schema.domain(root));
-            rels.sort_unstable();
-            rels.dedup();
-            return rels.into_iter().map(|c| (c, WRITE)).collect();
-        }
-        let mut by_rel: BTreeMap<ClassId, AccessMode> = BTreeMap::new();
-        for (f, m) in av.iter() {
-            let owner = self.env.schema.field(f).owner;
-            let e = by_rel.entry(owner).or_insert(AccessMode::Null);
-            *e = e.join(m);
-        }
-        by_rel
-            .into_iter()
-            .map(|(c, m)| (c, if m.is_write() { WRITE } else { READ }))
-            .collect()
+        tuple_plan(&self.env, class, av)
     }
 
-    /// The joined relation-lock plan of an extent operation over the
-    /// domain rooted at `root`.
+    #[cfg(test)]
     fn extent_plan(&self, root: ClassId, method: &str) -> Result<Vec<(ClassId, u16)>, ExecError> {
-        let mut joined: BTreeMap<ClassId, u16> = BTreeMap::new();
-        for &c in self.env.schema.domain(root) {
-            let table = self.env.compiled.class(c);
-            let idx = table
-                .index_of(method)
-                .ok_or_else(|| ExecError::MessageNotUnderstood {
-                    class: c,
-                    method: method.to_string(),
-                })?;
-            for (rel, m) in self.tuple_plan(c, table.tav(idx)) {
-                let e = joined.entry(rel).or_insert(READ);
-                *e = (*e).max(m);
-            }
-        }
-        Ok(joined.into_iter().collect())
+        extent_plan(&self.env, root, method)
     }
 }
 
-struct RelAccess<'a> {
-    env: &'a Env,
-    lm: &'a LockManager<RwSource>,
-    scheme: &'a RelationalScheme,
-    txn: &'a mut Txn,
-    /// Relations covered by a hierarchical lock.
-    covered: &'a HashSet<ClassId>,
-}
+impl LockPolicy for RelationalPolicy {
+    type Source = RwSource;
+    const NAME: &'static str = "relational";
+    const UNDO: UndoStyle = UndoStyle::TavProjection;
 
-impl DataAccess for RelAccess<'_> {
-    fn class_of(&mut self, oid: Oid) -> Result<ClassId, ExecError> {
-        self.env.db.class_of(oid).map_err(Env::store_err)
+    fn source(_: &Env) -> RwSource {
+        RwSource
     }
 
-    fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        self.env.db.read(oid, field).map_err(Env::store_err)
-    }
-
-    fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
-        self.env
-            .db
-            .write(oid, field, value)
-            .map(drop)
-            .map_err(Env::store_err)
-    }
-
-    fn on_message(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
+    fn on_message(
+        cx: &mut LockAccess<'_, Self>,
+        oid: Oid,
+        class: ClassId,
+        mid: MethodId,
+    ) -> Result<(), ExecError> {
         // The whole top message is the relational "query": its TAV is the
         // statically analyzed access pattern the planner would lock for.
-        let tav = self
+        let tav = cx
             .env
             .compiled
             .tav_of(class, mid)
-            .ok_or_else(|| ExecError::MessageNotUnderstood {
-                class,
-                method: format!("{mid}"),
-            })?
-            .clone();
-        for (rel, m) in self.scheme.tuple_plan(class, &tav) {
-            if self.covered.contains(&rel) {
+            .ok_or_else(|| not_understood(class, mid))?;
+        for (rel, m) in tuple_plan(cx.env, class, tav) {
+            if cx.is_covered(rel) {
                 continue;
             }
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Relation(rel),
-                    LockMode::class(m, false),
-                )
-                .map_err(Env::lock_err)?;
-            self.lm
-                .acquire(self.txn.id, ResourceId::Tuple(rel, oid), LockMode::plain(m))
-                .map_err(Env::lock_err)?;
+            cx.lock(ResourceId::Relation(rel), LockMode::class(m, false))?;
+            cx.lock(ResourceId::Tuple(rel, oid), LockMode::plain(m))?;
         }
-        self.txn
-            .undo
-            .record_projection(&self.env.db, oid, tav.write_fields())
-            .map_err(Env::store_err)?;
+        cx.undo_projection(oid, tav)
+    }
+
+    // on_self_message: default no-op — the plan covered the whole execution.
+
+    fn on_extent(
+        cx: &mut LockAccess<'_, Self>,
+        root: ClassId,
+        method: &str,
+        hierarchical: bool,
+    ) -> Result<(), ExecError> {
+        for (rel, m) in extent_plan(cx.env, root, method)? {
+            cx.lock(ResourceId::Relation(rel), LockMode::class(m, hierarchical))?;
+        }
         Ok(())
-    }
-
-    // on_self_message: no-op — the plan covered the whole execution.
-}
-
-impl CcScheme for RelationalScheme {
-    fn name(&self) -> &'static str {
-        "relational"
-    }
-
-    fn env(&self) -> &Env {
-        &self.env
-    }
-
-    fn begin(&self) -> Txn {
-        Txn::new(self.lm.begin())
-    }
-
-    fn send(
-        &self,
-        txn: &mut Txn,
-        oid: Oid,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, ExecError> {
-        let covered = HashSet::new();
-        let mut da = RelAccess {
-            env: &self.env,
-            lm: &self.lm,
-            scheme: self,
-            txn,
-            covered: &covered,
-        };
-        interpreter(&self.env).send(&mut da, oid, method, args)
-    }
-
-    fn send_all(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        let plan = self.extent_plan(root, method)?;
-        let mut covered = HashSet::new();
-        for (rel, m) in plan {
-            self.lm
-                .acquire(txn.id, ResourceId::Relation(rel), LockMode::class(m, true))
-                .map_err(Env::lock_err)?;
-            covered.insert(rel);
-        }
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for oid in self.env.db.deep_extent(root) {
-            let mut da = RelAccess {
-                env: &self.env,
-                lm: &self.lm,
-                scheme: self,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn send_some(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        oids: &[Oid],
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        for (rel, m) in self.extent_plan(root, method)? {
-            self.lm
-                .acquire(txn.id, ResourceId::Relation(rel), LockMode::class(m, false))
-                .map_err(Env::lock_err)?;
-        }
-        let covered = HashSet::new();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for &oid in oids {
-            let mut da = RelAccess {
-                env: &self.env,
-                lm: &self.lm,
-                scheme: self,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
-        // Strict 2PL holds every lock to this point; nothing is left to
-        // validate. The commit sequence is drawn and the redo images
-        // are logged (write-ahead durability, when attached) while
-        // every lock is still held, so the log's timestamp order is a
-        // valid serialization order and the after-images are exactly
-        // what this transaction wrote. The one remaining failure is
-        // the log refusing the redo append: the env then rolls the
-        // transaction back under these same locks and the retryable
-        // error surfaces after they are released.
-        let seq = self.env.next_commit_seq();
-        let logged = self.env.log_commit_redo(&mut txn, seq);
-        self.lm.release_all(txn.id);
-        logged?;
-        Ok(seq)
-    }
-
-    fn abort(&self, mut txn: Txn) {
-        txn.undo.rollback(&self.env.db);
-        self.lm.release_all(txn.id);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.lm.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.lm.stats.reset();
-    }
-
-    fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        crate::metrics::register_env_metrics(reg, self.env(), labels);
-        let stats = Arc::clone(&self.lm.stats);
-        reg.register_fn(labels, move |c| stats.snapshot().collect_metrics(c));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::CcScheme;
     use finecc_lang::parser::FIGURE1_SOURCE;
     use finecc_lock::TryAcquire;
+    use finecc_model::Value;
 
     fn setup() -> (RelationalScheme, Oid, Oid) {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();

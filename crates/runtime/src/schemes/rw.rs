@@ -13,285 +13,114 @@
 //!   they touch disjoint fields.
 
 use crate::env::Env;
-use crate::scheme::CcScheme;
-use crate::schemes::interpreter;
-use crate::txn::Txn;
-use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{LockManager, LockMode, ResourceId, RwSource, StatsSnapshot, READ, WRITE};
-use finecc_model::{ClassId, FieldId, MethodId, Oid, Value};
-use std::collections::HashSet;
-use std::sync::Arc;
+use crate::schemes::lock::{
+    not_understood, rw_mode, transitive_rw_mode, LockAccess, LockPolicy, LockScheme, UndoStyle,
+};
+use finecc_lang::ExecError;
+use finecc_lock::{LockMode, ResourceId, RwSource, WRITE};
+use finecc_model::{ClassId, MethodId, Oid};
+
+/// The read/write policy: every message, self-directed included, locks
+/// the receiver as a reader or a writer.
+pub struct RwPolicy;
 
 /// Per-message read/write instance locking.
-pub struct RwScheme {
-    env: Env,
-    lm: LockManager<RwSource>,
+pub type RwScheme = LockScheme<RwPolicy>;
+
+/// A method's reader/writer classification from its **direct** access
+/// vector — what a per-message monitor knows when the message is sent.
+fn classify(env: &Env, mid: MethodId) -> u16 {
+    rw_mode(env.compiled.extraction.dav(mid).collapse())
 }
 
-impl RwScheme {
-    /// Builds the scheme.
-    pub fn new(env: Env) -> RwScheme {
-        RwScheme {
-            lm: LockManager::new(RwSource)
-                .with_timeout(env.lock_timeout)
-                .with_obs(std::sync::Arc::clone(&env.obs)),
-            env,
+/// One message's control: the class intentionally and the receiver, as
+/// reader or writer, each requested through `lock`.
+fn control<'a>(
+    cx: &mut LockAccess<'a, RwPolicy>,
+    oid: Oid,
+    class: ClassId,
+    mid: MethodId,
+    lock: fn(&mut LockAccess<'a, RwPolicy>, ResourceId, LockMode) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let m = classify(cx.env, mid);
+    if cx.is_covered(class) {
+        // Hierarchically covered: escalation surfaces at class level.
+        if m == WRITE {
+            lock(cx, ResourceId::Class(class), LockMode::class(WRITE, true))?;
         }
+        return Ok(());
     }
-
-    /// The underlying lock manager.
-    pub fn lock_manager(&self) -> &LockManager<RwSource> {
-        &self.lm
-    }
-
-    /// A method's reader/writer classification from its **direct** access
-    /// vector — what a per-message monitor knows when the message is sent.
-    fn classify(&self, mid: MethodId) -> u16 {
-        if self.env.compiled.extraction.dav(mid).collapse().is_write() {
-            WRITE
-        } else {
-            READ
-        }
-    }
-
-    /// A method's *transitive* classification — used only for announcing
-    /// extent-level (hierarchical) locks, where even an RW system must
-    /// consider the whole operation.
-    fn classify_tav(&self, class: ClassId, method: &str) -> Result<u16, ExecError> {
-        let table = self.env.compiled.class(class);
-        let idx = table
-            .index_of(method)
-            .ok_or_else(|| ExecError::MessageNotUnderstood {
-                class,
-                method: method.to_string(),
-            })?;
-        Ok(if table.tav(idx).collapse().is_write() {
-            WRITE
-        } else {
-            READ
-        })
-    }
+    lock(cx, ResourceId::Class(class), LockMode::class(m, false))?;
+    lock(cx, ResourceId::Instance(oid, class), LockMode::plain(m))
 }
 
-struct RwAccess<'a> {
-    env: &'a Env,
-    lm: &'a LockManager<RwSource>,
-    scheme: &'a RwScheme,
-    txn: &'a mut Txn,
-    covered: &'a HashSet<ClassId>,
-}
+impl LockPolicy for RwPolicy {
+    type Source = RwSource;
+    const NAME: &'static str = "rw";
+    // Per-field logging: an RW system has no access vectors to project
+    // through.
+    const UNDO: UndoStyle = UndoStyle::PerField;
 
-impl RwAccess<'_> {
-    fn control(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
-        let m = self.scheme.classify(mid);
-        if self.covered.contains(&class) {
-            // Hierarchically covered: escalation surfaces at class level.
-            if m == WRITE {
-                self.lm
-                    .acquire(
-                        self.txn.id,
-                        ResourceId::Class(class),
-                        LockMode::class(WRITE, true),
-                    )
-                    .map_err(Env::lock_err)?;
-            }
-            return Ok(());
-        }
-        self.lm
-            .acquire(
-                self.txn.id,
-                ResourceId::Class(class),
-                LockMode::class(m, false),
-            )
-            .map_err(Env::lock_err)?;
-        self.lm
-            .acquire(
-                self.txn.id,
-                ResourceId::Instance(oid, class),
-                LockMode::plain(m),
-            )
-            .map_err(Env::lock_err)?;
-        Ok(())
-    }
-}
-
-impl DataAccess for RwAccess<'_> {
-    fn class_of(&mut self, oid: Oid) -> Result<ClassId, ExecError> {
-        self.env.db.class_of(oid).map_err(Env::store_err)
+    fn source(_: &Env) -> RwSource {
+        RwSource
     }
 
-    fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        self.env.db.read(oid, field).map_err(Env::store_err)
-    }
-
-    fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
-        let old = self
-            .env
-            .db
-            .write(oid, field, value)
-            .map_err(Env::store_err)?;
-        // First-write-wins before-image (per-field logging: an RW system
-        // has no access vectors to project through).
-        self.txn.undo.record(oid, field, old);
-        Ok(())
-    }
-
-    fn on_message(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
-        self.control(oid, class, mid)
-    }
-
-    /// Per-message control: this is what produces the locking overhead
-    /// and the read→write escalations of §3.
-    fn on_self_message(
-        &mut self,
+    fn on_message(
+        cx: &mut LockAccess<'_, Self>,
         oid: Oid,
         class: ClassId,
         mid: MethodId,
     ) -> Result<(), ExecError> {
-        self.control(oid, class, mid)
-    }
-}
-
-impl CcScheme for RwScheme {
-    fn name(&self) -> &'static str {
-        "rw"
+        control(cx, oid, class, mid, LockAccess::lock)
     }
 
-    fn env(&self) -> &Env {
-        &self.env
-    }
-
-    fn begin(&self) -> Txn {
-        Txn::new(self.lm.begin())
-    }
-
-    fn send(
-        &self,
-        txn: &mut Txn,
+    /// Per-message control: every message wants it, which is what
+    /// produces the locking overhead and the read→write escalations
+    /// of §3. The enclosing message controlled this receiver already,
+    /// so the request is usually one the transaction holds.
+    fn on_self_message(
+        cx: &mut LockAccess<'_, Self>,
         oid: Oid,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, ExecError> {
-        let covered = HashSet::new();
-        let mut da = RwAccess {
-            env: &self.env,
-            lm: &self.lm,
-            scheme: self,
-            txn,
-            covered: &covered,
-        };
-        interpreter(&self.env).send(&mut da, oid, method, args)
+        class: ClassId,
+        mid: MethodId,
+    ) -> Result<(), ExecError> {
+        control(cx, oid, class, mid, LockAccess::relock)
     }
 
-    fn send_all(
-        &self,
-        txn: &mut Txn,
+    fn on_extent(
+        cx: &mut LockAccess<'_, Self>,
         root: ClassId,
         method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        // Announce the transitive classification hierarchically: an RW
-        // system planning an extent operation knows it from the query.
-        for &c in self.env.schema.domain(root) {
-            let m = self.classify_tav(c, method)?;
-            self.lm
-                .acquire(txn.id, ResourceId::Class(c), LockMode::class(m, true))
-                .map_err(Env::lock_err)?;
-        }
-        let covered: HashSet<ClassId> = self.env.schema.domain(root).iter().copied().collect();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for oid in self.env.db.deep_extent(root) {
-            let mut da = RwAccess {
-                env: &self.env,
-                lm: &self.lm,
-                scheme: self,
-                txn,
-                covered: &covered,
+        hierarchical: bool,
+    ) -> Result<(), ExecError> {
+        let env = cx.env;
+        for &c in env.schema.domain(root) {
+            // All instances: the transitive classification, which an RW
+            // system planning an extent operation knows from the query.
+            // Selected instances: each will be controlled per message,
+            // so the intent carries the direct one.
+            let m = if hierarchical {
+                transitive_rw_mode(env, c, method)?
+            } else {
+                let mid = env
+                    .schema
+                    .resolve_method(c, method)
+                    .ok_or_else(|| not_understood(c, method))?;
+                classify(env, mid)
             };
-            out.push(interp.send(&mut da, oid, method, args)?);
+            cx.lock(ResourceId::Class(c), LockMode::class(m, hierarchical))?;
         }
-        Ok(out)
-    }
-
-    fn send_some(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        oids: &[Oid],
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        for &c in self.env.schema.domain(root) {
-            let mid = self.env.schema.resolve_method(c, method).ok_or_else(|| {
-                ExecError::MessageNotUnderstood {
-                    class: c,
-                    method: method.to_string(),
-                }
-            })?;
-            let m = self.classify(mid);
-            self.lm
-                .acquire(txn.id, ResourceId::Class(c), LockMode::class(m, false))
-                .map_err(Env::lock_err)?;
-        }
-        let covered = HashSet::new();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for &oid in oids {
-            let mut da = RwAccess {
-                env: &self.env,
-                lm: &self.lm,
-                scheme: self,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
-        // Strict 2PL holds every lock to this point; nothing is left to
-        // validate. The commit sequence is drawn and the redo images
-        // are logged (write-ahead durability, when attached) while
-        // every lock is still held, so the log's timestamp order is a
-        // valid serialization order and the after-images are exactly
-        // what this transaction wrote. The one remaining failure is
-        // the log refusing the redo append: the env then rolls the
-        // transaction back under these same locks and the retryable
-        // error surfaces after they are released.
-        let seq = self.env.next_commit_seq();
-        let logged = self.env.log_commit_redo(&mut txn, seq);
-        self.lm.release_all(txn.id);
-        logged?;
-        Ok(seq)
-    }
-
-    fn abort(&self, mut txn: Txn) {
-        txn.undo.rollback(&self.env.db);
-        self.lm.release_all(txn.id);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.lm.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.lm.stats.reset();
-    }
-
-    fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        crate::metrics::register_env_metrics(reg, self.env(), labels);
-        let stats = Arc::clone(&self.lm.stats);
-        reg.register_fn(labels, move |c| stats.snapshot().collect_metrics(c));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::CcScheme;
     use finecc_lang::parser::FIGURE1_SOURCE;
-    use finecc_lock::TryAcquire;
+    use finecc_lock::{TryAcquire, READ};
+    use finecc_model::Value;
 
     fn setup() -> (RwScheme, Oid, Oid) {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();

@@ -14,245 +14,71 @@
 //! the paper's recovery remark made executable.
 
 use crate::env::Env;
-use crate::scheme::CcScheme;
-use crate::schemes::interpreter;
-use crate::txn::Txn;
-use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{CommutSource, LockManager, LockMode, ResourceId, StatsSnapshot};
-use finecc_model::{ClassId, FieldId, MethodId, Oid, Value};
-use std::collections::HashSet;
+use crate::schemes::lock::{
+    mode_index, not_understood, LockAccess, LockPolicy, LockScheme, UndoStyle,
+};
+use finecc_lang::ExecError;
+use finecc_lock::{CommutSource, LockMode, ResourceId};
+use finecc_model::{ClassId, MethodId, Oid};
 use std::sync::Arc;
 
+/// The paper's policy: the mode of every lock is the message's
+/// access-mode index in the receiver class's commutativity matrix.
+pub struct TavPolicy;
+
 /// The TAV/commutativity scheme (the paper's proposal).
-pub struct TavScheme {
-    env: Env,
-    lm: LockManager<CommutSource>,
-}
+pub type TavScheme = LockScheme<TavPolicy>;
 
-impl TavScheme {
-    /// Builds the scheme (compiles nothing — the matrices are already in
-    /// `env.compiled`, produced at schema-compile time).
-    pub fn new(env: Env) -> TavScheme {
-        let lm = LockManager::new(CommutSource::new(Arc::clone(&env.compiled)))
-            .with_timeout(env.lock_timeout)
-            .with_obs(Arc::clone(&env.obs));
-        TavScheme { env, lm }
+impl LockPolicy for TavPolicy {
+    type Source = CommutSource;
+    const NAME: &'static str = "tav";
+    const UNDO: UndoStyle = UndoStyle::TavProjection;
+
+    fn source(env: &Env) -> CommutSource {
+        CommutSource::new(Arc::clone(&env.compiled))
     }
 
-    /// The underlying lock manager (for tests and experiments).
-    pub fn lock_manager(&self) -> &LockManager<CommutSource> {
-        &self.lm
+    fn on_message(
+        cx: &mut LockAccess<'_, Self>,
+        oid: Oid,
+        class: ClassId,
+        mid: MethodId,
+    ) -> Result<(), ExecError> {
+        let table = cx.env.compiled.class(class);
+        let idx = table
+            .index_of_mid(mid)
+            .ok_or_else(|| not_understood(class, mid))?;
+        if !cx.is_covered(class) {
+            let mode = idx as u16;
+            cx.lock(ResourceId::Class(class), LockMode::class(mode, false))?;
+            cx.lock(ResourceId::Instance(oid, class), LockMode::plain(mode))?;
+        }
+        cx.undo_projection(oid, table.tav(idx))
     }
 
-    fn hier_lock_domain(
-        &self,
-        txn: &Txn,
+    // on_self_message: default no-op — the whole point of the paper.
+
+    fn on_extent(
+        cx: &mut LockAccess<'_, Self>,
         root: ClassId,
         method: &str,
         hierarchical: bool,
     ) -> Result<(), ExecError> {
-        for &c in self.env.schema.domain(root) {
-            let table = self.env.compiled.class(c);
-            let idx = table
-                .index_of(method)
-                .ok_or_else(|| ExecError::MessageNotUnderstood {
-                    class: c,
-                    method: method.to_string(),
-                })? as u16;
-            self.lm
-                .acquire(
-                    txn.id,
-                    ResourceId::Class(c),
-                    LockMode::class(idx, hierarchical),
-                )
-                .map_err(Env::lock_err)?;
+        for &c in cx.env.schema.domain(root) {
+            let mode = mode_index(cx.env, c, method)? as u16;
+            cx.lock(ResourceId::Class(c), LockMode::class(mode, hierarchical))?;
         }
         Ok(())
-    }
-}
-
-struct TavAccess<'a> {
-    env: &'a Env,
-    lm: &'a LockManager<CommutSource>,
-    txn: &'a mut Txn,
-    /// Classes covered by a hierarchical lock: instances of these need no
-    /// instance lock.
-    covered: &'a HashSet<ClassId>,
-}
-
-impl DataAccess for TavAccess<'_> {
-    fn class_of(&mut self, oid: Oid) -> Result<ClassId, ExecError> {
-        self.env.db.class_of(oid).map_err(Env::store_err)
-    }
-
-    fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        self.env.db.read(oid, field).map_err(Env::store_err)
-    }
-
-    fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
-        // No undo record here: the projection at message entry already
-        // captured every field the TAV can write.
-        self.env
-            .db
-            .write(oid, field, value)
-            .map(drop)
-            .map_err(Env::store_err)
-    }
-
-    fn on_message(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
-        let table = self.env.compiled.class(class);
-        let idx = table
-            .index_of_mid(mid)
-            .ok_or_else(|| ExecError::MessageNotUnderstood {
-                class,
-                method: format!("{mid}"),
-            })? as u16;
-        if !self.covered.contains(&class) {
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Class(class),
-                    LockMode::class(idx, false),
-                )
-                .map_err(Env::lock_err)?;
-            self.lm
-                .acquire(
-                    self.txn.id,
-                    ResourceId::Instance(oid, class),
-                    LockMode::plain(idx),
-                )
-                .map_err(Env::lock_err)?;
-        }
-        // Recovery: before-image through the TAV's write projection.
-        self.txn
-            .undo
-            .record_projection(&self.env.db, oid, table.tav(idx as usize).write_fields())
-            .map_err(Env::store_err)?;
-        Ok(())
-    }
-
-    // on_self_message: default no-op — the whole point of the paper.
-}
-
-impl CcScheme for TavScheme {
-    fn name(&self) -> &'static str {
-        "tav"
-    }
-
-    fn env(&self) -> &Env {
-        &self.env
-    }
-
-    fn begin(&self) -> Txn {
-        Txn::new(self.lm.begin())
-    }
-
-    fn send(
-        &self,
-        txn: &mut Txn,
-        oid: Oid,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, ExecError> {
-        let covered = HashSet::new();
-        let mut da = TavAccess {
-            env: &self.env,
-            lm: &self.lm,
-            txn,
-            covered: &covered,
-        };
-        interpreter(&self.env).send(&mut da, oid, method, args)
-    }
-
-    fn send_all(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        self.hier_lock_domain(txn, root, method, true)?;
-        let covered: HashSet<ClassId> = self.env.schema.domain(root).iter().copied().collect();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for oid in self.env.db.deep_extent(root) {
-            let mut da = TavAccess {
-                env: &self.env,
-                lm: &self.lm,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn send_some(
-        &self,
-        txn: &mut Txn,
-        root: ClassId,
-        oids: &[Oid],
-        method: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>, ExecError> {
-        self.hier_lock_domain(txn, root, method, false)?;
-        let covered = HashSet::new();
-        let interp = interpreter(&self.env);
-        let mut out = Vec::new();
-        for &oid in oids {
-            let mut da = TavAccess {
-                env: &self.env,
-                lm: &self.lm,
-                txn,
-                covered: &covered,
-            };
-            out.push(interp.send(&mut da, oid, method, args)?);
-        }
-        Ok(out)
-    }
-
-    fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
-        // Strict 2PL holds every lock to this point; nothing is left to
-        // validate. The commit sequence is drawn and the redo images
-        // are logged (write-ahead durability, when attached) while
-        // every lock is still held, so the log's timestamp order is a
-        // valid serialization order and the after-images are exactly
-        // what this transaction wrote. The one remaining failure is
-        // the log refusing the redo append: the env then rolls the
-        // transaction back under these same locks and the retryable
-        // error surfaces after they are released.
-        let seq = self.env.next_commit_seq();
-        let logged = self.env.log_commit_redo(&mut txn, seq);
-        self.lm.release_all(txn.id);
-        logged?;
-        Ok(seq)
-    }
-
-    fn abort(&self, mut txn: Txn) {
-        txn.undo.rollback(&self.env.db);
-        self.lm.release_all(txn.id);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.lm.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.lm.stats.reset();
-    }
-
-    fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        crate::metrics::register_env_metrics(reg, self.env(), labels);
-        let stats = Arc::clone(&self.lm.stats);
-        reg.register_fn(labels, move |c| stats.snapshot().collect_metrics(c));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::CcScheme;
     use crate::txn::run_txn;
     use finecc_lang::parser::FIGURE1_SOURCE;
+    use finecc_model::Value;
 
     fn setup() -> (TavScheme, Oid, Oid) {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();

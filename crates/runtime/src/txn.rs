@@ -2,6 +2,7 @@
 
 use crate::scheme::CcScheme;
 use finecc_lang::ExecError;
+use finecc_lock::{LockMode, ResourceId};
 use finecc_model::TxnId;
 use finecc_obs::{EventKind, Obs, Phase};
 use finecc_store::UndoLog;
@@ -20,15 +21,25 @@ pub struct Txn {
     /// the read path's last shared-mutable touch besides the chains
     /// themselves.
     pub snapshot_ts: Option<u64>,
+    /// The first [`Txn::HELD_LOCKS`] locks the lock schemes were
+    /// granted (empty for the mvcc schemes). Strict 2PL holds a granted
+    /// lock to commit, so a repeated request found here needs no trip
+    /// to the shared lock table.
+    pub held: Vec<(ResourceId, LockMode)>,
 }
 
 impl Txn {
+    /// How many granted locks [`Txn::held`] remembers: the lookup stays
+    /// a short scan however many locks a bulk transaction takes.
+    pub const HELD_LOCKS: usize = 16;
+
     /// Creates a transaction with an empty undo log.
     pub fn new(id: TxnId) -> Txn {
         Txn {
             id,
             undo: UndoLog::new(),
             snapshot_ts: None,
+            held: Vec::new(),
         }
     }
 
@@ -38,6 +49,7 @@ impl Txn {
             id,
             undo: UndoLog::new(),
             snapshot_ts: Some(snapshot_ts),
+            held: Vec::new(),
         }
     }
 }
@@ -133,7 +145,7 @@ pub fn run_txn_with<T>(
     policy: RetryPolicy,
     mut body: impl FnMut(&mut Txn) -> Result<T, ExecError>,
 ) -> TxnOutcome<T> {
-    let obs = scheme.obs();
+    let obs = &scheme.env().obs;
     // End-to-end latency spans the whole loop: first begin to final
     // outcome, retries included — the user-visible latency, not the
     // per-attempt one.

@@ -522,7 +522,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
 
     let log_failures = scheme
         .as_ref()
-        .and_then(|s| s.wal_stats())
+        .and_then(|s| s.env().wal_stats())
         .map_or(0, |wstats| wstats.append_failures);
     // Drop the scheme (closing the log gracefully where it is not
     // poisoned) before uninstalling the harness and recovering.

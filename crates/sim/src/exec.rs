@@ -150,8 +150,8 @@ impl ExecReport {
 pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> ExecReport {
     let before = scheme.stats();
     let mvcc_before = scheme.mvcc_stats();
-    let wal_before = scheme.wal_stats();
-    let obs_before = scheme.obs().snapshot();
+    let wal_before = scheme.env().wal_stats();
+    let obs_before = scheme.env().obs.snapshot();
     let committed = AtomicU64::new(0);
     let exhausted = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
@@ -206,9 +206,10 @@ pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> 
             .mvcc_stats()
             .map(|after| after.since(&mvcc_before.unwrap_or_default())),
         wal: scheme
+            .env()
             .wal_stats()
             .map(|after| after.since(&wal_before.unwrap_or_default())),
-        obs: scheme.obs().report_since(&obs_before),
+        obs: scheme.env().obs.report_since(&obs_before),
     }
 }
 

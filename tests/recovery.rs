@@ -512,14 +512,14 @@ fn lock_scheme_undo_projection_log_recovers() {
         let scheme = kind
             .build_durable(env, DurabilityLevel::WalSync, &dir)
             .unwrap();
-        assert_eq!(scheme.durability(), DurabilityLevel::WalSync);
+        assert_eq!(scheme.env().durability(), DurabilityLevel::WalSync);
         for i in 1..=4 {
             let out = run_txn(scheme.as_ref(), 5, |txn| {
                 scheme.send(txn, o2, "m2", &[Value::Int(i)])
             });
             assert!(out.is_committed());
         }
-        let wal = scheme.wal_stats().unwrap();
+        let wal = scheme.env().wal_stats().unwrap();
         assert_eq!(wal.appends, 4, "one redo record per committed txn");
         assert!(wal.log_fsyncs >= 1);
         let live_f1 = db.read(o2, f1).unwrap();
