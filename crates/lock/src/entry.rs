@@ -119,9 +119,12 @@ impl LockEntry {
         before != self.granted.len() + self.queue.len()
     }
 
-    /// Removes a specific queued request.
-    pub fn dequeue(&mut self, txn: TxnId, mode: LockMode) {
+    /// Removes a specific queued request. Returns `true` if it was
+    /// queued.
+    pub fn dequeue(&mut self, txn: TxnId, mode: LockMode) -> bool {
+        let before = self.queue.len();
         self.queue.retain(|&(t, m)| !(t == txn && m == mode));
+        before != self.queue.len()
     }
 
     /// The transactions a queued `(txn, mode)` request is waiting on:

@@ -17,6 +17,9 @@
 //! * multiple modes per transaction per resource (lock conversion /
 //!   upgrade, the mechanism behind the paper's problem P3),
 //! * FIFO wait queues with upgrades served first,
+//! * a hash-sharded table: a grant takes one short latch and touches no
+//!   structure every client shares; a blocked request polls for about
+//!   one context switch's worth of time before it parks,
 //! * blocking acquisition with **waits-for-graph deadlock detection** and
 //!   a configurable victim policy, plus a non-blocking `try_acquire` for
 //!   deterministic simulation,
@@ -27,6 +30,7 @@ pub mod entry;
 pub mod manager;
 pub mod modes;
 pub mod resource;
+mod shard;
 pub mod stats;
 
 pub use manager::{AcquireError, LockManager, TryAcquire, VictimPolicy};

@@ -2,15 +2,15 @@
 //! detection, and a non-blocking mode for deterministic simulation.
 
 use crate::deadlock::WaitsFor;
-use crate::entry::LockEntry;
 use crate::modes::{LockMode, ModeSource};
 use crate::resource::ResourceId;
+use crate::shard::{shard_of, EntryShard, Table, TxnShard, SHARDS};
 use crate::stats::LockStats;
 use finecc_model::TxnId;
 use finecc_obs::{ContentionKind, EventKind, ObjKey, Obs, Phase};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,18 +68,50 @@ pub enum VictimPolicy {
     Youngest,
 }
 
-#[derive(Default)]
-struct State {
-    entries: HashMap<ResourceId, LockEntry>,
-    held: HashMap<TxnId, HashSet<ResourceId>>,
-    victims: HashSet<TxnId>,
-}
+/// How long a blocked request polls its shard's epoch word before it
+/// parks on the condvar: about one park/unpark round trip (20–40 µs on
+/// the sandbox) — the spin-for-a-context-switch rule. What it waits for
+/// is a *transaction* (3–8 µs here) to end, not a latch. A waiter that
+/// parks at once is still waking up when the deadlock victim that
+/// released it has already restarted, taken more locks and closed the
+/// next cycle. `hot-commute`, 2 clients, one 6 s run per bound,
+/// `tps.tav` / `tps.fieldlock`: no poll 68k / 21k (the single-mutex
+/// table: 57k / 34k), 5 µs 184k / 102k, 25 µs 214k / 147k, 100 µs
+/// 211k / 143k — a plateau from 25 µs on, hence a constant.
+const POLL_BOUND: Duration = Duration::from_micros(25);
+
+/// Under a chaos scheduled session a blocked request neither polls nor
+/// parks (wall-clock time means nothing in virtual time, and no other
+/// worker can run while this one sleeps): it yields at
+/// [`finecc_chaos::Site::LockWait`] with no latch held, and this budget
+/// of yields plays the timeout's role.
+const CHAOS_WAIT_BUDGET: u32 = 1_000;
 
 /// The lock manager. `S` supplies per-resource mode compatibility.
+///
+/// Lock entries live in hash-sharded tables, each under its own short
+/// latch; a transaction's held list lives in a shard keyed by its id.
+/// A request that is granted at once takes one entry latch, then one
+/// held-list latch, never two together, and touches nothing every
+/// client shares but the counters. Only a request that must wait looks
+/// further: it runs the deadlock detector if another request is
+/// waiting too, polls its shard's epoch word for `POLL_BOUND`, and
+/// parks on the shard's condvar after that.
 pub struct LockManager<S> {
     src: S,
-    state: Mutex<State>,
-    cv: Condvar,
+    /// Lock entries, sharded by resource.
+    shards: Box<[EntryShard]>,
+    /// Held lists, sharded by transaction.
+    txns: Box<[TxnShard]>,
+    /// Requests queued right now, over all shards. A waits-for cycle
+    /// needs two, so a request that blocks alone skips the detector.
+    waiting: AtomicUsize,
+    /// Transactions another request's detector chose to die
+    /// ([`VictimPolicy::Youngest`] only). A leaf latch: taken alone or
+    /// under entry-shard latches, never the other way round.
+    victims: Mutex<HashSet<TxnId>>,
+    /// `victims.len()`, so the grant path reads one word instead.
+    victims_pending: AtomicUsize,
     next_txn: AtomicU64,
     /// Live counters, shared so metrics-registry sources can hold them
     /// beyond the manager's borrow.
@@ -95,8 +127,11 @@ impl<S: ModeSource> LockManager<S> {
     pub fn new(src: S) -> LockManager<S> {
         LockManager {
             src,
-            state: Mutex::new(State::default()),
-            cv: Condvar::new(),
+            shards: (0..SHARDS).map(|_| EntryShard::default()).collect(),
+            txns: (0..SHARDS).map(|_| TxnShard::default()).collect(),
+            waiting: AtomicUsize::new(0),
+            victims: Mutex::new(HashSet::new()),
+            victims_pending: AtomicUsize::new(0),
             next_txn: AtomicU64::new(1),
             stats: Arc::new(LockStats::default()),
             victim_policy: VictimPolicy::Requester,
@@ -127,9 +162,11 @@ impl<S: ModeSource> LockManager<S> {
 
     /// Records a *granted* blocked wait: the wait histogram, plus a
     /// trace `block` span when the transaction is sampled.
-    fn note_granted_wait(&self, txn: TxnId, res: &ResourceId, started: Option<Instant>) {
-        let Some(t0) = started else { return };
-        let ns = t0.elapsed().as_nanos() as u64;
+    fn note_granted_wait(&self, txn: TxnId, res: &ResourceId, started: Instant) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let ns = started.elapsed().as_nanos() as u64;
         self.obs.record_phase_ns(Phase::LockWait, ns);
         if self.obs.trace_sampled(txn.0) {
             let oid = match res {
@@ -155,104 +192,180 @@ impl<S: ModeSource> LockManager<S> {
         TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// Grants `(txn, mode)` on `res` if that needs no waiting; `None` if
+    /// it conflicts with a granted mode or would overtake a waiter.
+    /// `Some(first)`: `first` unless the transaction already held a
+    /// mode on the resource (this one, or another — a conversion).
+    fn grant_now(
+        &self,
+        table: &mut Table,
+        txn: TxnId,
+        res: ResourceId,
+        mode: LockMode,
+    ) -> Option<bool> {
+        let entry = table.entry(res);
+        if entry.holds(txn, mode) {
+            return Some(false);
+        }
+        if !entry.can_grant(&self.src, &res, txn, mode) {
+            return None;
+        }
+        let conversion = entry.holds_any(txn);
+        entry.grant(txn, mode);
+        if conversion {
+            LockStats::bump(&self.stats.upgrades);
+        }
+        Some(!conversion)
+    }
+
+    /// Adds `res` to `txn`'s held list (no entry-shard latch held).
+    fn note_held(&self, txn: TxnId, res: ResourceId) {
+        let mut held = self.txns[shard_of(&txn)].held.lock();
+        held.entry(txn).or_default().push(res);
+    }
+
+    /// Consumes `txn`'s victim flag, if another request's detector set
+    /// one.
+    fn take_victim(&self, txn: TxnId) -> bool {
+        // Relaxed: a waiter reads this under the shard latch the
+        // detector held while it flagged; a fresh request that misses
+        // a concurrent flag is a request that came first.
+        if self.victims_pending.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let hit = self.victims.lock().remove(&txn);
+        if hit {
+            self.victims_pending.fetch_sub(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// Takes `(txn, mode)` out of `res`'s queue (under `shard`'s latch)
+    /// and lets the waiters behind it look again.
+    fn leave_queue(
+        &self,
+        shard: &EntryShard,
+        table: &mut Table,
+        txn: TxnId,
+        res: ResourceId,
+        mode: LockMode,
+    ) {
+        let Some(entry) = table.entries.get_mut(&res) else {
+            return;
+        };
+        if entry.dequeue(txn, mode) {
+            self.waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+        shard.departed(table, &res);
+    }
+
     /// Blocking acquisition under strict 2PL. Returns when granted, the
     /// transaction is chosen as a deadlock victim, or the wait times out.
     pub fn acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<(), AcquireError> {
-        // Chaos scheduling decision strictly before the table lock (a
-        // parked holder of `state` would deadlock the token scheduler).
+        // Chaos scheduling decision strictly before any latch (a parked
+        // latch holder would deadlock the token scheduler).
         finecc_chaos::yield_point(finecc_chaos::Site::LockAcquire);
         LockStats::bump(&self.stats.requests);
-        let mut st = self.state.lock();
-        if st.victims.remove(&txn) {
+        if self.take_victim(txn) {
             return Err(AcquireError::Deadlock);
         }
-        {
-            let entry = st.entries.entry(res).or_default();
-            if entry.holds(txn, mode) {
-                LockStats::bump(&self.stats.immediate);
-                return Ok(());
+        let shard = &self.shards[shard_of(&res)];
+        let mut table = shard.table.lock();
+        if let Some(first) = self.grant_now(&mut table, txn, res, mode) {
+            drop(table);
+            if first {
+                self.note_held(txn, res);
             }
-            if entry.can_grant(&self.src, &res, txn, mode) {
-                let conversion = entry.holds_any(txn);
-                entry.grant(txn, mode);
-                if conversion {
-                    LockStats::bump(&self.stats.upgrades);
-                }
-                st.held.entry(txn).or_default().insert(res);
-                LockStats::bump(&self.stats.immediate);
-                return Ok(());
-            }
-            LockStats::bump(&self.stats.blocks);
-            if entry.holds_any(txn) {
-                LockStats::bump(&self.stats.upgrades);
-            }
-            entry.enqueue(txn, mode);
+            LockStats::bump(&self.stats.immediate);
+            return Ok(());
         }
+        LockStats::bump(&self.stats.blocks);
+        let entry = table.entry(res);
+        if entry.holds_any(txn) {
+            LockStats::bump(&self.stats.upgrades);
+        }
+        entry.enqueue(txn, mode);
+        self.waiting.fetch_add(1, Ordering::SeqCst);
         // Attribute exactly one contention event per bump of
         // `stats.blocks`, so the registry's lock_blocks total equals
         // the scheme-level blocks counter.
         self.obs.contend(obj_key(&res), ContentionKind::LockBlock);
-        let wait_start = self.obs.is_enabled().then(Instant::now);
-
-        // Under a chaos scheduled session the condvar wait is replaced
-        // by a cooperative drop-yield-relock cycle (no other worker can
-        // run while this one sleeps on a condvar), and this budget of
-        // cycles plays the wall-clock timeout's role in virtual time.
-        const CHAOS_WAIT_BUDGET: u32 = 1_000;
+        let blocked_at = Instant::now();
+        // One deadline per request, however often it is woken.
+        let deadline = blocked_at + self.wait_timeout;
+        let chaos = finecc_chaos::scheduled_session();
         let mut chaos_waits = 0u32;
+        let mut parked = false;
 
         loop {
-            // Deadlock check: this request may have closed a cycle.
-            let wf = self.build_waits_for(&st);
-            if let Some(cycle) = wf.cycle_through(txn) {
-                LockStats::bump(&self.stats.deadlocks);
-                let victim = match self.victim_policy {
-                    VictimPolicy::Requester => txn,
-                    VictimPolicy::Youngest => *cycle.iter().max().expect("cycle is non-empty"),
-                };
-                if victim == txn {
-                    if let Some(e) = st.entries.get_mut(&res) {
-                        e.dequeue(txn, mode);
-                    }
-                    self.cv.notify_all();
-                    return Err(AcquireError::Deadlock);
-                }
-                st.victims.insert(victim);
-                self.cv.notify_all();
-            }
-
-            let timed_out = if finecc_chaos::scheduled_session() {
-                drop(st);
-                finecc_chaos::yield_point(finecc_chaos::Site::LockWait);
-                st = self.state.lock();
-                chaos_waits += 1;
-                chaos_waits >= CHAOS_WAIT_BUDGET
-            } else {
-                self.cv.wait_for(&mut st, self.wait_timeout).timed_out()
-            };
-
-            if st.victims.remove(&txn) {
-                if let Some(e) = st.entries.get_mut(&res) {
-                    e.dequeue(txn, mode);
-                }
-                self.cv.notify_all();
+            // Under the latch. The first pass matters too: a request
+            // queued only so as not to overtake waiters it is
+            // compatible with waits for nobody, and nobody would wake it.
+            if self.take_victim(txn) {
+                self.leave_queue(shard, &mut table, txn, res, mode);
                 return Err(AcquireError::Deadlock);
             }
-            let entry = st.entries.entry(res).or_default();
+            let entry = table.entry(res);
             if entry.can_grant_queued(&self.src, &res, txn, mode) {
-                entry.dequeue(txn, mode);
+                let first = !entry.holds_any(txn);
+                if entry.dequeue(txn, mode) {
+                    self.waiting.fetch_sub(1, Ordering::SeqCst);
+                }
                 entry.grant(txn, mode);
-                st.held.entry(txn).or_default().insert(res);
-                self.note_granted_wait(txn, &res, wait_start);
                 // Compatible waiters behind us may now also be grantable.
-                self.cv.notify_all();
+                if !entry.queue.is_empty() {
+                    shard.wake(&table);
+                }
+                drop(table);
+                if first {
+                    self.note_held(txn, res);
+                }
+                self.note_granted_wait(txn, &res, blocked_at);
                 return Ok(());
             }
+            let timed_out = if chaos {
+                chaos_waits >= CHAOS_WAIT_BUDGET
+            } else {
+                Instant::now() >= deadline
+            };
             if timed_out {
-                entry.dequeue(txn, mode);
+                self.leave_queue(shard, &mut table, txn, res, mode);
                 LockStats::bump(&self.stats.timeouts);
-                self.cv.notify_all();
                 return Err(AcquireError::Timeout);
+            }
+            let seen = shard.epoch.load(Ordering::Relaxed);
+            drop(table);
+
+            // A cycle through this request needs another queued one.
+            // One that queues later finds this one counted and runs the
+            // detector itself, so the racy read loses no cycle.
+            if self.waiting.load(Ordering::SeqCst) > 1 && self.closes_cycle(txn, res, mode) {
+                return Err(AcquireError::Deadlock);
+            }
+
+            // Wait, with no latch held, for the shard's epoch to move.
+            if chaos {
+                finecc_chaos::yield_point(finecc_chaos::Site::LockWait);
+                chaos_waits += 1;
+                table = shard.table.lock();
+                continue;
+            }
+            let poll_until = deadline.min(Instant::now() + POLL_BOUND);
+            while shard.epoch.load(Ordering::Acquire) == seen && Instant::now() < poll_until {
+                std::hint::spin_loop();
+            }
+            table = shard.table.lock();
+            // Every bump happens under the latch, so an unmoved epoch
+            // here cannot move before the wait releases the latch.
+            if shard.epoch.load(Ordering::Relaxed) == seen {
+                if !parked {
+                    parked = true;
+                    LockStats::bump(&self.stats.parks);
+                }
+                table.parked += 1;
+                let left = deadline.saturating_duration_since(Instant::now());
+                shard.cv.wait_for(&mut table, left);
+                table.parked -= 1;
             }
         }
     }
@@ -261,82 +374,112 @@ impl<S: ModeSource> LockManager<S> {
     /// `WouldBlock` without queueing. Used by the deterministic simulator.
     pub fn try_acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> TryAcquire {
         LockStats::bump(&self.stats.requests);
-        let mut st = self.state.lock();
-        let entry = st.entries.entry(res).or_default();
-        if entry.holds(txn, mode) {
-            LockStats::bump(&self.stats.immediate);
-            return TryAcquire::Granted;
-        }
-        if entry.can_grant(&self.src, &res, txn, mode) {
-            let conversion = entry.holds_any(txn);
-            entry.grant(txn, mode);
-            if conversion {
-                LockStats::bump(&self.stats.upgrades);
-            }
-            st.held.entry(txn).or_default().insert(res);
-            LockStats::bump(&self.stats.immediate);
-            TryAcquire::Granted
-        } else {
+        let shard = &self.shards[shard_of(&res)];
+        let granted = self.grant_now(&mut shard.table.lock(), txn, res, mode);
+        let Some(first) = granted else {
             LockStats::bump(&self.stats.would_blocks);
-            TryAcquire::WouldBlock
+            return TryAcquire::WouldBlock;
+        };
+        if first {
+            self.note_held(txn, res);
         }
+        LockStats::bump(&self.stats.immediate);
+        TryAcquire::Granted
     }
 
     /// Strict-2PL release: drops every lock (granted and queued) of `txn`
     /// and wakes waiters. Called exactly once at commit/abort.
     pub fn release_all(&self, txn: TxnId) {
         LockStats::bump(&self.stats.releases);
-        let mut st = self.state.lock();
-        st.victims.remove(&txn);
-        if let Some(resources) = st.held.remove(&txn) {
-            for res in resources {
-                if let Some(e) = st.entries.get_mut(&res) {
-                    e.purge(txn);
-                    if e.is_idle() {
-                        st.entries.remove(&res);
-                    }
-                }
+        self.take_victim(txn);
+        let held = self.txns[shard_of(&txn)].held.lock().remove(&txn);
+        for res in held.into_iter().flatten() {
+            let shard = &self.shards[shard_of(&res)];
+            let mut table = shard.table.lock();
+            let Some(entry) = table.entries.get_mut(&res) else {
+                continue;
+            };
+            // Queued requests on held resources (a conversion blocked
+            // in another thread) are purged too, so that waiter sees
+            // itself gone and re-queues or errors; in practice
+            // acquire() owns its queue entry, so this is only for
+            // crashed callers.
+            let queued = entry.queue.len();
+            entry.purge(txn);
+            let purged = queued - entry.queue.len();
+            if purged > 0 {
+                self.waiting.fetch_sub(purged, Ordering::SeqCst);
             }
+            shard.departed(&mut table, &res);
         }
-        // Queued-only requests (blocked acquire in another thread) are
-        // also purged so the waiter sees itself gone and re-queues or
-        // errors; in practice acquire() owns its queue entry, so this is
-        // only for crashed callers.
-        self.cv.notify_all();
     }
 
     /// `true` if `txn` currently holds `mode` on `res`.
     pub fn holds(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
-        self.state
-            .lock()
-            .entries
-            .get(&res)
-            .is_some_and(|e| e.holds(txn, mode))
+        let table = self.shards[shard_of(&res)].table.lock();
+        table.entries.get(&res).is_some_and(|e| e.holds(txn, mode))
     }
 
     /// The resources `txn` holds locks on.
     pub fn held_resources(&self, txn: TxnId) -> Vec<ResourceId> {
-        self.state
-            .lock()
-            .held
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        let held = self.txns[shard_of(&txn)].held.lock();
+        held.get(&txn).cloned().unwrap_or_default()
     }
 
     /// Number of resources with live lock state.
     pub fn entry_count(&self) -> usize {
-        self.state.lock().entries.len()
+        self.shards
+            .iter()
+            .map(|s| s.table.lock().entries.len())
+            .sum()
     }
 
-    fn build_waits_for(&self, st: &State) -> WaitsFor {
+    /// The deadlock detector, run by a queued `(txn, mode)` request on
+    /// `res` with no latch held: `true` when the request closed a
+    /// waits-for cycle and `txn` is the one to die (its request is then
+    /// already out of the queue). Any other victim is flagged and woken.
+    ///
+    /// The one place a thread holds more than one latch: every
+    /// entry-shard latch, taken in index order, so the graph is the
+    /// exact waits-for relation of one instant.
+    fn closes_cycle(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
+        let mut tables: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
         let mut wf = WaitsFor::new();
-        for (res, entry) in &st.entries {
-            for &(t, m) in &entry.queue {
-                wf.add_edges(t, entry.blockers(&self.src, res, t, m));
+        let mut queued_at = Vec::new();
+        for (i, table) in tables.iter().enumerate() {
+            for (r, entry) in &table.entries {
+                for &(t, m) in &entry.queue {
+                    wf.add_edges(t, entry.blockers(&self.src, r, t, m));
+                    queued_at.push((t, i));
+                }
             }
         }
-        wf
+        let Some(cycle) = wf.cycle_through(txn) else {
+            return false;
+        };
+        let victim = match self.victim_policy {
+            VictimPolicy::Requester => txn,
+            VictimPolicy::Youngest => *cycle.iter().max().expect("cycle is non-empty"),
+        };
+        if victim == txn {
+            LockStats::bump(&self.stats.deadlocks);
+            let i = shard_of(&res);
+            self.leave_queue(&self.shards[i], &mut tables[i], txn, res, mode);
+            return true;
+        }
+        // A cycle seen again before its victim has left is not news:
+        // waking the victim's shard once more would only make this
+        // request (polling the same epoch, perhaps) look again at once.
+        if self.victims.lock().insert(victim) {
+            self.victims_pending.fetch_add(1, Ordering::Relaxed);
+            LockStats::bump(&self.stats.deadlocks);
+            for (t, i) in queued_at {
+                if t == victim {
+                    self.shards[i].wake(&tables[i]);
+                }
+            }
+        }
+        false
     }
 }
 
@@ -508,6 +651,50 @@ mod tests {
         assert_eq!(lm.stats.snapshot().timeouts, 1);
         lm.release_all(t1);
         lm.release_all(t2);
+    }
+
+    #[test]
+    fn timeout_fires_despite_unrelated_wakeups() {
+        // One deadline per request: two threads handing a neighbouring
+        // resource (same shard, so its queue's wake-ups reach the
+        // waiter) back and forth must not keep restarting the clock.
+        let budget = Duration::from_millis(100);
+        let lm = Arc::new(LockManager::new(RwSource).with_timeout(budget));
+        let holder = lm.begin();
+        lm.acquire(holder, res(1), wr()).unwrap();
+        let busy = (2..)
+            .map(res)
+            .find(|r| shard_of(r) == shard_of(&res(1)))
+            .unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let traffic: Vec<_> = (0..2)
+            .map(|_| {
+                let (lm, stop) = (Arc::clone(&lm), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let until = Instant::now() + Duration::from_secs(3);
+                    while !stop.load(Ordering::Relaxed) && Instant::now() < until {
+                        let t = lm.begin();
+                        lm.acquire(t, busy, wr()).unwrap();
+                        lm.release_all(t);
+                    }
+                })
+            })
+            .collect();
+        let waiter = lm.begin();
+        let t0 = Instant::now();
+        let r = lm.acquire(waiter, res(1), wr());
+        let waited = t0.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        for t in traffic {
+            t.join().unwrap();
+        }
+        assert_eq!(r, Err(AcquireError::Timeout));
+        assert!(
+            waited >= budget && waited < budget * 5 / 2,
+            "a 100 ms budget fired after {waited:?}"
+        );
+        lm.release_all(holder);
+        lm.release_all(waiter);
     }
 
     #[test]

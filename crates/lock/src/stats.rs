@@ -14,6 +14,9 @@ pub struct LockStats {
     pub immediate: AtomicU64,
     /// Requests that blocked at least once.
     pub blocks: AtomicU64,
+    /// Blocked requests that outlived the poll and slept on the shard's
+    /// condvar; `blocks - parks` were granted (or refused) while polling.
+    pub parks: AtomicU64,
     /// Deadlocks detected (victims aborted).
     pub deadlocks: AtomicU64,
     /// Requests that timed out while waiting.
@@ -33,6 +36,7 @@ pub struct StatsSnapshot {
     pub requests: u64,
     pub immediate: u64,
     pub blocks: u64,
+    pub parks: u64,
     pub deadlocks: u64,
     pub timeouts: u64,
     pub upgrades: u64,
@@ -51,6 +55,7 @@ impl LockStats {
             requests: self.requests.load(Ordering::Relaxed),
             immediate: self.immediate.load(Ordering::Relaxed),
             blocks: self.blocks.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
             deadlocks: self.deadlocks.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             upgrades: self.upgrades.load(Ordering::Relaxed),
@@ -64,6 +69,7 @@ impl LockStats {
         self.requests.store(0, Ordering::Relaxed);
         self.immediate.store(0, Ordering::Relaxed);
         self.blocks.store(0, Ordering::Relaxed);
+        self.parks.store(0, Ordering::Relaxed);
         self.deadlocks.store(0, Ordering::Relaxed);
         self.timeouts.store(0, Ordering::Relaxed);
         self.upgrades.store(0, Ordering::Relaxed);
@@ -78,6 +84,7 @@ impl StatsSnapshot {
         c.counter("finecc.lock.requests", self.requests);
         c.counter("finecc.lock.immediate", self.immediate);
         c.counter("finecc.lock.blocks", self.blocks);
+        c.counter("finecc.lock.parks", self.parks);
         c.counter("finecc.lock.deadlocks", self.deadlocks);
         c.counter("finecc.lock.timeouts", self.timeouts);
         c.counter("finecc.lock.upgrades", self.upgrades);
@@ -91,6 +98,7 @@ impl StatsSnapshot {
             requests: self.requests.saturating_sub(earlier.requests),
             immediate: self.immediate.saturating_sub(earlier.immediate),
             blocks: self.blocks.saturating_sub(earlier.blocks),
+            parks: self.parks.saturating_sub(earlier.parks),
             deadlocks: self.deadlocks.saturating_sub(earlier.deadlocks),
             timeouts: self.timeouts.saturating_sub(earlier.timeouts),
             upgrades: self.upgrades.saturating_sub(earlier.upgrades),

@@ -1067,6 +1067,91 @@ pub fn replay_repro(path: &Path) -> io::Result<ChaosReport> {
     run_chaos(&read_repro(path)?)
 }
 
+/// The schema of [`run_upgrade_deadlock`]: `withdraw` reads `balance`,
+/// then writes it — under field locking a read lock converted to a
+/// write lock, the §3 escalation pattern.
+pub const UPGRADE_SOURCE: &str = r#"
+class chaos_account {
+  fields {
+    balance: integer;
+  }
+  method withdraw(amt) is
+    if balance >= amt then
+      balance := balance - amt
+    end
+  end
+}
+"#;
+
+/// What one [`run_upgrade_deadlock`] run saw. `Eq` for the same reason
+/// as [`ChaosReport`]: a replay must reproduce it whole.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UpgradeDeadlockReport {
+    /// The recorded schedule.
+    pub outcome: ChaosOutcome,
+    /// Per worker, how many times its `withdraw` died as a deadlock
+    /// victim before it committed; `None` if it never committed.
+    pub victim_of: [Option<u32>; 2],
+    /// Waits-for cycles the lock manager found.
+    pub deadlocks: u64,
+    /// Requests that queued.
+    pub blocks: u64,
+    /// The account's final balance (it starts at 100).
+    pub balance: i64,
+}
+
+/// The upgrade deadlock, scripted: two workers each `withdraw` 10 from
+/// one account under `fieldlock`, within a retry budget of 8. When the
+/// schedule lets both read before either writes, both conversions
+/// queue, the second closes the cycle and dies, and its retry — a few
+/// yields later — meets the survivor again: the re-collision the lock
+/// manager's wait has to get right. `replay` pins a recorded decision
+/// sequence (the seed then only feeds the tail).
+pub fn run_upgrade_deadlock(seed: u64, replay: &[u32]) -> UpgradeDeadlockReport {
+    let handle = chaos::install(chaos::ChaosConfig {
+        seed,
+        threads: 2,
+        faults: FaultPlan::none(),
+        replay: replay.to_vec(),
+    });
+    let env = Env::from_source(UPGRADE_SOURCE).expect("the upgrade schema compiles");
+    let class = env.schema.class_by_name("chaos_account").expect("declared");
+    let balance = env
+        .schema
+        .resolve_field(class, "balance")
+        .expect("declared");
+    let account = env.db.create(class);
+    env.db
+        .write(account, balance, Value::Int(100))
+        .expect("typed write");
+    let scheme = SchemeKind::FieldLock.build(env);
+    let scheme = scheme.as_ref();
+    let withdraw = |w: usize| {
+        let _worker = chaos::register_worker_as(w);
+        let out = run_txn_with(scheme, RetryPolicy::with_max_retries(8), |txn| {
+            scheme.send(txn, account, "withdraw", &[Value::Int(10)])
+        });
+        match out {
+            TxnOutcome::Committed { retries, .. } => Some(retries),
+            _ => None,
+        }
+    };
+    let withdraw = &withdraw;
+    let victim_of = std::thread::scope(|scope| {
+        let workers = [0, 1].map(|w| scope.spawn(move || withdraw(w)));
+        workers.map(|worker| worker.join().expect("no panic"))
+    });
+    let stats = scheme.stats();
+    let left = scheme.env().db.read(account, balance).expect("live");
+    UpgradeDeadlockReport {
+        outcome: handle.finish(),
+        victim_of,
+        deadlocks: stats.deadlocks,
+        blocks: stats.blocks,
+        balance: int(left),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,8 @@
 use finecc::chaos::{FaultKind, FaultPlan, FaultSpec, Site};
 use finecc::runtime::{DurabilityLevel, SchemeKind};
 use finecc::sim::chaos::{
-    explore, pinned, read_repro, replay_repro, run_chaos, write_repro, Anomaly, ChaosScenario,
+    explore, pinned, read_repro, replay_repro, run_chaos, run_upgrade_deadlock, write_repro,
+    Anomaly, ChaosScenario,
 };
 
 /// Same seed, same scheme ⇒ byte-identical reports (decisions, trace,
@@ -209,4 +210,42 @@ fn delay_fault_is_deterministic_and_harmless() {
     assert_eq!(a, b);
     assert!(a.anomalies.is_empty(), "{:?}", a.anomalies);
     assert!(a.commits > 0);
+}
+
+/// The read→write upgrade deadlock under `fieldlock`, over 20 seeds:
+/// every cycle costs exactly one victim (never both upgraders, never a
+/// victim without a cycle), both withdrawals commit within the retry
+/// budget without a lock wait running out, and replaying the recorded
+/// schedule reproduces the same victim. A blocked request must wait
+/// cooperatively here — polling or parking on wall-clock time would
+/// make the victim depend on the host.
+#[test]
+fn upgrade_deadlock_has_one_victim_per_cycle_and_replays() {
+    let mut cycles = 0;
+    for seed in 1..=20 {
+        let r = run_upgrade_deadlock(seed, &[]);
+        let [Some(a), Some(b)] = r.victim_of else {
+            panic!("seed {seed}: both withdrawals commit within 8 retries: {r:?}");
+        };
+        assert_eq!(
+            u64::from(a + b),
+            r.deadlocks,
+            "seed {seed}: one victim per cycle: {r:?}"
+        );
+        assert!(
+            r.deadlocks <= r.blocks,
+            "seed {seed}: a cycle is closed by a request that queued: {r:?}"
+        );
+        assert_eq!(r.balance, 80, "seed {seed}: both withdrawals applied once");
+        cycles += r.deadlocks;
+
+        // A different seed behind the recorded decisions: the schedule,
+        // not the RNG, picks the victim.
+        let again = run_upgrade_deadlock(seed ^ 0x5eed, &r.outcome.decisions);
+        assert_eq!(again, r, "seed {seed}: the replay names the same victim");
+    }
+    assert!(
+        cycles > 0,
+        "some of 20 schedules let both read before a write"
+    );
 }

@@ -38,6 +38,7 @@ use finecc::store::Database;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn storm_threads() -> usize {
     std::env::var("FINECC_TEST_THREADS")
@@ -331,6 +332,12 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
     storm.heap.stats.reset();
 
     let writers_live = Arc::new(AtomicU64::new(threads as u64));
+    // Readers that have taken their first sample. The writers run at
+    // least `rounds` rounds and then on until every reader has one (or
+    // the deadline passes), so what the storm observes does not depend
+    // on which threads the OS happened to start first.
+    let readers_sampling = Arc::new(AtomicU64::new(0));
+    let deadline = Instant::now() + Duration::from_secs(10);
     let samples: Vec<Sample> = std::thread::scope(|s| {
         // Writers: the same overlapping-object commit storm, logging
         // every successful commit.
@@ -338,8 +345,13 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
             let storm = Arc::clone(&storm);
             let log = Arc::clone(&log);
             let writers_live = Arc::clone(&writers_live);
+            let readers_sampling = Arc::clone(&readers_sampling);
             s.spawn(move || {
-                for round in 0..rounds {
+                for round in 0.. {
+                    let observed = readers_sampling.load(Ordering::Relaxed) == threads as u64;
+                    if round >= rounds && (observed || Instant::now() >= deadline) {
+                        break;
+                    }
                     let (ts, _) =
                         storm.run_round(t, round, isolation == IsolationLevel::Serializable);
                     log.lock().push(Committed {
@@ -359,6 +371,7 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
         for r in 0..threads {
             let storm = Arc::clone(&storm);
             let writers_live = Arc::clone(&writers_live);
+            let readers_sampling = Arc::clone(&readers_sampling);
             readers.push(s.spawn(move || {
                 let mut out = Vec::new();
                 let mut t = r; // spread readers over the hot pairs
@@ -377,6 +390,9 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
                         thread: t % storm.fields.len(),
                         value,
                     });
+                    if out.len() == 1 {
+                        readers_sampling.fetch_add(1, Ordering::Relaxed);
+                    }
                     t = t.wrapping_add(1);
                 }
                 out

@@ -206,6 +206,7 @@ fn prometheus_export_covers_the_scheme_matrix() {
         "finecc_obs_phase_window_p99_ns",
         "finecc_obs_contention",
         "finecc_lock_requests",
+        "finecc_lock_parks",
         "finecc_mvcc_commits",
     ] {
         assert!(typed.contains(name), "stable metric {name} missing");
