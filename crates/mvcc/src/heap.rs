@@ -82,23 +82,14 @@
 //! atomic `commit_ts` stores), and *publish* (watermark publish plus
 //! the in-order visibility wait) — plus the commit total. Every lap
 //! sits **between** the latch-free steps it times: the probes take no
-//! lock, run outside the txn-stripe and chain-shard latches, and the
-//! only latch alive across them is the benchmark-only coarse-baseline
-//! mutex. Contention attribution fires only where the matching counter
+//! lock and run outside the txn-stripe and chain-shard latches.
+//! Contention attribution fires only where the matching counter
 //! already bumps (ww conflicts under the shard writer latch, read
 //! retries and SSI aborts outside every latch); the registry stripe it
 //! takes is a leaf lock nested inside nothing. The latch-free **read
 //! path records nothing** — no histogram, no registry touch on a
 //! clean read; its only probe is the trace sampler's single branch,
-//! false whenever tracing is off (the `read_scaling` bench asserts
-//! the disabled path stays regression-free).
-//!
-//! The seed's coarse behavior is retained behind
-//! [`CommitPath::CoarseBaseline`] purely so experiments can measure
-//! the win: it serializes the whole commit window behind one mutex
-//! *and* reinstates the latched reader path (every read holds the
-//! chain-shard latch across the walk, as the seed did). The production
-//! path is [`CommitPath::Sharded`].
+//! false whenever tracing is off.
 
 use crate::cow::{CowCell, Pin, Rcu, Retired};
 use crate::ssi::{SsiTracker, SsiVerdict};
@@ -169,24 +160,6 @@ pub enum WriteOutcome {
     /// The transaction already owned the chain head; the record was
     /// republished with the field added (or its after-image updated).
     MergedVersion,
-}
-
-/// Which commit path the heap runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommitPath {
-    /// The production path: latch-free snapshot reads over
-    /// copy-on-write chains, atomic timestamp draw, latch-free record
-    /// flips, lock-free ordered-watermark publication. Writers
-    /// synchronize only on short per-shard writer latches.
-    #[default]
-    Sharded,
-    /// The pre-sharding baseline: the whole draw→flip→publish window is
-    /// serialized behind one mutex **and** every read holds the chain-
-    /// shard latch across its walk (the seed's reader path). Kept
-    /// **only** so experiments (`parallelism_sweep`, `read_scaling`)
-    /// can measure the latch-free paths' win against the seed behavior;
-    /// do not use it outside benchmarks.
-    CoarseBaseline,
 }
 
 /// One field mutation inside a version record: the value before the
@@ -473,8 +446,6 @@ pub struct MvccHeap {
     /// commit path and on extent events; the snapshot read path never
     /// touches it.
     wal: Option<Arc<Wal>>,
-    /// `Some` iff the heap runs [`CommitPath::CoarseBaseline`].
-    coarse_commit: Option<Mutex<()>>,
     /// The rw-antidependency tracker; `Some` iff the heap runs at
     /// [`IsolationLevel::Serializable`].
     ssi: Option<SsiTracker>,
@@ -496,18 +467,7 @@ impl MvccHeap {
 
     /// Creates a heap versioning `base` at the given isolation level.
     pub fn with_isolation(base: Arc<Database>, isolation: IsolationLevel) -> MvccHeap {
-        MvccHeap::with_commit_path(base, isolation, CommitPath::Sharded)
-    }
-
-    /// Creates a heap versioning `base` at the given isolation level and
-    /// commit path. [`CommitPath::CoarseBaseline`] exists for
-    /// before/after benchmarking only.
-    pub fn with_commit_path(
-        base: Arc<Database>,
-        isolation: IsolationLevel,
-        commit_path: CommitPath,
-    ) -> MvccHeap {
-        MvccHeap::build(base, isolation, commit_path, None, 0)
+        MvccHeap::build(base, isolation, None, 0)
     }
 
     /// Creates a heap with an attached write-ahead log: every writer
@@ -523,11 +483,10 @@ impl MvccHeap {
     pub fn with_wal(
         base: Arc<Database>,
         isolation: IsolationLevel,
-        commit_path: CommitPath,
         wal: Arc<Wal>,
     ) -> std::io::Result<MvccHeap> {
         let base_ts = wal.max_logged_ts();
-        let heap = MvccHeap::build(base, isolation, commit_path, Some(wal), base_ts);
+        let heap = MvccHeap::build(base, isolation, Some(wal), base_ts);
         if !heap.wal.as_ref().expect("just attached").has_checkpoint()? {
             heap.checkpoint()?;
         }
@@ -547,7 +506,6 @@ impl MvccHeap {
     pub fn recover(
         dir: impl AsRef<Path>,
         isolation: IsolationLevel,
-        commit_path: CommitPath,
         config: WalConfig,
     ) -> std::io::Result<(MvccHeap, RecoveryInfo)> {
         let dir = dir.as_ref();
@@ -555,14 +513,13 @@ impl MvccHeap {
         let wal = Arc::new(Wal::open(dir, config)?);
         wal.stats()
             .set_recovery_progress(info.replayed, info.bytes_scanned, info.peak_reorder);
-        let heap = MvccHeap::build(Arc::new(db), isolation, commit_path, Some(wal), info.max_ts);
+        let heap = MvccHeap::build(Arc::new(db), isolation, Some(wal), info.max_ts);
         Ok((heap, info))
     }
 
     fn build(
         base: Arc<Database>,
         isolation: IsolationLevel,
-        commit_path: CommitPath,
         wal: Option<Arc<Wal>>,
         base_ts: Ts,
     ) -> MvccHeap {
@@ -584,10 +541,6 @@ impl MvccHeap {
             watermark: Watermark::with_base(base_ts),
             commits_since_gc: AtomicU64::new(0),
             wal,
-            coarse_commit: match commit_path {
-                CommitPath::Sharded => None,
-                CommitPath::CoarseBaseline => Some(Mutex::new(())),
-            },
             ssi: match isolation {
                 IsolationLevel::Snapshot => None,
                 IsolationLevel::Serializable => Some(SsiTracker::new()),
@@ -621,15 +574,6 @@ impl MvccHeap {
             IsolationLevel::Serializable
         } else {
             IsolationLevel::Snapshot
-        }
-    }
-
-    /// The heap's commit path.
-    pub fn commit_path(&self) -> CommitPath {
-        if self.coarse_commit.is_some() {
-            CommitPath::CoarseBaseline
-        } else {
-            CommitPath::Sharded
         }
     }
 
@@ -845,11 +789,6 @@ impl MvccHeap {
             }
             _ => None,
         };
-        // Benchmark baseline only: reinstate the seed's latched reader.
-        let _coarse_guard = self
-            .coarse_commit
-            .as_ref()
-            .map(|_| self.shard(oid).writer.lock());
         let mut overwriters: Vec<TxnId> = Vec::new();
         let value = loop {
             overwriters.clear();
@@ -903,9 +842,7 @@ impl MvccHeap {
                 .contend(ObjKey::Instance(oid.0), ContentionKind::ReadRetry);
         };
         #[cfg(debug_assertions)]
-        if self.coarse_commit.is_none() {
-            self.crosscheck_read(ts, as_txn, oid, field, &value);
-        }
+        self.crosscheck_read(ts, as_txn, oid, field, &value);
         if let Some((ssi, txn)) = ssi {
             let mut edges = 0;
             for &writer in &overwriters {
@@ -1251,19 +1188,12 @@ impl MvccHeap {
             return Ok(state.epoch.ts);
         }
 
-        // Benchmark baseline only: serialize the whole draw→flip→publish
-        // window behind one mutex, reproducing the seed's commit lock.
-        // Chaos yield points inside the window are skipped under the
-        // baseline (`coarse.is_some()`): a scheduled worker parked
-        // while holding this mutex would deadlock the token scheduler.
         finecc_chaos::yield_point(finecc_chaos::Site::CommitTsDraw);
-        let coarse = self.coarse_commit.as_ref().map(|m| m.lock());
 
         // Commit-phase probes (no-ops on a disabled handle — not even
         // a clock read). Laps sit strictly *between* the latch-free
         // steps they time, never inside a latch: the timer itself
-        // takes nothing, and the only latch alive across laps is the
-        // benchmark-only coarse-baseline mutex.
+        // takes nothing.
         let mut phases = self.obs.phase_timer();
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(ssi) = &self.ssi {
@@ -1290,7 +1220,6 @@ impl MvccHeap {
                     self.stats.bump_watermark_waits();
                 }
                 self.stats.bump_ts_skips();
-                drop(coarse);
                 self.note_ssi_abort(txn, &state);
                 let rolled_back = self.rollback_writes(txn, &state);
                 self.stats.add_versions_reclaimed(rolled_back as u64);
@@ -1344,9 +1273,7 @@ impl MvccHeap {
                     });
                 }
             }
-            if coarse.is_none() {
-                finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
-            }
+            finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
             if let Err(e) = wal.append_commit(commit_ts, txn, &writes) {
                 // Graceful degradation: the record never reached the
                 // log, so the commit must not happen — but the drawn
@@ -1364,7 +1291,6 @@ impl MvccHeap {
                     self.stats.bump_watermark_waits();
                 }
                 self.stats.bump_ts_skips();
-                drop(coarse);
                 let rolled_back = self.rollback_writes(txn, &state);
                 self.stats.add_versions_reclaimed(rolled_back as u64);
                 self.epochs.unregister(state.epoch);
@@ -1377,19 +1303,14 @@ impl MvccHeap {
         // timestamp — an atomic store per record through the published
         // chain snapshots, no latch.
         for rec in &own_records {
-            if coarse.is_none() {
-                finecc_chaos::yield_point(finecc_chaos::Site::CommitFlipStep);
-            }
+            finecc_chaos::yield_point(finecc_chaos::Site::CommitFlipStep);
             rec.commit_ts.store(commit_ts, Ordering::SeqCst);
         }
         phases.lap(Phase::CommitFlip);
-        if coarse.is_none() {
-            finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
-        }
+        finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
         if self.watermark.publish(commit_ts) {
             self.stats.bump_watermark_waits();
         }
-        drop(coarse);
         // A returned commit is a *visible* commit: wait out the (tiny,
         // bounded) publication lag behind concurrent committers with
         // earlier timestamps, so this session's next snapshot — and
@@ -1996,33 +1917,6 @@ mod tests {
         heap.begin(TxnId(2));
         assert_eq!(heap.read(TxnId(2), o, x), Ok(Value::Int(2)));
         heap.abort(TxnId(2));
-    }
-
-    #[test]
-    fn coarse_baseline_path_still_commits() {
-        let mut b = SchemaBuilder::new();
-        b.class("a").field("x", FieldType::Int);
-        let schema = Arc::new(b.finish().unwrap());
-        let db = Arc::new(Database::new(Arc::clone(&schema)));
-        let a = schema.class_by_name("a").unwrap();
-        let x = schema.resolve_field(a, "x").unwrap();
-        let heap = Arc::new(MvccHeap::with_commit_path(
-            db,
-            IsolationLevel::Snapshot,
-            CommitPath::CoarseBaseline,
-        ));
-        assert_eq!(heap.commit_path(), CommitPath::CoarseBaseline);
-        let o = heap.base().create(a);
-        for i in 0..5u64 {
-            let t = TxnId(i + 1);
-            heap.begin(t);
-            heap.write(t, o, x, Value::Int(i as i64)).unwrap();
-            assert_eq!(heap.commit(t).unwrap(), i + 1);
-            heap.begin(TxnId(100 + i));
-            assert_eq!(heap.read(TxnId(100 + i), o, x), Ok(Value::Int(i as i64)));
-            heap.abort(TxnId(100 + i));
-        }
-        assert_eq!(heap.current_ts(), 5);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod ssi;
 pub mod stats;
 mod watermark;
 
-pub use heap::{CommitError, CommitPath, MvccConflict, MvccHeap, MvccWriteError, WriteOutcome};
+pub use heap::{CommitError, MvccConflict, MvccHeap, MvccWriteError, WriteOutcome};
 pub use snapshot::Snapshot;
 pub use ssi::{IsolationLevel, SsiConflict};
 pub use stats::{MvccStats, MvccStatsSnapshot};

@@ -249,13 +249,6 @@ pub struct LatencySummary {
     pub mean: u64,
 }
 
-impl LatencySummary {
-    /// A percentile in microseconds, for table cells.
-    pub fn us(ns: u64) -> f64 {
-        ns as f64 / 1_000.0
-    }
-}
-
 /// Shards recording is striped over.
 pub const HIST_SHARDS: usize = 16;
 

@@ -20,10 +20,10 @@
 //!   subsystem's counters under stable dotted names with labels,
 //!   pulled as a snapshot and rendered as Prometheus text exposition
 //!   or JSON, with an optional background sampler thread
-//!   (`FINECC_METRICS=out.jsonl`) appending time-series rows.
+//!   ([`MetricsRegistry::start_sampler`]) appending time-series rows.
 //! * [`ring`] — bounded per-thread SPSC **event rings** with a Chrome
-//!   `trace_event` JSON exporter (`FINECC_TRACE=out.json`), sampled by
-//!   transaction id.
+//!   `trace_event` JSON exporter ([`ObsConfig::with_trace`]), sampled
+//!   by transaction id.
 //!
 //! Everything hangs off an [`ObsConfig`]; a **disabled** [`Obs`] holds
 //! no state at all (`inner: None`), so every probe is one branch on an
@@ -40,9 +40,7 @@ pub mod window;
 
 pub use contention::{ContentionKind, ContentionRegistry, HotObject, ObjKey, KIND_COUNT};
 pub use hist::{HistSnapshot, Histogram, LatencySummary, ShardedHistogram};
-pub use registry::{
-    sampler_from_env, Collector, MetricKind, MetricsRegistry, MetricsSampler, Sample,
-};
+pub use registry::{Collector, MetricKind, MetricsRegistry, MetricsSampler, Sample};
 pub use ring::{Event, EventKind, TraceCollector};
 pub use window::WindowRing;
 
@@ -132,9 +130,9 @@ pub struct ObsConfig {
     pub half_life: Duration,
 }
 
-/// Default window width (1 s) — `FINECC_OBS_WINDOW_MS` overrides.
+/// Default window width (1 s).
 pub const DEFAULT_WINDOW_WIDTH: Duration = Duration::from_millis(1000);
-/// Default window count (8 s horizon) — `FINECC_OBS_WINDOWS` overrides.
+/// Default window count (8 s horizon).
 pub const DEFAULT_WINDOW_COUNT: usize = 8;
 
 impl ObsConfig {
@@ -167,38 +165,6 @@ impl ObsConfig {
             trace_path: Some(path.into()),
             ..ObsConfig::enabled()
         }
-    }
-
-    /// The bench-facing configuration: [`ObsConfig::enabled`], tracing
-    /// into `$FINECC_TRACE` when set (sampling one in
-    /// `$FINECC_TRACE_SAMPLE`, default every transaction), window and
-    /// half-life knobs from `FINECC_OBS_WINDOW_MS` / `FINECC_OBS_WINDOWS`
-    /// / `FINECC_OBS_HALFLIFE_MS`, everything off when `FINECC_OBS=off`.
-    pub fn from_env() -> ObsConfig {
-        if matches!(
-            std::env::var("FINECC_OBS").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        ) {
-            return ObsConfig::disabled();
-        }
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok())
-        }
-        let mut cfg = ObsConfig::enabled();
-        cfg.trace_path = std::env::var_os("FINECC_TRACE").map(PathBuf::from);
-        if let Some(s) = env_u64("FINECC_TRACE_SAMPLE") {
-            cfg.trace_sample = s.max(1);
-        }
-        if let Some(ms) = env_u64("FINECC_OBS_WINDOW_MS") {
-            cfg.window_width = Duration::from_millis(ms.max(1));
-        }
-        if let Some(n) = env_u64("FINECC_OBS_WINDOWS") {
-            cfg.window_count = (n as usize).max(1);
-        }
-        if let Some(ms) = env_u64("FINECC_OBS_HALFLIFE_MS") {
-            cfg.half_life = Duration::from_millis(ms.max(1));
-        }
-        cfg
     }
 
     /// `true` when any instrument records.
@@ -499,7 +465,7 @@ impl Obs {
         report
     }
 
-    /// Exports the trace to the configured `FINECC_TRACE` path, if
+    /// Exports the trace to the configured [`ObsConfig::trace_path`], if
     /// tracing; returns the path and event count written.
     pub fn export_trace(&self) -> std::io::Result<Option<(PathBuf, usize)>> {
         let Some(i) = &self.inner else {
@@ -656,9 +622,7 @@ impl ObsReport {
         self.contention[kind as usize]
     }
 
-    /// Emits this frozen report's metrics into a registry collector —
-    /// the per-cell shape experiment binaries attach under their cell
-    /// labels after each run.
+    /// Emits this frozen report's metrics into a registry collector.
     pub fn collect_metrics(&self, c: &mut Collector) {
         if !self.enabled {
             return;

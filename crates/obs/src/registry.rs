@@ -12,8 +12,8 @@
 //!   what the background sampler thread samples into a JSONL time
 //!   series while a run is in flight.
 //! * **frozen** — a closure over owned values (an `ExecReport`) whose
-//!   samples never change; this is how the experiment binaries attach
-//!   one labeled row per finished cell to the end-of-run snapshot.
+//!   samples never change; this is how a finished run is attached
+//!   under its own labels (`finecc-sim`'s `ExecReport::register_metrics`).
 //!
 //! Metric names are dotted (`finecc.mvcc.commits`); the Prometheus
 //! text renderer maps dots to underscores (`finecc_mvcc_commits`) as
@@ -21,10 +21,9 @@
 //! rendering sit entirely off the measured paths — pulling a snapshot
 //! costs the sources' snapshot reads, recording costs nothing new.
 //!
-//! The optional background sampler ([`MetricsRegistry::start_sampler`],
-//! or [`sampler_from_env`] reading `FINECC_METRICS=out.jsonl` and
-//! `FINECC_METRICS_INTERVAL_MS`) appends one JSON row per interval, so
-//! a run leaves a time series behind, not just a final tally.
+//! The optional background sampler ([`MetricsRegistry::start_sampler`])
+//! appends one JSON row per interval, so a run leaves a time series
+//! behind, not just a final tally.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -301,21 +300,6 @@ impl Drop for MetricsSampler {
     fn drop(&mut self) {
         let _ = self.finish();
     }
-}
-
-/// Starts a sampler if `FINECC_METRICS=<path.jsonl>` is set, at the
-/// `FINECC_METRICS_INTERVAL_MS` cadence (default 250 ms). The
-/// experiment binaries call this once after wiring their sources.
-pub fn sampler_from_env(reg: &Arc<MetricsRegistry>) -> Option<MetricsSampler> {
-    let path = std::env::var_os("FINECC_METRICS")?;
-    if path.is_empty() {
-        return None;
-    }
-    let interval = std::env::var("FINECC_METRICS_INTERVAL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Duration::from_millis(250), Duration::from_millis);
-    Some(reg.start_sampler(PathBuf::from(path), interval))
 }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]`; dots (our separator)

@@ -56,8 +56,8 @@ use finecc_lang::{DataAccess, ExecError};
 use finecc_lock::{LockStats, StatsSnapshot};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, CommitPath, DurabilityLevel, IsolationLevel, MvccHeap, MvccStatsSnapshot,
-    MvccWriteError, SsiConflict, Wal, WalConfig,
+    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccStatsSnapshot, MvccWriteError,
+    SsiConflict, Wal, WalConfig,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,22 +85,9 @@ impl MvccScheme {
     /// first-class scheme parameter: `Snapshot` is the `mvcc` matrix
     /// entry, `Serializable` the `mvcc-ssi` one.
     pub fn with_isolation(env: Env, isolation: IsolationLevel) -> MvccScheme {
-        MvccScheme::with_commit_path(env, isolation, CommitPath::Sharded)
-    }
-
-    /// Builds the scheme at the given isolation level and heap commit
-    /// path. [`CommitPath::CoarseBaseline`] reinstates the pre-sharding
-    /// single-mutex commit and exists **only** so experiments (the
-    /// `parallelism_sweep` scaling table) can measure the sharded
-    /// path's win; production callers use [`MvccScheme::with_isolation`].
-    pub fn with_commit_path(
-        env: Env,
-        isolation: IsolationLevel,
-        commit_path: CommitPath,
-    ) -> MvccScheme {
         MvccScheme {
             heap: Arc::new(
-                MvccHeap::with_commit_path(Arc::clone(&env.db), isolation, commit_path)
+                MvccHeap::with_isolation(Arc::clone(&env.db), isolation)
                     .with_obs(Arc::clone(&env.obs)),
             ),
             env,
@@ -136,13 +123,8 @@ impl MvccScheme {
             Arc::clone(&env.obs),
         )?);
         let heap = Arc::new(
-            MvccHeap::with_wal(
-                Arc::clone(&env.db),
-                isolation,
-                CommitPath::Sharded,
-                Arc::clone(&wal),
-            )?
-            .with_obs(Arc::clone(&env.obs)),
+            MvccHeap::with_wal(Arc::clone(&env.db), isolation, Arc::clone(&wal))?
+                .with_obs(Arc::clone(&env.obs)),
         );
         let mut env = env;
         // Shared handle: `Env::wal_stats`/`durability` read it
@@ -516,7 +498,6 @@ mod tests {
         let (heap, info) = MvccHeap::recover(
             &dir,
             IsolationLevel::Snapshot,
-            CommitPath::Sharded,
             finecc_mvcc::WalConfig::default(),
         )
         .unwrap();

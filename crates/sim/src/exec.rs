@@ -76,71 +76,38 @@ impl ExecReport {
 
     /// Latch-free-read miss-revalidation retries during the run (0 for
     /// lock schemes) — one of the mvcc read path's contention
-    /// counters, surfaced here so bench output can track it.
+    /// counters.
     pub fn read_retries(&self) -> u64 {
         self.mvcc.map_or(0, |m| m.read_retries)
     }
 
-    /// Epoch-pin acquisition retries on the mvcc read path during the
-    /// run (0 for lock schemes).
-    pub fn read_pin_retries(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.read_pin_retries)
-    }
-
-    /// Commit timestamps drawn but refused (published as skips) during
-    /// the run — nonzero only under `mvcc-ssi`.
-    pub fn ts_skips(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.ts_skips)
-    }
-
-    /// Commit publications that hit the watermark ring's overflow
-    /// fallback during the run (0 for lock schemes).
-    pub fn watermark_waits(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.watermark_waits)
-    }
-
-    /// Retired copy-on-write snapshots freed during the run (0 for
-    /// lock schemes).
-    pub fn cow_reclaimed(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.cow_reclaimed)
-    }
-
-    /// Bytes appended to the write-ahead log during the run (0 without
-    /// durability).
-    pub fn log_bytes(&self) -> u64 {
-        self.wal.map_or(0, |w| w.log_bytes)
-    }
-
-    /// `fsync` calls the log's flusher issued during the run (0
-    /// without durability).
-    pub fn log_fsyncs(&self) -> u64 {
-        self.wal.map_or(0, |w| w.log_fsyncs)
-    }
-
-    /// Mean records per group-commit round during the run (0 without
-    /// durability).
-    pub fn group_commit_mean(&self) -> f64 {
-        self.wal.map_or(0.0, |w| w.mean_group_commit())
-    }
-
-    /// p99 records per group-commit round during the run (0 without
-    /// durability).
-    pub fn group_commit_p99(&self) -> u64 {
-        self.wal.map_or(0, |w| w.group_commit_p99)
-    }
-
-    /// End-to-end transaction latency summary for the run (all zero
-    /// when observability is disabled).
-    pub fn txn_latency(&self) -> finecc_obs::LatencySummary {
-        self.obs.phase(finecc_obs::Phase::TxnLatency)
-    }
-
-    /// Transaction latency over the freshest rotated windows at the end
-    /// of the run — the "recent" view, as opposed to the cumulative
-    /// [`ExecReport::txn_latency`]. All zero when observability is
-    /// disabled or the run ended before the first window rotated.
-    pub fn windowed_txn_latency(&self) -> finecc_obs::LatencySummary {
-        self.obs.windowed_phase(finecc_obs::Phase::TxnLatency)
+    /// Registers a **frozen** metric source over this finished run:
+    /// run-level outcome counters (`finecc.run.*`) plus everything the
+    /// report carries — the observability phases (cumulative and
+    /// windowed), contention totals, decayed hot scores, lock-manager
+    /// counters, and the mvcc / WAL blocks when the scheme has them —
+    /// under the same dotted names the live sources use, so a scrape of
+    /// a finished run reads exactly like a scrape of a live one. The
+    /// report is `Copy` and the closure owns it, so the run's scheme and
+    /// environment can be dropped.
+    pub fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
+        let r = *self;
+        reg.register_fn(labels, move |c: &mut finecc_obs::Collector| {
+            c.counter("finecc.run.committed", r.committed);
+            c.counter("finecc.run.exhausted", r.exhausted);
+            c.counter("finecc.run.failed", r.failed);
+            c.counter("finecc.run.retries", r.retries);
+            c.gauge("finecc.run.elapsed_ms", r.elapsed.as_secs_f64() * 1e3);
+            c.gauge("finecc.run.txns_per_sec", r.throughput());
+            r.obs.collect_metrics(c);
+            r.lock.collect_metrics(c);
+            if let Some(m) = &r.mvcc {
+                m.collect_metrics(c);
+            }
+            if let Some(w) = &r.wal {
+                w.collect_metrics(c);
+            }
+        });
     }
 }
 

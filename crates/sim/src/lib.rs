@@ -16,7 +16,7 @@
 //!   retry accounting.
 //! * [`stepper`] — a deterministic round-robin driver for reproducible
 //!   schedules.
-//! * [`metrics`] — experiment result aggregation and table rendering.
+//! * [`metrics`] — plain-text table rendering.
 //! * [`chaos`] — deterministic fault-injection scenarios over the
 //!   `finecc-chaos` harness: seeded schedule exploration across all six
 //!   schemes, invariant checking (lost own writes, torn pairs,
@@ -36,7 +36,7 @@ pub use chaos::{
     ChaosReport, ChaosScenario, Finding,
 };
 pub use exec::{run_concurrent, run_sequential, ExecConfig, ExecReport};
-pub use metrics::{render_table, Metrics};
+pub use metrics::render_table;
 pub use scenarios::{scenario_outcomes, ScenarioOutcome, TxnKind};
 pub use stepper::{run_stepped, StepReport};
 pub use workload::{GeneratedWorkload, SchemaGenConfig, TxnMix, WorkloadConfig};

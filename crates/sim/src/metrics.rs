@@ -1,95 +1,6 @@
-//! Result aggregation and plain-text table rendering for experiments.
+//! Plain-text table rendering for experiments.
 
-use crate::exec::ExecReport;
 use std::fmt::Write as _;
-
-/// A named experiment measurement row.
-#[derive(Clone, Debug)]
-pub struct Metrics {
-    /// Row label (scheme name, parameter value, …).
-    pub label: String,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Exhausted (gave up after retries).
-    pub exhausted: u64,
-    /// Failed (non-retryable).
-    pub failed: u64,
-    /// Total deadlock retries.
-    pub retries: u64,
-    /// Lock requests issued.
-    pub lock_requests: u64,
-    /// Requests that blocked.
-    pub blocks: u64,
-    /// Deadlocks detected.
-    pub deadlocks: u64,
-    /// Lock conversions (escalations).
-    pub upgrades: u64,
-    /// Committed transactions per second.
-    pub throughput: f64,
-    /// End-to-end transaction latency quantiles, microseconds (all
-    /// zero when observability is disabled).
-    pub lat_p50_us: f64,
-    /// 90th-percentile transaction latency, microseconds.
-    pub lat_p90_us: f64,
-    /// 99th-percentile transaction latency, microseconds.
-    pub lat_p99_us: f64,
-}
-
-impl Metrics {
-    /// Builds a row from an execution report.
-    pub fn from_report(label: impl Into<String>, r: &ExecReport) -> Metrics {
-        let lat = r.txn_latency();
-        Metrics {
-            label: label.into(),
-            committed: r.committed,
-            exhausted: r.exhausted,
-            failed: r.failed,
-            retries: r.retries,
-            lock_requests: r.lock.requests,
-            blocks: r.lock.blocks,
-            deadlocks: r.lock.deadlocks,
-            upgrades: r.lock.upgrades,
-            throughput: r.throughput(),
-            lat_p50_us: finecc_obs::LatencySummary::us(lat.p50),
-            lat_p90_us: finecc_obs::LatencySummary::us(lat.p90),
-            lat_p99_us: finecc_obs::LatencySummary::us(lat.p99),
-        }
-    }
-
-    /// The standard column headers matching [`Metrics::row`].
-    pub fn headers() -> Vec<&'static str> {
-        vec![
-            "scheme",
-            "committed",
-            "retries",
-            "deadlocks",
-            "lock reqs",
-            "blocks",
-            "upgrades",
-            "txn/s",
-            "p50 µs",
-            "p90 µs",
-            "p99 µs",
-        ]
-    }
-
-    /// The row cells matching [`Metrics::headers`].
-    pub fn row(&self) -> Vec<String> {
-        vec![
-            self.label.clone(),
-            self.committed.to_string(),
-            self.retries.to_string(),
-            self.deadlocks.to_string(),
-            self.lock_requests.to_string(),
-            self.blocks.to_string(),
-            self.upgrades.to_string(),
-            format!("{:.0}", self.throughput),
-            format!("{:.0}", self.lat_p50_us),
-            format!("{:.0}", self.lat_p90_us),
-            format!("{:.0}", self.lat_p99_us),
-        ]
-    }
-}
 
 /// Renders an aligned plain-text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -121,7 +32,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn table_alignment() {
@@ -136,17 +46,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("long-header"));
         assert!(lines[1].starts_with("--------"));
-    }
-
-    #[test]
-    fn metrics_from_report() {
-        let r = ExecReport {
-            committed: 10,
-            elapsed: Duration::from_secs(2),
-            ..Default::default()
-        };
-        let m = Metrics::from_report("tav", &r);
-        assert_eq!(m.throughput, 5.0);
-        assert_eq!(m.row().len(), Metrics::headers().len());
     }
 }

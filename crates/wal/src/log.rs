@@ -9,7 +9,7 @@
 //! issues **one** `fsync` for the entire batch, and wakes every waiting
 //! writer — the classic group commit: whatever accumulated while the
 //! previous batch was syncing shares the next sync. Batch size is
-//! capped by [`WalConfig::max_batch`] (the `wal_bench` sweep knob).
+//! capped by [`WalConfig::max_batch`].
 //!
 //! At [`DurabilityLevel::Wal`] nothing waits: records still reach the
 //! OS promptly (the flusher writes every batch) but commits ack without
@@ -110,9 +110,9 @@ pub struct WalConfig {
     /// creating a `Wal` entirely at that level) and behaves like
     /// [`DurabilityLevel::Wal`]: records are logged, nothing waits.
     pub level: DurabilityLevel,
-    /// Most records one group-commit round writes+syncs (the
-    /// `wal_bench` sweep knob). Larger batches amortize the fsync over
-    /// more commits at the price of ack latency.
+    /// Most records one group-commit round writes+syncs. Larger
+    /// batches amortize the fsync over more commits at the price of ack
+    /// latency.
     pub max_batch: usize,
     /// Write (and, at [`DurabilityLevel::WalSync`], fsync) every record
     /// inline on the appending thread instead of handing it to the

@@ -211,6 +211,9 @@ proptest! {
     /// The RW collapse is coarser than commutativity: whenever the RW
     /// classification says two methods are compatible (reader-reader),
     /// the commutativity matrix agrees — TAVs only ever ADD parallelism.
+    /// And mvcc's first-updater-wins rule only ever adds to TAVs: two
+    /// methods that may write the same field (the only pairs `mvcc`
+    /// refuses) never commute.
     #[test]
     fn tav_dominates_rw(cfg in cfg_strategy()) {
         let env = generate_env(&cfg);
@@ -222,6 +225,14 @@ proptest! {
                     if rw_compatible {
                         prop_assert!(table.commute(i, j));
                     }
+                    let ww_overlap = table
+                        .tav(i)
+                        .write_fields()
+                        .any(|f| table.tav(j).write_fields().any(|g| g == f));
+                    prop_assert!(
+                        !(ww_overlap && table.commute(i, j)),
+                        "modes {} and {} may write one field yet commute", i, j
+                    );
                 }
             }
         }

@@ -28,7 +28,7 @@
 //! Thread count comes from `FINECC_TEST_THREADS` (default 8; CI 16).
 
 use finecc::model::{FieldId, FieldType, Oid, SchemaBuilder, TxnId, Value};
-use finecc::mvcc::{CommitPath, DurabilityLevel, IsolationLevel, MvccHeap, WalConfig};
+use finecc::mvcc::{DurabilityLevel, IsolationLevel, MvccHeap, WalConfig};
 use finecc::store::Database;
 use finecc::wal::{LogReader, LogRecord, Wal};
 use std::collections::BTreeMap;
@@ -138,15 +138,7 @@ fn fixture(name: &str, isolation: IsolationLevel, objects: usize, fields: usize)
     let oids: Vec<Oid> = (0..objects).map(|_| db.create(class)).collect();
     let dir = tmpdir(name);
     let wal = Arc::new(Wal::open(&dir, WalConfig::default()).unwrap());
-    let heap = Arc::new(
-        MvccHeap::with_wal(
-            Arc::clone(&db),
-            isolation,
-            CommitPath::Sharded,
-            Arc::clone(&wal),
-        )
-        .unwrap(),
-    );
+    let heap = Arc::new(MvccHeap::with_wal(Arc::clone(&db), isolation, Arc::clone(&wal)).unwrap());
     assert_eq!(heap.durability(), DurabilityLevel::WalSync);
     let genesis = base_state(&db);
     Fixture {
@@ -203,13 +195,8 @@ fn assert_prefix_recovery(
         };
         for (cut, garbage) in tails {
             crashed_copy(dir, &crash_dir, &log_bytes, cut, garbage);
-            let (heap, _info) = MvccHeap::recover(
-                &crash_dir,
-                isolation,
-                CommitPath::Sharded,
-                WalConfig::default(),
-            )
-            .unwrap();
+            let (heap, _info) =
+                MvccHeap::recover(&crash_dir, isolation, WalConfig::default()).unwrap();
             assert_eq!(
                 heap.current_ts(),
                 expected_ts,
@@ -311,13 +298,8 @@ fn ssi_skip_holes_are_restored_not_reused() {
     let dir = fx.dir.clone();
     drop(fx);
     // The full-log recovery restores the clock *including* the hole.
-    let (heap, info) = MvccHeap::recover(
-        &dir,
-        IsolationLevel::Serializable,
-        CommitPath::Sharded,
-        WalConfig::default(),
-    )
-    .unwrap();
+    let (heap, info) =
+        MvccHeap::recover(&dir, IsolationLevel::Serializable, WalConfig::default()).unwrap();
     assert_eq!(
         heap.current_ts(),
         live_ts,
@@ -354,13 +336,8 @@ fn fuzzy_checkpoint_compacts_replay_and_preserves_extents() {
     let live_len = fx.heap.base().len();
     let dir = fx.dir.clone();
     drop(fx);
-    let (heap, info) = MvccHeap::recover(
-        &dir,
-        IsolationLevel::Snapshot,
-        CommitPath::Sharded,
-        WalConfig::default(),
-    )
-    .unwrap();
+    let (heap, info) =
+        MvccHeap::recover(&dir, IsolationLevel::Snapshot, WalConfig::default()).unwrap();
     assert_eq!(info.checkpoint_ts, ckpt_ts, "newest checkpoint used");
     assert_eq!(
         info.replayed, 2,
@@ -461,13 +438,8 @@ fn threaded_commit_storm_recovers_acked_commits() {
         let prefix: Vec<LogRecord> = parsed[..i].iter().map(|(_, r)| r.clone()).collect();
         let expected = oracle(&genesis, &prefix);
         crashed_copy(&dir, &crash_dir, &log_bytes, cut, &[0xFE, 0x00]);
-        let (heap, _info) = MvccHeap::recover(
-            &crash_dir,
-            IsolationLevel::Snapshot,
-            CommitPath::Sharded,
-            WalConfig::default(),
-        )
-        .unwrap();
+        let (heap, _info) =
+            MvccHeap::recover(&crash_dir, IsolationLevel::Snapshot, WalConfig::default()).unwrap();
         assert_eq!(
             heap.current_ts(),
             max_ts(&prefix),
@@ -645,13 +617,8 @@ fn recovery_restarts_identically_after_a_crash_at_every_probe_site() {
     }
     let dir = fx.dir.clone();
     drop(fx);
-    let (bheap, _info) = MvccHeap::recover(
-        &dir,
-        IsolationLevel::Snapshot,
-        CommitPath::Sharded,
-        WalConfig::default(),
-    )
-    .unwrap();
+    let (bheap, _info) =
+        MvccHeap::recover(&dir, IsolationLevel::Snapshot, WalConfig::default()).unwrap();
     let baseline = (base_state(bheap.base()), bheap.current_ts());
     drop(bheap);
     let mut crashes = 0u64;
@@ -674,13 +641,9 @@ fn recovery_restarts_identically_after_a_crash_at_every_probe_site() {
                 Err(e) => {
                     assert!(fired, "un-injected recovery failure at {site:?}: {e}");
                     crashes += 1;
-                    let (heap, _i) = MvccHeap::recover(
-                        &dir,
-                        IsolationLevel::Snapshot,
-                        CommitPath::Sharded,
-                        WalConfig::default(),
-                    )
-                    .unwrap();
+                    let (heap, _i) =
+                        MvccHeap::recover(&dir, IsolationLevel::Snapshot, WalConfig::default())
+                            .unwrap();
                     assert_eq!(
                         base_state(heap.base()),
                         baseline.0,
@@ -734,13 +697,8 @@ fn checkpoint_faults_cost_space_never_durability() {
             let live_ts = fx.heap.current_ts();
             let dir = fx.dir.clone();
             drop(fx);
-            let (heap, _info) = MvccHeap::recover(
-                &dir,
-                IsolationLevel::Snapshot,
-                CommitPath::Sharded,
-                WalConfig::default(),
-            )
-            .unwrap();
+            let (heap, _info) =
+                MvccHeap::recover(&dir, IsolationLevel::Snapshot, WalConfig::default()).unwrap();
             assert_eq!(base_state(heap.base()), live, "{site:?} {kind:?}");
             assert_eq!(heap.current_ts(), live_ts, "{site:?} {kind:?}");
             drop(heap);

@@ -3,10 +3,10 @@
 //! concurrent recording storm, and the decaying contention ranking.
 //!
 //! * **Prometheus export over the matrix** — every scheme's finished
-//!   run freezes into one shared registry under a `scheme` label (the
-//!   exact flow of the `compare_schemes` experiment), plus the
-//!   scheme's live sources via `CcScheme::register_metrics`; the text
-//!   exposition render is then parsed line by line and validated:
+//!   run freezes into one shared registry under a `scheme` label
+//!   (`ExecReport::register_metrics`), plus the scheme's live sources
+//!   via `CcScheme::register_metrics`; the text exposition render is
+//!   then parsed line by line and validated:
 //!   well-formed names and labels, one `# TYPE` line per metric, the
 //!   stable dotted→underscore names present, per-scheme committed
 //!   counts exact, and the windowed p99 gauge present and nonzero.
@@ -27,7 +27,6 @@ use finecc::sim::workload::{
     generate_env, generate_workload, populate_random, SchemaGenConfig, WorkloadConfig,
 };
 use finecc::sim::{run_concurrent, ExecConfig};
-use finecc_bench::register_report_metrics;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,7 +120,7 @@ fn label<'a>(s: &'a PromSample, key: &str) -> Option<&'a str> {
 
 // ---------------------------------------------------------------------------
 
-/// The compare_schemes export flow, validated: all six schemes run a
+/// The scheme-matrix export flow, validated: all six schemes run a
 /// small contentious workload, freeze their reports into one registry
 /// under per-scheme labels (plus their live sources), and the
 /// Prometheus render must parse cleanly with the stable names, exact
@@ -160,7 +159,7 @@ fn prometheus_export_covers_the_scheme_matrix() {
         );
         assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
         assert!(report.committed > 0, "{kind}: nothing committed");
-        register_report_metrics(&reg, &[("scheme", kind.name())], &report);
+        report.register_metrics(&reg, &[("scheme", kind.name())]);
         // The live path too — same names, a `source="live"` marker —
         // through the trait method every scheme implements.
         scheme.register_metrics(&reg, &[("scheme", kind.name()), ("source", "live")]);
