@@ -1263,7 +1263,8 @@ impl MvccHeap {
         // the ordered watermark serializes visibility afterwards
         // exactly as without a log.
         if let Some(wal) = &self.wal {
-            let mut writes = Vec::new();
+            let mut writes =
+                Vec::with_capacity(own_records.iter().map(|rec| rec.writes.len()).sum());
             for (rec, &oid) in own_records.iter().zip(&oids) {
                 for w in &rec.writes {
                     writes.push(FieldImage {

@@ -187,29 +187,39 @@ impl Env {
         Ok(seq)
     }
 
-    /// Appends the transaction's redo images — the current values of
-    /// every field its undo log projected, read while the 2PL locks
-    /// are still held — to the attached log under commit sequence
-    /// `seq`, then discards the undo log. A no-op (beyond the discard)
-    /// without an attached log or for read-only transactions.
+    /// Draws the transaction's commit sequence and appends its redo
+    /// images — the current values of every field its undo log
+    /// projected, read while the 2PL locks are still held — to the
+    /// attached log under that sequence, then discards the undo log.
+    /// Returns the sequence. The draw happens **inside the log's
+    /// staging latch** ([`Wal::append_commit_with`]), so the log holds
+    /// the lock schemes' commits in strictly increasing sequence order
+    /// however long a client is preempted around its commit, and
+    /// recovery's reorder window has nothing to reorder. Without an
+    /// attached log, or for a read-only transaction, nothing is logged
+    /// and the sequence is simply drawn.
     ///
     /// A commit that cannot be made durable must not be acked: when the
     /// log refuses the record, the transaction is rolled back right
     /// here — before any lock is released, so nothing of it was ever
     /// visible — and a retryable [`ExecError::LogIo`] is returned (the
     /// log degrades batch by batch; the failure may be transient).
-    pub fn log_commit_redo(&self, txn: &mut Txn, seq: u64) -> Result<(), ExecError> {
-        if let Some(wal) = &self.wal {
-            if !txn.undo.is_empty() {
+    pub fn log_commit_redo(&self, txn: &mut Txn) -> Result<u64, ExecError> {
+        let seq = match &self.wal {
+            Some(wal) if !txn.undo.is_empty() => {
                 let writes = txn.undo.redo_projection(&self.db);
-                if let Err(e) = wal.append_commit(seq, txn.id, &writes) {
-                    txn.undo.rollback(&self.db);
-                    return Err(ExecError::LogIo(e.to_string()));
+                match wal.append_commit_with(|| self.next_commit_seq(), txn.id, &writes) {
+                    Ok(seq) => seq,
+                    Err(e) => {
+                        txn.undo.rollback(&self.db);
+                        return Err(ExecError::LogIo(e.to_string()));
+                    }
                 }
             }
-        }
+            _ => self.next_commit_seq(),
+        };
         txn.undo.clear();
-        Ok(())
+        Ok(seq)
     }
 
     /// Parses `source`, compiles it, and builds the environment.
@@ -273,8 +283,7 @@ mod tests {
         let mut txn = crate::txn::Txn::new(finecc_model::TxnId(1));
         txn.undo.record(o, f4, Value::Int(0));
         env.db.write(o, f4, Value::Int(9)).unwrap();
-        let seq = env.next_commit_seq();
-        env.log_commit_redo(&mut txn, seq).unwrap();
+        let seq = env.log_commit_redo(&mut txn).unwrap();
         drop(env);
         drop(wal);
         // A second, unrelated environment must NOT attach to the

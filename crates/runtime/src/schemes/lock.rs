@@ -301,18 +301,16 @@ impl<P: LockPolicy> CcScheme for LockScheme<P> {
     fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
         // Strict 2PL holds every lock to this point; nothing is left to
         // validate. The commit sequence is drawn and the redo images
-        // are logged (write-ahead durability, when attached) while
-        // every lock is still held, so the log's timestamp order is a
+        // are logged (write-ahead durability, when attached) in one
+        // step while every lock is still held, so the log's order is a
         // valid serialization order and the after-images are exactly
         // what this transaction wrote. The one remaining failure is
         // the log refusing the redo append: the env then rolls the
         // transaction back under these same locks and the retryable
         // error surfaces after they are released.
-        let seq = self.env.next_commit_seq();
-        let logged = self.env.log_commit_redo(&mut txn, seq);
+        let logged = self.env.log_commit_redo(&mut txn);
         self.lm.release_all(txn.id);
-        logged?;
-        Ok(seq)
+        logged
     }
 
     fn abort(&self, mut txn: Txn) {

@@ -100,16 +100,17 @@ impl UndoLog {
     /// since-deleted instances are skipped (mirroring
     /// [`UndoLog::rollback`]).
     pub fn redo_projection(&self, db: &Database) -> Vec<FieldImage> {
-        self.records
-            .iter()
-            .filter_map(|img| {
-                db.read(img.oid, img.field).ok().map(|value| FieldImage {
-                    oid: img.oid,
-                    field: img.field,
-                    value,
-                })
+        // `filter_map` hints a lower bound of zero; the record count is
+        // the exact size whenever nothing was deleted meanwhile.
+        let mut images = Vec::with_capacity(self.records.len());
+        images.extend(self.records.iter().filter_map(|img| {
+            db.read(img.oid, img.field).ok().map(|value| FieldImage {
+                oid: img.oid,
+                field: img.field,
+                value,
             })
-            .collect()
+        }));
+        images
     }
 
     /// Number of recorded images.

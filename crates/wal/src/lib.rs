@@ -11,12 +11,13 @@
 //!
 //! Three pieces:
 //!
-//! * **The append pipeline** ([`Wal`]) — writers enqueue serialized
-//!   records onto a lock-free stack; a dedicated flusher batches,
-//!   writes, fsyncs once per batch, and releases commit acks (**group
-//!   commit**). The [`DurabilityLevel`] is a scheme parameter like the
-//!   isolation level: `none` (no log), `wal` (logged, async), and
-//!   `wal-sync` (commit acks only after its record is fsynced).
+//! * **The append pipeline** ([`Wal`]) — writers encode their record
+//!   straight into one latched staging buffer; a paced flusher swaps
+//!   it out, writes and fsyncs once per batch, and releases commit
+//!   acks by LSN (**group commit**). The [`DurabilityLevel`] is a
+//!   scheme parameter like the isolation level: `none` (no log), `wal`
+//!   (logged, async), and `wal-sync` (commit acks only after its
+//!   record is fsynced).
 //! * **Fuzzy checkpoints** ([`checkpoint`]) — a consistent cut of
 //!   schema + base store + live chains at a watermark-consistent
 //!   timestamp, produced through the MVCC read path without stopping
@@ -47,6 +48,8 @@
 //! drawn and *before* watermark publication, so the existing
 //! read-your-own-commits guarantee also implies **durable before
 //! visible**: no snapshot ever observes a commit the log could lose.
+
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod error;

@@ -1,41 +1,56 @@
-//! The append pipeline: lock-free enqueue, dedicated flusher, group
+//! The append pipeline: one staging buffer, a paced flusher, group
 //! commit.
 //!
-//! Writers serialize their record, push the frame onto a **lock-free
-//! Treiber stack** (one CAS — no mutex anywhere on the enqueue path),
-//! and, at [`DurabilityLevel::WalSync`], block until the flusher's ack.
-//! A dedicated flusher thread swaps the whole stack out (another single
-//! atomic op), restores FIFO order, writes the batch to the log file,
-//! issues **one** `fsync` for the entire batch, and wakes every waiting
-//! writer — the classic group commit: whatever accumulated while the
-//! previous batch was syncing shares the next sync. Batch size is
-//! capped by [`WalConfig::max_batch`].
+//! An appender takes **one short latch**, encodes its frame straight
+//! from the borrowed write projection into the **staging buffer**
+//! (no owned record, no per-record allocation), and leaves: at
+//! [`DurabilityLevel::Wal`] a commit is a memcpy and makes no syscall.
+//! A record's **LSN** is the staging position just past it. The
+//! flusher swaps the staging buffer for a spare (under the same
+//! latch), issues **one** `write_all` and at most **one** `fsync` for
+//! the whole batch, and publishes `written_lsn` / `synced_lsn` —
+//! classic group commit: whatever accumulated while the previous batch
+//! was on its way to the disk shares the next write and the next sync.
 //!
-//! At [`DurabilityLevel::Wal`] nothing waits: records still reach the
-//! OS promptly (the flusher writes every batch) but commits ack without
-//! an fsync — durable on graceful shutdown ([`Wal`]'s drop drains and
-//! syncs), best-effort on a crash.
+//! The flusher is **paced, not poked**. With nobody waiting it lets a
+//! [`FLUSH_TICK`] of records accumulate, so records reach the OS
+//! within one tick or one full buffer, whichever comes first. An
+//! appender wakes it only
+//!
+//! * when somebody will wait on the result — a commit at
+//!   [`DurabilityLevel::WalSync`], [`Wal::sync`],
+//!   [`Wal::truncate_below`] — which then blocks until `synced_lsn`
+//!   reaches its LSN (the group-commit ack);
+//! * when staging is full ([`STAGING_CAPACITY`]): the appender waits
+//!   for the swap — back-pressure, and the bound on a batch;
+//! * when the log was idle (the flusher sleeps untimed on an empty
+//!   buffer and the first record after the lull arms the tick).
+//!
+//! [`WalStats`]'s `flusher_wakes` counts these; a per-record wake-up
+//! would show there.
 //!
 //! Failure model: a write or fsync error fails every record of the
-//! affected batch — each waiter gets an error and its transaction
-//! rolls back — and the flusher **rewinds** the log file to the
-//! batch's start so the on-disk log stays exactly the acked prefix.
-//! When the rewind succeeds the failure is transient: later batches
-//! proceed normally (graceful, batch-granular degradation). When the
-//! rewind itself fails (or a simulated crash fired) the log is
-//! poisoned and every in-flight and future append fails. Either way
-//! the file stays prefix-consistent: frames are written in order and a
-//! torn tail is detected (checksums) and truncated on the next open.
+//! affected batch — each waiter whose LSN falls in the batch gets an
+//! error and its transaction rolls back — and the file is **rewound**
+//! to the batch's start so the on-disk log stays exactly the acked
+//! prefix. When the rewind succeeds the failure is transient: later
+//! batches proceed normally (graceful, batch-granular degradation).
+//! When the rewind itself fails (or a simulated crash fired) the log
+//! is poisoned and every in-flight and future append fails. Either way
+//! the file stays prefix-consistent: batches are written in LSN order
+//! and a torn tail is detected (checksums) and truncated on the next
+//! open.
 //!
 //! Deterministic testing: [`WalConfig::inline`] — forced on while a
-//! `finecc_chaos` *scheduled* session is installed — bypasses the
-//! flusher and performs the write and (at `WalSync`) the fsync on the
-//! appending thread, with fault probes at
-//! [`finecc_chaos::Site::WalAppend`] / [`finecc_chaos::Site::WalFsync`].
-//! The flusher path probes `WalFlushWrite` / `WalFlushFsync` through a
-//! [`finecc_chaos::FaultToken`] captured at open time, so injected
-//! flusher faults fire deterministically even though the flusher is a
-//! background thread.
+//! `finecc_chaos` *scheduled* session is installed — starts no flusher
+//! thread; every append runs the **same** flush step itself, on the
+//! appending thread, before it returns (and reports the step's outcome
+//! even below `WalSync`). Fault probes go through a
+//! [`finecc_chaos::FaultToken`] captured at open time, at
+//! [`Site::WalAppend`] / [`Site::WalFsync`] inline and
+//! [`Site::WalFlushWrite`] / [`Site::WalFlushFsync`] on the flusher,
+//! so injected flusher faults fire deterministically even though the
+//! flusher is a background thread.
 //!
 //! **Truncation & retention** ([`Wal::truncate_below`],
 //! [`Wal::prune_checkpoints`]): after a durable checkpoint at
@@ -48,12 +63,13 @@
 //! is atomic (rewrite the retained suffix to a temp file, fsync,
 //! rename, directory fsync): a crash anywhere leaves either the old
 //! log or the compacted one, both of which replay to the same state on
-//! top of the new checkpoint. In flusher mode the truncation rides the
-//! group-commit queue, so it serializes with in-flight batches.
+//! top of the new checkpoint. It runs under the file latch every flush
+//! step takes, so it serializes with in-flight batches.
 
 use crate::checkpoint::{self, CheckpointData};
-use crate::record::{encode_frame, LogRecord, LOG_MAGIC};
+use crate::record::{self, LogRecord, LOG_MAGIC};
 use crate::stats::WalStats;
+use finecc_chaos::{FaultKind, FaultToken, Site};
 use finecc_model::{ClassId, Oid, TxnId};
 use finecc_obs::{EventKind, Obs, Phase};
 use finecc_store::FieldImage;
@@ -61,7 +77,7 @@ use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -110,16 +126,12 @@ pub struct WalConfig {
     /// creating a `Wal` entirely at that level) and behaves like
     /// [`DurabilityLevel::Wal`]: records are logged, nothing waits.
     pub level: DurabilityLevel,
-    /// Most records one group-commit round writes+syncs. Larger
-    /// batches amortize the fsync over more commits at the price of ack
-    /// latency.
-    pub max_batch: usize,
-    /// Write (and, at [`DurabilityLevel::WalSync`], fsync) every record
-    /// inline on the appending thread instead of handing it to the
-    /// flusher. No group commit, so it is slower — but fully
-    /// deterministic, which is why a `finecc_chaos` scheduled session
-    /// forces it on regardless of this flag: injected faults then land
-    /// at exact points of the explored schedule.
+    /// Run the flush step (write and, at [`DurabilityLevel::WalSync`],
+    /// fsync) on the appending thread, once per append, instead of
+    /// leaving it to the flusher. No group commit, so it is slower —
+    /// but fully deterministic, which is why a `finecc_chaos` scheduled
+    /// session forces it on regardless of this flag: injected faults
+    /// then land at exact points of the explored schedule.
     pub inline: bool,
     /// How many checkpoint files [`Wal::prune_checkpoints`] keeps (at
     /// least 1 is always kept). Two by default: the newest plus one
@@ -131,115 +143,118 @@ impl Default for WalConfig {
     fn default() -> WalConfig {
         WalConfig {
             level: DurabilityLevel::WalSync,
-            max_batch: 1024,
             inline: false,
             retain_checkpoints: 2,
         }
     }
 }
 
-const STATE_QUEUED: u8 = 0;
-const STATE_WRITTEN: u8 = 1;
-const STATE_SYNCED: u8 = 2;
-const STATE_FAILED: u8 = 3;
+/// Bytes the staging buffer holds before appenders wait for the
+/// flusher to take it — the back-pressure bound, and so the bound on
+/// one group-commit batch (a single larger frame is still accepted,
+/// into an empty buffer). 1 MiB is some 16,000 single-field commit
+/// records: twenty ticks of the fastest two-client run measured, so
+/// back-pressure engages only when the disk falls behind.
+pub const STAGING_CAPACITY: usize = 1 << 20;
 
-/// One enqueued frame, shared between the appending writer (which may
-/// wait on `state`) and the flusher (which drives it).
-struct Node {
-    /// The encoded frame; empty for a pure sync barrier.
-    bytes: Vec<u8>,
-    /// Forces an fsync for the batch containing this node even at
-    /// non-sync levels ([`Wal::sync`]).
-    force_sync: bool,
-    /// `Some(floor)` for a truncation request riding the queue: the
-    /// flusher rewrites the log keeping only frames with
-    /// `order_ts >= floor`, serialized against batch writes.
-    truncate_below: Option<u64>,
-    state: AtomicU8,
-    /// Intrusive Treiber-stack link (an `Arc::into_raw` pointer owned
-    /// by the list until drained).
-    next: AtomicPtr<Node>,
+/// How long the flusher lets records accumulate when nobody waits on
+/// them. A constant, not an option, chosen from a measured sweep on
+/// `durable-update` (`tps.tav`, three 18 s runs each; README,
+/// *Write-ahead log*): 0.2 ms reads 671k — five times the wake-ups and
+/// `write(2)`s on a box whose two cores the clients want — 1 ms 730k,
+/// and 5 ms 736k, under 1 % more for five times the records a crash
+/// at `wal` level would lose.
+pub const FLUSH_TICK: Duration = Duration::from_millis(1);
+
+/// Everything an append touches, behind one latch.
+struct Staging {
+    /// Encoded frames no flush step has taken yet.
+    buf: Vec<u8>,
+    /// LSN just past the last staged item. Every staged byte advances
+    /// it by one and every byte-less barrier ([`Wal::sync`]) by one
+    /// too, so each waiter's LSN lies strictly inside its batch.
+    end_lsn: u64,
+    /// Frames in `buf`.
+    records: u64,
+    /// Callers that will wait for the outcome of the batch being
+    /// staged.
+    waiters: u32,
+    /// One of them needs the batch fsynced, not just written.
+    sync: bool,
+    /// The flusher must not sleep out its tick: somebody waits, or
+    /// staging is full.
+    urgent: bool,
+    /// The flusher sleeps untimed on an empty buffer; the next appender
+    /// wakes it.
+    idle: bool,
+    /// The log is shutting down: nothing staged from here on would
+    /// ever be written.
+    closed: bool,
 }
 
-impl Node {
-    fn new(bytes: Vec<u8>, force_sync: bool) -> Arc<Node> {
-        Arc::new(Node {
-            bytes,
-            force_sync,
-            truncate_below: None,
-            state: AtomicU8::new(STATE_QUEUED),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        })
-    }
+/// What a flush step took out of [`Staging`] (the bytes travel in
+/// [`LogFile::spare`]).
+struct Batch {
+    /// The batch covers LSNs `(start_lsn, end_lsn]`.
+    start_lsn: u64,
+    end_lsn: u64,
+    records: u64,
+    waiters: u32,
+    sync: bool,
+}
 
-    fn truncate(floor: u64) -> Arc<Node> {
-        Arc::new(Node {
-            bytes: Vec::new(),
-            force_sync: false,
-            truncate_below: Some(floor),
-            state: AtomicU8::new(STATE_QUEUED),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        })
-    }
+/// The log file and what only the holder of its latch touches: flush
+/// steps and truncations serialize here.
+struct LogFile {
+    file: File,
+    /// The buffer swapped against [`Staging::buf`]; empty between
+    /// steps.
+    spare: Vec<u8>,
+    /// End LSN of the last batch taken.
+    taken_lsn: u64,
+}
+
+/// What waiters read — the gate.
+#[derive(Default)]
+struct Progress {
+    /// Every batch up to here was written to the file, or failed.
+    written_lsn: u64,
+    /// Every batch up to here was fsynced, or failed.
+    synced_lsn: u64,
+    /// Failed batches some waiter has not yet been told about. A
+    /// thread waits on one LSN at a time, so this never outgrows the
+    /// number of threads.
+    failed: Vec<FailedBatch>,
+}
+
+struct FailedBatch {
+    start_lsn: u64,
+    end_lsn: u64,
+    /// Waiters still to collect this failure.
+    waiters: u32,
 }
 
 struct Shared {
-    /// Pending frames, newest first (drained and reversed by the
-    /// flusher).
-    head: AtomicPtr<Node>,
-    /// Pairs both condvars; holds no data — the queue itself is
-    /// lock-free.
-    gate: Mutex<()>,
-    /// Wakes the flusher when it parked on an empty queue.
+    staging: Mutex<Staging>,
+    /// Parks the flusher (with the staging latch).
     wake: Condvar,
-    /// Wakes writers waiting for their ack.
+    /// Parks appenders that found staging full (same latch).
+    room: Condvar,
+    file: Mutex<LogFile>,
+    progress: Mutex<Progress>,
+    /// Parks waiters until `progress` moves.
     acked: Condvar,
-    /// `true` while the flusher is parked (writers only touch the gate
-    /// mutex to wake a parked flusher).
-    sleeping: AtomicBool,
-    shutdown: AtomicBool,
-    /// Poisoned by a flusher I/O error.
+    /// Poisoned: a failed batch could not be rewound, or a simulated
+    /// crash fired.
     failed: AtomicBool,
     stats: WalStats,
-}
-
-impl Shared {
-    fn push(&self, node: &Arc<Node>) {
-        self.stats.queue_enter();
-        let raw = Arc::into_raw(Arc::clone(node)) as *mut Node;
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            // Not yet visible to the flusher: plain store is fine.
-            unsafe { (*raw).next.store(head, Ordering::Relaxed) };
-            match self
-                .head
-                .compare_exchange_weak(head, raw, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        if self.sleeping.load(Ordering::Acquire) {
-            let _g = self.gate.lock();
-            self.wake.notify_one();
-        }
-    }
-
-    /// Pops everything at once and restores FIFO (push) order.
-    fn drain(&self) -> Vec<Arc<Node>> {
-        let mut raw = self.head.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        let mut out = Vec::new();
-        while !raw.is_null() {
-            let node = unsafe { Arc::from_raw(raw) };
-            raw = node.next.load(Ordering::Relaxed);
-            out.push(node);
-        }
-        if !out.is_empty() {
-            self.stats.queue_exit(out.len() as u64);
-        }
-        out.reverse();
-        out
-    }
+    obs: Arc<Obs>,
+    /// Captured at open, on the opening (chaos-eligible) thread: the
+    /// flusher is a background thread the harness knows nothing about.
+    token: Option<FaultToken>,
+    /// The fault sites the flush step probes before its write and its
+    /// fsync.
+    sites: (Site, Site),
 }
 
 /// The write-ahead log: an append-only redo log under `<dir>/wal.log`
@@ -255,13 +270,8 @@ pub struct Wal {
     retain: usize,
     /// Highest commit/skip timestamp found in the log at open time.
     max_logged_ts: u64,
-    /// Observability sink: group-commit ack waits go into
-    /// [`Phase::GroupCommitAck`]; disabled by default.
-    obs: Arc<Obs>,
+    /// `None` in inline mode: appends run the flush step themselves.
     flusher: Option<std::thread::JoinHandle<()>>,
-    /// `Some` in inline mode (no flusher): the log file, written and
-    /// synced directly by appending threads.
-    inline: Option<Mutex<File>>,
 }
 
 fn poisoned() -> io::Error {
@@ -282,6 +292,180 @@ pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
+impl Shared {
+    fn poisoned(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    /// Wakes the flusher if it would otherwise sleep through what was
+    /// just staged: always out of its idle sleep, and — when `urgent`
+    /// — out of its tick. Called with the staging latch held, so the
+    /// flusher cannot miss it; at most one wake-up per batch.
+    fn wake_flusher(&self, st: &mut Staging, urgent: bool) {
+        if st.idle || (urgent && !st.urgent) {
+            st.idle = false;
+            st.urgent |= urgent;
+            self.wake.notify_one();
+            self.stats.bump_flusher_wakes();
+        }
+    }
+
+    /// One group-commit round: takes whatever is staged, writes it with
+    /// one `write_all`, fsyncs at most once, publishes the outcome.
+    /// Runs on the flusher thread — in inline mode, on the appending
+    /// thread. Taking the file latch *before* the swap keeps concurrent
+    /// steps (inline mode) in LSN order.
+    fn flush(&self) {
+        let mut log = self.file.lock();
+        let batch = {
+            let mut st = self.staging.lock();
+            st.urgent = false;
+            if st.buf.is_empty() && st.waiters == 0 {
+                return;
+            }
+            std::mem::swap(&mut st.buf, &mut log.spare);
+            self.stats.set_queue_depth(0);
+            self.room.notify_all();
+            Batch {
+                start_lsn: std::mem::replace(&mut log.taken_lsn, st.end_lsn),
+                end_lsn: st.end_lsn,
+                records: std::mem::take(&mut st.records),
+                waiters: std::mem::take(&mut st.waiters),
+                sync: std::mem::take(&mut st.sync),
+            }
+        };
+        let LogFile { file, spare, .. } = &mut *log;
+        let ok = self.write_batch(file, spare, &batch);
+        spare.clear();
+        let mut p = self.progress.lock();
+        p.written_lsn = batch.end_lsn;
+        if batch.sync || !ok {
+            p.synced_lsn = batch.end_lsn;
+        }
+        if !ok && batch.waiters > 0 {
+            p.failed.push(FailedBatch {
+                start_lsn: batch.start_lsn,
+                end_lsn: batch.end_lsn,
+                waiters: batch.waiters,
+            });
+        }
+        self.acked.notify_all();
+    }
+
+    /// Writes (and, if asked, fsyncs) one batch. On failure none of the
+    /// batch's records was acked, so none may survive into recovery:
+    /// the file is rewound to the batch's start. A clean rewind makes
+    /// the failure transient — the next batch proceeds normally; a
+    /// failed rewind, or a simulated crash, poisons the log for good.
+    /// An injected crash before the write leaves what a power cut
+    /// would: half of the batch's first frame, a torn tail the next
+    /// open truncates.
+    fn write_batch(&self, file: &mut File, bytes: &[u8], batch: &Batch) -> bool {
+        if self.poisoned() {
+            return false;
+        }
+        let probe = |site| self.token.as_ref().and_then(|t| t.fault_at(site));
+        let start_pos = file.stream_position().unwrap_or(u64::MAX);
+        let mut crash = false;
+        let mut torn = false;
+        let mut ok = true;
+        if !bytes.is_empty() {
+            ok = match probe(self.sites.0) {
+                Some(FaultKind::IoError) => false,
+                Some(FaultKind::Crash) => {
+                    let body_len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+                    let _ = file.write_all(&bytes[..(8 + body_len as usize) / 2]);
+                    let _ = file.sync_data();
+                    crash = true;
+                    torn = true;
+                    false
+                }
+                _ => file.write_all(bytes).is_ok(),
+            };
+        }
+        if ok && batch.sync {
+            ok = match probe(self.sites.1) {
+                Some(FaultKind::IoError) => false,
+                Some(FaultKind::Crash) => {
+                    crash = true;
+                    false
+                }
+                _ => {
+                    let sync_start = self.obs.now_ns();
+                    let synced = file.sync_data().is_ok();
+                    if synced {
+                        self.stats.bump_log_fsyncs();
+                    }
+                    // Fsync spans are emitted unconditionally when
+                    // tracing is on (`txn 0` always passes the
+                    // sampler): the fsync cadence is exactly what a
+                    // group-commit trace is read for. The `oid` slot
+                    // carries the batch's record count.
+                    if self.obs.trace_sampled(0) {
+                        let dur = self.obs.now_ns().saturating_sub(sync_start);
+                        self.obs
+                            .emit(EventKind::Fsync, sync_start, dur, 0, batch.records);
+                    }
+                    synced
+                }
+            };
+        }
+        if ok {
+            self.stats.add_log_bytes(bytes.len() as u64);
+            if batch.records > 0 {
+                self.stats.sample_batch(batch.records);
+            }
+            return true;
+        }
+        self.stats.add_append_failures(batch.records);
+        let rolled_back = !torn
+            && start_pos != u64::MAX
+            && file.set_len(start_pos).is_ok()
+            && file.seek(SeekFrom::Start(start_pos)).is_ok()
+            && file.sync_data().is_ok();
+        if crash || !rolled_back {
+            self.failed.store(true, Ordering::Release);
+        }
+        if crash {
+            if let Some(t) = &self.token {
+                t.note_crash();
+            }
+        }
+        false
+    }
+
+    /// Blocks until the batch holding `lsn` has an outcome: written —
+    /// or, for a `durable` waiter, fsynced — or failed. No timed wait:
+    /// every flush step publishes under the gate and notifies.
+    fn wait_outcome(&self, lsn: u64, durable: bool) -> io::Result<()> {
+        let mut p = self.progress.lock();
+        loop {
+            let hit = p
+                .failed
+                .iter()
+                .position(|f| f.start_lsn < lsn && lsn <= f.end_lsn);
+            if let Some(i) = hit {
+                p.failed[i].waiters -= 1;
+                if p.failed[i].waiters == 0 {
+                    p.failed.swap_remove(i);
+                }
+                // Permanent poison and a transient batch failure look
+                // the same from here; the shared flag tells them apart.
+                return Err(if self.poisoned() {
+                    poisoned()
+                } else {
+                    io::Error::other("write-ahead log batch failed and was rolled back (retryable)")
+                });
+            }
+            let reached = if durable { p.synced_lsn } else { p.written_lsn };
+            if reached >= lsn {
+                return Ok(());
+            }
+            self.acked.wait(&mut p);
+        }
+    }
+}
+
 impl Wal {
     /// The log file path under a directory.
     pub fn log_path(dir: &Path) -> PathBuf {
@@ -294,7 +478,7 @@ impl Wal {
     }
 
     /// [`Wal::open`] with an observability sink: ack waits are recorded
-    /// into [`Phase::GroupCommitAck`] and the flusher emits `fsync`
+    /// into [`Phase::GroupCommitAck`] and the flush step emits `fsync`
     /// trace spans. The handle must be supplied at open time because
     /// the flusher thread captures it.
     pub fn open_with_obs(
@@ -318,7 +502,7 @@ impl Wal {
             // truncate any torn tail (appending after garbage would
             // hide every later record from replay).
             let end = {
-                let mut stream = crate::record::FrameStream::open(&path)?;
+                let mut stream = record::FrameStream::open(&path)?;
                 while let Some((_, rec)) = stream.next_record()? {
                     if let LogRecord::Commit { ts, .. } | LogRecord::Skip { ts } = rec {
                         max_logged_ts = max_logged_ts.max(ts);
@@ -342,34 +526,46 @@ impl Wal {
             fsync_dir(&dir)?;
             f
         };
+        let inline = config.inline || finecc_chaos::scheduled_session();
         let shared = Arc::new(Shared {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            gate: Mutex::new(()),
+            staging: Mutex::new(Staging {
+                buf: Vec::new(),
+                end_lsn: 0,
+                records: 0,
+                waiters: 0,
+                sync: false,
+                urgent: false,
+                idle: false,
+                closed: false,
+            }),
             wake: Condvar::new(),
+            room: Condvar::new(),
+            file: Mutex::new(LogFile {
+                file,
+                spare: Vec::new(),
+                taken_lsn: 0,
+            }),
+            progress: Mutex::new(Progress::default()),
             acked: Condvar::new(),
-            sleeping: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             stats: WalStats::default(),
+            obs,
+            token: finecc_chaos::fault_token(),
+            sites: if inline {
+                (Site::WalAppend, Site::WalFsync)
+            } else {
+                (Site::WalFlushWrite, Site::WalFlushFsync)
+            },
         });
-        let (flusher, inline) = if config.inline || finecc_chaos::scheduled_session() {
-            (None, Some(Mutex::new(file)))
+        let flusher = if inline {
+            None
         } else {
-            // Captured here, on the opening (chaos-eligible) thread:
-            // the flusher itself is a background thread the harness
-            // knows nothing about.
-            let token = finecc_chaos::fault_token();
             let shared = Arc::clone(&shared);
-            let obs = Arc::clone(&obs);
-            let sync_all = config.level == DurabilityLevel::WalSync;
-            let max_batch = config.max_batch.max(1);
-            let flusher_dir = dir.clone();
-            let handle = std::thread::Builder::new()
-                .name("finecc-wal-flusher".into())
-                .spawn(move || {
-                    flusher_loop(shared, file, sync_all, max_batch, flusher_dir, obs, token)
-                })?;
-            (Some(handle), None)
+            Some(
+                std::thread::Builder::new()
+                    .name("finecc-wal-flusher".into())
+                    .spawn(move || flusher_loop(&shared))?,
+            )
         };
         Ok(Wal {
             shared,
@@ -377,9 +573,7 @@ impl Wal {
             level: config.level,
             retain: config.retain_checkpoints.max(1),
             max_logged_ts,
-            obs,
             flusher,
-            inline,
         })
     }
 
@@ -411,140 +605,82 @@ impl Wal {
         self.max_logged_ts
     }
 
-    fn append(&self, rec: &LogRecord, wait_ack: bool) -> io::Result<()> {
-        if self.inline.is_some() {
-            return self.append_inline(rec, wait_ack);
+    /// Stages one item — a frame of exactly `len` bytes that `encode`
+    /// appends, or with `len == 0` a byte-less barrier — and, when the
+    /// caller must learn the outcome, waits for it: a `durable` item at
+    /// [`DurabilityLevel::WalSync`] (and any barrier) until it is
+    /// fsynced; in inline mode every item, until the flush step this
+    /// call runs itself is through. `encode` runs under the staging
+    /// latch, after room is assured, so whatever it draws (a commit
+    /// sequence) is in staging order.
+    fn append(
+        &self,
+        len: usize,
+        durable: bool,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        let shared = &*self.shared;
+        let inline = self.flusher.is_none();
+        if inline && len > 0 {
+            // A scheduling decision *before* taking the latch: a
+            // scheduled worker must never be preempted while holding a
+            // mutex another worker can block on.
+            finecc_chaos::yield_point(Site::WalAppend);
         }
-        if self.shared.failed.load(Ordering::Acquire) {
-            return Err(poisoned());
-        }
-        let node = Node::new(encode_frame(rec), false);
-        self.shared.push(&node);
-        self.shared.stats.bump_appends();
-        if wait_ack && self.level == DurabilityLevel::WalSync {
-            self.shared.stats.bump_sync_waits();
-            let wait_start = self.obs.clock();
-            self.wait_ack(&node, STATE_SYNCED)?;
-            self.obs.record_since(Phase::GroupCommitAck, wait_start);
-        }
-        Ok(())
-    }
-
-    /// Inline-mode append: write (and at `WalSync` fsync) directly on
-    /// the appending thread. Chaos probes: `WalAppend` faults strike
-    /// the frame write, `WalFsync` faults strike the commit fsync; an
-    /// injected `Crash` leaves the on-disk log exactly as a real power
-    /// cut would (torn tail mid-write, rewound frame at fsync) and
-    /// poisons the log.
-    fn append_inline(&self, rec: &LogRecord, wait_ack: bool) -> io::Result<()> {
-        use finecc_chaos::{FaultKind, Site};
-        // Scheduling decision *before* taking the file lock: a
-        // scheduled worker must never be preempted while holding a
-        // mutex another worker can block on.
-        finecc_chaos::yield_point(Site::WalAppend);
-        if self.shared.failed.load(Ordering::Acquire) {
-            return Err(poisoned());
-        }
-        let frame = encode_frame(rec);
-        let mut file = self.inline.as_ref().expect("inline mode").lock();
-        self.shared.stats.bump_appends();
-        let start_pos = file.stream_position()?;
-        let rewind = |file: &mut File| {
-            file.set_len(start_pos).is_ok()
-                && file.seek(SeekFrom::Start(start_pos)).is_ok()
-                && file.sync_data().is_ok()
+        let durable = durable && (len == 0 || self.level == DurabilityLevel::WalSync);
+        let waits = durable || inline;
+        let lsn = {
+            let mut st = shared.staging.lock();
+            loop {
+                if st.closed || shared.poisoned() {
+                    return Err(poisoned());
+                }
+                if st.buf.is_empty() || st.buf.len() + len <= STAGING_CAPACITY {
+                    break;
+                }
+                shared.wake_flusher(&mut st, true);
+                shared.room.wait(&mut st);
+            }
+            let start = st.buf.len();
+            encode(&mut st.buf);
+            debug_assert_eq!(
+                st.buf.len() - start,
+                len,
+                "frame length precomputed exactly"
+            );
+            st.end_lsn += len.max(1) as u64;
+            if len > 0 {
+                st.records += 1;
+                shared.stats.note_staged(st.records, durable);
+            }
+            if waits {
+                st.waiters += 1;
+                st.sync |= durable;
+            }
+            shared.wake_flusher(&mut st, waits && !inline);
+            st.end_lsn
         };
-        match finecc_chaos::fault_at(Site::WalAppend) {
-            Some(FaultKind::IoError) => {
-                self.shared.stats.add_append_failures(1);
-                return Err(io::Error::other("injected: wal append write error"));
-            }
-            Some(FaultKind::Crash) => {
-                // A mid-append power cut: half the frame reaches disk,
-                // the log is dead. Recovery truncates the torn tail.
-                let _ = file.write_all(&frame[..frame.len() / 2]);
-                let _ = file.sync_data();
-                self.shared.failed.store(true, Ordering::Release);
-                self.shared.stats.add_append_failures(1);
-                finecc_chaos::note_crash();
-                return Err(io::Error::other("injected: crash mid-append"));
-            }
-            _ => {}
+        if !waits {
+            return Ok(());
         }
-        if let Err(e) = file.write_all(&frame) {
-            self.shared.stats.add_append_failures(1);
-            if !rewind(&mut file) {
-                self.shared.failed.store(true, Ordering::Release);
-            }
-            return Err(e);
+        // The group-commit ack is a commit's wait, not a barrier's.
+        let wait_start = if durable && len > 0 {
+            shared.obs.clock()
+        } else {
+            None
+        };
+        if inline {
+            shared.flush();
         }
-        if wait_ack && self.level == DurabilityLevel::WalSync {
-            self.shared.stats.bump_sync_waits();
-            match finecc_chaos::fault_at(Site::WalFsync) {
-                Some(FaultKind::IoError) => {
-                    // Transient: rewind the frame so the on-disk log
-                    // stays exactly the acked prefix; later appends
-                    // proceed.
-                    self.shared.stats.add_append_failures(1);
-                    if !rewind(&mut file) {
-                        self.shared.failed.store(true, Ordering::Release);
-                    }
-                    return Err(io::Error::other("injected: wal fsync error"));
-                }
-                Some(FaultKind::Crash) => {
-                    // Crash before the fsync: the record was never
-                    // acked, so it must not survive into recovery.
-                    self.shared.stats.add_append_failures(1);
-                    let _ = rewind(&mut file);
-                    self.shared.failed.store(true, Ordering::Release);
-                    finecc_chaos::note_crash();
-                    return Err(io::Error::other("injected: crash at commit fsync"));
-                }
-                _ => {}
-            }
-            let wait_start = self.obs.clock();
-            if let Err(e) = file.sync_data() {
-                self.shared.stats.add_append_failures(1);
-                if !rewind(&mut file) {
-                    self.shared.failed.store(true, Ordering::Release);
-                }
-                return Err(e);
-            }
-            self.shared.stats.bump_log_fsyncs();
-            self.shared.stats.sample_batch(1);
-            self.obs.record_since(Phase::GroupCommitAck, wait_start);
-        }
-        self.shared.stats.add_log_bytes(frame.len() as u64);
+        shared.wait_outcome(lsn, durable)?;
+        shared.obs.record_since(Phase::GroupCommitAck, wait_start);
         Ok(())
     }
 
-    fn wait_ack(&self, node: &Arc<Node>, target: u8) -> io::Result<()> {
-        let mut g = self.shared.gate.lock();
-        loop {
-            match node.state.load(Ordering::Acquire) {
-                STATE_FAILED => {
-                    // Permanent poison and transient batch failure look
-                    // the same to the node; the shared flag tells them
-                    // apart.
-                    return Err(if self.shared.failed.load(Ordering::Acquire) {
-                        poisoned()
-                    } else {
-                        io::Error::other(
-                            "write-ahead log batch failed and was rolled back (retryable)",
-                        )
-                    });
-                }
-                s if s >= target => return Ok(()),
-                _ => {
-                    // Timeout only as a safety net (the flusher
-                    // notifies under the gate, so wakeups cannot be
-                    // lost).
-                    self.shared
-                        .acked
-                        .wait_for(&mut g, Duration::from_millis(50));
-                }
-            }
-        }
+    fn append_record(&self, rec: &LogRecord, durable: bool) -> io::Result<()> {
+        self.append(record::frame_len(rec), durable, |out| {
+            record::put_frame(out, rec)
+        })
     }
 
     /// Appends a commit record — the transaction's *Write*-projection
@@ -552,14 +688,28 @@ impl Wal {
     /// [`DurabilityLevel::WalSync`], returns only once the record is
     /// fsynced (the group-commit ack).
     pub fn append_commit(&self, ts: u64, txn: TxnId, writes: &[FieldImage]) -> io::Result<()> {
-        self.append(
-            &LogRecord::Commit {
-                ts,
-                txn,
-                writes: writes.to_vec(),
-            },
-            true,
-        )
+        self.append_commit_with(|| ts, txn, writes).map(drop)
+    }
+
+    /// [`Wal::append_commit`] with the commit timestamp drawn by `draw`
+    /// **inside the staging latch**, at the moment the record takes its
+    /// place in the log; returns what was drawn. A scheme whose commit
+    /// order is the draw order (the lock schemes' commit sequence) gets
+    /// a log in strictly increasing timestamp order this way, however
+    /// long a client is preempted around the call. `draw` is not called
+    /// when the log refuses the record up front (poisoned).
+    pub fn append_commit_with(
+        &self,
+        draw: impl FnOnce() -> u64,
+        txn: TxnId,
+        writes: &[FieldImage],
+    ) -> io::Result<u64> {
+        let mut drawn = 0;
+        self.append(record::commit_frame_len(writes), true, |out| {
+            drawn = draw();
+            record::put_commit_frame(out, drawn, txn, writes);
+        })?;
+        Ok(drawn)
     }
 
     /// Appends a skip record for a drawn-but-refused commit timestamp
@@ -572,35 +722,25 @@ impl Wal {
     /// re-drawing it after recovery reuses a timestamp at which
     /// nothing was ever flipped or logged.
     pub fn append_skip(&self, ts: u64) -> io::Result<()> {
-        self.append(&LogRecord::Skip { ts }, false)
+        self.append_record(&LogRecord::Skip { ts }, false)
     }
 
     /// Appends an object-creation record.
     pub fn append_create(&self, as_of: u64, oid: Oid, class: ClassId) -> io::Result<()> {
-        self.append(&LogRecord::Create { as_of, oid, class }, true)
+        self.append_record(&LogRecord::Create { as_of, oid, class }, true)
     }
 
     /// Appends an object-deletion record.
     pub fn append_delete(&self, as_of: u64, oid: Oid) -> io::Result<()> {
-        self.append(&LogRecord::Delete { as_of, oid }, true)
+        self.append_record(&LogRecord::Delete { as_of, oid }, true)
     }
 
-    /// Drains the queue and fsyncs, regardless of level — the graceful
+    /// Drains staging and fsyncs, regardless of level — the graceful
     /// flush (tests and shutdown paths call it; dropping the log does
-    /// the same).
+    /// the same). A barrier in the LSN order: it returns once
+    /// everything staged before it is on disk.
     pub fn sync(&self) -> io::Result<()> {
-        if self.shared.failed.load(Ordering::Acquire) {
-            return Err(poisoned());
-        }
-        if let Some(file) = &self.inline {
-            // Inline mode: nothing is queued, the file is the truth.
-            file.lock().sync_data()?;
-            self.shared.stats.bump_log_fsyncs();
-            return Ok(());
-        }
-        let node = Node::new(Vec::new(), true);
-        self.shared.push(&node);
-        self.wait_ack(&node, STATE_SYNCED)
+        self.append(0, true, |_| {})
     }
 
     /// Writes a checkpoint file into the log directory (atomically:
@@ -648,39 +788,40 @@ impl Wal {
     /// which replay identically on top of the checkpoint. A pre-rename
     /// failure is transient (log unchanged); a post-rename failure
     /// poisons the log (the open write handle no longer matches the
-    /// directory entry). In flusher mode the request rides the
-    /// group-commit queue and is serialized against batch writes.
+    /// directory entry). Everything staged before the call is synced
+    /// into the file first ([`Wal::sync`]); the rewrite then holds the
+    /// file latch, so it is serialized against batch writes.
     pub fn truncate_below(&self, floor: u64) -> io::Result<()> {
-        if self.shared.failed.load(Ordering::Acquire) {
+        self.sync()?;
+        let mut log = self.shared.file.lock();
+        if self.shared.poisoned() {
             return Err(poisoned());
         }
-        if let Some(file) = &self.inline {
-            let mut guard = file.lock();
-            guard.sync_data()?;
-            match rewrite_log(&self.dir, floor) {
-                Ok(removed) => match reopen_log_end(&self.dir) {
-                    Ok(f) => {
-                        *guard = f;
-                        self.shared.stats.sample_truncation(removed);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.shared.failed.store(true, Ordering::Release);
-                        Err(e)
-                    }
-                },
-                Err((e, poison)) => {
-                    if poison {
-                        self.shared.failed.store(true, Ordering::Release);
-                    }
-                    Err(e)
+        rewrite_log(&self.dir, floor)
+            .and_then(|removed| {
+                // The compacted log landed; if the handle swap fails the
+                // old handle points at the unlinked inode, and nothing
+                // written through it would survive.
+                log.file = reopen_log_end(&self.dir).map_err(|e| (e, true))?;
+                self.shared.stats.sample_truncation(removed);
+                Ok(())
+            })
+            .map_err(|(e, poison)| {
+                if poison {
+                    self.shared.failed.store(true, Ordering::Release);
                 }
-            }
-        } else {
-            let node = Node::truncate(floor);
-            self.shared.push(&node);
-            self.wait_ack(&node, STATE_SYNCED)
-        }
+                e
+            })
+    }
+
+    /// Stops accepting appends and tells the flusher to drain and
+    /// exit ([`Drop`]'s first half).
+    fn close(&self) {
+        let mut st = self.shared.staging.lock();
+        st.closed = true;
+        st.idle = false;
+        self.shared.wake.notify_one();
+        self.shared.room.notify_all();
     }
 }
 
@@ -699,10 +840,12 @@ fn rewrite_log(dir: &Path, floor: u64) -> Result<u64, (io::Error, bool)> {
         let mut out = io::BufWriter::new(File::create(&tmp)?);
         out.write_all(LOG_MAGIC)?;
         let mut kept = 0u64;
-        let mut stream = crate::record::FrameStream::open(&path).map_err(io::Error::from)?;
+        let mut frame = Vec::new();
+        let mut stream = record::FrameStream::open(&path).map_err(io::Error::from)?;
         while let Some((_, rec)) = stream.next_record().map_err(io::Error::from)? {
             if rec.order_ts() >= floor {
-                let frame = encode_frame(&rec);
+                frame.clear();
+                record::put_frame(&mut frame, &rec);
                 kept += frame.len() as u64;
                 out.write_all(&frame)?;
             }
@@ -738,250 +881,41 @@ fn reopen_log_end(dir: &Path) -> io::Result<File> {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        if let Some(file) = &self.inline {
-            // No flusher to drain; leave the file synced (best-effort
-            // — the log may be poisoned by an injected crash).
-            let _ = file.lock().sync_data();
-            return;
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.shared.gate.lock();
-            self.shared.wake.notify_one();
-        }
+        self.close();
         if let Some(h) = self.flusher.take() {
             let _ = h.join();
         }
-        // Free anything still on the stack (possible only if the
-        // flusher died on an I/O error).
-        for node in self.shared.drain() {
-            node.state.store(STATE_FAILED, Ordering::Release);
-        }
+        // Graceful shutdown: everything staged was written; leave the
+        // file synced even at async levels (best-effort — the log may
+        // be poisoned by an injected crash).
+        let _ = self.shared.file.lock().file.sync_data();
     }
 }
 
-fn flusher_loop(
-    shared: Arc<Shared>,
-    mut file: File,
-    sync_all: bool,
-    max_batch: usize,
-    dir: PathBuf,
-    obs: Arc<Obs>,
-    token: Option<finecc_chaos::FaultToken>,
-) {
+/// The flusher thread: flush when somebody waits or staging is full,
+/// otherwise once a [`FLUSH_TICK`]; sleep untimed while nothing is
+/// staged.
+fn flusher_loop(shared: &Shared) {
+    let mut st = shared.staging.lock();
     loop {
-        let batch = shared.drain();
-        if batch.is_empty() {
-            if shared.shutdown.load(Ordering::Acquire) {
-                // Graceful shutdown: everything drained and written;
-                // leave the file synced even at async levels.
-                let _ = file.sync_data();
-                return;
-            }
-            shared.sleeping.store(true, Ordering::Release);
-            {
-                let mut g = shared.gate.lock();
-                // Re-check under the gate: a pusher may have raced the
-                // sleeping flag. The handshake (pushers notify under
-                // the gate whenever `sleeping` is set) makes lost
-                // wakeups impossible, so the timeout is only a safety
-                // net — long enough that an idle log costs no
-                // measurable CPU.
-                if shared.head.load(Ordering::Acquire).is_null()
-                    && !shared.shutdown.load(Ordering::Acquire)
-                {
-                    shared.wake.wait_for(&mut g, Duration::from_millis(50));
-                }
-            }
-            shared.sleeping.store(false, Ordering::Release);
-            continue;
+        if st.buf.is_empty() && !st.urgent && !st.closed {
+            st.idle = true;
+            shared.wake.wait(&mut st);
+            st.idle = false;
         }
-        // Truncation requests split the batch: the frames queued before
-        // one are flushed first, then the log is rewritten, then the
-        // rest proceeds — FIFO order keeps the on-disk log exactly the
-        // acked prefix throughout.
-        let mut start = 0;
-        for idx in 0..=batch.len() {
-            let floor = if idx < batch.len() {
-                batch[idx].truncate_below
-            } else {
-                None
-            };
-            if idx < batch.len() && floor.is_none() {
-                continue;
-            }
-            for chunk in batch[start..idx].chunks(max_batch) {
-                flush_chunk(&shared, &mut file, chunk, sync_all, &obs, token.as_ref());
-            }
-            if let Some(floor) = floor {
-                run_truncation(&shared, &mut file, &dir, floor, &batch[idx]);
-            }
-            start = idx + 1;
+        if !st.urgent && !st.closed {
+            shared.wake.wait_for(&mut st, FLUSH_TICK);
         }
-    }
-}
-
-/// One group-commit round over `chunk`: write every frame, one fsync,
-/// release the acks — or fail the whole chunk and rewind.
-fn flush_chunk(
-    shared: &Shared,
-    file: &mut File,
-    chunk: &[Arc<Node>],
-    sync_all: bool,
-    obs: &Obs,
-    token: Option<&finecc_chaos::FaultToken>,
-) {
-    use finecc_chaos::{FaultKind, Site};
-    if shared.failed.load(Ordering::Acquire) {
-        fail_nodes(shared, chunk);
-        return;
-    }
-    // The chunk's start offset: on failure the file is rewound
-    // here so the on-disk log stays exactly the acked prefix.
-    let start_pos = file.stream_position().unwrap_or(u64::MAX);
-    let mut records = 0u64;
-    let mut bytes_written = 0u64;
-    let mut result: io::Result<()> = Ok(());
-    let mut crash = false;
-    let mut force_sync = false;
-    match token.as_ref().and_then(|t| t.fault_at(Site::WalFlushWrite)) {
-        Some(FaultKind::IoError) => {
-            result = Err(io::Error::other("injected: flusher write error"));
+        let closed = st.closed;
+        drop(st);
+        shared.flush();
+        if closed {
+            // `close` ran before this step's swap and nothing is staged
+            // after it: the log is drained.
+            return;
         }
-        Some(FaultKind::Crash) => {
-            result = Err(io::Error::other("injected: crash in flusher write"));
-            crash = true;
-        }
-        _ => {}
+        st = shared.staging.lock();
     }
-    if result.is_ok() {
-        for node in chunk {
-            force_sync |= node.force_sync;
-            if node.bytes.is_empty() {
-                continue;
-            }
-            if let Err(e) = file.write_all(&node.bytes) {
-                result = Err(e);
-                break;
-            }
-            bytes_written += node.bytes.len() as u64;
-            records += 1;
-        }
-    }
-    if result.is_ok() && (sync_all || force_sync) {
-        match token.as_ref().and_then(|t| t.fault_at(Site::WalFlushFsync)) {
-            Some(FaultKind::IoError) => {
-                result = Err(io::Error::other("injected: flusher fsync error"));
-            }
-            Some(FaultKind::Crash) => {
-                result = Err(io::Error::other("injected: crash at flusher fsync"));
-                crash = true;
-            }
-            _ => {
-                let sync_start = obs.now_ns();
-                result = file.sync_data();
-                if result.is_ok() {
-                    shared.stats.bump_log_fsyncs();
-                }
-                // Fsync spans are emitted unconditionally when
-                // tracing is on (`txn 0` always passes the
-                // sampler): there is one flusher, and the fsync
-                // cadence is exactly what a group-commit trace
-                // is read for. The `oid` slot carries the
-                // batch's record count.
-                if obs.trace_sampled(0) {
-                    let dur = obs.now_ns().saturating_sub(sync_start);
-                    obs.emit(EventKind::Fsync, sync_start, dur, 0, records);
-                }
-            }
-        }
-    }
-    match result {
-        Ok(()) => {
-            shared.stats.add_log_bytes(bytes_written);
-            if records > 0 {
-                shared.stats.sample_batch(records);
-            }
-            let state = if sync_all || force_sync {
-                STATE_SYNCED
-            } else {
-                STATE_WRITTEN
-            };
-            for node in chunk {
-                node.state.store(state, Ordering::Release);
-            }
-        }
-        Err(_) => {
-            let failed_records = chunk.iter().filter(|n| !n.bytes.is_empty()).count() as u64;
-            shared.stats.add_append_failures(failed_records);
-            // Rewind the partially written batch: none of its
-            // records was acked, so none may survive into
-            // recovery. A clean rewind makes the failure
-            // transient — the next batch proceeds normally; a
-            // failed rewind (or a simulated crash) poisons the
-            // log for good.
-            let rolled_back = start_pos != u64::MAX
-                && file.set_len(start_pos).is_ok()
-                && file.seek(SeekFrom::Start(start_pos)).is_ok()
-                && file.sync_data().is_ok();
-            if crash || !rolled_back {
-                shared.failed.store(true, Ordering::Release);
-            }
-            if crash {
-                if let Some(t) = &token {
-                    t.note_crash();
-                }
-            }
-            fail_nodes(shared, chunk);
-        }
-    }
-    let _g = shared.gate.lock();
-    shared.acked.notify_all();
-}
-
-/// Executes a truncation request on the flusher: sync what is written,
-/// rewrite the log atomically, swap the write handle to the new file.
-fn run_truncation(shared: &Shared, file: &mut File, dir: &Path, floor: u64, node: &Arc<Node>) {
-    if shared.failed.load(Ordering::Acquire) {
-        fail_nodes(shared, std::slice::from_ref(node));
-        return;
-    }
-    let result = file
-        .sync_data()
-        .map_err(|e| (e, false))
-        .and_then(|()| rewrite_log(dir, floor));
-    match result {
-        Ok(removed) => match reopen_log_end(dir) {
-            Ok(f) => {
-                *file = f;
-                shared.stats.sample_truncation(removed);
-                node.state.store(STATE_SYNCED, Ordering::Release);
-                let _g = shared.gate.lock();
-                shared.acked.notify_all();
-            }
-            Err(_) => {
-                // The compacted log landed but the handle swap failed:
-                // the old handle points at the unlinked inode, so
-                // nothing written through it would survive — poison.
-                shared.failed.store(true, Ordering::Release);
-                fail_nodes(shared, std::slice::from_ref(node));
-            }
-        },
-        Err((_, poison)) => {
-            if poison {
-                shared.failed.store(true, Ordering::Release);
-            }
-            fail_nodes(shared, std::slice::from_ref(node));
-        }
-    }
-}
-
-fn fail_nodes(shared: &Shared, nodes: &[Arc<Node>]) {
-    for node in nodes {
-        node.state.store(STATE_FAILED, Ordering::Release);
-    }
-    let _g = shared.gate.lock();
-    shared.acked.notify_all();
 }
 
 #[cfg(test)]
@@ -1036,19 +970,35 @@ mod tests {
             &dir,
             WalConfig {
                 level: DurabilityLevel::Wal,
-                max_batch: 4,
                 ..WalConfig::default()
             },
         )
         .unwrap();
-        for i in 0..10 {
-            wal.append_commit(i + 1, TxnId(i), &[image(1, 0, i as i64)])
-                .unwrap();
+        // Three staging buffers' worth of records, eight to a buffer:
+        // the capacity — not a knob — bounds the batch, so nothing
+        // waits on a commit and yet no batch outgrows it.
+        let per_buffer = 8;
+        let text = "x".repeat(STAGING_CAPACITY / per_buffer - 64);
+        let writes = [FieldImage {
+            oid: Oid(1),
+            field: finecc_model::FieldId(0),
+            value: Value::str(&text),
+        }];
+        let total = 3 * per_buffer as u64;
+        for i in 0..total {
+            wal.append_commit(i + 1, TxnId(i), &writes).unwrap();
         }
         wal.sync().unwrap();
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        assert_eq!(LogReader::new(&bytes).unwrap().count(), 10);
+        let s = wal.stats().snapshot();
+        assert!(s.group_commit_batches >= 3, "{s:?}");
+        assert!(s.group_commit_max <= per_buffer as u64, "{s:?}");
+        assert_eq!(s.queue_depth, 0);
+        assert_eq!(read_log_timestamps(&dir).len() as u64, total);
+        // Nobody syncs the last two: dropping the log does.
+        wal.append_commit(total + 1, TxnId(0), &writes).unwrap();
+        wal.append_skip(total + 2).unwrap();
         drop(wal);
+        assert_eq!(read_log_timestamps(&dir).len() as u64, total + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1304,6 +1254,203 @@ mod tests {
             LogReader::new(&bytes).unwrap().count() as u64,
             threads * per
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_and_appends_on_a_poisoned_log_fail_fast() {
+        use finecc_chaos::{ChaosConfig, FaultPlan, FaultSpec};
+        let dir = tmpdir("poisoned");
+        let handle = finecc_chaos::install(ChaosConfig {
+            faults: FaultPlan::of([FaultSpec::once(Site::WalFlushFsync, 0, FaultKind::Crash)]),
+            ..ChaosConfig::default()
+        });
+        let wal = Wal::open(&dir, WalConfig::default()).unwrap();
+        wal.append_commit(1, TxnId(1), &[image(1, 0, 1)])
+            .expect_err("the crash at the first fsync fails the batch");
+        for err in [
+            wal.sync().expect_err("sync on a poisoned log"),
+            wal.truncate_below(0).expect_err("truncation too"),
+            wal.append_commit(2, TxnId(2), &[image(1, 0, 2)])
+                .expect_err("and every later append"),
+        ] {
+            assert!(err.to_string().contains("poisoned"), "{err}");
+        }
+        drop(wal);
+        drop(handle);
+        // The crashed batch was rewound: nothing unacked survives.
+        assert!(read_log_timestamps(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_after_shutdown_began_are_refused_not_parked() {
+        for level in [DurabilityLevel::Wal, DurabilityLevel::WalSync] {
+            let dir = tmpdir(&format!("closed-{}", level.name()));
+            let wal = Wal::open(
+                &dir,
+                WalConfig {
+                    level,
+                    ..WalConfig::default()
+                },
+            )
+            .unwrap();
+            wal.append_commit(1, TxnId(1), &[image(1, 0, 1)]).unwrap();
+            // What `Drop` does first; the flusher is gone after it, so a
+            // record staged now would never be written and a waiter on
+            // it would never wake.
+            wal.close();
+            wal.append_commit(2, TxnId(2), &[image(1, 0, 2)])
+                .expect_err("append after close");
+            wal.append_skip(3).expect_err("skip after close");
+            wal.sync().expect_err("sync after close");
+            drop(wal);
+            assert_eq!(read_log_timestamps(&dir), vec![1], "{level}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// `FINECC_TEST_THREADS` appenders against one async log, with
+    /// records big enough that staging fills many times over: staged
+    /// bytes never exceed the capacity (sampled under the latch all
+    /// along), every record lands exactly once, and the queue drains.
+    #[test]
+    fn staging_storm_respects_capacity_and_drains() {
+        let threads: u64 = std::env::var("FINECC_TEST_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(8);
+        let per = 400u64;
+        let dir = tmpdir("storm");
+        let wal = Wal::open(
+            &dir,
+            WalConfig {
+                level: DurabilityLevel::Wal,
+                ..WalConfig::default()
+            },
+        )
+        .unwrap();
+        let text = "y".repeat(4000);
+        let done = AtomicBool::new(false);
+        let mut peak = 0;
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (wal, text) = (&wal, &text);
+                    s.spawn(move || {
+                        let writes = [FieldImage {
+                            oid: Oid(t),
+                            field: finecc_model::FieldId(0),
+                            value: Value::str(text),
+                        }];
+                        for i in 0..per {
+                            wal.append_commit(1 + t * per + i, TxnId(t), &writes)
+                                .unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let sampler = s.spawn(|| {
+                let mut peak = 0;
+                while !done.load(Ordering::Acquire) {
+                    peak = peak.max(wal.shared.staging.lock().buf.len());
+                    std::thread::yield_now();
+                }
+                peak
+            });
+            for w in workers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            peak = sampler.join().unwrap();
+        });
+        assert!(peak <= STAGING_CAPACITY, "staged {peak} bytes");
+        assert!(
+            threads * per * 4000 > 2 * STAGING_CAPACITY as u64,
+            "the storm must overflow staging to mean anything"
+        );
+        wal.sync().unwrap();
+        let s = wal.stats().snapshot();
+        assert_eq!(s.queue_depth, 0);
+        assert_eq!(s.appends, threads * per);
+        assert_eq!(s.group_commit_records, threads * per);
+        let file_len = std::fs::metadata(Wal::log_path(&dir)).unwrap().len();
+        assert_eq!(s.log_bytes, file_len - LOG_MAGIC.len() as u64);
+        drop(wal);
+        let mut seen = read_log_timestamps(&dir);
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=threads * per).collect::<Vec<u64>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log the parent commit (PR 18, the Treiber-stack pipeline)
+    /// wrote: `create 1, create 2, commit 1 (int, string, bool), skip
+    /// 2, commit 3 (float, nil, ref), commit 4 (no writes), delete 2`
+    /// at `wal-sync`.
+    const PR18_LOG: &[u8] = include_bytes!("../tests/fixtures/pr18-wal.log");
+
+    #[test]
+    fn logs_are_byte_compatible_with_the_parent_pipeline() {
+        // Frame by frame, the encoder reproduces the fixture …
+        let old: Vec<(usize, LogRecord)> = LogReader::new(PR18_LOG).unwrap().collect();
+        assert_eq!(old.len(), 7);
+        let mut start = LOG_MAGIC.len();
+        for (end, rec) in &old {
+            assert_eq!(record::encode_frame(rec), PR18_LOG[start..*end], "{rec:?}");
+            assert_eq!(record::frame_len(rec), end - start, "{rec:?}");
+            start = *end;
+        }
+        assert_eq!(start, PR18_LOG.len(), "no torn tail in the fixture");
+        // … the same appends through the new pipeline write the same
+        // file, at either level, flusher or inline …
+        for (level, inline) in [
+            (DurabilityLevel::WalSync, false),
+            (DurabilityLevel::Wal, false),
+            (DurabilityLevel::WalSync, true),
+        ] {
+            let dir = tmpdir("compat-fresh");
+            let wal = Wal::open(
+                &dir,
+                WalConfig {
+                    level,
+                    inline,
+                    ..WalConfig::default()
+                },
+            )
+            .unwrap();
+            for (_, rec) in &old {
+                match rec {
+                    LogRecord::Commit { ts, txn, writes } => wal.append_commit(*ts, *txn, writes),
+                    LogRecord::Skip { ts } => wal.append_skip(*ts),
+                    LogRecord::Create { as_of, oid, class } => {
+                        wal.append_create(*as_of, *oid, *class)
+                    }
+                    LogRecord::Delete { as_of, oid } => wal.append_delete(*as_of, *oid),
+                }
+                .unwrap();
+            }
+            drop(wal);
+            let written = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
+            assert_eq!(written, PR18_LOG, "{level} inline={inline}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // … and the parent's file itself resumes under the new code:
+        // appended to, truncated (a rewrite of every kept frame), and
+        // still byte-identical in what it kept.
+        let dir = tmpdir("compat-resume");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(Wal::log_path(&dir), PR18_LOG).unwrap();
+        let wal = Wal::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(wal.max_logged_ts(), 4);
+        wal.append_commit(5, TxnId(11), &[image(1, 0, 5)]).unwrap();
+        wal.truncate_below(0).unwrap();
+        drop(wal);
+        let resumed = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
+        assert_eq!(resumed[..PR18_LOG.len()], *PR18_LOG);
+        let records: Vec<LogRecord> = LogReader::new(&resumed).unwrap().map(|(_, r)| r).collect();
+        assert_eq!(records.len(), 8);
+        assert!(matches!(records[7], LogRecord::Commit { ts: 5, .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

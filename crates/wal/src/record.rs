@@ -222,47 +222,94 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encodes a record body (no frame header).
-pub(crate) fn encode_body(rec: &LogRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    match rec {
-        LogRecord::Commit { ts, txn, writes } => {
-            out.push(KIND_COMMIT);
-            put_u64(&mut out, *ts);
-            put_u64(&mut out, txn.raw());
-            put_u32(&mut out, writes.len() as u32);
-            for w in writes {
-                put_u64(&mut out, w.oid.raw());
-                put_u32(&mut out, w.field.raw());
-                put_value(&mut out, &w.value);
-            }
-        }
-        LogRecord::Skip { ts } => {
-            out.push(KIND_SKIP);
-            put_u64(&mut out, *ts);
-        }
-        LogRecord::Create { as_of, oid, class } => {
-            out.push(KIND_CREATE);
-            put_u64(&mut out, *as_of);
-            put_u64(&mut out, oid.raw());
-            put_u32(&mut out, class.raw());
-        }
-        LogRecord::Delete { as_of, oid } => {
-            out.push(KIND_DELETE);
-            put_u64(&mut out, *as_of);
-            put_u64(&mut out, oid.raw());
-        }
-    }
-    out
+/// Appends one frame — `[len][checksum][body]` — to `out`, the body
+/// encoded in place by `body`: the 8-byte header is reserved first and
+/// patched once the body's length and checksum are known, so a frame is
+/// written exactly once, straight into whatever buffer it is bound for
+/// (the log's staging buffer on the commit path).
+fn put_framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    body(out);
+    let (len, sum) = {
+        let body = &out[start + 8..];
+        (body.len() as u32, checksum(body))
+    };
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Frames a record: `[len][checksum][body]`.
+/// Appends a commit record's frame, encoded from the borrowed
+/// write projection (no owned [`LogRecord`] is built).
+pub(crate) fn put_commit_frame(out: &mut Vec<u8>, ts: u64, txn: TxnId, writes: &[FieldImage]) {
+    put_framed(out, |out| {
+        out.push(KIND_COMMIT);
+        put_u64(out, ts);
+        put_u64(out, txn.raw());
+        put_u32(out, writes.len() as u32);
+        for w in writes {
+            put_u64(out, w.oid.raw());
+            put_u32(out, w.field.raw());
+            put_value(out, &w.value);
+        }
+    });
+}
+
+/// Appends a record's frame to `out`.
+pub(crate) fn put_frame(out: &mut Vec<u8>, rec: &LogRecord) {
+    match rec {
+        LogRecord::Commit { ts, txn, writes } => put_commit_frame(out, *ts, *txn, writes),
+        LogRecord::Skip { ts } => put_framed(out, |out| {
+            out.push(KIND_SKIP);
+            put_u64(out, *ts);
+        }),
+        LogRecord::Create { as_of, oid, class } => put_framed(out, |out| {
+            out.push(KIND_CREATE);
+            put_u64(out, *as_of);
+            put_u64(out, oid.raw());
+            put_u32(out, class.raw());
+        }),
+        LogRecord::Delete { as_of, oid } => put_framed(out, |out| {
+            out.push(KIND_DELETE);
+            put_u64(out, *as_of);
+            put_u64(out, oid.raw());
+        }),
+    }
+}
+
+/// Exact length of the frame [`put_commit_frame`] appends for `writes`
+/// — what the log's back-pressure check needs *before* the commit
+/// timestamp is drawn and the frame encoded.
+pub(crate) fn commit_frame_len(writes: &[FieldImage]) -> usize {
+    let value_len = |v: &Value| match v {
+        Value::Nil => 1,
+        Value::Bool(_) => 2,
+        Value::Int(_) | Value::Float(_) | Value::Ref(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+    };
+    8 + 21
+        + writes
+            .iter()
+            .map(|w| 12 + value_len(&w.value))
+            .sum::<usize>()
+}
+
+/// Exact length of the frame [`put_frame`] appends for `rec`.
+pub(crate) fn frame_len(rec: &LogRecord) -> usize {
+    match rec {
+        LogRecord::Commit { writes, .. } => commit_frame_len(writes),
+        LogRecord::Skip { .. } => 8 + 9,
+        LogRecord::Create { .. } => 8 + 21,
+        LogRecord::Delete { .. } => 8 + 17,
+    }
+}
+
+/// One record's frame as an owned buffer (tests; the append path and
+/// the truncation rewrite encode in place).
+#[cfg(test)]
 pub(crate) fn encode_frame(rec: &LogRecord) -> Vec<u8> {
-    let body = encode_body(rec);
-    let mut out = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, checksum(&body));
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(frame_len(rec));
+    put_frame(&mut out, rec);
     out
 }
 

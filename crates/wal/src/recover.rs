@@ -12,18 +12,32 @@
 //! 3. Apply records in `(timestamp, log position)` order through a
 //!    **bounded reorder window**: frames enter a min-heap keyed by
 //!    `(order_ts, seq)`, and whenever the heap exceeds the window the
-//!    smallest record is applied. Group commit bounds how far a record
-//!    can sit behind its timestamp order in the file (at most a batch),
-//!    so a window ≥ the writer's `max_batch` reorders everything —
-//!    resident memory is O(window), not O(log). If the bound is ever
-//!    violated (a log written with a larger batch than the window),
-//!    replay fails loudly with
-//!    [`RecoveryError::ReorderWindowExceeded`] rather than applying
-//!    records out of order. Commit records below the checkpoint's
-//!    `replay_from` are skipped (already inside the image); creates and
-//!    deletes replay unconditionally (both are idempotent — OIDs are
-//!    never reused, so a create already in the checkpoint is skipped
-//!    and a delete of an absent object is a no-op).
+//!    smallest record is applied — resident memory is O(window), not
+//!    O(log). What bounds how far a record can sit behind its
+//!    timestamp order in the file is **how the writer draws its
+//!    timestamps**, not the size of a group-commit batch (batches are
+//!    written in the order records were staged):
+//!    * the lock schemes draw their commit sequence *inside* the log's
+//!      staging latch ([`Wal::append_commit_with`]), so their commit
+//!      records are in strictly increasing order — lag 0 by
+//!      construction, however long a client is preempted;
+//!    * the version heap draws its commit timestamp before it appends,
+//!      but a commit returns only once every earlier timestamp is
+//!      published and a record is appended before its timestamp is
+//!      published, so a record is overtaken by at most one in-flight
+//!      commit per other session — sessions − 1 (the skip records of
+//!      refused commits do not wait and can add a few; extent records
+//!      carry an already-published watermark and trail by no more).
+//!
+//!    If the bound is ever violated (a log written by something that
+//!    draws timestamps further ahead than the window), replay fails
+//!    loudly with [`RecoveryError::ReorderWindowExceeded`] rather than
+//!    applying records out of order. Commit records below the
+//!    checkpoint's `replay_from` are skipped (already inside the
+//!    image); creates and deletes replay unconditionally (both are
+//!    idempotent — OIDs are never reused, so a create already in the
+//!    checkpoint is skipped and a delete of an absent object is a
+//!    no-op).
 //! 4. The highest timestamp seen — commit or skip, checkpoint included
 //!    — is the clock restore point: the recovered heap's clock and
 //!    watermark both resume there, so post-recovery commits continue
@@ -51,9 +65,12 @@ use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Default replay reorder window, matching the default
-/// [`crate::WalConfig::max_batch`]: group commit never reorders a
-/// record across more than one batch, so window ≥ batch cap suffices.
+/// Default replay reorder window. It has to cover how far a record
+/// can trail its timestamp order in the file (module docs, step 3):
+/// nothing for the lock schemes, whose commit sequence is drawn inside
+/// the staging latch, and one record per other concurrent session for
+/// the version heap — so 1024 is room for a thousand sessions, not a
+/// batch size.
 pub const DEFAULT_REORDER_WINDOW: usize = 1024;
 
 /// What recovery found and did.
@@ -123,8 +140,8 @@ pub fn recover_database(dir: &Path) -> Result<(Database, RecoveryInfo), Recovery
 }
 
 /// [`recover_database`] with an explicit reorder window (tests size it
-/// down to prove the memory bound; a writer with a larger `max_batch`
-/// sizes it up to match).
+/// down to prove the memory bound; a heap serving more than a thousand
+/// concurrent sessions sizes it up to match).
 pub fn recover_database_with_window(
     dir: &Path,
     window: usize,

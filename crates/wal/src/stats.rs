@@ -21,10 +21,11 @@ pub struct WalStats {
     log_fsyncs: AtomicU64,
     /// Records per group-commit round, full distribution.
     batch_hist: Histogram,
-    /// Records pushed to the flusher but not yet drained — the live
+    /// Records staged but not yet taken by a flush step — the live
     /// flusher queue depth.
     queue_depth: AtomicU64,
     sync_waits: AtomicU64,
+    flusher_wakes: AtomicU64,
     append_failures: AtomicU64,
     recovery_replayed: AtomicU64,
     recovery_bytes: AtomicU64,
@@ -35,8 +36,27 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    pub(crate) fn bump_appends(&self) {
-        self.appends.fetch_add(1, Ordering::Relaxed);
+    /// Counts one staged record; `queue_depth` is the staging buffer's
+    /// record count. Called **under the staging latch**, which makes
+    /// the caller the only writer of these three: plain load + store,
+    /// no locked read-modify-write on the append path.
+    pub(crate) fn note_staged(&self, queue_depth: u64, waits_for_sync: bool) {
+        let bump = |c: &AtomicU64| c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        bump(&self.appends);
+        if waits_for_sync {
+            bump(&self.sync_waits);
+        }
+        self.queue_depth.store(queue_depth, Ordering::Relaxed);
+    }
+
+    /// Sets the queue-depth gauge (under the staging latch, see
+    /// [`WalStats::note_staged`]).
+    pub(crate) fn set_queue_depth(&self, n: u64) {
+        self.queue_depth.store(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn bump_flusher_wakes(&self) {
+        self.flusher_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_log_bytes(&self, n: u64) {
@@ -49,18 +69,6 @@ impl WalStats {
 
     pub(crate) fn sample_batch(&self, records: u64) {
         self.batch_hist.record(records);
-    }
-
-    pub(crate) fn queue_enter(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn queue_exit(&self, n: u64) {
-        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_sync_waits(&self) {
-        self.sync_waits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_append_failures(&self, n: u64) {
@@ -115,6 +123,7 @@ impl WalStats {
             group_commit_p99: batches.value_at_quantile(0.99),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             sync_waits: self.sync_waits.load(Ordering::Relaxed),
+            flusher_wakes: self.flusher_wakes.load(Ordering::Relaxed),
             append_failures: self.append_failures.load(Ordering::Relaxed),
             recovery_replayed: self.recovery_replayed.load(Ordering::Relaxed),
             recovery_bytes: self.recovery_bytes.load(Ordering::Relaxed),
@@ -134,6 +143,7 @@ impl WalStats {
         // queue_depth deliberately survives: it tracks records in
         // flight, which a stats reset does not drain.
         self.sync_waits.store(0, Ordering::Relaxed);
+        self.flusher_wakes.store(0, Ordering::Relaxed);
         self.append_failures.store(0, Ordering::Relaxed);
         self.recovery_replayed.store(0, Ordering::Relaxed);
         self.recovery_bytes.store(0, Ordering::Relaxed);
@@ -169,12 +179,17 @@ pub struct WalStatsSnapshot {
     pub group_commit_p90: u64,
     /// 99th-percentile batch size — the tail the mean hides.
     pub group_commit_p99: u64,
-    /// Records pushed to the flusher but not yet drained at snapshot
+    /// Records staged but not yet taken by a flush step at snapshot
     /// time (a gauge, not a counter).
     pub queue_depth: u64,
     /// Appends that blocked waiting for their durability ack
     /// (`WalSync` only).
     pub sync_waits: u64,
+    /// Times an appender woke the flusher instead of leaving the batch
+    /// to its tick: somebody waits on the result, staging was full, or
+    /// the log had been idle. A count near `appends` means the
+    /// per-record wake-up is back.
+    pub flusher_wakes: u64,
     /// Records whose append or fsync failed (real I/O errors and
     /// injected faults). The waiters saw a retryable error; the log
     /// rewound the failed batch and kept going unless the rewind
@@ -227,6 +242,7 @@ impl WalStatsSnapshot {
             group_commit_p99: self.group_commit_p99,
             queue_depth: self.queue_depth,
             sync_waits: self.sync_waits.saturating_sub(earlier.sync_waits),
+            flusher_wakes: self.flusher_wakes.saturating_sub(earlier.flusher_wakes),
             append_failures: self.append_failures.saturating_sub(earlier.append_failures),
             recovery_replayed: self.recovery_replayed,
             recovery_bytes: self.recovery_bytes,
@@ -253,6 +269,7 @@ impl WalStatsSnapshot {
         c.gauge("finecc.wal.group_commit.mean", self.mean_group_commit());
         c.gauge("finecc.wal.queue_depth", self.queue_depth as f64);
         c.counter("finecc.wal.sync_waits", self.sync_waits);
+        c.counter("finecc.wal.flusher_wakes", self.flusher_wakes);
         c.counter("finecc.wal.append_failures", self.append_failures);
         c.counter(
             "finecc.wal.recovery.frames_replayed",
@@ -276,7 +293,8 @@ mod tests {
     #[test]
     fn snapshot_mean_and_reset() {
         let s = WalStats::default();
-        s.bump_appends();
+        s.note_staged(1, false);
+        s.set_queue_depth(0);
         s.sample_batch(3);
         s.sample_batch(5);
         let snap = s.snapshot();
@@ -332,13 +350,12 @@ mod tests {
     #[test]
     fn queue_depth_tracks_enter_exit() {
         let s = WalStats::default();
-        s.queue_enter();
-        s.queue_enter();
-        s.queue_enter();
-        assert_eq!(s.snapshot().queue_depth, 3);
-        s.queue_exit(2);
-        assert_eq!(s.snapshot().queue_depth, 1);
-        s.queue_exit(1);
+        s.note_staged(1, false);
+        s.note_staged(2, true);
+        s.note_staged(3, true);
+        let snap = s.snapshot();
+        assert_eq!((snap.queue_depth, snap.appends, snap.sync_waits), (3, 3, 2));
+        s.set_queue_depth(0);
         assert_eq!(s.snapshot().queue_depth, 0);
     }
 

@@ -519,6 +519,72 @@ fn lock_scheme_undo_projection_log_recovers() {
     }
 }
 
+/// ROADMAP's recovery-window defect, closed by construction: the lock
+/// schemes draw their commit sequence inside the log's staging latch
+/// (`Wal::append_commit_with`), so however long a client is stalled or
+/// preempted around its commit, the log holds the commits in strictly
+/// increasing sequence order and the **default** reorder window — any
+/// window — recovers it. With the draw outside the latch (the parent's
+/// `next_commit_seq` before `append_commit`) a client preempted between
+/// the two lets the other client's later sequences into the log first:
+/// the order assertion below then fails on every run, and a log whose
+/// lag passes 1024 records is refused by recovery with
+/// `ReorderWindowExceeded`.
+#[test]
+fn two_client_lock_scheme_log_is_in_commit_order_and_recovers() {
+    use finecc::runtime::SchemeKind;
+    use finecc::wal::recover_database;
+    const COMMITS_PER_CLIENT: i64 = 25_000;
+    const STALL_EVERY: i64 = 400;
+    for kind in [SchemeKind::Tav, SchemeKind::Rw] {
+        let dir = tmpdir(&format!("window-{}", kind.name()));
+        let env = finecc::runtime::Env::from_source(finecc::lang::parser::FIGURE1_SOURCE).unwrap();
+        let c2 = env.schema.class_by_name("c2").unwrap();
+        // One object per client: no lock conflicts, so a stalled client
+        // never holds the other one up.
+        let objects = [env.db.create(c2), env.db.create(c2)];
+        let db = Arc::clone(&env.db);
+        let scheme = kind.build_durable(env, DurabilityLevel::Wal, &dir).unwrap();
+        std::thread::scope(|s| {
+            for (client, &oid) in objects.iter().enumerate() {
+                let scheme = scheme.as_ref();
+                s.spawn(move || {
+                    for i in 1..=COMMITS_PER_CLIENT {
+                        let mut txn = scheme.begin();
+                        scheme.send(&mut txn, oid, "m2", &[Value::Int(1)]).unwrap();
+                        if client == 0 && i % STALL_EVERY == 0 {
+                            // Stalled between message and commit, locks
+                            // held, while the other client commits on.
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        scheme.commit(txn).unwrap();
+                    }
+                });
+            }
+        });
+        let live = base_state(&db);
+        drop(scheme);
+        let log_bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
+        let commit_ts: Vec<u64> = LogReader::new(&log_bytes)
+            .unwrap()
+            .filter_map(|(_, rec)| match rec {
+                LogRecord::Commit { ts, .. } => Some(ts),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commit_ts.len() as i64, 2 * COMMITS_PER_CLIENT, "{kind}");
+        assert!(
+            commit_ts.windows(2).all(|w| w[0] < w[1]),
+            "{kind}: commit records out of sequence order"
+        );
+        let (recovered, info) =
+            recover_database(&dir).unwrap_or_else(|e| panic!("{kind}: default window: {e}"));
+        assert_eq!(info.replayed as i64, 2 * COMMITS_PER_CLIENT, "{kind}");
+        assert_eq!(base_state(&recovered), live, "{kind}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn truncation_keeps_every_frame_at_or_above_any_floor() {
     // The truncation-floor property: for an *arbitrary* floor,

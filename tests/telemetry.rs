@@ -165,7 +165,21 @@ fn prometheus_export_covers_the_scheme_matrix() {
         scheme.register_metrics(&reg, &[("scheme", kind.name()), ("source", "live")]);
         committed.insert(kind.name(), report.committed);
     }
+    // One durable scheme, for the write-ahead log's live counters (the
+    // matrix above runs without a log).
+    let wal_dir = std::env::temp_dir().join(format!("finecc-telemetry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let durable = SchemeKind::Tav
+        .build_durable(
+            finecc::runtime::Env::from_source(finecc::lang::parser::FIGURE1_SOURCE).unwrap(),
+            finecc::mvcc::DurabilityLevel::Wal,
+            &wal_dir,
+        )
+        .unwrap();
+    durable.register_metrics(&reg, &[("scheme", "tav"), ("source", "durable")]);
     let prom = reg.render_prometheus();
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&wal_dir);
 
     // Parse and structurally validate the whole exposition.
     let mut typed: BTreeSet<String> = BTreeSet::new();
@@ -207,6 +221,10 @@ fn prometheus_export_covers_the_scheme_matrix() {
         "finecc_lock_requests",
         "finecc_lock_parks",
         "finecc_mvcc_commits",
+        "finecc_wal_appends",
+        "finecc_wal_queue_depth",
+        "finecc_wal_group_commit_mean",
+        "finecc_wal_flusher_wakes",
     ] {
         assert!(typed.contains(name), "stable metric {name} missing");
     }
