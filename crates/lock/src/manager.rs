@@ -213,7 +213,7 @@ impl<S: ModeSource> LockManager<S> {
         let conversion = entry.holds_any(txn);
         entry.grant(txn, mode);
         if conversion {
-            LockStats::bump(&self.stats.upgrades);
+            self.stats.upgrades.bump();
         }
         Some(!conversion)
     }
@@ -265,8 +265,8 @@ impl<S: ModeSource> LockManager<S> {
         // Chaos scheduling decision strictly before any latch (a parked
         // latch holder would deadlock the token scheduler).
         finecc_chaos::yield_point(finecc_chaos::Site::LockAcquire);
-        LockStats::bump(&self.stats.requests);
         if self.take_victim(txn) {
+            self.stats.requests.bump();
             return Err(AcquireError::Deadlock);
         }
         let shard = &self.shards[shard_of(&res)];
@@ -276,13 +276,14 @@ impl<S: ModeSource> LockManager<S> {
             if first {
                 self.note_held(txn, res);
             }
-            LockStats::bump(&self.stats.immediate);
+            self.stats.count_immediate();
             return Ok(());
         }
-        LockStats::bump(&self.stats.blocks);
+        self.stats.requests.bump();
+        self.stats.blocks.bump();
         let entry = table.entry(res);
         if entry.holds_any(txn) {
-            LockStats::bump(&self.stats.upgrades);
+            self.stats.upgrades.bump();
         }
         entry.enqueue(txn, mode);
         self.waiting.fetch_add(1, Ordering::SeqCst);
@@ -330,7 +331,7 @@ impl<S: ModeSource> LockManager<S> {
             };
             if timed_out {
                 self.leave_queue(shard, &mut table, txn, res, mode);
-                LockStats::bump(&self.stats.timeouts);
+                self.stats.timeouts.bump();
                 return Err(AcquireError::Timeout);
             }
             let seen = shard.epoch.load(Ordering::Relaxed);
@@ -360,7 +361,7 @@ impl<S: ModeSource> LockManager<S> {
             if shard.epoch.load(Ordering::Relaxed) == seen {
                 if !parked {
                     parked = true;
-                    LockStats::bump(&self.stats.parks);
+                    self.stats.parks.bump();
                 }
                 table.parked += 1;
                 let left = deadline.saturating_duration_since(Instant::now());
@@ -373,24 +374,24 @@ impl<S: ModeSource> LockManager<S> {
     /// Non-blocking acquisition: grants immediately or reports
     /// `WouldBlock` without queueing. Used by the deterministic simulator.
     pub fn try_acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> TryAcquire {
-        LockStats::bump(&self.stats.requests);
         let shard = &self.shards[shard_of(&res)];
         let granted = self.grant_now(&mut shard.table.lock(), txn, res, mode);
         let Some(first) = granted else {
-            LockStats::bump(&self.stats.would_blocks);
+            self.stats.requests.bump();
+            self.stats.would_blocks.bump();
             return TryAcquire::WouldBlock;
         };
         if first {
             self.note_held(txn, res);
         }
-        LockStats::bump(&self.stats.immediate);
+        self.stats.count_immediate();
         TryAcquire::Granted
     }
 
     /// Strict-2PL release: drops every lock (granted and queued) of `txn`
     /// and wakes waiters. Called exactly once at commit/abort.
     pub fn release_all(&self, txn: TxnId) {
-        LockStats::bump(&self.stats.releases);
+        self.stats.releases.bump();
         self.take_victim(txn);
         let held = self.txns[shard_of(&txn)].held.lock().remove(&txn);
         for res in held.into_iter().flatten() {
@@ -462,7 +463,7 @@ impl<S: ModeSource> LockManager<S> {
             VictimPolicy::Youngest => *cycle.iter().max().expect("cycle is non-empty"),
         };
         if victim == txn {
-            LockStats::bump(&self.stats.deadlocks);
+            self.stats.deadlocks.bump();
             let i = shard_of(&res);
             self.leave_queue(&self.shards[i], &mut tables[i], txn, res, mode);
             return true;
@@ -472,7 +473,7 @@ impl<S: ModeSource> LockManager<S> {
         // request (polling the same epoch, perhaps) look again at once.
         if self.victims.lock().insert(victim) {
             self.victims_pending.fetch_add(1, Ordering::Relaxed);
-            LockStats::bump(&self.stats.deadlocks);
+            self.stats.deadlocks.bump();
             for (t, i) in queued_at {
                 if t == victim {
                     self.shards[i].wake(&tables[i]);

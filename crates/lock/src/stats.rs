@@ -1,110 +1,45 @@
-//! Lock-manager statistics.
+//! Lock-manager statistics, declared once (`finecc_obs::counters!`).
 //!
 //! Every counter is a relaxed atomic: the numbers feed experiment reports
 //! (E4–E7), not control flow.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live counters of a [`crate::LockManager`].
-#[derive(Debug, Default)]
-pub struct LockStats {
-    /// Lock requests (acquire + try_acquire).
-    pub requests: AtomicU64,
-    /// Requests granted without waiting.
-    pub immediate: AtomicU64,
-    /// Requests that blocked at least once.
-    pub blocks: AtomicU64,
-    /// Blocked requests that outlived the poll and slept on the shard's
-    /// condvar; `blocks - parks` were granted (or refused) while polling.
-    pub parks: AtomicU64,
-    /// Deadlocks detected (victims aborted).
-    pub deadlocks: AtomicU64,
-    /// Requests that timed out while waiting.
-    pub timeouts: AtomicU64,
-    /// Lock conversions (a transaction adding a mode on a resource it
-    /// already holds) — the escalations of problem P3.
-    pub upgrades: AtomicU64,
-    /// `release_all` calls (transaction ends).
-    pub releases: AtomicU64,
-    /// try_acquire calls that returned `WouldBlock`.
-    pub would_blocks: AtomicU64,
-}
-
-/// A point-in-time copy of [`LockStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub requests: u64,
-    pub immediate: u64,
-    pub blocks: u64,
-    pub parks: u64,
-    pub deadlocks: u64,
-    pub timeouts: u64,
-    pub upgrades: u64,
-    pub releases: u64,
-    pub would_blocks: u64,
+finecc_obs::counters! {
+    /// Live counters of a [`crate::LockManager`].
+    pub struct LockStats {}
+    /// A point-in-time copy of [`LockStats`].
+    pub struct StatsSnapshot;
+    pub cells {
+        /// Lock requests (acquire + try_acquire).
+        requests: Counter "finecc.lock.requests",
+        /// Requests granted without waiting.
+        immediate: Counter "finecc.lock.immediate",
+        /// Requests that blocked at least once.
+        blocks: Counter "finecc.lock.blocks",
+        /// Blocked requests that outlived the poll and slept on the shard's
+        /// condvar; `blocks - parks` were granted (or refused) while polling.
+        parks: Counter "finecc.lock.parks",
+        /// Deadlocks detected (victims aborted).
+        deadlocks: Counter "finecc.lock.deadlocks",
+        /// Requests that timed out while waiting.
+        timeouts: Counter "finecc.lock.timeouts",
+        /// Lock conversions (a transaction adding a mode on a resource it
+        /// already holds) — the escalations of problem P3.
+        upgrades: Counter "finecc.lock.upgrades",
+        /// `release_all` calls (transaction ends).
+        releases: Counter "finecc.lock.releases",
+        /// try_acquire calls that returned `WouldBlock`.
+        would_blocks: Counter "finecc.lock.would_blocks",
+    }
 }
 
 impl LockStats {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshots all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            immediate: self.immediate.load(Ordering::Relaxed),
-            blocks: self.blocks.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            deadlocks: self.deadlocks.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            would_blocks: self.would_blocks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.immediate.store(0, Ordering::Relaxed);
-        self.blocks.store(0, Ordering::Relaxed);
-        self.parks.store(0, Ordering::Relaxed);
-        self.deadlocks.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.upgrades.store(0, Ordering::Relaxed);
-        self.releases.store(0, Ordering::Relaxed);
-        self.would_blocks.store(0, Ordering::Relaxed);
-    }
-}
-
-impl StatsSnapshot {
-    /// Emits every counter under stable `finecc.lock.*` names.
-    pub fn collect_metrics(&self, c: &mut finecc_obs::Collector) {
-        c.counter("finecc.lock.requests", self.requests);
-        c.counter("finecc.lock.immediate", self.immediate);
-        c.counter("finecc.lock.blocks", self.blocks);
-        c.counter("finecc.lock.parks", self.parks);
-        c.counter("finecc.lock.deadlocks", self.deadlocks);
-        c.counter("finecc.lock.timeouts", self.timeouts);
-        c.counter("finecc.lock.upgrades", self.upgrades);
-        c.counter("finecc.lock.releases", self.releases);
-        c.counter("finecc.lock.would_blocks", self.would_blocks);
-    }
-
-    /// The difference `self - earlier`, counter-wise (saturating).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.saturating_sub(earlier.requests),
-            immediate: self.immediate.saturating_sub(earlier.immediate),
-            blocks: self.blocks.saturating_sub(earlier.blocks),
-            parks: self.parks.saturating_sub(earlier.parks),
-            deadlocks: self.deadlocks.saturating_sub(earlier.deadlocks),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            upgrades: self.upgrades.saturating_sub(earlier.upgrades),
-            releases: self.releases.saturating_sub(earlier.releases),
-            would_blocks: self.would_blocks.saturating_sub(earlier.would_blocks),
-        }
+    /// Counts one request granted without waiting — what the table
+    /// counts for such a grant, and what a scheme counts when it
+    /// answers a repeat request from the transaction's own held list,
+    /// so the two cannot be counted differently.
+    pub fn count_immediate(&self) {
+        self.requests.bump();
+        self.immediate.bump();
     }
 }
 
@@ -115,30 +50,12 @@ mod tests {
     #[test]
     fn snapshot_and_reset() {
         let s = LockStats::default();
-        LockStats::bump(&s.requests);
-        LockStats::bump(&s.requests);
-        LockStats::bump(&s.deadlocks);
+        s.requests.bump();
+        s.count_immediate();
+        s.deadlocks.bump();
         let snap = s.snapshot();
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.deadlocks, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn since_diffs() {
-        let a = StatsSnapshot {
-            requests: 10,
-            blocks: 3,
-            ..Default::default()
-        };
-        let b = StatsSnapshot {
-            requests: 15,
-            blocks: 4,
-            ..Default::default()
-        };
-        let d = b.since(&a);
-        assert_eq!(d.requests, 5);
-        assert_eq!(d.blocks, 1);
+        assert_eq!((snap.requests, snap.immediate, snap.deadlocks), (2, 1, 1));
+        // There is no `reset`: a baseline snapshot and `since` play it.
+        assert_eq!(s.snapshot().since(&snap), StatsSnapshot::default());
     }
 }

@@ -7,11 +7,10 @@
 
 use crate::ids::ClassId;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The declared type of a field.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FieldType {
     /// 64-bit signed integer (`integer` in the surface syntax).
     Int,

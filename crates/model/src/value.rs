@@ -2,7 +2,6 @@
 //! interpreter.
 
 use crate::ids::Oid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use std::sync::Arc;
 ///
 /// Strings are `Arc<str>` so that cloning values (undo logging, snapshots,
 /// message arguments) never reallocates the character data.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// Absent reference (`nil`). Also the initial value of reference fields.
     Nil,

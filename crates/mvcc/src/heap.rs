@@ -704,7 +704,7 @@ impl MvccHeap {
     fn pin(&self) -> Pin<'_> {
         let (pin, retries) = self.rcu.pin();
         if retries > 0 {
-            self.stats.add_read_pin_retries(retries);
+            self.stats.read_pin_retries.add(retries);
         }
         pin
     }
@@ -730,7 +730,7 @@ impl MvccHeap {
         if let Some(ssi) = &self.ssi {
             ssi.register(txn);
         }
-        self.stats.bump_begins();
+        self.stats.begins.bump();
         ts
     }
 
@@ -807,7 +807,7 @@ impl MvccHeap {
             if let Some(v) =
                 chain.and_then(|chain| reconstruct(&chain.records, ts, as_txn, field, collect))
             {
-                self.stats.bump_read_chain_hits();
+                self.stats.read_chain_hits.bump();
                 break v.clone();
             }
             // Chain miss: one base-store read, then a seqlock-style
@@ -822,7 +822,7 @@ impl MvccHeap {
             // — let alone have their addresses reused — while the pin
             // is held.
             let v = self.base.read(oid, field)?;
-            self.stats.bump_read_base_loads();
+            self.stats.read_base_loads.bump();
             let map_again = map_cell.load(&pin);
             let stable = std::ptr::eq(map, map_again)
                 && match chain {
@@ -834,7 +834,7 @@ impl MvccHeap {
             if stable {
                 break v;
             }
-            self.stats.bump_read_retries();
+            self.stats.read_retries.bump();
             // One attribution per bump of `read_retries`, so the
             // registry's total equals the scheme-level counter. Only
             // the (rare) retry path pays it — never a clean read.
@@ -849,10 +849,10 @@ impl MvccHeap {
                 edges += ssi.read_edge(txn, writer);
             }
             if edges > 0 {
-                self.stats.add_ssi_edges(edges);
+                self.stats.ssi_edges.add(edges);
             }
         }
-        self.stats.bump_snapshot_reads();
+        self.stats.snapshot_reads.bump();
         // Lifecycle trace: one sampled instant per read. The sampler is
         // a single branch, false whenever tracing is off — the only
         // thing the latch-free read path ever asks of observability.
@@ -993,7 +993,7 @@ impl MvccHeap {
             }
             let cts = rec.ts();
             if cts == TS_PENDING {
-                self.stats.bump_write_conflicts();
+                self.stats.write_conflicts.bump();
                 self.note_ww_conflict(txn, oid, field);
                 return Err(MvccWriteError::Conflict(MvccConflict {
                     oid,
@@ -1002,7 +1002,7 @@ impl MvccHeap {
                 }));
             }
             if cts > snapshot_ts {
-                self.stats.bump_write_conflicts();
+                self.stats.write_conflicts.bump();
                 self.note_ww_conflict(txn, oid, field);
                 return Err(MvccWriteError::Conflict(MvccConflict {
                     oid,
@@ -1077,7 +1077,7 @@ impl MvccHeap {
         // write set is only consulted by this transaction's own
         // commit/abort, which its own thread issues strictly later.
         if outcome == WriteOutcome::NewVersion {
-            self.stats.bump_versions_created();
+            self.stats.versions_created.bump();
             self.txn_stripe(txn)
                 .lock()
                 .get_mut(&txn)
@@ -1092,7 +1092,7 @@ impl MvccHeap {
         if let Some(ssi) = &self.ssi {
             let edges = ssi.write_edges(txn, snapshot_ts, oid, field);
             if edges > 0 {
-                self.stats.add_ssi_edges(edges);
+                self.stats.ssi_edges.add(edges);
             }
         }
         if self.obs.trace_sampled(txn.0) {
@@ -1178,13 +1178,13 @@ impl MvccHeap {
                 if let SsiVerdict::Abort(c) = ssi.validate_and_commit(txn, state.epoch.ts) {
                     self.note_ssi_abort(txn, &state);
                     self.epochs.unregister(state.epoch);
-                    self.stats.bump_ssi_aborts();
-                    self.stats.bump_aborts();
+                    self.stats.ssi_aborts.bump();
+                    self.stats.aborts.bump();
                     return Err(c.into());
                 }
             }
             self.epochs.unregister(state.epoch);
-            self.stats.bump_commits();
+            self.stats.commits.bump();
             return Ok(state.epoch.ts);
         }
 
@@ -1217,15 +1217,15 @@ impl MvccHeap {
                     let _ = wal.append_skip(commit_ts);
                 }
                 if self.watermark.publish(commit_ts) {
-                    self.stats.bump_watermark_waits();
+                    self.stats.watermark_waits.bump();
                 }
-                self.stats.bump_ts_skips();
+                self.stats.ts_skips.bump();
                 self.note_ssi_abort(txn, &state);
                 let rolled_back = self.rollback_writes(txn, &state);
-                self.stats.add_versions_reclaimed(rolled_back as u64);
+                self.stats.versions_reclaimed.add(rolled_back as u64);
                 self.epochs.unregister(state.epoch);
-                self.stats.bump_ssi_aborts();
-                self.stats.bump_aborts();
+                self.stats.ssi_aborts.bump();
+                self.stats.aborts.bump();
                 return Err(c.into());
             }
         }
@@ -1289,13 +1289,13 @@ impl MvccHeap {
                 // never a missed conflict.
                 let _ = wal.append_skip(commit_ts);
                 if self.watermark.publish(commit_ts) {
-                    self.stats.bump_watermark_waits();
+                    self.stats.watermark_waits.bump();
                 }
-                self.stats.bump_ts_skips();
+                self.stats.ts_skips.bump();
                 let rolled_back = self.rollback_writes(txn, &state);
-                self.stats.add_versions_reclaimed(rolled_back as u64);
+                self.stats.versions_reclaimed.add(rolled_back as u64);
                 self.epochs.unregister(state.epoch);
-                self.stats.bump_aborts();
+                self.stats.aborts.bump();
                 return Err(CommitError::LogIo(e.to_string()));
             }
         }
@@ -1310,7 +1310,7 @@ impl MvccHeap {
         phases.lap(Phase::CommitFlip);
         finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
         if self.watermark.publish(commit_ts) {
-            self.stats.bump_watermark_waits();
+            self.stats.watermark_waits.bump();
         }
         // A returned commit is a *visible* commit: wait out the (tiny,
         // bounded) publication lag behind concurrent committers with
@@ -1341,7 +1341,7 @@ impl MvccHeap {
         phases.finish(Phase::CommitTotal);
 
         self.epochs.unregister(state.epoch);
-        self.stats.bump_commits();
+        self.stats.commits.bump();
         let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(GC_EVERY_COMMITS) {
             self.gc();
@@ -1409,9 +1409,9 @@ impl MvccHeap {
         let rolled_back = self.rollback_writes(txn, &state);
         // Abort-discarded records count as reclaimed, so created and
         // reclaimed balance once GC has drained the committed history.
-        self.stats.add_versions_reclaimed(rolled_back as u64);
+        self.stats.versions_reclaimed.add(rolled_back as u64);
         self.epochs.unregister(state.epoch);
-        self.stats.bump_aborts();
+        self.stats.aborts.bump();
         rolled_back
     }
 
@@ -1509,7 +1509,7 @@ impl MvccHeap {
                 }
             }
         }
-        self.stats.add_versions_reclaimed(reclaimed as u64);
+        self.stats.versions_reclaimed.add(reclaimed as u64);
         self.collect_retired();
         reclaimed
     }
@@ -1526,7 +1526,7 @@ impl MvccHeap {
             freed += (before - bin.len()) as u64;
         }
         if freed > 0 {
-            self.stats.add_cow_reclaimed(freed);
+            self.stats.cow_reclaimed.add(freed);
         }
     }
 
@@ -1557,13 +1557,6 @@ impl MvccHeap {
             .flat_map(|s| s.maps.iter())
             .map(|m| m.load(&pin).len())
             .sum()
-    }
-
-    /// Publishers that hit the watermark ring's overflow fallback so
-    /// far (diagnostics; also surfaced as `watermark_waits` in the
-    /// statistics relative to a reset).
-    pub fn watermark_waits(&self) -> u64 {
-        self.watermark.waits()
     }
 
     /// Number of live SIREAD registrations; 0 at
@@ -1872,12 +1865,12 @@ mod tests {
             heap.write(t, o, y, Value::Int(-(i as i64))).unwrap();
             heap.commit(t).unwrap();
         }
-        heap.stats.reset();
+        let before = heap.stats.snapshot();
         let snap = heap.snapshot();
         assert_eq!(snap.read(o, x), Ok(Value::Int(2)));
         assert_eq!(snap.read(o, y), Ok(Value::Int(-2)));
         assert_eq!(pin_gc.read(o, x), Ok(Value::Int(0)));
-        let m = heap.stats.snapshot();
+        let m = heap.stats.snapshot().since(&before);
         assert_eq!(m.snapshot_reads, 3);
         assert_eq!(m.read_chain_hits, 3, "all three reads hit the chain");
         assert_eq!(m.read_base_loads, 0, "the base store was never locked");
@@ -1888,10 +1881,10 @@ mod tests {
     fn chain_miss_pays_one_base_read() {
         let (_, heap, a, x, _) = setup();
         let o = heap.base().create(a);
-        heap.stats.reset();
+        let before = heap.stats.snapshot();
         let snap = heap.snapshot();
         assert_eq!(snap.read(o, x), Ok(Value::Int(0)));
-        let m = heap.stats.snapshot();
+        let m = heap.stats.snapshot().since(&before);
         assert_eq!(m.read_chain_hits, 0);
         assert_eq!(m.read_base_loads, 1, "unversioned object: one base read");
     }

@@ -1,249 +1,78 @@
-//! MVCC statistics: the optimistic-scheme counterpart of
-//! `finecc_lock::LockStats` — experiments report the two side by side.
+//! MVCC statistics, declared once (`finecc_obs::counters!`): the
+//! optimistic-scheme counterpart of `finecc_lock::LockStats` —
+//! experiments report the two side by side.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live counters of an [`crate::MvccHeap`].
-#[derive(Debug, Default)]
-pub struct MvccStats {
-    begins: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    write_conflicts: AtomicU64,
-    ssi_aborts: AtomicU64,
-    ssi_edges: AtomicU64,
-    ts_skips: AtomicU64,
-    snapshot_reads: AtomicU64,
-    read_chain_hits: AtomicU64,
-    read_base_loads: AtomicU64,
-    read_retries: AtomicU64,
-    read_pin_retries: AtomicU64,
-    watermark_waits: AtomicU64,
-    cow_reclaimed: AtomicU64,
-    versions_created: AtomicU64,
-    versions_reclaimed: AtomicU64,
-    chain_len_sum: AtomicU64,
-    chain_len_samples: AtomicU64,
-    chain_len_max: AtomicU64,
-}
-
-macro_rules! bumpers {
-    ($($bump:ident => $field:ident),* $(,)?) => {$(
-        pub(crate) fn $bump(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
-        }
-    )*};
+finecc_obs::counters! {
+    /// Live counters of an [`crate::MvccHeap`].
+    pub struct MvccStats {}
+    /// A point-in-time copy of [`MvccStats`].
+    pub struct MvccStatsSnapshot;
+    pub(crate) cells {
+        /// Transactions begun.
+        begins: Counter "finecc.mvcc.begins",
+        /// Transactions committed.
+        commits: Counter "finecc.mvcc.commits",
+        /// Transactions aborted (all causes).
+        aborts: Counter "finecc.mvcc.aborts",
+        /// Writes refused by first-updater-wins validation.
+        write_conflicts: Counter "finecc.mvcc.write_conflicts",
+        /// Commits refused by SSI dangerous-structure validation (zero at
+        /// [`crate::IsolationLevel::Snapshot`]).
+        ssi_aborts: Counter "finecc.mvcc.ssi_aborts",
+        /// rw-antidependency edges observed by the SSI tracker (zero at
+        /// [`crate::IsolationLevel::Snapshot`]).
+        ssi_edges: Counter "finecc.mvcc.ssi_edges",
+        /// Commit timestamps drawn from the clock but published as *skips*
+        /// because SSI validation refused the transaction after the draw.
+        /// The watermark prefix stays contiguous: `current_ts` equals
+        /// writer commits + skips once all transactions have finished.
+        ts_skips: Counter "finecc.mvcc.ts_skips",
+        /// Snapshot field reads served.
+        snapshot_reads: Counter "finecc.mvcc.snapshot_reads",
+        /// Snapshot reads answered entirely from a copy-on-write chain —
+        /// the **latch-free** path: no mutex, no `RwLock`, no base-store
+        /// access.
+        read_chain_hits: Counter "finecc.mvcc.read_chain_hits",
+        /// Snapshot reads that missed the chains (no record covers the
+        /// field) and paid exactly one base-store `RwLock::read`.
+        read_base_loads: Counter "finecc.mvcc.read_base_loads",
+        /// Miss-revalidation retries: a chain-miss read raced a first
+        /// writer of the field and re-ran through the chain (the read
+        /// path's only loop; it resolves on the next iteration).
+        read_retries: Counter "finecc.mvcc.read_retries",
+        /// Reclamation-era races during reader pinning (bounded retry of
+        /// two atomic ops; fires at most around GC passes).
+        read_pin_retries: Counter "finecc.mvcc.read_pin_retries",
+        /// Commit publications that hit the watermark ring's overflow
+        /// fallback (more in-flight commits than ring slots).
+        watermark_waits: Counter "finecc.mvcc.watermark_waits",
+        /// Retired copy-on-write chain/map snapshots freed after their
+        /// reclamation grace period.
+        cow_reclaimed: Counter "finecc.mvcc.cow_reclaimed",
+        /// Version records installed.
+        versions_created: Counter "finecc.mvcc.versions_created",
+        /// Version records reclaimed — by epoch GC or discarded by abort
+        /// rollback. After a full GC with no live transactions this equals
+        /// [`MvccStatsSnapshot::versions_created`].
+        versions_reclaimed: Counter "finecc.mvcc.versions_reclaimed",
+        /// Sum of chain lengths sampled at each write.
+        chain_len_sum: Counter,
+        /// Number of chain-length samples.
+        chain_len_samples: Counter,
+        /// Longest chain observed at a write.
+        chain_len_max: Gauge "finecc.mvcc.chain_len_max",
+    }
+    ratios {
+        /// Mean version-chain length observed at writes.
+        mean_chain_len: chain_len_sum / chain_len_samples "finecc.mvcc.chain_len_mean",
+    }
 }
 
 impl MvccStats {
-    bumpers! {
-        bump_begins => begins,
-        bump_commits => commits,
-        bump_aborts => aborts,
-        bump_write_conflicts => write_conflicts,
-        bump_ssi_aborts => ssi_aborts,
-        bump_ts_skips => ts_skips,
-        bump_snapshot_reads => snapshot_reads,
-        bump_read_chain_hits => read_chain_hits,
-        bump_read_base_loads => read_base_loads,
-        bump_read_retries => read_retries,
-        bump_watermark_waits => watermark_waits,
-        bump_versions_created => versions_created,
-    }
-
-    pub(crate) fn add_versions_reclaimed(&self, n: u64) {
-        self.versions_reclaimed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_ssi_edges(&self, n: u64) {
-        self.ssi_edges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_read_pin_retries(&self, n: u64) {
-        self.read_pin_retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_cow_reclaimed(&self, n: u64) {
-        self.cow_reclaimed.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub(crate) fn sample_chain_len(&self, len: u64) {
-        self.chain_len_sum.fetch_add(len, Ordering::Relaxed);
-        self.chain_len_samples.fetch_add(1, Ordering::Relaxed);
-        self.chain_len_max.fetch_max(len, Ordering::Relaxed);
-    }
-
-    /// Snapshots all counters.
-    pub fn snapshot(&self) -> MvccStatsSnapshot {
-        MvccStatsSnapshot {
-            begins: self.begins.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
-            ssi_aborts: self.ssi_aborts.load(Ordering::Relaxed),
-            ssi_edges: self.ssi_edges.load(Ordering::Relaxed),
-            ts_skips: self.ts_skips.load(Ordering::Relaxed),
-            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
-            read_chain_hits: self.read_chain_hits.load(Ordering::Relaxed),
-            read_base_loads: self.read_base_loads.load(Ordering::Relaxed),
-            read_retries: self.read_retries.load(Ordering::Relaxed),
-            read_pin_retries: self.read_pin_retries.load(Ordering::Relaxed),
-            watermark_waits: self.watermark_waits.load(Ordering::Relaxed),
-            cow_reclaimed: self.cow_reclaimed.load(Ordering::Relaxed),
-            versions_created: self.versions_created.load(Ordering::Relaxed),
-            versions_reclaimed: self.versions_reclaimed.load(Ordering::Relaxed),
-            chain_len_sum: self.chain_len_sum.load(Ordering::Relaxed),
-            chain_len_samples: self.chain_len_samples.load(Ordering::Relaxed),
-            chain_len_max: self.chain_len_max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.begins.store(0, Ordering::Relaxed);
-        self.commits.store(0, Ordering::Relaxed);
-        self.aborts.store(0, Ordering::Relaxed);
-        self.write_conflicts.store(0, Ordering::Relaxed);
-        self.ssi_aborts.store(0, Ordering::Relaxed);
-        self.ssi_edges.store(0, Ordering::Relaxed);
-        self.ts_skips.store(0, Ordering::Relaxed);
-        self.snapshot_reads.store(0, Ordering::Relaxed);
-        self.read_chain_hits.store(0, Ordering::Relaxed);
-        self.read_base_loads.store(0, Ordering::Relaxed);
-        self.read_retries.store(0, Ordering::Relaxed);
-        self.read_pin_retries.store(0, Ordering::Relaxed);
-        self.watermark_waits.store(0, Ordering::Relaxed);
-        self.cow_reclaimed.store(0, Ordering::Relaxed);
-        self.versions_created.store(0, Ordering::Relaxed);
-        self.versions_reclaimed.store(0, Ordering::Relaxed);
-        self.chain_len_sum.store(0, Ordering::Relaxed);
-        self.chain_len_samples.store(0, Ordering::Relaxed);
-        self.chain_len_max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of [`MvccStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MvccStatsSnapshot {
-    /// Transactions begun.
-    pub begins: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions aborted (all causes).
-    pub aborts: u64,
-    /// Writes refused by first-updater-wins validation.
-    pub write_conflicts: u64,
-    /// Commits refused by SSI dangerous-structure validation (zero at
-    /// [`crate::IsolationLevel::Snapshot`]).
-    pub ssi_aborts: u64,
-    /// rw-antidependency edges observed by the SSI tracker (zero at
-    /// [`crate::IsolationLevel::Snapshot`]).
-    pub ssi_edges: u64,
-    /// Commit timestamps drawn from the clock but published as *skips*
-    /// because SSI validation refused the transaction after the draw.
-    /// The watermark prefix stays contiguous: `current_ts` equals
-    /// writer commits + skips once all transactions have finished.
-    pub ts_skips: u64,
-    /// Snapshot field reads served.
-    pub snapshot_reads: u64,
-    /// Snapshot reads answered entirely from a copy-on-write chain —
-    /// the **latch-free** path: no mutex, no `RwLock`, no base-store
-    /// access.
-    pub read_chain_hits: u64,
-    /// Snapshot reads that missed the chains (no record covers the
-    /// field) and paid exactly one base-store `RwLock::read`.
-    pub read_base_loads: u64,
-    /// Miss-revalidation retries: a chain-miss read raced a first
-    /// writer of the field and re-ran through the chain (the read
-    /// path's only loop; it resolves on the next iteration).
-    pub read_retries: u64,
-    /// Reclamation-era races during reader pinning (bounded retry of
-    /// two atomic ops; fires at most around GC passes).
-    pub read_pin_retries: u64,
-    /// Commit publications that hit the watermark ring's overflow
-    /// fallback (more in-flight commits than ring slots).
-    pub watermark_waits: u64,
-    /// Retired copy-on-write chain/map snapshots freed after their
-    /// reclamation grace period.
-    pub cow_reclaimed: u64,
-    /// Version records installed.
-    pub versions_created: u64,
-    /// Version records reclaimed — by epoch GC or discarded by abort
-    /// rollback. After a full GC with no live transactions this equals
-    /// [`MvccStatsSnapshot::versions_created`].
-    pub versions_reclaimed: u64,
-    /// Sum of chain lengths sampled at each write.
-    pub chain_len_sum: u64,
-    /// Number of chain-length samples.
-    pub chain_len_samples: u64,
-    /// Longest chain observed at a write.
-    pub chain_len_max: u64,
-}
-
-impl MvccStatsSnapshot {
-    /// Mean version-chain length observed at writes.
-    pub fn mean_chain_len(&self) -> f64 {
-        if self.chain_len_samples == 0 {
-            0.0
-        } else {
-            self.chain_len_sum as f64 / self.chain_len_samples as f64
-        }
-    }
-
-    /// Emits every counter under stable `finecc.mvcc.*` names.
-    pub fn collect_metrics(&self, c: &mut finecc_obs::Collector) {
-        c.counter("finecc.mvcc.begins", self.begins);
-        c.counter("finecc.mvcc.commits", self.commits);
-        c.counter("finecc.mvcc.aborts", self.aborts);
-        c.counter("finecc.mvcc.write_conflicts", self.write_conflicts);
-        c.counter("finecc.mvcc.ssi_aborts", self.ssi_aborts);
-        c.counter("finecc.mvcc.ssi_edges", self.ssi_edges);
-        c.counter("finecc.mvcc.ts_skips", self.ts_skips);
-        c.counter("finecc.mvcc.snapshot_reads", self.snapshot_reads);
-        c.counter("finecc.mvcc.read_chain_hits", self.read_chain_hits);
-        c.counter("finecc.mvcc.read_base_loads", self.read_base_loads);
-        c.counter("finecc.mvcc.read_retries", self.read_retries);
-        c.counter("finecc.mvcc.read_pin_retries", self.read_pin_retries);
-        c.counter("finecc.mvcc.watermark_waits", self.watermark_waits);
-        c.counter("finecc.mvcc.cow_reclaimed", self.cow_reclaimed);
-        c.counter("finecc.mvcc.versions_created", self.versions_created);
-        c.counter("finecc.mvcc.versions_reclaimed", self.versions_reclaimed);
-        c.gauge("finecc.mvcc.chain_len_mean", self.mean_chain_len());
-        c.gauge("finecc.mvcc.chain_len_max", self.chain_len_max as f64);
-    }
-
-    /// The difference `self - earlier`, counter-wise (saturating).
-    pub fn since(&self, earlier: &MvccStatsSnapshot) -> MvccStatsSnapshot {
-        MvccStatsSnapshot {
-            begins: self.begins.saturating_sub(earlier.begins),
-            commits: self.commits.saturating_sub(earlier.commits),
-            aborts: self.aborts.saturating_sub(earlier.aborts),
-            write_conflicts: self.write_conflicts.saturating_sub(earlier.write_conflicts),
-            ssi_aborts: self.ssi_aborts.saturating_sub(earlier.ssi_aborts),
-            ssi_edges: self.ssi_edges.saturating_sub(earlier.ssi_edges),
-            ts_skips: self.ts_skips.saturating_sub(earlier.ts_skips),
-            snapshot_reads: self.snapshot_reads.saturating_sub(earlier.snapshot_reads),
-            read_chain_hits: self.read_chain_hits.saturating_sub(earlier.read_chain_hits),
-            read_base_loads: self.read_base_loads.saturating_sub(earlier.read_base_loads),
-            read_retries: self.read_retries.saturating_sub(earlier.read_retries),
-            read_pin_retries: self
-                .read_pin_retries
-                .saturating_sub(earlier.read_pin_retries),
-            watermark_waits: self.watermark_waits.saturating_sub(earlier.watermark_waits),
-            cow_reclaimed: self.cow_reclaimed.saturating_sub(earlier.cow_reclaimed),
-            versions_created: self
-                .versions_created
-                .saturating_sub(earlier.versions_created),
-            versions_reclaimed: self
-                .versions_reclaimed
-                .saturating_sub(earlier.versions_reclaimed),
-            chain_len_sum: self.chain_len_sum.saturating_sub(earlier.chain_len_sum),
-            chain_len_samples: self
-                .chain_len_samples
-                .saturating_sub(earlier.chain_len_samples),
-            // A maximum does not difference; keep the later value.
-            chain_len_max: self.chain_len_max,
-        }
+        self.chain_len_sum.add(len);
+        self.chain_len_samples.bump();
+        self.chain_len_max.max(len);
     }
 }
 
@@ -254,16 +83,18 @@ mod tests {
     #[test]
     fn snapshot_reset_and_mean() {
         let s = MvccStats::default();
-        s.bump_commits();
+        s.commits.bump();
         s.sample_chain_len(2);
         s.sample_chain_len(4);
         let snap = s.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.mean_chain_len(), 3.0);
         assert_eq!(snap.chain_len_max, 4);
-        s.reset();
-        assert_eq!(s.snapshot(), MvccStatsSnapshot::default());
-        assert_eq!(s.snapshot().mean_chain_len(), 0.0);
+        // There is no `reset`: a baseline snapshot and `since` play it
+        // (a maximum is kept, not differenced).
+        let fresh = s.snapshot().since(&snap);
+        assert_eq!((fresh.commits, fresh.chain_len_max), (0, 4));
+        assert_eq!(fresh.mean_chain_len(), 0.0);
     }
 
     #[test]

@@ -105,7 +105,8 @@ impl Watermark {
         self.published.load(SeqCst)
     }
 
-    /// Publishers that hit the overflow fallback (diagnostics).
+    /// Publishers that hit the overflow fallback.
+    #[cfg(test)]
     pub(crate) fn waits(&self) -> u64 {
         self.waits.load(SeqCst)
     }

@@ -21,6 +21,10 @@
 //!   pulled as a snapshot and rendered as Prometheus text exposition
 //!   or JSON, with an optional background sampler thread
 //!   ([`MetricsRegistry::start_sampler`]) appending time-series rows.
+//! * [`mod@counters`] — the one **declaration** each subsystem's counter
+//!   family is expanded from ([`counters!`]: live [`Cell`]s, `Copy`
+//!   snapshot, kind-aware `since`, named export), and [`MetricSet`],
+//!   the by-name reader for code that holds no concrete owner.
 //! * [`ring`] — bounded per-thread SPSC **event rings** with a Chrome
 //!   `trace_event` JSON exporter ([`ObsConfig::with_trace`]), sampled
 //!   by transaction id.
@@ -33,14 +37,16 @@
 //! shared cache line.
 
 pub mod contention;
+pub mod counters;
 pub mod hist;
 pub mod registry;
 pub mod ring;
 pub mod window;
 
 pub use contention::{ContentionKind, ContentionRegistry, HotObject, ObjKey, KIND_COUNT};
+pub use counters::Cell;
 pub use hist::{HistSnapshot, Histogram, LatencySummary, ShardedHistogram};
-pub use registry::{Collector, MetricKind, MetricsRegistry, MetricsSampler, Sample};
+pub use registry::{Collector, MetricKind, MetricSet, MetricsRegistry, MetricsSampler, Sample};
 pub use ring::{Event, EventKind, TraceCollector};
 pub use window::WindowRing;
 
@@ -501,33 +507,50 @@ impl Obs {
         };
         let now_ns = i.epoch.elapsed().as_nanos() as u64;
         i.tick_at(now_ns);
-        for phase in Phase::ALL {
-            let idx = phase as usize;
-            let cum = i.phases[idx].merged().summary();
-            if cum.count == 0 {
-                continue; // unrecorded phases would only be noise
-            }
-            let labels = [("phase", phase.name())];
-            c.counter_with("finecc.obs.phase.count", &labels, cum.count);
-            c.gauge_with("finecc.obs.phase.p50_ns", &labels, cum.p50 as f64);
-            c.gauge_with("finecc.obs.phase.p99_ns", &labels, cum.p99 as f64);
-            c.gauge_with("finecc.obs.phase.max_ns", &labels, cum.max as f64);
-            c.gauge_with("finecc.obs.phase.mean_ns", &labels, cum.mean as f64);
-            let win = i.windowed_snapshot(idx, now_ns).summary();
-            c.gauge_with("finecc.obs.phase.window_count", &labels, win.count as f64);
-            c.gauge_with("finecc.obs.phase.window_p50_ns", &labels, win.p50 as f64);
-            c.gauge_with("finecc.obs.phase.window_p99_ns", &labels, win.p99 as f64);
+        collect_obs(
+            c,
+            |phase| i.phases[phase as usize].merged().summary(),
+            |phase| i.windowed_snapshot(phase as usize, now_ns).summary(),
+            i.contention.totals(),
+            &i.contention.top_k_decayed(4, i.contention.now_ns()),
+        );
+    }
+}
+
+/// The `finecc.obs.*` samples, spelt once for the live handle and for a
+/// frozen report: per recorded phase the cumulative and windowed
+/// quantiles (`windowed` is only asked about a phase that recorded —
+/// unrecorded ones would only be noise), contention totals by kind,
+/// and the hottest objects' decayed scores.
+fn collect_obs<'a>(
+    c: &mut Collector,
+    cumulative: impl Fn(Phase) -> LatencySummary,
+    windowed: impl Fn(Phase) -> LatencySummary,
+    contention: [u64; KIND_COUNT],
+    hot: impl IntoIterator<Item = &'a HotObject>,
+) {
+    for phase in Phase::ALL {
+        let cum = cumulative(phase);
+        if cum.count == 0 {
+            continue;
         }
-        for (kind, total) in ContentionKind::ALL.iter().zip(i.contention.totals()) {
-            c.counter_with("finecc.obs.contention", &[("kind", kind.name())], total);
-        }
-        for hot in i.contention.top_k_decayed(4, i.contention.now_ns()) {
-            c.gauge_with(
-                "finecc.obs.hot_score",
-                &[("object", &hot.key.to_string())],
-                hot.score,
-            );
-        }
+        let labels = [("phase", phase.name())];
+        c.counter_with("finecc.obs.phase.count", &labels, cum.count);
+        c.gauge_with("finecc.obs.phase.p50_ns", &labels, cum.p50 as f64);
+        c.gauge_with("finecc.obs.phase.p99_ns", &labels, cum.p99 as f64);
+        c.gauge_with("finecc.obs.phase.max_ns", &labels, cum.max as f64);
+        c.gauge_with("finecc.obs.phase.mean_ns", &labels, cum.mean as f64);
+        let win = windowed(phase);
+        c.gauge_with("finecc.obs.phase.window_count", &labels, win.count as f64);
+        c.gauge_with("finecc.obs.phase.window_p50_ns", &labels, win.p50 as f64);
+        c.gauge_with("finecc.obs.phase.window_p99_ns", &labels, win.p99 as f64);
+    }
+    for (kind, total) in ContentionKind::ALL.iter().zip(contention) {
+        c.counter_with("finecc.obs.contention", &[("kind", kind.name())], total);
+    }
+    for hot in hot {
+        let object = hot.key.to_string();
+        c.gauge_with("finecc.obs.hot_score", &[("object", &object)], hot.score);
     }
 }
 
@@ -624,33 +647,13 @@ impl ObsReport {
 
     /// Emits this frozen report's metrics into a registry collector.
     pub fn collect_metrics(&self, c: &mut Collector) {
-        if !self.enabled {
-            return;
-        }
-        for phase in Phase::ALL {
-            let s = self.phase(phase);
-            if s.count == 0 {
-                continue;
-            }
-            let labels = [("phase", phase.name())];
-            c.counter_with("finecc.obs.phase.count", &labels, s.count);
-            c.gauge_with("finecc.obs.phase.p50_ns", &labels, s.p50 as f64);
-            c.gauge_with("finecc.obs.phase.p99_ns", &labels, s.p99 as f64);
-            c.gauge_with("finecc.obs.phase.max_ns", &labels, s.max as f64);
-            c.gauge_with("finecc.obs.phase.mean_ns", &labels, s.mean as f64);
-            let w = self.windowed_phase(phase);
-            c.gauge_with("finecc.obs.phase.window_count", &labels, w.count as f64);
-            c.gauge_with("finecc.obs.phase.window_p50_ns", &labels, w.p50 as f64);
-            c.gauge_with("finecc.obs.phase.window_p99_ns", &labels, w.p99 as f64);
-        }
-        for (kind, total) in ContentionKind::ALL.iter().zip(self.contention) {
-            c.counter_with("finecc.obs.contention", &[("kind", kind.name())], total);
-        }
-        for hot in self.hottest() {
-            c.gauge_with(
-                "finecc.obs.hot_score",
-                &[("object", &hot.key.to_string())],
-                hot.score,
+        if self.enabled {
+            collect_obs(
+                c,
+                |phase| self.phase(phase),
+                |phase| self.windowed_phase(phase),
+                self.contention,
+                self.hottest(),
             );
         }
     }

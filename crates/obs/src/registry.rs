@@ -25,6 +25,7 @@
 //! appends one JSON row per interval, so a run leaves a time series
 //! behind, not just a final tally.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -65,6 +66,59 @@ pub struct Sample {
     pub kind: MetricKind,
 }
 
+/// The unlabelled samples of one pull, readable by name — how code
+/// that holds no concrete owner (anything behind a `dyn` scheme, a
+/// finished run's report) reads a counter. A name nobody emitted is
+/// `None`, never a silent zero: a scheme without a lock manager has no
+/// `finecc.lock.requests`, and a misspelt name fails the `expect`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MetricSet(BTreeMap<String, (MetricKind, f64)>);
+
+impl MetricSet {
+    /// The samples of `samples` that carry no label (pull the registry
+    /// the sources were registered on with no labels).
+    pub fn of(samples: &[Sample]) -> MetricSet {
+        MetricSet(
+            samples
+                .iter()
+                .filter(|s| s.labels.is_empty())
+                .map(|s| (s.name.clone(), (s.kind, s.value)))
+                .collect(),
+        )
+    }
+
+    /// The value emitted under `name`, if any source emitted it.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.0.get(name).map(|&(_, v)| v)
+    }
+
+    /// What happened between `earlier` and `self`, by the kind rules
+    /// of [`mod@crate::counters`]: counters are differenced (a name absent
+    /// from `earlier` counts from zero), gauges keep `self`'s value.
+    pub fn since(&self, earlier: &MetricSet) -> MetricSet {
+        MetricSet(
+            self.0
+                .iter()
+                .map(|(name, &(kind, now))| {
+                    let v = match kind {
+                        MetricKind::Counter => (now - earlier.get(name).unwrap_or(0.0)).max(0.0),
+                        MetricKind::Gauge => now,
+                    };
+                    (name.clone(), (kind, v))
+                })
+                .collect(),
+        )
+    }
+
+    /// Replays every sample under its own name and kind (a frozen
+    /// source over a finished run).
+    pub fn collect_metrics(&self, c: &mut Collector) {
+        for (name, &(kind, value)) in &self.0 {
+            c.sample(name, kind, value);
+        }
+    }
+}
+
 /// The sink a source fills during collection. Carries the source's
 /// registration labels so every emitted sample is labeled consistently.
 pub struct Collector {
@@ -93,6 +147,12 @@ impl Collector {
             value,
             kind,
         });
+    }
+
+    /// Emits a sample of either kind (what [`crate::counters!`] and
+    /// [`MetricSet::collect_metrics`] emit through).
+    pub fn sample(&mut self, name: &str, kind: MetricKind, value: f64) {
+        self.push(name, &[], value, kind);
     }
 
     /// Emits a counter sample.
@@ -153,14 +213,6 @@ impl MetricsRegistry {
                     .collect(),
                 collect: Box::new(collect),
             });
-    }
-
-    /// Registered sources.
-    pub fn source_count(&self) -> usize {
-        self.sources
-            .lock()
-            .expect("metrics registry poisoned")
-            .len()
     }
 
     /// Pulls every source, returning the samples sorted by
@@ -422,6 +474,34 @@ mod tests {
         assert_eq!(samples[0].labels, vec![("scheme".into(), "mvcc".into())]);
         assert_eq!(samples[0].value, 42.0);
         assert_eq!(samples[1].labels.len(), 2, "extra label appended");
+    }
+
+    #[test]
+    fn metric_set_reads_by_name_and_differences_by_kind() {
+        let n = Arc::new(std::sync::atomic::AtomicU64::new(3));
+        let reg = MetricsRegistry::new();
+        let live = Arc::clone(&n);
+        reg.register_fn(&[], move |c| {
+            let n = live.load(Ordering::Relaxed);
+            c.counter("finecc.test.commits", n);
+            c.gauge("finecc.test.depth", n as f64);
+            c.counter_with("finecc.test.commits", &[("phase", "x")], 99);
+        });
+        let before = MetricSet::of(&reg.snapshot());
+        assert_eq!(before.get("finecc.test.commits"), Some(3.0), "unlabelled");
+        assert_eq!(before.get("finecc.test.comits"), None, "no silent zero");
+        n.store(5, Ordering::Relaxed);
+        let delta = MetricSet::of(&reg.snapshot()).since(&before);
+        assert_eq!(delta.get("finecc.test.commits"), Some(2.0));
+        assert_eq!(delta.get("finecc.test.depth"), Some(5.0), "gauge kept");
+        assert_eq!(delta.since(&MetricSet::default()), delta, "absent = 0");
+        // Replayed under labels, it reads like the live source did.
+        let frozen = MetricsRegistry::new();
+        frozen.register_fn(&[("scheme", "x")], move |c| delta.collect_metrics(c));
+        let text = frozen.render_prometheus();
+        assert!(text.contains("# TYPE finecc_test_commits counter"));
+        assert!(text.contains("finecc_test_commits{scheme=\"x\"} 2"));
+        assert!(text.contains("finecc_test_depth{scheme=\"x\"} 5"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use finecc_lang::{Builtins, ExecError, MethodBodies};
 use finecc_model::{Oid, Schema, Value};
 use finecc_obs::Obs;
 use finecc_store::{Database, StoreError};
-use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, Wal, WalStatsSnapshot};
+use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, Wal};
 use std::sync::Arc;
 
 /// Everything a concurrency-control scheme needs to execute methods.
@@ -41,8 +41,8 @@ pub struct Env {
     /// `DurabilityLevel::None`). The lock schemes append their
     /// undo-projection redo images here at commit while still holding
     /// their 2PL locks; the mvcc schemes share the same handle with
-    /// their heap so statistics surface uniformly through
-    /// [`Env::wal_stats`].
+    /// their heap so its counters surface uniformly through
+    /// [`crate::metrics::register_env_metrics`].
     pub wal: Option<Arc<Wal>>,
     /// The observability sink every scheme built over this environment
     /// records into: latency histograms, per-object contention, and
@@ -100,14 +100,6 @@ impl Env {
         self.wal
             .as_ref()
             .map_or(DurabilityLevel::None, |w| w.level())
-    }
-
-    /// Write-ahead-log statistics (`None` at [`DurabilityLevel::None`]).
-    /// Every scheme logs through this one handle — the mvcc schemes via
-    /// their heap's commit path, the lock schemes via their
-    /// undo-projection redo images.
-    pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.wal.as_ref().map(|w| w.stats().snapshot())
     }
 
     /// Attaches a **fresh** write-ahead log for the lock schemes'

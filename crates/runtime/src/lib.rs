@@ -51,8 +51,8 @@ pub mod txn;
 
 pub use env::Env;
 pub use finecc_mvcc::IsolationLevel;
-pub use finecc_wal::{DurabilityLevel, WalConfig, WalStatsSnapshot};
-pub use metrics::register_env_metrics;
+pub use finecc_wal::{DurabilityLevel, WalConfig};
+pub use metrics::{read_metrics, register_env_metrics};
 pub use scheme::{CcScheme, SchemeKind};
 pub use schemes::fieldlock::FieldLockScheme;
 pub use schemes::lock::{LockPolicy, LockScheme};

@@ -16,7 +16,8 @@
 //! registry.
 
 use crate::env::Env;
-use finecc_obs::MetricsRegistry;
+use crate::scheme::CcScheme;
+use finecc_obs::{MetricSet, MetricsRegistry};
 use std::sync::Arc;
 
 /// Registers the environment's live metric sources (observability
@@ -28,6 +29,16 @@ pub fn register_env_metrics(reg: &MetricsRegistry, env: &Env, labels: &[(&str, &
         let wal = Arc::clone(wal);
         reg.register_fn(labels, move |c| wal.collect_metrics(c));
     }
+}
+
+/// One pull of `scheme`'s live sources, readable by dotted name — how
+/// code behind `dyn CcScheme` reads a counter. A sample the scheme does
+/// not emit (lock counters on mvcc, log counters without a log) is
+/// `None`; two pulls difference with [`MetricSet::since`].
+pub fn read_metrics(scheme: &dyn CcScheme) -> MetricSet {
+    let reg = MetricsRegistry::new();
+    scheme.register_metrics(&reg, &[]);
+    MetricSet::of(&reg.snapshot())
 }
 
 #[cfg(test)]

@@ -3,32 +3,41 @@
 use crate::env::Env;
 use crate::txn::Txn;
 use finecc_lang::ExecError;
-use finecc_lock::StatsSnapshot;
 use finecc_model::{ClassId, Oid, Value};
-use finecc_mvcc::{IsolationLevel, MvccStatsSnapshot};
+use finecc_mvcc::IsolationLevel;
 use finecc_wal::{DurabilityLevel, Wal, WalConfig};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A complete concurrency-control scheme: transaction lifecycle plus the
-/// four §5.2 access patterns.
+/// A complete concurrency-control scheme, in ten methods:
 ///
-/// * [`CcScheme::send`] — pattern (i): a message to **one instance**.
-/// * [`CcScheme::send_all`] — patterns (ii)/(iv): a message to **all**
+/// * **lifecycle** — [`CcScheme::begin`], [`CcScheme::commit`],
+///   [`CcScheme::abort`] (the begin / validate-and-log / end of a
+///   concurrency manager), with [`CcScheme::name`] for reports;
+/// * **the four §5.2 access patterns** —
+///   [`CcScheme::send`], pattern (i): a message to **one instance**;
+///   [`CcScheme::send_all`], patterns (ii)/(iv): a message to **all**
 ///   instances of the domain rooted at a class (the paper's T2 locks the
 ///   whole domain hierarchically even for "all instances of class c1",
-///   because the deep extent spans the subclasses).
-/// * [`CcScheme::send_some`] — pattern (iii): a message to **selected**
-///   instances of a domain (intentional class locks + per-instance locks).
+///   because the deep extent spans the subclasses);
+///   [`CcScheme::send_some`], pattern (iii): a message to **selected**
+///   instances of a domain (intentional class locks + per-instance locks);
+/// * [`CcScheme::env`] — the shared environment;
+/// * **metrics** — [`CcScheme::register_metrics`]: the one way to a
+///   scheme's counters for code that holds only the trait object
+///   ([`crate::read_metrics`] reads them by dotted name; code that
+///   holds the concrete scheme reads its owner's typed snapshot —
+///   `lock_manager().stats`, `heap().stats`, `Wal::stats`);
+/// * **maintenance** — [`CcScheme::checkpoint`].
 ///
 /// The four lock schemes are strict 2PL: locks accumulate during the
 /// transaction and are released only by [`CcScheme::commit`] /
 /// [`CcScheme::abort`]. The two mvcc schemes take no locks at all —
 /// their admission control is optimistic (versioned reads,
 /// first-updater-wins writes; at [`IsolationLevel::Serializable`] also
-/// commit-time SSI validation), so their lock statistics are
-/// identically zero and conflicts surface as retryable aborts instead
-/// of blocking.
+/// commit-time SSI validation), so they have no lock manager, emit no
+/// `finecc.lock.*` sample, and conflicts surface as retryable aborts
+/// instead of blocking.
 pub trait CcScheme: Send + Sync {
     /// Scheme name for reports ("tav", "rw", "fieldlock", "relational",
     /// "mvcc", "mvcc-ssi").
@@ -92,15 +101,6 @@ pub trait CcScheme: Send + Sync {
 
     /// Aborts: rolls the undo log back, then releases all locks.
     fn abort(&self, txn: Txn);
-
-    /// Lock-manager statistics snapshot.
-    fn stats(&self) -> StatsSnapshot;
-
-    /// Multi-version statistics, for schemes backed by a version heap
-    /// (`None` for the pure locking schemes).
-    fn mvcc_stats(&self) -> Option<MvccStatsSnapshot> {
-        None
-    }
 
     /// Registers this scheme's live metric sources on a
     /// [`finecc_obs::MetricsRegistry`] under `labels` (conventionally

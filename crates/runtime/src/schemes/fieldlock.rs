@@ -141,7 +141,7 @@ mod tests {
         let (s, _, o2) = setup();
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m1", &[Value::Int(1)]).unwrap();
-        let requests = s.stats().requests;
+        let requests = s.lock_manager().stats.snapshot().requests;
         s.commit(txn).unwrap();
         // TAV needs 2; per-field locking needs one call per touched field
         // plus class markers — strictly more.
@@ -154,7 +154,7 @@ mod tests {
         let mut txn = s.begin();
         // m2 computes expr(f1,…) then assigns f1: read then write on f1.
         s.send(&mut txn, o2, "m2", &[Value::Int(1)]).unwrap();
-        assert!(s.stats().upgrades >= 1);
+        assert!(s.lock_manager().stats.snapshot().upgrades >= 1);
         s.commit(txn).unwrap();
     }
 

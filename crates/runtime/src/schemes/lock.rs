@@ -16,12 +16,9 @@ use crate::schemes::{interpreter, send_each};
 use crate::txn::Txn;
 use finecc_core::{AccessMode, AccessVector};
 use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{
-    LockKind, LockManager, LockMode, ModeSource, ResourceId, StatsSnapshot, READ, WRITE,
-};
+use finecc_lock::{LockKind, LockManager, LockMode, ModeSource, ResourceId, READ, WRITE};
 use finecc_model::{ClassId, FieldId, MethodId, Oid, Value};
 use std::fmt::Display;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Where a policy's before-images come from.
@@ -143,9 +140,7 @@ impl<P: LockPolicy> LockAccess<'_, P> {
     /// from the lock table every client contends for.
     pub fn relock(&mut self, res: ResourceId, mode: LockMode) -> Result<(), ExecError> {
         if self.txn.held.contains(&(res, mode)) {
-            let stats = &self.lm.stats;
-            stats.requests.fetch_add(1, Ordering::Relaxed);
-            stats.immediate.fetch_add(1, Ordering::Relaxed);
+            self.lm.stats.count_immediate();
             return Ok(());
         }
         self.lock(res, mode)
@@ -316,10 +311,6 @@ impl<P: LockPolicy> CcScheme for LockScheme<P> {
     fn abort(&self, mut txn: Txn) {
         txn.undo.rollback(&self.env.db);
         self.lm.release_all(txn.id);
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.lm.stats.snapshot()
     }
 
     fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {

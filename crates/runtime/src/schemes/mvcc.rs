@@ -16,9 +16,10 @@
 //! * **Reads** reconstruct the transaction's snapshot from the
 //!   copy-on-write version chains of [`finecc_mvcc::MvccHeap`] —
 //!   **latch-free** on the chain-hit path: no lock manager, no mutex,
-//!   no base-store `RwLock` (the scheme's `finecc_lock` statistics stay
-//!   at zero by construction, and the heap's `read_base_loads` counter
-//!   stays at zero whenever a chain covers the field). The snapshot
+//!   no base-store `RwLock` (the scheme has no lock manager, so it
+//!   emits no `finecc.lock.*` sample at all, and the heap's
+//!   `read_base_loads` counter stays at zero whenever a chain covers
+//!   the field). The snapshot
 //!   timestamp is cached in the transaction session, so steady-state
 //!   operations skip the heap's transaction registry too.
 //! * **Writes** install pending versions under first-updater-wins
@@ -53,11 +54,10 @@ use crate::scheme::CcScheme;
 use crate::schemes::{interpreter, send_each};
 use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
-use finecc_lock::{LockStats, StatsSnapshot};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccStatsSnapshot, MvccWriteError,
-    SsiConflict, Wal, WalConfig,
+    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccWriteError, SsiConflict, Wal,
+    WalConfig,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,9 +69,6 @@ pub struct MvccScheme {
     env: Env,
     heap: Arc<MvccHeap>,
     next_txn: AtomicU64,
-    /// Never bumped — the scheme takes no logical locks. Kept so
-    /// [`CcScheme::stats`] proves it mechanically.
-    lock_stats: LockStats,
 }
 
 impl MvccScheme {
@@ -92,7 +89,6 @@ impl MvccScheme {
             ),
             env,
             next_txn: AtomicU64::new(1),
-            lock_stats: LockStats::default(),
         }
     }
 
@@ -127,14 +123,13 @@ impl MvccScheme {
                 .with_obs(Arc::clone(&env.obs)),
         );
         let mut env = env;
-        // Shared handle: `Env::wal_stats`/`durability` read it
-        // uniformly across all six schemes.
+        // Shared handle: `Env::durability` and the metrics wiring
+        // read it uniformly across all six schemes.
         env.wal = Some(wal);
         Ok(MvccScheme {
             heap,
             env,
             next_txn: AtomicU64::new(1),
-            lock_stats: LockStats::default(),
         })
     }
 
@@ -298,14 +293,6 @@ impl CcScheme for MvccScheme {
         self.heap.abort(txn.id);
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.lock_stats.snapshot()
-    }
-
-    fn mvcc_stats(&self) -> Option<MvccStatsSnapshot> {
-        Some(self.heap.stats.snapshot())
-    }
-
     fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
         crate::metrics::register_env_metrics(reg, self.env(), labels);
         let heap = Arc::clone(&self.heap);
@@ -365,8 +352,12 @@ mod tests {
         s.commit(txn).unwrap();
         assert_eq!(s.env().read_named(o2, "c2", "f1"), Value::Int(3));
         assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(3));
-        assert_eq!(s.stats(), StatsSnapshot::default(), "no lock traffic, ever");
-        assert_eq!(s.mvcc_stats().unwrap().commits, 1);
+        assert_eq!(
+            crate::read_metrics(&s).get("finecc.lock.requests"),
+            None,
+            "no lock manager, hence no lock sample, ever"
+        );
+        assert_eq!(s.heap().stats.snapshot().commits, 1);
     }
 
     #[test]
@@ -385,7 +376,7 @@ mod tests {
         assert_eq!(s.heap().read(reader.id, o2, f4), Ok(Value::Int(0)));
         s.commit(reader).unwrap();
         s.commit(writer).unwrap();
-        assert_eq!(s.stats().requests, 0);
+        assert_eq!(crate::read_metrics(&s).get("finecc.lock.requests"), None);
     }
 
     #[test]
@@ -400,7 +391,7 @@ mod tests {
         assert!(err.is_deadlock(), "conflict must be retryable: {err}");
         s.abort(t2);
         s.commit(t1).unwrap();
-        assert_eq!(s.mvcc_stats().unwrap().write_conflicts, 1);
+        assert_eq!(s.heap().stats.snapshot().write_conflicts, 1);
         // The retry (fresh snapshot) succeeds.
         let out = run_txn(&s, 3, |txn| s.send(txn, o2, "m2", &[Value::Int(9)]));
         assert!(out.is_committed());
@@ -419,8 +410,8 @@ mod tests {
             .unwrap();
         s.commit(t1).unwrap();
         s.commit(t2).unwrap();
-        assert_eq!(s.mvcc_stats().unwrap().write_conflicts, 0);
-        assert_eq!(s.mvcc_stats().unwrap().commits, 2);
+        assert_eq!(s.heap().stats.snapshot().write_conflicts, 0);
+        assert_eq!(s.heap().stats.snapshot().commits, 2);
     }
 
     #[test]
@@ -450,7 +441,7 @@ mod tests {
         let results = s.send_some(&mut txn, c1, &[o1], "m3", &[]).unwrap();
         assert_eq!(results.len(), 1);
         s.commit(txn).unwrap();
-        assert_eq!(s.stats().requests, 0);
+        assert_eq!(crate::read_metrics(&s).get("finecc.lock.requests"), None);
     }
 
     #[test]
@@ -492,7 +483,7 @@ mod tests {
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m2", &[Value::Int(77)]).unwrap();
         s.abort(txn);
-        let wal = s.env().wal_stats().unwrap();
+        let wal = s.env().wal.as_ref().unwrap().stats().snapshot();
         assert!(wal.appends >= 1 && wal.log_fsyncs >= 1 && wal.log_bytes > 0);
         drop(s);
         let (heap, info) = MvccHeap::recover(
@@ -511,7 +502,7 @@ mod tests {
     fn durability_level_none_changes_nothing() {
         let (s, _, o2) = setup();
         assert_eq!(s.env().durability(), DurabilityLevel::None);
-        assert!(s.env().wal_stats().is_none());
+        assert!(s.env().wal.is_none());
         assert!(s.checkpoint().is_none(), "no log, no online checkpoint");
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m2", &[Value::Int(3)]).unwrap();
@@ -542,7 +533,7 @@ mod tests {
             .expect("durable mvcc scheme checkpoints online")
             .expect("quiet checkpoint succeeds");
         assert!(ts >= 4);
-        let wal = s.env().wal_stats().unwrap();
+        let wal = s.env().wal.as_ref().unwrap().stats().snapshot();
         assert_eq!(wal.truncations, 2, "maintenance ran at genesis + online");
         assert!(wal.truncated_bytes > 0, "pre-image commits were dropped");
         let _ = std::fs::remove_dir_all(&dir);
@@ -565,8 +556,12 @@ mod tests {
                 });
             }
         });
-        let m = s.mvcc_stats().unwrap();
+        let m = s.heap().stats.snapshot();
         assert_eq!(m.commits, 200);
-        assert_eq!(s.stats().requests, 0, "contention resolved without locks");
+        assert_eq!(
+            crate::read_metrics(&*s).get("finecc.lock.requests"),
+            None,
+            "contention resolved without locks"
+        );
     }
 }

@@ -193,7 +193,7 @@ mod tests {
         s.send(&mut t2, o2, "m3", &[]).unwrap();
         s.commit(t1).unwrap();
         s.commit(t2).unwrap();
-        assert_eq!(s.stats().blocks, 0);
+        assert_eq!(s.lock_manager().stats.snapshot().blocks, 0);
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
         let (s, _, o2) = setup();
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m1", &[Value::Int(1)]).unwrap();
-        let st = s.stats();
+        let st = s.lock_manager().stats.snapshot();
         assert_eq!(st.requests, 8, "4 controls × (class + instance)");
         s.commit(txn).unwrap();
     }
@@ -149,7 +149,10 @@ mod tests {
         let (s, o1, _) = setup();
         let mut txn = s.begin();
         s.send(&mut txn, o1, "m1", &[Value::Int(1)]).unwrap();
-        assert!(s.stats().upgrades >= 1, "read→write escalation happened");
+        assert!(
+            s.lock_manager().stats.snapshot().upgrades >= 1,
+            "read→write escalation happened"
+        );
         s.commit(txn).unwrap();
     }
 
@@ -197,7 +200,7 @@ mod tests {
         s.send(&mut t2, o1, "m3", &[]).unwrap();
         s.commit(t1).unwrap();
         s.commit(t2).unwrap();
-        assert_eq!(s.stats().blocks, 0);
+        assert_eq!(s.lock_manager().stats.snapshot().blocks, 0);
     }
 
     #[test]

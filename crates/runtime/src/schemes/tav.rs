@@ -97,7 +97,7 @@ mod tests {
         let (s, _, o2) = setup();
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m1", &[Value::Int(1)]).unwrap();
-        let st = s.stats();
+        let st = s.lock_manager().stats.snapshot();
         assert_eq!(st.requests, 2, "one class + one instance lock");
         assert_eq!(st.upgrades, 0, "no escalation (P3 solved)");
         s.commit(txn).unwrap();
@@ -167,7 +167,7 @@ mod tests {
         let results = s.send_all(&mut txn, c1, "m2", &[Value::Int(2)]).unwrap();
         assert_eq!(results.len(), 2, "deep extent: o1 and o2");
         // Only class locks were taken: 2 classes, no instance locks.
-        assert_eq!(s.stats().requests, 2);
+        assert_eq!(s.lock_manager().stats.snapshot().requests, 2);
         s.commit(txn).unwrap();
         assert_eq!(s.env().read_named(o1, "c1", "f1"), Value::Int(2));
         assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(2));
@@ -181,7 +181,7 @@ mod tests {
         let results = s.send_some(&mut txn, c1, &[o1], "m3", &[]).unwrap();
         assert_eq!(results.len(), 1);
         // 2 intentional class locks + (class re-acquire + instance) for o1.
-        let st = s.stats();
+        let st = s.lock_manager().stats.snapshot();
         assert!(st.requests >= 3);
         s.commit(txn).unwrap();
     }
@@ -210,7 +210,7 @@ mod tests {
         let mut txn = s.begin();
         s.send(&mut txn, o1, "m3", &[]).unwrap();
         // m3 sent `m` through f3: class(c1)+inst(o1) + class(c3)+inst(o3).
-        assert_eq!(s.stats().requests, 4);
+        assert_eq!(s.lock_manager().stats.snapshot().requests, 4);
         s.commit(txn).unwrap();
         assert_eq!(env.read_named(o3, "c3", "g1"), Value::Int(1));
     }

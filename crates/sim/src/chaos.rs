@@ -522,8 +522,8 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
 
     let log_failures = scheme
         .as_ref()
-        .and_then(|s| s.env().wal_stats())
-        .map_or(0, |wstats| wstats.append_failures);
+        .and_then(|s| s.env().wal.as_ref())
+        .map_or(0, |wal| wal.stats().snapshot().append_failures);
     // Drop the scheme (closing the log gracefully where it is not
     // poisoned) before uninstalling the harness and recovering.
     drop(scheme);
@@ -1124,8 +1124,7 @@ pub fn run_upgrade_deadlock(seed: u64, replay: &[u32]) -> UpgradeDeadlockReport 
     env.db
         .write(account, balance, Value::Int(100))
         .expect("typed write");
-    let scheme = SchemeKind::FieldLock.build(env);
-    let scheme = scheme.as_ref();
+    let scheme = &finecc_runtime::FieldLockScheme::new(env);
     let withdraw = |w: usize| {
         let _worker = chaos::register_worker_as(w);
         let out = run_txn_with(scheme, RetryPolicy::with_max_retries(8), |txn| {
@@ -1141,7 +1140,7 @@ pub fn run_upgrade_deadlock(seed: u64, replay: &[u32]) -> UpgradeDeadlockReport 
         let workers = [0, 1].map(|w| scope.spawn(move || withdraw(w)));
         workers.map(|worker| worker.join().expect("no panic"))
     });
-    let stats = scheme.stats();
+    let stats = scheme.lock_manager().stats.snapshot();
     let left = scheme.env().db.read(account, balance).expect("live");
     UpgradeDeadlockReport {
         outcome: handle.finish(),

@@ -1,7 +1,8 @@
 //! Concurrent and sequential workload execution.
 
 use crate::workload::TxnOp;
-use finecc_runtime::{run_txn, CcScheme, TxnOutcome};
+use finecc_obs::MetricSet;
+use finecc_runtime::{read_metrics, run_txn, CcScheme, TxnOutcome};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -24,7 +25,7 @@ impl Default for ExecConfig {
 }
 
 /// Aggregate result of an execution run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecReport {
     /// Transactions that committed.
     pub committed: u64,
@@ -36,14 +37,12 @@ pub struct ExecReport {
     pub retries: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Lock-manager statistics accumulated during the run.
-    pub lock: finecc_lock::StatsSnapshot,
-    /// Version-heap statistics accumulated during the run (`None` for
-    /// the pure locking schemes).
-    pub mvcc: Option<finecc_mvcc::MvccStatsSnapshot>,
-    /// Write-ahead-log statistics accumulated during the run (`None`
-    /// at `DurabilityLevel::None`).
-    pub wal: Option<finecc_wal::WalStatsSnapshot>,
+    /// What the scheme's counters — lock manager, version heap and
+    /// log, whichever it has — did during the run, by the dotted names
+    /// its live sources emit ([`read_metrics`] at exit since entry). A
+    /// scheme with no lock manager has no `finecc.lock.*` entry, one
+    /// with no log no `finecc.wal.*`.
+    pub counters: MetricSet,
     /// Observability report for the run: latency histograms by phase,
     /// hottest objects, and contention-class totals. All zero (and
     /// `enabled == false`) unless the scheme's environment carries an
@@ -61,37 +60,16 @@ impl ExecReport {
         }
     }
 
-    /// First-updater-wins write-write conflicts during the run (0 for
-    /// lock schemes).
-    pub fn ww_conflicts(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.write_conflicts)
-    }
-
-    /// Commits refused by SSI dangerous-structure validation during the
-    /// run — the distinct abort class of the `mvcc-ssi` scheme (0 for
-    /// every other scheme).
-    pub fn ssi_aborts(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.ssi_aborts)
-    }
-
-    /// Latch-free-read miss-revalidation retries during the run (0 for
-    /// lock schemes) — one of the mvcc read path's contention
-    /// counters.
-    pub fn read_retries(&self) -> u64 {
-        self.mvcc.map_or(0, |m| m.read_retries)
-    }
-
     /// Registers a **frozen** metric source over this finished run:
     /// run-level outcome counters (`finecc.run.*`) plus everything the
     /// report carries — the observability phases (cumulative and
-    /// windowed), contention totals, decayed hot scores, lock-manager
-    /// counters, and the mvcc / WAL blocks when the scheme has them —
-    /// under the same dotted names the live sources use, so a scrape of
-    /// a finished run reads exactly like a scrape of a live one. The
-    /// report is `Copy` and the closure owns it, so the run's scheme and
-    /// environment can be dropped.
+    /// windowed), contention totals, decayed hot scores, and the
+    /// scheme's own counters — under the same dotted names the live
+    /// sources use, so a scrape of a finished run reads exactly like a
+    /// scrape of a live one. The closure owns a copy of the report, so
+    /// the run's scheme and environment can be dropped.
     pub fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        let r = *self;
+        let r = self.clone();
         reg.register_fn(labels, move |c: &mut finecc_obs::Collector| {
             c.counter("finecc.run.committed", r.committed);
             c.counter("finecc.run.exhausted", r.exhausted);
@@ -100,24 +78,16 @@ impl ExecReport {
             c.gauge("finecc.run.elapsed_ms", r.elapsed.as_secs_f64() * 1e3);
             c.gauge("finecc.run.txns_per_sec", r.throughput());
             r.obs.collect_metrics(c);
-            r.lock.collect_metrics(c);
-            if let Some(m) = &r.mvcc {
-                m.collect_metrics(c);
-            }
-            if let Some(w) = &r.wal {
-                w.collect_metrics(c);
-            }
+            r.counters.collect_metrics(c);
         });
     }
 }
 
 /// Runs the workload across `cfg.threads` workers (ops are dealt
-/// round-robin), with per-transaction deadlock retry. Lock statistics are
-/// measured relative to the scheme's counters at entry.
+/// round-robin), with per-transaction deadlock retry. Counters are
+/// measured relative to the scheme's at entry.
 pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> ExecReport {
-    let before = scheme.stats();
-    let mvcc_before = scheme.mvcc_stats();
-    let wal_before = scheme.env().wal_stats();
+    let before = read_metrics(scheme);
     let obs_before = scheme.env().obs.snapshot();
     let committed = AtomicU64::new(0);
     let exhausted = AtomicU64::new(0);
@@ -162,21 +132,16 @@ pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> 
         let _ = w.sync();
     }
 
+    // The obs report first: pulling the live sources ticks the windows.
+    let obs = scheme.env().obs.report_since(&obs_before);
     ExecReport {
         committed: committed.into_inner(),
         exhausted: exhausted.into_inner(),
         failed: failed.into_inner(),
         retries: retries.into_inner(),
         elapsed,
-        lock: scheme.stats().since(&before),
-        mvcc: scheme
-            .mvcc_stats()
-            .map(|after| after.since(&mvcc_before.unwrap_or_default())),
-        wal: scheme
-            .env()
-            .wal_stats()
-            .map(|after| after.since(&wal_before.unwrap_or_default())),
-        obs: scheme.env().obs.report_since(&obs_before),
+        counters: read_metrics(scheme).since(&before),
+        obs,
     }
 }
 
@@ -226,7 +191,7 @@ mod tests {
         assert_eq!(r.committed, 100);
         assert_eq!(r.failed, 0);
         assert_eq!(r.exhausted, 0);
-        assert!(r.lock.requests > 0);
+        assert!(r.counters.get("finecc.lock.requests").expect("tav locks") > 0.0);
     }
 
     #[test]
@@ -276,19 +241,27 @@ mod tests {
         );
         let scheme = SchemeKind::Mvcc.build(env);
         let r = run_concurrent(scheme.as_ref(), &wl.ops, ExecConfig::default());
-        let m = r.mvcc.expect("mvcc scheme reports heap stats");
-        assert_eq!(m.commits, r.committed, "every commit is a heap commit");
-        assert!(m.versions_created > 0);
+        let commits = r.counters.get("finecc.mvcc.commits");
         assert_eq!(
-            r.lock,
-            finecc_lock::StatsSnapshot::default(),
+            commits.expect("mvcc scheme reports heap counters"),
+            r.committed as f64,
+            "every commit is a heap commit"
+        );
+        assert!(r.counters.get("finecc.mvcc.versions_created").unwrap() > 0.0);
+        assert_eq!(
+            r.counters.get("finecc.lock.requests"),
+            None,
             "snapshot reads and optimistic writes take no locks"
         );
 
         let env = workload_env();
         let scheme = SchemeKind::Tav.build(env);
         let r = run_sequential(scheme.as_ref(), &wl.ops, 5);
-        assert!(r.mvcc.is_none(), "lock schemes have no version heap");
+        assert_eq!(
+            r.counters.get("finecc.mvcc.commits"),
+            None,
+            "lock schemes have no version heap"
+        );
     }
 
     #[test]

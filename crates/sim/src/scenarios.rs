@@ -38,16 +38,6 @@ pub enum TxnKind {
 impl TxnKind {
     /// All four, in order.
     pub const ALL: [TxnKind; 4] = [TxnKind::T1, TxnKind::T2, TxnKind::T3, TxnKind::T4];
-
-    /// The paper's description of the transaction.
-    pub fn describe(self) -> &'static str {
-        match self {
-            TxnKind::T1 => "m1 to one instance of c1",
-            TxnKind::T2 => "m1 to all instances of class c1",
-            TxnKind::T3 => "m3 to some instances of domain c1",
-            TxnKind::T4 => "m4 to all instances of domain c2",
-        }
-    }
 }
 
 impl fmt::Display for TxnKind {

@@ -306,7 +306,7 @@ impl Shared {
             st.idle = false;
             st.urgent |= urgent;
             self.wake.notify_one();
-            self.stats.bump_flusher_wakes();
+            self.stats.flusher_wakes.bump();
         }
     }
 
@@ -324,7 +324,7 @@ impl Shared {
                 return;
             }
             std::mem::swap(&mut st.buf, &mut log.spare);
-            self.stats.set_queue_depth(0);
+            self.stats.queue_depth.set(0);
             self.room.notify_all();
             Batch {
                 start_lsn: std::mem::replace(&mut log.taken_lsn, st.end_lsn),
@@ -394,7 +394,7 @@ impl Shared {
                     let sync_start = self.obs.now_ns();
                     let synced = file.sync_data().is_ok();
                     if synced {
-                        self.stats.bump_log_fsyncs();
+                        self.stats.log_fsyncs.bump();
                     }
                     // Fsync spans are emitted unconditionally when
                     // tracing is on (`txn 0` always passes the
@@ -411,13 +411,13 @@ impl Shared {
             };
         }
         if ok {
-            self.stats.add_log_bytes(bytes.len() as u64);
+            self.stats.log_bytes.add(bytes.len() as u64);
             if batch.records > 0 {
-                self.stats.sample_batch(batch.records);
+                self.stats.batch_hist.record(batch.records);
             }
             return true;
         }
-        self.stats.add_append_failures(batch.records);
+        self.stats.append_failures.add(batch.records);
         let rolled_back = !torn
             && start_pos != u64::MAX
             && file.set_len(start_pos).is_ok()
@@ -768,7 +768,7 @@ impl Wal {
     pub fn prune_checkpoints(&self) -> io::Result<u64> {
         let removed = checkpoint::retain(&self.dir, self.retain)?;
         if removed > 0 {
-            self.shared.stats.add_checkpoints_removed(removed);
+            self.shared.stats.checkpoints_removed.add(removed);
         }
         Ok(removed)
     }

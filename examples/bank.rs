@@ -12,7 +12,7 @@
 
 use finecc::model::Value;
 use finecc::prelude::*;
-use finecc::runtime::{run_txn, Env, SchemeKind};
+use finecc::runtime::{read_metrics, run_txn, Env, SchemeKind};
 use finecc::sim::render_table;
 use std::sync::Arc;
 
@@ -124,13 +124,16 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             .sum();
         assert_eq!(total, 4 * deposits_per_thread as i64 * 10);
 
-        let st = scheme.stats();
+        // By name: the mvcc schemes have no lock manager and emit no
+        // `finecc.lock.*` sample, which prints as "-", not as a zero.
+        let m = read_metrics(scheme.as_ref());
+        let lock = |name| m.get(name).map_or("-".to_string(), |v| v.to_string());
         rows.push(vec![
             kind.name().to_string(),
-            st.requests.to_string(),
-            st.blocks.to_string(),
-            st.upgrades.to_string(),
-            st.deadlocks.to_string(),
+            lock("finecc.lock.requests"),
+            lock("finecc.lock.blocks"),
+            lock("finecc.lock.upgrades"),
+            lock("finecc.lock.deadlocks"),
         ]);
     }
 

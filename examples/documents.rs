@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example documents`
 
 use finecc::model::{Oid, Value};
-use finecc::runtime::{run_txn, CcScheme, Env, SchemeKind};
+use finecc::runtime::{run_txn, CcScheme, Env, TavScheme};
 
 const DOCS: &str = r#"
 class document {
@@ -81,16 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     assert_eq!(table.commute_names("approve", "archive"), Some(true));
     assert_eq!(table.commute_names("approve", "view"), Some(false));
 
-    let scheme = SchemeKind::Tav.build(env);
+    let scheme = TavScheme::new(env);
 
     // Pattern (i): one instance.
-    must(&*scheme, |txn| {
+    must(&scheme, |txn| {
         scheme.send(txn, reports[0], "submit", &[])?;
         scheme.send(txn, reports[0], "approve", &[Value::str("alice")])
     });
 
     // Pattern (iii): some instances of the domain rooted at `document`.
-    must(&*scheme, |txn| {
+    must(&scheme, |txn| {
         let picked = [docs[0], reports[1], memos[0]];
         scheme
             .send_some(txn, document, &picked, "view", &[])
@@ -99,12 +99,12 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     // Pattern (ii)/(iv): all instances of the domain rooted at `memo`,
     // then an archive sweep over the whole `document` domain.
-    must(&*scheme, |txn| {
+    must(&scheme, |txn| {
         scheme
             .send_all(txn, memo, "escalate", &[])
             .map(|_| Value::Nil)
     });
-    must(&*scheme, |txn| {
+    must(&scheme, |txn| {
         scheme
             .send_all(txn, document, "archive", &[])
             .map(|_| Value::Nil)
@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     }
 
     println!("all four §5.2 access patterns executed under the TAV scheme:");
-    println!("  lock stats: {:?}", scheme.stats());
+    println!("  lock stats: {:?}", scheme.lock_manager().stats.snapshot());
     Ok(())
 }
 

@@ -8,7 +8,7 @@
 use finecc::lang::parser::FIGURE1_SOURCE;
 use finecc::model::Value;
 use finecc::prelude::*;
-use finecc::runtime::{run_txn, Env, SchemeKind};
+use finecc::runtime::{read_metrics, run_txn, Env, SchemeKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Parse the schema + method bodies and compile the CC artifacts.
@@ -64,7 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  f4 = {}", scheme.env().read_named(oid, "c2", "f4"));
     println!(
         "  lock requests for the whole nested call: {}",
-        scheme.stats().requests
+        read_metrics(scheme.as_ref())
+            .get("finecc.lock.requests")
+            .expect("tav has a lock manager")
     );
     Ok(())
 }

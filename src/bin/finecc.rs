@@ -17,7 +17,7 @@
 use finecc::core::compile;
 use finecc::lang::build_schema;
 use finecc::model::Value;
-use finecc::runtime::{run_txn, Env, SchemeKind};
+use finecc::runtime::{run_txn, CcScheme, Env, TavScheme};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -100,11 +100,9 @@ fn main() -> ExitCode {
             }
             let env = Env::new(schema, bodies, compiled);
             let oid = env.db.create(class);
-            let scheme = SchemeKind::Tav.build(env);
+            let scheme = TavScheme::new(env);
             let method = method.clone();
-            match run_txn(scheme.as_ref(), 3, |txn| {
-                scheme.send(txn, oid, &method, &call_args)
-            }) {
+            match run_txn(&scheme, 3, |txn| scheme.send(txn, oid, &method, &call_args)) {
                 finecc::runtime::TxnOutcome::Committed { value, .. } => {
                     println!("result: {value}");
                     let env = scheme.env();
@@ -115,7 +113,7 @@ fn main() -> ExitCode {
                         let v = env.db.read(oid, f).expect("instance exists");
                         println!("  {name} = {v}");
                     }
-                    let st = scheme.stats();
+                    let st = scheme.lock_manager().stats.snapshot();
                     println!("lock requests: {}", st.requests);
                     ExitCode::SUCCESS
                 }

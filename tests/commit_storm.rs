@@ -314,7 +314,7 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
             round: -1,
         });
     }
-    storm.heap.stats.reset();
+    let stats_before = storm.heap.stats.snapshot();
 
     let writers_live = Arc::new(AtomicU64::new(threads as u64));
     // Readers that have taken their first sample. The writers run at
@@ -393,7 +393,7 @@ fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
     // (no base-store RwLock on the read path) and the miss-revalidation
     // loop never ran. `snapshot_reads` counts exactly the sampled
     // reads, so the counters are not trivially zero.
-    let m = storm.heap.stats.snapshot();
+    let m = storm.heap.stats.snapshot().since(&stats_before);
     assert!(m.snapshot_reads >= 2 * samples.len() as u64);
     assert_eq!(
         m.read_chain_hits, m.snapshot_reads,

@@ -3,8 +3,9 @@
 //! commuting-writer parallelism the paper promises must be observable.
 
 use finecc::model::{Oid, Value};
-use finecc::runtime::{run_txn, CcScheme, Env, MvccScheme, SchemeKind, TxnOutcome};
+use finecc::runtime::{read_metrics, run_txn, CcScheme, Env, MvccScheme, SchemeKind, TxnOutcome};
 use std::sync::Arc;
+use std::time::Duration;
 
 const COUNTERS: &str = r#"
 class counter {
@@ -87,7 +88,43 @@ fn commuting_writers_interleave_under_tav_on_one_instance() {
     let env = scheme.env();
     assert_eq!(env.read_named(oid, "counter", "n"), Value::Int(5));
     assert_eq!(env.read_named(oid, "pair", "m"), Value::Int(7));
-    assert_eq!(scheme.stats().blocks, 0, "no blocking happened");
+    let m = read_metrics(scheme.as_ref());
+    assert_eq!(
+        m.get("finecc.lock.blocks"),
+        Some(0.0),
+        "no blocking happened"
+    );
+}
+
+#[test]
+fn disjoint_field_writers_block_under_rw_on_one_instance() {
+    // The pseudo-conflict (P4) the test above shows solved: the same two
+    // writers touch disjoint fields and commute in the generated matrix,
+    // yet read/write instance locking serializes them — the second waits
+    // for the first's write lock until its (here: short) timeout.
+    let env = Env::from_source(COUNTERS)
+        .unwrap()
+        .with_lock_timeout(Duration::from_millis(50));
+    let pair = env.schema.class_by_name("pair").unwrap();
+    let table = env.compiled.class(pair);
+    let (inc, inc_m) = (
+        table.index_of("inc").unwrap(),
+        table.index_of("inc_m").unwrap(),
+    );
+    assert!(table.commute(inc, inc_m), "disjoint fields commute");
+    assert!(!table.commute(inc, inc), "a writer conflicts with itself");
+    let oid = env.db.create(pair);
+    let scheme = SchemeKind::Rw.build(env);
+    let mut t1 = scheme.begin();
+    let mut t2 = scheme.begin();
+    scheme.send(&mut t1, oid, "inc", &[Value::Int(5)]).unwrap();
+    let refused = scheme.send(&mut t2, oid, "inc_m", &[Value::Int(7)]);
+    assert!(refused.is_err(), "rw must not admit the second writer");
+    scheme.abort(t2);
+    scheme.commit(t1).unwrap();
+    let m = read_metrics(scheme.as_ref());
+    assert_eq!(m.get("finecc.lock.blocks"), Some(1.0), "it queued");
+    assert_eq!(m.get("finecc.lock.timeouts"), Some(1.0), "and gave up");
 }
 
 #[test]
@@ -226,11 +263,11 @@ fn mvcc_snapshot_readers_never_block_and_gc_reclaims() {
 
     // No logical lock was requested by anyone, reader or writer.
     assert_eq!(
-        scheme.stats(),
-        finecc::lock::StatsSnapshot::default(),
-        "mvcc must never touch the lock manager"
+        read_metrics(scheme.as_ref()).get("finecc.lock.requests"),
+        None,
+        "mvcc has no lock manager to touch"
     );
-    let m = scheme.mvcc_stats().unwrap();
+    let m = scheme.heap().stats.snapshot();
     assert_eq!(
         m.commits as usize,
         WRITERS * WRITES_PER_THREAD + READERS * READS_PER_THREAD
@@ -249,7 +286,7 @@ fn mvcc_snapshot_readers_never_block_and_gc_reclaims() {
         0,
         "GC must reclaim everything"
     );
-    let m = scheme.mvcc_stats().unwrap();
+    let m = scheme.heap().stats.snapshot();
     assert!(m.versions_reclaimed > 0);
     assert_eq!(m.versions_created, m.versions_reclaimed);
 }

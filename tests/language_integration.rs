@@ -45,7 +45,8 @@ class node {
     });
     assert_eq!(out.value(), Some(Value::Int(15)));
     // Five nodes → five (class, instance) lock pairs.
-    assert_eq!(scheme.stats().requests, 10);
+    let m = finecc::runtime::read_metrics(scheme.as_ref());
+    assert_eq!(m.get("finecc.lock.requests"), Some(10.0));
 }
 
 /// Recursion through self with a decreasing counter: the TAV fixpoint

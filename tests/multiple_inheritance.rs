@@ -88,7 +88,8 @@ fn diamond_commutativity_and_execution() {
     assert_eq!(env.read_named(oid, "b", "left"), Value::Int(1));
     assert_eq!(env.read_named(oid, "c", "right"), Value::Int(0));
     assert_eq!(env.read_named(oid, "d", "own"), Value::Int(1));
-    assert_eq!(scheme.stats().blocks, 0);
+    let m = finecc::runtime::read_metrics(scheme.as_ref());
+    assert_eq!(m.get("finecc.lock.blocks"), Some(0.0));
 }
 
 #[test]

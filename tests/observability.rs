@@ -264,24 +264,34 @@ fn registry_totals_match_scheme_counters() {
         );
         assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
         assert!(report.obs.enabled, "{kind}: obs report not wired through");
+        // The scheme's own counters, by name: a lock scheme emits the
+        // lock manager's and no heap counter, an mvcc scheme the
+        // reverse — an absent sample is "no such source", and a name
+        // on the wrong side (or misspelt) fails here.
+        let mvcc = kind.isolation().is_some();
+        let counted = |name: &str, emitted: bool| match report.counters.get(name) {
+            Some(v) if emitted => v as u64,
+            None if !emitted => 0,
+            other => panic!("{kind}: {name} read {other:?}"),
+        };
         assert_eq!(
             report.obs.contention_total(ContentionKind::LockBlock),
-            report.lock.blocks,
+            counted("finecc.lock.blocks", !mvcc),
             "{kind}: one registry record per lock block"
         );
         assert_eq!(
             report.obs.contention_total(ContentionKind::WwConflict),
-            report.ww_conflicts(),
+            counted("finecc.mvcc.write_conflicts", mvcc),
             "{kind}: one registry record per first-updater-wins refusal"
         );
         assert_eq!(
             report.obs.contention_total(ContentionKind::SsiAbort),
-            report.ssi_aborts(),
+            counted("finecc.mvcc.ssi_aborts", mvcc),
             "{kind}: one registry record per SSI validation abort"
         );
         assert_eq!(
             report.obs.contention_total(ContentionKind::ReadRetry),
-            report.read_retries(),
+            counted("finecc.mvcc.read_retries", mvcc),
             "{kind}: one registry record per read-path revalidation retry"
         );
         // Latency side of the same report: one end-to-end sample per
@@ -299,7 +309,7 @@ fn registry_totals_match_scheme_counters() {
 // ---------------------------------------------------------------------------
 
 /// A minimal strict JSON reader used to prove the exported trace is
-/// well-formed (the workspace's vendored `serde` has no JSON backend).
+/// well-formed (the workspace has no JSON library).
 /// Returns the top-level array's objects as key lists.
 mod json {
     pub fn parse_array_of_objects(src: &str) -> Result<Vec<Vec<String>>, String> {

@@ -491,7 +491,7 @@ fn lock_scheme_undo_projection_log_recovers() {
             });
             assert!(out.is_committed());
         }
-        let wal = scheme.env().wal_stats().unwrap();
+        let wal = scheme.env().wal.as_ref().unwrap().stats().snapshot();
         assert_eq!(wal.appends, 4, "one redo record per committed txn");
         assert!(wal.log_fsyncs >= 1);
         let live_f1 = db.read(o2, f1).unwrap();
@@ -843,14 +843,14 @@ fn durable_heap_read_path_takes_no_new_latches() {
     let (o, f) = (fx.oids[0], fx.fields[0]);
     let pin = fx.heap.snapshot(); // pins GC so chains stay warm
     commit_writes(&fx, &[(o, f)], 9);
-    fx.heap.stats.reset();
+    let before = fx.heap.stats.snapshot();
     let txn = fx.txn();
     let ts = fx.heap.begin(txn);
     for _ in 0..100 {
         assert_eq!(fx.heap.read_as(ts, Some(txn), o, f), Ok(Value::Int(9)));
     }
     fx.heap.abort(txn);
-    let s = fx.heap.stats.snapshot();
+    let s = fx.heap.stats.snapshot().since(&before);
     assert_eq!(s.read_chain_hits, 100, "every read a latch-free chain hit");
     assert_eq!(s.read_base_loads, 0);
     assert_eq!(s.read_retries, 0);

@@ -57,6 +57,19 @@ fn tav_subsumes_both_comparisons_on_this_scenario() {
 }
 
 #[test]
+fn versioning_recovers_the_papers_maximal_sets() {
+    // Beyond the paper: field-level write conflicts admit exactly what
+    // the TAVs admit here (under snapshot isolation), and `mvcc-ssi`
+    // admits the same overlaps at execution time — its return to
+    // serializability is commit-time validation, not narrower admission.
+    let tav = scenario_outcomes(SchemeKind::Tav, FIGURE1_SOURCE, false);
+    for kind in [SchemeKind::Mvcc, SchemeKind::MvccSsi] {
+        let o = scenario_outcomes(kind, FIGURE1_SOURCE, false);
+        assert_eq!(o.maximal_sets, tav.maximal_sets, "{kind}");
+    }
+}
+
+#[test]
 fn no_key_write_remark() {
     // "T1‖T3‖T4 (but not T2‖T3‖T4) would have been allowed in the
     // relational schema if m2 did not modify the key field."

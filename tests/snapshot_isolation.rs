@@ -16,7 +16,7 @@
 //!   mvcc scheme stay identically zero while readers overlap writers.
 
 use finecc::model::Value;
-use finecc::runtime::{CcScheme, Env, SchemeKind};
+use finecc::runtime::{read_metrics, CcScheme, Env, SchemeKind};
 use std::time::Duration;
 
 /// Invariant: `a + b >= 1`. Each drain method re-checks the invariant
@@ -85,9 +85,9 @@ fn mvcc_admits_write_skew() {
         0,
         "write skew: invariant broken"
     );
-    let m = scheme.mvcc_stats().unwrap();
     assert_eq!(
-        m.write_conflicts, 0,
+        read_metrics(scheme.as_ref()).get("finecc.mvcc.write_conflicts"),
+        Some(0.0),
         "no ww conflict was (or should be) seen"
     );
 }
@@ -179,10 +179,14 @@ fn mvcc_ssi_refuses_write_skew() {
         1,
         "serializable execution preserves the invariant"
     );
-    let m = scheme.mvcc_stats().unwrap();
-    assert_eq!(m.ssi_aborts, 1, "exactly one validation abort");
-    assert_eq!(m.write_conflicts, 0, "never a ww conflict in write skew");
-    assert!(m.ssi_edges > 0, "rw-antidependencies were tracked");
+    let m = read_metrics(scheme.as_ref());
+    let count = |name| m.get(name).expect("an mvcc scheme emits it");
+    assert_eq!(count("finecc.mvcc.ssi_aborts"), 1.0, "one validation abort");
+    assert_eq!(count("finecc.mvcc.write_conflicts"), 0.0, "no ww conflict");
+    assert!(
+        count("finecc.mvcc.ssi_edges") > 0.0,
+        "rw edges were tracked"
+    );
 }
 
 /// Both-pending interleaving: whichever order the two drains commit in,
@@ -205,12 +209,13 @@ fn mvcc_ssi_never_lets_both_skewed_drains_commit() {
         total(scheme.as_ref(), oid) >= 1,
         "invariant a + b >= 1 must survive"
     );
-    assert!(scheme.mvcc_stats().unwrap().ssi_aborts >= 1);
+    let m = read_metrics(scheme.as_ref());
+    assert!(m.get("finecc.mvcc.ssi_aborts").expect("emitted") >= 1.0);
 }
 
-/// Acceptance check: snapshot readers acquire zero locks, asserted via
-/// the scheme's `finecc-lock` statistics while a writer holds pending
-/// versions.
+/// Acceptance check: snapshot readers acquire zero locks — the scheme
+/// emits no `finecc.lock.*` sample at all — while a writer holds
+/// pending versions.
 #[test]
 fn mvcc_readers_take_zero_locks() {
     for kind in [SchemeKind::Mvcc, SchemeKind::MvccSsi] {
@@ -231,8 +236,11 @@ fn mvcc_readers_take_zero_locks_under(kind: SchemeKind) {
         scheme.commit(reader).unwrap();
     }
     scheme.commit(writer).unwrap();
-    let lock_stats = scheme.stats();
-    assert_eq!(lock_stats.requests, 0, "no lock was ever requested");
-    assert_eq!(lock_stats, finecc::lock::StatsSnapshot::default());
-    assert!(scheme.mvcc_stats().unwrap().snapshot_reads > 0);
+    let m = read_metrics(scheme.as_ref());
+    assert_eq!(
+        m.get("finecc.lock.requests"),
+        None,
+        "no lock manager exists to be asked: the sample is absent, not zero"
+    );
+    assert!(m.get("finecc.mvcc.snapshot_reads").expect("emitted") > 0.0);
 }

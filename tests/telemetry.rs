@@ -10,6 +10,10 @@
 //!   well-formed names and labels, one `# TYPE` line per metric, the
 //!   stable dotted→underscore names present, per-scheme committed
 //!   counts exact, and the windowed p99 gauge present and nonzero.
+//! * **Golden metric schema** — every `name kind label-keys` line the
+//!   six schemes emit, live and frozen, with and without a log, equals
+//!   the checked-in `tests/golden/metric_names.txt`: renames are
+//!   deliberate.
 //! * **Window rotation loses nothing** — 16 threads hammer one phase
 //!   histogram while observers force rotations; the retained window
 //!   deltas plus the open tail must merge back to the cumulative
@@ -250,11 +254,86 @@ fn prometheus_export_covers_the_scheme_matrix() {
         assert!(w.value > 0.0, "{kind}: windowed p99 is zero");
     }
 
-    // The JSON twin renders too (hand-rolled — the vendored serde has
-    // no JSON backend): an array of sample objects, one per sample.
+    // The JSON twin renders too (hand-rolled — the workspace has no
+    // JSON library): an array of sample objects, one per sample.
     let json = reg.render_json();
     assert!(json.starts_with("[\n") && json.ends_with("]\n"));
     assert_eq!(json.matches("\"name\"").count(), samples.len());
+}
+
+/// The metric schema is a contract (the benchmark reads its per-layer
+/// counts by these names): for every scheme, with and without a log,
+/// the `name kind label-keys` lines of the live sources
+/// (`CcScheme::register_metrics`) and of a finished run's frozen source
+/// (`ExecReport::register_metrics`) after one committed transaction
+/// must equal `tests/golden/metric_names.txt`. A rename, a kind change
+/// or a dropped sample fails here and is made deliberate by updating
+/// that file from the copy this test leaves in the target directory.
+#[test]
+fn metric_names_match_the_golden_schema() {
+    use finecc::mvcc::DurabilityLevel;
+    use finecc::sim::workload::TxnOp;
+
+    let mut actual = String::new();
+    let mut section = |title: String, reg: &MetricsRegistry| {
+        let lines: BTreeSet<String> = reg
+            .snapshot()
+            .iter()
+            .map(|s| {
+                let keys: Vec<&str> = s.labels.iter().map(|(k, _)| k.as_str()).collect();
+                let keys = if keys.is_empty() {
+                    "-".to_string()
+                } else {
+                    keys.join(",")
+                };
+                format!("{} {} {keys}\n", s.name, s.kind.name())
+            })
+            .collect();
+        actual.push_str(&format!("# {title}\n"));
+        actual.extend(lines);
+    };
+    for kind in SchemeKind::ALL {
+        for (level, tag) in [
+            (DurabilityLevel::None, "none"),
+            (DurabilityLevel::Wal, "wal"),
+        ] {
+            let fx = finecc::sim::figure1::populate(
+                finecc::lang::parser::FIGURE1_SOURCE,
+                1,
+                Duration::from_secs(1),
+            );
+            let op = TxnOp::One {
+                oid: fx.c2_instances[0],
+                method: "m1".into(),
+                args: vec![finecc::model::Value::Int(1)],
+            };
+            let env = fx.env.with_obs(Arc::new(Obs::new(ObsConfig::enabled())));
+            let dir = std::env::temp_dir()
+                .join(format!("finecc-golden-{}-{kind}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let scheme = kind.build_durable(env, level, &dir).unwrap();
+            let report = finecc::sim::run_sequential(scheme.as_ref(), &[op], 0);
+            assert_eq!(report.committed, 1, "{kind} {tag}");
+            let (live, frozen) = (MetricsRegistry::new(), MetricsRegistry::new());
+            scheme.register_metrics(&live, &[]);
+            report.register_metrics(&frozen, &[]);
+            section(format!("{kind} {tag} live"), &live);
+            section(format!("{kind} {tag} frozen"), &frozen);
+            drop(scheme);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metric_names.txt");
+    if actual != std::fs::read_to_string(golden).unwrap_or_default() {
+        let copy = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("metric_names.txt");
+        std::fs::write(&copy, &actual).unwrap();
+        panic!(
+            "the metric schema changed: `diff {golden} {}`, and copy the latter over the \
+             former if every line of it is deliberate",
+            copy.display()
+        );
+    }
 }
 
 /// Satellite: window rotation under a 16-thread recording storm. The
