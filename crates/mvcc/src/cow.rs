@@ -41,32 +41,44 @@
 //! easier to audit than a minimal-ordering variant — and the reader
 //! path is still just two uncontended RMWs plus plain loads.
 //!
-//! Reclamation itself (the retire bins, [`Rcu::try_advance`]) runs on
-//! the **GC path only**, never on a read.
+//! Reclamation itself (the retire bins, [`Rcu::try_advance`]) runs in
+//! the heap's reclamation batches and its explicit `gc()` sweep (see the
+//! `heap` module's *Reclamation* section), never on a read.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
-/// How many pin counters each era parity is striped over. Threads hash
-/// to a stripe at first pin, so concurrent readers rarely share a
-/// cache line's counter.
+/// How many pin counters each era parity is striped over. Threads are
+/// dealt a stripe at first pin ([`thread_slot`]), and every stripe sits
+/// on a cache line of its own ([`PinCell`]), so readers on different
+/// threads do not bounce one line between their cores.
 const PIN_STRIPES: usize = 32;
 
-/// Assigns each thread a pin stripe round-robin on first use.
-fn pin_stripe() -> usize {
+/// This thread's slot index, dealt round-robin on first use; callers
+/// reduce it modulo their own stripe count (pin stripes here, epoch
+/// shards and reclaim slots in the heap). It is a **locality hint**,
+/// never a correctness assumption: any thread may use any stripe, and
+/// threads share one whenever there are more threads than stripes.
+pub(crate) fn thread_slot() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
-        static STRIPE: Cell<Option<usize>> = const { Cell::new(None) };
+        static SLOT: Cell<Option<usize>> = const { Cell::new(None) };
     }
-    STRIPE.with(|s| match s.get() {
+    SLOT.with(|s| match s.get() {
         Some(i) => i,
         None => {
-            let i = NEXT.fetch_add(1, SeqCst) % PIN_STRIPES;
+            let i = NEXT.fetch_add(1, SeqCst);
             s.set(Some(i));
             i
         }
     })
 }
+
+/// One pin counter, alone on its cache line (128 bytes covers the
+/// adjacent-line prefetcher's pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct PinCell(AtomicU64);
 
 /// The reclamation clock shared by every [`CowCell`] of one heap.
 #[derive(Debug)]
@@ -74,7 +86,7 @@ pub(crate) struct Rcu {
     /// The monotone era counter.
     era: AtomicU64,
     /// Pin counters: `pins[(era % 2) * PIN_STRIPES + stripe]`.
-    pins: Box<[AtomicU64]>,
+    pins: Box<[PinCell]>,
 }
 
 /// An active read-side critical section. While a `Pin` is alive, no
@@ -94,25 +106,22 @@ impl Rcu {
     pub(crate) fn new() -> Rcu {
         Rcu {
             era: AtomicU64::new(0),
-            pins: (0..2 * PIN_STRIPES)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            pins: (0..2 * PIN_STRIPES).map(|_| PinCell::default()).collect(),
         }
     }
 
     /// Enters a read-side critical section. Latch-free: two atomic RMWs
     /// on an almost-always-uncontended stripe, and a bounded retry only
-    /// when the era advances concurrently (reclamation runs at most
-    /// once per GC pass, so in practice the retry never fires; the
-    /// return value counts how often it did, for the heap's
+    /// when the era advances concurrently (at most once per
+    /// reclamation batch, so in practice the retry almost never fires;
+    /// the return value counts how often it did, for the heap's
     /// contention counters).
     pub(crate) fn pin(&self) -> (Pin<'_>, u64) {
-        let stripe = pin_stripe();
+        let stripe = thread_slot() % PIN_STRIPES;
         let mut retries = 0;
         loop {
             let era = self.era.load(SeqCst);
-            let slot = &self.pins[(era % 2) as usize * PIN_STRIPES + stripe];
+            let slot = &self.pins[(era % 2) as usize * PIN_STRIPES + stripe].0;
             slot.fetch_add(1, SeqCst);
             // Re-check: if the era is unchanged, every drain check that
             // could free memory this pin protects is ordered after the
@@ -134,14 +143,14 @@ impl Rcu {
 
     /// Advances the era if the previous parity has drained, and returns
     /// the **free horizon**: retired snapshots tagged with an era `< `
-    /// the returned value may be freed. Runs on the GC path only;
-    /// concurrent callers are harmless (the advance is a CAS).
+    /// the returned value may be freed. Runs on the reclamation path
+    /// only; concurrent callers are harmless (the advance is a CAS).
     pub(crate) fn try_advance(&self) -> u64 {
         let era = self.era.load(SeqCst);
         let prev_parity = ((era + 1) % 2) as usize;
         let drained = self.pins[prev_parity * PIN_STRIPES..(prev_parity + 1) * PIN_STRIPES]
             .iter()
-            .all(|c| c.load(SeqCst) == 0);
+            .all(|c| c.0.load(SeqCst) == 0);
         if drained {
             let _ = self.era.compare_exchange(era, era + 1, SeqCst, SeqCst);
         }

@@ -1,5 +1,6 @@
-//! The versioned heap: chains, transaction registry, commit/abort, GC,
-//! and — at [`IsolationLevel::Serializable`] — SSI conflict tracking.
+//! The versioned heap: chains, transaction registry, commit/abort,
+//! reclamation, and — at [`IsolationLevel::Serializable`] — SSI conflict
+//! tracking.
 //!
 //! # Concurrency architecture
 //!
@@ -37,10 +38,10 @@
 //!   transaction that then fails SSI validation is published as a
 //!   *skip* (nothing was flipped at it), keeping the prefix dense.
 //! * **Writers keep a per-shard writer latch** — installs, merges,
-//!   rollbacks, and GC edits of one shard serialize on it, but readers
+//!   rollbacks, and pruning of one shard serialize on it, but readers
 //!   never take it and committers flipping records do not either.
 //! * **Registries are striped**: the transaction table by `TxnId` and
-//!   the snapshot-epoch table by a round-robin shard pick. The
+//!   the snapshot-epoch table by the registering thread's slot. The
 //!   `MvccScheme` additionally caches each transaction's snapshot
 //!   timestamp in its session, so steady-state reads and writes skip
 //!   the transaction registry entirely (the registry is touched once
@@ -59,7 +60,10 @@
 //!    across a chain shard);
 //! 2. **chain-shard writer latches**, one at a time (readers and
 //!    commit-time flips never take these);
-//! 3. an **epoch shard** (snapshot registration/release).
+//! 3. an **epoch shard** (snapshot registration/release);
+//! 4. a **reclaim slot** (see *Reclamation*) — a leaf: nothing is ever
+//!    acquired under it, and it is the one latch that may be taken
+//!    while a chain-shard writer latch is held.
 //!
 //! The watermark no longer appears in the latch order at all — it has
 //! no latch. SSI-tracker latches (flag stripes, SIREAD shards — see
@@ -72,6 +76,50 @@
 //! PostgreSQL's SIREAD locks; the latch-free guarantee is about the
 //! *heap*, and holds unconditionally at
 //! [`IsolationLevel::Snapshot`].)
+//!
+//! ## Reclamation
+//!
+//! Nothing on the transaction path ever visits every shard or every
+//! bucket; versions are reclaimed by the threads that made them, a few
+//! at a time.
+//!
+//! * **Who queues.** A writer commit appends `(commit_ts, oid)` for
+//!   each object of its write set to the *reclaim queue* of the
+//!   committing thread's slot — a cache-line-padded mutex holding that
+//!   queue and the slot's *retire bin*. The slot is picked by the
+//!   thread index `Rcu::pin` already deals out and is a **locality
+//!   hint, never a correctness assumption**: threads share a slot when
+//!   there are more threads than slots, and a transaction begun on one
+//!   thread, written on a second and committed on a third is just as
+//!   correct — every structure below is guarded by its own mutex.
+//! * **Who prunes.** Every `RECLAIM_EVERY`-th writer commit of a slot
+//!   runs one bounded batch (the median commit does no reclamation at
+//!   all): it computes [`MvccHeap::gc_horizon`], pops the queue's head
+//!   entries committed at or below it, and prunes exactly those chains
+//!   — one shard writer latch per popped entry, dropping the records
+//!   at or below the horizon and removing the chain's anchor from its
+//!   bucket map when the chain empties. A batch with budget to spare
+//!   spends it on one other slot (rotating), so a slot whose thread
+//!   went idle does not strand versions.
+//! * **Why a stale horizon is safe.** A horizon, once computed, is a
+//!   valid pruning bound forever: later registrations pin the
+//!   watermark, which only grows (see `EpochTable`). Pruning with an
+//!   older horizon merely prunes less.
+//! * **Who frees.** Every copy-on-write snapshot a thread swaps out —
+//!   in `write_at`, in rollback, in pruning — is retired into the
+//!   *caller's* slot bin, tagged with the reclamation era, and freed by
+//!   a later batch of that slot once `Rcu::try_advance` reports the
+//!   era unreachable — **after every latch is dropped**. The memory a
+//!   thread allocates is, as a rule, freed by that same thread. Bins
+//!   are era-ordered because a node is tagged under the shard latch
+//!   that serialises its cell and the era only grows; batches therefore
+//!   pop from the front and stop at the first node still in its grace
+//!   period (an out-of-order node — two threads sharing a slot — only
+//!   waits a batch longer, each node's own tag is what is checked).
+//! * **The full sweep.** [`MvccHeap::gc`] is the explicit
+//!   stop-and-sweep for tests and maintenance: every chain of every
+//!   bucket, every slot's queue and bin. [`MvccHeap::checkpoint`] ends
+//!   with one; the commit path never calls it.
 //!
 //! ## Observability probes
 //!
@@ -91,7 +139,7 @@
 //! clean read; its only probe is the trace sampler's single branch,
 //! false whenever tracing is off.
 
-use crate::cow::{CowCell, Pin, Rcu, Retired};
+use crate::cow::{thread_slot, CowCell, Pin, Rcu, Retired};
 use crate::ssi::{SsiTracker, SsiVerdict};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
@@ -101,7 +149,7 @@ use finecc_obs::{ContentionKind, EventKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -114,8 +162,20 @@ const TXN_STRIPES: usize = 64;
 /// How many mutexes the snapshot-epoch table is sharded over.
 const EPOCH_SHARDS: usize = 16;
 
-/// How often (in commits) the heap runs an opportunistic GC pass.
-const GC_EVERY_COMMITS: u64 = 64;
+/// How many reclaim slots (queue + retire bin) threads are dealt over.
+const RECLAIM_SLOTS: usize = 32;
+
+/// Every how many writer commits of one slot a reclamation batch runs.
+const RECLAIM_EVERY: u32 = 8;
+
+/// The least number of queue entries a batch may prune; a slot that
+/// queued more than half of this since its last batch gets twice what
+/// it queued, so batches outpace any write-set size.
+const RECLAIM_BATCH: usize = 32;
+
+/// Every how many writer commits of one slot the SSI tracker is purged
+/// (a multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
+const SSI_PURGE_EVERY: u32 = 64;
 
 /// A write was refused because another transaction got to the field
 /// first (first-updater-wins at field granularity — two transactions
@@ -271,6 +331,21 @@ fn reconstruct<'a>(
     oldest_invisible
 }
 
+/// The records of a chain that outlive pruning at `horizon` — pending
+/// ones and those committed after it — or `None` when all of them do
+/// (nothing to prune).
+fn surviving(records: &[Arc<VersionRecord>], horizon: Ts) -> Option<Vec<Arc<VersionRecord>>> {
+    let keep: Vec<Arc<VersionRecord>> = records
+        .iter()
+        .filter(|r| {
+            let cts = r.ts();
+            cts == TS_PENDING || cts > horizon
+        })
+        .cloned()
+        .collect();
+    (keep.len() < records.len()).then_some(keep)
+}
+
 /// The per-OID chain anchor: stable identity (shared by `Arc` across
 /// map snapshots) holding the atomically published record list.
 #[derive(Debug)]
@@ -281,7 +356,7 @@ struct ChainCell {
 /// The copy-on-write published OID→chain map of one shard.
 type ChainMap = HashMap<Oid, Arc<ChainCell>>;
 
-/// A snapshot awaiting its reclamation grace period, in a shard's
+/// A snapshot awaiting its reclamation grace period, in a slot's
 /// retire bin.
 #[derive(Debug)]
 enum RetiredNode {
@@ -303,25 +378,23 @@ impl RetiredNode {
 /// full `HashMap` clone), so bucketing divides the copy-on-write cost
 /// of first-writes and chain removals by `SHARD_COUNT * MAP_BUCKETS` —
 /// without it, bulk-loading N fresh objects would clone O(N/shards)
-/// entries per insert, quadratic in total. (A real lock-free hash map
-/// would remove the clone entirely; see the ROADMAP.)
+/// entries per insert, quadratic in total.
 const MAP_BUCKETS: usize = 16;
 
-/// One chain shard: the writer-side latch doubles as the retire bin
-/// (retires only ever happen under it), plus the published map buckets.
+/// One chain shard: the writer-side latch plus the published map
+/// buckets.
 #[derive(Debug)]
 struct ChainShard {
-    /// Serializes writers (install/merge/rollback/GC) of this shard's
-    /// chains; the guarded `Vec` is the shard's retire bin. Readers and
-    /// commit-time flips never take it.
-    writer: Mutex<Vec<RetiredNode>>,
+    /// Serializes writers (install/merge/rollback/prune) of this
+    /// shard's chains. Readers and commit-time flips never take it.
+    writer: Mutex<()>,
     maps: Box<[CowCell<ChainMap>]>,
 }
 
 impl ChainShard {
     fn new() -> ChainShard {
         ChainShard {
-            writer: Mutex::new(Vec::new()),
+            writer: Mutex::new(()),
             maps: (0..MAP_BUCKETS)
                 .map(|_| CowCell::new(ChainMap::new()))
                 .collect::<Vec<_>>()
@@ -342,10 +415,72 @@ struct TxnState {
     /// The registered snapshot epoch; `epoch.ts` is the snapshot
     /// timestamp.
     epoch: EpochHandle,
-    /// Objects this transaction installed pending versions on. Only the
-    /// owning transaction's thread reads or writes this set, so it
-    /// needs no latch beyond the registry stripe that holds it.
-    write_set: HashSet<Oid>,
+    /// Objects this transaction installed pending versions on, sorted
+    /// and duplicate-free (write sets are a handful of objects, so
+    /// commit walks this as is — nothing to hash, collect or sort).
+    /// Only the transaction's own operations touch it, under the
+    /// registry stripe that holds it.
+    write_set: Vec<Oid>,
+}
+
+/// One thread slot's share of reclamation (see the module docs'
+/// *Reclamation* section).
+#[derive(Debug, Default)]
+struct ReclaimState {
+    /// `(commit_ts, oid)` of every committed write queued through this
+    /// slot and not yet pruned, in queueing order.
+    queue: VecDeque<(Ts, Oid)>,
+    /// Swapped-out snapshots awaiting their grace period, in retire
+    /// (hence era) order.
+    bin: VecDeque<RetiredNode>,
+    /// Writer commits queued through this slot — the batch cadence.
+    commits: u32,
+    /// Entries queued since this slot's last batch — sizes the next.
+    queued: usize,
+}
+
+impl ReclaimState {
+    /// Moves up to `budget` head entries of the queue committed at or
+    /// below `horizon` into `due`.
+    fn pop_due(&mut self, horizon: Ts, budget: usize, due: &mut Vec<Oid>) {
+        due.reserve(budget.min(self.queue.len()));
+        for _ in 0..budget {
+            match self.queue.front() {
+                Some(&(ts, oid)) if ts <= horizon => due.push(oid),
+                _ => break,
+            }
+            self.queue.pop_front();
+        }
+    }
+
+    /// Moves every head node of the bin retired before `free_horizon`
+    /// into `garbage` (for the caller to drop once it holds no latch).
+    fn pop_garbage(&mut self, free_horizon: u64, garbage: &mut Vec<RetiredNode>) {
+        let free = self
+            .bin
+            .iter()
+            .position(|n| n.era() >= free_horizon)
+            .unwrap_or(self.bin.len());
+        garbage.extend(self.bin.drain(..free));
+    }
+}
+
+/// A [`ReclaimState`] behind its mutex, alone on its cache line(s) so
+/// two clients' slots never share one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ReclaimSlot {
+    state: Mutex<ReclaimState>,
+    /// The slot this one's next under-budget batch helps (a rotating
+    /// cursor; a hint, so plain relaxed loads and stores).
+    help_next: AtomicUsize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Shard-latch acquisitions made by reclamation batches on this
+    /// thread.
+    static RECLAIM_LATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A live registration in the sharded epoch table: which shard holds
@@ -356,9 +491,11 @@ pub(crate) struct EpochHandle {
     pub(crate) ts: Ts,
 }
 
-/// The snapshot registry: `ts → number of holders` per shard, sharded
-/// round-robin so begin/commit of unrelated transactions never contend
-/// on one epoch mutex. The minimum key across shards is the GC horizon.
+/// The snapshot registry: `ts → number of holders` per shard, sharded by
+/// the registering thread's slot so a client's `begin` takes a mutex its
+/// own core touched last (a hint: any thread may use any shard, and
+/// release goes by the handle's shard whichever thread calls it). The
+/// minimum key across shards is the GC horizon.
 ///
 /// Registration reads the watermark **under its shard's lock**, and
 /// [`MvccHeap::gc_horizon`] reads the watermark *before* scanning the
@@ -372,7 +509,6 @@ pub(crate) struct EpochHandle {
 #[derive(Debug)]
 struct EpochTable {
     shards: Box<[Mutex<BTreeMap<Ts, usize>>]>,
-    next: AtomicUsize,
 }
 
 impl EpochTable {
@@ -382,14 +518,13 @@ impl EpochTable {
                 .map(|_| Mutex::new(BTreeMap::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            next: AtomicUsize::new(0),
         }
     }
 
     /// Atomically reads the current watermark and registers it as a
-    /// live epoch in a round-robin shard.
+    /// live epoch in the calling thread's shard.
     fn register(&self, watermark: &Watermark) -> EpochHandle {
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        let shard = thread_slot() % self.shards.len();
         let mut map = self.shards[shard].lock();
         let ts = watermark.get();
         *map.entry(ts).or_insert(0) += 1;
@@ -439,7 +574,8 @@ pub struct MvccHeap {
     /// Lock-free ordered publication: `last_committed` advances only
     /// across a contiguous flipped prefix.
     watermark: Watermark,
-    commits_since_gc: AtomicU64,
+    /// Reclaim queues and retire bins, one per thread slot.
+    reclaim: Box<[ReclaimSlot]>,
     /// The attached write-ahead log (`None` at
     /// [`DurabilityLevel::None`] — the pre-durability behavior, with
     /// zero additional work anywhere). Appends happen only on the
@@ -539,7 +675,7 @@ impl MvccHeap {
             epochs: EpochTable::new(),
             clock: AtomicU64::new(base_ts),
             watermark: Watermark::with_base(base_ts),
-            commits_since_gc: AtomicU64::new(0),
+            reclaim: (0..RECLAIM_SLOTS).map(|_| ReclaimSlot::default()).collect(),
             wal,
             ssi: match isolation {
                 IsolationLevel::Snapshot => None,
@@ -638,6 +774,8 @@ impl MvccHeap {
     /// it (already in the image) are dropped. Both steps are
     /// best-effort: a failure leaves a bigger log/extra checkpoint, not
     /// a durability hole, so the checkpoint itself still succeeds.
+    /// The pass ends with a full [`MvccHeap::gc`] sweep — maintenance
+    /// is where the stop-and-sweep belongs.
     pub fn checkpoint(&self) -> std::io::Result<Ts> {
         let wal = self
             .wal
@@ -684,6 +822,7 @@ impl MvccHeap {
         // log *will* surface on the next append.)
         let _ = wal.prune_checkpoints();
         let _ = wal.truncate_below(ckpt_ts);
+        self.gc();
         self.obs.record_since(Phase::Checkpoint, ckpt_start);
         Ok(ckpt_ts)
     }
@@ -723,7 +862,7 @@ impl MvccHeap {
             txn,
             TxnState {
                 epoch,
-                write_set: HashSet::new(),
+                write_set: Vec::new(),
             },
         );
         debug_assert!(prev.is_none(), "transaction {txn} already registered");
@@ -958,7 +1097,7 @@ impl MvccHeap {
         // Type/domain validation runs before any latch is taken.
         self.base.check_write(field, &value)?;
         let shard = self.shard(oid);
-        let mut bin = shard.writer.lock();
+        let latch = shard.writer.lock();
         // Anchor the chain cell (copy-on-write bucket-map insert on
         // first write of the object).
         let cell: Arc<ChainCell> = {
@@ -972,8 +1111,7 @@ impl MvccHeap {
                     });
                     let mut next = map.clone();
                     next.insert(oid, Arc::clone(&cell));
-                    let old = map_cell.swap(next, &self.rcu);
-                    bin.push(RetiredNode::Map(old));
+                    self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
                     cell
                 }
             }
@@ -1066,24 +1204,26 @@ impl MvccHeap {
                 },
                 &self.rcu,
             );
-            bin.push(RetiredNode::Chain(old_chain));
-            bin.push(RetiredNode::Chain(undo));
+            self.retire(RetiredNode::Chain(old_chain));
+            self.retire(RetiredNode::Chain(undo));
             return Err(e.into());
         }
-        bin.push(RetiredNode::Chain(old_chain));
-        drop(bin);
+        drop(latch);
+        self.retire(RetiredNode::Chain(old_chain));
         // Registry and stats updates run off the shard latch (latch
         // order: a txn stripe is never taken under a chain shard). The
         // write set is only consulted by this transaction's own
         // commit/abort, which its own thread issues strictly later.
         if outcome == WriteOutcome::NewVersion {
             self.stats.versions_created.bump();
-            self.txn_stripe(txn)
-                .lock()
+            let mut stripe = self.txn_stripe(txn).lock();
+            let write_set = &mut stripe
                 .get_mut(&txn)
                 .expect("transaction is registered with the mvcc heap")
-                .write_set
-                .insert(oid);
+                .write_set;
+            if let Err(at) = write_set.binary_search(&oid) {
+                write_set.insert(at, oid);
+            }
         }
         self.stats.sample_chain_len(chain_len);
         // SSI: scan SIREAD entries AFTER the pending version is
@@ -1122,8 +1262,7 @@ impl MvccHeap {
     fn note_ssi_abort(&self, txn: TxnId, state: &TxnState) {
         let key = state
             .write_set
-            .iter()
-            .min()
+            .first()
             .map_or(ObjKey::Unattributed, |o| ObjKey::Instance(o.0));
         self.obs.contend(key, ContentionKind::SsiAbort);
         if self.obs.trace_sampled(txn.0) {
@@ -1164,11 +1303,15 @@ impl MvccHeap {
     /// timestamp is published as a *skip* (keeping the watermark prefix
     /// contiguous), and the [`SsiConflict`] is returned — the caller
     /// retries on a fresh snapshot, like a first-updater-wins victim.
+    ///
+    /// A `txn` the heap does not know (never begun, or already ended)
+    /// is refused with [`CommitError::UnknownTxn`] and touches nothing.
     pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
-        let state =
-            self.txn_stripe(txn).lock().remove(&txn).unwrap_or_else(|| {
-                panic!("transaction {txn} is not registered with the mvcc heap")
-            });
+        let state = self
+            .txn_stripe(txn)
+            .lock()
+            .remove(&txn)
+            .ok_or(CommitError::UnknownTxn(txn))?;
 
         if state.write_set.is_empty() {
             // Read-only transactions still validate: their reads can
@@ -1235,15 +1378,14 @@ impl MvccHeap {
         // Record identity is stable across concurrent snapshot swaps
         // (snapshots share records by `Arc`) and nobody but the owner
         // merges or removes a pending record, so the collected handles
-        // stay valid after the pin is dropped. (Sorted iteration is
-        // determinism, not a lock-ordering requirement: there is
-        // nothing to order.)
-        let mut oids: Vec<Oid> = state.write_set.iter().copied().collect();
-        oids.sort_unstable();
+        // stay valid after the pin is dropped. (The write set's sorted
+        // order is determinism, not a lock-ordering requirement: there
+        // is nothing to order.)
+        let oids = &state.write_set;
         let mut own_records: Vec<Arc<VersionRecord>> = Vec::with_capacity(oids.len());
         {
             let pin = self.pin();
-            for &oid in &oids {
+            for &oid in oids {
                 let map = self.shard(oid).map_for(oid).load(&pin);
                 let cell = map.get(&oid).expect("written chain exists");
                 let chain = cell.records.load(&pin);
@@ -1265,7 +1407,7 @@ impl MvccHeap {
         if let Some(wal) = &self.wal {
             let mut writes =
                 Vec::with_capacity(own_records.iter().map(|rec| rec.writes.len()).sum());
-            for (rec, &oid) in own_records.iter().zip(&oids) {
+            for (rec, &oid) in own_records.iter().zip(oids) {
                 for w in &rec.writes {
                     writes.push(FieldImage {
                         oid,
@@ -1342,10 +1484,7 @@ impl MvccHeap {
 
         self.epochs.unregister(state.epoch);
         self.stats.commits.bump();
-        let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(GC_EVERY_COMMITS) {
-            self.gc();
-        }
+        self.queue_reclaim(commit_ts, &state.write_set);
         Ok(commit_ts)
     }
 
@@ -1356,7 +1495,7 @@ impl MvccHeap {
         let mut rolled_back = 0;
         for &oid in &state.write_set {
             let shard = self.shard(oid);
-            let mut bin = shard.writer.lock();
+            let _latch = shard.writer.lock();
             let map_cell = shard.map_for(oid);
             let map = map_cell.load_exclusive();
             let cell = map.get(&oid).expect("written chain exists");
@@ -1382,13 +1521,12 @@ impl MvccHeap {
                 // Last record: drop the whole chain from the bucket map.
                 let mut next = map.clone();
                 next.remove(&oid);
-                let old = map_cell.swap(next, &self.rcu);
-                bin.push(RetiredNode::Map(old));
+                self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
             } else {
                 let mut records = chain.records.clone();
                 records.remove(idx);
                 let old = cell.records.swap(Chain { records }, &self.rcu);
-                bin.push(RetiredNode::Chain(old));
+                self.retire(RetiredNode::Chain(old));
             }
             rolled_back += 1;
         }
@@ -1397,12 +1535,14 @@ impl MvccHeap {
 
     /// Aborts `txn`: restores every before-image of its pending records
     /// into the base store and removes the records. Returns the number of
-    /// objects rolled back.
+    /// objects rolled back. Aborting a `txn` the heap does not know
+    /// (never begun, or already ended) rolls nothing back and returns 0;
+    /// the call is still counted in `aborts`.
     pub fn abort(&self, txn: TxnId) -> usize {
-        let state =
-            self.txn_stripe(txn).lock().remove(&txn).unwrap_or_else(|| {
-                panic!("transaction {txn} is not registered with the mvcc heap")
-            });
+        let Some(state) = self.txn_stripe(txn).lock().remove(&txn) else {
+            self.stats.aborts.bump();
+            return 0;
+        };
         if let Some(ssi) = &self.ssi {
             ssi.forget(txn);
         }
@@ -1440,21 +1580,131 @@ impl MvccHeap {
         }
     }
 
-    /// Epoch-based garbage collection: drops every version record whose
-    /// commit timestamp is at or below the horizon — no active or future
-    /// snapshot can ever need to reconstruct *past* such a record. At
-    /// [`IsolationLevel::Serializable`] the same horizon also retires
-    /// SSI flag entries and SIREAD registrations (a transaction
-    /// committed at or below the horizon cannot be concurrent with any
-    /// live or future one). The pass also drives the copy-on-write
-    /// reclamation clock: chain snapshots retired by writers are freed
-    /// here once their grace period has run out every possible reader
-    /// (`cow_reclaimed` in the statistics). Returns the number of
-    /// records reclaimed.
+    /// The calling thread's reclaim slot (a locality hint — see the
+    /// module docs' *Reclamation* section).
+    #[inline]
+    fn my_slot(&self) -> usize {
+        thread_slot() % RECLAIM_SLOTS
+    }
+
+    /// Hands a swapped-out snapshot to the caller's retire bin. The
+    /// slot mutex is a leaf, so this may run under a shard writer latch.
+    fn retire(&self, node: RetiredNode) {
+        let mut state = self.reclaim[self.my_slot()].state.lock();
+        state.bin.push_back(node);
+    }
+
+    /// The tail of a writer commit: queues the write set for pruning in
+    /// the committing thread's slot and, every [`RECLAIM_EVERY`]-th
+    /// commit of that slot, runs one reclamation batch.
+    fn queue_reclaim(&self, commit_ts: Ts, write_set: &[Oid]) {
+        let slot = self.my_slot();
+        let commits = {
+            let mut state = self.reclaim[slot].state.lock();
+            state
+                .queue
+                .extend(write_set.iter().map(|&oid| (commit_ts, oid)));
+            state.queued += write_set.len();
+            state.commits = state.commits.wrapping_add(1);
+            state.commits
+        };
+        if commits.is_multiple_of(RECLAIM_EVERY) {
+            self.reclaim_batch(slot, commits.is_multiple_of(SSI_PURGE_EVERY));
+        }
+    }
+
+    /// One bounded reclamation batch on behalf of `slot`: prunes the
+    /// chains its queue's due head entries name (one shard latch each),
+    /// helps one other slot with what budget is left, then frees the
+    /// retired snapshots whose grace period ran out — with no latch
+    /// held. Never visits all shards, buckets or slots.
+    fn reclaim_batch(&self, slot: usize, purge_ssi: bool) {
+        // The reclamation decision point — outside every latch (pins
+        // are never held across yield sites, so reclamation never waits
+        // on a parked thread).
+        finecc_chaos::yield_point(finecc_chaos::Site::CowReclaim);
+        let horizon = self.gc_horizon();
+        if let (Some(ssi), true) = (&self.ssi, purge_ssi) {
+            ssi.purge(horizon);
+        }
+        let free_horizon = self.rcu.try_advance();
+        let mut due = Vec::new();
+        let mut garbage = Vec::new();
+        let own = &self.reclaim[slot];
+        let budget = {
+            let mut state = own.state.lock();
+            let budget = RECLAIM_BATCH.max(2 * std::mem::take(&mut state.queued));
+            state.pop_due(horizon, budget, &mut due);
+            state.pop_garbage(free_horizon, &mut garbage);
+            budget
+        };
+        if due.len() < budget {
+            // An idle thread's slot must not strand its versions: spend
+            // the spare budget on another slot, and move on to the next
+            // one once this one has nothing more due. (A slot that is
+            // locked right now is in use and needs no help; the cursor
+            // passing over `slot` itself finds nothing left to pop.)
+            let helped = own.help_next.load(Ordering::Relaxed) % RECLAIM_SLOTS;
+            if let Some(mut other) = self.reclaim[helped].state.try_lock() {
+                other.pop_due(horizon, budget - due.len(), &mut due);
+                other.pop_garbage(free_horizon, &mut garbage);
+            }
+            if due.len() < budget {
+                own.help_next.store(helped + 1, Ordering::Relaxed);
+            }
+        }
+        let mut reclaimed = 0;
+        for &oid in &due {
+            #[cfg(test)]
+            RECLAIM_LATCHES.with(|n| n.set(n.get() + 1));
+            let shard = self.shard(oid);
+            let _latch = shard.writer.lock();
+            let map_cell = shard.map_for(oid);
+            let map = map_cell.load_exclusive();
+            // An earlier entry of the same object may have pruned past
+            // this one already.
+            let Some(cell) = map.get(&oid) else { continue };
+            let records = &cell.records.load_exclusive().records;
+            let Some(keep) = surviving(records, horizon) else {
+                continue;
+            };
+            reclaimed += records.len() - keep.len();
+            if keep.is_empty() {
+                let mut next = map.clone();
+                next.remove(&oid);
+                self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
+            } else {
+                let old = cell.records.swap(Chain { records: keep }, &self.rcu);
+                self.retire(RetiredNode::Chain(old));
+            }
+        }
+        if reclaimed > 0 {
+            self.stats.versions_reclaimed.add(reclaimed as u64);
+        }
+        if !garbage.is_empty() {
+            self.stats.cow_reclaimed.add(garbage.len() as u64);
+        }
+        // `garbage` drops here: the frees run with every latch released.
+    }
+
+    /// The explicit **full sweep** (tests, maintenance — the commit
+    /// path never runs it; see the module docs' *Reclamation* section):
+    /// drops every version record, of every chain of every bucket,
+    /// whose commit timestamp is at or below the horizon — no active or
+    /// future snapshot can ever need to reconstruct *past* such a
+    /// record — and drains every slot's reclaim queue of the entries
+    /// that covers. At [`IsolationLevel::Serializable`] the same horizon
+    /// also retires SSI flag entries and SIREAD registrations (a
+    /// transaction committed at or below the horizon cannot be
+    /// concurrent with any live or future one). The pass also drives
+    /// the copy-on-write reclamation clock through two grace periods
+    /// and frees every slot's retired snapshots no reader can still
+    /// hold (`cow_reclaimed` in the statistics) — all of them when no
+    /// read is in flight. Returns the number of records reclaimed.
     pub fn gc(&self) -> usize {
-        // The copy-on-write reclamation decision point — outside every
-        // latch (pins are never held across yield sites, so GC never
-        // waits on a parked thread).
+        // The reclamation decision point — outside every latch (pins
+        // are never held across yield sites, so GC never waits on a
+        // parked thread).
         finecc_chaos::yield_point(finecc_chaos::Site::CowReclaim);
         let horizon = self.gc_horizon();
         if let Some(ssi) = &self.ssi {
@@ -1462,24 +1712,16 @@ impl MvccHeap {
         }
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
-            let mut bin = shard.writer.lock();
+            let _latch = shard.writer.lock();
             for map_cell in shard.maps.iter() {
                 let map = map_cell.load_exclusive();
                 let mut removed: Vec<Oid> = Vec::new();
                 let mut swaps: Vec<(Arc<ChainCell>, Vec<Arc<VersionRecord>>)> = Vec::new();
                 for (&oid, cell) in map.iter() {
                     let records = &cell.records.load_exclusive().records;
-                    let keep: Vec<Arc<VersionRecord>> = records
-                        .iter()
-                        .filter(|r| {
-                            let cts = r.ts();
-                            cts == TS_PENDING || cts > horizon
-                        })
-                        .cloned()
-                        .collect();
-                    if keep.len() == records.len() {
+                    let Some(keep) = surviving(records, horizon) else {
                         continue;
-                    }
+                    };
                     reclaimed += records.len() - keep.len();
                     if keep.is_empty() {
                         removed.push(oid);
@@ -1501,33 +1743,33 @@ impl MvccHeap {
                 });
                 for (cell, records) in swaps {
                     let old = cell.records.swap(Chain { records }, &self.rcu);
-                    bin.push(RetiredNode::Chain(old));
+                    self.retire(RetiredNode::Chain(old));
                 }
                 if let Some(next) = next {
-                    let old = map_cell.swap(next, &self.rcu);
-                    bin.push(RetiredNode::Map(old));
+                    self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
                 }
             }
         }
         self.stats.versions_reclaimed.add(reclaimed as u64);
-        self.collect_retired();
-        reclaimed
-    }
-
-    /// Frees retired copy-on-write snapshots whose grace period has
-    /// passed. GC-path only; never touched by readers.
-    fn collect_retired(&self) {
-        let horizon = self.rcu.try_advance();
-        let mut freed = 0u64;
-        for shard in self.shards.iter() {
-            let mut bin = shard.writer.lock();
-            let before = bin.len();
-            bin.retain(|node| node.era() >= horizon);
-            freed += (before - bin.len()) as u64;
+        // Two grace periods clear everything retired up to here, unless
+        // a reader is pinned right now (then its era's nodes wait).
+        self.rcu.try_advance();
+        let free_horizon = self.rcu.try_advance();
+        let mut freed = 0;
+        for slot in self.reclaim.iter() {
+            let mut garbage = Vec::new();
+            {
+                let mut state = slot.state.lock();
+                // The sweep pruned whatever these entries name.
+                state.queue.retain(|&(ts, _)| ts > horizon);
+                state.pop_garbage(free_horizon, &mut garbage);
+            }
+            freed += garbage.len();
         }
         if freed > 0 {
-            self.stats.cow_reclaimed.add(freed);
+            self.stats.cow_reclaimed.add(freed as u64);
         }
+        reclaimed
     }
 
     /// Number of live version records across all chains (diagnostics).
@@ -1601,8 +1843,8 @@ impl std::fmt::Display for MvccWriteError {
 
 impl std::error::Error for MvccWriteError {}
 
-/// Why [`MvccHeap::commit`] refused a transaction. On either variant
-/// the transaction is fully rolled back (as by [`MvccHeap::abort`])
+/// Why [`MvccHeap::commit`] refused a transaction. On the first two
+/// variants the transaction is fully rolled back (as by [`MvccHeap::abort`])
 /// and its drawn timestamp is published as a *skip*, keeping the
 /// watermark prefix dense — callers retry on a fresh snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1614,6 +1856,10 @@ pub enum CommitError {
     /// transient (the log degrades batch by batch), so the error is
     /// retryable.
     LogIo(String),
+    /// The transaction is not registered with the heap — never begun,
+    /// or already committed or aborted. Nothing was touched and no
+    /// timestamp was drawn; retrying cannot help.
+    UnknownTxn(TxnId),
 }
 
 impl From<SsiConflict> for CommitError {
@@ -1627,6 +1873,9 @@ impl std::fmt::Display for CommitError {
         match self {
             CommitError::Ssi(c) => c.fmt(f),
             CommitError::LogIo(m) => write!(f, "write-ahead log failure: {m}"),
+            CommitError::UnknownTxn(t) => {
+                write!(f, "transaction {t} is not registered with the mvcc heap")
+            }
         }
     }
 }
@@ -1911,6 +2160,302 @@ mod tests {
         heap.begin(TxnId(2));
         assert_eq!(heap.read(TxnId(2), o, x), Ok(Value::Int(2)));
         heap.abort(TxnId(2));
+    }
+
+    /// Storm width: `FINECC_TEST_THREADS` (default 8; CI runs 16).
+    fn test_threads() -> usize {
+        std::env::var("FINECC_TEST_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8)
+    }
+
+    /// A seeded xorshift stream — the storms below pick objects from it,
+    /// so a failure names a schedule-independent input.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    fn reclaim_latches() -> u64 {
+        RECLAIM_LATCHES.with(|n| n.get())
+    }
+
+    /// Every reclaim slot's queue and bin is empty.
+    fn slots_are_empty(heap: &MvccHeap) -> bool {
+        heap.reclaim.iter().all(|slot| {
+            let state = slot.state.lock();
+            state.queue.is_empty() && state.bin.is_empty()
+        })
+    }
+
+    #[test]
+    fn commit_of_an_unknown_txn_is_a_typed_error() {
+        let (_, heap, a, x, _) = setup();
+        let o = heap.base().create(a);
+        assert_eq!(
+            heap.commit(TxnId(9)),
+            Err(CommitError::UnknownTxn(TxnId(9)))
+        );
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        let ts = heap.commit(TxnId(1)).unwrap();
+        // A second commit of the same transaction is just as unknown,
+        // and draws no timestamp.
+        assert_eq!(
+            heap.commit(TxnId(1)),
+            Err(CommitError::UnknownTxn(TxnId(1)))
+        );
+        assert_eq!(heap.current_ts(), ts);
+        let m = heap.stats.snapshot();
+        assert_eq!((m.begins, m.commits, m.aborts, m.ts_skips), (1, 1, 0, 0));
+    }
+
+    #[test]
+    fn abort_of_an_unknown_txn_is_a_counted_no_op() {
+        let (_, heap, a, x, _) = setup();
+        let o = heap.base().create(a);
+        assert_eq!(heap.abort(TxnId(9)), 0);
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        assert_eq!(heap.abort(TxnId(1)), 1);
+        assert_eq!(heap.abort(TxnId(1)), 0, "already ended");
+        assert_eq!(heap.base().read(o, x), Ok(Value::Int(0)));
+        let m = heap.stats.snapshot();
+        assert_eq!((m.begins, m.aborts), (1, 3));
+        assert_eq!(m.versions_created, m.versions_reclaimed);
+    }
+
+    #[test]
+    fn reclamation_never_stops_the_world_on_the_commit_path() {
+        // 10,000 single-object commits over `threads` disjoint object
+        // sets: no commit call may take more reclamation latches than
+        // one batch's budget (never a sweep of all 64 shards), and the
+        // whole run takes at most two per committed object.
+        const COMMITS: u64 = 10_000;
+        const OBJECTS: usize = 64;
+        let (_, heap, a, x, _) = setup();
+        let threads = test_threads() as u64;
+        let per_thread = COMMITS / threads;
+        let total_latches = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
+                let (heap, total_latches) = (&heap, &total_latches);
+                s.spawn(move || {
+                    let mut next = rng(0x5eed ^ t);
+                    let start = reclaim_latches();
+                    for i in 0..per_thread {
+                        let txn = TxnId(t << 32 | (i + 1));
+                        heap.begin(txn);
+                        let oid = oids[next() as usize % OBJECTS];
+                        heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
+                        let before = reclaim_latches();
+                        heap.commit(txn).unwrap();
+                        let taken = reclaim_latches() - before;
+                        assert!(
+                            taken <= RECLAIM_BATCH as u64,
+                            "one commit took {taken} reclamation latches"
+                        );
+                    }
+                    total_latches.fetch_add(reclaim_latches() - start, Ordering::Relaxed);
+                });
+            }
+        });
+        let committed = per_thread * threads;
+        assert_eq!(heap.stats.snapshot().commits, committed);
+        let total = total_latches.load(Ordering::Relaxed);
+        assert!(
+            total <= 2 * committed,
+            "{total} latches for {committed} objects"
+        );
+    }
+
+    #[test]
+    fn nothing_a_pinned_snapshot_needs_is_pruned() {
+        // Writers storm a few hundred objects while one snapshot stays
+        // pinned and latch-free readers keep re-reading through it:
+        // every read must return the value at the pin, whatever the
+        // batches prune around it.
+        const OBJECTS: usize = 300;
+        const TXNS_PER_WRITER: u64 = 400;
+        let (_, heap, a, x, y) = setup();
+        let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
+        for (i, &oid) in oids.iter().enumerate() {
+            let txn = TxnId(1 << 40 | i as u64);
+            heap.begin(txn);
+            heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
+            heap.commit(txn).unwrap();
+        }
+        let pinned = heap.snapshot();
+        let writers = (test_threads() / 2).max(1) as u64;
+        let readers = (test_threads() / 2).max(1) as u64;
+        let writers_left = AtomicU64::new(writers);
+        std::thread::scope(|s| {
+            for w in 0..writers {
+                let (heap, oids, writers_left) = (&heap, &oids, &writers_left);
+                s.spawn(move || {
+                    let mut next = rng(0xabcd ^ w);
+                    for i in 0..TXNS_PER_WRITER {
+                        let txn = TxnId((w + 1) << 32 | i);
+                        heap.begin(txn);
+                        // One or two objects, both fields of the first:
+                        // new versions, merges, and — when two writers
+                        // meet — first-updater-wins aborts.
+                        let first = oids[next() as usize % OBJECTS];
+                        let second = oids[next() as usize % OBJECTS];
+                        let v = Value::Int(-(i as i64) - 1);
+                        let ok = heap.write(txn, first, x, v.clone()).is_ok()
+                            && heap.write(txn, first, y, v.clone()).is_ok()
+                            && (i % 2 == 0 || heap.write(txn, second, x, v).is_ok());
+                        if ok {
+                            heap.commit(txn).unwrap();
+                        } else {
+                            heap.abort(txn);
+                        }
+                    }
+                    writers_left.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for r in 0..readers {
+                let (pinned, oids, writers_left) = (&pinned, &oids, &writers_left);
+                s.spawn(move || {
+                    let mut next = rng(0x1234 ^ r);
+                    while writers_left.load(Ordering::SeqCst) > 0 {
+                        let i = next() as usize % OBJECTS;
+                        assert_eq!(pinned.read(oids[i], x), Ok(Value::Int(i as i64)));
+                        assert_eq!(pinned.read(oids[i], y), Ok(Value::Int(0)));
+                    }
+                });
+            }
+        });
+        for (i, &oid) in oids.iter().enumerate() {
+            assert_eq!(pinned.read(oid, x), Ok(Value::Int(i as i64)));
+        }
+        drop(pinned);
+        // Every session has ended: one full sweep leaves nothing.
+        heap.gc();
+        assert_eq!(heap.live_versions(), 0);
+        assert_eq!(heap.live_chains(), 0);
+        let m = heap.stats.snapshot();
+        assert_eq!(m.versions_created, m.versions_reclaimed);
+        assert_eq!(m.begins, m.commits + m.aborts);
+        assert!(
+            slots_are_empty(&heap),
+            "a slot kept a queue entry or a node"
+        );
+    }
+
+    #[test]
+    fn an_idle_threads_slot_does_not_strand_versions() {
+        const STRANDED: u64 = 1_000;
+        let (_, heap, a, x, _) = setup();
+        let theirs: Vec<Oid> = (0..STRANDED).map(|_| heap.base().create(a)).collect();
+        let mine: Vec<Oid> = (0..16).map(|_| heap.base().create(a)).collect();
+        // Thread A commits 1,000 single-object transactions under an
+        // open snapshot — so its own batches can prune none of them —
+        // and stops for good.
+        let pinned = heap.snapshot();
+        std::thread::scope(|s| {
+            let heap = &heap;
+            s.spawn(move || {
+                for (i, &oid) in theirs.iter().enumerate() {
+                    let txn = TxnId(1 << 32 | i as u64);
+                    heap.begin(txn);
+                    heap.write(txn, oid, x, Value::Int(1)).unwrap();
+                    heap.commit(txn).unwrap();
+                }
+            });
+        });
+        assert_eq!(heap.live_versions() as u64, STRANDED);
+        drop(pinned);
+        // Thread B keeps committing on other objects; nobody calls
+        // `gc()`. Its batches' spare budget drains A's queue.
+        std::thread::scope(|s| {
+            let heap = &heap;
+            s.spawn(move || {
+                for i in 0..4_000u64 {
+                    let txn = TxnId(2 << 32 | i);
+                    heap.begin(txn);
+                    heap.write(txn, mine[i as usize % mine.len()], x, Value::Int(2))
+                        .unwrap();
+                    heap.commit(txn).unwrap();
+                }
+            });
+        });
+        let left = heap.live_versions();
+        assert!(
+            left <= RECLAIM_EVERY as usize,
+            "{left} versions stranded in an idle thread's slot"
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_leaves_no_version_behind() {
+        let (schema, _, a, x, _) = setup();
+        let dir = std::env::temp_dir().join(format!("finecc-heap-ckpt-gc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Arc::new(Database::new(schema));
+        let wal = Arc::new(Wal::open(&dir, WalConfig::default()).unwrap());
+        let heap = MvccHeap::with_wal(db, IsolationLevel::Snapshot, wal).unwrap();
+        let oids: Vec<Oid> = (0..100).map(|_| heap.create(a)).collect();
+        for (i, &oid) in oids.iter().enumerate() {
+            let txn = TxnId(i as u64 + 1);
+            heap.begin(txn);
+            heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
+            heap.commit(txn).unwrap();
+        }
+        heap.checkpoint().unwrap();
+        assert_eq!(heap.live_versions(), 0);
+        assert_eq!(heap.live_chains(), 0);
+        assert!(slots_are_empty(&heap));
+        drop(heap);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn transactions_may_cross_threads() {
+        // Begin on one thread, write on a second, commit (or abort) on
+        // a third: the thread slot is a locality hint, nothing more.
+        let (_, heap, a, x, y) = setup();
+        let oids: Vec<Oid> = (0..40).map(|_| heap.base().create(a)).collect();
+        let hop = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        for (i, &oid) in oids.iter().enumerate() {
+            let txn = TxnId(i as u64 + 1);
+            hop(&|| {
+                heap.begin(txn);
+            });
+            hop(&|| {
+                heap.write(txn, oid, x, Value::Int(7)).unwrap();
+                heap.write(txn, oid, y, Value::Int(8)).unwrap();
+            });
+            hop(&|| {
+                if i % 2 == 0 {
+                    heap.commit(txn).unwrap();
+                } else {
+                    assert_eq!(heap.abort(txn), 1);
+                }
+            });
+        }
+        for (i, &oid) in oids.iter().enumerate() {
+            let want = if i % 2 == 0 { (7, 8) } else { (0, 0) };
+            assert_eq!(heap.base().read(oid, x), Ok(Value::Int(want.0)));
+            assert_eq!(heap.base().read(oid, y), Ok(Value::Int(want.1)));
+            let snap = heap.snapshot();
+            assert_eq!(snap.read(oid, x), Ok(Value::Int(want.0)));
+        }
+        heap.gc();
+        let m = heap.stats.snapshot();
+        assert_eq!((m.begins, m.commits, m.aborts), (40, 20, 20));
+        assert_eq!(m.versions_created, 40);
+        assert_eq!(m.versions_created, m.versions_reclaimed);
+        assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
+        assert!(slots_are_empty(&heap));
     }
 
     #[test]

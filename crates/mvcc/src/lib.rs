@@ -36,8 +36,10 @@
 //!   guaranteed to commit — validation cannot fail later.
 //! * **Garbage collection** — epoch-based: active snapshots pin a
 //!   horizon; versions committed at or before the horizon can never be
-//!   demanded again and are reclaimed ([`MvccHeap::gc`], also run
-//!   opportunistically every few commits).
+//!   demanded again and are reclaimed — by the committing threads
+//!   themselves, a small batch every few commits (the `heap` module's
+//!   *Reclamation* section), or all at once by the explicit
+//!   [`MvccHeap::gc`] sweep.
 //! * **Isolation levels** ([`IsolationLevel`]) — the heap runs at plain
 //!   [`IsolationLevel::Snapshot`] (write skew possible, commit
 //!   infallible) or at [`IsolationLevel::Serializable`], which layers

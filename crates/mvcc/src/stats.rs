@@ -41,7 +41,7 @@ finecc_obs::counters! {
         /// path's only loop; it resolves on the next iteration).
         read_retries: Counter "finecc.mvcc.read_retries",
         /// Reclamation-era races during reader pinning (bounded retry of
-        /// two atomic ops; fires at most around GC passes).
+        /// two atomic ops; fires at most around reclamation batches).
         read_pin_retries: Counter "finecc.mvcc.read_pin_retries",
         /// Commit publications that hit the watermark ring's overflow
         /// fallback (more in-flight commits than ring slots).

@@ -285,6 +285,12 @@ impl CcScheme for MvccScheme {
             // The heap already rolled the transaction back and skip-
             // published the drawn timestamp; the failure is retryable.
             CommitError::LogIo(m) => ExecError::LogIo(m),
+            // Not this scheme's transaction (or one already ended):
+            // nothing was touched, and a re-run would fare no better.
+            e @ CommitError::UnknownTxn(_) => ExecError::ConcurrencyAbort {
+                deadlock: false,
+                msg: e.to_string(),
+            },
         })
     }
 
@@ -424,6 +430,24 @@ mod tests {
         assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(0));
         assert_eq!(s.env().read_named(o2, "c2", "f1"), Value::Int(0));
         assert_eq!(s.heap().live_versions(), 0);
+    }
+
+    #[test]
+    fn a_transaction_the_heap_does_not_know_is_refused_not_retried() {
+        let (s, _, _) = setup();
+        let stranger = Txn::with_snapshot_ts(TxnId(1 << 40), 0);
+        let err = s.commit(stranger).unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::ConcurrencyAbort {
+                deadlock: false,
+                ..
+            }
+        ));
+        assert!(!err.is_retryable(), "{err}");
+        // Aborting one is a no-op rather than a panic.
+        s.abort(Txn::with_snapshot_ts(TxnId(1 << 40), 0));
+        assert_eq!(s.heap().stats.snapshot().commits, 0);
     }
 
     #[test]

@@ -279,16 +279,24 @@ fn mvcc_snapshot_readers_never_block_and_gc_reclaims() {
         .sum();
     assert_eq!(total, (WRITERS * WRITES_PER_THREAD) as i64);
 
-    // Every snapshot is gone: one GC pass empties the version chains.
+    // The writers' own reclamation batches ran under the readers'
+    // pinned snapshots and pruned nothing those could still demand (the
+    // drift checks above); now every snapshot is gone, and one full
+    // sweep empties the version chains.
     scheme.heap().gc();
     assert_eq!(
         scheme.heap().live_versions(),
         0,
         "GC must reclaim everything"
     );
+    assert_eq!(scheme.heap().live_chains(), 0, "no chain anchor is left");
     let m = scheme.heap().stats.snapshot();
     assert!(m.versions_reclaimed > 0);
     assert_eq!(m.versions_created, m.versions_reclaimed);
+    assert_eq!(m.begins, m.commits + m.aborts);
+    // A second sweep finds nothing: the first left no chain, and it
+    // drained the reclaim queues of every entry it covered.
+    assert_eq!(scheme.heap().gc(), 0);
 }
 
 #[test]

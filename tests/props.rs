@@ -368,9 +368,14 @@ proptest! {
             prop_assert_eq!(got, want, "replay mismatch at {}", oid);
         }
 
-        // (3) No transaction is live: GC reclaims the whole history.
+        // (3) No transaction is live: GC reclaims the whole history —
+        // what the commits' own batches left, and nothing twice.
         heap.gc();
         prop_assert_eq!(heap.live_versions(), 0);
+        prop_assert_eq!(heap.live_chains(), 0);
+        let m = heap.stats.snapshot();
+        prop_assert_eq!(m.versions_created, m.versions_reclaimed);
+        prop_assert_eq!(m.begins, m.commits + m.aborts);
     }
 
     /// Snapshot stability: a snapshot taken mid-history returns the same
@@ -399,7 +404,8 @@ proptest! {
             .map(|&o| snap.read(o, field).expect("object exists"))
             .collect();
         run(&suffix, &heap);
-        // GC while the snapshot is live must not steal its versions.
+        // Neither the suffix's own reclamation batches nor a full GC
+        // while the snapshot is live may steal its versions.
         heap.gc();
         for (i, &oid) in oids.iter().enumerate() {
             prop_assert_eq!(
@@ -409,6 +415,13 @@ proptest! {
                 oid
             );
         }
+        // Once it is released, the history is reclaimable to the last
+        // record and the counters balance.
+        drop(snap);
+        heap.gc();
+        prop_assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
+        let m = heap.stats.snapshot();
+        prop_assert_eq!(m.versions_created, m.versions_reclaimed);
     }
 }
 
