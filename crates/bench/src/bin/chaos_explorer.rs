@@ -35,6 +35,8 @@
 //! * `CHAOS_RECOVERY`    — run the checkpoint/recovery fault sweep
 //! * `CHAOS_DEMO`        — run the known-bug demo instead of the sweep
 
+#![forbid(unsafe_code)]
+
 use finecc_chaos::{FaultKind, FaultPlan, FaultSpec, Site};
 use finecc_obs::MetricsRegistry;
 use finecc_runtime::{DurabilityLevel, SchemeKind};

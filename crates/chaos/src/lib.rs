@@ -40,6 +40,8 @@
 //!   threads. Used by unit tests that inject I/O errors under the
 //!   normal thread interleaving.
 
+#![forbid(unsafe_code)]
+
 mod fault;
 mod rng;
 mod sched;

@@ -19,8 +19,13 @@
 //! * [`commut`] — the generated per-class commutativity matrices
 //!   (**Table 2**), i.e. the translation of access vectors into plain
 //!   access modes (§5.1) so run-time checks are one table lookup.
-//! * [`recovery`] — access vectors as projection patterns for
-//!   before-images (the recovery remark at the end of §3).
+//!
+//! The recovery remark at the end of §3 — a transitive access vector's
+//! write fields as the projection pattern for before-images — is
+//! `finecc-store`'s `UndoLog::record_projection` over
+//! [`AccessVector::write_fields`].
+
+#![forbid(unsafe_code)]
 
 pub mod adhoc;
 pub mod av;
@@ -31,7 +36,6 @@ pub mod extract;
 pub mod graph;
 pub mod incremental;
 pub mod mode;
-pub mod recovery;
 pub mod tarjan;
 
 pub use adhoc::{AdHocError, AdHocRelations, AppliedReport};
@@ -43,4 +47,3 @@ pub use extract::{extract, Extraction};
 pub use graph::LbrGraph;
 pub use incremental::{recompile, RecompileReport};
 pub use mode::AccessMode;
-pub use recovery::{before_image, write_projection};

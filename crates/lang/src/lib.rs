@@ -36,6 +36,8 @@
 //!   `expr(...)`/`cond(...)` functions, with deterministic,
 //!   type-preserving defaults.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod ast;
 pub mod builtins;

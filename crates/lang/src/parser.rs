@@ -64,11 +64,6 @@ impl MethodBodies {
         &self.bodies[id.index()]
     }
 
-    /// Shared handle to a body.
-    pub fn body_arc(&self, id: MethodId) -> Arc<Block> {
-        Arc::clone(&self.bodies[id.index()])
-    }
-
     /// Number of bodies (equals the schema's method count).
     pub fn len(&self) -> usize {
         self.bodies.len()

@@ -19,13 +19,6 @@ pub fn program_to_string(p: &Program) -> String {
     out
 }
 
-/// Renders one class declaration.
-pub fn class_to_string(c: &ClassSource) -> String {
-    let mut out = String::new();
-    class_to_string_into(&mut out, c);
-    out
-}
-
 fn class_to_string_into(out: &mut String, c: &ClassSource) {
     write!(out, "class {}", c.name).unwrap();
     if !c.parents.is_empty() {

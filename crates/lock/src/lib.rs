@@ -25,6 +25,8 @@
 //!   deterministic simulation,
 //! * full statistics (requests, blocks, deadlocks, upgrades, …).
 
+#![forbid(unsafe_code)]
+
 pub mod deadlock;
 pub mod entry;
 pub mod manager;

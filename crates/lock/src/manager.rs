@@ -7,7 +7,7 @@ use crate::resource::ResourceId;
 use crate::shard::{shard_of, EntryShard, Table, TxnShard, SHARDS};
 use crate::stats::LockStats;
 use finecc_model::TxnId;
-use finecc_obs::{ContentionKind, EventKind, ObjKey, Obs, Phase};
+use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -160,24 +160,12 @@ impl<S: ModeSource> LockManager<S> {
         self
     }
 
-    /// Records a *granted* blocked wait: the wait histogram, plus a
-    /// trace `block` span when the transaction is sampled.
-    fn note_granted_wait(&self, txn: TxnId, res: &ResourceId, started: Instant) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let ns = started.elapsed().as_nanos() as u64;
-        self.obs.record_phase_ns(Phase::LockWait, ns);
-        if self.obs.trace_sampled(txn.0) {
-            let oid = match res {
-                ResourceId::Instance(o, _) | ResourceId::Tuple(_, o) | ResourceId::Field(o, _) => {
-                    o.0
-                }
-                _ => 0,
-            };
-            let now = self.obs.now_ns();
-            self.obs
-                .emit(EventKind::Block, now.saturating_sub(ns), ns, txn.0, oid);
+    /// Records a *granted* blocked wait into the [`Phase::LockWait`]
+    /// histogram.
+    fn note_granted_wait(&self, started: Instant) {
+        if self.obs.is_enabled() {
+            let ns = started.elapsed().as_nanos() as u64;
+            self.obs.record_phase_ns(Phase::LockWait, ns);
         }
     }
 
@@ -321,7 +309,7 @@ impl<S: ModeSource> LockManager<S> {
                 if first {
                     self.note_held(txn, res);
                 }
-                self.note_granted_wait(txn, &res, blocked_at);
+                self.note_granted_wait(blocked_at);
                 return Ok(());
             }
             let timed_out = if chaos {

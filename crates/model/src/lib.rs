@@ -25,6 +25,8 @@
 //! Method *bodies* are not stored here; they live in `finecc-lang` as ASTs
 //! keyed by [`MethodId`], keeping this crate independent of the language.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod ids;
 pub mod instance;

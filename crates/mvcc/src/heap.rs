@@ -135,9 +135,9 @@
 //! already bumps (ww conflicts under the shard writer latch, read
 //! retries and SSI aborts outside every latch); the registry stripe it
 //! takes is a leaf lock nested inside nothing. The latch-free **read
-//! path records nothing** — no histogram, no registry touch on a
-//! clean read; its only probe is the trace sampler's single branch,
-//! false whenever tracing is off.
+//! path carries no probe** — no histogram, no registry touch, no
+//! branch on the handle on a clean read; only its (rare) retry path
+//! attributes the retry.
 
 use crate::cow::{thread_slot, CowCell, Pin, Rcu, Retired};
 use crate::ssi::{SsiTracker, SsiVerdict};
@@ -145,7 +145,7 @@ use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts, TS_PENDING};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
-use finecc_obs::{ContentionKind, EventKind, ObjKey, Obs, Phase};
+use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
 use parking_lot::Mutex;
@@ -992,15 +992,6 @@ impl MvccHeap {
             }
         }
         self.stats.snapshot_reads.bump();
-        // Lifecycle trace: one sampled instant per read. The sampler is
-        // a single branch, false whenever tracing is off — the only
-        // thing the latch-free read path ever asks of observability.
-        if let Some(txn) = as_txn {
-            if self.obs.trace_sampled(txn.0) {
-                self.obs
-                    .emit(EventKind::Read, self.obs.now_ns(), 0, txn.0, oid.0);
-            }
-        }
         Ok(value)
     }
 
@@ -1132,7 +1123,7 @@ impl MvccHeap {
             let cts = rec.ts();
             if cts == TS_PENDING {
                 self.stats.write_conflicts.bump();
-                self.note_ww_conflict(txn, oid, field);
+                self.note_ww_conflict(oid, field);
                 return Err(MvccWriteError::Conflict(MvccConflict {
                     oid,
                     field,
@@ -1141,7 +1132,7 @@ impl MvccHeap {
             }
             if cts > snapshot_ts {
                 self.stats.write_conflicts.bump();
-                self.note_ww_conflict(txn, oid, field);
+                self.note_ww_conflict(oid, field);
                 return Err(MvccWriteError::Conflict(MvccConflict {
                     oid,
                     field,
@@ -1235,45 +1226,27 @@ impl MvccHeap {
                 self.stats.ssi_edges.add(edges);
             }
         }
-        if self.obs.trace_sampled(txn.0) {
-            self.obs
-                .emit(EventKind::Write, self.obs.now_ns(), 0, txn.0, oid.0);
-        }
         Ok(outcome)
     }
 
-    /// Attributes a first-updater-wins refusal to the contended field
-    /// (and emits a `conflict` trace instant when sampled). Called
-    /// under the shard writer latch; the registry stripe is a leaf
-    /// lock, so no ordering issue arises.
-    fn note_ww_conflict(&self, txn: TxnId, oid: Oid, field: FieldId) {
+    /// Attributes a first-updater-wins refusal to the contended field.
+    /// Called under the shard writer latch; the registry stripe is a
+    /// leaf lock, so no ordering issue arises.
+    fn note_ww_conflict(&self, oid: Oid, field: FieldId) {
         self.obs
             .contend(ObjKey::Field(oid.0, field.0), ContentionKind::WwConflict);
-        if self.obs.trace_sampled(txn.0) {
-            self.obs
-                .emit(EventKind::Conflict, self.obs.now_ns(), 0, txn.0, oid.0);
-        }
     }
 
     /// Attributes an SSI dangerous-structure abort: to the smallest
     /// OID in the pivot's write set (deterministic, and exactly one
     /// attribution per abort so registry totals match `ssi_aborts`),
     /// or unattributed for a read-only victim.
-    fn note_ssi_abort(&self, txn: TxnId, state: &TxnState) {
+    fn note_ssi_abort(&self, state: &TxnState) {
         let key = state
             .write_set
             .first()
             .map_or(ObjKey::Unattributed, |o| ObjKey::Instance(o.0));
         self.obs.contend(key, ContentionKind::SsiAbort);
-        if self.obs.trace_sampled(txn.0) {
-            self.obs.emit(
-                EventKind::Conflict,
-                self.obs.now_ns(),
-                0,
-                txn.0,
-                key.oid().unwrap_or(0),
-            );
-        }
     }
 
     /// Commits `txn`: draws the next commit timestamp from the atomic
@@ -1319,10 +1292,9 @@ impl MvccHeap {
             // (the SI read-only anomaly, Fekete et al. 2004).
             if let Some(ssi) = &self.ssi {
                 if let SsiVerdict::Abort(c) = ssi.validate_and_commit(txn, state.epoch.ts) {
-                    self.note_ssi_abort(txn, &state);
-                    self.epochs.unregister(state.epoch);
+                    self.note_ssi_abort(&state);
                     self.stats.ssi_aborts.bump();
-                    self.stats.aborts.bump();
+                    self.discard(txn, &state);
                     return Err(c.into());
                 }
             }
@@ -1344,31 +1316,9 @@ impl MvccHeap {
             // transaction in the tracker; the timestamp becomes visible
             // to snapshots only below, after every record is flipped.
             if let SsiVerdict::Abort(c) = ssi.validate_and_commit(txn, commit_ts) {
-                // The drawn timestamp must still reach the watermark —
-                // as a skip — or the contiguous prefix would stall
-                // forever. Nothing was flipped at `commit_ts`, so a
-                // snapshot there observes exactly the state at
-                // `commit_ts - 1`. The skip is logged before it is
-                // published so recovery restores the hole, but the
-                // append never waits for a sync: a lost skip is
-                // harmless (any later durable commit covers the frame;
-                // a reused trailing skip timestamp flipped nothing).
-                if let Some(wal) = &self.wal {
-                    // Best-effort even on a degraded log: a lost skip
-                    // is harmless (see above), so a failed append must
-                    // not escalate an SSI refusal into a panic.
-                    let _ = wal.append_skip(commit_ts);
-                }
-                if self.watermark.publish(commit_ts) {
-                    self.stats.watermark_waits.bump();
-                }
-                self.stats.ts_skips.bump();
-                self.note_ssi_abort(txn, &state);
-                let rolled_back = self.rollback_writes(txn, &state);
-                self.stats.versions_reclaimed.add(rolled_back as u64);
-                self.epochs.unregister(state.epoch);
+                self.note_ssi_abort(&state);
                 self.stats.ssi_aborts.bump();
-                self.stats.aborts.bump();
+                self.refuse_commit(txn, &state, commit_ts);
                 return Err(c.into());
             }
         }
@@ -1419,25 +1369,12 @@ impl MvccHeap {
             finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
             if let Err(e) = wal.append_commit(commit_ts, txn, &writes) {
                 // Graceful degradation: the record never reached the
-                // log, so the commit must not happen — but the drawn
-                // timestamp must still reach the watermark or the
-                // contiguous prefix stalls forever. Publish it as a
-                // skip (best-effort on the log; a lost skip is
-                // harmless, see the SSI-refusal path above) and roll
-                // the transaction back. The SSI tracker has already
-                // recorded the transaction as committed at
+                // log, so the commit must not happen. The SSI tracker
+                // has already recorded the transaction as committed at
                 // `commit_ts`; leaving that in place is conservative —
                 // it can only produce false-positive aborts of rivals,
                 // never a missed conflict.
-                let _ = wal.append_skip(commit_ts);
-                if self.watermark.publish(commit_ts) {
-                    self.stats.watermark_waits.bump();
-                }
-                self.stats.ts_skips.bump();
-                let rolled_back = self.rollback_writes(txn, &state);
-                self.stats.versions_reclaimed.add(rolled_back as u64);
-                self.epochs.unregister(state.epoch);
-                self.stats.aborts.bump();
+                self.refuse_commit(txn, &state, commit_ts);
                 return Err(CommitError::LogIo(e.to_string()));
             }
         }
@@ -1474,18 +1411,47 @@ impl MvccHeap {
             self.watermark.wait_published(commit_ts);
         }
         phases.lap(Phase::CommitPublish);
-        if self.obs.trace_sampled(txn.0) {
-            let dur = phases.elapsed_ns().unwrap_or(0);
-            let now = self.obs.now_ns();
-            self.obs
-                .emit(EventKind::Commit, now.saturating_sub(dur), dur, txn.0, 0);
-        }
         phases.finish(Phase::CommitTotal);
 
         self.epochs.unregister(state.epoch);
         self.stats.commits.bump();
         self.queue_reclaim(commit_ts, &state.write_set);
         Ok(commit_ts)
+    }
+
+    /// The tail of a writer commit refused after its timestamp was
+    /// drawn (SSI validation, a failed redo append). The timestamp must
+    /// still reach the watermark — as a *skip* — or the contiguous
+    /// prefix would stall forever. Nothing was flipped at `commit_ts`,
+    /// so a snapshot there observes exactly the state at
+    /// `commit_ts - 1`. The skip is logged before it is published so
+    /// recovery restores the hole, but the append never waits for a
+    /// sync and is best-effort even on a degraded log: a lost skip is
+    /// harmless (any later durable commit covers the frame; a reused
+    /// trailing skip timestamp flipped nothing), so a failed append
+    /// must not escalate a refusal into a panic. Then the transaction
+    /// is rolled back and ended as by [`MvccHeap::abort`].
+    fn refuse_commit(&self, txn: TxnId, state: &TxnState, commit_ts: Ts) {
+        if let Some(wal) = &self.wal {
+            let _ = wal.append_skip(commit_ts);
+        }
+        if self.watermark.publish(commit_ts) {
+            self.stats.watermark_waits.bump();
+        }
+        self.stats.ts_skips.bump();
+        self.discard(txn, state);
+    }
+
+    /// Rolls `txn`'s writes back and ends it (counted in `aborts`).
+    /// Returns the number of objects rolled back.
+    fn discard(&self, txn: TxnId, state: &TxnState) -> usize {
+        let rolled_back = self.rollback_writes(txn, state);
+        // Abort-discarded records count as reclaimed, so created and
+        // reclaimed balance once GC has drained the committed history.
+        self.stats.versions_reclaimed.add(rolled_back as u64);
+        self.epochs.unregister(state.epoch);
+        self.stats.aborts.bump();
+        rolled_back
     }
 
     /// Removes every pending record `txn` owns and restores its
@@ -1546,13 +1512,7 @@ impl MvccHeap {
         if let Some(ssi) = &self.ssi {
             ssi.forget(txn);
         }
-        let rolled_back = self.rollback_writes(txn, &state);
-        // Abort-discarded records count as reclaimed, so created and
-        // reclaimed balance once GC has drained the committed history.
-        self.stats.versions_reclaimed.add(rolled_back as u64);
-        self.epochs.unregister(state.epoch);
-        self.stats.aborts.bump();
-        rolled_back
+        self.discard(txn, &state)
     }
 
     /// Opens a standalone read snapshot of the latest committed state.
@@ -1799,20 +1759,6 @@ impl MvccHeap {
             .flat_map(|s| s.maps.iter())
             .map(|m| m.load(&pin).len())
             .sum()
-    }
-
-    /// Number of live SIREAD registrations; 0 at
-    /// [`IsolationLevel::Snapshot`] (diagnostics; approximate under
-    /// concurrency).
-    pub fn ssi_siread_entries(&self) -> usize {
-        self.ssi.as_ref().map_or(0, |s| s.siread_entries())
-    }
-
-    /// Number of transactions the SSI tracker still holds flags for
-    /// (live + retained committed); 0 at [`IsolationLevel::Snapshot`]
-    /// (diagnostics; approximate under concurrency).
-    pub fn ssi_tracked_txns(&self) -> usize {
-        self.ssi.as_ref().map_or(0, |s| s.tracked_txns())
     }
 }
 

@@ -51,6 +51,9 @@
 //! `finecc_runtime::schemes::mvcc`, one scheme-matrix entry per
 //! isolation level (`mvcc`, `mvcc-ssi`).
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
 mod cow;
 pub mod heap;
 pub mod snapshot;

@@ -414,20 +414,18 @@ impl SsiTracker {
         }
     }
 
-    /// Number of live SIREAD registrations (diagnostics; shards are
-    /// visited one at a time, so the total is approximate under
-    /// concurrency).
-    pub(crate) fn siread_entries(&self) -> usize {
+    /// Number of live SIREAD registrations.
+    #[cfg(test)]
+    fn siread_entries(&self) -> usize {
         self.readers
             .iter()
             .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
             .sum()
     }
 
-    /// Number of tracked (live or retained-committed) transactions
-    /// (diagnostics; stripes are visited one at a time, so the total is
-    /// approximate under concurrency).
-    pub(crate) fn tracked_txns(&self) -> usize {
+    /// Number of tracked (live or retained-committed) transactions.
+    #[cfg(test)]
+    fn tracked_txns(&self) -> usize {
         self.flags.iter().map(|s| s.lock().len()).sum()
     }
 }

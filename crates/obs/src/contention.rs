@@ -4,24 +4,10 @@
 //! *causing* object: the instance whose lock was held, the OID whose
 //! version chain refused a write, the record an SSI pivot read. The
 //! [`ContentionRegistry`] attributes each such event to an [`ObjKey`]
-//! in a striped hash map, so experiments can render a "hottest
-//! objects" table and (per the ROADMAP) a future adaptive meta-scheme
-//! can pick a policy *per object* from observed contention.
-//!
-//! Two rankings coexist on the same entries:
-//!
-//! * **Cumulative** ([`ContentionRegistry::top_k`]) — raw event totals
-//!   since startup/reset. Deterministic, exact, what the end-of-run
-//!   tables print.
-//! * **Decayed** ([`ContentionRegistry::top_k_decayed`]) — an EWMA
-//!   score per object with a configurable half-life: each event adds
-//!   1.0 after the standing score is decayed by
-//!   `2^-(elapsed / half_life)`. An object hot early in a run loses
-//!   half its score every half-life once the workload moves on, so
-//!   "hottest *now*" differs from "hottest ever" — exactly the signal
-//!   a run-time adaptive meta-scheme needs to route on. Decay is
-//!   computed lazily (on record and on read), so idle objects cost
-//!   nothing.
+//! in a striped hash map of exact event counts, so experiments can
+//! render a "hottest objects" table ([`ContentionRegistry::top_k`]:
+//! cumulative totals since startup, deterministic and
+//! time-independent).
 //!
 //! The registry sits off the hot path by construction: it is only
 //! touched when something already went wrong (a block, a conflict, an
@@ -30,7 +16,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Contention event classes tracked per object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,18 +104,13 @@ impl fmt::Display for ObjKey {
     }
 }
 
-/// One row of the hottest-objects table. `Copy` so a fixed top-K array
-/// can ride in `ExecReport`.
+/// One row of the hottest-objects table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HotObject {
     /// The attributed object.
     pub key: ObjKey,
     /// Event counts indexed by [`ContentionKind`].
     pub counts: [u64; KIND_COUNT],
-    /// EWMA contention score decayed to the ranking instant (equals
-    /// [`HotObject::total`] when ranked cumulatively, or when nothing
-    /// has decayed yet).
-    pub score: f64,
 }
 
 impl HotObject {
@@ -145,27 +125,12 @@ impl HotObject {
     }
 }
 
-/// Per-key state: exact cumulative counts plus the lazily-decayed EWMA.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    counts: [u64; KIND_COUNT],
-    /// EWMA score as of `last_ns`.
-    score: f64,
-    /// Registry-epoch timestamp of the last event.
-    last_ns: u64,
-}
-
 /// Stripes the registry's map is split over.
 const STRIPES: usize = 64;
 
-/// Default half-life for the decayed ranking.
-pub const DEFAULT_HALF_LIFE: Duration = Duration::from_millis(1000);
-
-/// Striped, OID-keyed contention counters with an EWMA recency score.
+/// Striped, OID-keyed contention counters.
 pub struct ContentionRegistry {
-    stripes: Vec<Mutex<HashMap<ObjKey, Entry>>>,
-    epoch: Instant,
-    half_life_ns: u64,
+    stripes: Vec<Mutex<HashMap<ObjKey, [u64; KIND_COUNT]>>>,
 }
 
 impl Default for ContentionRegistry {
@@ -175,62 +140,20 @@ impl Default for ContentionRegistry {
 }
 
 impl ContentionRegistry {
-    /// An empty registry with the default half-life.
+    /// An empty registry.
     pub fn new() -> ContentionRegistry {
-        ContentionRegistry::with_half_life(DEFAULT_HALF_LIFE)
-    }
-
-    /// An empty registry whose decayed scores halve every `half_life`.
-    pub fn with_half_life(half_life: Duration) -> ContentionRegistry {
         ContentionRegistry {
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            epoch: Instant::now(),
-            half_life_ns: (half_life.as_nanos() as u64).max(1),
         }
-    }
-
-    /// The configured half-life in nanoseconds.
-    pub fn half_life_ns(&self) -> u64 {
-        self.half_life_ns
-    }
-
-    /// Nanoseconds since this registry's epoch — the clock
-    /// [`ContentionRegistry::record`] stamps events with and
-    /// [`ContentionRegistry::top_k_decayed`] expects.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// `score * 2^-(dt / half_life)`, in integer-µ-halvings precision.
-    fn decay(&self, score: f64, from_ns: u64, to_ns: u64) -> f64 {
-        let dt = to_ns.saturating_sub(from_ns);
-        if dt == 0 || score == 0.0 {
-            return score;
-        }
-        score * (-(dt as f64 / self.half_life_ns as f64) * std::f64::consts::LN_2).exp()
     }
 
     /// Attributes one event to `key`. Locks one stripe briefly; called
     /// only on contention paths.
     pub fn record(&self, key: ObjKey, kind: ContentionKind) {
-        self.record_at(key, kind, self.now_ns());
-    }
-
-    /// [`ContentionRegistry::record`] with an explicit epoch-relative
-    /// timestamp — the deterministic entry point tests and replay
-    /// drivers use to model a workload shift without sleeping.
-    pub fn record_at(&self, key: ObjKey, kind: ContentionKind, now_ns: u64) {
         let mut map = self.stripes[key.stripe_hash() % STRIPES]
             .lock()
             .expect("contention stripe poisoned");
-        let e = map.entry(key).or_insert(Entry {
-            counts: [0; KIND_COUNT],
-            score: 0.0,
-            last_ns: now_ns,
-        });
-        e.counts[kind as usize] += 1;
-        e.score = self.decay(e.score, e.last_ns, now_ns) + 1.0;
-        e.last_ns = e.last_ns.max(now_ns);
+        map.entry(key).or_insert([0; KIND_COUNT])[kind as usize] += 1;
     }
 
     /// Per-class totals summed across every stripe (the invariant the
@@ -239,8 +162,8 @@ impl ContentionRegistry {
         let mut out = [0u64; KIND_COUNT];
         for stripe in &self.stripes {
             let map = stripe.lock().expect("contention stripe poisoned");
-            for e in map.values() {
-                for (o, c) in out.iter_mut().zip(e.counts.iter()) {
+            for counts in map.values() {
+                for (o, c) in out.iter_mut().zip(counts.iter()) {
                     *o += c;
                 }
             }
@@ -248,67 +171,18 @@ impl ContentionRegistry {
         out
     }
 
-    /// The `k` hottest objects by *cumulative* total events, hottest
+    /// The `k` hottest objects by cumulative total events, hottest
     /// first (ties broken by key for determinism). Exact and
-    /// time-independent; `score` in the rows equals the total.
+    /// time-independent.
     pub fn top_k(&self, k: usize) -> Vec<HotObject> {
         let mut all: Vec<HotObject> = Vec::new();
         for stripe in &self.stripes {
             let map = stripe.lock().expect("contention stripe poisoned");
-            all.extend(map.iter().map(|(key, e)| HotObject {
-                key: *key,
-                counts: e.counts,
-                score: e.counts.iter().sum::<u64>() as f64,
-            }));
+            all.extend(map.iter().map(|(&key, &counts)| HotObject { key, counts }));
         }
         all.sort_by(|a, b| b.total().cmp(&a.total()).then(a.key.cmp(&b.key)));
         all.truncate(k);
         all
-    }
-
-    /// The `k` hottest objects by EWMA score decayed to `now_ns`,
-    /// hottest first — "hottest *now*" rather than "hottest ever".
-    /// Ties (e.g. everything fully decayed to ~0) fall back to
-    /// cumulative total, then key.
-    pub fn top_k_decayed(&self, k: usize, now_ns: u64) -> Vec<HotObject> {
-        let mut all: Vec<HotObject> = Vec::new();
-        for stripe in &self.stripes {
-            let map = stripe.lock().expect("contention stripe poisoned");
-            all.extend(map.iter().map(|(key, e)| HotObject {
-                key: *key,
-                counts: e.counts,
-                score: self.decay(e.score, e.last_ns, now_ns),
-            }));
-        }
-        all.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.total().cmp(&a.total()))
-                .then(a.key.cmp(&b.key))
-        });
-        all.truncate(k);
-        all
-    }
-
-    /// Distinct objects with at least one event.
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("contention stripe poisoned").len())
-            .sum()
-    }
-
-    /// `true` when no event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears every stripe.
-    pub fn reset(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("contention stripe poisoned").clear();
-        }
     }
 }
 
@@ -329,7 +203,6 @@ mod tests {
         assert_eq!(top[0].key, ObjKey::Instance(7));
         assert_eq!(top[0].count(ContentionKind::LockBlock), 5);
         assert_eq!(r.totals(), [5, 1, 0, 1]);
-        assert_eq!(r.len(), 3);
     }
 
     #[test]
@@ -343,68 +216,5 @@ mod tests {
         // Equal totals: ordered by key.
         assert_eq!(top[0].key, ObjKey::Instance(0));
         assert_eq!(top[7].key, ObjKey::Instance(7));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let r = ContentionRegistry::new();
-        r.record(ObjKey::Unattributed, ContentionKind::SsiAbort);
-        assert!(!r.is_empty());
-        r.reset();
-        assert!(r.is_empty());
-        assert_eq!(r.totals(), [0; KIND_COUNT]);
-    }
-
-    #[test]
-    fn score_halves_per_half_life() {
-        let r = ContentionRegistry::with_half_life(Duration::from_nanos(1_000));
-        r.record_at(ObjKey::Instance(1), ContentionKind::LockBlock, 0);
-        let now = r.top_k_decayed(1, 0);
-        assert!((now[0].score - 1.0).abs() < 1e-9);
-        let later = r.top_k_decayed(1, 1_000);
-        assert!(
-            (later[0].score - 0.5).abs() < 1e-9,
-            "one half-life halves the score, got {}",
-            later[0].score
-        );
-        let much_later = r.top_k_decayed(1, 10_000);
-        assert!(much_later[0].score < 0.001, "ten half-lives ≈ zero");
-        // Cumulative ranking is untouched by time.
-        assert_eq!(r.top_k(1)[0].total(), 1);
-    }
-
-    #[test]
-    fn decayed_ranking_tracks_the_workload_shift() {
-        let hl = 1_000u64; // ns
-        let r = ContentionRegistry::with_half_life(Duration::from_nanos(hl));
-        // Phase 1: oid 1 is hammered.
-        for _ in 0..100 {
-            r.record_at(ObjKey::Instance(1), ContentionKind::LockBlock, 0);
-        }
-        // Phase 2, 20 half-lives later: oid 2 gets a handful of events.
-        let t2 = 20 * hl;
-        for _ in 0..3 {
-            r.record_at(ObjKey::Instance(2), ContentionKind::LockBlock, t2);
-        }
-        // Cumulatively oid 1 dominates 100 : 3 …
-        assert_eq!(r.top_k(1)[0].key, ObjKey::Instance(1));
-        // … but decayed to "now", oid 2 is the hot one
-        // (100 * 2^-20 ≈ 0.0001 vs 3).
-        let decayed = r.top_k_decayed(2, t2);
-        assert_eq!(decayed[0].key, ObjKey::Instance(2));
-        assert!(decayed[0].score > 2.9);
-        assert!(decayed[1].score < 0.01);
-    }
-
-    #[test]
-    fn record_compounds_within_a_burst() {
-        let r = ContentionRegistry::with_half_life(Duration::from_nanos(1_000));
-        // Three events at the same instant: score 3.0 exactly.
-        for _ in 0..3 {
-            r.record_at(ObjKey::Instance(5), ContentionKind::ReadRetry, 42);
-        }
-        let top = r.top_k_decayed(1, 42);
-        assert!((top[0].score - 3.0).abs() < 1e-9);
-        assert_eq!(top[0].total(), 3);
     }
 }

@@ -118,16 +118,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for c in self.counts.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// An owned, mergeable copy of a histogram's counters.
@@ -291,12 +281,6 @@ impl ShardedHistogram {
         self.shards[thread_shard()].record(v);
     }
 
-    /// The per-shard histograms (tests verify the merge invariant
-    /// against them).
-    pub fn shards(&self) -> &[Histogram] {
-        &self.shards
-    }
-
     /// Merges every shard into one snapshot.
     pub fn merged(&self) -> HistSnapshot {
         let mut out = HistSnapshot {
@@ -307,13 +291,6 @@ impl ShardedHistogram {
             out.merge(&s.snapshot());
         }
         out
-    }
-
-    /// Resets every shard.
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.reset();
-        }
     }
 }
 

@@ -8,30 +8,20 @@
 //! come in two flavors and both are first-class:
 //!
 //! * **live** — a closure over an `Arc` (the `Obs` handle, the `Wal`,
-//!   the mvcc heap) that re-reads the counters on every pull; this is
-//!   what the background sampler thread samples into a JSONL time
-//!   series while a run is in flight.
+//!   the mvcc heap) that re-reads the counters on every pull.
 //! * **frozen** — a closure over owned values (an `ExecReport`) whose
 //!   samples never change; this is how a finished run is attached
 //!   under its own labels (`finecc-sim`'s `ExecReport::register_metrics`).
 //!
 //! Metric names are dotted (`finecc.mvcc.commits`); the Prometheus
 //! text renderer maps dots to underscores (`finecc_mvcc_commits`) as
-//! that format requires, the JSON renderer keeps them. Collection and
-//! rendering sit entirely off the measured paths — pulling a snapshot
-//! costs the sources' snapshot reads, recording costs nothing new.
-//!
-//! The optional background sampler ([`MetricsRegistry::start_sampler`])
-//! appends one JSON row per interval, so a run leaves a time series
-//! behind, not just a final tally.
+//! that format requires. Collection and rendering sit entirely off the
+//! measured paths — pulling a snapshot costs the sources' snapshot
+//! reads, recording costs nothing new.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// How a metric behaves over time, for the Prometheus `# TYPE` line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,123 +225,6 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         render_prometheus(&self.snapshot())
     }
-
-    /// Renders the snapshot as a JSON array of
-    /// `{"name", "labels", "kind", "value"}` objects (dotted names
-    /// kept).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[\n");
-        let samples = self.snapshot();
-        for (i, s) in samples.iter().enumerate() {
-            out.push_str("  ");
-            render_sample_json(&mut out, s);
-            out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-        out
-    }
-
-    /// One JSONL time-series row: `{"t_ms": …, "samples": [...]}`.
-    pub fn render_jsonl_row(&self, t_ms: u64) -> String {
-        let mut out = String::new();
-        write!(out, "{{\"t_ms\": {t_ms}, \"samples\": [").unwrap();
-        for (i, s) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            render_sample_json(&mut out, s);
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Spawns the background sampler: appends one JSONL row to `path`
-    /// every `interval` until the returned handle stops (explicitly or
-    /// on drop). The first row is written immediately, so even a run
-    /// shorter than one interval leaves a time series behind.
-    pub fn start_sampler(
-        self: &Arc<Self>,
-        path: impl Into<PathBuf>,
-        interval: Duration,
-    ) -> MetricsSampler {
-        let path: PathBuf = path.into();
-        let reg = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_t = Arc::clone(&stop);
-        let out = path.clone();
-        let handle = std::thread::Builder::new()
-            .name("finecc-metrics-sampler".into())
-            .spawn(move || -> std::io::Result<()> {
-                if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(dir)?;
-                }
-                let mut file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&out)?;
-                let start = std::time::Instant::now();
-                loop {
-                    let row = reg.render_jsonl_row(start.elapsed().as_millis() as u64);
-                    writeln!(file, "{row}")?;
-                    file.flush()?;
-                    if stop_t.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                    // Sleep in short slices so stop() returns promptly
-                    // even with a long interval.
-                    let mut left = interval;
-                    while !left.is_zero() && !stop_t.load(Ordering::Acquire) {
-                        let step = left.min(Duration::from_millis(20));
-                        std::thread::sleep(step);
-                        left = left.saturating_sub(step);
-                    }
-                }
-            })
-            .expect("sampler thread spawns");
-        MetricsSampler {
-            path,
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Handle to a running sampler thread; stops and joins on drop (writing
-/// one final row, so the series always covers the end of the run).
-pub struct MetricsSampler {
-    path: PathBuf,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl MetricsSampler {
-    /// Where the rows are going.
-    pub fn path(&self) -> &PathBuf {
-        &self.path
-    }
-
-    /// Stops the thread and returns the output path (or the I/O error
-    /// that killed the sampler).
-    pub fn stop(mut self) -> std::io::Result<PathBuf> {
-        self.finish()?;
-        Ok(std::mem::take(&mut self.path))
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.take() {
-            Some(h) => h
-                .join()
-                .unwrap_or_else(|_| Err(std::io::Error::other("metrics sampler thread panicked"))),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for MetricsSampler {
-    fn drop(&mut self) {
-        let _ = self.finish();
-    }
 }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]`; dots (our separator)
@@ -416,50 +289,11 @@ pub fn render_prometheus(samples: &[Sample]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_sample_json(out: &mut String, s: &Sample) {
-    write!(
-        out,
-        "{{\"name\": \"{}\", \"labels\": {{",
-        json_escape(&s.name)
-    )
-    .unwrap();
-    for (i, (k, v)) in s.labels.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write!(out, "\"{}\": \"{}\"", json_escape(k), json_escape(v)).unwrap();
-    }
-    let value = if s.value.is_finite() {
-        prom_value(s.value)
-    } else {
-        "null".to_string()
-    };
-    write!(
-        out,
-        "}}, \"kind\": \"{}\", \"value\": {value}}}",
-        s.kind.name()
-    )
-    .unwrap();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     #[test]
     fn snapshot_pulls_sources_with_labels() {
@@ -525,38 +359,5 @@ mod tests {
         reg.register_fn(&[("object", "a\"b\\c")], |c| c.gauge("finecc.x", 1.0));
         let text = reg.render_prometheus();
         assert!(text.contains("object=\"a\\\"b\\\\c\""));
-        let json = reg.render_json();
-        assert!(json.contains("a\\\"b\\\\c"));
-    }
-
-    #[test]
-    fn jsonl_row_is_one_line() {
-        let reg = MetricsRegistry::new();
-        reg.register_fn(&[], |c| c.counter("finecc.a", 1));
-        let row = reg.render_jsonl_row(123);
-        assert!(row.starts_with("{\"t_ms\": 123"));
-        assert!(!row.contains('\n'));
-    }
-
-    #[test]
-    fn sampler_appends_rows_and_stops() {
-        let path =
-            std::env::temp_dir().join(format!("finecc-sampler-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let reg = Arc::new(MetricsRegistry::new());
-        reg.register_fn(&[("bin", "test")], |c| c.gauge("finecc.test.live", 1.0));
-        let sampler = reg.start_sampler(&path, Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(30));
-        let written = sampler.stop().unwrap();
-        assert_eq!(written, path);
-        let body = std::fs::read_to_string(&path).unwrap();
-        let rows: Vec<&str> = body.lines().collect();
-        assert!(rows.len() >= 2, "several rows over 30ms: {}", rows.len());
-        for row in rows {
-            assert!(row.starts_with("{\"t_ms\": "));
-            assert!(row.ends_with("]}"));
-            assert!(row.contains("finecc.test.live"));
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

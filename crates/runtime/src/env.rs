@@ -45,9 +45,9 @@ pub struct Env {
     /// [`crate::metrics::register_env_metrics`].
     pub wal: Option<Arc<Wal>>,
     /// The observability sink every scheme built over this environment
-    /// records into: latency histograms, per-object contention, and
-    /// (optionally) a sampled event trace. Disabled by default — each
-    /// probe is then a single branch; install an enabled handle with
+    /// records into: latency histograms and per-object contention
+    /// counts. Disabled by default — each probe is then a single
+    /// branch; install an enabled handle with
     /// [`Env::with_obs`] **before** building schemes or opening a log,
     /// because the lock managers, the mvcc heap and the WAL flusher all
     /// clone it at construction.

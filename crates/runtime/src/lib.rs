@@ -43,6 +43,8 @@
 //! applicable, version-heap) statistics so the experiments can compare
 //! them mechanically.
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod metrics;
 pub mod scheme;

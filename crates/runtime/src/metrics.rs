@@ -2,8 +2,8 @@
 //!
 //! [`register_env_metrics`] attaches the environment-level *live*
 //! sources every scheme shares — the observability plane (phase
-//! quantiles cumulative + windowed, contention totals, decayed hot
-//! scores) and, when durability is attached, the WAL counters
+//! quantiles, contention totals, the hottest objects' event totals)
+//! and, when durability is attached, the WAL counters
 //! (flusher queue depth, batch-size distribution, recovery progress).
 //! Each scheme's [`crate::CcScheme::register_metrics`] builds on this,
 //! adding its own counters (lock-manager stats for the 2PL schemes,
@@ -11,9 +11,8 @@
 //! labels.
 //!
 //! Everything here is pull-based: registration clones `Arc` handles
-//! into closures, and nothing runs until a registry snapshot (or the
-//! background sampler) asks. The measured paths never see the
-//! registry.
+//! into closures, and nothing runs until a registry snapshot asks.
+//! The measured paths never see the registry.
 
 use crate::env::Env;
 use crate::scheme::CcScheme;

@@ -4,7 +4,7 @@ use crate::scheme::CcScheme;
 use finecc_lang::ExecError;
 use finecc_lock::{LockMode, ResourceId};
 use finecc_model::TxnId;
-use finecc_obs::{EventKind, Obs, Phase};
+use finecc_obs::Phase;
 use finecc_store::UndoLog;
 
 /// One transaction: identifier plus its undo log. Created by
@@ -154,33 +154,20 @@ pub fn run_txn_with<T>(
     let outcome = loop {
         finecc_chaos::yield_point(finecc_chaos::Site::TxnStart);
         let mut txn = scheme.begin();
-        let id = txn.id;
-        emit_instant(obs, EventKind::Begin, id);
         let retryable = match body(&mut txn) {
             Ok(value) => match scheme.commit(txn) {
-                Ok(_) => {
-                    emit_instant(obs, EventKind::Commit, id);
-                    break TxnOutcome::Committed { value, retries };
-                }
+                Ok(_) => break TxnOutcome::Committed { value, retries },
                 // Failed commit == the scheme aborted the transaction
                 // itself; no abort() call — the Txn is consumed.
-                Err(e) if e.is_retryable() => {
-                    emit_instant(obs, EventKind::Abort, id);
-                    true
-                }
-                Err(e) => {
-                    emit_instant(obs, EventKind::Abort, id);
-                    break TxnOutcome::Failed(e);
-                }
+                Err(e) if e.is_retryable() => true,
+                Err(e) => break TxnOutcome::Failed(e),
             },
             Err(e) if e.is_retryable() => {
                 scheme.abort(txn);
-                emit_instant(obs, EventKind::Abort, id);
                 true
             }
             Err(e) => {
                 scheme.abort(txn);
-                emit_instant(obs, EventKind::Abort, id);
                 break TxnOutcome::Failed(e);
             }
         };
@@ -198,13 +185,6 @@ pub fn run_txn_with<T>(
     };
     obs.record_since(Phase::TxnLatency, txn_start);
     outcome
-}
-
-/// Emits a sampled lifecycle instant (one branch when tracing is off).
-fn emit_instant(obs: &Obs, kind: EventKind, id: TxnId) {
-    if obs.trace_sampled(id.0) {
-        obs.emit(kind, obs.now_ns(), 0, id.0, 0);
-    }
 }
 
 #[cfg(test)]

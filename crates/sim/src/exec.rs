@@ -62,9 +62,9 @@ impl ExecReport {
 
     /// Registers a **frozen** metric source over this finished run:
     /// run-level outcome counters (`finecc.run.*`) plus everything the
-    /// report carries — the observability phases (cumulative and
-    /// windowed), contention totals, decayed hot scores, and the
-    /// scheme's own counters — under the same dotted names the live
+    /// report carries — the observability phase quantiles, contention
+    /// totals, the hottest objects' event totals, and the scheme's own
+    /// counters — under the same dotted names the live
     /// sources use, so a scrape of a finished run reads exactly like a
     /// scrape of a live one. The closure owns a copy of the report, so
     /// the run's scheme and environment can be dropped.
@@ -132,8 +132,6 @@ pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> 
         let _ = w.sync();
     }
 
-    // The obs report first: pulling the live sources ticks the windows.
-    let obs = scheme.env().obs.report_since(&obs_before);
     ExecReport {
         committed: committed.into_inner(),
         exhausted: exhausted.into_inner(),
@@ -141,7 +139,7 @@ pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> 
         retries: retries.into_inner(),
         elapsed,
         counters: read_metrics(scheme).since(&before),
-        obs,
+        obs: scheme.env().obs.report_since(&obs_before),
     }
 }
 

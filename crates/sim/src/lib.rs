@@ -14,21 +14,18 @@
 //!   hot-spot skew.
 //! * [`exec`] — a multi-threaded transaction executor with commit/abort/
 //!   retry accounting.
-//! * [`stepper`] — a deterministic round-robin driver for reproducible
-//!   schedules.
-//! * [`metrics`] — plain-text table rendering.
 //! * [`chaos`] — deterministic fault-injection scenarios over the
 //!   `finecc-chaos` harness: seeded schedule exploration across all six
 //!   schemes, invariant checking (lost own writes, torn pairs,
 //!   watermark regressions, recovery = committed prefix), greedy
 //!   schedule minimization, and replayable repro files.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod exec;
 pub mod figure1;
-pub mod metrics;
 pub mod scenarios;
-pub mod stepper;
 pub mod workload;
 
 pub use chaos::{
@@ -36,7 +33,5 @@ pub use chaos::{
     ChaosReport, ChaosScenario, Finding,
 };
 pub use exec::{run_concurrent, run_sequential, ExecConfig, ExecReport};
-pub use metrics::render_table;
 pub use scenarios::{scenario_outcomes, ScenarioOutcome, TxnKind};
-pub use stepper::{run_stepped, StepReport};
 pub use workload::{GeneratedWorkload, SchemaGenConfig, TxnMix, WorkloadConfig};

@@ -46,11 +46,6 @@ impl Database {
         &self.schema
     }
 
-    /// Shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     #[inline]
     fn shard(&self, oid: Oid) -> &RwLock<HashMap<Oid, Instance>> {
         &self.shards[(oid.raw() as usize) % SHARD_COUNT]
@@ -236,17 +231,6 @@ impl Database {
     /// `true` when no instance exists.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Runs a closure over an instance (read lock held for the duration).
-    pub fn with_instance<R>(
-        &self,
-        oid: Oid,
-        f: impl FnOnce(&Instance) -> R,
-    ) -> Result<R, StoreError> {
-        let shard = self.shard(oid).read();
-        let inst = shard.get(&oid).ok_or(StoreError::UnknownOid(oid))?;
-        Ok(f(inst))
     }
 
     /// A consistent point-in-time copy of the whole heap (grabs all shard

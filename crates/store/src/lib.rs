@@ -7,6 +7,8 @@
 //! recovery remark — before-images are *projections through access
 //! vectors*, not whole-instance copies.
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod error;
 pub mod integrity;

@@ -71,7 +71,7 @@ use crate::record::{self, LogRecord, LOG_MAGIC};
 use crate::stats::WalStats;
 use finecc_chaos::{FaultKind, FaultToken, Site};
 use finecc_model::{ClassId, Oid, TxnId};
-use finecc_obs::{EventKind, Obs, Phase};
+use finecc_obs::{Obs, Phase};
 use finecc_store::FieldImage;
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
@@ -391,20 +391,9 @@ impl Shared {
                     false
                 }
                 _ => {
-                    let sync_start = self.obs.now_ns();
                     let synced = file.sync_data().is_ok();
                     if synced {
                         self.stats.log_fsyncs.bump();
-                    }
-                    // Fsync spans are emitted unconditionally when
-                    // tracing is on (`txn 0` always passes the
-                    // sampler): the fsync cadence is exactly what a
-                    // group-commit trace is read for. The `oid` slot
-                    // carries the batch's record count.
-                    if self.obs.trace_sampled(0) {
-                        let dur = self.obs.now_ns().saturating_sub(sync_start);
-                        self.obs
-                            .emit(EventKind::Fsync, sync_start, dur, 0, batch.records);
                     }
                     synced
                 }

@@ -13,7 +13,6 @@
 use finecc::model::Value;
 use finecc::prelude::*;
 use finecc::runtime::{read_metrics, run_txn, Env, SchemeKind};
-use finecc::sim::render_table;
 use std::sync::Arc;
 
 const BANK: &str = r#"
@@ -128,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         // `finecc.lock.*` sample, which prints as "-", not as a zero.
         let m = read_metrics(scheme.as_ref());
         let lock = |name| m.get(name).map_or("-".to_string(), |v| v.to_string());
-        rows.push(vec![
+        rows.push([
             kind.name().to_string(),
             lock("finecc.lock.requests"),
             lock("finecc.lock.blocks"),
@@ -138,13 +137,10 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     }
 
     println!("== 1000 deposits + rate updates, 4 threads, by scheme ==");
-    println!(
-        "{}",
-        render_table(
-            &["scheme", "lock reqs", "blocks", "upgrades", "deadlocks"],
-            &rows
-        )
-    );
+    let header = ["scheme", "lock reqs", "blocks", "upgrades", "deadlocks"].map(String::from);
+    for [scheme, reqs, blocks, upgrades, deadlocks] in std::iter::once(&header).chain(&rows) {
+        println!("{scheme:<10}  {reqs:>9}  {blocks:>6}  {upgrades:>8}  {deadlocks:>9}");
+    }
     println!("conservation invariant held under every scheme ✓");
     Ok(())
 }

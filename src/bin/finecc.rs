@@ -14,6 +14,8 @@
 //! paper's example with `finecc matrix <(echo "$FIGURE1")" c2` or any
 //! file containing Figure 1's source.
 
+#![forbid(unsafe_code)]
+
 use finecc::core::compile;
 use finecc::lang::build_schema;
 use finecc::model::Value;

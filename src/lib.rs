@@ -28,6 +28,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// The object-oriented data model (classes, fields, inheritance, instances).
 pub mod model {
     pub use finecc_model::*;

@@ -1,6 +1,5 @@
 //! Live telemetry plane, end to end: the unified metrics registry over
-//! the full scheme matrix, rotating-window correctness under a
-//! concurrent recording storm, and the decaying contention ranking.
+//! the full scheme matrix.
 //!
 //! * **Prometheus export over the matrix** — every scheme's finished
 //!   run freezes into one shared registry under a `scheme` label
@@ -9,23 +8,14 @@
 //!   then parsed line by line and validated:
 //!   well-formed names and labels, one `# TYPE` line per metric, the
 //!   stable dotted→underscore names present, per-scheme committed
-//!   counts exact, and the windowed p99 gauge present and nonzero.
+//!   counts exact, and the live and the frozen txn-phase counts equal
+//!   to each other and to the transactions the run submitted.
 //! * **Golden metric schema** — every `name kind label-keys` line the
 //!   six schemes emit, live and frozen, with and without a log, equals
 //!   the checked-in `tests/golden/metric_names.txt`: renames are
 //!   deliberate.
-//! * **Window rotation loses nothing** — 16 threads hammer one phase
-//!   histogram while observers force rotations; the retained window
-//!   deltas plus the open tail must merge back to the cumulative
-//!   histogram *exactly* (count, sum, max), because windows are
-//!   boundary-snapshot differences of monotone counters, never resets.
-//! * **Decay demotes stale hot spots** — an object hammered early
-//!   outscores everything cumulatively, but after a few half-lives of
-//!   silence a mildly-active newcomer must outrank it in
-//!   `Obs::hottest` while `hottest_cumulative` still remembers the
-//!   old order.
 
-use finecc::obs::{ContentionKind, MetricsRegistry, ObjKey, Obs, ObsConfig, Phase};
+use finecc::obs::{MetricsRegistry, Obs, ObsConfig};
 use finecc::runtime::SchemeKind;
 use finecc::sim::workload::{
     generate_env, generate_workload, populate_random, SchemaGenConfig, WorkloadConfig,
@@ -128,11 +118,13 @@ fn label<'a>(s: &'a PromSample, key: &str) -> Option<&'a str> {
 /// small contentious workload, freeze their reports into one registry
 /// under per-scheme labels (plus their live sources), and the
 /// Prometheus render must parse cleanly with the stable names, exact
-/// per-scheme committed counts, and a windowed p99 per scheme.
+/// per-scheme committed counts, and one txn-phase record per submitted
+/// transaction on both the live and the frozen side.
 #[test]
 fn prometheus_export_covers_the_scheme_matrix() {
     let reg = MetricsRegistry::new();
-    let mut committed: BTreeMap<&'static str, u64> = BTreeMap::new();
+    // Per scheme: (committed, submitted).
+    let mut runs: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for kind in SchemeKind::ALL {
         let env = generate_env(&SchemaGenConfig {
             classes: 6,
@@ -167,7 +159,8 @@ fn prometheus_export_covers_the_scheme_matrix() {
         // The live path too — same names, a `source="live"` marker —
         // through the trait method every scheme implements.
         scheme.register_metrics(&reg, &[("scheme", kind.name()), ("source", "live")]);
-        committed.insert(kind.name(), report.committed);
+        let submitted = report.committed + report.exhausted + report.failed;
+        runs.insert(kind.name(), (report.committed, submitted));
     }
     // One durable scheme, for the write-ahead log's live counters (the
     // matrix above runs without a log).
@@ -220,7 +213,6 @@ fn prometheus_export_covers_the_scheme_matrix() {
         "finecc_run_txns_per_sec",
         "finecc_obs_phase_count",
         "finecc_obs_phase_p99_ns",
-        "finecc_obs_phase_window_p99_ns",
         "finecc_obs_contention",
         "finecc_lock_requests",
         "finecc_lock_parks",
@@ -234,31 +226,34 @@ fn prometheus_export_covers_the_scheme_matrix() {
     }
 
     // Per-scheme labels: the frozen committed counter must be exact for
-    // every one of the six schemes, and every scheme must expose a
-    // windowed p99 for the txn phase (nonzero: real latencies).
+    // every one of the six schemes, and `run_txn` records one
+    // `TxnLatency` sample per transaction whatever its outcome — read
+    // from the live handle and from the frozen report, the count is the
+    // same number (the duality `collect_obs` exists for).
     for kind in SchemeKind::ALL {
-        let c = samples
-            .iter()
-            .find(|s| s.name == "finecc_run_committed" && label(s, "scheme") == Some(kind.name()))
-            .unwrap_or_else(|| panic!("{kind}: no committed sample"));
-        assert_eq!(c.value, committed[kind.name()] as f64, "{kind}: committed");
-        let w = samples
-            .iter()
-            .find(|s| {
-                s.name == "finecc_obs_phase_window_p99_ns"
-                    && label(s, "phase") == Some("txn")
-                    && label(s, "scheme") == Some(kind.name())
-                    && label(s, "source").is_none()
-            })
-            .unwrap_or_else(|| panic!("{kind}: no windowed txn p99"));
-        assert!(w.value > 0.0, "{kind}: windowed p99 is zero");
+        let (committed, submitted) = runs[kind.name()];
+        let sample = |name: &str, phase: Option<&str>, source: Option<&str>| {
+            samples
+                .iter()
+                .find(|s| {
+                    s.name == name
+                        && label(s, "phase") == phase
+                        && label(s, "scheme") == Some(kind.name())
+                        && label(s, "source") == source
+                })
+                .unwrap_or_else(|| panic!("{kind}: no {name} sample ({phase:?}, {source:?})"))
+                .value
+        };
+        assert_eq!(
+            sample("finecc_run_committed", None, None),
+            committed as f64,
+            "{kind}: committed"
+        );
+        let frozen = sample("finecc_obs_phase_count", Some("txn"), None);
+        let live = sample("finecc_obs_phase_count", Some("txn"), Some("live"));
+        assert_eq!(frozen, submitted as f64, "{kind}: frozen txn count");
+        assert_eq!(live, submitted as f64, "{kind}: live txn count");
     }
-
-    // The JSON twin renders too (hand-rolled — the workspace has no
-    // JSON library): an array of sample objects, one per sample.
-    let json = reg.render_json();
-    assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-    assert_eq!(json.matches("\"name\"").count(), samples.len());
 }
 
 /// The metric schema is a contract (the benchmark reads its per-layer
@@ -332,125 +327,6 @@ fn metric_names_match_the_golden_schema() {
             "the metric schema changed: `diff {golden} {}`, and copy the latter over the \
              former if every line of it is deliberate",
             copy.display()
-        );
-    }
-}
-
-/// Satellite: window rotation under a 16-thread recording storm. The
-/// retained windows plus the open tail must merge back to the
-/// cumulative histogram exactly — no sample lost or double-counted at
-/// any rotation boundary, no matter how rotations interleave with
-/// recorders.
-#[test]
-fn window_rotation_loses_no_counts_under_a_16_thread_storm() {
-    const THREADS: usize = 16;
-    const PER_THREAD: u64 = 20_000;
-    let obs = Arc::new(Obs::new(ObsConfig {
-        window_width: Duration::from_millis(2),
-        window_count: 4,
-        ..ObsConfig::enabled()
-    }));
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let obs = Arc::clone(&obs);
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    obs.record_phase_ns(Phase::CommitTotal, 100 + (t as u64 * 7 + i) % 1000);
-                    if i % 4096 == 0 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            });
-        }
-        // An observer forcing rotations throughout the storm — ticks
-        // come from readers, never recorders.
-        let obs = Arc::clone(&obs);
-        s.spawn(move || {
-            for _ in 0..40 {
-                obs.tick();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-    });
-    obs.tick();
-    let cumulative = obs.phase_summary(Phase::CommitTotal);
-    assert_eq!(
-        cumulative.count,
-        THREADS as u64 * PER_THREAD,
-        "cumulative histogram lost samples"
-    );
-    let windows = obs.window_deltas(Phase::CommitTotal);
-    assert!(
-        windows.len() >= 2,
-        "storm spanned {} windows — no rotation happened",
-        windows.len()
-    );
-    let mut merged = finecc::obs::HistSnapshot::default();
-    for w in &windows {
-        merged.merge(w);
-    }
-    // The exact expectation, computed from the recording formula: the
-    // merged windows must reproduce count, sum AND max — any sample
-    // lost, double-counted, or torn at a rotation boundary breaks one.
-    let mut expected_sum = 0u64;
-    let mut expected_max = 0u64;
-    for t in 0..THREADS as u64 {
-        for i in 0..PER_THREAD {
-            let v = 100 + (t * 7 + i) % 1000;
-            expected_sum += v;
-            expected_max = expected_max.max(v);
-        }
-    }
-    assert_eq!(
-        merged.count(),
-        cumulative.count,
-        "merged windows dropped or double-counted samples"
-    );
-    assert_eq!(merged.sum(), expected_sum, "sum torn at a boundary");
-    assert_eq!(merged.max(), expected_max, "max lost across a boundary");
-    assert_eq!(cumulative.max, expected_max);
-}
-
-/// Satellite: an object hot early in the run decays out of
-/// [`Obs::hottest`] once the workload shifts — while the cumulative
-/// ranking still remembers it. Half-life is configured short so the
-/// shift takes milliseconds, not the production default's seconds.
-#[test]
-fn formerly_hot_object_decays_out_of_the_top_k() {
-    let obs = Obs::new(ObsConfig {
-        half_life: Duration::from_millis(20),
-        ..ObsConfig::enabled()
-    });
-    let early = ObjKey::Instance(1);
-    let late = ObjKey::Instance(2);
-    for _ in 0..400 {
-        obs.contend(early, ContentionKind::LockBlock);
-    }
-    // Let ~10 half-lives pass: the early object's score decays by
-    // ~2^-10 while its cumulative total stays put.
-    std::thread::sleep(Duration::from_millis(200));
-    for _ in 0..20 {
-        obs.contend(late, ContentionKind::WwConflict);
-    }
-    let decayed = obs.hottest(2);
-    assert_eq!(
-        decayed.first().map(|h| h.key),
-        Some(late),
-        "recency ranking must favor the active object: {decayed:?}"
-    );
-    let cumulative = obs.hottest_cumulative(2);
-    assert_eq!(
-        cumulative.first().map(|h| h.key),
-        Some(early),
-        "cumulative ranking still remembers the early storm: {cumulative:?}"
-    );
-    // And the decayed score itself is ordered the same way.
-    let early_row = decayed.iter().find(|h| h.key == early);
-    if let Some(e) = early_row {
-        assert!(
-            e.score < decayed[0].score / 10.0,
-            "early object's score barely decayed: {e:?} vs {:?}",
-            decayed[0]
         );
     }
 }
