@@ -35,7 +35,10 @@ pub struct ClassTable {
     /// Transitive access vectors (Definition 10), by mode index.
     pub tavs: Vec<AccessVector>,
     matrix: Vec<bool>,
-    by_mid: HashMap<MethodId, u16>,
+    /// Indexed by `MethodId`: the definition's access mode here, if a
+    /// name resolves to it. Sized to the largest resolved id, not the
+    /// schema.
+    by_mid: Vec<Option<u16>>,
     by_name: HashMap<String, u16>,
 }
 
@@ -53,10 +56,11 @@ impl ClassTable {
         let mut method_ids = Vec::with_capacity(n);
         let mut davs = Vec::with_capacity(n);
         let mut tavs = Vec::with_capacity(n);
-        let mut by_mid = HashMap::with_capacity(n);
+        let resolved_ids = methods.iter().map(|(_, mid, ..)| mid.index() + 1).max();
+        let mut by_mid = vec![None; resolved_ids.unwrap_or(0)];
         let mut by_name = HashMap::with_capacity(n);
         for (i, (name, mid, dav, tav)) in methods.into_iter().enumerate() {
-            by_mid.insert(mid, i as u16);
+            by_mid[mid.index()] = Some(i as u16);
             by_name.insert(name.clone(), i as u16);
             method_names.push(name);
             method_ids.push(mid);
@@ -96,7 +100,8 @@ impl ClassTable {
 
     /// The access mode index of a resolved definition.
     pub fn index_of_mid(&self, mid: MethodId) -> Option<usize> {
-        self.by_mid.get(&mid).map(|&i| i as usize)
+        let mode = self.by_mid.get(mid.index()).copied().flatten();
+        mode.map(|i| i as usize)
     }
 
     /// The commutativity of two access modes — one table lookup.

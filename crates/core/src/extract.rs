@@ -49,45 +49,43 @@ impl Extraction {
     }
 }
 
+impl Extraction {
+    /// Analyses one definition's resolved body and stores its facts.
+    pub(crate) fn analyze_method(
+        &mut self,
+        schema: &Schema,
+        bodies: &MethodBodies,
+        method: MethodId,
+    ) -> Result<(), CompileError> {
+        let facts = analyze(schema, bodies, method).map_err(|cause| {
+            let mi = schema.method(method);
+            CompileError::Analysis {
+                class: mi.owner,
+                method,
+                name: mi.sig.name.clone(),
+                cause,
+            }
+        })?;
+        let m = method.index();
+        self.davs[m] = AccessVector::from_reads_writes(facts.reads, facts.writes);
+        self.dscs[m] = facts.self_calls.into_iter().collect();
+        self.pscs[m] = facts.prefixed_calls.into_iter().collect();
+        self.external_sends[m] = facts.external_sends.into_iter().collect();
+        Ok(())
+    }
+}
+
 /// Runs the static analysis of every method definition in the schema.
 pub fn extract(schema: &Schema, bodies: &MethodBodies) -> Result<Extraction, CompileError> {
     let n = schema.method_count();
     let mut ex = Extraction {
-        davs: Vec::with_capacity(n),
-        dscs: Vec::with_capacity(n),
-        pscs: Vec::with_capacity(n),
-        external_sends: Vec::with_capacity(n),
+        davs: vec![AccessVector::default(); n],
+        dscs: vec![Vec::new(); n],
+        pscs: vec![Vec::new(); n],
+        external_sends: vec![Vec::new(); n],
     };
     for mi in schema.methods() {
-        let facts =
-            analyze(schema, mi.owner, &mi.sig.params, bodies.body(mi.id)).map_err(|cause| {
-                CompileError::Analysis {
-                    class: mi.owner,
-                    method: mi.id,
-                    name: mi.sig.name.clone(),
-                    cause,
-                }
-            })?;
-        ex.davs.push(AccessVector::from_reads_writes(
-            facts.reads.iter().copied(),
-            facts.writes.iter().copied(),
-        ));
-        ex.dscs.push(facts.self_calls.iter().cloned().collect());
-        let mut pscs: Vec<(ClassId, MethodId)> = facts
-            .prefixed_calls
-            .iter()
-            .map(|(c, name)| {
-                let mid = schema
-                    .resolve_method(*c, name)
-                    .expect("analysis validated prefixed targets");
-                (*c, mid)
-            })
-            .collect();
-        pscs.sort_unstable();
-        pscs.dedup();
-        ex.pscs.push(pscs);
-        ex.external_sends
-            .push(facts.external_sends.iter().cloned().collect());
+        ex.analyze_method(schema, bodies, mi.id)?;
     }
     Ok(ex)
 }

@@ -22,7 +22,7 @@ use crate::compiler::{vertex_tavs_of, CompiledSchema};
 use crate::error::CompileError;
 use crate::extract::Extraction;
 use crate::graph::LbrGraph;
-use finecc_lang::{analyze, MethodBodies};
+use finecc_lang::MethodBodies;
 use finecc_model::{ClassId, MethodId, Schema};
 
 /// What an incremental recompilation did.
@@ -47,35 +47,7 @@ pub fn recompile(
     // 1. Re-extract only the changed definitions.
     let mut extraction: Extraction = prev.extraction.clone();
     for &mid in changed {
-        let mi = schema.method(mid);
-        let facts =
-            analyze(schema, mi.owner, &mi.sig.params, bodies.body(mid)).map_err(|cause| {
-                CompileError::Analysis {
-                    class: mi.owner,
-                    method: mid,
-                    name: mi.sig.name.clone(),
-                    cause,
-                }
-            })?;
-        extraction.davs[mid.index()] = crate::av::AccessVector::from_reads_writes(
-            facts.reads.iter().copied(),
-            facts.writes.iter().copied(),
-        );
-        extraction.dscs[mid.index()] = facts.self_calls.iter().cloned().collect();
-        let mut pscs: Vec<(ClassId, MethodId)> = facts
-            .prefixed_calls
-            .iter()
-            .map(|(c, name)| {
-                let target = schema
-                    .resolve_method(*c, name)
-                    .expect("analysis validated prefixed targets");
-                (*c, target)
-            })
-            .collect();
-        pscs.sort_unstable();
-        pscs.dedup();
-        extraction.pscs[mid.index()] = pscs;
-        extraction.external_sends[mid.index()] = facts.external_sends.iter().cloned().collect();
+        extraction.analyze_method(schema, bodies, mid)?;
     }
 
     // 2. Affected classes: old graph contains a changed vertex. (A body
@@ -184,6 +156,74 @@ mod tests {
             }
         }
         assert!(!report.recompiled.is_empty());
+    }
+
+    /// One instance, no control: enough store to run a body.
+    struct OneInstance<'s>(&'s Schema, finecc_model::Instance);
+
+    impl finecc_lang::DataAccess for OneInstance<'_> {
+        fn class_of(&mut self, _: finecc_model::Oid) -> Result<ClassId, finecc_lang::ExecError> {
+            Ok(self.1.class)
+        }
+        fn read_field(
+            &mut self,
+            oid: finecc_model::Oid,
+            field: finecc_model::FieldId,
+        ) -> Result<finecc_model::Value, finecc_lang::ExecError> {
+            self.1
+                .get(self.0, field)
+                .cloned()
+                .ok_or(finecc_lang::ExecError::FieldNotVisible { oid, field })
+        }
+        fn write_field(
+            &mut self,
+            oid: finecc_model::Oid,
+            field: finecc_model::FieldId,
+            value: finecc_model::Value,
+        ) -> Result<(), finecc_lang::ExecError> {
+            self.1
+                .set(self.0, field, value)
+                .map(drop)
+                .ok_or(finecc_lang::ExecError::FieldNotVisible { oid, field })
+        }
+    }
+
+    #[test]
+    fn a_swapped_body_is_the_one_that_runs_and_the_one_analysed() {
+        use finecc_model::{Instance, Oid, Value};
+        // The resolved form is rebuilt with the bodies, never cached
+        // stale: the interpreter runs the new `m2`, and `recompile`
+        // derives its vector from that same new body.
+        let (schema, old_bodies, new_bodies, mid) =
+            figure1_with_new_body("c1", "m2", "var f2 := p1 * 100; f1 := f2");
+        let c1 = schema.class_by_name("c1").unwrap();
+        let f1 = schema.resolve_field(c1, "f1").unwrap();
+        let builtins = finecc_lang::Builtins::standard();
+        let run = |bodies: &MethodBodies| {
+            let mut store = OneInstance(&schema, Instance::new(&schema, c1));
+            finecc_lang::Interpreter::new(&schema, bodies, &builtins)
+                .send(&mut store, Oid(1), "m2", &[Value::Int(5)])
+                .unwrap();
+            store.1.get(&schema, f1).cloned()
+        };
+        assert_eq!(run(&old_bodies), Some(Value::Int(5)), "expr(0, false, 5)");
+        assert_eq!(run(&new_bodies), Some(Value::Int(500)));
+
+        let prev = compile(&schema, &old_bodies).unwrap();
+        let (incr, _) = recompile(&schema, &new_bodies, &prev, &[mid]).unwrap();
+        let full = compile(&schema, &new_bodies).unwrap();
+        for ci in schema.classes() {
+            assert_eq!(incr.class(ci.id).tavs, full.class(ci.id).tavs);
+            assert_eq!(incr.class(ci.id).davs, full.class(ci.id).davs);
+        }
+        // The new body writes f1 and no longer reads the field f2 (its
+        // `f2` is a local now).
+        let t = incr.class(c1);
+        let m2 = t.index_of("m2").unwrap();
+        assert_eq!(
+            t.dav(m2),
+            &crate::av::AccessVector::from_reads_writes([], [f1])
+        );
     }
 
     #[test]

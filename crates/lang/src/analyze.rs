@@ -1,6 +1,8 @@
 //! Compile-time extraction of the paper's Definitions 6–8.
 //!
-//! Given a method body and its *defining* class, [`fn@analyze`] computes:
+//! Given a method's **resolved** body ([`crate::resolve`] — the same one
+//! the interpreter executes, so the scoping rule is decided once, there),
+//! [`fn@analyze`] computes:
 //!
 //! * the set of fields **written** — fields `f` with an assignment
 //!   `f := <expression>` anywhere in the body (Definition 6: `Write`),
@@ -10,8 +12,9 @@
 //! * the **direct self-calls** `DSC` — names `M'` such that
 //!   `send M' to self` appears (Definition 7),
 //! * the **prefixed self-calls** `PSC` — pairs `(C', M')` from
-//!   `send C'.M' to self` (Definition 8), with `C'` validated to be a
-//!   proper ancestor of the defining class and `M'` resolved in `C'`.
+//!   `send C'.M' to self` (Definition 8), with `C'` validated (at
+//!   resolution) to be a proper ancestor of the defining class and `M'`
+//!   resolved in `C'`.
 //!
 //! The analysis is deliberately *control-flow insensitive*: a field
 //! assigned under an `if` still counts as written — this is exactly the
@@ -26,9 +29,9 @@
 //! resolve in the receiver class (where the send would be a runtime
 //! "message not understood" anyway).
 
-use crate::ast::{Block, Expr, SendExpr, Stmt, Target};
 use crate::error::ExecError;
-use finecc_model::{ClassId, FieldId, Schema};
+use crate::resolve::{MethodBodies, RExpr, RSend, RStmt, RTarget};
+use finecc_model::{ClassId, FieldId, MethodId, Schema};
 use std::collections::BTreeSet;
 
 /// Everything Definitions 6–8 extract from one method body.
@@ -42,8 +45,9 @@ pub struct MethodFacts {
     /// `DSC`: names sent to `self` (unresolved — late binding happens per
     /// receiver class when the resolution graph is built).
     pub self_calls: BTreeSet<String>,
-    /// `PSC`: `(ancestor class, method name)` pairs from prefixed sends.
-    pub prefixed_calls: BTreeSet<(ClassId, String)>,
+    /// `PSC`: `(ancestor class, the definition the name resolves to in
+    /// it)` pairs from prefixed sends.
+    pub prefixed_calls: BTreeSet<(ClassId, MethodId)>,
     /// Messages sent through reference fields: `(field, method name)`.
     /// The field itself is a read; the callee runs on another instance and
     /// is controlled separately at run time.
@@ -63,204 +67,151 @@ impl MethodFacts {
 
 struct Cx<'a> {
     schema: &'a Schema,
-    class: ClassId,
-    /// Names shadowed by parameters or `var` declarations.
-    locals: BTreeSet<String>,
+    bodies: &'a MethodBodies,
     facts: MethodFacts,
 }
 
-/// Runs the Definition 6–8 extraction for `body`, defined in `class` with
-/// the given parameter names.
+/// Runs the Definition 6–8 extraction over the resolved body of
+/// `method` — the body the interpreter executes.
 ///
 /// Errors on names that are neither parameters, locals, nor fields visible
 /// in the defining class, on prefixed sends naming a non-ancestor, and on
 /// sends through non-reference fields.
 pub fn analyze(
     schema: &Schema,
-    class: ClassId,
-    params: &[String],
-    body: &Block,
+    bodies: &MethodBodies,
+    method: MethodId,
 ) -> Result<MethodFacts, ExecError> {
     let mut cx = Cx {
         schema,
-        class,
-        locals: params.iter().cloned().collect(),
+        bodies,
         facts: MethodFacts::default(),
     };
-    walk_block(&mut cx, body)?;
+    cx.block(&bodies.resolved(method).body)?;
     // Write absorbs Read (Definition 6: Read holds only when there is no
     // assignment to the field).
-    let writes = cx.facts.writes.clone();
-    cx.facts.reads.retain(|f| !writes.contains(f));
-    Ok(cx.facts)
+    let Cx { mut facts, .. } = cx;
+    facts.reads.retain(|f| !facts.writes.contains(f));
+    Ok(facts)
 }
 
-fn field_of(cx: &Cx<'_>, name: &str) -> Option<FieldId> {
-    if cx.locals.contains(name) {
-        return None;
+impl Cx<'_> {
+    fn block(&mut self, block: &[RStmt]) -> Result<(), ExecError> {
+        block.iter().try_for_each(|stmt| self.stmt(stmt))
     }
-    cx.schema.resolve_field(cx.class, name)
-}
 
-fn walk_block(cx: &mut Cx<'_>, block: &Block) -> Result<(), ExecError> {
-    for stmt in &block.0 {
-        walk_stmt(cx, stmt)?;
+    fn stmt(&mut self, stmt: &RStmt) -> Result<(), ExecError> {
+        match stmt {
+            RStmt::Skip => Ok(()),
+            RStmt::SetLocal { expr, .. } | RStmt::Return(expr) => self.expr(expr),
+            RStmt::SetField { field, expr } => {
+                self.expr(expr)?;
+                self.facts.writes.insert(*field);
+                Ok(())
+            }
+            RStmt::SetUnknown { name, expr } => {
+                self.expr(expr)?;
+                Err(ExecError::UnknownName(name.to_string()))
+            }
+            RStmt::Send(send) => self.send(send),
+            RStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                self.expr(cond)?;
+                self.block(then_blk)?;
+                self.block(else_blk)
+            }
+            RStmt::While { cond, body } => {
+                self.expr(cond)?;
+                self.block(body)
+            }
+        }
     }
-    Ok(())
-}
 
-fn walk_stmt(cx: &mut Cx<'_>, stmt: &Stmt) -> Result<(), ExecError> {
-    match stmt {
-        Stmt::Skip => Ok(()),
-        Stmt::Assign { name, expr } => {
-            walk_expr(cx, expr)?;
-            match field_of(cx, name) {
-                Some(f) => {
-                    cx.facts.writes.insert(f);
-                    Ok(())
+    fn send(&mut self, send: &RSend) -> Result<(), ExecError> {
+        send.args.iter().try_for_each(|a| self.expr(a))?;
+        match &send.to {
+            RTarget::SelfSend(selector) => {
+                let name = self.bodies.selector_name(*selector);
+                self.facts.self_calls.insert(name.to_string());
+            }
+            RTarget::Prefixed { class, method } => {
+                self.facts.prefixed_calls.insert((*class, *method));
+            }
+            RTarget::Field { field, selector } => {
+                // The receiver field is read (Definition 6: "appears in
+                // some expression, including messages").
+                self.facts.reads.insert(*field);
+                let name = self.bodies.selector_name(*selector);
+                let fi = self.schema.field(*field);
+                if !fi.ty.is_ref() {
+                    return Err(ExecError::TypeError(format!(
+                        "`send {name} to {}`: field is not a reference",
+                        fi.name
+                    )));
                 }
-                None if cx.locals.contains(name.as_str()) => Ok(()),
-                None => Err(ExecError::UnknownName(name.clone())),
+                self.facts.external_sends.insert((*field, name.to_string()));
             }
+            RTarget::Error(e) => return Err(e.clone()),
         }
-        Stmt::VarDecl { name, expr } => {
-            walk_expr(cx, expr)?;
-            cx.locals.insert(name.clone());
-            Ok(())
-        }
-        Stmt::Send(send) => walk_send(cx, send),
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            walk_expr(cx, cond)?;
-            walk_block(cx, then_blk)?;
-            if let Some(e) = else_blk {
-                walk_block(cx, e)?;
-            }
-            Ok(())
-        }
-        Stmt::While { cond, body } => {
-            walk_expr(cx, cond)?;
-            walk_block(cx, body)
-        }
-        Stmt::Return(e) => {
-            if let Some(e) = e {
-                walk_expr(cx, e)?;
-            }
-            Ok(())
-        }
+        Ok(())
     }
-}
 
-fn walk_send(cx: &mut Cx<'_>, send: &SendExpr) -> Result<(), ExecError> {
-    for a in &send.args {
-        walk_expr(cx, a)?;
-    }
-    match (&send.prefix, &send.target) {
-        (Some(prefix), Target::SelfRef) => {
-            let pid = cx
-                .schema
-                .class_by_name(prefix)
-                .ok_or_else(|| ExecError::UnknownName(prefix.clone()))?;
-            // Definition 8: C' must be an ancestor of the defining class,
-            // and M' must be visible in C'.
-            if pid == cx.class || !cx.schema.class(cx.class).ancestors.contains(&pid) {
-                return Err(ExecError::TypeError(format!(
-                    "`send {prefix}.{}`: `{prefix}` is not a proper ancestor",
-                    send.method
-                )));
+    fn expr(&mut self, expr: &RExpr) -> Result<(), ExecError> {
+        match expr {
+            RExpr::Const(_) | RExpr::SelfRef | RExpr::Local(_) => Ok(()),
+            RExpr::Field(field) => {
+                self.facts.reads.insert(*field);
+                Ok(())
             }
-            if cx.schema.resolve_method(pid, &send.method).is_none() {
-                return Err(ExecError::MessageNotUnderstood {
-                    class: pid,
-                    method: send.method.clone(),
-                });
+            RExpr::Unknown(name) => Err(ExecError::UnknownName(name.to_string())),
+            RExpr::Call { args, .. } => args.iter().try_for_each(|a| self.expr(a)),
+            RExpr::Unary { expr, .. } => self.expr(expr),
+            RExpr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs)?;
+                self.expr(rhs)
             }
-            cx.facts.prefixed_calls.insert((pid, send.method.clone()));
-            Ok(())
+            RExpr::Send(send) => self.send(send),
         }
-        (None, Target::SelfRef) => {
-            cx.facts.self_calls.insert(send.method.clone());
-            Ok(())
-        }
-        (None, Target::Field(fname)) => {
-            let f = field_of(cx, fname).ok_or_else(|| ExecError::UnknownName(fname.clone()))?;
-            // The receiver field is read (Definition 6: "appears in some
-            // expression, including messages").
-            cx.facts.reads.insert(f);
-            if !cx.schema.field(f).ty.is_ref() {
-                return Err(ExecError::TypeError(format!(
-                    "`send {} to {fname}`: field is not a reference",
-                    send.method
-                )));
-            }
-            cx.facts.external_sends.insert((f, send.method.clone()));
-            Ok(())
-        }
-        (Some(_), Target::Field(_)) => Err(ExecError::TypeError(
-            "prefixed send must target self".into(),
-        )),
-    }
-}
-
-fn walk_expr(cx: &mut Cx<'_>, expr: &Expr) -> Result<(), ExecError> {
-    match expr {
-        Expr::Int(_)
-        | Expr::Float(_)
-        | Expr::Str(_)
-        | Expr::Bool(_)
-        | Expr::Nil
-        | Expr::SelfRef => Ok(()),
-        Expr::Name(name) => {
-            if cx.locals.contains(name.as_str()) {
-                return Ok(());
-            }
-            match field_of(cx, name) {
-                Some(f) => {
-                    cx.facts.reads.insert(f);
-                    Ok(())
-                }
-                None => Err(ExecError::UnknownName(name.clone())),
-            }
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                walk_expr(cx, a)?;
-            }
-            Ok(())
-        }
-        Expr::Unary { expr, .. } => walk_expr(cx, expr),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(cx, lhs)?;
-            walk_expr(cx, rhs)
-        }
-        Expr::Send(send) => walk_send(cx, send),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{build_schema, FIGURE1_SOURCE};
-    use finecc_model::MethodId;
+    use crate::parser::{
+        build_schema, build_schema_from_program, parse_body, parse_program, MethodSrc,
+        FIGURE1_SOURCE,
+    };
 
-    fn setup() -> (Schema, crate::parser::MethodBodies) {
+    fn setup() -> (Schema, MethodBodies) {
         build_schema(FIGURE1_SOURCE).unwrap()
     }
 
-    fn facts_of(
-        schema: &Schema,
-        bodies: &crate::parser::MethodBodies,
-        class: &str,
-        method: &str,
-    ) -> (MethodFacts, MethodId) {
+    fn facts_of(schema: &Schema, bodies: &MethodBodies, class: &str, method: &str) -> MethodFacts {
         let c = schema.class_by_name(class).unwrap();
         let m = schema.resolve_method(c, method).unwrap();
-        let mi = schema.method(m);
-        let facts = analyze(schema, mi.owner, &mi.sig.params, bodies.body(m)).unwrap();
-        (facts, m)
+        analyze(schema, bodies, m).unwrap()
+    }
+
+    /// Figure 1 with one more method, `probe(params)` with `body`, added
+    /// to `class`; returns the schema and the analysis of `probe`.
+    fn probe(class: &str, params: &[&str], body: &str) -> (Schema, Result<MethodFacts, ExecError>) {
+        let mut prog = parse_program(FIGURE1_SOURCE).unwrap();
+        let cs = prog.classes.iter_mut().find(|c| c.name == class).unwrap();
+        cs.methods.push(MethodSrc {
+            name: "probe".into(),
+            params: params.iter().map(|p| p.to_string()).collect(),
+            redefined: false,
+            body: parse_body(body).unwrap(),
+        });
+        let (s, b) = build_schema_from_program(&prog).unwrap();
+        let c = s.class_by_name(class).unwrap();
+        let m = s.resolve_method(c, "probe").unwrap();
+        let facts = analyze(&s, &b, m);
+        (s, facts)
     }
 
     fn fid(schema: &Schema, class: &str, name: &str) -> FieldId {
@@ -271,7 +222,7 @@ mod tests {
     #[test]
     fn figure1_m2_in_c1() {
         let (s, b) = setup();
-        let (facts, _) = facts_of(&s, &b, "c1", "m2");
+        let facts = facts_of(&s, &b, "c1", "m2");
         // DAV(c1,m2) = (Write f1, Read f2, Null f3)
         assert_eq!(
             facts.writes.iter().copied().collect::<Vec<_>>(),
@@ -288,7 +239,7 @@ mod tests {
     #[test]
     fn figure1_m1_self_calls() {
         let (s, b) = setup();
-        let (facts, _) = facts_of(&s, &b, "c1", "m1");
+        let facts = facts_of(&s, &b, "c1", "m1");
         assert!(facts.writes.is_empty());
         assert!(facts.reads.is_empty());
         let dsc: Vec<&str> = facts.self_calls.iter().map(String::as_str).collect();
@@ -298,7 +249,7 @@ mod tests {
     #[test]
     fn figure1_m3_reads_and_external_send() {
         let (s, b) = setup();
-        let (facts, _) = facts_of(&s, &b, "c1", "m3");
+        let facts = facts_of(&s, &b, "c1", "m3");
         // DAV(c1,m3) = (Null f1, Read f2, Read f3): f3 is read by the send.
         let reads: Vec<FieldId> = facts.reads.iter().copied().collect();
         assert_eq!(reads, [fid(&s, "c1", "f2"), fid(&s, "c1", "f3")]);
@@ -311,7 +262,7 @@ mod tests {
     #[test]
     fn figure1_m2_override_in_c2() {
         let (s, b) = setup();
-        let (facts, _) = facts_of(&s, &b, "c2", "m2");
+        let facts = facts_of(&s, &b, "c2", "m2");
         // DAV(c2,m2) = (Null,Null,Null, Write f4, Read f5, Null f6)
         assert_eq!(
             facts.writes.iter().copied().collect::<Vec<_>>(),
@@ -322,16 +273,17 @@ mod tests {
             [fid(&s, "c2", "f5")]
         );
         let c1 = s.class_by_name("c1").unwrap();
+        let m2_in_c1 = s.resolve_method(c1, "m2").unwrap();
         assert_eq!(
-            facts.prefixed_calls.iter().cloned().collect::<Vec<_>>(),
-            [(c1, "m2".to_string())]
+            facts.prefixed_calls.iter().copied().collect::<Vec<_>>(),
+            [(c1, m2_in_c1)]
         );
     }
 
     #[test]
     fn figure1_m4() {
         let (s, b) = setup();
-        let (facts, _) = facts_of(&s, &b, "c2", "m4");
+        let facts = facts_of(&s, &b, "c2", "m4");
         // DAV(c2,m4) = (…, Read f5, Write f6): f6 := expr(f6, …) is Write
         // (Write absorbs the read of f6).
         assert_eq!(
@@ -346,106 +298,115 @@ mod tests {
 
     #[test]
     fn write_absorbs_read() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
-        let body = crate::parser::parse_body("f1 := f1 + 1").unwrap();
-        let facts = analyze(&s, c1, &[], &body).unwrap();
+        let (_, facts) = probe("c1", &[], "f1 := f1 + 1");
+        let facts = facts.unwrap();
         assert!(facts.reads.is_empty());
         assert_eq!(facts.writes.len(), 1);
     }
 
     #[test]
     fn locals_and_params_shadow_fields() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
-        // `p` is a param, `t` a local; neither is a field access. The local
-        // even shadows field `f1` after `var f1 := …`? No: locals are their
-        // own namespace; a `var` named like a field shadows it from there on.
-        let body = crate::parser::parse_body("var t := p + 1; t := t + 2").unwrap();
-        let facts = analyze(&s, c1, &["p".into()], &body).unwrap();
-        assert!(facts.is_pure());
+        // `p` is a param, `t` a local; neither is a field access.
+        let (_, facts) = probe("c1", &["p"], "var t := p + 1; t := t + 2");
+        assert!(facts.unwrap().is_pure());
     }
 
     #[test]
     fn var_shadowing_field() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
         // First statement reads field f1 (initializer), then `f1` is a local:
         // the assignment afterwards is not a field write.
-        let body = crate::parser::parse_body("var f1 := f1 + 1; f1 := 0").unwrap();
-        let facts = analyze(&s, c1, &[], &body).unwrap();
+        let (_, facts) = probe("c1", &[], "var f1 := f1 + 1; f1 := 0");
+        let facts = facts.unwrap();
         assert_eq!(facts.reads.len(), 1);
         assert!(facts.writes.is_empty());
     }
 
     #[test]
+    fn var_in_a_branch_shadows_to_the_end_of_the_body() {
+        // Textual scoping: the `var` sits in a branch, yet every later
+        // `f1` is the local — and the condition, textually earlier,
+        // still reads the field.
+        let (s, facts) = probe("c1", &["v"], "if f2 then var f1 := 0 end; f1 := v");
+        let facts = facts.unwrap();
+        assert!(facts.writes.is_empty());
+        assert_eq!(
+            facts.reads.iter().copied().collect::<Vec<_>>(),
+            [fid(&s, "c1", "f2")]
+        );
+        // Before its `var`, the name is the field.
+        let (s, facts) = probe("c1", &["v"], "f1 := v; if f2 then var f1 := 0 end");
+        assert_eq!(
+            facts.unwrap().writes.iter().copied().collect::<Vec<_>>(),
+            [fid(&s, "c1", "f1")]
+        );
+    }
+
+    #[test]
     fn unknown_name_rejected() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
-        let body = crate::parser::parse_body("nope := 1").unwrap();
-        assert!(matches!(
-            analyze(&s, c1, &[], &body),
-            Err(ExecError::UnknownName(_))
-        ));
-        let body = crate::parser::parse_body("f1 := ghost").unwrap();
-        assert!(matches!(
-            analyze(&s, c1, &[], &body),
-            Err(ExecError::UnknownName(_))
-        ));
+        let (_, facts) = probe("c1", &[], "nope := 1");
+        assert_eq!(facts, Err(ExecError::UnknownName("nope".into())));
+        let (_, facts) = probe("c1", &[], "f1 := ghost");
+        assert_eq!(facts, Err(ExecError::UnknownName("ghost".into())));
+        // A local is not a reference field.
+        let (_, facts) = probe("c1", &[], "var f3 := nil; send m to f3");
+        assert_eq!(facts, Err(ExecError::UnknownName("f3".into())));
     }
 
     #[test]
     fn subclass_fields_invisible_upward() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
         // f4 is defined in c2; a method defined in c1 cannot see it.
-        let body = crate::parser::parse_body("f4 := 1").unwrap();
-        assert!(analyze(&s, c1, &[], &body).is_err());
+        let (_, facts) = probe("c1", &[], "f4 := 1");
+        assert!(facts.is_err());
     }
 
     #[test]
     fn prefixed_send_validation() {
-        let (s, _) = setup();
-        let c2 = s.class_by_name("c2").unwrap();
-        let c1 = s.class_by_name("c1").unwrap();
         // Not an ancestor:
-        let body = crate::parser::parse_body("send c3.m to self").unwrap();
-        assert!(analyze(&s, c2, &[], &body).is_err());
+        let (_, facts) = probe("c2", &[], "send c3.m to self");
+        assert!(matches!(facts, Err(ExecError::TypeError(_))));
         // Self is not a proper ancestor:
-        let body = crate::parser::parse_body("send c2.m2(1) to self").unwrap();
-        assert!(analyze(&s, c2, &[], &body).is_err());
+        let (_, facts) = probe("c2", &[], "send c2.m2(1) to self");
+        assert!(matches!(facts, Err(ExecError::TypeError(_))));
+        // Unknown class:
+        let (_, facts) = probe("c2", &[], "send ghost.m to self");
+        assert_eq!(facts, Err(ExecError::UnknownName("ghost".into())));
         // Unknown method in ancestor:
-        let body = crate::parser::parse_body("send c1.m4(1, 2) to self").unwrap();
-        assert!(analyze(&s, c2, &[], &body).is_err());
-        // Valid:
-        let body = crate::parser::parse_body("send c1.m3 to self").unwrap();
-        let facts = analyze(&s, c2, &[], &body).unwrap();
+        let (s, facts) = probe("c2", &[], "send c1.m4(1, 2) to self");
+        let c1 = s.class_by_name("c1").unwrap();
         assert_eq!(
-            facts.prefixed_calls.iter().cloned().collect::<Vec<_>>(),
-            [(c1, "m3".to_string())]
+            facts,
+            Err(ExecError::MessageNotUnderstood {
+                class: c1,
+                method: "m4".into()
+            })
+        );
+        // Valid:
+        let (s, facts) = probe("c2", &[], "send c1.m3 to self");
+        let m3 = s.resolve_method(c1, "m3").unwrap();
+        assert_eq!(
+            facts
+                .unwrap()
+                .prefixed_calls
+                .into_iter()
+                .collect::<Vec<_>>(),
+            [(c1, m3)]
         );
     }
 
     #[test]
     fn send_through_non_ref_field_rejected() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
-        let body = crate::parser::parse_body("send m to f1").unwrap();
-        assert!(matches!(
-            analyze(&s, c1, &[], &body),
-            Err(ExecError::TypeError(_))
-        ));
+        let (_, facts) = probe("c1", &[], "send m to f1");
+        assert!(matches!(facts, Err(ExecError::TypeError(_))));
     }
 
     #[test]
     fn reads_inside_conditions_args_and_loops() {
-        let (s, _) = setup();
-        let c2 = s.class_by_name("c2").unwrap();
-        let body = crate::parser::parse_body(
+        let (s, facts) = probe(
+            "c2",
+            &[],
             "while f5 > 0 do send m2(f4) to self end; if f2 then skip end",
-        )
-        .unwrap();
-        let facts = analyze(&s, c2, &[], &body).unwrap();
+        );
+        let facts = facts.unwrap();
         let reads: Vec<FieldId> = facts.reads.iter().copied().collect();
         assert_eq!(
             reads,
@@ -467,19 +428,14 @@ class base { method template is send hook to self end }
 class concrete inherits base { method hook is skip end }
 "#;
         let (s, b) = build_schema(src).unwrap();
-        let base = s.class_by_name("base").unwrap();
-        let t = s.resolve_method(base, "template").unwrap();
-        let mi = s.method(t);
-        let facts = analyze(&s, mi.owner, &mi.sig.params, b.body(t)).unwrap();
+        let facts = facts_of(&s, &b, "base", "template");
         assert!(facts.self_calls.contains("hook"));
     }
 
     #[test]
     fn expression_send_reads_receiver_field() {
-        let (s, _) = setup();
-        let c1 = s.class_by_name("c1").unwrap();
-        let body = crate::parser::parse_body("f1 := send m to f3").unwrap();
-        let facts = analyze(&s, c1, &[], &body).unwrap();
+        let (s, facts) = probe("c1", &[], "f1 := send m to f3");
+        let facts = facts.unwrap();
         assert!(facts.reads.contains(&fid(&s, "c1", "f3")));
         assert!(facts.writes.contains(&fid(&s, "c1", "f1")));
         assert_eq!(facts.external_sends.len(), 1);

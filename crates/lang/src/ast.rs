@@ -1,9 +1,14 @@
 //! Abstract syntax of method bodies.
 //!
-//! Names (`Expr::Name`, `Stmt::Assign`) are left unresolved in the AST;
-//! [`mod@crate::analyze`] and the interpreter resolve them against the method's
-//! parameters, locals, and the fields visible in the *defining* class —
-//! the resolution order the paper's Definition 6 presumes.
+//! The AST is what the parser produces and the pretty-printer renders:
+//! names (`Expr::Name`, `Stmt::Assign`, message and class names) are
+//! plain strings here. Nothing executes or analyses this form.
+//! [`crate::build_schema`] resolves every body **once**
+//! ([`crate::resolve`]) against the method's parameters, its `var`s and
+//! the fields visible in the *defining* class — the order the paper's
+//! Definition 6 presumes, with the textual scoping rule stated there —
+//! and both the interpreter and [`mod@crate::analyze`] consume that
+//! resolved body.
 
 use std::fmt;
 
@@ -116,7 +121,7 @@ pub enum Expr {
     Nil,
     /// `self` as a reference value.
     SelfRef,
-    /// An unresolved name: parameter, local, or field.
+    /// A name: parameter, local, or field (decided at resolution).
     Name(String),
     /// A builtin call such as the paper's `expr(f1, f2, p1)`.
     Call {

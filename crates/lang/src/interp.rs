@@ -1,4 +1,13 @@
-//! Tree-walking interpreter for method bodies.
+//! The executor of resolved method bodies.
+//!
+//! What runs is the [`crate::resolve`]d form `build_schema` produced:
+//! locals are slots of one value stack (a frame is a base index into
+//! it; arguments are evaluated straight into the callee's parameter
+//! slots), fields are [`FieldId`]s, and a self-send late-binds through
+//! one index into the receiver class's dispatch row. After the top
+//! send's own `&str` nothing is looked up by name; names reappear only
+//! inside error values. The scoping rule is in [`crate::resolve`]'s
+//! module docs.
 //!
 //! All data access goes through the [`DataAccess`] trait, which is the
 //! seam every concurrency-control scheme plugs into:
@@ -19,12 +28,11 @@
 //! in the *receiver's* class, even when sent from an ancestor's method
 //! body reached through a prefixed call.
 
-use crate::ast::{BinOp, Block, Expr, SendExpr, Stmt, Target, UnOp};
+use crate::ast::{BinOp, UnOp};
 use crate::builtins::Builtins;
 use crate::error::ExecError;
-use crate::parser::MethodBodies;
+use crate::resolve::{MethodBodies, RExpr, RSend, RStmt, RTarget, Resolved, Selector};
 use finecc_model::{ClassId, FieldId, MethodId, Oid, Schema, Value};
-use std::collections::HashMap;
 
 /// The interpreter's window onto the database, and the hook surface for
 /// concurrency control. See the module docs for when each hook fires.
@@ -67,12 +75,18 @@ pub struct Interpreter<'a> {
     pub max_fuel: u64,
 }
 
-struct RunState {
+/// The mutable state of one top-level send: limits and the value stack
+/// every frame of the execution lives in.
+#[derive(Default)]
+struct Run {
     depth: usize,
     fuel: u64,
+    /// Frame slots of every active method, innermost last. `None` is a
+    /// `var` slot whose declaration has not executed.
+    stack: Vec<Option<Value>>,
 }
 
-impl RunState {
+impl Run {
     fn burn(&mut self) -> Result<(), ExecError> {
         if self.fuel == 0 {
             return Err(ExecError::FuelExhausted);
@@ -82,48 +96,14 @@ impl RunState {
     }
 }
 
-enum Flow {
-    Normal(Value),
-    Return(Value),
-}
-
-impl Flow {
-    fn value(self) -> Value {
-        match self {
-            Flow::Normal(v) | Flow::Return(v) => v,
-        }
-    }
-}
-
-struct Frame<'f> {
+/// One active method: the receiver, the class self-sends late-bind in,
+/// and where the method's slots start in the value stack.
+#[derive(Clone, Copy)]
+struct Frame<'b> {
     receiver: Oid,
-    /// Class used for late binding of self-sends (the receiver's class).
     receiver_class: ClassId,
-    /// Class whose fields the current body may name (the defining class).
-    defining_class: ClassId,
-    locals: HashMap<&'f str, Value>,
-    /// Owned names introduced by `var` (they outlive the statement).
-    owned_locals: HashMap<String, Value>,
-}
-
-impl Frame<'_> {
-    fn get_local(&self, name: &str) -> Option<&Value> {
-        self.owned_locals
-            .get(name)
-            .or_else(|| self.locals.get(name))
-    }
-
-    fn set_local(&mut self, name: &str, v: Value) -> bool {
-        if let Some(slot) = self.owned_locals.get_mut(name) {
-            *slot = v;
-            true
-        } else if let Some(slot) = self.locals.get_mut(name) {
-            *slot = v;
-            true
-        } else {
-            false
-        }
-    }
+    base: usize,
+    method: &'b Resolved,
 }
 
 impl<'a> Interpreter<'a> {
@@ -148,311 +128,290 @@ impl<'a> Interpreter<'a> {
         method: &str,
         args: &[Value],
     ) -> Result<Value, ExecError> {
-        let mut st = RunState {
-            depth: 0,
-            fuel: self.max_fuel,
-        };
-        self.send_top(da, &mut st, oid, method, args)
+        let selector = self.bodies.selector(method);
+        self.send_in(da, &mut Run::default(), oid, selector, method, args)
     }
 
-    fn send_top(
+    /// [`Interpreter::send`] to each of `oids` in turn, each with the
+    /// full fuel budget, collecting the results; stops at the first
+    /// failure. The method name is interned once and one value stack
+    /// serves the whole extent.
+    pub fn send_each(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
+        oids: impl IntoIterator<Item = Oid>,
+        method: &str,
+        args: &[Value],
+    ) -> Result<Vec<Value>, ExecError> {
+        let selector = self.bodies.selector(method);
+        let mut run = Run::default();
+        let oids = oids.into_iter();
+        let mut results = Vec::with_capacity(oids.size_hint().0);
+        for oid in oids {
+            results.push(self.send_in(da, &mut run, oid, selector, method, args)?);
+        }
+        Ok(results)
+    }
+
+    fn send_in(
+        &self,
+        da: &mut dyn DataAccess,
+        run: &mut Run,
         oid: Oid,
+        selector: Option<Selector>,
         method: &str,
         args: &[Value],
     ) -> Result<Value, ExecError> {
-        let class = da.class_of(oid)?;
-        let mid = self.schema.resolve_method(class, method).ok_or_else(|| {
-            ExecError::MessageNotUnderstood {
-                class,
+        let Some(selector) = selector else {
+            // No class defines a message of this name.
+            return Err(ExecError::MessageNotUnderstood {
+                class: da.class_of(oid)?,
                 method: method.to_string(),
-            }
-        })?;
-        da.on_message(oid, class, mid)?;
-        self.run_method(da, st, oid, class, mid, args)
+            });
+        };
+        run.depth = 0;
+        run.fuel = self.max_fuel;
+        run.stack.clear();
+        run.stack.extend(args.iter().cloned().map(Some));
+        self.send_top(da, run, oid, selector, 0)
     }
 
+    /// A top message whose arguments sit at `run.stack[base..]`.
+    fn send_top(
+        &self,
+        da: &mut dyn DataAccess,
+        run: &mut Run,
+        oid: Oid,
+        selector: Selector,
+        base: usize,
+    ) -> Result<Value, ExecError> {
+        let class = da.class_of(oid)?;
+        let mid = self.late_bind(class, selector)?;
+        da.on_message(oid, class, mid)?;
+        self.run_method(da, run, oid, class, mid, base)
+    }
+
+    fn late_bind(&self, class: ClassId, selector: Selector) -> Result<MethodId, ExecError> {
+        self.bodies
+            .dispatch(class, selector)
+            .ok_or_else(|| ExecError::MessageNotUnderstood {
+                class,
+                method: self.bodies.selector_name(selector).to_string(),
+            })
+    }
+
+    /// Runs `mid` on `receiver` with its arguments at `run.stack[base..]`
+    /// (they become the parameter slots) and pops the frame.
     fn run_method(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
+        run: &mut Run,
         receiver: Oid,
         receiver_class: ClassId,
         mid: MethodId,
-        args: &[Value],
+        base: usize,
     ) -> Result<Value, ExecError> {
-        if st.depth >= self.max_depth {
+        if run.depth >= self.max_depth {
             return Err(ExecError::DepthExceeded(self.max_depth));
         }
-        st.burn()?;
-        let mi = self.schema.method(mid);
-        if mi.sig.params.len() != args.len() {
+        run.burn()?;
+        let method = self.bodies.resolved(mid);
+        let got = run.stack.len() - base;
+        if method.params != got {
             return Err(ExecError::ArityMismatch {
-                method: mi.sig.name.clone(),
-                expected: mi.sig.params.len(),
-                got: args.len(),
+                method: self.schema.method(mid).sig.name.clone(),
+                expected: method.params,
+                got,
             });
         }
-        let mut frame = Frame {
+        run.stack.resize(base + method.slot_names.len(), None);
+        let frame = Frame {
             receiver,
             receiver_class,
-            defining_class: mi.owner,
-            locals: mi
-                .sig
-                .params
-                .iter()
-                .map(String::as_str)
-                .zip(args.iter().cloned())
-                .collect(),
-            owned_locals: HashMap::new(),
+            base,
+            method,
         };
-        st.depth += 1;
-        let body = self.bodies.body(mid);
-        let flow = self.exec_block(da, st, &mut frame, body);
-        st.depth -= 1;
-        Ok(flow?.value())
+        run.depth += 1;
+        let returned = self.exec_block(da, run, frame, &method.body);
+        run.depth -= 1;
+        run.stack.truncate(base);
+        Ok(returned?.unwrap_or(Value::Nil))
     }
 
-    fn field_of(&self, frame: &Frame<'_>, name: &str) -> Option<FieldId> {
-        self.schema.resolve_field(frame.defining_class, name)
-    }
-
+    /// Runs a block; `Some` is the value of a `return` that ended it.
     fn exec_block(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
-        frame: &mut Frame<'_>,
-        block: &Block,
-    ) -> Result<Flow, ExecError> {
-        for stmt in &block.0 {
-            if let Flow::Return(v) = self.exec_stmt(da, st, frame, stmt)? {
-                return Ok(Flow::Return(v));
+        run: &mut Run,
+        frame: Frame<'_>,
+        block: &[RStmt],
+    ) -> Result<Option<Value>, ExecError> {
+        for stmt in block {
+            if let Some(v) = self.exec_stmt(da, run, frame, stmt)? {
+                return Ok(Some(v));
             }
         }
-        Ok(Flow::Normal(Value::Nil))
+        Ok(None)
     }
 
     fn exec_stmt(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
-        frame: &mut Frame<'_>,
-        stmt: &Stmt,
-    ) -> Result<Flow, ExecError> {
+        run: &mut Run,
+        frame: Frame<'_>,
+        stmt: &RStmt,
+    ) -> Result<Option<Value>, ExecError> {
         match stmt {
-            Stmt::Skip => Ok(Flow::Normal(Value::Nil)),
-            Stmt::Assign { name, expr } => {
-                let v = self.eval(da, st, frame, expr)?;
-                if frame.get_local(name).is_some() {
-                    frame.set_local(name, v);
-                    return Ok(Flow::Normal(Value::Nil));
-                }
-                match self.field_of(frame, name) {
-                    Some(f) => {
-                        da.write_field(frame.receiver, f, v)?;
-                        Ok(Flow::Normal(Value::Nil))
-                    }
-                    None => Err(ExecError::UnknownName(name.clone())),
-                }
+            RStmt::Skip => {}
+            RStmt::SetLocal { slot, expr } => {
+                let v = self.eval(da, run, frame, expr)?;
+                run.stack[frame.base + *slot as usize] = Some(v);
             }
-            Stmt::VarDecl { name, expr } => {
-                let v = self.eval(da, st, frame, expr)?;
-                frame.owned_locals.insert(name.clone(), v);
-                Ok(Flow::Normal(Value::Nil))
+            RStmt::SetField { field, expr } => {
+                let v = self.eval(da, run, frame, expr)?;
+                da.write_field(frame.receiver, *field, v)?;
             }
-            Stmt::Send(send) => {
-                self.eval_send(da, st, frame, send)?;
-                Ok(Flow::Normal(Value::Nil))
+            RStmt::SetUnknown { name, expr } => {
+                self.eval(da, run, frame, expr)?;
+                return Err(ExecError::UnknownName(name.to_string()));
             }
-            Stmt::If {
+            RStmt::Send(send) => {
+                self.eval_send(da, run, frame, send)?;
+            }
+            RStmt::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
-                let c = self.eval(da, st, frame, cond)?;
-                if c.truthy() {
-                    self.exec_block(da, st, frame, then_blk)
-                } else if let Some(e) = else_blk {
-                    self.exec_block(da, st, frame, e)
+                let blk = if self.eval(da, run, frame, cond)?.truthy() {
+                    then_blk
                 } else {
-                    Ok(Flow::Normal(Value::Nil))
-                }
-            }
-            Stmt::While { cond, body } => {
-                loop {
-                    st.burn()?;
-                    let c = self.eval(da, st, frame, cond)?;
-                    if !c.truthy() {
-                        break;
-                    }
-                    if let Flow::Return(v) = self.exec_block(da, st, frame, body)? {
-                        return Ok(Flow::Return(v));
-                    }
-                }
-                Ok(Flow::Normal(Value::Nil))
-            }
-            Stmt::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(da, st, frame, e)?,
-                    None => Value::Nil,
+                    else_blk
                 };
-                Ok(Flow::Return(v))
+                return self.exec_block(da, run, frame, blk);
             }
+            RStmt::While { cond, body } => loop {
+                run.burn()?;
+                if !self.eval(da, run, frame, cond)?.truthy() {
+                    break;
+                }
+                if let Some(v) = self.exec_block(da, run, frame, body)? {
+                    return Ok(Some(v));
+                }
+            },
+            RStmt::Return(e) => return Ok(Some(self.eval(da, run, frame, e)?)),
         }
+        Ok(None)
     }
 
     fn eval_send(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
-        frame: &mut Frame<'_>,
-        send: &SendExpr,
+        run: &mut Run,
+        frame: Frame<'_>,
+        send: &RSend,
     ) -> Result<Value, ExecError> {
-        let mut args = Vec::with_capacity(send.args.len());
+        // Arguments are evaluated straight into the callee's parameter
+        // slots. A nested send works above them and pops back to here.
+        let base = run.stack.len();
         for a in &send.args {
-            args.push(self.eval(da, st, frame, a)?);
+            let v = self.eval(da, run, frame, a)?;
+            run.stack.push(Some(v));
         }
-        match (&send.prefix, &send.target) {
-            // Prefixed self-send: resolve in the named ancestor; late
-            // binding of nested self-sends still uses the receiver class.
-            (Some(prefix), Target::SelfRef) => {
-                let pid = self
-                    .schema
-                    .class_by_name(prefix)
-                    .ok_or_else(|| ExecError::UnknownName(prefix.clone()))?;
-                let mid = self
-                    .schema
-                    .resolve_method(pid, &send.method)
-                    .ok_or_else(|| ExecError::MessageNotUnderstood {
-                        class: pid,
-                        method: send.method.clone(),
-                    })?;
-                da.on_self_message(frame.receiver, frame.receiver_class, mid)?;
-                self.run_method(da, st, frame.receiver, frame.receiver_class, mid, &args)
-            }
+        let Frame {
+            receiver,
+            receiver_class,
+            ..
+        } = frame;
+        match &send.to {
             // Simple self-send: late binding in the receiver's class.
-            (None, Target::SelfRef) => {
-                let mid = self
-                    .schema
-                    .resolve_method(frame.receiver_class, &send.method)
-                    .ok_or_else(|| ExecError::MessageNotUnderstood {
-                        class: frame.receiver_class,
-                        method: send.method.clone(),
-                    })?;
-                da.on_self_message(frame.receiver, frame.receiver_class, mid)?;
-                self.run_method(da, st, frame.receiver, frame.receiver_class, mid, &args)
+            RTarget::SelfSend(selector) => {
+                let mid = self.late_bind(receiver_class, *selector)?;
+                da.on_self_message(receiver, receiver_class, mid)?;
+                self.run_method(da, run, receiver, receiver_class, mid, base)
+            }
+            // Prefixed self-send: the named ancestor's definition; late
+            // binding of nested self-sends still uses the receiver class.
+            RTarget::Prefixed { method, .. } => {
+                da.on_self_message(receiver, receiver_class, *method)?;
+                self.run_method(da, run, receiver, receiver_class, *method, base)
             }
             // Send through a reference field: a *top* message on the
             // referenced instance.
-            (None, Target::Field(fname)) => {
-                let f = self
-                    .field_of(frame, fname)
-                    .ok_or_else(|| ExecError::UnknownName(fname.clone()))?;
-                let v = da.read_field(frame.receiver, f)?;
-                let oid = match v {
-                    Value::Ref(o) => o,
-                    Value::Nil => {
-                        return Err(ExecError::NilReceiver {
-                            method: send.method.clone(),
-                        })
-                    }
-                    _ => {
-                        return Err(ExecError::NotAReference {
-                            method: send.method.clone(),
-                        })
-                    }
-                };
-                self.send_top(da, st, oid, &send.method, &args)
-            }
-            (Some(_), Target::Field(_)) => Err(ExecError::TypeError(
-                "prefixed send must target self".into(),
-            )),
+            RTarget::Field { field, selector } => match da.read_field(receiver, *field)? {
+                Value::Ref(oid) => self.send_top(da, run, oid, *selector, base),
+                Value::Nil => Err(ExecError::NilReceiver {
+                    method: self.bodies.selector_name(*selector).to_string(),
+                }),
+                _ => Err(ExecError::NotAReference {
+                    method: self.bodies.selector_name(*selector).to_string(),
+                }),
+            },
+            RTarget::Error(e) => Err(e.clone()),
         }
     }
 
     fn eval(
         &self,
         da: &mut dyn DataAccess,
-        st: &mut RunState,
-        frame: &mut Frame<'_>,
-        expr: &Expr,
+        run: &mut Run,
+        frame: Frame<'_>,
+        expr: &RExpr,
     ) -> Result<Value, ExecError> {
         match expr {
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Float(bits) => Ok(Value::Float(Expr::float_value(*bits))),
-            Expr::Str(s) => Ok(Value::str(s)),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Nil => Ok(Value::Nil),
-            Expr::SelfRef => Ok(Value::Ref(frame.receiver)),
-            Expr::Name(name) => {
-                if let Some(v) = frame.get_local(name) {
-                    return Ok(v.clone());
-                }
-                match self.field_of(frame, name) {
-                    Some(f) => da.read_field(frame.receiver, f),
-                    None => Err(ExecError::UnknownName(name.clone())),
-                }
-            }
-            Expr::Call { func, args } => {
+            RExpr::Const(v) => Ok(v.clone()),
+            RExpr::SelfRef => Ok(Value::Ref(frame.receiver)),
+            RExpr::Local(slot) => run.stack[frame.base + *slot as usize]
+                .clone()
+                .ok_or_else(|| {
+                    ExecError::UnknownName(frame.method.slot_names[*slot as usize].to_string())
+                }),
+            RExpr::Field(field) => da.read_field(frame.receiver, *field),
+            RExpr::Unknown(name) => Err(ExecError::UnknownName(name.to_string())),
+            RExpr::Call { func, args } => {
                 let mut vs = Vec::with_capacity(args.len());
                 for a in args {
-                    vs.push(self.eval(da, st, frame, a)?);
+                    vs.push(self.eval(da, run, frame, a)?);
                 }
                 self.builtins.call(func, &vs)
             }
-            Expr::Unary { op, expr } => {
-                let v = self.eval(da, st, frame, expr)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.truthy())),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(ExecError::TypeError(format!(
-                            "cannot negate a {}",
-                            other.type_name()
-                        ))),
-                    },
-                }
+            RExpr::Unary { op, expr } => {
+                let v = self.eval(da, run, frame, expr)?;
+                unary_value(*op, v)
             }
-            Expr::Binary { op, lhs, rhs } => self.eval_binary(da, st, frame, *op, lhs, rhs),
-            Expr::Send(send) => self.eval_send(da, st, frame, send),
+            RExpr::Binary { op, lhs, rhs } => match op {
+                // Short-circuit logicals first.
+                BinOp::And => Ok(Value::Bool(
+                    self.eval(da, run, frame, lhs)?.truthy()
+                        && self.eval(da, run, frame, rhs)?.truthy(),
+                )),
+                BinOp::Or => Ok(Value::Bool(
+                    self.eval(da, run, frame, lhs)?.truthy()
+                        || self.eval(da, run, frame, rhs)?.truthy(),
+                )),
+                _ => {
+                    let l = self.eval(da, run, frame, lhs)?;
+                    let r = self.eval(da, run, frame, rhs)?;
+                    binary_value(*op, &l, &r)
+                }
+            },
+            RExpr::Send(send) => self.eval_send(da, run, frame, send),
         }
     }
+}
 
-    fn eval_binary(
-        &self,
-        da: &mut dyn DataAccess,
-        st: &mut RunState,
-        frame: &mut Frame<'_>,
-        op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-    ) -> Result<Value, ExecError> {
-        // Short-circuit logicals first.
-        match op {
-            BinOp::And => {
-                let l = self.eval(da, st, frame, lhs)?;
-                if !l.truthy() {
-                    return Ok(Value::Bool(false));
-                }
-                let r = self.eval(da, st, frame, rhs)?;
-                return Ok(Value::Bool(r.truthy()));
-            }
-            BinOp::Or => {
-                let l = self.eval(da, st, frame, lhs)?;
-                if l.truthy() {
-                    return Ok(Value::Bool(true));
-                }
-                let r = self.eval(da, st, frame, rhs)?;
-                return Ok(Value::Bool(r.truthy()));
-            }
-            _ => {}
-        }
-        let l = self.eval(da, st, frame, lhs)?;
-        let r = self.eval(da, st, frame, rhs)?;
-        binary_value(op, &l, &r)
+/// Applies a unary operator.
+pub(crate) fn unary_value(op: UnOp, v: Value) -> Result<Value, ExecError> {
+    match op {
+        UnOp::Not => Ok(Value::Bool(!v.truthy())),
+        UnOp::Neg => match v {
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            other => Err(ExecError::TypeError(format!(
+                "cannot negate a {}",
+                other.type_name()
+            ))),
+        },
     }
 }
 
@@ -557,7 +516,7 @@ pub fn binary_value(op: BinOp, l: &Value, r: &Value) -> Result<Value, ExecError>
                 _ => unreachable!(),
             }))
         }
-        And | Or => unreachable!("handled by eval_binary"),
+        And | Or => unreachable!("short-circuited by the evaluator"),
     }
 }
 
@@ -566,6 +525,7 @@ mod tests {
     use super::*;
     use crate::parser::{build_schema, FIGURE1_SOURCE};
     use finecc_model::Instance;
+    use std::collections::HashMap;
 
     /// A plain in-memory store with call-tracing, for interpreter tests.
     struct TraceStore {

@@ -26,12 +26,24 @@
 //! The crate provides:
 //!
 //! * [`parse_program`] / [`build_schema`] — parse class files into a
-//!   [`finecc_model::Schema`] plus per-method ASTs ([`MethodBodies`]),
+//!   [`finecc_model::Schema`] plus [`MethodBodies`]: per method, the AST
+//!   and its **resolved body**,
+//! * [`resolve`] — what is decided when. Everything a name can mean is
+//!   decided once, at `build_schema`: parameters and `var`s become frame
+//!   slots, field names [`finecc_model::FieldId`]s, literals values,
+//!   `send m to self` a selector into a dense per-class dispatch row
+//!   (late binding still happens per receiver, as one array index),
+//!   `send C.m to self` a [`finecc_model::MethodId`]. Scoping is static
+//!   and textual: a `var` shadows from its declaration to the end of the
+//!   body, whatever branch it sits in. Only builtins are still bound by
+//!   name at the call (the registry belongs to the interpreter),
 //! * [`mod@analyze`] — the compile-time extraction of Definitions 6–8: field
-//!   reads/writes and the DSC/PSC self-call sets,
-//! * [`Interpreter`] — a tree-walking evaluator over a [`DataAccess`]
-//!   trait, so every concurrency-control scheme can intercept field
-//!   accesses and message sends,
+//!   reads/writes and the DSC/PSC self-call sets, read off the resolved
+//!   body — so the access vector covers exactly what executes,
+//! * [`Interpreter`] — the executor of resolved bodies over a
+//!   [`DataAccess`] trait, so every concurrency-control scheme can
+//!   intercept field accesses and message sends; per message it looks
+//!   nothing up by name after the top send's own `&str`,
 //! * [`Builtins`] — the registry behind the paper's uninterpreted
 //!   `expr(...)`/`cond(...)` functions, with deterministic,
 //!   type-preserving defaults.
@@ -46,10 +58,14 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+#[cfg(test)]
+mod reference;
+pub mod resolve;
 
 pub use analyze::{analyze, MethodFacts};
 pub use ast::{BinOp, Block, Expr, SendExpr, Stmt, Target, UnOp};
 pub use builtins::Builtins;
 pub use error::{ExecError, ParseError};
 pub use interp::{DataAccess, Interpreter};
-pub use parser::{build_schema, parse_program, ClassSource, MethodBodies, Program};
+pub use parser::{build_schema, parse_program, ClassSource, Program};
+pub use resolve::MethodBodies;

@@ -1,11 +1,14 @@
 //! Recursive-descent parser for class files and method bodies, plus
 //! [`build_schema`], which turns a parsed program into a validated
-//! [`Schema`] and the per-method ASTs.
+//! [`Schema`] and its [`MethodBodies`]: the per-method ASTs and, from
+//! them, the resolved bodies the interpreter runs and the analysis
+//! reads ([`crate::resolve`]).
 
 use crate::ast::{BinOp, Block, Expr, SendExpr, Stmt, Target, UnOp};
 use crate::error::ParseError;
 use crate::lexer::{lex, Spanned, Tok};
-use finecc_model::{FieldType, MethodId, ModelError, Schema, SchemaBuilder};
+use crate::resolve::MethodBodies;
+use finecc_model::{FieldType, ModelError, Schema, SchemaBuilder};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -50,29 +53,6 @@ pub struct ClassSource {
 pub struct Program {
     /// Classes in source order.
     pub classes: Vec<ClassSource>,
-}
-
-/// Method bodies keyed by [`MethodId`], produced by [`build_schema`].
-#[derive(Clone, Debug, Default)]
-pub struct MethodBodies {
-    bodies: Vec<Arc<Block>>,
-}
-
-impl MethodBodies {
-    /// The body of a method definition site.
-    pub fn body(&self, id: MethodId) -> &Block {
-        &self.bodies[id.index()]
-    }
-
-    /// Number of bodies (equals the schema's method count).
-    pub fn len(&self) -> usize {
-        self.bodies.len()
-    }
-
-    /// `true` when no methods exist.
-    pub fn is_empty(&self) -> bool {
-        self.bodies.is_empty()
-    }
 }
 
 /// Errors from [`build_schema`]: syntactic, semantic, or an
@@ -150,7 +130,8 @@ pub fn parse_body(src: &str) -> Result<Block, ParseError> {
     Ok(blk)
 }
 
-/// Parses `src` and builds the validated schema plus method bodies.
+/// Parses `src` and builds the validated schema plus method bodies,
+/// resolving every name in every body once ([`crate::resolve`]).
 pub fn build_schema(src: &str) -> Result<(Schema, MethodBodies), BuildError> {
     let prog = parse_program(src)?;
     build_schema_from_program(&prog)
@@ -204,7 +185,8 @@ pub fn build_schema_from_program(prog: &Program) -> Result<(Schema, MethodBodies
         }
         bodies[mi.id.index()] = Arc::new(src.body.clone());
     }
-    Ok((schema, MethodBodies { bodies }))
+    let bodies = MethodBodies::resolve(&schema, bodies);
+    Ok((schema, bodies))
 }
 
 struct Parser {

@@ -11,10 +11,9 @@
 
 use crate::entry::LockEntry;
 use crate::resource::ResourceId;
-use finecc_model::TxnId;
+use finecc_model::{BuildMulHasher, MulMap, TxnId};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shards per table. `tps.tav` on `short-readmostly` (2 clients, 2
@@ -29,66 +28,12 @@ pub(crate) const SHARDS: usize = 64;
 /// resource nobody holds allocates nothing in steady state.
 const POOL_CAP: usize = 16;
 
-/// A multiplicative (Fibonacci) hasher for the table's small integer
-/// keys. Keys are OIDs, class ids and transaction ids drawn by this
-/// program, not by a client, so SipHash's collision resistance buys
-/// nothing and costs more than the grant it guards.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct MulHasher(u64);
-
-impl MulHasher {
-    /// 2⁶⁴ ÷ φ, odd.
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    #[inline]
-    fn add(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for MulHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, x: u8) {
-        self.add(u64::from(x));
-    }
-    #[inline]
-    fn write_u16(&mut self, x: u16) {
-        self.add(u64::from(x));
-    }
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        self.add(u64::from(x));
-    }
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-    #[inline]
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
-    }
-    /// A product's high bits are its well-mixed ones; the map indexes
-    /// buckets by the low bits, so fold the former onto the latter.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-pub(crate) type MulMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
-
 /// The shard a key lives in: bits 32‥ of its hash, which the map's
 /// bucket index (low bits) and control bytes (top bits) do not rely on
 /// alone.
 #[inline]
 pub(crate) fn shard_of<K: std::hash::Hash>(key: &K) -> usize {
-    let h = BuildHasherDefault::<MulHasher>::default().hash_one(key);
+    let h = BuildMulHasher::default().hash_one(key);
     (h >> 32) as usize % SHARDS
 }
 

@@ -22,12 +22,18 @@
 //!   name to the nearest definition in `C`'s linearization, i.e. late
 //!   binding resolved at the class level.
 //!
-//! Method *bodies* are not stored here; they live in `finecc-lang` as ASTs
-//! keyed by [`MethodId`], keeping this crate independent of the language.
+//! Method *bodies* are not stored here; they live in `finecc-lang`
+//! (source ASTs and their resolved form) keyed by [`MethodId`], keeping
+//! this crate independent of the language.
+//!
+//! [`hash`] holds the one hasher every map keyed by these identifiers
+//! shares ([`MulMap`], [`MulSet`]); its module docs state the
+//! precondition — keys drawn by this program, never by a client.
 
 #![forbid(unsafe_code)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod instance;
 pub mod schema;
@@ -35,6 +41,7 @@ pub mod types;
 pub mod value;
 
 pub use error::ModelError;
+pub use hash::{BuildMulHasher, MulHasher, MulMap, MulSet};
 pub use ids::{ClassId, FieldId, MethodId, Oid, TxnId};
 pub use instance::Instance;
 pub use schema::{ClassInfo, FieldInfo, MethodInfo, MethodSig, Schema, SchemaBuilder};

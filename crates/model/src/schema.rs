@@ -82,14 +82,17 @@ pub struct ClassInfo {
     /// The domain rooted at this class: itself plus all transitive
     /// subclasses, sorted by id.
     pub domain: Vec<ClassId>,
-    field_pos: HashMap<FieldId, u32>,
+    /// Indexed by `FieldId`: the field's position in `all_fields`, if
+    /// visible. Sized to the largest visible id, not the schema.
+    field_pos: Vec<Option<u32>>,
     method_by_name: HashMap<String, MethodId>,
 }
 
 impl ClassInfo {
     /// Position of `field` in [`ClassInfo::all_fields`], if visible.
     pub fn field_pos(&self, field: FieldId) -> Option<usize> {
-        self.field_pos.get(&field).map(|&p| p as usize)
+        let pos = self.field_pos.get(field.index()).copied().flatten();
+        pos.map(|p| p as usize)
     }
 
     /// Number of visible fields.
@@ -475,11 +478,11 @@ impl SchemaBuilder {
         for (i, d) in self.decls.iter().enumerate() {
             let id = ClassId::from_index(i);
             let lin = linearizations[i].clone();
-            let field_pos = all_fields[i]
-                .iter()
-                .enumerate()
-                .map(|(p, &f)| (f, p as u32))
-                .collect();
+            let visible_ids = all_fields[i].iter().map(|f| f.index() + 1).max();
+            let mut field_pos = vec![None; visible_ids.unwrap_or(0)];
+            for (p, &f) in all_fields[i].iter().enumerate() {
+                field_pos[f.index()] = Some(p as u32);
+            }
             classes.push(ClassInfo {
                 id,
                 name: d.name.clone(),

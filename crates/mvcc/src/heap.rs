@@ -144,12 +144,12 @@ use crate::ssi::{SsiTracker, SsiVerdict};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts, TS_PENDING};
-use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
+use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId, Value};
 use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -354,7 +354,7 @@ struct ChainCell {
 }
 
 /// The copy-on-write published OID→chain map of one shard.
-type ChainMap = HashMap<Oid, Arc<ChainCell>>;
+type ChainMap = MulMap<Oid, Arc<ChainCell>>;
 
 /// A snapshot awaiting its reclamation grace period, in a slot's
 /// retire bin.
@@ -396,7 +396,7 @@ impl ChainShard {
         ChainShard {
             writer: Mutex::new(()),
             maps: (0..MAP_BUCKETS)
-                .map(|_| CowCell::new(ChainMap::new()))
+                .map(|_| CowCell::new(ChainMap::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
         }
@@ -564,7 +564,7 @@ pub struct MvccHeap {
     /// The reclamation clock shared by every copy-on-write cell.
     rcu: Rcu,
     /// Transaction registry, striped by `TxnId`.
-    txns: Box<[Mutex<HashMap<TxnId, TxnState>>]>,
+    txns: Box<[Mutex<MulMap<TxnId, TxnState>>]>,
     /// Snapshot registry; the minimum active entry is the GC horizon.
     epochs: EpochTable,
     /// The commit-timestamp allocator. Drawing a timestamp is one
@@ -664,7 +664,7 @@ impl MvccHeap {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let txns = (0..TXN_STRIPES)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         MvccHeap {
@@ -833,7 +833,7 @@ impl MvccHeap {
     }
 
     #[inline]
-    fn txn_stripe(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, TxnState>> {
+    fn txn_stripe(&self, txn: TxnId) -> &Mutex<MulMap<TxnId, TxnState>> {
         &self.txns[(txn.raw() as usize) % TXN_STRIPES]
     }
 

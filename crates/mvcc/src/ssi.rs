@@ -76,9 +76,8 @@
 //! read-only pivot.
 
 use crate::Ts;
-use finecc_model::{FieldId, Oid, TxnId};
+use finecc_model::{FieldId, MulMap, Oid, TxnId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// How many mutexes the SIREAD registry is striped over.
 const READER_SHARDS: usize = 32;
@@ -175,10 +174,10 @@ struct Flags {
 /// The SIREAD registry: which transactions have read which field,
 /// striped by OID. Concurrency windows come from the flag table's
 /// commit timestamps, so the registry itself only needs identities.
-type ReaderShard = Mutex<HashMap<(Oid, FieldId), Vec<TxnId>>>;
+type ReaderShard = Mutex<MulMap<(Oid, FieldId), Vec<TxnId>>>;
 
 /// One stripe of the flag table.
-type FlagStripe = Mutex<HashMap<TxnId, Flags>>;
+type FlagStripe = Mutex<MulMap<TxnId, Flags>>;
 
 /// The rw-antidependency tracker of a Serializable-level heap.
 ///
@@ -211,11 +210,11 @@ pub(crate) enum SsiVerdict {
 impl SsiTracker {
     pub(crate) fn new() -> SsiTracker {
         let readers = (0..READER_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let flags = (0..FLAG_STRIPES)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         SsiTracker { readers, flags }
@@ -402,7 +401,7 @@ impl SsiTracker {
         }
         for shard in self.readers.iter() {
             let mut shard = shard.lock();
-            let mut live: HashMap<TxnId, bool> = HashMap::new();
+            let mut live: MulMap<TxnId, bool> = MulMap::default();
             shard.retain(|_, rs| {
                 rs.retain(|t| {
                     *live

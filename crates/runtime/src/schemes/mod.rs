@@ -30,8 +30,5 @@ pub(crate) fn send_each(
     method: &str,
     args: &[Value],
 ) -> Result<Vec<Value>, ExecError> {
-    let interp = interpreter(env);
-    oids.into_iter()
-        .map(|oid| interp.send(da, oid, method, args))
-        .collect()
+    interpreter(env).send_each(da, oids, method, args)
 }

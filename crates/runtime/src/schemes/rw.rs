@@ -14,7 +14,7 @@
 
 use crate::env::Env;
 use crate::schemes::lock::{
-    not_understood, rw_mode, transitive_rw_mode, LockAccess, LockPolicy, LockScheme, UndoStyle,
+    mode_index, rw_mode, transitive_rw_mode, LockAccess, LockPolicy, LockScheme, UndoStyle,
 };
 use finecc_lang::ExecError;
 use finecc_lock::{LockMode, ResourceId, RwSource, WRITE};
@@ -102,10 +102,7 @@ impl LockPolicy for RwPolicy {
             let m = if hierarchical {
                 transitive_rw_mode(env, c, method)?
             } else {
-                let mid = env
-                    .schema
-                    .resolve_method(c, method)
-                    .ok_or_else(|| not_understood(c, method))?;
+                let mid = env.compiled.class(c).method_ids[mode_index(env, c, method)?];
                 classify(env, mid)
             };
             cx.lock(ResourceId::Class(c), LockMode::class(m, hierarchical))?;

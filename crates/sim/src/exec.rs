@@ -94,27 +94,35 @@ pub fn run_concurrent(scheme: &dyn CcScheme, ops: &[TxnOp], cfg: ExecConfig) -> 
     let failed = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
+    // The workers start together: a workload short enough for the first
+    // thread to drain before the OS has started the second would run
+    // without the concurrency it was dealt out for.
+    let threads = cfg.threads.max(1);
+    let start_line = std::sync::Barrier::new(threads);
     let start = Instant::now();
 
     std::thread::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ops.len() {
-                    break;
-                }
-                let op = &ops[i];
-                match run_txn(scheme, cfg.max_retries, |txn| op.run(scheme, txn)) {
-                    TxnOutcome::Committed { retries: r, .. } => {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        retries.fetch_add(u64::from(r), Ordering::Relaxed);
+        for _ in 0..threads {
+            scope.spawn(|| {
+                start_line.wait();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= ops.len() {
+                        break;
                     }
-                    TxnOutcome::Exhausted { retries: r } => {
-                        exhausted.fetch_add(1, Ordering::Relaxed);
-                        retries.fetch_add(u64::from(r), Ordering::Relaxed);
-                    }
-                    TxnOutcome::Failed(_) => {
-                        failed.fetch_add(1, Ordering::Relaxed);
+                    let op = &ops[i];
+                    match run_txn(scheme, cfg.max_retries, |txn| op.run(scheme, txn)) {
+                        TxnOutcome::Committed { retries: r, .. } => {
+                            committed.fetch_add(1, Ordering::Relaxed);
+                            retries.fetch_add(u64::from(r), Ordering::Relaxed);
+                        }
+                        TxnOutcome::Exhausted { retries: r } => {
+                            exhausted.fetch_add(1, Ordering::Relaxed);
+                            retries.fetch_add(u64::from(r), Ordering::Relaxed);
+                        }
+                        TxnOutcome::Failed(_) => {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
             });

@@ -1,9 +1,9 @@
 //! The sharded, thread-safe object heap with class extents.
 
 use crate::error::StoreError;
-use finecc_model::{ClassId, FieldId, FieldType, Instance, Oid, Schema, Value};
+use finecc_model::{ClassId, FieldId, FieldType, Instance, MulMap, Oid, Schema, Value};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ const SHARD_COUNT: usize = 64;
 /// manager's job in `finecc-lock`/`finecc-runtime`.
 pub struct Database {
     schema: Arc<Schema>,
-    shards: Box<[RwLock<HashMap<Oid, Instance>>]>,
+    shards: Box<[RwLock<MulMap<Oid, Instance>>]>,
     extents: Vec<RwLock<BTreeSet<Oid>>>,
     next_oid: AtomicU64,
 }
@@ -27,7 +27,7 @@ impl Database {
     /// Creates an empty database over a schema.
     pub fn new(schema: Arc<Schema>) -> Database {
         let shards = (0..SHARD_COUNT)
-            .map(|_| RwLock::new(HashMap::new()))
+            .map(|_| RwLock::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let extents = (0..schema.class_count())
@@ -47,7 +47,7 @@ impl Database {
     }
 
     #[inline]
-    fn shard(&self, oid: Oid) -> &RwLock<HashMap<Oid, Instance>> {
+    fn shard(&self, oid: Oid) -> &RwLock<MulMap<Oid, Instance>> {
         &self.shards[(oid.raw() as usize) % SHARD_COUNT]
     }
 

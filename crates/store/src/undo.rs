@@ -15,8 +15,7 @@
 
 use crate::db::Database;
 use crate::error::StoreError;
-use finecc_model::{FieldId, Oid, Value};
-use std::collections::HashSet;
+use finecc_model::{FieldId, MulSet, Oid, Value};
 
 /// One projected field image: the value of `(oid, field)` at a given
 /// moment. The undo log stores *before*-images; the write-ahead log
@@ -35,7 +34,7 @@ pub struct FieldImage {
 #[derive(Debug, Default)]
 pub struct UndoLog {
     records: Vec<FieldImage>,
-    seen: HashSet<(Oid, FieldId)>,
+    seen: MulSet<(Oid, FieldId)>,
 }
 
 impl UndoLog {

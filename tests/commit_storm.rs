@@ -468,18 +468,32 @@ fn reader_storm_cold_miss_never_sees_aborted_writes() {
     let storm = Arc::new(setup(threads, IsolationLevel::Snapshot));
     let writers_live = Arc::new(AtomicU64::new(threads as u64));
     let rounds: i64 = 200;
-    std::thread::scope(|s| {
+    // The `run_reader_storm` handshake: the writers run at least
+    // `rounds` rounds and then on until every reader has sampled (or the
+    // deadline passes) — a heap fast enough to finish 200 rounds before
+    // the OS has started a single reader must not turn this into a test
+    // of an idle store.
+    let readers_sampling = Arc::new(AtomicU64::new(0));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let even_rounds: u64 = std::thread::scope(|s| {
         // Writers: alternate commit (even round) / abort (odd round) on
         // the thread's own (object, field); no warmup, no GC pin — the
         // chain for the field vanishes on every abort (sole record) and
         // is reclaimed soon after every commit.
+        let mut writers = Vec::new();
         for t in 0..threads {
             let storm = Arc::clone(&storm);
             let writers_live = Arc::clone(&writers_live);
-            s.spawn(move || {
+            let readers_sampling = Arc::clone(&readers_sampling);
+            writers.push(s.spawn(move || {
                 let (a, b) = storm.pair_of(t);
                 let field = storm.fields[t];
-                for round in 0..rounds {
+                let mut round = 0;
+                loop {
+                    let observed = readers_sampling.load(Ordering::Relaxed) == threads as u64;
+                    if round >= rounds && (observed || Instant::now() >= deadline) {
+                        break;
+                    }
                     let txn = TxnId(storm.next_txn.fetch_add(1, Ordering::Relaxed));
                     storm.heap.begin(txn);
                     let even = round % 2 == 0;
@@ -500,9 +514,11 @@ fn reader_storm_cold_miss_never_sees_aborted_writes() {
                         }
                         Err(e) => panic!("cold-miss storm write failed: {e}"),
                     }
+                    round += 1;
                 }
                 writers_live.fetch_sub(1, Ordering::Relaxed);
-            });
+                (round as u64).div_ceil(2)
+            }));
         }
         // Readers: snapshot reads of the churning fields. Any negative
         // value is a rolled-back write leaking through the chain-miss
@@ -510,6 +526,7 @@ fn reader_storm_cold_miss_never_sees_aborted_writes() {
         for r in 0..threads {
             let storm = Arc::clone(&storm);
             let writers_live = Arc::clone(&writers_live);
+            let readers_sampling = Arc::clone(&readers_sampling);
             s.spawn(move || {
                 let mut t = r;
                 while writers_live.load(Ordering::Relaxed) > 0 {
@@ -527,18 +544,21 @@ fn reader_storm_cold_miss_never_sees_aborted_writes() {
                             Err(e) => panic!("cold-miss read failed: {e}"),
                         }
                     }
+                    if t == r {
+                        readers_sampling.fetch_add(1, Ordering::Relaxed);
+                    }
                     t = t.wrapping_add(1);
                 }
             });
         }
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
     });
     // The storm must actually have exercised the miss path — otherwise
     // this test silently degenerates into another warmed storm.
     let m = storm.heap.stats.snapshot();
     assert!(m.read_base_loads > 0, "the cold storm never missed a chain");
     assert_eq!(
-        m.commits,
-        threads as u64 * (rounds as u64).div_ceil(2),
+        m.commits, even_rounds,
         "every even round committed exactly once"
     );
 }

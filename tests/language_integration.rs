@@ -183,3 +183,61 @@ class owner {
     assert_eq!(finecc::store::repair_dangling(&env.db), 1);
     assert!(finecc::store::check_integrity(&env.db).is_empty());
 }
+
+/// The access vector must cover what executes. A `var` in an untaken
+/// branch still shadows the field from there on (resolution is textual,
+/// done once — `finecc::lang::resolve`), so `sneaky` never touches
+/// `balance`: its vector is `{flag: Read}`, it commutes with itself, and
+/// that is sound because the run agrees. When the interpreter decided
+/// shadowing by what had *executed*, the last statement wrote the field
+/// behind the vector's back: unlocked, and — under the projection undo —
+/// not restored by abort.
+#[test]
+fn a_var_in_an_untaken_branch_still_shadows_the_field() {
+    let src = r#"
+class acct {
+  fields { balance: integer; flag: boolean; }
+  method sneaky(v) is
+    if flag then var balance := 0 end;
+    balance := v
+  end
+  method balance_of is return balance end
+}
+"#;
+    for kind in SchemeKind::ALL {
+        let env = Env::from_source(src).unwrap();
+        let acct = env.schema.class_by_name("acct").unwrap();
+        let balance = env.schema.resolve_field(acct, "balance").unwrap();
+        let flag = env.schema.resolve_field(acct, "flag").unwrap();
+        let table = env.compiled.class(acct);
+        let sneaky = table.index_of("sneaky").unwrap();
+        assert!(table.tav(sneaky).mode_of(balance).is_null());
+        assert!(!table.tav(sneaky).mode_of(flag).is_null());
+        assert!(table.commute(sneaky, sneaky));
+
+        let o = env
+            .db
+            .create_with(acct, [(balance, Value::Int(100))])
+            .unwrap();
+        let before = env.db.snapshot();
+        let scheme = kind.build(env);
+        let mut txn = scheme.begin();
+        scheme
+            .send(&mut txn, o, "sneaky", &[Value::Int(7)])
+            .unwrap();
+        // Nothing outside the vector was touched: the transaction's own
+        // view of `balance` is the initial one …
+        assert_eq!(
+            scheme.send(&mut txn, o, "balance_of", &[]),
+            Ok(Value::Int(100)),
+            "{kind}"
+        );
+        scheme.abort(txn);
+        // … and abort leaves the instance as it found it.
+        assert_eq!(scheme.env().db.snapshot(), before, "{kind}");
+        let out = run_txn(scheme.as_ref(), 3, |txn| {
+            scheme.send(txn, o, "balance_of", &[])
+        });
+        assert_eq!(out.value(), Some(Value::Int(100)), "{kind}");
+    }
+}
