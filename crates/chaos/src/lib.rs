@@ -14,9 +14,9 @@
 //! The engine calls free functions ([`yield_point`], [`fault_at`],
 //! [`disabled_at`]) at named [`Site`]s. Each compiles to **one relaxed
 //! atomic load and a predictable branch** while no harness is
-//! installed — the same discipline as `finecc-obs`. The latch-free
-//! mvcc read path carries *no* sites at all, so its reads stay
-//! probe-free even with the harness linked in.
+//! installed — the same discipline as `finecc-obs`. The mvcc read path
+//! carries *no* sites at all, so its reads stay probe-free even with
+//! the harness linked in.
 //!
 //! ## Scoping
 //!

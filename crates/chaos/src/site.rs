@@ -6,9 +6,11 @@
 ///
 /// Sites are the harness's vocabulary: schedules are sequences of
 /// decisions taken *at* sites, fault specs name the site they arm, and
-/// trace events record which site each decision was taken at. The
-/// latch-free mvcc **read path deliberately has no site** — reads must
-/// stay probe-free even with the harness compiled in.
+/// trace events record which site each decision was taken at. Every
+/// site sits outside the mvcc heap's chain-shard latches (a thread
+/// parked while holding one would stall the token scheduler), and the
+/// mvcc **read path deliberately has no site** — reads must stay
+/// probe-free even with the harness compiled in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Site {
@@ -31,7 +33,8 @@ pub enum Site {
     CommitFlipStep = 7,
     /// Mvcc commit: before the watermark publication.
     CommitPublish = 8,
-    /// Mvcc commit: the read-your-own-commits publication barrier
+    /// Mvcc commit: the read-your-own-commits publication barrier,
+    /// which a refused commit's skip also waits behind
     /// (`FaultKind::Disable` here skips the barrier — the known-bug
     /// regression lever).
     CommitPublishWait = 9,
@@ -39,8 +42,9 @@ pub enum Site {
     WatermarkWait = 10,
     /// Watermark: one spin of the publication ring's overflow wait.
     WatermarkPublish = 11,
-    /// Mvcc heap: before a GC pass retires copy-on-write snapshots.
-    CowReclaim = 12,
+    /// Mvcc heap: before a reclamation batch or a full GC sweep prunes
+    /// version chains.
+    Reclaim = 12,
     /// WAL: before an inline-mode append claims the file.
     WalAppend = 13,
     /// WAL: before an inline-mode fsync.
@@ -86,7 +90,7 @@ impl Site {
         Site::CommitPublishWait,
         Site::WatermarkWait,
         Site::WatermarkPublish,
-        Site::CowReclaim,
+        Site::Reclaim,
         Site::WalAppend,
         Site::WalFsync,
         Site::WalFlushWrite,
@@ -136,7 +140,7 @@ impl Site {
             Site::CommitPublishWait => "commit_publish_wait",
             Site::WatermarkWait => "watermark_wait",
             Site::WatermarkPublish => "watermark_publish",
-            Site::CowReclaim => "cow_reclaim",
+            Site::Reclaim => "reclaim",
             Site::WalAppend => "wal_append",
             Site::WalFsync => "wal_fsync",
             Site::WalFlushWrite => "wal_flush_write",

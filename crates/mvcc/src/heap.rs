@@ -4,42 +4,37 @@
 //!
 //! # Concurrency architecture
 //!
-//! The heap is latch-free where it matters most: **snapshot reads take
-//! zero latches end to end** on the chain-hit path, and neither
-//! timestamp allocation nor publication holds a mutex anywhere.
+//! Version chains are plain data. Each of the 64 chain shards is one
+//! reader/writer latch over an `Oid → Chain` map, and a chain is a
+//! vector of inline version records, newest first. Nothing is published
+//! copy-on-write, so nothing waits out a grace period, and the crate
+//! root forbids `unsafe_code`.
 //!
-//! * **Reads are latch-free.** Chains are published copy-on-write
-//!   (the crate-private `cow` module): each per-OID record list is an immutable
-//!   snapshot behind an atomic pointer, and the per-shard OID→chain map
-//!   is published the same way. A reader pins the reclamation clock
-//!   (two atomic counter ops — no mutex, no spinning), loads the two
-//!   pointers, and walks the records by reference. Records carry
-//!   **both before- and after-images** per field, so a chain hit is
-//!   answered entirely from the chain — the base store is not touched.
-//!   A chain miss (no record covers the field) pays one base
-//!   `RwLock::read`, then a **seqlock-style stability check**: the
-//!   read is kept only if both publication pointers (bucket map and
-//!   chain) are bit-identical across it. Writers publish their record
-//!   *before* the base write-through and unpublish it *after* the
-//!   rollback restore, so any racing install **or** unpublish — either
-//!   of which could expose an uncommitted write-through — moves a
-//!   pointer and forces a retry (counted in `read_retries`; pointer
-//!   equality is sound because nodes retired after the first look
-//!   cannot be freed, let alone address-reused, under the reader's
-//!   pin).
-//! * **Commits flip without latches.** A committer stores its commit
-//!   timestamp into each of its records' atomic `commit_ts` — record
-//!   identity is stable across concurrent snapshot swaps (snapshots
-//!   share records by `Arc`), so no chain latch is needed to flip.
-//! * **Publication is a lock-free ring** (the crate-private `watermark` module): an
-//!   ordered watermark advances `last_committed` only across a
-//!   contiguous flipped prefix, with CAS-claimed in-flight slots
-//!   instead of the earlier pending-set mutex. A timestamp drawn by a
-//!   transaction that then fails SSI validation is published as a
-//!   *skip* (nothing was flipped at it), keeping the prefix dense.
-//! * **Writers keep a per-shard writer latch** — installs, merges,
-//!   rollbacks, and pruning of one shard serialize on it, but readers
-//!   never take it and committers flipping records do not either.
+//! * **Reads hold the shard latch shared.** [`MvccHeap::read_as`] walks
+//!   the chain under it and, on a miss (no record covers the field),
+//!   reads the base store under it too. Records carry **both before-
+//!   and after-images** per field, so a chain hit is answered from the
+//!   chain alone. A miss is answered correctly from the base because
+//!   every install, write-through and rollback restore of a field
+//!   happens under the same latch held exclusively: while a reader
+//!   holds it shared, a field no record covers has no pending writer,
+//!   and the base holds its latest committed value.
+//! * **Writes hold it exclusive.** [`MvccHeap::write_at`] runs
+//!   first-updater-wins, the base write-through (whose previous value
+//!   is the before-image) and the install in one critical section. A
+//!   transaction's further write to an object it already wrote edits
+//!   its own record **in place**: the field is added, or its after-image
+//!   replaced.
+//! * **Commits flip under the shared latch.** A record's `commit_ts` is
+//!   atomic, and only its owner stores to it, so the flip runs beside
+//!   readers walking the same chain (see `VersionRecord` for why a torn
+//!   observation is harmless).
+//! * **Publication is a lock-free ring** (the crate-private `watermark`
+//!   module): an ordered watermark advances `last_committed` only
+//!   across a contiguous flipped prefix, with CAS-claimed in-flight
+//!   slots. A timestamp drawn by a transaction that then fails SSI
+//!   validation is published as a *skip* (nothing was flipped at it),
+//!   keeping the prefix dense.
 //! * **Registries are striped**: the transaction table by `TxnId` and
 //!   the snapshot-epoch table by the registering thread's slot. The
 //!   `MvccScheme` additionally caches each transaction's snapshot
@@ -50,76 +45,59 @@
 //!
 //! ## Latch order
 //!
-//! The writer-side latches that remain are acquired in this order,
-//! each dropped before the next class is taken, with one documented
-//! exception — the rollback path and the write path perform base-store
-//! operations *under* the owning chain-shard writer latch (install
-//! ordering and before-image restoration demand it):
+//! 1. **One chain shard**, shared or exclusive, never two at once.
+//!    Commit and rollback visit their write set one shard at a time.
+//! 2. Under a chain shard, leaves only: a **base-store shard** (the
+//!    miss read, the write-through, the rollback restore) and, on a
+//!    transaction's first write of an object, its **txn stripe** (the
+//!    object joins the write set in the same critical section as the
+//!    install, so a transaction the heap does not know is refused
+//!    before anything is installed). Begin, commit and abort take a txn
+//!    stripe alone and drop it before any chain shard.
+//! 3. The **epoch shard** and the **reclaim slot** (see *Reclamation*)
+//!    are leaves taken under nothing.
 //!
-//! 1. a **txn stripe** (registry bookkeeping; held briefly, never
-//!    across a chain shard);
-//! 2. **chain-shard writer latches**, one at a time (readers and
-//!    commit-time flips never take these);
-//! 3. an **epoch shard** (snapshot registration/release);
-//! 4. a **reclaim slot** (see *Reclamation*) — a leaf: nothing is ever
-//!    acquired under it, and it is the one latch that may be taken
-//!    while a chain-shard writer latch is held.
-//!
-//! The watermark no longer appears in the latch order at all — it has
-//! no latch. SSI-tracker latches (flag stripes, SIREAD shards — see
-//! [`crate::ssi`]) are never nested with heap latches: reads register
-//! SIREADs *before* the chain walk and record edges *after* it; writes
-//! scan the SIREAD registry after releasing the shard writer latch;
-//! commit validates before the first flip. (At
-//! [`IsolationLevel::Serializable`] the read path therefore still pays
-//! the tracker's stripe latches — inherent to Cahill-style SSI, as in
-//! PostgreSQL's SIREAD locks; the latch-free guarantee is about the
-//! *heap*, and holds unconditionally at
-//! [`IsolationLevel::Snapshot`].)
+//! The watermark has no latch. SSI-tracker latches (flag stripes,
+//! SIREAD shards — see [`crate::ssi`]) are never nested with heap
+//! latches: reads register SIREADs *before* taking the shard latch and
+//! record edges *after* dropping it; writes scan the SIREAD registry
+//! after dropping the exclusive latch; commit validates before the
+//! first flip.
 //!
 //! ## Reclamation
 //!
-//! Nothing on the transaction path ever visits every shard or every
-//! bucket; versions are reclaimed by the threads that made them, a few
-//! at a time.
+//! Nothing on the transaction path ever visits every shard; versions
+//! are reclaimed by the threads that made them, a few at a time.
 //!
 //! * **Who queues.** A writer commit appends `(commit_ts, oid)` for
 //!   each object of its write set to the *reclaim queue* of the
-//!   committing thread's slot — a cache-line-padded mutex holding that
-//!   queue and the slot's *retire bin*. The slot is picked by the
-//!   thread index `Rcu::pin` already deals out and is a **locality
-//!   hint, never a correctness assumption**: threads share a slot when
-//!   there are more threads than slots, and a transaction begun on one
-//!   thread, written on a second and committed on a third is just as
-//!   correct — every structure below is guarded by its own mutex.
+//!   committing thread's slot — a cache-line-padded mutex. The slot is
+//!   picked by the thread index `thread_slot` deals out and is a
+//!   **locality hint, never a correctness assumption**: threads share a
+//!   slot when there are more threads than slots, and a transaction
+//!   begun on one thread, written on a second and committed on a third
+//!   is just as correct — every structure below is guarded by its own
+//!   mutex.
 //! * **Who prunes.** Every `RECLAIM_EVERY`-th writer commit of a slot
 //!   runs one bounded batch (the median commit does no reclamation at
 //!   all): it computes [`MvccHeap::gc_horizon`], pops the queue's head
 //!   entries committed at or below it, and prunes exactly those chains
-//!   — one shard writer latch per popped entry, dropping the records
-//!   at or below the horizon and removing the chain's anchor from its
-//!   bucket map when the chain empties. A batch with budget to spare
-//!   spends it on one other slot (rotating), so a slot whose thread
-//!   went idle does not strand versions.
+//!   in place — one exclusive shard latch per popped entry, dropping the
+//!   records at or below the horizon and the chain itself once it
+//!   empties. A batch with budget to spare spends it on one other slot
+//!   (rotating), so a slot whose thread went idle does not strand
+//!   versions.
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
 //!   watermark, which only grows (see `EpochTable`). Pruning with an
 //!   older horizon merely prunes less.
-//! * **Who frees.** Every copy-on-write snapshot a thread swaps out —
-//!   in `write_at`, in rollback, in pruning — is retired into the
-//!   *caller's* slot bin, tagged with the reclamation era, and freed by
-//!   a later batch of that slot once `Rcu::try_advance` reports the
-//!   era unreachable — **after every latch is dropped**. The memory a
-//!   thread allocates is, as a rule, freed by that same thread. Bins
-//!   are era-ordered because a node is tagged under the shard latch
-//!   that serialises its cell and the era only grows; batches therefore
-//!   pop from the front and stop at the first node still in its grace
-//!   period (an out-of-order node — two threads sharing a slot — only
-//!   waits a batch longer, each node's own tag is what is checked).
+//! * **Freeing is dropping.** No reader holds a reference into a chain
+//!   without its shard latch, so a pruned or rolled-back record is
+//!   freed where it is removed: there is no grace period to wait out.
 //! * **The full sweep.** [`MvccHeap::gc`] is the explicit
 //!   stop-and-sweep for tests and maintenance: every chain of every
-//!   bucket, every slot's queue and bin. [`MvccHeap::checkpoint`] ends
-//!   with one; the commit path never calls it.
+//!   shard, every slot's queue. [`MvccHeap::checkpoint`] ends with one;
+//!   the commit path never calls it.
 //!
 //! ## Observability probes
 //!
@@ -128,18 +106,12 @@
 //! clock `fetch_add` plus SSI validation), *WAL ack* (redo assembly,
 //! append, and at `WalSync` the group-commit ack), *chain flip* (the
 //! atomic `commit_ts` stores), and *publish* (watermark publish plus
-//! the in-order visibility wait) — plus the commit total. Every lap
-//! sits **between** the latch-free steps it times: the probes take no
-//! lock and run outside the txn-stripe and chain-shard latches.
-//! Contention attribution fires only where the matching counter
-//! already bumps (ww conflicts under the shard writer latch, read
-//! retries and SSI aborts outside every latch); the registry stripe it
-//! takes is a leaf lock nested inside nothing. The latch-free **read
-//! path carries no probe** — no histogram, no registry touch, no
-//! branch on the handle on a clean read; only its (rare) retry path
-//! attributes the retry.
+//! the in-order visibility wait) — plus the commit total. The probes
+//! take no lock, and contention attribution (ww conflicts, SSI aborts)
+//! runs after every heap latch is dropped; the registry stripe it takes
+//! is a leaf. The **read path carries no probe**: no histogram, no
+//! registry touch, no branch on the handle.
 
-use crate::cow::{thread_slot, CowCell, Pin, Rcu, Retired};
 use crate::ssi::{SsiTracker, SsiVerdict};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
@@ -148,7 +120,8 @@ use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId, Value};
 use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -162,7 +135,7 @@ const TXN_STRIPES: usize = 64;
 /// How many mutexes the snapshot-epoch table is sharded over.
 const EPOCH_SHARDS: usize = 16;
 
-/// How many reclaim slots (queue + retire bin) threads are dealt over.
+/// How many reclaim slots threads are dealt over.
 const RECLAIM_SLOTS: usize = 32;
 
 /// Every how many writer commits of one slot a reclamation batch runs.
@@ -176,6 +149,26 @@ const RECLAIM_BATCH: usize = 32;
 /// Every how many writer commits of one slot the SSI tracker is purged
 /// (a multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
 const SSI_PURGE_EVERY: u32 = 64;
+
+/// This thread's slot index, dealt round-robin on first use; callers
+/// reduce it modulo their own stripe count (epoch shards, reclaim
+/// slots). It is a **locality hint**, never a correctness assumption:
+/// any thread may use any stripe, and threads share one whenever there
+/// are more threads than stripes.
+fn thread_slot() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+    SLOT.with(|s| match s.get() {
+        Some(i) => i,
+        None => {
+            let i = NEXT.fetch_add(1, Ordering::Relaxed);
+            s.set(Some(i));
+            i
+        }
+    })
+}
 
 /// A write was refused because another transaction got to the field
 /// first (first-updater-wins at field granularity — two transactions
@@ -217,8 +210,9 @@ impl std::error::Error for MvccConflict {}
 pub enum WriteOutcome {
     /// A fresh pending version record was installed on the chain.
     NewVersion,
-    /// The transaction already owned the chain head; the record was
-    /// republished with the field added (or its after-image updated).
+    /// The transaction already owned a pending record on the chain; it
+    /// was edited in place (the field added, or its after-image
+    /// updated).
     MergedVersion,
 }
 
@@ -227,7 +221,7 @@ pub enum WriteOutcome {
 /// version readers reconstruct) and the value after its latest write
 /// (the redo image, what makes chain hits self-contained — readers of
 /// a visible version never consult the base store).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FieldWrite {
     field: FieldId,
     before: Value,
@@ -237,14 +231,14 @@ struct FieldWrite {
 /// One version record: everything needed to read *at* its writer
 /// (after-images) or *past* its writer (before-images).
 ///
-/// Immutable once published, with one deliberate exception: `commit_ts`
-/// is atomic, so the commit flip is a plain store through the shared
-/// record — no copy, no latch. A torn observation is benign by
-/// construction: a concurrent reader that loads the old value sees
-/// [`TS_PENDING`] (invisible: not its own record) and one that loads
-/// the new value sees a timestamp above its snapshot (invisible: fresh
-/// commits publish above every registered snapshot) — the visibility
-/// verdict is identical either way.
+/// Its writer edits `writes` in place under the shard latch held
+/// exclusively. `commit_ts` is atomic because the commit flip runs
+/// under the *shared* latch, beside readers. A torn observation is
+/// benign by construction: a concurrent reader that loads the old
+/// value sees [`TS_PENDING`] (invisible: not its own record) and one
+/// that loads the new value sees a timestamp above its snapshot
+/// (invisible: fresh commits publish above every registered snapshot) —
+/// the visibility verdict is identical either way.
 #[derive(Debug)]
 struct VersionRecord {
     writer: TxnId,
@@ -255,11 +249,11 @@ struct VersionRecord {
 }
 
 impl VersionRecord {
-    fn pending(writer: TxnId, writes: Vec<FieldWrite>) -> VersionRecord {
+    fn pending(writer: TxnId, write: FieldWrite) -> VersionRecord {
         VersionRecord {
             writer,
             commit_ts: AtomicU64::new(TS_PENDING),
-            writes,
+            writes: vec![write],
         }
     }
 
@@ -268,17 +262,33 @@ impl VersionRecord {
         self.commit_ts.load(Ordering::SeqCst)
     }
 
+    fn is_pending_of(&self, txn: TxnId) -> bool {
+        self.writer == txn && self.ts() == TS_PENDING
+    }
+
     fn write_of(&self, field: FieldId) -> Option<&FieldWrite> {
         self.writes.iter().find(|w| w.field == field)
     }
+
+    /// A further write of `field` by this record's writer: the field's
+    /// after-image is replaced, or the field is added with `before`.
+    fn set(&mut self, field: FieldId, before: Value, after: Value) {
+        match self.writes.iter_mut().find(|w| w.field == field) {
+            Some(w) => w.after = after,
+            None => self.writes.push(FieldWrite {
+                field,
+                before,
+                after,
+            }),
+        }
+    }
 }
 
-/// A published chain snapshot: records ordered by *installation*,
-/// newest first, shared by `Arc` across successive snapshots.
-/// Invariants:
+/// The version records of one object, ordered by *installation*, newest
+/// first. Invariants:
 ///
-/// * each transaction owns at most one record per chain (republished on
-///   repeated writes);
+/// * each transaction owns at most one record per chain (edited in
+///   place on repeated writes);
 /// * two records that touch a common field are ordered consistently by
 ///   install position *and* commit timestamp (field-level
 ///   first-updater-wins forbids concurrently pending writers of one
@@ -287,10 +297,39 @@ impl VersionRecord {
 ///   value before any invisible writer;
 /// * the base store holds every field's newest (possibly pending)
 ///   value — maintained for non-MVCC consumers and chain-miss reads,
-///   never consulted on a chain hit.
+///   never consulted on a chain hit;
+/// * a chain in a shard's map is never empty.
 #[derive(Debug, Default)]
 struct Chain {
-    records: Vec<Arc<VersionRecord>>,
+    records: Vec<VersionRecord>,
+}
+
+impl Chain {
+    /// The position of the pending record `txn` owns here. Only its
+    /// owner installs, flips or removes it, so the owner's commit or
+    /// rollback always finds it.
+    fn own_at(&self, txn: TxnId) -> usize {
+        self.records
+            .iter()
+            .position(|r| r.is_pending_of(txn))
+            .expect("pending record owned by its transaction")
+    }
+
+    /// The pending record `txn` owns here (see [`Chain::own_at`]).
+    fn own(&self, txn: TxnId) -> &VersionRecord {
+        &self.records[self.own_at(txn)]
+    }
+
+    /// Drops the records no snapshot can read past any more — those
+    /// committed at or below `horizon` — and returns how many.
+    fn prune(&mut self, horizon: Ts) -> usize {
+        let len = self.records.len();
+        self.records.retain(|r| {
+            let cts = r.ts();
+            cts == TS_PENDING || cts > horizon
+        });
+        len - self.records.len()
+    }
 }
 
 /// Walks `records` for `field` as of snapshot `ts` (seeing `as_txn`'s
@@ -299,7 +338,7 @@ struct Chain {
 /// `overwriters` is given, it collects the writers of invisible
 /// versions stepped past (the read side of SSI's rw-antidependencies).
 fn reconstruct<'a>(
-    records: &'a [Arc<VersionRecord>],
+    records: &'a [VersionRecord],
     ts: Ts,
     as_txn: Option<TxnId>,
     field: FieldId,
@@ -331,84 +370,56 @@ fn reconstruct<'a>(
     oldest_invisible
 }
 
-/// The records of a chain that outlive pruning at `horizon` — pending
-/// ones and those committed after it — or `None` when all of them do
-/// (nothing to prune).
-fn surviving(records: &[Arc<VersionRecord>], horizon: Ts) -> Option<Vec<Arc<VersionRecord>>> {
-    let keep: Vec<Arc<VersionRecord>> = records
-        .iter()
-        .filter(|r| {
-            let cts = r.ts();
-            cts == TS_PENDING || cts > horizon
-        })
-        .cloned()
-        .collect();
-    (keep.len() < records.len()).then_some(keep)
-}
-
-/// The per-OID chain anchor: stable identity (shared by `Arc` across
-/// map snapshots) holding the atomically published record list.
-#[derive(Debug)]
-struct ChainCell {
-    records: CowCell<Chain>,
-}
-
-/// The copy-on-write published OID→chain map of one shard.
-type ChainMap = MulMap<Oid, Arc<ChainCell>>;
-
-/// A snapshot awaiting its reclamation grace period, in a slot's
-/// retire bin.
-#[derive(Debug)]
-enum RetiredNode {
-    Map(Retired<ChainMap>),
-    Chain(Retired<Chain>),
-}
-
-impl RetiredNode {
-    fn era(&self) -> u64 {
-        match self {
-            RetiredNode::Map(r) => r.era,
-            RetiredNode::Chain(r) => r.era,
+/// First-updater-wins admission of `txn`'s write of `field` over an
+/// object's `records`, at field granularity: another live transaction
+/// with a pending version of the field, or a version of it committed
+/// after `snapshot_ts`, wins. (A record flipped to its commit timestamp
+/// but not yet published by the watermark behaves exactly like a
+/// committed-after-snapshot record here, which is the correct verdict:
+/// it can only publish above this transaction's snapshot.) Admitted,
+/// returns the position of `txn`'s own pending record, if it has one.
+fn admit(
+    records: &[VersionRecord],
+    snapshot_ts: Ts,
+    txn: TxnId,
+    oid: Oid,
+    field: FieldId,
+) -> Result<Option<usize>, MvccConflict> {
+    let mut own = None;
+    for (i, rec) in records.iter().enumerate() {
+        let cts = rec.ts();
+        if rec.writer == txn {
+            if cts == TS_PENDING {
+                own = Some(i);
+            }
+            continue;
         }
+        if rec.write_of(field).is_none() {
+            continue;
+        }
+        let pending_in = if cts == TS_PENDING {
+            Some(rec.writer)
+        } else if cts > snapshot_ts {
+            None
+        } else {
+            continue;
+        };
+        return Err(MvccConflict {
+            oid,
+            field,
+            pending_in,
+        });
     }
+    Ok(own)
 }
 
-/// How many independently published map buckets each shard holds.
-/// Inserting or removing a chain republishes **one bucket's** map (a
-/// full `HashMap` clone), so bucketing divides the copy-on-write cost
-/// of first-writes and chain removals by `SHARD_COUNT * MAP_BUCKETS` —
-/// without it, bulk-loading N fresh objects would clone O(N/shards)
-/// entries per insert, quadratic in total.
-const MAP_BUCKETS: usize = 16;
-
-/// One chain shard: the writer-side latch plus the published map
-/// buckets.
-#[derive(Debug)]
+/// One chain shard: the object→chain map behind its reader/writer
+/// latch, alone on its cache line(s) so two shards' latch words never
+/// share one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
 struct ChainShard {
-    /// Serializes writers (install/merge/rollback/prune) of this
-    /// shard's chains. Readers and commit-time flips never take it.
-    writer: Mutex<()>,
-    maps: Box<[CowCell<ChainMap>]>,
-}
-
-impl ChainShard {
-    fn new() -> ChainShard {
-        ChainShard {
-            writer: Mutex::new(()),
-            maps: (0..MAP_BUCKETS)
-                .map(|_| CowCell::new(ChainMap::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    /// The published map bucket holding `oid`'s chain. Consecutive OIDs
-    /// land in one shard every `SHARD_COUNT`, so dividing first spreads
-    /// them across buckets.
-    #[inline]
-    fn map_for(&self, oid: Oid) -> &CowCell<ChainMap> {
-        &self.maps[(oid.raw() as usize / SHARD_COUNT) % MAP_BUCKETS]
-    }
+    chains: RwLock<MulMap<Oid, Chain>>,
 }
 
 struct TxnState {
@@ -430,9 +441,6 @@ struct ReclaimState {
     /// `(commit_ts, oid)` of every committed write queued through this
     /// slot and not yet pruned, in queueing order.
     queue: VecDeque<(Ts, Oid)>,
-    /// Swapped-out snapshots awaiting their grace period, in retire
-    /// (hence era) order.
-    bin: VecDeque<RetiredNode>,
     /// Writer commits queued through this slot — the batch cadence.
     commits: u32,
     /// Entries queued since this slot's last batch — sizes the next.
@@ -451,17 +459,6 @@ impl ReclaimState {
             }
             self.queue.pop_front();
         }
-    }
-
-    /// Moves every head node of the bin retired before `free_horizon`
-    /// into `garbage` (for the caller to drop once it holds no latch).
-    fn pop_garbage(&mut self, free_horizon: u64, garbage: &mut Vec<RetiredNode>) {
-        let free = self
-            .bin
-            .iter()
-            .position(|n| n.era() >= free_horizon)
-            .unwrap_or(self.bin.len());
-        garbage.extend(self.bin.drain(..free));
     }
 }
 
@@ -561,8 +558,6 @@ impl EpochTable {
 pub struct MvccHeap {
     base: Arc<Database>,
     shards: Box<[ChainShard]>,
-    /// The reclamation clock shared by every copy-on-write cell.
-    rcu: Rcu,
     /// Transaction registry, striped by `TxnId`.
     txns: Box<[Mutex<MulMap<TxnId, TxnState>>]>,
     /// Snapshot registry; the minimum active entry is the GC horizon.
@@ -574,7 +569,7 @@ pub struct MvccHeap {
     /// Lock-free ordered publication: `last_committed` advances only
     /// across a contiguous flipped prefix.
     watermark: Watermark,
-    /// Reclaim queues and retire bins, one per thread slot.
+    /// Reclaim queues, one per thread slot.
     reclaim: Box<[ReclaimSlot]>,
     /// The attached write-ahead log (`None` at
     /// [`DurabilityLevel::None`] — the pre-durability behavior, with
@@ -585,10 +580,9 @@ pub struct MvccHeap {
     /// The rw-antidependency tracker; `Some` iff the heap runs at
     /// [`IsolationLevel::Serializable`].
     ssi: Option<SsiTracker>,
-    /// Observability: commit-phase histograms, per-object contention
-    /// attribution, sampled tracing. Disabled by default (one branch
-    /// per probe; the latch-free read path records nothing per read
-    /// either way — see the module docs).
+    /// Observability: commit-phase histograms and per-object contention
+    /// attribution. Disabled by default (one branch per probe; the read
+    /// path records nothing per read either way — see the module docs).
     obs: Arc<Obs>,
     /// Live counters.
     pub stats: MvccStats,
@@ -659,18 +653,13 @@ impl MvccHeap {
         wal: Option<Arc<Wal>>,
         base_ts: Ts,
     ) -> MvccHeap {
-        let shards = (0..SHARD_COUNT)
-            .map(|_| ChainShard::new())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let txns = (0..TXN_STRIPES)
             .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         MvccHeap {
             base,
-            shards,
-            rcu: Rcu::new(),
+            shards: (0..SHARD_COUNT).map(|_| ChainShard::default()).collect(),
             txns,
             epochs: EpochTable::new(),
             clock: AtomicU64::new(base_ts),
@@ -758,12 +747,12 @@ impl MvccHeap {
     /// base store + live chains at a watermark-consistent timestamp,
     /// produced without stopping writers — the checkpoint pins a
     /// snapshot (like any reader) and streams every live object's
-    /// fields through the latch-free multi-version read path, so
-    /// concurrent commits keep flowing and the image still reflects
-    /// exactly the state at the pinned timestamp. Objects deleted under
-    /// the scan are skipped (their log records replay idempotently).
-    /// The file is written atomically (temp + rename); recovery replays
-    /// the log only above the returned timestamp. Requires an attached
+    /// fields through the multi-version read path, so concurrent
+    /// commits keep flowing and the image still reflects exactly the
+    /// state at the pinned timestamp. Objects deleted under the scan
+    /// are skipped (their log records replay idempotently). The file is
+    /// written atomically (temp + rename); recovery replays the log
+    /// only above the returned timestamp. Requires an attached
     /// write-ahead log.
     ///
     /// After the checkpoint is durable (its rename directory-fsynced),
@@ -837,17 +826,6 @@ impl MvccHeap {
         &self.txns[(txn.raw() as usize) % TXN_STRIPES]
     }
 
-    /// Pins the reclamation clock, folding any (rare) era-race retries
-    /// into the read-contention counters.
-    #[inline]
-    fn pin(&self) -> Pin<'_> {
-        let (pin, retries) = self.rcu.pin();
-        if retries > 0 {
-            self.stats.read_pin_retries.add(retries);
-        }
-        pin
-    }
-
     /// The latest fully published commit timestamp (the watermark).
     pub fn current_ts(&self) -> Ts {
         self.watermark.get()
@@ -892,16 +870,15 @@ impl MvccHeap {
     /// Reconstructs `field` of `oid` as of snapshot `ts`, seeing the
     /// pending writes of `as_txn` (pass `None` for a pure snapshot read).
     ///
-    /// Takes **no logical locks and no latches** on the chain-hit path:
-    /// reconstruction pins the reclamation clock (atomic counters),
-    /// loads the published chain snapshot, and walks it by reference —
-    /// cloning exactly one [`Value`] at the end. A chain miss pays a
-    /// single base `RwLock::read` and revalidates against the chain
-    /// (see the module docs). At [`IsolationLevel::Serializable`] a
-    /// transactional read additionally registers a SIREAD entry (before
-    /// the walk) and records an outgoing rw-antidependency for every
-    /// invisible overwrite of the field it steps past — still without
-    /// blocking anyone.
+    /// Takes no logical lock: the object's chain shard is held
+    /// *shared* — alongside any number of readers and committers
+    /// flipping records — across the chain walk and, on a chain miss,
+    /// the one base-store read; exactly one [`Value`] is cloned. At
+    /// [`IsolationLevel::Serializable`] a transactional read
+    /// additionally registers a SIREAD entry (before the walk) and
+    /// records an outgoing rw-antidependency for every invisible
+    /// overwrite of the field it steps past — still without blocking
+    /// on anyone's transaction.
     ///
     /// Deletion caveat: [`Database::delete`] bypasses the version layer
     /// (like creation — see the ROADMAP's versioned-extents item), so a
@@ -928,60 +905,28 @@ impl MvccHeap {
             }
             _ => None,
         };
+        // Overwriters are only worth collecting when an SSI tracker
+        // will consume them — the pure-snapshot path allocates nothing.
         let mut overwriters: Vec<TxnId> = Vec::new();
-        let value = loop {
-            overwriters.clear();
-            let pin = self.pin();
-            let map_cell = self.shard(oid).map_for(oid);
-            let map = map_cell.load(&pin);
-            let chain = map.get(&oid).map(|cell| cell.records.load(&pin));
-            // Overwriters are only worth collecting when an SSI tracker
-            // will consume them — the pure-snapshot hot path stays
-            // allocation-free.
-            let collect = if ssi.is_some() {
-                Some(&mut overwriters)
-            } else {
-                None
-            };
-            if let Some(v) =
-                chain.and_then(|chain| reconstruct(&chain.records, ts, as_txn, field, collect))
+        let collect = ssi.is_some().then_some(&mut overwriters);
+        let (value, hit) = {
+            let chains = self.shard(oid).chains.read();
+            match chains
+                .get(&oid)
+                .and_then(|chain| reconstruct(&chain.records, ts, as_txn, field, collect))
             {
-                self.stats.read_chain_hits.bump();
-                break v.clone();
+                Some(v) => (v.clone(), true),
+                // A miss: no record covers the field, so — under this
+                // latch — no writer holds it pending, and the base
+                // holds its latest committed value.
+                None => (self.base.read(oid, field)?, false),
             }
-            // Chain miss: one base-store read, then a seqlock-style
-            // stability check. Writers publish their record BEFORE the
-            // base write-through and unpublish it AFTER restoring the
-            // base on rollback, so the base value just read is
-            // committed-stable iff NEITHER publication pointer moved
-            // across the read — a changed pointer means an install or
-            // an unpublish raced us (either could have exposed an
-            // uncommitted write-through), so retry. Pointer equality is
-            // sound: nodes retired after the first look cannot be freed
-            // — let alone have their addresses reused — while the pin
-            // is held.
-            let v = self.base.read(oid, field)?;
-            self.stats.read_base_loads.bump();
-            let map_again = map_cell.load(&pin);
-            let stable = std::ptr::eq(map, map_again)
-                && match chain {
-                    None => true,
-                    Some(chain) => map_again
-                        .get(&oid)
-                        .is_some_and(|cell| std::ptr::eq(chain, cell.records.load(&pin))),
-                };
-            if stable {
-                break v;
-            }
-            self.stats.read_retries.bump();
-            // One attribution per bump of `read_retries`, so the
-            // registry's total equals the scheme-level counter. Only
-            // the (rare) retry path pays it — never a clean read.
-            self.obs
-                .contend(ObjKey::Instance(oid.0), ContentionKind::ReadRetry);
         };
-        #[cfg(debug_assertions)]
-        self.crosscheck_read(ts, as_txn, oid, field, &value);
+        if hit {
+            self.stats.read_chain_hits.bump();
+        } else {
+            self.stats.read_base_loads.bump();
+        }
         if let Some((ssi, txn)) = ssi {
             let mut edges = 0;
             for &writer in &overwriters {
@@ -995,50 +940,6 @@ impl MvccHeap {
         Ok(value)
     }
 
-    /// Re-runs the reconstruction under the shard's writer latch and
-    /// asserts it agrees with the latch-free result. Debug builds only
-    /// (so the multi-threaded integration storms exercise it too, not
-    /// just this crate's unit tests) — the cross-check that the
-    /// copy-on-write publication protocol never lets a latch-free
-    /// reader observe a value a latched reader could not.
-    /// (Reconstruction at a fixed snapshot is stable across concurrent
-    /// installs, flips, rollbacks and GC, which is exactly what this
-    /// verifies.)
-    #[cfg(debug_assertions)]
-    fn crosscheck_read(
-        &self,
-        ts: Ts,
-        as_txn: Option<TxnId>,
-        oid: Oid,
-        field: FieldId,
-        got: &Value,
-    ) {
-        let shard = self.shard(oid);
-        let _writer = shard.writer.lock();
-        let map = shard.map_for(oid).load_exclusive();
-        let locked = map
-            .get(&oid)
-            .and_then(|cell| {
-                reconstruct(
-                    &cell.records.load_exclusive().records,
-                    ts,
-                    as_txn,
-                    field,
-                    None,
-                )
-            })
-            .cloned()
-            .map_or_else(|| self.base.read(oid, field), Ok);
-        // An `Err` means the object was deleted under the read (deletes
-        // bypass the version chains); there is nothing to compare.
-        if let Ok(locked) = locked {
-            debug_assert_eq!(
-                &locked, got,
-                "latch-free read of {oid}.{field} at ts {ts} diverged from the latched re-read"
-            );
-        }
-    }
-
     /// Snapshot read through a registered transaction (sees its own
     /// pending writes).
     pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
@@ -1049,8 +950,9 @@ impl MvccHeap {
     }
 
     /// Writes `field` of `oid` in transaction `txn`, resolving the
-    /// snapshot timestamp from the registry. Hot paths that already
-    /// know it (the scheme session caches it at begin) use
+    /// snapshot timestamp from the registry (a `txn` the heap does not
+    /// know is refused with [`MvccWriteError::UnknownTxn`]). Hot paths
+    /// that already know it (the scheme session caches it at begin) use
     /// [`MvccHeap::write_at`] and skip the registry stripe.
     pub fn write(
         &self,
@@ -1061,19 +963,22 @@ impl MvccHeap {
     ) -> Result<WriteOutcome, MvccWriteError> {
         let snapshot_ts = self
             .snapshot_ts(txn)
-            .unwrap_or_else(|| panic!("transaction {txn} is not registered with the mvcc heap"));
+            .ok_or(MvccWriteError::UnknownTxn(txn))?;
         self.write_at(snapshot_ts, txn, oid, field, value)
     }
 
     /// Writes `field` of `oid` in transaction `txn`, whose registered
-    /// snapshot timestamp the caller supplies: first-updater-wins
-    /// conflict check, copy-on-write publication of the pending record,
-    /// then write-through to the base store. Returns what happened to
-    /// the chain.
+    /// snapshot timestamp the caller supplies. Under the object's
+    /// chain-shard latch held exclusively: first-updater-wins admission,
+    /// the write-through to the base store (its previous value is the
+    /// before-image), then the install — a new pending record on the
+    /// object's first write, an in-place edit of the transaction's own
+    /// record after that. Returns what happened to the chain.
     ///
-    /// The record is published **before** the base write-through — the
-    /// ordering the latch-free reader's miss-revalidation relies on
-    /// (see the module docs).
+    /// A refused write leaves nothing behind: a conflict or a store
+    /// error is raised before anything changes, and a `txn` the heap
+    /// does not know ([`MvccWriteError::UnknownTxn`]) has its
+    /// write-through restored before the latch is released.
     pub fn write_at(
         &self,
         snapshot_ts: Ts,
@@ -1082,143 +987,54 @@ impl MvccHeap {
         field: FieldId,
         value: Value,
     ) -> Result<WriteOutcome, MvccWriteError> {
-        // Chaos scheduling decision strictly before the writer latch:
-        // a parked latch holder would deadlock the token scheduler.
+        // Chaos scheduling decision strictly before the latch: a parked
+        // latch holder would deadlock the token scheduler.
         finecc_chaos::yield_point(finecc_chaos::Site::WriteInstall);
         // Type/domain validation runs before any latch is taken.
         self.base.check_write(field, &value)?;
-        let shard = self.shard(oid);
-        let latch = shard.writer.lock();
-        // Anchor the chain cell (copy-on-write bucket-map insert on
-        // first write of the object).
-        let cell: Arc<ChainCell> = {
-            let map_cell = shard.map_for(oid);
-            let map = map_cell.load_exclusive();
-            match map.get(&oid) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    let cell = Arc::new(ChainCell {
-                        records: CowCell::new(Chain::default()),
-                    });
-                    let mut next = map.clone();
-                    next.insert(oid, Arc::clone(&cell));
-                    self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
-                    cell
-                }
+        let mut chains = self.shard(oid).chains.write();
+        let admitted = chains.get(&oid).map_or(Ok(None), |chain| {
+            admit(&chain.records, snapshot_ts, txn, oid, field)
+        });
+        let own = match admitted {
+            Ok(own) => own,
+            Err(conflict) => {
+                drop(chains);
+                self.stats.write_conflicts.bump();
+                self.obs
+                    .contend(ObjKey::Field(oid.0, field.0), ContentionKind::WwConflict);
+                return Err(MvccWriteError::Conflict(conflict));
             }
         };
-        let chain = cell.records.load_exclusive();
-
-        // First-updater-wins admission control, at field granularity:
-        // another live transaction with a pending version of this field,
-        // or a version of it committed after this snapshot, wins. (A
-        // record flipped to its commit timestamp but not yet published
-        // by the watermark behaves exactly like a committed-after-
-        // snapshot record here, which is the correct verdict: it can
-        // only publish above this transaction's snapshot.)
-        for rec in &chain.records {
-            if rec.writer == txn || rec.write_of(field).is_none() {
-                continue;
-            }
-            let cts = rec.ts();
-            if cts == TS_PENDING {
-                self.stats.write_conflicts.bump();
-                self.note_ww_conflict(oid, field);
-                return Err(MvccWriteError::Conflict(MvccConflict {
-                    oid,
-                    field,
-                    pending_in: Some(rec.writer),
-                }));
-            }
-            if cts > snapshot_ts {
-                self.stats.write_conflicts.bump();
-                self.note_ww_conflict(oid, field);
-                return Err(MvccWriteError::Conflict(MvccConflict {
-                    oid,
-                    field,
-                    pending_in: None,
-                }));
-            }
+        let before = self.base.exchange_unchecked(oid, field, value.clone())?;
+        if own.is_none() && !self.enlist(txn, oid) {
+            let _ = self.base.write_unchecked(oid, field, before);
+            return Err(MvccWriteError::UnknownTxn(txn));
         }
-
-        // The before-image is the current base value (no concurrent
-        // heap writer of this object can interleave — we hold the shard
-        // writer latch); this also surfaces unknown-OID/visibility
-        // errors before anything is published.
-        let before = self.base.read(oid, field)?;
-        let own = chain
-            .records
-            .iter()
-            .position(|r| r.ts() == TS_PENDING && r.writer == txn);
-        let (outcome, records) = match own {
+        let chain = chains.entry(oid).or_default();
+        let outcome = match own {
             Some(i) => {
-                // Republish the transaction's record with the field
-                // added (or its after-image updated) — records are
-                // immutable once published, so a merge is a new record.
-                let mut writes = chain.records[i].writes.clone();
-                match writes.iter_mut().find(|w| w.field == field) {
-                    Some(w) => w.after = value.clone(),
-                    None => writes.push(FieldWrite {
-                        field,
-                        before,
-                        after: value.clone(),
-                    }),
-                }
-                let mut records = chain.records.clone();
-                records[i] = Arc::new(VersionRecord::pending(txn, writes));
-                (WriteOutcome::MergedVersion, records)
+                chain.records[i].set(field, before, value);
+                WriteOutcome::MergedVersion
             }
             None => {
-                let mut records = Vec::with_capacity(chain.records.len() + 1);
-                records.push(Arc::new(VersionRecord::pending(
-                    txn,
-                    vec![FieldWrite {
-                        field,
-                        before,
-                        after: value.clone(),
-                    }],
-                )));
-                records.extend(chain.records.iter().cloned());
-                (WriteOutcome::NewVersion, records)
+                let write = FieldWrite {
+                    field,
+                    before,
+                    after: value,
+                };
+                chain.records.insert(0, VersionRecord::pending(txn, write));
+                WriteOutcome::NewVersion
             }
         };
-        let chain_len = records.len() as u64;
-        // Publish the record, THEN write through to the base store (the
-        // order the miss-revalidating reader depends on).
-        let old_chain = cell.records.swap(Chain { records }, &self.rcu);
-        if let Err(e) = self.base.exchange_unchecked(oid, field, value) {
-            // The object vanished between the before-image read and the
-            // write-through (concurrent delete): unpublish the edit.
-            let undo = cell.records.swap(
-                Chain {
-                    records: old_chain.node().records.clone(),
-                },
-                &self.rcu,
-            );
-            self.retire(RetiredNode::Chain(old_chain));
-            self.retire(RetiredNode::Chain(undo));
-            return Err(e.into());
-        }
-        drop(latch);
-        self.retire(RetiredNode::Chain(old_chain));
-        // Registry and stats updates run off the shard latch (latch
-        // order: a txn stripe is never taken under a chain shard). The
-        // write set is only consulted by this transaction's own
-        // commit/abort, which its own thread issues strictly later.
+        let chain_len = chain.records.len() as u64;
+        drop(chains);
         if outcome == WriteOutcome::NewVersion {
             self.stats.versions_created.bump();
-            let mut stripe = self.txn_stripe(txn).lock();
-            let write_set = &mut stripe
-                .get_mut(&txn)
-                .expect("transaction is registered with the mvcc heap")
-                .write_set;
-            if let Err(at) = write_set.binary_search(&oid) {
-                write_set.insert(at, oid);
-            }
         }
         self.stats.sample_chain_len(chain_len);
         // SSI: scan SIREAD entries AFTER the pending version is
-        // published (see `read_as` for why the order closes the race)
+        // installed (see `read_as` for why the order closes the race)
         // and record an incoming rw edge per concurrent reader.
         if let Some(ssi) = &self.ssi {
             let edges = ssi.write_edges(txn, snapshot_ts, oid, field);
@@ -1229,12 +1045,19 @@ impl MvccHeap {
         Ok(outcome)
     }
 
-    /// Attributes a first-updater-wins refusal to the contended field.
-    /// Called under the shard writer latch; the registry stripe is a
-    /// leaf lock, so no ordering issue arises.
-    fn note_ww_conflict(&self, oid: Oid, field: FieldId) {
-        self.obs
-            .contend(ObjKey::Field(oid.0, field.0), ContentionKind::WwConflict);
+    /// Adds `oid` to `txn`'s write set, or returns `false` when the heap
+    /// does not know `txn`. Called under `oid`'s chain-shard latch (the
+    /// txn stripe is a leaf there), so the write set and the chain agree
+    /// at every instant a commit or abort can observe.
+    fn enlist(&self, txn: TxnId, oid: Oid) -> bool {
+        let mut stripe = self.txn_stripe(txn).lock();
+        let Some(state) = stripe.get_mut(&txn) else {
+            return false;
+        };
+        if let Err(at) = state.write_set.binary_search(&oid) {
+            state.write_set.insert(at, oid);
+        }
+        true
     }
 
     /// Attributes an SSI dangerous-structure abort: to the smallest
@@ -1250,23 +1073,23 @@ impl MvccHeap {
     }
 
     /// Commits `txn`: draws the next commit timestamp from the atomic
-    /// clock, flips every pending record of the transaction by storing
-    /// the timestamp through the records' atomic `commit_ts` (record
-    /// identity is stable across concurrent snapshot swaps, so the flip
-    /// takes **no latch at all**), then publishes the timestamp through
-    /// the lock-free ordered watermark. Concurrent snapshots cannot
-    /// observe a half-flipped transaction: the records become visible
-    /// only once the watermark publishes the timestamp, and the
-    /// watermark publishes it only after every record is flipped.
-    /// Returns the commit timestamp, and returns only once the
-    /// timestamp is **published**: any snapshot taken after `commit`
-    /// returns — including this session's next transaction — observes
-    /// the commit (read-your-own-commits across transactions; the wait
-    /// covers only the bounded publication lag behind concurrent
-    /// committers holding earlier timestamps). A **read-only**
-    /// transaction serializes at (and returns) its snapshot timestamp
-    /// without drawing a timestamp at all, keeping the reader path
-    /// coordination-free end to end.
+    /// clock, appends the redo images of its records to the log (when
+    /// one is attached), flips every pending record of the transaction
+    /// by storing the timestamp into its atomic `commit_ts` — under
+    /// each object's chain shard held *shared*, one object at a time —
+    /// then publishes the timestamp through the lock-free ordered
+    /// watermark. Concurrent snapshots cannot observe a half-flipped
+    /// transaction: the records become visible only once the watermark
+    /// publishes the timestamp, and the watermark publishes it only
+    /// after every record is flipped. Returns the commit timestamp, and
+    /// returns only once the timestamp is **published**: any snapshot
+    /// taken after `commit` returns — including this session's next
+    /// transaction — observes the commit (read-your-own-commits across
+    /// transactions; the wait covers only the bounded publication lag
+    /// behind concurrent committers holding earlier timestamps). A
+    /// **read-only** transaction serializes at (and returns) its
+    /// snapshot timestamp without drawing a timestamp or taking a chain
+    /// latch at all.
     ///
     /// At [`IsolationLevel::Snapshot`] commit is infallible by
     /// construction — all conflicts were detected at write time. At
@@ -1280,6 +1103,9 @@ impl MvccHeap {
     /// A `txn` the heap does not know (never begun, or already ended)
     /// is refused with [`CommitError::UnknownTxn`] and touches nothing.
     pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
+        // The stripe guard is a temporary, dropped at the end of this
+        // statement: it must never be held into a chain latch, under
+        // which a first write takes a stripe (see *Latch order*).
         let state = self
             .txn_stripe(txn)
             .lock()
@@ -1306,9 +1132,8 @@ impl MvccHeap {
         finecc_chaos::yield_point(finecc_chaos::Site::CommitTsDraw);
 
         // Commit-phase probes (no-ops on a disabled handle — not even
-        // a clock read). Laps sit strictly *between* the latch-free
-        // steps they time, never inside a latch: the timer itself
-        // takes nothing.
+        // a clock read). Laps sit strictly *between* the steps they
+        // time, never inside a latch: the timer itself takes nothing.
         let mut phases = self.obs.phase_timer();
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(ssi) = &self.ssi {
@@ -1323,48 +1148,26 @@ impl MvccHeap {
             }
         }
         phases.lap(Phase::CommitTsDraw);
-        // Locate this transaction's pending records once — the redo
-        // images (write-ahead log) and the commit flips both walk them.
-        // Record identity is stable across concurrent snapshot swaps
-        // (snapshots share records by `Arc`) and nobody but the owner
-        // merges or removes a pending record, so the collected handles
-        // stay valid after the pin is dropped. (The write set's sorted
-        // order is determinism, not a lock-ordering requirement: there
-        // is nothing to order.)
+        // The write set's sorted order is determinism, not a
+        // lock-ordering requirement: one shard latch is held at a time.
         let oids = &state.write_set;
-        let mut own_records: Vec<Arc<VersionRecord>> = Vec::with_capacity(oids.len());
-        {
-            let pin = self.pin();
-            for &oid in oids {
-                let map = self.shard(oid).map_for(oid).load(&pin);
-                let cell = map.get(&oid).expect("written chain exists");
-                let chain = cell.records.load(&pin);
-                let own = chain
-                    .records
-                    .iter()
-                    .find(|r| r.ts() == TS_PENDING && r.writer == txn)
-                    .expect("pending record owned by committer");
-                own_records.push(Arc::clone(own));
-            }
-        }
         // Durable before visible: the record hits the log — and, at
         // WalSync, the disk (group-commit ack) — strictly before any
         // record flips and strictly before the watermark publishes the
-        // timestamp. No latch is held across the wait; concurrent
-        // committers keep drawing, appending and sharing fsyncs, and
-        // the ordered watermark serializes visibility afterwards
-        // exactly as without a log.
+        // timestamp. No latch is held across the append or the wait;
+        // concurrent committers keep drawing, appending and sharing
+        // fsyncs, and the ordered watermark serializes visibility
+        // afterwards exactly as without a log.
         if let Some(wal) = &self.wal {
-            let mut writes =
-                Vec::with_capacity(own_records.iter().map(|rec| rec.writes.len()).sum());
-            for (rec, &oid) in own_records.iter().zip(oids) {
-                for w in &rec.writes {
-                    writes.push(FieldImage {
-                        oid,
-                        field: w.field,
-                        value: w.after.clone(),
-                    });
-                }
+            let mut writes = Vec::with_capacity(oids.len());
+            for &oid in oids {
+                let chains = self.shard(oid).chains.read();
+                let own = chains.get(&oid).expect("written chain exists").own(txn);
+                writes.extend(own.writes.iter().map(|w| FieldImage {
+                    oid,
+                    field: w.field,
+                    value: w.after.clone(),
+                }));
             }
             finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
             if let Err(e) = wal.append_commit(commit_ts, txn, &writes) {
@@ -1380,11 +1183,17 @@ impl MvccHeap {
         }
         phases.lap(Phase::CommitWalAck);
         // Flip this transaction's pending records to the commit
-        // timestamp — an atomic store per record through the published
-        // chain snapshots, no latch.
-        for rec in &own_records {
+        // timestamp: an atomic store per record, each under its shard
+        // held shared.
+        for &oid in oids {
             finecc_chaos::yield_point(finecc_chaos::Site::CommitFlipStep);
-            rec.commit_ts.store(commit_ts, Ordering::SeqCst);
+            let chains = self.shard(oid).chains.read();
+            chains
+                .get(&oid)
+                .expect("written chain exists")
+                .own(txn)
+                .commit_ts
+                .store(commit_ts, Ordering::SeqCst);
         }
         phases.lap(Phase::CommitFlip);
         finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
@@ -1400,10 +1209,10 @@ impl MvccHeap {
         // Deliberate trade-off: commit *returns* re-serialize in
         // timestamp order (head-of-line behind the slowest in-flight
         // committer), but only the return waits — flips, validation
-        // and publication all ran latch-free above. Relaxing this
-        // needs a per-session visibility floor, which needs a session
-        // abstraction the heap does not have (see the ROADMAP).
-        // The chaos fault plane can switch this barrier off
+        // and publication all ran without waiting on anyone above.
+        // Relaxing this needs a per-session visibility floor, which
+        // needs a session abstraction the heap does not have (see the
+        // ROADMAP). The chaos fault plane can switch this barrier off
         // (`Site::CommitPublishWait` + `FaultKind::Disable`): the
         // explorer's known-bug regression re-creates the pre-barrier
         // engine and shows the lost-own-write anomaly it allowed.
@@ -1430,7 +1239,11 @@ impl MvccHeap {
     /// harmless (any later durable commit covers the frame; a reused
     /// trailing skip timestamp flipped nothing), so a failed append
     /// must not escalate a refusal into a panic. Then the transaction
-    /// is rolled back and ended as by [`MvccHeap::abort`].
+    /// is rolled back and ended as by [`MvccHeap::abort`]. Like a
+    /// commit, the refusal returns only once its skip is published, so
+    /// each thread has at most one drawn timestamp in flight: a refused
+    /// caller retrying at once cannot lap the watermark ring while an
+    /// earlier committer is descheduled between its draw and its flips.
     fn refuse_commit(&self, txn: TxnId, state: &TxnState, commit_ts: Ts) {
         if let Some(wal) = &self.wal {
             let _ = wal.append_skip(commit_ts);
@@ -1440,6 +1253,9 @@ impl MvccHeap {
         }
         self.stats.ts_skips.bump();
         self.discard(txn, state);
+        if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
+            self.watermark.wait_published(commit_ts);
+        }
     }
 
     /// Rolls `txn`'s writes back and ends it (counted in `aborts`).
@@ -1455,48 +1271,26 @@ impl MvccHeap {
     }
 
     /// Removes every pending record `txn` owns and restores its
-    /// before-images into the base store. Returns the number of objects
-    /// rolled back.
+    /// before-images into the base store, each object under its shard
+    /// held exclusively — so no reader observes the record gone and
+    /// the base not yet restored, or the reverse. No other live
+    /// transaction wrote these fields (it would have conflicted), so
+    /// restoring is safe; an instance deleted concurrently has nothing
+    /// to restore (same contract as `UndoLog::rollback`). Returns the
+    /// number of objects rolled back.
     fn rollback_writes(&self, txn: TxnId, state: &TxnState) -> usize {
-        let mut rolled_back = 0;
         for &oid in &state.write_set {
-            let shard = self.shard(oid);
-            let _latch = shard.writer.lock();
-            let map_cell = shard.map_for(oid);
-            let map = map_cell.load_exclusive();
-            let cell = map.get(&oid).expect("written chain exists");
-            let chain = cell.records.load_exclusive();
-            let idx = chain
-                .records
-                .iter()
-                .position(|r| r.ts() == TS_PENDING && r.writer == txn)
-                .expect("pending record owned by aborter");
-            // Restore base values BEFORE unpublishing the record, so a
-            // reader that misses the shrunken chain finds the restored
-            // value (while the record is still published, invisible
-            // readers reconstruct through its before-images — the same
-            // values). No other live transaction wrote these fields
-            // (they would have conflicted), so restoring is safe. The
-            // instance may have been deleted concurrently; the undo
-            // then has nothing to restore (same contract as
-            // `UndoLog::rollback`).
-            for w in &chain.records[idx].writes {
-                let _ = self.base.write_unchecked(oid, w.field, w.before.clone());
+            let mut chains = self.shard(oid).chains.write();
+            let chain = chains.get_mut(&oid).expect("written chain exists");
+            let at = chain.own_at(txn);
+            for w in chain.records.remove(at).writes {
+                let _ = self.base.write_unchecked(oid, w.field, w.before);
             }
-            if chain.records.len() == 1 {
-                // Last record: drop the whole chain from the bucket map.
-                let mut next = map.clone();
-                next.remove(&oid);
-                self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
-            } else {
-                let mut records = chain.records.clone();
-                records.remove(idx);
-                let old = cell.records.swap(Chain { records }, &self.rcu);
-                self.retire(RetiredNode::Chain(old));
+            if chain.records.is_empty() {
+                chains.remove(&oid);
             }
-            rolled_back += 1;
         }
-        rolled_back
+        state.write_set.len()
     }
 
     /// Aborts `txn`: restores every before-image of its pending records
@@ -1505,6 +1299,8 @@ impl MvccHeap {
     /// (never begun, or already ended) rolls nothing back and returns 0;
     /// the call is still counted in `aborts`.
     pub fn abort(&self, txn: TxnId) -> usize {
+        // As in `commit`: the stripe guard dies with this statement,
+        // before `discard` takes any chain latch.
         let Some(state) = self.txn_stripe(txn).lock().remove(&txn) else {
             self.stats.aborts.bump();
             return 0;
@@ -1547,13 +1343,6 @@ impl MvccHeap {
         thread_slot() % RECLAIM_SLOTS
     }
 
-    /// Hands a swapped-out snapshot to the caller's retire bin. The
-    /// slot mutex is a leaf, so this may run under a shard writer latch.
-    fn retire(&self, node: RetiredNode) {
-        let mut state = self.reclaim[self.my_slot()].state.lock();
-        state.bin.push_back(node);
-    }
-
     /// The tail of a writer commit: queues the write set for pruning in
     /// the committing thread's slot and, every [`RECLAIM_EVERY`]-th
     /// commit of that slot, runs one reclamation batch.
@@ -1574,28 +1363,22 @@ impl MvccHeap {
     }
 
     /// One bounded reclamation batch on behalf of `slot`: prunes the
-    /// chains its queue's due head entries name (one shard latch each),
-    /// helps one other slot with what budget is left, then frees the
-    /// retired snapshots whose grace period ran out — with no latch
-    /// held. Never visits all shards, buckets or slots.
+    /// chains its queue's due head entries name (one exclusive shard
+    /// latch each) and helps one other slot with what budget is left.
+    /// Never visits all shards or slots.
     fn reclaim_batch(&self, slot: usize, purge_ssi: bool) {
-        // The reclamation decision point — outside every latch (pins
-        // are never held across yield sites, so reclamation never waits
-        // on a parked thread).
-        finecc_chaos::yield_point(finecc_chaos::Site::CowReclaim);
+        // The reclamation decision point — outside every latch.
+        finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
         let horizon = self.gc_horizon();
         if let (Some(ssi), true) = (&self.ssi, purge_ssi) {
             ssi.purge(horizon);
         }
-        let free_horizon = self.rcu.try_advance();
         let mut due = Vec::new();
-        let mut garbage = Vec::new();
         let own = &self.reclaim[slot];
         let budget = {
             let mut state = own.state.lock();
             let budget = RECLAIM_BATCH.max(2 * std::mem::take(&mut state.queued));
             state.pop_due(horizon, budget, &mut due);
-            state.pop_garbage(free_horizon, &mut garbage);
             budget
         };
         if due.len() < budget {
@@ -1607,7 +1390,6 @@ impl MvccHeap {
             let helped = own.help_next.load(Ordering::Relaxed) % RECLAIM_SLOTS;
             if let Some(mut other) = self.reclaim[helped].state.try_lock() {
                 other.pop_due(horizon, budget - due.len(), &mut due);
-                other.pop_garbage(free_horizon, &mut garbage);
             }
             if due.len() < budget {
                 own.help_next.store(helped + 1, Ordering::Relaxed);
@@ -1617,135 +1399,65 @@ impl MvccHeap {
         for &oid in &due {
             #[cfg(test)]
             RECLAIM_LATCHES.with(|n| n.set(n.get() + 1));
-            let shard = self.shard(oid);
-            let _latch = shard.writer.lock();
-            let map_cell = shard.map_for(oid);
-            let map = map_cell.load_exclusive();
-            // An earlier entry of the same object may have pruned past
-            // this one already.
-            let Some(cell) = map.get(&oid) else { continue };
-            let records = &cell.records.load_exclusive().records;
-            let Some(keep) = surviving(records, horizon) else {
-                continue;
-            };
-            reclaimed += records.len() - keep.len();
-            if keep.is_empty() {
-                let mut next = map.clone();
-                next.remove(&oid);
-                self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
-            } else {
-                let old = cell.records.swap(Chain { records: keep }, &self.rcu);
-                self.retire(RetiredNode::Chain(old));
+            let mut chains = self.shard(oid).chains.write();
+            // An earlier entry of the same object may have pruned the
+            // whole chain already.
+            if let Some(chain) = chains.get_mut(&oid) {
+                reclaimed += chain.prune(horizon);
+                if chain.records.is_empty() {
+                    chains.remove(&oid);
+                }
             }
         }
         if reclaimed > 0 {
             self.stats.versions_reclaimed.add(reclaimed as u64);
         }
-        if !garbage.is_empty() {
-            self.stats.cow_reclaimed.add(garbage.len() as u64);
-        }
-        // `garbage` drops here: the frees run with every latch released.
     }
 
     /// The explicit **full sweep** (tests, maintenance — the commit
     /// path never runs it; see the module docs' *Reclamation* section):
-    /// drops every version record, of every chain of every bucket,
+    /// drops every version record, of every chain of every shard,
     /// whose commit timestamp is at or below the horizon — no active or
     /// future snapshot can ever need to reconstruct *past* such a
     /// record — and drains every slot's reclaim queue of the entries
     /// that covers. At [`IsolationLevel::Serializable`] the same horizon
     /// also retires SSI flag entries and SIREAD registrations (a
     /// transaction committed at or below the horizon cannot be
-    /// concurrent with any live or future one). The pass also drives
-    /// the copy-on-write reclamation clock through two grace periods
-    /// and frees every slot's retired snapshots no reader can still
-    /// hold (`cow_reclaimed` in the statistics) — all of them when no
-    /// read is in flight. Returns the number of records reclaimed.
+    /// concurrent with any live or future one). Returns the number of
+    /// records reclaimed.
     pub fn gc(&self) -> usize {
-        // The reclamation decision point — outside every latch (pins
-        // are never held across yield sites, so GC never waits on a
-        // parked thread).
-        finecc_chaos::yield_point(finecc_chaos::Site::CowReclaim);
+        // The reclamation decision point — outside every latch.
+        finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
         let horizon = self.gc_horizon();
         if let Some(ssi) = &self.ssi {
             ssi.purge(horizon);
         }
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
-            let _latch = shard.writer.lock();
-            for map_cell in shard.maps.iter() {
-                let map = map_cell.load_exclusive();
-                let mut removed: Vec<Oid> = Vec::new();
-                let mut swaps: Vec<(Arc<ChainCell>, Vec<Arc<VersionRecord>>)> = Vec::new();
-                for (&oid, cell) in map.iter() {
-                    let records = &cell.records.load_exclusive().records;
-                    let Some(keep) = surviving(records, horizon) else {
-                        continue;
-                    };
-                    reclaimed += records.len() - keep.len();
-                    if keep.is_empty() {
-                        removed.push(oid);
-                    } else {
-                        swaps.push((Arc::clone(cell), keep));
-                    }
-                }
-                // Publish the shrunken chains, then the shrunken bucket
-                // map — all references into the old snapshots are
-                // released above, so the swaps cannot invalidate
-                // anything still borrowed.
-                let shrink_map = !removed.is_empty();
-                let next = shrink_map.then(|| {
-                    let mut next = map.clone();
-                    for oid in &removed {
-                        next.remove(oid);
-                    }
-                    next
-                });
-                for (cell, records) in swaps {
-                    let old = cell.records.swap(Chain { records }, &self.rcu);
-                    self.retire(RetiredNode::Chain(old));
-                }
-                if let Some(next) = next {
-                    self.retire(RetiredNode::Map(map_cell.swap(next, &self.rcu)));
-                }
-            }
+            shard.chains.write().retain(|_, chain| {
+                reclaimed += chain.prune(horizon);
+                !chain.records.is_empty()
+            });
         }
         self.stats.versions_reclaimed.add(reclaimed as u64);
-        // Two grace periods clear everything retired up to here, unless
-        // a reader is pinned right now (then its era's nodes wait).
-        self.rcu.try_advance();
-        let free_horizon = self.rcu.try_advance();
-        let mut freed = 0;
         for slot in self.reclaim.iter() {
-            let mut garbage = Vec::new();
-            {
-                let mut state = slot.state.lock();
-                // The sweep pruned whatever these entries name.
-                state.queue.retain(|&(ts, _)| ts > horizon);
-                state.pop_garbage(free_horizon, &mut garbage);
-            }
-            freed += garbage.len();
-        }
-        if freed > 0 {
-            self.stats.cow_reclaimed.add(freed as u64);
+            // The sweep pruned whatever these entries name.
+            slot.state.lock().queue.retain(|&(ts, _)| ts > horizon);
         }
         reclaimed
     }
 
     /// Number of live version records across all chains (diagnostics).
-    /// Latch-free; under concurrent commits the total is approximate —
-    /// a consistent point-in-time count would require freezing every
-    /// shard at once, which diagnostics must never do.
+    /// Takes one shard latch at a time; under concurrent commits the
+    /// total is approximate — a consistent point-in-time count would
+    /// require freezing every shard at once, which diagnostics must
+    /// never do.
     pub fn live_versions(&self) -> usize {
-        let pin = self.pin();
         self.shards
             .iter()
-            .flat_map(|s| s.maps.iter())
-            .map(|m| {
-                m.load(&pin)
-                    .values()
-                    .map(|cell| cell.records.load(&pin).records.len())
-                    .sum::<usize>()
+            .map(|s| {
+                let chains = s.chains.read();
+                chains.values().map(|c| c.records.len()).sum::<usize>()
             })
             .sum()
     }
@@ -1753,16 +1465,12 @@ impl MvccHeap {
     /// Number of objects with a live chain (diagnostics; approximate
     /// under concurrency, like [`MvccHeap::live_versions`]).
     pub fn live_chains(&self) -> usize {
-        let pin = self.pin();
-        self.shards
-            .iter()
-            .flat_map(|s| s.maps.iter())
-            .map(|m| m.load(&pin).len())
-            .sum()
+        self.shards.iter().map(|s| s.chains.read().len()).sum()
     }
 }
 
-/// Why an MVCC write failed.
+/// Why an MVCC write failed. Every variant leaves the heap and the base
+/// store as they were before the call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MvccWriteError {
     /// First-updater-wins conflict; the transaction must abort (and may
@@ -1770,6 +1478,9 @@ pub enum MvccWriteError {
     Conflict(MvccConflict),
     /// The base store rejected the write (unknown OID, type mismatch, …).
     Store(StoreError),
+    /// The transaction is not registered with the heap — never begun,
+    /// or already committed or aborted. Retrying cannot help.
+    UnknownTxn(TxnId),
 }
 
 impl From<StoreError> for MvccWriteError {
@@ -1783,6 +1494,9 @@ impl std::fmt::Display for MvccWriteError {
         match self {
             MvccWriteError::Conflict(c) => c.fmt(f),
             MvccWriteError::Store(e) => e.fmt(f),
+            MvccWriteError::UnknownTxn(t) => {
+                write!(f, "transaction {t} is not registered with the mvcc heap")
+            }
         }
     }
 }
@@ -1832,6 +1546,7 @@ impl std::error::Error for CommitError {}
 mod tests {
     use super::*;
     use finecc_model::{ClassId, FieldType, Schema, SchemaBuilder};
+    use std::sync::atomic::AtomicBool;
 
     fn setup() -> (Arc<Schema>, Arc<MvccHeap>, ClassId, FieldId, FieldId) {
         let mut b = SchemaBuilder::new();
@@ -2048,8 +1763,8 @@ mod tests {
     #[test]
     fn chain_hits_answer_from_the_chain_alone() {
         // Once a field has any version record, snapshot reads of it are
-        // served entirely from the copy-on-write chain: no base-store
-        // lock, no latch — the counters prove it.
+        // served entirely from the chain: the base store is never
+        // consulted — the counters prove it.
         let (_, heap, a, x, y) = setup();
         let o = heap.base().create(a);
         let pin_gc = heap.snapshot(); // horizon 0: chains never shrink
@@ -2069,7 +1784,6 @@ mod tests {
         assert_eq!(m.snapshot_reads, 3);
         assert_eq!(m.read_chain_hits, 3, "all three reads hit the chain");
         assert_eq!(m.read_base_loads, 0, "the base store was never locked");
-        assert_eq!(m.read_retries, 0);
     }
 
     #[test]
@@ -2086,9 +1800,9 @@ mod tests {
 
     #[test]
     fn merged_writes_republish_with_updated_after_images() {
-        // Repeated writes by one transaction stay a single record whose
-        // after-image tracks the latest value — and its reader sees it
-        // without consulting the base store.
+        // Repeated writes by one transaction stay a single record, edited
+        // in place, whose after-image tracks the latest value — and its
+        // reader sees it without consulting the base store.
         let (_, heap, a, x, _) = setup();
         let o = heap.base().create(a);
         heap.begin(TxnId(1));
@@ -2132,12 +1846,11 @@ mod tests {
         RECLAIM_LATCHES.with(|n| n.get())
     }
 
-    /// Every reclaim slot's queue and bin is empty.
+    /// Every reclaim slot's queue is empty.
     fn slots_are_empty(heap: &MvccHeap) -> bool {
-        heap.reclaim.iter().all(|slot| {
-            let state = slot.state.lock();
-            state.queue.is_empty() && state.bin.is_empty()
-        })
+        heap.reclaim
+            .iter()
+            .all(|slot| slot.state.lock().queue.is_empty())
     }
 
     #[test]
@@ -2160,6 +1873,30 @@ mod tests {
         assert_eq!(heap.current_ts(), ts);
         let m = heap.stats.snapshot();
         assert_eq!((m.begins, m.commits, m.aborts, m.ts_skips), (1, 1, 0, 0));
+    }
+
+    #[test]
+    fn a_write_by_an_unknown_txn_installs_nothing() {
+        let (_, heap, a, x, _) = setup();
+        let o = heap.base().create(a);
+        let stranger = TxnId(9);
+        assert_eq!(
+            heap.write_at(0, stranger, o, x, Value::Int(5)),
+            Err(MvccWriteError::UnknownTxn(stranger))
+        );
+        assert_eq!(
+            heap.write(stranger, o, x, Value::Int(5)),
+            Err(MvccWriteError::UnknownTxn(stranger))
+        );
+        assert_eq!(heap.base().read(o, x), Ok(Value::Int(0)));
+        assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
+        // The field is not poisoned: an honest writer gets it.
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        heap.commit(TxnId(1)).unwrap();
+        assert_eq!(heap.base().read(o, x), Ok(Value::Int(1)));
+        let m = heap.stats.snapshot();
+        assert_eq!((m.versions_created, m.write_conflicts), (1, 0));
     }
 
     #[test]
@@ -2225,7 +1962,7 @@ mod tests {
     #[test]
     fn nothing_a_pinned_snapshot_needs_is_pruned() {
         // Writers storm a few hundred objects while one snapshot stays
-        // pinned and latch-free readers keep re-reading through it:
+        // pinned and readers keep re-reading through it:
         // every read must return the value at the pin, whatever the
         // batches prune around it.
         const OBJECTS: usize = 300;
@@ -2291,10 +2028,7 @@ mod tests {
         let m = heap.stats.snapshot();
         assert_eq!(m.versions_created, m.versions_reclaimed);
         assert_eq!(m.begins, m.commits + m.aborts);
-        assert!(
-            slots_are_empty(&heap),
-            "a slot kept a queue entry or a node"
-        );
+        assert!(slots_are_empty(&heap), "a slot kept a queue entry");
     }
 
     #[test]
@@ -2405,51 +2139,110 @@ mod tests {
     }
 
     #[test]
-    fn latch_free_readers_stay_consistent_under_write_churn() {
-        // Readers hammer one hot object while a writer thread churns
-        // versions (install → flip → GC): the debug-build cross-check
-        // inside read_as latches and re-reads every single read, so
-        // this is the copy-on-write publication protocol's sharpest
-        // unit-level race test. Reads must also be atomic across the
-        // two fields each commit writes together.
-        let (_, heap, a, x, y) = setup();
-        let o = heap.base().create(a);
-        std::thread::scope(|s| {
-            {
-                let heap = Arc::clone(&heap);
-                s.spawn(move || {
-                    for round in 0..300u64 {
-                        let t = TxnId(round + 1);
+    fn readers_stay_consistent_under_merges_and_rollbacks() {
+        // A writer churns one hot object while readers re-read it, at
+        // both isolation levels. Every round first writes the poison
+        // into both fields, then either rolls back or rewrites both
+        // fields with the round number (in-place merges of its pending
+        // record) and commits — so installs, merges, flips, rollbacks
+        // and pruning all race the readers. Readers alternate
+        // standalone snapshots and read-only transactions of their own
+        // (at Serializable those also register SIREADs and step past
+        // the writer's pending record). No read may see the poison, a
+        // pair torn across one commit, or a snapshot older than one the
+        // same reader saw before.
+        const ROUNDS: i64 = 1_000;
+        const READERS: usize = 3;
+        const POISON: Value = Value::Int(-1);
+        for isolation in [IsolationLevel::Snapshot, IsolationLevel::Serializable] {
+            let (schema, _, a, x, y) = setup();
+            let db = Arc::new(Database::new(schema));
+            let heap = Arc::new(MvccHeap::with_isolation(db, isolation));
+            let o = heap.base().create(a);
+            let next_txn = AtomicU64::new(1);
+            let readers_started = AtomicUsize::new(0);
+            let writer_done = AtomicBool::new(false);
+            let last_committed = std::thread::scope(|s| {
+                let (heap, next_txn) = (&heap, &next_txn);
+                let (readers_started, writer_done) = (&readers_started, &writer_done);
+                let writer = s.spawn(move || {
+                    while readers_started.load(Ordering::SeqCst) < READERS {
+                        std::thread::yield_now();
+                    }
+                    let mut last_committed = 0;
+                    for round in 1..=ROUNDS {
+                        let t = TxnId(next_txn.fetch_add(1, Ordering::SeqCst));
                         heap.begin(t);
-                        heap.write(t, o, x, Value::Int(round as i64)).unwrap();
-                        heap.write(t, o, y, Value::Int(round as i64)).unwrap();
-                        heap.commit(t).unwrap();
+                        heap.write(t, o, x, POISON).unwrap();
+                        heap.write(t, o, y, POISON).unwrap();
+                        if round % 2 == 0 {
+                            assert_eq!(heap.abort(t), 1);
+                            continue;
+                        }
+                        let merged = [(x, round), (y, round)]
+                            .map(|(f, v)| heap.write(t, o, f, Value::Int(v)).unwrap());
+                        assert_eq!(merged, [WriteOutcome::MergedVersion; 2]);
+                        match heap.commit(t) {
+                            Ok(_) => last_committed = round,
+                            // Refused and already rolled back.
+                            Err(CommitError::Ssi(_)) => {}
+                            Err(e) => panic!("round {round}: {e}"),
+                        }
+                        // A full sweep races the readers too, and it
+                        // purges the SIREADs their transactions leave,
+                        // which would otherwise pile up between the
+                        // writer's few reclamation batches.
+                        if round % 16 == 1 {
+                            heap.gc();
+                        }
                     }
+                    writer_done.store(true, Ordering::SeqCst);
+                    last_committed
                 });
-            }
-            for _ in 0..3 {
-                let heap = Arc::clone(&heap);
-                s.spawn(move || {
-                    let mut last = -1i64;
-                    while !writer_done(&heap) {
-                        let snap = heap.snapshot();
-                        let vx = snap.read(o, x).unwrap();
-                        let vy = snap.read(o, y).unwrap();
-                        assert_eq!(vx, vy, "torn read across one commit's fields");
-                        let Value::Int(v) = vx else { panic!() };
-                        assert!(v >= last, "snapshot went backwards");
-                        last = v;
-                    }
-                });
-            }
-
-            fn writer_done(heap: &MvccHeap) -> bool {
-                heap.current_ts() >= 300
-            }
-        });
-        assert_eq!(heap.base().read(o, x), Ok(Value::Int(299)));
-        let m = heap.stats.snapshot();
-        assert_eq!(m.commits, 300);
-        assert_eq!(m.write_conflicts, 0);
+                for r in 0..READERS {
+                    s.spawn(move || {
+                        let mut last = 0;
+                        for i in r.. {
+                            if i > r && writer_done.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            let (ts, vx, vy) = if i % 2 == 0 {
+                                let snap = heap.snapshot();
+                                (snap.ts(), snap.read(o, x), snap.read(o, y))
+                            } else {
+                                let t = TxnId(next_txn.fetch_add(1, Ordering::SeqCst));
+                                let ts = heap.begin(t);
+                                let pair = (
+                                    heap.read_as(ts, Some(t), o, x),
+                                    heap.read_as(ts, Some(t), o, y),
+                                );
+                                // Read-only: it commits at its snapshot, or
+                                // validation refuses it and there is
+                                // nothing to roll back.
+                                let _ = heap.commit(t);
+                                (ts, pair.0, pair.1)
+                            };
+                            if i == r {
+                                readers_started.fetch_add(1, Ordering::SeqCst);
+                            }
+                            let (vx, vy) = (vx.unwrap(), vy.unwrap());
+                            assert_ne!(vx, POISON, "{isolation:?}: poison visible at {ts}");
+                            assert_eq!(vx, vy, "{isolation:?}: torn pair at {ts}");
+                            let Value::Int(v) = vx else {
+                                panic!("unexpected value {vx:?}")
+                            };
+                            assert!(v >= last, "{isolation:?}: snapshot went back {last} -> {v}");
+                            last = v;
+                        }
+                    });
+                }
+                writer.join().unwrap()
+            });
+            assert_eq!(heap.base().read(o, x), Ok(Value::Int(last_committed)));
+            assert_eq!(heap.base().read(o, y), Ok(Value::Int(last_committed)));
+            assert_eq!(heap.stats.snapshot().write_conflicts, 0);
+            heap.gc();
+            assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
+        }
     }
 }

@@ -16,16 +16,18 @@
 //!   ordered publication watermark (a CAS ring of in-flight commit
 //!   slots) advances the snapshot source only across a contiguous
 //!   flipped prefix, so a snapshot never observes a half-flipped
-//!   transaction even though committers flip their chains without any
-//!   lock at all (see the `heap` module's "Concurrency architecture"
+//!   transaction even though committers flip their records one object
+//!   at a time (see the `heap` module's "Concurrency architecture"
 //!   docs).
 //! * **Snapshots** ([`snapshot::Snapshot`]) — first-class read-only
 //!   views: no logical locks, stable for their whole lifetime, and
-//!   registered with the GC so the versions they need stay alive.
-//!   Snapshot reads are **latch-free**: chains are published
-//!   copy-on-write behind atomic pointers with epoch-based
-//!   reclamation, and a chain hit never touches the base store
-//!   (records carry before- *and* after-images per field).
+//!   registered with the GC so the versions they need stay alive. A
+//!   snapshot read holds its object's chain shard *shared* — readers
+//!   never wait for one another or for a committer's flip, only for a
+//!   writer editing a chain of the same shard — and a chain hit never
+//!   touches the base store (records carry before- *and* after-images
+//!   per field). Chains are plain vectors edited in place: there is no
+//!   copy-on-write publication and no grace period.
 //! * **Write conflicts** — first-updater-wins at **field granularity**
 //!   (the paper's granularity): a write fails immediately with
 //!   [`MvccConflict`] iff another live transaction holds a pending
@@ -34,12 +36,12 @@
 //!   conflict — the multi-version analogue of the paper's P4 fix. At
 //!   [`IsolationLevel::Snapshot`] a transaction that never conflicts is
 //!   guaranteed to commit — validation cannot fail later.
-//! * **Garbage collection** — epoch-based: active snapshots pin a
-//!   horizon; versions committed at or before the horizon can never be
-//!   demanded again and are reclaimed — by the committing threads
+//! * **Garbage collection** — active snapshots pin a horizon; versions
+//!   committed at or before the horizon can never be demanded again and
+//!   are pruned from their chains — by the committing threads
 //!   themselves, a small batch every few commits (the `heap` module's
 //!   *Reclamation* section), or all at once by the explicit
-//!   [`MvccHeap::gc`] sweep.
+//!   [`MvccHeap::gc`] sweep. A pruned record is freed on the spot.
 //! * **Isolation levels** ([`IsolationLevel`]) — the heap runs at plain
 //!   [`IsolationLevel::Snapshot`] (write skew possible, commit
 //!   infallible) or at [`IsolationLevel::Serializable`], which layers
@@ -51,10 +53,8 @@
 //! `finecc_runtime::schemes::mvcc`, one scheme-matrix entry per
 //! isolation level (`mvcc`, `mvcc-ssi`).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-#[allow(unsafe_code)]
-mod cow;
 pub mod heap;
 pub mod snapshot;
 pub mod ssi;

@@ -29,26 +29,15 @@ finecc_obs::counters! {
         ts_skips: Counter "finecc.mvcc.ts_skips",
         /// Snapshot field reads served.
         snapshot_reads: Counter "finecc.mvcc.snapshot_reads",
-        /// Snapshot reads answered entirely from a copy-on-write chain —
-        /// the **latch-free** path: no mutex, no `RwLock`, no base-store
-        /// access.
+        /// Snapshot reads answered entirely from a version chain: no
+        /// base-store access.
         read_chain_hits: Counter "finecc.mvcc.read_chain_hits",
         /// Snapshot reads that missed the chains (no record covers the
         /// field) and paid exactly one base-store `RwLock::read`.
         read_base_loads: Counter "finecc.mvcc.read_base_loads",
-        /// Miss-revalidation retries: a chain-miss read raced a first
-        /// writer of the field and re-ran through the chain (the read
-        /// path's only loop; it resolves on the next iteration).
-        read_retries: Counter "finecc.mvcc.read_retries",
-        /// Reclamation-era races during reader pinning (bounded retry of
-        /// two atomic ops; fires at most around reclamation batches).
-        read_pin_retries: Counter "finecc.mvcc.read_pin_retries",
         /// Commit publications that hit the watermark ring's overflow
         /// fallback (more in-flight commits than ring slots).
         watermark_waits: Counter "finecc.mvcc.watermark_waits",
-        /// Retired copy-on-write chain/map snapshots freed after their
-        /// reclamation grace period.
-        cow_reclaimed: Counter "finecc.mvcc.cow_reclaimed",
         /// Version records installed.
         versions_created: Counter "finecc.mvcc.versions_created",
         /// Version records reclaimed — by epoch GC or discarded by abort

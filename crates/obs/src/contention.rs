@@ -11,7 +11,7 @@
 //!
 //! The registry sits off the hot path by construction: it is only
 //! touched when something already went wrong (a block, a conflict, an
-//! abort, a retry), never on a granted lock or a clean read.
+//! abort), never on a granted lock or a read.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,12 +27,10 @@ pub enum ContentionKind {
     /// An SSI dangerous-structure abort attributed to this OID
     /// (mvcc-ssi).
     SsiAbort = 2,
-    /// A latch-free read retry on this OID's chain (mvcc).
-    ReadRetry = 3,
 }
 
 /// Number of [`ContentionKind`] classes.
-pub const KIND_COUNT: usize = 4;
+pub const KIND_COUNT: usize = 3;
 
 impl ContentionKind {
     /// All classes, in counter order.
@@ -40,7 +38,6 @@ impl ContentionKind {
         ContentionKind::LockBlock,
         ContentionKind::WwConflict,
         ContentionKind::SsiAbort,
-        ContentionKind::ReadRetry,
     ];
 
     /// Stable snake_case name for tables and JSON keys.
@@ -49,7 +46,6 @@ impl ContentionKind {
             ContentionKind::LockBlock => "lock_blocks",
             ContentionKind::WwConflict => "ww_conflicts",
             ContentionKind::SsiAbort => "ssi_aborts",
-            ContentionKind::ReadRetry => "read_retries",
         }
     }
 }
@@ -197,12 +193,12 @@ mod tests {
             r.record(ObjKey::Instance(7), ContentionKind::LockBlock);
         }
         r.record(ObjKey::Instance(9), ContentionKind::WwConflict);
-        r.record(ObjKey::Field(7, 2), ContentionKind::ReadRetry);
+        r.record(ObjKey::Field(7, 2), ContentionKind::SsiAbort);
         let top = r.top_k(10);
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].key, ObjKey::Instance(7));
         assert_eq!(top[0].count(ContentionKind::LockBlock), 5);
-        assert_eq!(r.totals(), [5, 1, 0, 1]);
+        assert_eq!(r.totals(), [5, 1, 1]);
     }
 
     #[test]

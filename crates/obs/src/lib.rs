@@ -13,9 +13,9 @@
 //!   group-commit ack, checkpoint), mergeable across thread shards,
 //!   quantile error bounded by the log base (1/32).
 //! * [`contention`] — a striped, OID-keyed **contention registry**
-//!   counting lock blocks, ww conflicts, SSI aborts, and read retries
-//!   per causing object/field; [`Obs::hottest`] ranks them by exact
-//!   cumulative total.
+//!   counting lock blocks, ww conflicts and SSI aborts per causing
+//!   object/field; [`Obs::hottest`] ranks them by exact cumulative
+//!   total.
 //! * [`registry`] — the unified **metrics registry**: every
 //!   subsystem's counters under stable dotted names with labels,
 //!   pulled as a snapshot and rendered as Prometheus text exposition.

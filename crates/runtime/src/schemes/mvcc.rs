@@ -13,11 +13,11 @@
 //! validation aborts — plus optimistic restarts on field-level
 //! write-write conflicts:
 //!
-//! * **Reads** reconstruct the transaction's snapshot from the
-//!   copy-on-write version chains of [`finecc_mvcc::MvccHeap`] —
-//!   **latch-free** on the chain-hit path: no lock manager, no mutex,
-//!   no base-store `RwLock` (the scheme has no lock manager, so it
-//!   emits no `finecc.lock.*` sample at all, and the heap's
+//! * **Reads** reconstruct the transaction's snapshot from the version
+//!   chains of [`finecc_mvcc::MvccHeap`], holding the object's chain
+//!   shard *shared*: no lock manager, and on the chain-hit path no
+//!   base-store `RwLock` (the scheme has no lock manager, so it emits
+//!   no `finecc.lock.*` sample at all, and the heap's
 //!   `read_base_loads` counter stays at zero whenever a chain covers
 //!   the field). The snapshot
 //!   timestamp is cached in the transaction session, so steady-state
@@ -153,6 +153,12 @@ impl MvccScheme {
                 msg: c.to_string(),
             },
             MvccWriteError::Store(e) => Env::store_err(e),
+            // Not this scheme's transaction (or one already ended):
+            // nothing was installed, and a re-run would fare no better.
+            e @ MvccWriteError::UnknownTxn(_) => ExecError::ConcurrencyAbort {
+                deadlock: false,
+                msg: e.to_string(),
+            },
         }
     }
 
@@ -448,6 +454,37 @@ mod tests {
         // Aborting one is a no-op rather than a panic.
         s.abort(Txn::with_snapshot_ts(TxnId(1 << 40), 0));
         assert_eq!(s.heap().stats.snapshot().commits, 0);
+    }
+
+    #[test]
+    fn a_write_by_a_transaction_the_heap_does_not_know_leaves_nothing_behind() {
+        let (s, _, o2) = setup();
+        let mut stranger = Txn::with_snapshot_ts(TxnId(1 << 40), 0);
+        let err = s
+            .send(&mut stranger, o2, "m2", &[Value::Int(9)])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::ConcurrencyAbort {
+                    deadlock: false,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(!err.is_retryable(), "{err}");
+        assert_eq!(s.env().read_named(o2, "c2", "f1"), Value::Int(0));
+        assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(0));
+        assert_eq!(s.heap().live_versions(), 0);
+        // The fields are not poisoned: an honest writer commits them on
+        // its first attempt.
+        let out = run_txn(&s, 3, |txn| s.send(txn, o2, "m2", &[Value::Int(7)]));
+        assert!(
+            matches!(out, crate::TxnOutcome::Committed { retries: 0, .. }),
+            "an honest writer must commit at once"
+        );
+        assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(7));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! its field values as of the checkpoint timestamp.
 //!
 //! The MVCC heap produces these images *fuzzily*: it pins a snapshot
-//! and reads every field through the latch-free multi-version read
-//! path, so writers keep committing while the checkpoint streams out —
+//! and reads every field through the multi-version read path, so
+//! writers keep committing while the checkpoint streams out —
 //! the version chains are what make a consistent cut possible without
 //! stopping anyone. Lock schemes, which have no time travel, checkpoint
 //! only at quiescent points (in practice: the genesis checkpoint

@@ -487,8 +487,8 @@ proptest! {
                             let txn = open[slot].take().expect("still open");
                             heap.abort(txn.id);
                         }
-                        Err(MvccWriteError::Store(e)) => {
-                            prop_assert!(false, "unexpected store error: {e}");
+                        Err(e) => {
+                            prop_assert!(false, "unexpected write error: {e}");
                         }
                     }
                 }
@@ -669,8 +669,8 @@ proptest! {
                             let txn = open[slot].take().expect("still open");
                             heap.abort(txn.id);
                         }
-                        Err(MvccWriteError::Store(e)) => {
-                            prop_assert!(false, "unexpected store error: {e}");
+                        Err(e) => {
+                            prop_assert!(false, "unexpected write error: {e}");
                         }
                     }
                 }
