@@ -86,7 +86,9 @@
 //!   records at or below the horizon and the chain itself once it
 //!   empties. A batch with budget to spare spends it on one other slot
 //!   (rotating), so a slot whose thread went idle does not strand
-//!   versions.
+//!   versions. At [`IsolationLevel::Serializable`] every batch also
+//!   hands its horizon to the SSI tracker, whose SIREAD lists prune
+//!   below it, and every `SSI_PURGE_EVERY`-th runs the tracker's purge.
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
 //!   watermark, which only grows (see `EpochTable`). Pruning with an
@@ -1370,8 +1372,14 @@ impl MvccHeap {
         // The reclamation decision point — outside every latch.
         finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
         let horizon = self.gc_horizon();
-        if let (Some(ssi), true) = (&self.ssi, purge_ssi) {
-            ssi.purge(horizon);
+        if let Some(ssi) = &self.ssi {
+            // Every batch lets SIREAD lists prune below the new horizon;
+            // the full tracker purge rides every `SSI_PURGE_EVERY`-th.
+            if purge_ssi {
+                ssi.purge(horizon);
+            } else {
+                ssi.raise_horizon(horizon);
+            }
         }
         let mut due = Vec::new();
         let own = &self.reclaim[slot];
@@ -2188,13 +2196,6 @@ mod tests {
                             Err(CommitError::Ssi(_)) => {}
                             Err(e) => panic!("round {round}: {e}"),
                         }
-                        // A full sweep races the readers too, and it
-                        // purges the SIREADs their transactions leave,
-                        // which would otherwise pile up between the
-                        // writer's few reclamation batches.
-                        if round % 16 == 1 {
-                            heap.gc();
-                        }
                     }
                     writer_done.store(true, Ordering::SeqCst);
                     last_committed
@@ -2244,5 +2245,123 @@ mod tests {
             heap.gc();
             assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
         }
+    }
+
+    #[test]
+    fn ssi_verdicts_of_a_fixed_interleaving() {
+        // Four sessions interleaved step by step on one thread, by a
+        // seeded stream: read-only transactions, read-modify-writes and
+        // write-skew pairs over three fields, with voluntary aborts,
+        // first-updater-wins losers and SSI refusals. Which SIREAD
+        // entries the tracker keeps must not move a single verdict, so
+        // the counts are pinned exactly.
+        #[derive(Clone, Copy)]
+        enum Op {
+            Read(usize),
+            Write(usize),
+            Commit,
+            Abort,
+        }
+        let (schema, _, a, x, y) = setup();
+        let db = Arc::new(Database::new(schema));
+        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let (o1, o2) = (heap.base().create(a), heap.base().create(a));
+        let fields = [(o1, x), (o1, y), (o2, x)];
+        let mut next = rng(1993);
+        let mut next_txn = 0;
+        // Per session: the running transaction and its remaining ops.
+        let mut sessions: Vec<Option<(TxnId, Vec<Op>)>> = vec![None; 4];
+        let mut outcomes = [0u64; 3]; // committed, refused, abandoned
+        for step in 0..4_000i64 {
+            let s = (next() % 4) as usize;
+            let Some((txn, ops)) = &mut sessions[s] else {
+                next_txn += 1;
+                let txn = TxnId(next_txn);
+                heap.begin(txn);
+                let (f, g) = ((next() % 3) as usize, (next() % 3) as usize);
+                let end = if next().is_multiple_of(10) {
+                    Op::Abort
+                } else {
+                    Op::Commit
+                };
+                // Stored reversed: ops are popped from the back.
+                let ops = match next() % 3 {
+                    0 => vec![end, Op::Read(g), Op::Read(f)],
+                    1 => vec![end, Op::Write(f), Op::Read(f)],
+                    _ => vec![end, Op::Write(g), Op::Read(g), Op::Read(f)],
+                };
+                sessions[s] = Some((txn, ops));
+                continue;
+            };
+            let txn = *txn;
+            let done = match ops.pop().expect("a session ends at commit or abort") {
+                Op::Read(f) => {
+                    let (o, field) = fields[f];
+                    heap.read(txn, o, field).unwrap();
+                    false
+                }
+                Op::Write(f) => {
+                    let (o, field) = fields[f];
+                    match heap.write(txn, o, field, Value::Int(step)) {
+                        Ok(_) => false,
+                        Err(MvccWriteError::Conflict(_)) => {
+                            heap.abort(txn);
+                            outcomes[2] += 1;
+                            true
+                        }
+                        Err(e) => panic!("{e}"),
+                    }
+                }
+                Op::Commit => {
+                    match heap.commit(txn) {
+                        Ok(_) => outcomes[0] += 1,
+                        Err(CommitError::Ssi(_)) => outcomes[1] += 1,
+                        Err(e) => panic!("{e}"),
+                    }
+                    true
+                }
+                Op::Abort => {
+                    heap.abort(txn);
+                    outcomes[2] += 1;
+                    true
+                }
+            };
+            if done {
+                sessions[s] = None;
+            }
+        }
+        assert_eq!(outcomes, [604, 66, 300]);
+        let m = heap.stats.snapshot();
+        assert_eq!((m.ssi_edges, m.ssi_aborts), (732, 66));
+        assert_eq!(m.write_conflicts, 218);
+    }
+
+    #[test]
+    fn a_read_modify_write_loop_keeps_its_siread_list_short() {
+        // One client, one field: each transaction's SIREAD entry is dead
+        // weight once the next reclamation batch's horizon passes its
+        // commit, and the next read or write of the field drops it —
+        // the list never waits for the tracker's periodic purge.
+        let (schema, _, a, x, _) = setup();
+        let db = Arc::new(Database::new(schema));
+        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let o = heap.base().create(a);
+        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
+        let mut longest = 0;
+        for i in 1..=10_000u64 {
+            let t = TxnId(i);
+            heap.begin(t);
+            let Value::Int(v) = heap.read(t, o, x).unwrap() else {
+                panic!("x is an int")
+            };
+            heap.write(t, o, x, Value::Int(v + 1)).unwrap();
+            longest = longest.max(ssi.siread_len(o, x));
+            heap.commit(t).unwrap();
+        }
+        assert_eq!(heap.base().read(o, x), Ok(Value::Int(10_000)));
+        assert!(
+            longest <= RECLAIM_EVERY as usize + 1,
+            "the SIREAD list grew to {longest}"
+        );
     }
 }

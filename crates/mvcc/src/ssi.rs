@@ -39,16 +39,53 @@
 //!    commit in one critical section on that same stripe. A remote
 //!    update therefore lands either *before* `B`'s pivot check (and is
 //!    seen by it) or *after* `B` is properly committed (and takes the
-//!    committed-pivot path, dooming the completing transaction). The
-//!    seed implementation bought this atomicity with one global flags
-//!    mutex; striping preserves it per transaction while letting
-//!    validation of unrelated transactions proceed in parallel.
+//!    committed-pivot path, dooming the completing transaction).
+//!
+//! # Transaction handles and self-pruning SIREAD lists
+//!
+//! Every tracked transaction owns one shared handle (`TxnHandle`): its
+//! id and an atomic commit status — `LIVE` while it runs, its commit
+//! timestamp once committed (a read-only transaction's snapshot), `DEAD`
+//! once aborted. The status is stored only under the transaction's flag
+//! stripe, in the same critical section as `validate_and_commit`'s
+//! commit mark or the flag entry's removal, so it never disagrees with
+//! the flag table; it moves once, from `LIVE`, and never back. A SIREAD
+//! entry is a clone of the reader's handle, so whoever holds a SIREAD
+//! list can tell, from one atomic load per entry and without a stripe
+//! lock, which of its readers can still take part in an edge:
+//!
+//! * **The lock-free skip.** A reader committed at or below the
+//!   writer's snapshot is not concurrent with the writer (the writer's
+//!   snapshot already contains everything it read): `write_edges`
+//!   passes over it with that one load. Only a live reader, or one
+//!   committed after the writer's snapshot, goes through the locked
+//!   check-and-flag on its stripe — the same verdict the stripe would
+//!   give, since the status is written under it.
+//! * **Lazy pruning.** An entry whose reader is `DEAD`, or committed at
+//!   or below the tracker's cached horizon, can never yield an edge
+//!   again: every live or future writer's snapshot already contains it.
+//!   Both `record_read` (which also dedupes the reader) and
+//!   `write_edges` drop such entries from the list they hold, so a
+//!   field that is read *and* written keeps a list about as long as its
+//!   number of concurrent readers. The horizon is the heap's
+//!   `gc_horizon()`, raised with `fetch_max` by every reclamation batch
+//!   — a horizon once computed stays a valid bound forever.
+//! * **What `SsiTracker::purge` is still for.** Lists prune only when
+//!   their field is touched again, and flag entries of committed
+//!   transactions are dropped only by the purge: the heap runs it every
+//!   64th writer commit of a slot (and in every full `gc`) to keep the
+//!   registry and the flag table bounded — including fields that are
+//!   read and then never touched again.
+//!
+//! # Lock order
 //!
 //! At most one flag stripe is held at any time (edge endpoints are
 //! visited one after the other), so stripe acquisition cannot deadlock.
-//! The only nested tracker acquisition at all is `SsiTracker::purge`,
-//! which checks flag stripes *under* a SIREAD shard lock; the order
-//! SIREAD shard → flag stripe is never reversed.
+//! The only nesting is **SIREAD shard → flag stripe**: `write_edges`
+//! runs each non-skipped reader's check-and-flag under the shard it is
+//! walking, and `record_read` looks up a newly registering reader's
+//! handle under it. The writer's own in-flag is set after the shard is
+//! dropped. `purge` takes every lock alone. The order is never reversed.
 //!
 //! The reads feeding the tracker are the interpreter's field-granularity
 //! footprints — the runtime projection of the paper's access vectors —
@@ -75,15 +112,23 @@
 //! written object when it has one, or recorded unattributed for a
 //! read-only pivot.
 
-use crate::Ts;
+use crate::{Ts, TS_PENDING};
 use finecc_model::{FieldId, MulMap, Oid, TxnId};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How many mutexes the SIREAD registry is striped over.
 const READER_SHARDS: usize = 32;
 
 /// How many mutexes the flag table is striped over.
 const FLAG_STRIPES: usize = 64;
+
+/// Commit status of a running transaction.
+const LIVE: Ts = TS_PENDING;
+
+/// Commit status of an aborted transaction.
+const DEAD: Ts = TS_PENDING - 1;
 
 /// The isolation level of an [`crate::MvccHeap`] — a first-class scheme
 /// parameter (the runtime exposes one scheme entry per level).
@@ -149,11 +194,42 @@ impl std::fmt::Display for SsiConflict {
 
 impl std::error::Error for SsiConflict {}
 
+/// A tracked transaction's identity and commit status, shared by its
+/// flag entry and every SIREAD entry it registers (see the module docs'
+/// *Transaction handles*).
+#[derive(Debug)]
+struct TxnHandle {
+    txn: TxnId,
+    /// `LIVE`, the commit timestamp, or `DEAD`. Stored (`Release`) only
+    /// under the transaction's flag stripe; loaded (`Acquire`) anywhere.
+    /// It publishes nothing but itself: a load that misses a store sees
+    /// `LIVE` and takes the locked path, which reads it under the stripe.
+    commit_ts: AtomicU64,
+}
+
+impl TxnHandle {
+    /// The commit status.
+    #[inline]
+    fn status(&self) -> Ts {
+        self.commit_ts.load(Ordering::Acquire)
+    }
+
+    /// Whether a SIREAD entry of this transaction can still yield an
+    /// edge against some live or future writer, given a horizon every
+    /// such writer's snapshot contains. `DEAD` and `LIVE` sit above any
+    /// timestamp, so one comparison handles committed entries.
+    #[inline]
+    fn may_conflict(&self, horizon: Ts) -> bool {
+        let c = self.status();
+        c > horizon && c != DEAD
+    }
+}
+
 /// Conflict-flag record of one tracked transaction. Entries of committed
 /// transactions are retained until no concurrent transaction can remain
 /// (see [`SsiTracker::purge`]); entries of aborted transactions are
 /// dropped immediately.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Flags {
     /// An incoming rw edge exists: a concurrent transaction read a
     /// version this one overwrote.
@@ -165,16 +241,26 @@ struct Flags {
     /// already-committed pivot; the named pivot cannot be aborted, so
     /// this transaction must be.
     doomed_by: Option<TxnId>,
-    /// Commit timestamp once committed (`None` while live). Read-only
-    /// transactions record their snapshot timestamp — they serialize
-    /// there, so no later-snapshot transaction is concurrent with them.
-    commit_ts: Option<Ts>,
+    /// The transaction's handle: its commit timestamp once committed.
+    /// Read-only transactions record their snapshot timestamp — they
+    /// serialize there, so no later-snapshot transaction is concurrent
+    /// with them.
+    handle: Arc<TxnHandle>,
+}
+
+impl Flags {
+    /// The commit timestamp, or `None` while live (a flag entry is
+    /// removed in the critical section that marks its handle `DEAD`).
+    #[inline]
+    fn commit_ts(&self) -> Option<Ts> {
+        Some(self.handle.status()).filter(|&c| c != LIVE)
+    }
 }
 
 /// The SIREAD registry: which transactions have read which field,
-/// striped by OID. Concurrency windows come from the flag table's
-/// commit timestamps, so the registry itself only needs identities.
-type ReaderShard = Mutex<MulMap<(Oid, FieldId), Vec<TxnId>>>;
+/// striped by OID. Each entry is the reader's handle, so a list holder
+/// sees every reader's commit status without the flag table.
+type ReaderShard = Mutex<MulMap<(Oid, FieldId), Vec<Arc<TxnHandle>>>>;
 
 /// One stripe of the flag table.
 type FlagStripe = Mutex<MulMap<TxnId, Flags>>;
@@ -196,6 +282,11 @@ pub(crate) struct SsiTracker {
     /// publication are atomic with respect to each other (see the
     /// module docs for the striping protocol).
     flags: Box<[FlagStripe]>,
+    /// The highest GC horizon the heap has reported: a transaction
+    /// committed at or below it is concurrent with no live or future
+    /// one, so its SIREAD entries may be dropped. `Relaxed`: every value
+    /// it ever held is a valid bound, and it publishes no other data.
+    horizon: AtomicU64,
 }
 
 /// What [`SsiTracker::validate_and_commit`] decided.
@@ -217,7 +308,11 @@ impl SsiTracker {
             .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        SsiTracker { readers, flags }
+        SsiTracker {
+            readers,
+            flags,
+            horizon: AtomicU64::new(0),
+        }
     }
 
     #[inline]
@@ -232,17 +327,51 @@ impl SsiTracker {
 
     /// Starts tracking `txn`.
     pub(crate) fn register(&self, txn: TxnId) {
-        self.stripe(txn).lock().insert(txn, Flags::default());
+        let handle = Arc::new(TxnHandle {
+            txn,
+            commit_ts: AtomicU64::new(LIVE),
+        });
+        let flags = Flags {
+            in_conflict: false,
+            out_conflict: false,
+            doomed_by: None,
+            handle,
+        };
+        self.stripe(txn).lock().insert(txn, flags);
+    }
+
+    /// Raises the pruning horizon to `horizon` (a [`crate::MvccHeap`]
+    /// GC horizon; a stale one merely prunes less) and returns the
+    /// horizon now in force.
+    pub(crate) fn raise_horizon(&self, horizon: Ts) -> Ts {
+        self.horizon
+            .fetch_max(horizon, Ordering::Relaxed)
+            .max(horizon)
     }
 
     /// Registers a SIREAD: `txn` is about to read `(oid, field)`. Must
-    /// run BEFORE the version-chain walk.
+    /// run BEFORE the version-chain walk. Drops the list's entries that
+    /// can no longer yield an edge on the way, and registers `txn` at
+    /// most once — an unknown (aborted) `txn` is not registered at all.
     pub(crate) fn record_read(&self, txn: TxnId, oid: Oid, field: FieldId) {
+        let horizon = self.horizon.load(Ordering::Relaxed);
         let mut shard = self.reader_shard(oid).lock();
         let entries = shard.entry((oid, field)).or_default();
-        if !entries.contains(&txn) {
-            entries.push(txn);
+        let mut registered = false;
+        entries.retain(|r| {
+            registered |= r.txn == txn;
+            r.may_conflict(horizon)
+        });
+        if registered {
+            return;
         }
+        // SIREAD shard → flag stripe, the one nesting (module docs).
+        let handle = self
+            .stripe(txn)
+            .lock()
+            .get(&txn)
+            .map(|f| Arc::clone(&f.handle));
+        entries.extend(handle);
     }
 
     /// Marks the rw edge `reader ──rw──▶ writer`, discovered on the read
@@ -264,7 +393,7 @@ impl SsiTracker {
             match stripe.get_mut(&writer) {
                 Some(w) => {
                     w.in_conflict = true;
-                    w.commit_ts.is_some() && w.out_conflict
+                    w.commit_ts().is_some() && w.out_conflict
                 }
                 None => false,
             }
@@ -284,10 +413,13 @@ impl SsiTracker {
     /// Marks every rw edge `R ──rw──▶ writer` for concurrent readers `R`
     /// of `(oid, field)`, discovered on the write side. Must run AFTER
     /// the writer's pending version is installed. Called by the
-    /// **writer's own thread**: each reader's stripe is locked for the
-    /// concurrency test plus out-flag (atomic against that reader's
-    /// validation), and the writer's own in-flag lands before its own
-    /// validation by program order. Returns the number of edges
+    /// **writer's own thread**, walking the field's SIREAD list in place
+    /// under its shard: a reader committed at or below the writer's
+    /// snapshot is skipped on its handle alone, an entry that can no
+    /// longer yield an edge is dropped, and every other reader's stripe
+    /// is locked for the concurrency test plus out-flag (atomic against
+    /// that reader's validation). The writer's own in-flag lands before
+    /// its own validation by program order. Returns the number of edges
     /// recorded.
     pub(crate) fn write_edges(
         &self,
@@ -296,39 +428,47 @@ impl SsiTracker {
         oid: Oid,
         field: FieldId,
     ) -> u64 {
-        let snapshot: Vec<TxnId> = {
-            let shard = self.reader_shard(oid).lock();
-            match shard.get(&(oid, field)) {
-                Some(rs) => rs.clone(),
-                None => return 0,
-            }
-        };
+        let horizon = self.horizon.load(Ordering::Relaxed);
         let mut edges = 0;
         let mut doom: Option<TxnId> = None;
-        for reader in snapshot {
-            if reader == writer {
-                continue;
-            }
-            let mut stripe = self.stripe(reader).lock();
-            // Aborted (or purged) reader: no edge.
-            let Some(f) = stripe.get_mut(&reader) else {
-                continue;
+        {
+            let mut shard = self.reader_shard(oid).lock();
+            let Some(readers) = shard.get_mut(&(oid, field)) else {
+                return 0;
             };
-            // Concurrency: a live reader overlaps the live writer by
-            // definition; a committed reader overlaps iff the writer's
-            // snapshot predates the reader's commit (otherwise the
-            // writer's snapshot already contains everything the reader
-            // saw, and the edge is plain wr ordering).
-            match f.commit_ts {
-                None => {}
-                Some(c) if c > writer_snapshot => {}
-                Some(_) => continue, // not concurrent
-            }
-            f.out_conflict = true;
-            edges += 1;
-            if f.commit_ts.is_some() && f.in_conflict {
-                doom = Some(reader);
-            }
+            readers.retain(|reader| {
+                if reader.txn == writer {
+                    return true;
+                }
+                let status = reader.status();
+                if status == DEAD || status <= horizon {
+                    return false;
+                }
+                // Committed no later than the writer's snapshot: the
+                // snapshot contains everything it read — plain wr
+                // ordering, not an antidependency.
+                if status <= writer_snapshot {
+                    return true;
+                }
+                let mut stripe = self.stripe(reader.txn).lock();
+                // Aborted (or purged) reader: no edge, now or ever.
+                let Some(f) = stripe.get_mut(&reader.txn) else {
+                    return false;
+                };
+                // Concurrency: a live reader overlaps the live writer by
+                // definition; a committed reader overlaps iff the
+                // writer's snapshot predates the reader's commit.
+                let committed = f.commit_ts();
+                if committed.is_some_and(|c| c <= writer_snapshot) {
+                    return true;
+                }
+                f.out_conflict = true;
+                edges += 1;
+                if committed.is_some() && f.in_conflict {
+                    doom = Some(reader.txn);
+                }
+                true
+            });
         }
         if edges > 0 {
             let mut stripe = self.stripe(writer).lock();
@@ -356,58 +496,49 @@ impl SsiTracker {
         let f = stripe
             .get_mut(&txn)
             .expect("transaction is registered with the ssi tracker");
-        if let Some(pivot) = f.doomed_by {
-            stripe.remove(&txn);
-            return SsiVerdict::Abort(SsiConflict {
-                txn,
-                pivot: Some(pivot),
-            });
-        }
-        if f.in_conflict && f.out_conflict {
-            stripe.remove(&txn);
-            return SsiVerdict::Abort(SsiConflict { txn, pivot: None });
-        }
-        f.commit_ts = Some(commit_ts);
-        SsiVerdict::Committed
+        let pivot = match f.doomed_by {
+            Some(p) => Some(p),
+            None if f.in_conflict && f.out_conflict => None,
+            None => {
+                f.handle.commit_ts.store(commit_ts, Ordering::Release);
+                return SsiVerdict::Committed;
+            }
+        };
+        f.handle.commit_ts.store(DEAD, Ordering::Release);
+        stripe.remove(&txn);
+        SsiVerdict::Abort(SsiConflict { txn, pivot })
     }
 
     /// Drops all tracking state of an aborted transaction. Flags it set
     /// on OTHER transactions stay set (sticky, conservatively), matching
-    /// Cahill's original formulation.
+    /// Cahill's original formulation. Its SIREAD entries go the next
+    /// time their lists are walked.
     pub(crate) fn forget(&self, txn: TxnId) {
-        self.stripe(txn).lock().remove(&txn);
+        if let Some(f) = self.stripe(txn).lock().remove(&txn) {
+            f.handle.commit_ts.store(DEAD, Ordering::Release);
+        }
     }
 
-    /// Drops flag entries and SIREAD registrations that can no longer
-    /// participate in an edge: committed transactions whose commit
-    /// timestamp is at or below `horizon` (the oldest live snapshot —
-    /// every live or future transaction's snapshot already contains
-    /// them, so no further concurrency is possible).
+    /// Raises the horizon to `horizon` (see
+    /// [`SsiTracker::raise_horizon`]) and drops every flag entry and
+    /// SIREAD registration that can no longer participate in an edge:
+    /// committed transactions whose commit timestamp is at or below the
+    /// horizon (every live or future transaction's snapshot already
+    /// contains them, so no further concurrency is possible), and the
+    /// SIREADs of aborted ones. This is what bounds the flag table and
+    /// the lists of fields nobody touches again; lists in use prune
+    /// themselves.
     ///
-    /// Runs stripe-at-a-time — no global lock. A SIREAD entry is kept
-    /// iff its transaction still has a flag entry, checked under the
-    /// SIREAD shard's lock (flag stripes are locked *nested inside* the
-    /// shard lock; that order is never reversed). Verdicts are cached
-    /// per shard: transaction ids are never reused, so a transaction
-    /// observed gone cannot come back, and entries present in the shard
-    /// were added before the shard was locked — i.e. by transactions
-    /// registered before the check.
+    /// Runs stripe-at-a-time, one lock at a time — no global lock and
+    /// no nesting: a SIREAD entry's fate is read off its handle.
     pub(crate) fn purge(&self, horizon: Ts) {
+        let horizon = self.raise_horizon(horizon);
         for stripe in self.flags.iter() {
-            stripe.lock().retain(|_, f| match f.commit_ts {
-                Some(c) => c > horizon,
-                None => true,
-            });
+            stripe.lock().retain(|_, f| f.handle.may_conflict(horizon));
         }
         for shard in self.readers.iter() {
-            let mut shard = shard.lock();
-            let mut live: MulMap<TxnId, bool> = MulMap::default();
-            shard.retain(|_, rs| {
-                rs.retain(|t| {
-                    *live
-                        .entry(*t)
-                        .or_insert_with(|| self.stripe(*t).lock().contains_key(t))
-                });
+            shard.lock().retain(|_, rs| {
+                rs.retain(|r| r.may_conflict(horizon));
                 !rs.is_empty()
             });
         }
@@ -420,6 +551,15 @@ impl SsiTracker {
             .iter()
             .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
             .sum()
+    }
+
+    /// Length of the SIREAD list of `(oid, field)`.
+    #[cfg(test)]
+    pub(crate) fn siread_len(&self, oid: Oid, field: FieldId) -> usize {
+        self.reader_shard(oid)
+            .lock()
+            .get(&(oid, field))
+            .map_or(0, Vec::len)
     }
 
     /// Number of tracked (live or retained-committed) transactions.
@@ -537,18 +677,52 @@ mod tests {
     }
 
     #[test]
+    fn lists_dedupe_and_drop_readers_below_the_horizon() {
+        let t = SsiTracker::new();
+        let (oid, f) = (Oid(5), FieldId(0));
+        t.register(T1);
+        t.record_read(T1, oid, f);
+        t.record_read(T1, oid, f);
+        assert_eq!(t.siread_len(oid, f), 1, "one entry per reader");
+        assert!(matches!(
+            t.validate_and_commit(T1, 2),
+            SsiVerdict::Committed
+        ));
+        t.register(T2);
+        t.record_read(T2, oid, f);
+        // A writer whose snapshot contains T1's commit passes over T1
+        // (kept: an older-snapshot writer may still need it) and finds
+        // the live T2.
+        t.register(T3);
+        assert_eq!(t.write_edges(T3, 2, oid, f), 1);
+        assert_eq!(t.siread_len(oid, f), 2);
+        // Once the horizon passes T1's commit, the next touch drops it.
+        t.raise_horizon(2);
+        t.register(TxnId(4));
+        t.record_read(TxnId(4), oid, f);
+        assert_eq!(t.siread_len(oid, f), 2, "T2 and T4");
+    }
+
+    #[test]
     fn aborted_readers_leave_no_edges_and_purge_drains() {
         let t = SsiTracker::new();
         t.register(T1);
         t.record_read(T1, Oid(2), FieldId(0));
         t.forget(T1); // aborted
         t.register(T2);
+        t.record_read(T2, Oid(3), FieldId(0));
+        // The writer's scan finds the aborted reader's entry and drops
+        // it: no edge, and no entry left for anyone to scan again.
         assert_eq!(t.write_edges(T2, 0, Oid(2), FieldId(0)), 0);
+        assert_eq!(t.siread_len(Oid(2), FieldId(0)), 0);
         assert!(matches!(
             t.validate_and_commit(T2, 1),
             SsiVerdict::Committed
         ));
-        assert!(t.siread_entries() > 0);
+        // What the purge is still for: the committed transaction's flag
+        // entry, and its SIREAD of a field nobody touched again.
+        assert_eq!(t.siread_entries(), 1);
+        assert_eq!(t.tracked_txns(), 1);
         t.purge(10);
         assert_eq!(t.siread_entries(), 0);
         assert_eq!(t.tracked_txns(), 0);
