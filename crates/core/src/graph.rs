@@ -112,7 +112,7 @@ impl LbrGraph {
     }
 
     /// Edge list in paper notation, sorted, e.g.
-    /// `("(c2,m1)", "(c2,m2)")` — used by the Figure 2 experiment.
+    /// `("(c2,m1)", "(c2,m2)")` — what `examples/quickstart.rs` prints.
     pub fn edge_labels(&self, schema: &Schema) -> Vec<(String, String)> {
         let mut out = Vec::with_capacity(self.edge_count());
         for (v, outs) in self.edges.iter().enumerate() {

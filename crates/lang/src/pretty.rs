@@ -1,7 +1,6 @@
 //! Pretty-printer: renders ASTs back to surface syntax.
 //!
-//! Used by the Figure 1 experiment binary and by round-trip tests
-//! (`parse ∘ print ∘ parse = parse`).
+//! Checked by round-trip tests (`parse ∘ print ∘ parse = parse`).
 
 use crate::ast::{BinOp, Block, Expr, SendExpr, Stmt, Target};
 use crate::parser::{ClassSource, Program};

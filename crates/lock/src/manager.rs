@@ -360,7 +360,8 @@ impl<S: ModeSource> LockManager<S> {
     }
 
     /// Non-blocking acquisition: grants immediately or reports
-    /// `WouldBlock` without queueing. Used by the deterministic simulator.
+    /// `WouldBlock` without queueing — how a test probes whether a mode
+    /// conflicts with what is held.
     pub fn try_acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> TryAcquire {
         let shard = &self.shards[shard_of(&res)];
         let granted = self.grant_now(&mut shard.table.lock(), txn, res, mode);

@@ -148,27 +148,6 @@ impl HistSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// The counters accumulated since `before` (element-wise saturating
-    /// difference). The maximum cannot be windowed after the fact, so
-    /// the *current* maximum is kept — an overestimate when the true
-    /// window maximum predates `before`.
-    pub fn since(&self, before: &HistSnapshot) -> HistSnapshot {
-        if before.counts.is_empty() {
-            return self.clone();
-        }
-        HistSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .zip(before.counts.iter())
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(before.count),
-            sum: self.sum.saturating_sub(before.sum),
-            max: self.max,
-        }
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -222,7 +201,7 @@ impl HistSnapshot {
 }
 
 /// Fixed-size quantile summary of one histogram (all values in
-/// nanoseconds). `Copy` so it can ride in `ExecReport`.
+/// nanoseconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Samples recorded.
@@ -355,18 +334,6 @@ mod tests {
         assert!(p50 <= 500 && p50 >= 500 - 500 / SUB_BUCKETS as u64);
         let p99 = s.value_at_quantile(0.99);
         assert!(p99 <= 990 && p99 >= 990 - 990 / SUB_BUCKETS as u64);
-    }
-
-    #[test]
-    fn since_windows_counts() {
-        let h = Histogram::new();
-        h.record(10);
-        let before = h.snapshot();
-        h.record(20);
-        h.record(20);
-        let d = h.snapshot().since(&before);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.value_at_quantile(0.5), 20);
     }
 
     #[test]

@@ -238,91 +238,35 @@ impl Obs {
         }
     }
 
-    /// Copies every phase's counters and the contention totals, for
-    /// windowed reporting via [`Obs::report_since`].
-    pub fn snapshot(&self) -> ObsSnapshot {
-        match &self.inner {
-            Some(i) => ObsSnapshot {
-                phases: i.phases.iter().map(|p| p.merged()).collect(),
-                contention: i.contention.totals(),
-            },
-            None => ObsSnapshot::default(),
-        }
-    }
-
-    /// The report of everything recorded since `before`: per-phase
-    /// quantiles and contention totals (by counter subtraction), plus
-    /// the current hottest objects (the registry accumulates per scheme
-    /// instance — see `ContentionRegistry`).
-    pub fn report_since(&self, before: &ObsSnapshot) -> ObsReport {
-        let Some(i) = &self.inner else {
-            return ObsReport::default();
-        };
-        let mut report = ObsReport {
-            enabled: true,
-            hot: i.contention.top_k(TOP_K),
-            ..ObsReport::default()
-        };
-        for (idx, phase) in i.phases.iter().enumerate() {
-            let now = phase.merged();
-            report.phases[idx] = match before.phases.get(idx) {
-                Some(b) => now.since(b).summary(),
-                None => now.summary(),
-            };
-        }
-        let totals = i.contention.totals();
-        for (idx, t) in totals.iter().enumerate() {
-            report.contention[idx] = t - before.contention[idx];
-        }
-        report
-    }
-
-    /// Emits this handle's live metrics into a registry collector:
-    /// per-phase cumulative quantiles (labelled `phase="…"`),
-    /// contention totals (labelled `kind="…"`), and the event totals
-    /// of the hottest objects. Nothing on a disabled handle.
+    /// Emits this handle's live metrics into a registry collector: the
+    /// cumulative quantiles of every recorded phase (labelled
+    /// `phase="…"`; unrecorded phases would only be noise), contention
+    /// totals (labelled `kind="…"`), and the event totals of the
+    /// hottest objects. Nothing on a disabled handle.
     pub fn collect_metrics(&self, c: &mut Collector) {
         let Some(i) = &self.inner else {
             return;
         };
-        collect_obs(
-            c,
-            |phase| i.phases[phase as usize].merged().summary(),
-            i.contention.totals(),
-            &i.contention.top_k(4),
-        );
-    }
-}
-
-/// The `finecc.obs.*` samples, spelt once for the live handle and for a
-/// frozen report: per recorded phase the cumulative quantiles
-/// (unrecorded phases would only be noise), contention totals by kind,
-/// and the hottest objects' event totals.
-fn collect_obs<'a>(
-    c: &mut Collector,
-    cumulative: impl Fn(Phase) -> LatencySummary,
-    contention: [u64; KIND_COUNT],
-    hot: impl IntoIterator<Item = &'a HotObject>,
-) {
-    for phase in Phase::ALL {
-        let cum = cumulative(phase);
-        if cum.count == 0 {
-            continue;
+        for phase in Phase::ALL {
+            let cum = i.phases[phase as usize].merged().summary();
+            if cum.count == 0 {
+                continue;
+            }
+            let labels = [("phase", phase.name())];
+            c.counter_with("finecc.obs.phase.count", &labels, cum.count);
+            c.gauge_with("finecc.obs.phase.p50_ns", &labels, cum.p50 as f64);
+            c.gauge_with("finecc.obs.phase.p99_ns", &labels, cum.p99 as f64);
+            c.gauge_with("finecc.obs.phase.max_ns", &labels, cum.max as f64);
+            c.gauge_with("finecc.obs.phase.mean_ns", &labels, cum.mean as f64);
         }
-        let labels = [("phase", phase.name())];
-        c.counter_with("finecc.obs.phase.count", &labels, cum.count);
-        c.gauge_with("finecc.obs.phase.p50_ns", &labels, cum.p50 as f64);
-        c.gauge_with("finecc.obs.phase.p99_ns", &labels, cum.p99 as f64);
-        c.gauge_with("finecc.obs.phase.max_ns", &labels, cum.max as f64);
-        c.gauge_with("finecc.obs.phase.mean_ns", &labels, cum.mean as f64);
-    }
-    for (kind, total) in ContentionKind::ALL.iter().zip(contention) {
-        c.counter_with("finecc.obs.contention", &[("kind", kind.name())], total);
-    }
-    for hot in hot {
-        let object = hot.key.to_string();
-        let total = hot.total() as f64;
-        c.gauge_with("finecc.obs.hot_score", &[("object", &object)], total);
+        for (kind, total) in ContentionKind::ALL.iter().zip(i.contention.totals()) {
+            c.counter_with("finecc.obs.contention", &[("kind", kind.name())], total);
+        }
+        for hot in i.contention.top_k(4) {
+            let object = hot.key.to_string();
+            let total = hot.total() as f64;
+            c.gauge_with("finecc.obs.hot_score", &[("object", &object)], total);
+        }
     }
 }
 
@@ -358,52 +302,6 @@ impl PhaseTimer<'_> {
     }
 }
 
-/// Counters copied out by [`Obs::snapshot`], subtracted by
-/// [`Obs::report_since`].
-#[derive(Clone, Debug, Default)]
-pub struct ObsSnapshot {
-    phases: Vec<HistSnapshot>,
-    contention: [u64; KIND_COUNT],
-}
-
-/// Top-K rows carried in reports.
-pub const TOP_K: usize = 8;
-
-/// The observability report embedded in the sim's `ExecReport`.
-#[derive(Clone, Debug, Default)]
-pub struct ObsReport {
-    /// `false` when the scheme ran with observability disabled (all
-    /// other fields are zero then).
-    pub enabled: bool,
-    /// Quantile summaries indexed by [`Phase`] (the report window:
-    /// everything since the `before` snapshot).
-    pub phases: [LatencySummary; PHASE_COUNT],
-    /// The hottest objects by cumulative contention, hottest first (at
-    /// most [`TOP_K`]).
-    pub hot: Vec<HotObject>,
-    /// Contention totals indexed by [`ContentionKind`].
-    pub contention: [u64; KIND_COUNT],
-}
-
-impl ObsReport {
-    /// Summary for one phase.
-    pub fn phase(&self, phase: Phase) -> LatencySummary {
-        self.phases[phase as usize]
-    }
-
-    /// Windowed total for one contention class.
-    pub fn contention_total(&self, kind: ContentionKind) -> u64 {
-        self.contention[kind as usize]
-    }
-
-    /// Emits this frozen report's metrics into a registry collector.
-    pub fn collect_metrics(&self, c: &mut Collector) {
-        if self.enabled {
-            collect_obs(c, |phase| self.phase(phase), self.contention, &self.hot);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,37 +316,24 @@ mod tests {
         obs.contend(ObjKey::Instance(1), ContentionKind::LockBlock);
         assert_eq!(obs.phase_summary(Phase::TxnLatency).count, 0);
         assert_eq!(obs.contention_totals(), [0; KIND_COUNT]);
-        let report = obs.report_since(&obs.snapshot());
-        assert!(!report.enabled);
-        assert_eq!(report.hot.len(), 0);
+        assert_eq!(obs.hottest(8).len(), 0);
     }
 
     #[test]
     fn enabled_records_phases_and_contention() {
         let obs = Obs::new(ObsConfig::enabled());
-        let before = obs.snapshot();
         let t0 = obs.clock();
         assert!(t0.is_some());
         obs.record_since(Phase::TxnLatency, t0);
         obs.record_phase_ns(Phase::LockWait, 1_000);
         obs.contend(ObjKey::Instance(9), ContentionKind::WwConflict);
-        let report = obs.report_since(&before);
-        assert!(report.enabled);
-        assert_eq!(report.phase(Phase::TxnLatency).count, 1);
-        assert_eq!(report.phase(Phase::LockWait).count, 1);
-        assert_eq!(report.contention_total(ContentionKind::WwConflict), 1);
-        assert_eq!(report.hot.len(), 1);
-    }
-
-    #[test]
-    fn report_since_windows_phase_counts() {
-        let obs = Obs::new(ObsConfig::enabled());
-        obs.record_phase_ns(Phase::CommitTotal, 10);
-        let mid = obs.snapshot();
-        obs.record_phase_ns(Phase::CommitTotal, 20);
-        obs.record_phase_ns(Phase::CommitTotal, 30);
-        let report = obs.report_since(&mid);
-        assert_eq!(report.phase(Phase::CommitTotal).count, 2);
+        assert_eq!(obs.phase_summary(Phase::TxnLatency).count, 1);
+        assert_eq!(obs.phase_summary(Phase::LockWait).count, 1);
+        assert_eq!(
+            obs.contention_totals()[ContentionKind::WwConflict as usize],
+            1
+        );
+        assert_eq!(obs.hottest(8).len(), 1);
     }
 
     #[test]

@@ -4,14 +4,11 @@
 //!
 //! A [`MetricsRegistry`] holds *sources* — closures registered with a
 //! fixed label set (`scheme="mvcc"`, `contention="high"`, …) that fill
-//! a [`Collector`] with [`Sample`]s when a snapshot is pulled. Sources
-//! come in two flavors and both are first-class:
-//!
-//! * **live** — a closure over an `Arc` (the `Obs` handle, the `Wal`,
-//!   the mvcc heap) that re-reads the counters on every pull.
-//! * **frozen** — a closure over owned values (an `ExecReport`) whose
-//!   samples never change; this is how a finished run is attached
-//!   under its own labels (`finecc-sim`'s `ExecReport::register_metrics`).
+//! a [`Collector`] with [`Sample`]s when a snapshot is pulled. A source
+//! is a closure over an `Arc` (the `Obs` handle, the `Wal`, the mvcc
+//! heap, a lock manager's counters) that re-reads the live counters on
+//! every pull; there is no second, frozen copy of a run to keep in
+//! step.
 //!
 //! Metric names are dotted (`finecc.mvcc.commits`); the Prometheus
 //! text renderer maps dots to underscores (`finecc_mvcc_commits`) as
@@ -57,12 +54,12 @@ pub struct Sample {
 }
 
 /// The unlabelled samples of one pull, readable by name — how code
-/// that holds no concrete owner (anything behind a `dyn` scheme, a
-/// finished run's report) reads a counter. A name nobody emitted is
-/// `None`, never a silent zero: a scheme without a lock manager has no
-/// `finecc.lock.requests`, and a misspelt name fails the `expect`.
+/// that holds no concrete owner (anything behind a `dyn` scheme) reads
+/// a counter. A name nobody emitted is `None`, never a silent zero: a
+/// scheme without a lock manager has no `finecc.lock.requests`, and a
+/// misspelt name fails the `expect`.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricSet(BTreeMap<String, (MetricKind, f64)>);
+pub struct MetricSet(BTreeMap<String, f64>);
 
 impl MetricSet {
     /// The samples of `samples` that carry no label (pull the registry
@@ -72,40 +69,14 @@ impl MetricSet {
             samples
                 .iter()
                 .filter(|s| s.labels.is_empty())
-                .map(|s| (s.name.clone(), (s.kind, s.value)))
+                .map(|s| (s.name.clone(), s.value))
                 .collect(),
         )
     }
 
     /// The value emitted under `name`, if any source emitted it.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.0.get(name).map(|&(_, v)| v)
-    }
-
-    /// What happened between `earlier` and `self`, by the kind rules
-    /// of [`mod@crate::counters`]: counters are differenced (a name absent
-    /// from `earlier` counts from zero), gauges keep `self`'s value.
-    pub fn since(&self, earlier: &MetricSet) -> MetricSet {
-        MetricSet(
-            self.0
-                .iter()
-                .map(|(name, &(kind, now))| {
-                    let v = match kind {
-                        MetricKind::Counter => (now - earlier.get(name).unwrap_or(0.0)).max(0.0),
-                        MetricKind::Gauge => now,
-                    };
-                    (name.clone(), (kind, v))
-                })
-                .collect(),
-        )
-    }
-
-    /// Replays every sample under its own name and kind (a frozen
-    /// source over a finished run).
-    pub fn collect_metrics(&self, c: &mut Collector) {
-        for (name, &(kind, value)) in &self.0 {
-            c.sample(name, kind, value);
-        }
+        self.0.get(name).copied()
     }
 }
 
@@ -139,8 +110,8 @@ impl Collector {
         });
     }
 
-    /// Emits a sample of either kind (what [`crate::counters!`] and
-    /// [`MetricSet::collect_metrics`] emit through).
+    /// Emits a sample of either kind (what [`crate::counters!`] emits
+    /// through).
     pub fn sample(&mut self, name: &str, kind: MetricKind, value: f64) {
         self.push(name, &[], value, kind);
     }
@@ -262,9 +233,8 @@ fn prom_value(v: f64) -> String {
     }
 }
 
-/// Renders pre-collected samples in the text exposition format (used by
-/// both the registry and frozen-sample writers).
-pub fn render_prometheus(samples: &[Sample]) -> String {
+/// Renders pulled samples in the text exposition format.
+fn render_prometheus(samples: &[Sample]) -> String {
     let mut out = String::new();
     let mut last_name: Option<&str> = None;
     for s in samples {
@@ -311,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn metric_set_reads_by_name_and_differences_by_kind() {
+    fn metric_set_reads_unlabelled_samples_by_name() {
         let n = Arc::new(std::sync::atomic::AtomicU64::new(3));
         let reg = MetricsRegistry::new();
         let live = Arc::clone(&n);
@@ -325,17 +295,9 @@ mod tests {
         assert_eq!(before.get("finecc.test.commits"), Some(3.0), "unlabelled");
         assert_eq!(before.get("finecc.test.comits"), None, "no silent zero");
         n.store(5, Ordering::Relaxed);
-        let delta = MetricSet::of(&reg.snapshot()).since(&before);
-        assert_eq!(delta.get("finecc.test.commits"), Some(2.0));
-        assert_eq!(delta.get("finecc.test.depth"), Some(5.0), "gauge kept");
-        assert_eq!(delta.since(&MetricSet::default()), delta, "absent = 0");
-        // Replayed under labels, it reads like the live source did.
-        let frozen = MetricsRegistry::new();
-        frozen.register_fn(&[("scheme", "x")], move |c| delta.collect_metrics(c));
-        let text = frozen.render_prometheus();
-        assert!(text.contains("# TYPE finecc_test_commits counter"));
-        assert!(text.contains("finecc_test_commits{scheme=\"x\"} 2"));
-        assert!(text.contains("finecc_test_depth{scheme=\"x\"} 5"));
+        let after = MetricSet::of(&reg.snapshot());
+        assert_eq!(after.get("finecc.test.commits"), Some(5.0), "re-read live");
+        assert_eq!(after.get("finecc.test.depth"), Some(5.0));
     }
 
     #[test]

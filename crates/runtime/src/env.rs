@@ -24,10 +24,6 @@ pub struct Env {
     pub bodies: Arc<MethodBodies>,
     /// Builtin functions.
     pub builtins: Arc<Builtins>,
-    /// Interpreter limits.
-    pub max_depth: usize,
-    /// Interpreter loop fuel.
-    pub max_fuel: u64,
     /// Lock-wait timeout for the schemes' lock managers. Short timeouts
     /// turn "would block forever" into an error, which the scenario
     /// machinery uses to probe conflicts.
@@ -65,8 +61,6 @@ impl Env {
             compiled: Arc::new(compiled),
             bodies: Arc::new(bodies),
             builtins: Arc::new(Builtins::standard()),
-            max_depth: 128,
-            max_fuel: 1_000_000,
             lock_timeout: std::time::Duration::from_secs(10),
             commit_seq: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             wal: None,

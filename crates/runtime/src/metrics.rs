@@ -33,7 +33,7 @@ pub fn register_env_metrics(reg: &MetricsRegistry, env: &Env, labels: &[(&str, &
 /// One pull of `scheme`'s live sources, readable by dotted name — how
 /// code behind `dyn CcScheme` reads a counter. A sample the scheme does
 /// not emit (lock counters on mvcc, log counters without a log) is
-/// `None`; two pulls difference with [`MetricSet::since`].
+/// `None`.
 pub fn read_metrics(scheme: &dyn CcScheme) -> MetricSet {
     let reg = MetricsRegistry::new();
     scheme.register_metrics(&reg, &[]);

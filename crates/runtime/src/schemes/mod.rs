@@ -15,10 +15,7 @@ use finecc_model::{Oid, Value};
 
 /// Builds an interpreter over the environment (shared by all schemes).
 pub(crate) fn interpreter(env: &Env) -> Interpreter<'_> {
-    let mut i = Interpreter::new(&env.schema, &env.bodies, &env.builtins);
-    i.max_depth = env.max_depth;
-    i.max_fuel = env.max_fuel;
-    i
+    Interpreter::new(&env.schema, &env.bodies, &env.builtins)
 }
 
 /// Sends `method(args)` to each of `oids` in turn through one data

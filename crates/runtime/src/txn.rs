@@ -122,8 +122,8 @@ impl RetryPolicy {
 }
 
 /// [`run_txn_with`] under the default pacing and a custom retry budget
-/// — the standard driver used by the simulator, the examples and the
-/// stress tests.
+/// — the standard driver used by `finecc-sim`'s executor, the examples
+/// and the stress tests.
 pub fn run_txn<T>(
     scheme: &dyn CcScheme,
     max_retries: u32,

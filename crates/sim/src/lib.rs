@@ -12,8 +12,8 @@
 //! * [`workload`] — seeded random schema/program generation (inheritance
 //!   chains, overrides, self-call graphs) and transaction mixes with
 //!   hot-spot skew.
-//! * [`exec`] — a multi-threaded transaction executor with commit/abort/
-//!   retry accounting.
+//! * [`exec`] — a multi-threaded transaction executor that counts
+//!   commits, exhausted retry budgets, failures and retries.
 //! * [`chaos`] — deterministic fault-injection scenarios over the
 //!   `finecc-chaos` harness: seeded schedule exploration across all six
 //!   schemes, invariant checking (lost own writes, torn pairs,
@@ -32,6 +32,6 @@ pub use chaos::{
     explore, minimize, read_repro, replay_repro, run_chaos, write_repro, Anomaly, ChaosOp,
     ChaosReport, ChaosScenario, Finding,
 };
-pub use exec::{run_concurrent, run_sequential, ExecConfig, ExecReport};
+pub use exec::{run_concurrent, ExecReport};
 pub use scenarios::{scenario_outcomes, ScenarioOutcome, TxnKind};
 pub use workload::{GeneratedWorkload, SchemaGenConfig, TxnMix, WorkloadConfig};

@@ -38,7 +38,7 @@
 //!   [`Wal::prune_checkpoints`]) — after a durable checkpoint at
 //!   `ckpt_ts`, frames strictly below `ckpt_ts` are atomically
 //!   rewritten out of the log and checkpoints beyond the newest
-//!   [`WalConfig::retain_checkpoints`] (plus any stale `.tmp` files)
+//!   [`RETAIN_CHECKPOINTS`] (plus any stale `.tmp` files)
 //!   are deleted — only ever *after* the newer checkpoint's rename is
 //!   directory-fsynced, so log size stays bounded across
 //!   checkpoint cycles without ever removing a frame at or above the
@@ -60,7 +60,7 @@ pub mod stats;
 
 pub use checkpoint::{CheckpointData, CheckpointImage, InstanceImage};
 pub use error::{as_recovery_error, RecoveryError};
-pub use log::{DurabilityLevel, Wal, WalConfig};
+pub use log::{DurabilityLevel, Wal, WalConfig, RETAIN_CHECKPOINTS};
 pub use record::{FrameStream, LogReader, LogRecord};
 pub use recover::{
     recover_database, recover_database_with_window, recover_schema, recovery_floor, RecoveryInfo,

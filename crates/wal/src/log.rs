@@ -58,7 +58,7 @@
 //! timestamp is strictly below `ckpt_ts` — never at or above it, so no
 //! frame a future recovery could replay is ever lost (`recovery_floor`
 //! is always ≥ `ckpt_ts + 1`) — and deletes checkpoints beyond the
-//! newest [`WalConfig::retain_checkpoints`], both strictly *after* the
+//! newest [`RETAIN_CHECKPOINTS`], both strictly *after* the
 //! new checkpoint's rename is directory-fsynced. The truncation itself
 //! is atomic (rewrite the retained suffix to a temp file, fsync,
 //! rename, directory fsync): a crash anywhere leaves either the old
@@ -133,10 +133,6 @@ pub struct WalConfig {
     /// session forces it on regardless of this flag: injected faults
     /// then land at exact points of the explored schedule.
     pub inline: bool,
-    /// How many checkpoint files [`Wal::prune_checkpoints`] keeps (at
-    /// least 1 is always kept). Two by default: the newest plus one
-    /// fallback in case the newest is found corrupt at recovery.
-    pub retain_checkpoints: usize,
 }
 
 impl Default for WalConfig {
@@ -144,10 +140,14 @@ impl Default for WalConfig {
         WalConfig {
             level: DurabilityLevel::WalSync,
             inline: false,
-            retain_checkpoints: 2,
         }
     }
 }
+
+/// How many checkpoint files [`Wal::prune_checkpoints`] keeps: the
+/// newest plus one fallback in case the newest is found corrupt at
+/// recovery.
+pub const RETAIN_CHECKPOINTS: usize = 2;
 
 /// Bytes the staging buffer holds before appenders wait for the
 /// flusher to take it — the back-pressure bound, and so the bound on
@@ -266,8 +266,6 @@ pub struct Wal {
     shared: Arc<Shared>,
     dir: PathBuf,
     level: DurabilityLevel,
-    /// Checkpoints the retention policy keeps (≥ 1).
-    retain: usize,
     /// Highest commit/skip timestamp found in the log at open time.
     max_logged_ts: u64,
     /// `None` in inline mode: appends run the flush step themselves.
@@ -560,7 +558,6 @@ impl Wal {
             shared,
             dir,
             level: config.level,
-            retain: config.retain_checkpoints.max(1),
             max_logged_ts,
             flusher,
         })
@@ -743,19 +740,14 @@ impl Wal {
         Ok(!checkpoint::list(&self.dir)?.is_empty())
     }
 
-    /// How many checkpoint files the retention policy keeps.
-    pub fn retain_checkpoints(&self) -> usize {
-        self.retain
-    }
-
     /// Applies the retention policy: deletes all but the newest
-    /// [`WalConfig::retain_checkpoints`] checkpoint files. Callers
+    /// [`RETAIN_CHECKPOINTS`] checkpoint files. Callers
     /// sequence this after [`Wal::write_checkpoint`] returned — the new
     /// checkpoint's rename is directory-fsynced by then, so a crash
     /// mid-prune still leaves a durable checkpoint. Returns how many
     /// files were removed.
     pub fn prune_checkpoints(&self) -> io::Result<u64> {
-        let removed = checkpoint::retain(&self.dir, self.retain)?;
+        let removed = checkpoint::retain(&self.dir, RETAIN_CHECKPOINTS)?;
         if removed > 0 {
             self.shared.stats.checkpoints_removed.add(removed);
         }
@@ -1399,15 +1391,7 @@ mod tests {
             (DurabilityLevel::WalSync, true),
         ] {
             let dir = tmpdir("compat-fresh");
-            let wal = Wal::open(
-                &dir,
-                WalConfig {
-                    level,
-                    inline,
-                    ..WalConfig::default()
-                },
-            )
-            .unwrap();
+            let wal = Wal::open(&dir, WalConfig { level, inline }).unwrap();
             for (_, rec) in &old {
                 match rec {
                     LogRecord::Commit { ts, txn, writes } => wal.append_commit(*ts, *txn, writes),

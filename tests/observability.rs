@@ -17,11 +17,11 @@ use finecc::obs::hist::SUB_BUCKETS;
 use finecc::obs::{
     ContentionKind, HistSnapshot, Histogram, Obs, ObsConfig, Phase, ShardedHistogram,
 };
-use finecc::runtime::SchemeKind;
+use finecc::runtime::{read_metrics, SchemeKind};
+use finecc::sim::run_concurrent;
 use finecc::sim::workload::{
     generate_env, generate_workload, populate_random, SchemaGenConfig, TxnMix, WorkloadConfig,
 };
-use finecc::sim::{run_concurrent, ExecConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -191,24 +191,36 @@ fn storm_workload(env: &finecc::runtime::Env, hot_set: usize) -> Vec<finecc::sim
 /// instance-attributed contention in the top-K. (The relational
 /// baseline also blocks on relation-level resources, which have no
 /// OID; those rows are exempt from the instance assertions.)
+///
+/// On a busy host the workers of one storm can barely overlap, and a
+/// handful of events is too few for the skew to show: one cold block
+/// could outrank the hot set. So the storm repeats, in bounded rounds,
+/// until the registry holds `FLOOR` instance-attributed events.
 #[test]
 fn hot_objects_dominate_top_k_at_every_scheme() {
     const HOT_SET: usize = 3;
+    const FLOOR: u64 = 500;
+    const MAX_ROUNDS: usize = 20;
     for kind in SchemeKind::ALL {
         let obs = Arc::new(Obs::new(ObsConfig::enabled()));
         let env = storm_env().with_obs(Arc::clone(&obs));
         let hot = hot_oids(&env, HOT_SET);
         let ops = storm_workload(&env, HOT_SET);
         let scheme = kind.build(env);
-        let report = run_concurrent(
-            scheme.as_ref(),
-            &ops,
-            ExecConfig {
-                threads: 8,
-                max_retries: 1000,
-            },
-        );
-        assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
+        let instance_events = || {
+            obs.hottest(usize::MAX)
+                .iter()
+                .filter(|h| h.key.oid().is_some())
+                .map(|h| h.total())
+                .sum::<u64>()
+        };
+        for _ in 0..MAX_ROUNDS {
+            let report = run_concurrent(scheme.as_ref(), &ops, 8, 1000);
+            assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
+            if instance_events() >= FLOOR {
+                break;
+            }
+        }
         let total: u64 = obs.contention_totals().iter().sum();
         assert!(
             total > 0,
@@ -221,8 +233,10 @@ fn hot_objects_dominate_top_k_at_every_scheme() {
             .unwrap_or_else(|| panic!("{kind}: no instance-attributed contention in top-K"));
         assert!(
             hot.contains(&hottest_instance.key.oid().unwrap()),
-            "{kind}: hottest object {} is not in the known-hot set {hot:?}",
-            hottest_instance.key
+            "{kind}: hottest object {} is not in the known-hot set {hot:?} \
+             ({} instance-attributed events)",
+            hottest_instance.key,
+            instance_events()
         );
         let (hot_events, cold_events) = top
             .iter()
@@ -243,8 +257,9 @@ fn hot_objects_dominate_top_k_at_every_scheme() {
 
 /// The attribution invariant: the registry is bumped exactly where the
 /// scheme-level counters are, so per-class totals must agree exactly
-/// with the `ExecReport` for every scheme — no event double-counted,
-/// none dropped.
+/// with the scheme's own counters for every scheme — no event
+/// double-counted, none dropped. Both are read live, after the run,
+/// from a scheme and an `Obs` that recorded nothing before it.
 #[test]
 fn registry_totals_match_scheme_counters() {
     for kind in SchemeKind::ALL {
@@ -252,45 +267,39 @@ fn registry_totals_match_scheme_counters() {
         let env = storm_env().with_obs(Arc::clone(&obs));
         let ops = storm_workload(&env, 4);
         let scheme = kind.build(env);
-        let report = run_concurrent(
-            scheme.as_ref(),
-            &ops,
-            ExecConfig {
-                threads: 8,
-                max_retries: 1000,
-            },
-        );
+        let report = run_concurrent(scheme.as_ref(), &ops, 8, 1000);
         assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
-        assert!(report.obs.enabled, "{kind}: obs report not wired through");
         // The scheme's own counters, by name: a lock scheme emits the
         // lock manager's and no heap counter, an mvcc scheme the
         // reverse — an absent sample is "no such source", and a name
         // on the wrong side (or misspelt) fails here.
+        let counters = read_metrics(scheme.as_ref());
         let mvcc = kind.isolation().is_some();
-        let counted = |name: &str, emitted: bool| match report.counters.get(name) {
+        let counted = |name: &str, emitted: bool| match counters.get(name) {
             Some(v) if emitted => v as u64,
             None if !emitted => 0,
             other => panic!("{kind}: {name} read {other:?}"),
         };
+        let contention = obs.contention_totals();
         assert_eq!(
-            report.obs.contention_total(ContentionKind::LockBlock),
+            contention[ContentionKind::LockBlock as usize],
             counted("finecc.lock.blocks", !mvcc),
             "{kind}: one registry record per lock block"
         );
         assert_eq!(
-            report.obs.contention_total(ContentionKind::WwConflict),
+            contention[ContentionKind::WwConflict as usize],
             counted("finecc.mvcc.write_conflicts", mvcc),
             "{kind}: one registry record per first-updater-wins refusal"
         );
         assert_eq!(
-            report.obs.contention_total(ContentionKind::SsiAbort),
+            contention[ContentionKind::SsiAbort as usize],
             counted("finecc.mvcc.ssi_aborts", mvcc),
             "{kind}: one registry record per SSI validation abort"
         );
-        // Latency side of the same report: one end-to-end sample per
+        // Latency side of the same handle: one end-to-end sample per
         // submitted transaction, whatever its outcome.
         assert_eq!(
-            report.obs.phase(Phase::TxnLatency).count,
+            obs.phase_summary(Phase::TxnLatency).count,
             report.committed + report.exhausted + report.failed,
             "{kind}: one txn-latency sample per transaction"
         );

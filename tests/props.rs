@@ -763,40 +763,14 @@ proptest! {
                 }
             }
         }
-        // DFS cycle detection.
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // A cycle is a strongly connected component of two or more
+        // nodes: no edge above joins a node to itself.
+        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
         for &(a, b) in &edges {
-            succ[a].push(b);
+            succ[a].push(b as u32);
         }
-        // 0 = unvisited, 1 = on stack, 2 = done.
-        let mut state = vec![0u8; n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            state[start] = 1;
-            stack.push((start, 0));
-            while let Some(&mut (v, ref mut k)) = stack.last_mut() {
-                if *k < succ[v].len() {
-                    let w = succ[v][*k];
-                    *k += 1;
-                    match state[w] {
-                        0 => {
-                            state[w] = 1;
-                            stack.push((w, 0));
-                        }
-                        1 => prop_assert!(
-                            false,
-                            "serialization graph has a cycle through nodes {v} and {w}"
-                        ),
-                        _ => {}
-                    }
-                } else {
-                    state[v] = 2;
-                    stack.pop();
-                }
-            }
+        for scc in finecc::core::tarjan::sccs(&succ) {
+            prop_assert!(scc.len() < 2, "serialization graph has a cycle through {:?}", scc);
         }
     }
 }

@@ -1,26 +1,25 @@
 //! Live telemetry plane, end to end: the unified metrics registry over
 //! the full scheme matrix.
 //!
-//! * **Prometheus export over the matrix** — every scheme's finished
-//!   run freezes into one shared registry under a `scheme` label
-//!   (`ExecReport::register_metrics`), plus the scheme's live sources
-//!   via `CcScheme::register_metrics`; the text exposition render is
-//!   then parsed line by line and validated:
-//!   well-formed names and labels, one `# TYPE` line per metric, the
-//!   stable dotted→underscore names present, per-scheme committed
-//!   counts exact, and the live and the frozen txn-phase counts equal
-//!   to each other and to the transactions the run submitted.
+//! * **Prometheus export over the matrix** — every scheme's live
+//!   sources (`CcScheme::register_metrics`) go into one shared registry
+//!   under a `scheme` label after a run; the text exposition render is
+//!   then parsed line by line and validated: well-formed names and
+//!   labels, one `# TYPE` line per metric, the stable
+//!   dotted→underscore names present, the version heap's commit count
+//!   equal to the run's commits, and the txn-phase count equal to the
+//!   transactions the run submitted.
 //! * **Golden metric schema** — every `name kind label-keys` line the
-//!   six schemes emit, live and frozen, with and without a log, equals
-//!   the checked-in `tests/golden/metric_names.txt`: renames are
+//!   six schemes' live sources emit, with and without a log, equals the
+//!   checked-in `tests/golden/metric_names.txt`: renames are
 //!   deliberate.
 
 use finecc::obs::{MetricsRegistry, Obs, ObsConfig};
 use finecc::runtime::SchemeKind;
+use finecc::sim::run_concurrent;
 use finecc::sim::workload::{
     generate_env, generate_workload, populate_random, SchemaGenConfig, WorkloadConfig,
 };
-use finecc::sim::{run_concurrent, ExecConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,11 +114,12 @@ fn label<'a>(s: &'a PromSample, key: &str) -> Option<&'a str> {
 // ---------------------------------------------------------------------------
 
 /// The scheme-matrix export flow, validated: all six schemes run a
-/// small contentious workload, freeze their reports into one registry
-/// under per-scheme labels (plus their live sources), and the
-/// Prometheus render must parse cleanly with the stable names, exact
-/// per-scheme committed counts, and one txn-phase record per submitted
-/// transaction on both the live and the frozen side.
+/// small contentious workload and register their live sources in one
+/// registry under per-scheme labels, and the Prometheus render must
+/// parse cleanly with the stable names, one version-heap commit per
+/// committed transaction on the mvcc schemes (and no heap counter on
+/// the lock schemes), and one txn-phase record per submitted
+/// transaction.
 #[test]
 fn prometheus_export_covers_the_scheme_matrix() {
     let reg = MetricsRegistry::new();
@@ -145,20 +145,10 @@ fn prometheus_export_covers_the_scheme_matrix() {
             },
         );
         let scheme = kind.build(env);
-        let report = run_concurrent(
-            scheme.as_ref(),
-            &wl.ops,
-            ExecConfig {
-                threads: 4,
-                max_retries: 100,
-            },
-        );
+        let report = run_concurrent(scheme.as_ref(), &wl.ops, 4, 100);
         assert_eq!(report.failed, 0, "{kind}: non-retryable failure");
         assert!(report.committed > 0, "{kind}: nothing committed");
-        report.register_metrics(&reg, &[("scheme", kind.name())]);
-        // The live path too — same names, a `source="live"` marker —
-        // through the trait method every scheme implements.
-        scheme.register_metrics(&reg, &[("scheme", kind.name()), ("source", "live")]);
+        scheme.register_metrics(&reg, &[("scheme", kind.name())]);
         let submitted = report.committed + report.exhausted + report.failed;
         runs.insert(kind.name(), (report.committed, submitted));
     }
@@ -209,8 +199,6 @@ fn prometheus_export_covers_the_scheme_matrix() {
 
     // The stable names the dashboards key on, dotted → underscores.
     for name in [
-        "finecc_run_committed",
-        "finecc_run_txns_per_sec",
         "finecc_obs_phase_count",
         "finecc_obs_phase_p99_ns",
         "finecc_obs_contention",
@@ -225,48 +213,45 @@ fn prometheus_export_covers_the_scheme_matrix() {
         assert!(typed.contains(name), "stable metric {name} missing");
     }
 
-    // Per-scheme labels: the frozen committed counter must be exact for
-    // every one of the six schemes, and `run_txn` records one
-    // `TxnLatency` sample per transaction whatever its outcome — read
-    // from the live handle and from the frozen report, the count is the
-    // same number (the duality `collect_obs` exists for).
+    // Per-scheme labels: an mvcc scheme's heap commits every committed
+    // transaction and a lock scheme has no heap, and `run_txn` records
+    // one `TxnLatency` sample per transaction whatever its outcome.
     for kind in SchemeKind::ALL {
         let (committed, submitted) = runs[kind.name()];
-        let sample = |name: &str, phase: Option<&str>, source: Option<&str>| {
+        let sample = |name: &str, phase: Option<&str>| {
             samples
                 .iter()
                 .find(|s| {
                     s.name == name
                         && label(s, "phase") == phase
                         && label(s, "scheme") == Some(kind.name())
-                        && label(s, "source") == source
                 })
-                .unwrap_or_else(|| panic!("{kind}: no {name} sample ({phase:?}, {source:?})"))
-                .value
+                .map(|s| s.value)
         };
+        let heap_commits = sample("finecc_mvcc_commits", None);
+        match kind.isolation() {
+            Some(_) => assert_eq!(heap_commits, Some(committed as f64), "{kind}: commits"),
+            None => assert_eq!(heap_commits, None, "{kind}: a lock scheme has no heap"),
+        }
         assert_eq!(
-            sample("finecc_run_committed", None, None),
-            committed as f64,
-            "{kind}: committed"
+            sample("finecc_obs_phase_count", Some("txn")),
+            Some(submitted as f64),
+            "{kind}: txn count"
         );
-        let frozen = sample("finecc_obs_phase_count", Some("txn"), None);
-        let live = sample("finecc_obs_phase_count", Some("txn"), Some("live"));
-        assert_eq!(frozen, submitted as f64, "{kind}: frozen txn count");
-        assert_eq!(live, submitted as f64, "{kind}: live txn count");
     }
 }
 
 /// The metric schema is a contract (the benchmark reads its per-layer
 /// counts by these names): for every scheme, with and without a log,
 /// the `name kind label-keys` lines of the live sources
-/// (`CcScheme::register_metrics`) and of a finished run's frozen source
-/// (`ExecReport::register_metrics`) after one committed transaction
-/// must equal `tests/golden/metric_names.txt`. A rename, a kind change
+/// (`CcScheme::register_metrics`) after one committed transaction must
+/// equal `tests/golden/metric_names.txt`. A rename, a kind change
 /// or a dropped sample fails here and is made deliberate by updating
 /// that file from the copy this test leaves in the target directory.
 #[test]
 fn metric_names_match_the_golden_schema() {
     use finecc::mvcc::DurabilityLevel;
+    use finecc::runtime::run_txn;
     use finecc::sim::workload::TxnOp;
 
     let mut actual = String::new();
@@ -307,13 +292,11 @@ fn metric_names_match_the_golden_schema() {
                 .join(format!("finecc-golden-{}-{kind}-{tag}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let scheme = kind.build_durable(env, level, &dir).unwrap();
-            let report = finecc::sim::run_sequential(scheme.as_ref(), &[op], 0);
-            assert_eq!(report.committed, 1, "{kind} {tag}");
-            let (live, frozen) = (MetricsRegistry::new(), MetricsRegistry::new());
+            let outcome = run_txn(scheme.as_ref(), 0, |txn| op.run(scheme.as_ref(), txn));
+            assert!(outcome.is_committed(), "{kind} {tag}: {outcome:?}");
+            let live = MetricsRegistry::new();
             scheme.register_metrics(&live, &[]);
-            report.register_metrics(&frozen, &[]);
             section(format!("{kind} {tag} live"), &live);
-            section(format!("{kind} {tag} frozen"), &frozen);
             drop(scheme);
             let _ = std::fs::remove_dir_all(&dir);
         }
