@@ -45,18 +45,29 @@ impl LockEntry {
         txn: TxnId,
         mode: LockMode,
     ) -> bool {
-        let compatible_with_granted = self
-            .granted
+        // A new request does not jump over other waiting transactions;
+        // a conversion does.
+        self.compatible_with_granted(src, res, txn, mode)
+            && (self.holds_any(txn) || !self.stranger_queued(txn))
+    }
+
+    /// Whether `(txn, mode)` is compatible with every mode granted to
+    /// another transaction (own locks never conflict with themselves).
+    pub fn compatible_with_granted(
+        &self,
+        src: &dyn ModeSource,
+        res: &ResourceId,
+        txn: TxnId,
+        mode: LockMode,
+    ) -> bool {
+        self.granted
             .iter()
-            .all(|&(t, m)| t == txn || src.compatible(res, mode, m));
-        if !compatible_with_granted {
-            return false;
-        }
-        if self.holds_any(txn) {
-            return true; // conversion
-        }
-        // New request: don't jump over other waiting transactions.
-        self.queue.iter().all(|&(t, _)| t == txn)
+            .all(|&(t, m)| t == txn || src.compatible(res, mode, m))
+    }
+
+    /// Whether a transaction other than `txn` waits here.
+    pub fn stranger_queued(&self, txn: TxnId) -> bool {
+        self.queue.iter().any(|&(t, _)| t != txn)
     }
 
     /// Whether a *queued* `(txn, mode)` request can be granted now: it
@@ -71,11 +82,7 @@ impl LockEntry {
         txn: TxnId,
         mode: LockMode,
     ) -> bool {
-        let compatible_with_granted = self
-            .granted
-            .iter()
-            .all(|&(t, m)| t == txn || src.compatible(res, mode, m));
-        if !compatible_with_granted {
+        if !self.compatible_with_granted(src, res, txn, mode) {
             return false;
         }
         for &(t, m) in &self.queue {
@@ -97,13 +104,14 @@ impl LockEntry {
         }
     }
 
-    /// Enqueues a waiter (conversions at the front, new requests at the
-    /// back). Idempotent per `(txn, mode)`.
-    pub fn enqueue(&mut self, txn: TxnId, mode: LockMode) {
+    /// Enqueues a waiter: a `conversion` (a request of a transaction
+    /// that already holds a mode on the resource) at the front, a new
+    /// request at the back. Idempotent per `(txn, mode)`.
+    pub fn enqueue(&mut self, txn: TxnId, mode: LockMode, conversion: bool) {
         if self.queue.iter().any(|&(t, m)| t == txn && m == mode) {
             return;
         }
-        if self.holds_any(txn) {
+        if conversion {
             self.queue.push_front((txn, mode));
         } else {
             self.queue.push_back((txn, mode));
@@ -198,7 +206,7 @@ mod tests {
         let src = RwSource;
         let mut e = LockEntry::default();
         e.grant(TxnId(1), r(WRITE));
-        e.enqueue(TxnId(2), r(READ));
+        e.enqueue(TxnId(2), r(READ), false);
         // Txn 3's read is compatible with nothing granted? No — conflicts
         // with 1's write anyway. Release 1:
         e.purge(TxnId(1));
@@ -212,10 +220,10 @@ mod tests {
         let src = RwSource;
         let mut e = LockEntry::default();
         e.grant(TxnId(1), r(READ));
-        e.enqueue(TxnId(9), r(WRITE)); // stranger waits
-                                       // Txn 1 upgrading read→write: queue does not block it, but 9's
-                                       // *grant* does not exist yet, so only granted set matters — and
-                                       // the only granted lock is its own. Conversion allowed.
+        e.enqueue(TxnId(9), r(WRITE), false); // stranger waits
+                                              // Txn 1 upgrading read→write: queue does not block it, but 9's
+                                              // *grant* does not exist yet, so only granted set matters — and
+                                              // the only granted lock is its own. Conversion allowed.
         assert!(e.can_grant(&src, &res(), TxnId(1), r(WRITE)));
     }
 
@@ -226,7 +234,7 @@ mod tests {
         e.grant(TxnId(1), r(READ));
         e.grant(TxnId(2), r(READ));
         assert!(!e.can_grant(&src, &res(), TxnId(1), r(WRITE)));
-        e.enqueue(TxnId(1), r(WRITE));
+        e.enqueue(TxnId(1), r(WRITE), true);
         // The conversion goes to the queue front.
         assert_eq!(e.queue.front(), Some(&(TxnId(1), r(WRITE))));
         // Blockers of the conversion: the other reader only.
@@ -238,8 +246,8 @@ mod tests {
         let src = RwSource;
         let mut e = LockEntry::default();
         e.grant(TxnId(1), r(WRITE));
-        e.enqueue(TxnId(2), r(WRITE));
-        e.enqueue(TxnId(3), r(READ));
+        e.enqueue(TxnId(2), r(WRITE), false);
+        e.enqueue(TxnId(3), r(READ), false);
         let b = e.blockers(&src, &res(), TxnId(3), r(READ));
         assert_eq!(b, vec![TxnId(1), TxnId(2)]);
         // Txn 2 only waits on the holder.
@@ -250,7 +258,7 @@ mod tests {
     fn purge_and_idle() {
         let mut e = LockEntry::default();
         e.grant(TxnId(1), r(READ));
-        e.enqueue(TxnId(2), r(WRITE));
+        e.enqueue(TxnId(2), r(WRITE), false);
         assert!(!e.is_idle());
         assert!(e.purge(TxnId(1)));
         assert!(e.purge(TxnId(2)));
@@ -264,8 +272,8 @@ mod tests {
         e.grant(TxnId(1), r(READ));
         e.grant(TxnId(1), r(READ));
         assert_eq!(e.granted.len(), 1);
-        e.enqueue(TxnId(2), r(WRITE));
-        e.enqueue(TxnId(2), r(WRITE));
+        e.enqueue(TxnId(2), r(WRITE), false);
+        e.enqueue(TxnId(2), r(WRITE), false);
         assert_eq!(e.queue.len(), 1);
         e.dequeue(TxnId(2), r(WRITE));
         assert!(e.queue.is_empty());

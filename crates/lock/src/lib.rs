@@ -18,8 +18,11 @@
 //!   upgrade, the mechanism behind the paper's problem P3),
 //! * FIFO wait queues with upgrades served first,
 //! * a hash-sharded table: a grant takes one short latch and touches no
-//!   structure every client shares; a blocked request polls for about
-//!   one context switch's worth of time before it parks,
+//!   structure every client shares — class-level resources are split
+//!   into per-thread-slot partitions for the intentional locks every
+//!   message announces, transaction ids and held lists follow the
+//!   thread slot, and the counters are striped by it; a blocked request
+//!   polls for about one context switch's worth of time before it parks,
 //! * blocking acquisition with **waits-for-graph deadlock detection** and
 //!   a configurable victim policy, plus a non-blocking `try_acquire` for
 //!   deterministic simulation,

@@ -2,15 +2,15 @@
 //! detection, and a non-blocking mode for deterministic simulation.
 
 use crate::deadlock::WaitsFor;
-use crate::modes::{LockMode, ModeSource};
-use crate::resource::ResourceId;
-use crate::shard::{shard_of, EntryShard, Table, TxnShard, SHARDS};
+use crate::modes::{LockKind, LockMode, ModeSource};
+use crate::resource::{Granule, ResourceId};
+use crate::shard::{part_of, shard_of, txn_shard, EntryShard, Table, TxnShard, PARTS, SHARDS};
 use crate::stats::LockStats;
 use finecc_model::TxnId;
-use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
-use parking_lot::Mutex;
+use finecc_obs::{ContentionKind, ObjKey, Obs, Phase, SlotIds};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,9 @@ pub enum VictimPolicy {
     /// Abort the requester that closed the cycle (deterministic, cheap).
     #[default]
     Requester,
-    /// Abort the youngest transaction (largest [`TxnId`]) on the cycle.
+    /// Abort the transaction with the largest [`TxnId`] on the cycle:
+    /// the youngest of its thread's (ids increase within a thread, not
+    /// across threads).
     Youngest,
 }
 
@@ -87,24 +89,78 @@ const POLL_BOUND: Duration = Duration::from_micros(25);
 /// of yields plays the timeout's role.
 const CHAOS_WAIT_BUDGET: u32 = 1_000;
 
+/// The granules one request occupies, each with its shard, in shard
+/// order: one for an ordinary resource or an intentional class lock,
+/// one per partition for any other class lock.
+type Plan = Vec<(usize, Granule)>;
+
+/// The latches of a [`Plan`]'s shards, in its order.
+type Latches<'a> = Vec<MutexGuard<'a, Table>>;
+
+/// The partitions of class-level resource `res`, in shard order.
+fn partitions(res: ResourceId) -> Plan {
+    let mut plan: Plan = (0..PARTS as u8)
+        .map(|part| {
+            let g = Granule { res, part };
+            (shard_of(&g), g)
+        })
+        .collect();
+    plan.sort_unstable_by_key(|&(shard, _)| shard);
+    plan
+}
+
+/// Where `txn`'s view of a plan's resource lives: the granule of its own
+/// partition (the only one of a one-granule plan).
+fn own_index(plan: &[(usize, Granule)], txn: TxnId) -> usize {
+    if plan.len() == 1 {
+        0
+    } else {
+        let part = part_of(txn);
+        plan.iter()
+            .position(|&(_, g)| g.part == part)
+            .expect("a class plan has every partition")
+    }
+}
+
 /// The lock manager. `S` supplies per-resource mode compatibility.
 ///
 /// Lock entries live in hash-sharded tables, each under its own short
-/// latch; a transaction's held list lives in a shard keyed by its id.
+/// latch. A conflict-free transaction writes only lines its own thread
+/// owns, besides the entry shards of the objects it locks:
+///
+/// * its id comes from its thread slot's own counter ([`SlotIds`]), and
+///   its held list lives in the shard of that slot (`txn % SHARDS`);
+/// * its intentional lock on a class (or relation) — the one every
+///   message of every client announces — goes to the partition of that
+///   slot: a class-level resource is split into `PARTS` entries in as
+///   many shards. Any other lock on it (hierarchical, or plain) takes
+///   every partition's latch in shard order and is granted, queued or
+///   withdrawn in all of them at once, so a partition sees every such
+///   lock, and an intentional one sees all it can conflict with in its
+///   own partition. [`LockManager::acquire`], `try_acquire`, `holds`,
+///   `held_resources` and `entry_count` answer for the logical
+///   resource. Compatibility, FIFO order and deadlock detection stay
+///   [`crate::entry::LockEntry`]'s, per partition: a new intentional
+///   request is not held back by an intentional waiter of another
+///   partition, which it could never delay (intentional locks are
+///   mutually compatible);
+/// * the counters it bumps are striped by its thread slot.
+///
 /// A request that is granted at once takes one entry latch, then one
-/// held-list latch, never two together, and touches nothing every
-/// client shares but the counters. Only a request that must wait looks
-/// further: it runs the deadlock detector if another request is
-/// waiting too, polls its shard's epoch word for `POLL_BOUND`, and
-/// parks on the shard's condvar after that.
+/// held-list latch, never two together. Only a request that must wait
+/// looks further: it runs the deadlock detector if another request is
+/// waiting too, polls the epoch word of a shard that blocks it for
+/// `POLL_BOUND`, and parks on that shard's condvar after that.
 pub struct LockManager<S> {
     src: S,
-    /// Lock entries, sharded by resource.
+    /// Lock entries, sharded by resource (and partition).
     shards: Box<[EntryShard]>,
     /// Held lists, sharded by transaction.
     txns: Box<[TxnShard]>,
-    /// Requests queued right now, over all shards. A waits-for cycle
-    /// needs two, so a request that blocks alone skips the detector.
+    /// Rows queued right now, over all shards (a request on every
+    /// partition of a class queues one in each). A waits-for cycle
+    /// needs two requests, so a request that blocks alone in one row
+    /// skips the detector.
     waiting: AtomicUsize,
     /// Transactions another request's detector chose to die
     /// ([`VictimPolicy::Youngest`] only). A leaf latch: taken alone or
@@ -112,7 +168,7 @@ pub struct LockManager<S> {
     victims: Mutex<HashSet<TxnId>>,
     /// `victims.len()`, so the grant path reads one word instead.
     victims_pending: AtomicUsize,
-    next_txn: AtomicU64,
+    ids: SlotIds,
     /// Live counters, shared so metrics-registry sources can hold them
     /// beyond the manager's borrow.
     pub stats: Arc<LockStats>,
@@ -132,7 +188,7 @@ impl<S: ModeSource> LockManager<S> {
             waiting: AtomicUsize::new(0),
             victims: Mutex::new(HashSet::new()),
             victims_pending: AtomicUsize::new(0),
-            next_txn: AtomicU64::new(1),
+            ids: SlotIds::new(),
             stats: Arc::new(LockStats::default()),
             victim_policy: VictimPolicy::Requester,
             wait_timeout: Duration::from_secs(10),
@@ -174,41 +230,117 @@ impl<S: ModeSource> LockManager<S> {
         &self.src
     }
 
-    /// Starts a new transaction (monotonically increasing ids; the id
-    /// doubles as the age for [`VictimPolicy::Youngest`]).
+    /// Starts a new transaction. Its id carries the calling thread's
+    /// slot ([`SlotIds`]): ids are distinct, increase within a thread,
+    /// and double as the age for [`VictimPolicy::Youngest`].
     pub fn begin(&self) -> TxnId {
-        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+        TxnId(self.ids.next())
     }
 
-    /// Grants `(txn, mode)` on `res` if that needs no waiting; `None` if
-    /// it conflicts with a granted mode or would overtake a waiter.
-    /// `Some(first)`: `first` unless the transaction already held a
-    /// mode on the resource (this one, or another — a conversion).
+    /// The granule `txn`'s view of `res` lives in: its own partition of
+    /// a class-level resource, the resource itself otherwise.
+    fn own(txn: TxnId, res: ResourceId) -> Granule {
+        let part = if res.is_partitioned() {
+            part_of(txn)
+        } else {
+            0
+        };
+        Granule { res, part }
+    }
+
+    /// The one granule a request occupies, or `None` for a class lock
+    /// that is not intentional: that one takes every partition.
+    fn granule(txn: TxnId, res: ResourceId, mode: LockMode) -> Option<Granule> {
+        let alone = !res.is_partitioned() || mode.kind == LockKind::Intentional;
+        alone.then(|| Self::own(txn, res))
+    }
+
+    /// Takes the latches of `plan`'s shards, in its (shard) order.
+    fn latch<'a>(&'a self, plan: &[(usize, Granule)], into: &mut Latches<'a>) {
+        into.extend(
+            plan.iter()
+                .map(|&(shard, _)| self.shards[shard].table.lock()),
+        );
+    }
+
+    /// Grants `(txn, mode)` on the plan's resource if that needs no
+    /// waiting; `None` if it conflicts with a granted mode or would
+    /// overtake a waiter. `Some(first)`: `first` unless the transaction
+    /// already held a mode on the resource (this one, or another — a
+    /// conversion). Compatibility is checked, and the grant made, in
+    /// every granule of the plan, under all their latches.
     fn grant_now(
         &self,
-        table: &mut Table,
+        plan: &[(usize, Granule)],
+        tables: &mut [MutexGuard<'_, Table>],
         txn: TxnId,
-        res: ResourceId,
         mode: LockMode,
     ) -> Option<bool> {
-        let entry = table.entry(res);
-        if entry.holds(txn, mode) {
+        let own = own_index(plan, txn);
+        let res = plan[own].1.res;
+        let mine = tables[own].entries.get(&plan[own].1);
+        if mine.is_some_and(|e| e.holds(txn, mode)) {
             return Some(false);
         }
-        if !entry.can_grant(&self.src, &res, txn, mode) {
+        let conversion = mine.is_some_and(|e| e.holds_any(txn));
+        let free = plan.iter().zip(tables.iter()).all(|((_, g), table)| {
+            table.entries.get(g).is_none_or(|e| {
+                e.compatible_with_granted(&self.src, &res, txn, mode)
+                    && (conversion || !e.stranger_queued(txn))
+            })
+        });
+        if !free {
             return None;
         }
-        let conversion = entry.holds_any(txn);
-        entry.grant(txn, mode);
+        for ((_, g), table) in plan.iter().zip(tables.iter_mut()) {
+            table.entry(*g).grant(txn, mode);
+        }
         if conversion {
             self.stats.upgrades.bump();
         }
         Some(!conversion)
     }
 
+    /// Latches the request's granules and grants it if that needs no
+    /// waiting: `Ok` once it is counted, its latches dropped and the
+    /// resource on the held list; `Err` hands back the plan and its
+    /// latches, still held.
+    fn try_grant(
+        &self,
+        txn: TxnId,
+        res: ResourceId,
+        mode: LockMode,
+    ) -> Result<(), (Plan, Latches<'_>)> {
+        let first = match Self::granule(txn, res, mode) {
+            // The common request: one latch, nothing allocated.
+            Some(g) => {
+                let plan = [(shard_of(&g), g)];
+                let mut tables = [self.shards[plan[0].0].table.lock()];
+                match self.grant_now(&plan, &mut tables, txn, mode) {
+                    Some(first) => first,
+                    None => return Err((plan.to_vec(), Vec::from(tables))),
+                }
+            }
+            None => {
+                let plan = partitions(res);
+                let mut tables = Vec::with_capacity(PARTS);
+                self.latch(&plan, &mut tables);
+                match self.grant_now(&plan, &mut tables, txn, mode) {
+                    Some(first) => first,
+                    None => return Err((plan, tables)),
+                }
+            }
+        };
+        if first {
+            self.note_held(txn, res);
+        }
+        self.stats.count_immediate();
+        Ok(())
+    }
+
     /// Adds `res` to `txn`'s held list (no entry-shard latch held).
     fn note_held(&self, txn: TxnId, res: ResourceId) {
-        let mut held = self.txns[shard_of(&txn)].held.lock();
+        let mut held = self.txns[txn_shard(txn)].held.lock();
         held.entry(txn).or_default().push(res);
     }
 
@@ -228,23 +360,36 @@ impl<S: ModeSource> LockManager<S> {
         hit
     }
 
-    /// Takes `(txn, mode)` out of `res`'s queue (under `shard`'s latch)
+    /// Takes `(txn, mode)` out of `g`'s queue (under `shard`'s latch)
     /// and lets the waiters behind it look again.
     fn leave_queue(
         &self,
         shard: &EntryShard,
         table: &mut Table,
         txn: TxnId,
-        res: ResourceId,
+        g: Granule,
         mode: LockMode,
     ) {
-        let Some(entry) = table.entries.get_mut(&res) else {
+        let Some(entry) = table.entries.get_mut(&g) else {
             return;
         };
         if entry.dequeue(txn, mode) {
             self.waiting.fetch_sub(1, Ordering::SeqCst);
         }
-        shard.departed(table, &res);
+        shard.departed(table, &g);
+    }
+
+    /// [`Self::leave_queue`] for every granule of `plan`.
+    fn leave_queues(
+        &self,
+        plan: &[(usize, Granule)],
+        tables: &mut [MutexGuard<'_, Table>],
+        txn: TxnId,
+        mode: LockMode,
+    ) {
+        for (&(shard, g), table) in plan.iter().zip(tables.iter_mut()) {
+            self.leave_queue(&self.shards[shard], table, txn, g, mode);
+        }
     }
 
     /// Blocking acquisition under strict 2PL. Returns when granted, the
@@ -257,24 +402,41 @@ impl<S: ModeSource> LockManager<S> {
             self.stats.requests.bump();
             return Err(AcquireError::Deadlock);
         }
-        let shard = &self.shards[shard_of(&res)];
-        let mut table = shard.table.lock();
-        if let Some(first) = self.grant_now(&mut table, txn, res, mode) {
-            drop(table);
-            if first {
-                self.note_held(txn, res);
-            }
-            self.stats.count_immediate();
-            return Ok(());
+        match self.try_grant(txn, res, mode) {
+            Ok(()) => Ok(()),
+            Err((plan, tables)) => self.wait(txn, mode, &plan, tables),
         }
+    }
+
+    /// The rest of [`Self::acquire`] for a request [`Self::try_grant`]
+    /// could not grant: queues it in every granule of `plan` (whose
+    /// latches `tables` holds) and waits until it is granted in all of
+    /// them at once.
+    fn wait<'a>(
+        &'a self,
+        txn: TxnId,
+        mode: LockMode,
+        plan: &[(usize, Granule)],
+        mut tables: Latches<'a>,
+    ) -> Result<(), AcquireError> {
+        let own = own_index(plan, txn);
+        let res = plan[own].1.res;
+        let holds_any = |tables: &Latches<'_>| {
+            let mine = tables[own].entries.get(&plan[own].1);
+            mine.is_some_and(|e| e.holds_any(txn))
+        };
+        let conversion = holds_any(&tables);
+        for ((_, g), table) in plan.iter().zip(tables.iter_mut()) {
+            table.entry(*g).enqueue(txn, mode, conversion);
+        }
+        self.waiting.fetch_add(plan.len(), Ordering::SeqCst);
+        // Counted as blocked once queued and counted as waiting, so
+        // whoever sees `blocks` move finds the request in both.
         self.stats.requests.bump();
         self.stats.blocks.bump();
-        let entry = table.entry(res);
-        if entry.holds_any(txn) {
+        if conversion {
             self.stats.upgrades.bump();
         }
-        entry.enqueue(txn, mode);
-        self.waiting.fetch_add(1, Ordering::SeqCst);
         // Attribute exactly one contention event per bump of
         // `stats.blocks`, so the registry's lock_blocks total equals
         // the scheme-level blocks counter.
@@ -287,48 +449,62 @@ impl<S: ModeSource> LockManager<S> {
         let mut parked = false;
 
         loop {
-            // Under the latch. The first pass matters too: a request
+            // Under the latches. The first pass matters too: a request
             // queued only so as not to overtake waiters it is
             // compatible with waits for nobody, and nobody would wake it.
             if self.take_victim(txn) {
-                self.leave_queue(shard, &mut table, txn, res, mode);
+                self.leave_queues(plan, &mut tables, txn, mode);
                 return Err(AcquireError::Deadlock);
             }
-            let entry = table.entry(res);
-            if entry.can_grant_queued(&self.src, &res, txn, mode) {
-                let first = !entry.holds_any(txn);
-                if entry.dequeue(txn, mode) {
-                    self.waiting.fetch_sub(1, Ordering::SeqCst);
+            let blocking = plan
+                .iter()
+                .zip(tables.iter_mut())
+                .position(|((_, g), table)| {
+                    !table.entry(*g).can_grant_queued(&self.src, &res, txn, mode)
+                });
+            let Some(blocking) = blocking else {
+                let first = !holds_any(&tables);
+                for (&(shard, g), table) in plan.iter().zip(tables.iter_mut()) {
+                    let entry = table.entry(g);
+                    if entry.dequeue(txn, mode) {
+                        self.waiting.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    entry.grant(txn, mode);
+                    // Compatible waiters behind us may now also be
+                    // grantable.
+                    if !entry.queue.is_empty() {
+                        self.shards[shard].wake(table);
+                    }
                 }
-                entry.grant(txn, mode);
-                // Compatible waiters behind us may now also be grantable.
-                if !entry.queue.is_empty() {
-                    shard.wake(&table);
-                }
-                drop(table);
+                drop(tables);
                 if first {
                     self.note_held(txn, res);
                 }
                 self.note_granted_wait(blocked_at);
                 return Ok(());
-            }
+            };
             let timed_out = if chaos {
                 chaos_waits >= CHAOS_WAIT_BUDGET
             } else {
                 Instant::now() >= deadline
             };
             if timed_out {
-                self.leave_queue(shard, &mut table, txn, res, mode);
+                self.leave_queues(plan, &mut tables, txn, mode);
                 self.stats.timeouts.bump();
                 return Err(AcquireError::Timeout);
             }
+            // Wait on the first shard that refuses the request: until
+            // its epoch moves, looking again is pointless.
+            let shard = &self.shards[plan[blocking].0];
             let seen = shard.epoch.load(Ordering::Relaxed);
-            drop(table);
+            tables.clear();
 
             // A cycle through this request needs another queued one.
             // One that queues later finds this one counted and runs the
             // detector itself, so the racy read loses no cycle.
-            if self.waiting.load(Ordering::SeqCst) > 1 && self.closes_cycle(txn, res, mode) {
+            if self.waiting.load(Ordering::SeqCst) > plan.len()
+                && self.closes_cycle(txn, plan, mode)
+            {
                 return Err(AcquireError::Deadlock);
             }
 
@@ -336,26 +512,28 @@ impl<S: ModeSource> LockManager<S> {
             if chaos {
                 finecc_chaos::yield_point(finecc_chaos::Site::LockWait);
                 chaos_waits += 1;
-                table = shard.table.lock();
-                continue;
-            }
-            let poll_until = deadline.min(Instant::now() + POLL_BOUND);
-            while shard.epoch.load(Ordering::Acquire) == seen && Instant::now() < poll_until {
-                std::hint::spin_loop();
-            }
-            table = shard.table.lock();
-            // Every bump happens under the latch, so an unmoved epoch
-            // here cannot move before the wait releases the latch.
-            if shard.epoch.load(Ordering::Relaxed) == seen {
-                if !parked {
-                    parked = true;
-                    self.stats.parks.bump();
+            } else {
+                let poll_until = deadline.min(Instant::now() + POLL_BOUND);
+                while shard.epoch.load(Ordering::Acquire) == seen && Instant::now() < poll_until {
+                    std::hint::spin_loop();
                 }
-                table.parked += 1;
-                let left = deadline.saturating_duration_since(Instant::now());
-                shard.cv.wait_for(&mut table, left);
-                table.parked -= 1;
+                if shard.epoch.load(Ordering::Acquire) == seen {
+                    let mut table = shard.table.lock();
+                    // Every bump happens under the latch, so an unmoved
+                    // epoch here cannot move before the wait releases it.
+                    if shard.epoch.load(Ordering::Relaxed) == seen {
+                        if !parked {
+                            parked = true;
+                            self.stats.parks.bump();
+                        }
+                        table.parked += 1;
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        shard.cv.wait_for(&mut table, left);
+                        table.parked -= 1;
+                    }
+                }
             }
+            self.latch(plan, &mut tables);
         }
     }
 
@@ -363,18 +541,12 @@ impl<S: ModeSource> LockManager<S> {
     /// `WouldBlock` without queueing — how a test probes whether a mode
     /// conflicts with what is held.
     pub fn try_acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> TryAcquire {
-        let shard = &self.shards[shard_of(&res)];
-        let granted = self.grant_now(&mut shard.table.lock(), txn, res, mode);
-        let Some(first) = granted else {
-            self.stats.requests.bump();
-            self.stats.would_blocks.bump();
-            return TryAcquire::WouldBlock;
-        };
-        if first {
-            self.note_held(txn, res);
+        if self.try_grant(txn, res, mode).is_ok() {
+            return TryAcquire::Granted;
         }
-        self.stats.count_immediate();
-        TryAcquire::Granted
+        self.stats.requests.bump();
+        self.stats.would_blocks.bump();
+        TryAcquire::WouldBlock
     }
 
     /// Strict-2PL release: drops every lock (granted and queued) of `txn`
@@ -382,64 +554,88 @@ impl<S: ModeSource> LockManager<S> {
     pub fn release_all(&self, txn: TxnId) {
         self.stats.releases.bump();
         self.take_victim(txn);
-        let held = self.txns[shard_of(&txn)].held.lock().remove(&txn);
+        let held = self.txns[txn_shard(txn)].held.lock().remove(&txn);
         for res in held.into_iter().flatten() {
-            let shard = &self.shards[shard_of(&res)];
-            let mut table = shard.table.lock();
-            let Some(entry) = table.entries.get_mut(&res) else {
-                continue;
-            };
-            // Queued requests on held resources (a conversion blocked
-            // in another thread) are purged too, so that waiter sees
-            // itself gone and re-queues or errors; in practice
-            // acquire() owns its queue entry, so this is only for
-            // crashed callers.
-            let queued = entry.queue.len();
-            entry.purge(txn);
-            let purged = queued - entry.queue.len();
-            if purged > 0 {
-                self.waiting.fetch_sub(purged, Ordering::SeqCst);
+            let own = Self::own(txn, res);
+            // A lock on a class that is not intentional is in every
+            // partition; the others are in `txn`'s own alone.
+            if self.purge(txn, own) && res.is_partitioned() {
+                for part in (0..PARTS as u8).filter(|&p| p != own.part) {
+                    self.purge(txn, Granule { res, part });
+                }
             }
-            shard.departed(&mut table, &res);
         }
+    }
+
+    /// Drops every grant and queued request of `txn` on `g` (under its
+    /// shard's latch) and wakes the shard if someone still queues there.
+    /// `true` if one of them was not an intentional lock.
+    fn purge(&self, txn: TxnId, g: Granule) -> bool {
+        let shard = &self.shards[shard_of(&g)];
+        let mut table = shard.table.lock();
+        let Some(entry) = table.entries.get_mut(&g) else {
+            return false;
+        };
+        let spans = entry
+            .granted
+            .iter()
+            .chain(&entry.queue)
+            .any(|&(t, m)| t == txn && m.kind != LockKind::Intentional);
+        // Queued requests on held resources (a conversion blocked in
+        // another thread) are purged too, so that waiter sees itself
+        // gone and re-queues or errors; in practice acquire() owns its
+        // queue entry, so this is only for crashed callers.
+        let queued = entry.queue.len();
+        entry.purge(txn);
+        let purged = queued - entry.queue.len();
+        if purged > 0 {
+            self.waiting.fetch_sub(purged, Ordering::SeqCst);
+        }
+        shard.departed(&mut table, &g);
+        spans
     }
 
     /// `true` if `txn` currently holds `mode` on `res`.
     pub fn holds(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
-        let table = self.shards[shard_of(&res)].table.lock();
-        table.entries.get(&res).is_some_and(|e| e.holds(txn, mode))
+        let g = Self::own(txn, res);
+        let table = self.shards[shard_of(&g)].table.lock();
+        table.entries.get(&g).is_some_and(|e| e.holds(txn, mode))
     }
 
     /// The resources `txn` holds locks on.
     pub fn held_resources(&self, txn: TxnId) -> Vec<ResourceId> {
-        let held = self.txns[shard_of(&txn)].held.lock();
+        let held = self.txns[txn_shard(txn)].held.lock();
         held.get(&txn).cloned().unwrap_or_default()
     }
 
-    /// Number of resources with live lock state.
+    /// Number of resources with live lock state (a class counts once,
+    /// however many of its partitions are live).
     pub fn entry_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.table.lock().entries.len())
-            .sum()
+        let mut live = HashSet::new();
+        for shard in self.shards.iter() {
+            live.extend(shard.table.lock().entries.keys().map(|g| g.res));
+        }
+        live.len()
     }
 
     /// The deadlock detector, run by a queued `(txn, mode)` request on
-    /// `res` with no latch held: `true` when the request closed a
-    /// waits-for cycle and `txn` is the one to die (its request is then
-    /// already out of the queue). Any other victim is flagged and woken.
+    /// the granules of `plan` with no latch held: `true` when the
+    /// request closed a waits-for cycle and `txn` is the one to die (its
+    /// request is then already out of every queue). Any other victim is
+    /// flagged and woken.
     ///
-    /// The one place a thread holds more than one latch: every
-    /// entry-shard latch, taken in index order, so the graph is the
-    /// exact waits-for relation of one instant.
-    fn closes_cycle(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
+    /// The one place a thread holds every latch: every entry-shard
+    /// latch, taken in index order, so the graph is the exact waits-for
+    /// relation of one instant. A request queued in several partitions
+    /// waits for the union of what blocks it in each.
+    fn closes_cycle(&self, txn: TxnId, plan: &[(usize, Granule)], mode: LockMode) -> bool {
         let mut tables: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
         let mut wf = WaitsFor::new();
         let mut queued_at = Vec::new();
         for (i, table) in tables.iter().enumerate() {
-            for (r, entry) in &table.entries {
+            for (g, entry) in &table.entries {
                 for &(t, m) in &entry.queue {
-                    wf.add_edges(t, entry.blockers(&self.src, r, t, m));
+                    wf.add_edges(t, entry.blockers(&self.src, &g.res, t, m));
                     queued_at.push((t, i));
                 }
             }
@@ -453,8 +649,9 @@ impl<S: ModeSource> LockManager<S> {
         };
         if victim == txn {
             self.stats.deadlocks.bump();
-            let i = shard_of(&res);
-            self.leave_queue(&self.shards[i], &mut tables[i], txn, res, mode);
+            for &(i, g) in plan {
+                self.leave_queue(&self.shards[i], &mut tables[i], txn, g, mode);
+            }
             return true;
         }
         // A cycle seen again before its victim has left is not news:
@@ -654,7 +851,13 @@ mod tests {
         lm.acquire(holder, res(1), wr()).unwrap();
         let busy = (2..)
             .map(res)
-            .find(|r| shard_of(r) == shard_of(&res(1)))
+            .find(|&r| {
+                shard_of(&Granule { res: r, part: 0 })
+                    == shard_of(&Granule {
+                        res: res(1),
+                        part: 0,
+                    })
+            })
             .unwrap();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let traffic: Vec<_> = (0..2)

@@ -40,6 +40,23 @@ impl ResourceId {
     pub fn is_class(&self) -> bool {
         matches!(self, ResourceId::Class(_))
     }
+
+    /// `true` for the resources every transaction of a class (or
+    /// relation) announces itself on — the ones the lock table splits
+    /// into partitions.
+    pub(crate) fn is_partitioned(&self) -> bool {
+        matches!(self, ResourceId::Class(_) | ResourceId::Relation(_))
+    }
+}
+
+/// What a lock-table entry is keyed by: a resource, or one partition of
+/// a class-level one (see [`crate::LockManager`]). Compatibility is
+/// always asked of `res`, the logical resource.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct Granule {
+    pub(crate) res: ResourceId,
+    /// The partition; 0 for a resource that has none.
+    pub(crate) part: u8,
 }
 
 impl fmt::Display for ResourceId {

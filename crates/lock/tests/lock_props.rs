@@ -10,6 +10,7 @@ use finecc_lock::{
     VictimPolicy, READ, WRITE,
 };
 use finecc_model::{ClassId, FieldId, Oid, TxnId};
+use finecc_obs::ID_SLOTS;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -121,9 +122,19 @@ impl RefTable {
         rows.filter(|&x| waits_for(x)).map(|(_, r)| r.txn).collect()
     }
 
-    /// Whether a request not yet queued can be granted at once.
+    /// Whether a request not yet queued can be granted at once. FIFO
+    /// order is kept per partition of a class: an intentional request
+    /// does not wait behind an intentional waiter of another thread slot
+    /// (the scripts use slots below the partition count, so distinct
+    /// slots are distinct partitions) — a waiter it could never delay.
     fn grantable(&self, src: &MatrixSource, req: (ResourceId, TxnId, LockMode)) -> bool {
-        let stranger_queued = |r: &Row| r.res == req.0 && r.queued && r.txn != req.1;
+        use finecc_lock::LockKind::Intentional;
+        let apart = |r: &Row| {
+            req.2.kind == Intentional
+                && r.mode.kind == Intentional
+                && thread_slot_of(req.1) != thread_slot_of(r.txn)
+        };
+        let stranger_queued = |r: &Row| r.res == req.0 && r.queued && r.txn != req.1 && !apart(r);
         self.blockers(src, req, 0).is_empty()
             && (self.holds(req.0, req.1, None) || !self.rows.iter().any(stranger_queued))
     }
@@ -233,7 +244,10 @@ impl Script {
         self.lm.release_all(txn);
         prop_assert!(self.lm.held_resources(txn).is_empty());
         self.table.rows.retain(|r| r.txn != txn);
-        self.slots[slot].0 = self.lm.begin();
+        // The slot's next transaction, drawn in the same thread slot as
+        // this one (ids `SLOTS × ID_SLOTS` apart stay distinct from the
+        // other script slots' however those were drawn).
+        self.slots[slot].0 = TxnId(txn.raw() + (SLOTS * ID_SLOTS) as u64);
         for served in self.table.settle(&self.src) {
             let at = self.slot_of(served);
             let waiter = self.slots[at]
@@ -398,6 +412,218 @@ fn storm_youngest_dies() {
     storm(VictimPolicy::Youngest, storm_threads(), 400);
 }
 
+/// The `n`-th transaction id drawn in thread slot `slot` — how a test
+/// places a transaction in any partition of a class from one thread.
+fn in_slot(slot: usize, n: u64) -> TxnId {
+    TxnId(n * ID_SLOTS as u64 + slot as u64)
+}
+
+/// The thread slot a transaction id was drawn in.
+fn thread_slot_of(txn: TxnId) -> u64 {
+    txn.raw() % ID_SLOTS as u64
+}
+
+fn intent(mode: u16) -> LockMode {
+    LockMode::class(mode, false)
+}
+
+fn whole(mode: u16) -> LockMode {
+    LockMode::class(mode, true)
+}
+
+/// Waits until `lm` has counted `blocks` blocked requests.
+fn await_blocks(lm: &LockManager<RwSource>, blocks: u64) {
+    let patience = Instant::now() + Duration::from_secs(30);
+    while lm.stats.snapshot().blocks < blocks {
+        assert!(Instant::now() < patience, "the request never queued");
+        thread::yield_now();
+    }
+}
+
+#[test]
+fn a_hierarchical_class_lock_excludes_intentional_requests_from_every_slot() {
+    let lm = LockManager::new(RwSource);
+    for res in [
+        ResourceId::Class(ClassId(4)),
+        ResourceId::Relation(ClassId(4)),
+    ] {
+        let h = in_slot(0, 1);
+        assert_eq!(lm.try_acquire(h, res, whole(WRITE)), TryAcquire::Granted);
+        for slot in 0..ID_SLOTS {
+            let t = in_slot(slot, 2);
+            assert_eq!(
+                lm.try_acquire(t, res, intent(READ)),
+                TryAcquire::WouldBlock,
+                "slot {slot} overtook a hierarchical writer on {res}"
+            );
+        }
+        lm.release_all(h);
+        for slot in 0..ID_SLOTS {
+            let t = in_slot(slot, 2);
+            assert_eq!(lm.try_acquire(t, res, intent(WRITE)), TryAcquire::Granted);
+            assert!(lm.holds(t, res, intent(WRITE)));
+            assert_eq!(lm.held_resources(t), vec![res]);
+        }
+        assert_eq!(lm.entry_count(), 1, "one resource, however many partitions");
+        // And now a hierarchical reader waits for every one of them.
+        assert_eq!(lm.try_acquire(h, res, whole(READ)), TryAcquire::WouldBlock);
+        for slot in 0..ID_SLOTS {
+            lm.release_all(in_slot(slot, 2));
+        }
+        assert_eq!(lm.entry_count(), 0);
+    }
+}
+
+#[test]
+fn intentional_locks_from_different_slots_never_block_each_other() {
+    const TXNS: usize = 2_000;
+    let threads = storm_threads();
+    let lm = LockManager::new(RwSource);
+    let res = ResourceId::Class(ClassId(1));
+    let barrier = std::sync::Barrier::new(threads);
+    thread::scope(|s| {
+        for worker in 0..threads as u64 {
+            let (lm, barrier) = (&lm, &barrier);
+            s.spawn(move || {
+                // All alive at once: every thread holds its own slot.
+                barrier.wait();
+                for _ in 0..TXNS {
+                    let txn = lm.begin();
+                    lm.acquire(txn, res, intent(WRITE)).unwrap();
+                    let own = ResourceId::Instance(Oid(worker), ClassId(1));
+                    lm.acquire(txn, own, LockMode::plain(WRITE)).unwrap();
+                    assert!(lm.holds(txn, res, intent(WRITE)));
+                    lm.release_all(txn);
+                }
+            });
+        }
+    });
+    let s = lm.stats.snapshot();
+    assert_eq!(s.requests, (2 * threads * TXNS) as u64);
+    assert_eq!(s.blocks, 0, "intentional locks never wait for each other");
+    assert_eq!(lm.entry_count(), 0);
+}
+
+#[test]
+fn a_hierarchical_waiter_behind_intentional_holders_in_several_partitions_is_granted_once_they_release(
+) {
+    let lm = Arc::new(LockManager::new(RwSource).with_timeout(Duration::from_secs(30)));
+    let res = ResourceId::Class(ClassId(2));
+    let holders: Vec<TxnId> = [0, 5, 10, 15].iter().map(|&s| in_slot(s, 1)).collect();
+    for &t in &holders {
+        lm.acquire(t, res, intent(WRITE)).unwrap();
+    }
+    let h = in_slot(3, 1);
+    let waiter = {
+        let lm = Arc::clone(&lm);
+        thread::spawn(move || lm.acquire(h, res, whole(READ)))
+    };
+    await_blocks(&lm, 1);
+    for &t in &holders {
+        assert!(!lm.holds(h, res, whole(READ)), "granted beside {t}");
+        assert!(!waiter.is_finished(), "granted beside {t}");
+        lm.release_all(t);
+    }
+    assert_eq!(waiter.join().unwrap(), Ok(()));
+    assert!(lm.holds(h, res, whole(READ)));
+    assert_eq!(
+        lm.try_acquire(in_slot(7, 2), res, intent(WRITE)),
+        TryAcquire::WouldBlock,
+        "the granted reader excludes a writer of any partition"
+    );
+    assert_eq!(
+        lm.try_acquire(in_slot(7, 2), res, intent(READ)),
+        TryAcquire::Granted
+    );
+    lm.release_all(h);
+    lm.release_all(in_slot(7, 2));
+    assert_eq!(lm.entry_count(), 0);
+}
+
+#[test]
+fn a_conversion_jumps_the_queue_of_every_partition() {
+    let lm = Arc::new(LockManager::new(RwSource).with_timeout(Duration::from_secs(30)));
+    let res = ResourceId::Class(ClassId(5));
+    // t reads intentionally in its own partition; w, in another slot,
+    // queues for the whole class behind it, in every partition.
+    let (t, w) = (in_slot(1, 1), in_slot(2, 1));
+    lm.acquire(t, res, intent(READ)).unwrap();
+    let waiter = {
+        let lm = Arc::clone(&lm);
+        thread::spawn(move || lm.acquire(w, res, whole(WRITE)))
+    };
+    await_blocks(&lm, 1);
+    // t's hierarchical read converts the lock it holds: it overtakes w
+    // in the partitions where t held nothing, too.
+    assert_eq!(lm.try_acquire(t, res, whole(READ)), TryAcquire::Granted);
+    assert!(lm.holds(t, res, whole(READ)));
+    assert_eq!(lm.held_resources(t), vec![res]);
+    assert_eq!(lm.stats.snapshot().upgrades, 1);
+    assert!(!waiter.is_finished());
+    lm.release_all(t);
+    assert_eq!(waiter.join().unwrap(), Ok(()));
+    lm.release_all(w);
+    assert_eq!(lm.entry_count(), 0);
+}
+
+#[test]
+fn a_cycle_through_a_partition_is_detected() {
+    // Either request of the cycle may be the one that runs the
+    // detector; with the youngest dying, the victim is t2 either way.
+    let lm = Arc::new(
+        LockManager::new(RwSource)
+            .with_victim_policy(VictimPolicy::Youngest)
+            .with_timeout(Duration::from_secs(30)),
+    );
+    let (class, object) = (
+        ResourceId::Class(ClassId(3)),
+        ResourceId::Instance(Oid(9), ClassId(3)),
+    );
+    // t1 announces itself on the class in its own partition; t2 holds
+    // the object and asks for the whole class, which queues it in every
+    // partition, behind t1 in t1's.
+    let (t1, t2) = (in_slot(1, 1), in_slot(2, 1));
+    assert!(t1 < t2);
+    lm.acquire(t1, class, intent(WRITE)).unwrap();
+    lm.acquire(t2, object, LockMode::plain(WRITE)).unwrap();
+    let waiter = {
+        let lm = Arc::clone(&lm);
+        thread::spawn(move || {
+            let r = lm.acquire(t2, class, whole(READ));
+            if r.is_err() {
+                lm.release_all(t2);
+            }
+            r
+        })
+    };
+    await_blocks(&lm, 1);
+    // t1 closes the cycle t1 → t2 (object) → t1 (partition 1); t2 dies
+    // and lets go of the object.
+    assert_eq!(lm.acquire(t1, object, LockMode::plain(WRITE)), Ok(()));
+    assert_eq!(waiter.join().unwrap(), Err(AcquireError::Deadlock));
+    assert!(lm.stats.snapshot().deadlocks >= 1);
+    lm.release_all(t1);
+    assert_eq!(lm.entry_count(), 0);
+}
+
+#[test]
+fn ids_are_distinct_and_increase_within_each_thread() {
+    const THREADS: usize = 16;
+    const BEGINS: usize = 10_000;
+    let lm = LockManager::new(RwSource);
+    let per_thread: Vec<Vec<TxnId>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| s.spawn(|| (0..BEGINS).map(|_| lm.begin()).collect()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for ids in &per_thread {
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "increasing per thread");
+    }
+    let all: HashSet<TxnId> = per_thread.into_iter().flatten().collect();
+    assert_eq!(all.len(), THREADS * BEGINS, "distinct over all threads");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -446,6 +672,48 @@ proptest! {
         let stats = s.lm.stats.snapshot();
         prop_assert_eq!(stats.requests, stats.immediate + stats.blocks + stats.would_blocks);
         prop_assert_eq!(stats.timeouts, 0);
+    }
+
+    /// The same scripts with each slot's transactions drawn in a thread
+    /// slot of its own, so their intentional class locks land in
+    /// different partitions and their other class locks span them: the
+    /// verdicts, hand-overs and live entries still agree with the
+    /// reference, whose FIFO order is per partition.
+    #[test]
+    fn partitioned_scripts_agree_with_the_reference(
+        n in 2usize..7,
+        bits in proptest::collection::vec(any::<bool>(), 21..22),
+        steps in proptest::collection::vec(step_strategy(), 1..80),
+    ) {
+        let src = MatrixSource::new(n, &bits);
+        let lm = Arc::new(
+            LockManager::new(src.clone()).with_timeout(Duration::from_secs(30)),
+        );
+        let slots = (0..SLOTS).map(|slot| (in_slot(slot, 1), None)).collect();
+        let mut s = Script { lm, src, table: RefTable::default(), slots };
+        for step in steps {
+            match step {
+                Step::Acquire(slot, r, m, hier, wait) if s.slots[slot].1.is_none() => {
+                    let res = resource(r);
+                    s.acquire(slot, res, lock_mode(res, m % n as u16, hier), wait)?;
+                }
+                Step::Release(slot) if s.slots[slot].1.is_none() => s.release(slot)?,
+                _ => {}
+            }
+        }
+        while s.slots.iter().any(|slot| slot.1.is_some()) {
+            for slot in 0..SLOTS {
+                if s.slots[slot].1.is_none() {
+                    s.release(slot)?;
+                }
+            }
+        }
+        for slot in 0..SLOTS {
+            s.release(slot)?;
+        }
+        prop_assert_eq!(s.lm.entry_count(), 0);
+        let stats = s.lm.stats.snapshot();
+        prop_assert_eq!(stats.requests, stats.immediate + stats.blocks + stats.would_blocks);
     }
 
     /// Liveness: after releasing everything, every resource is free.

@@ -79,8 +79,9 @@ id_type!(
 );
 
 id_type!(
-    /// A transaction identifier. Monotonically increasing; doubles as the
-    /// timestamp used by deadlock victim selection.
+    /// A transaction identifier. A scheme's ids carry the beginning
+    /// thread's slot and increase within that thread; they double as the
+    /// age used by deadlock victim selection.
     TxnId,
     u64,
     "txn:"

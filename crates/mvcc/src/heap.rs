@@ -35,13 +35,15 @@
 //!   slots. A timestamp drawn by a transaction that then fails SSI
 //!   validation is published as a *skip* (nothing was flipped at it),
 //!   keeping the prefix dense.
-//! * **Registries are striped**: the transaction table by `TxnId` and
-//!   the snapshot-epoch table by the registering thread's slot. The
-//!   `MvccScheme` additionally caches each transaction's snapshot
-//!   timestamp in its session, so steady-state reads and writes skip
-//!   the transaction registry entirely (the registry is touched once
-//!   per transaction at begin/commit plus once per *first* write of an
-//!   object).
+//! * **Registries are striped**, each stripe on its own cache lines:
+//!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids
+//!   carry their thread's slot, so that is the beginning thread's own
+//!   stripe) and the snapshot-epoch table by the registering thread's
+//!   slot. The `MvccScheme` additionally caches each transaction's
+//!   snapshot timestamp in its session, so steady-state reads and
+//!   writes skip the transaction registry entirely (the registry is
+//!   touched once per transaction at begin/commit plus once per
+//!   *first* write of an object).
 //!
 //! ## Latch order
 //!
@@ -72,7 +74,7 @@
 //! * **Who queues.** A writer commit appends `(commit_ts, oid)` for
 //!   each object of its write set to the *reclaim queue* of the
 //!   committing thread's slot — a cache-line-padded mutex. The slot is
-//!   picked by the thread index `thread_slot` deals out and is a
+//!   the thread's `finecc_obs::thread_slot` and is a
 //!   **locality hint, never a correctness assumption**: threads share a
 //!   slot when there are more threads than slots, and a transaction
 //!   begun on one thread, written on a second and committed on a third
@@ -119,11 +121,10 @@ use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts, TS_PENDING};
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId, Value};
-use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
+use finecc_obs::{thread_slot, CachePadded, ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
 use parking_lot::{Mutex, RwLock};
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -152,25 +153,10 @@ const RECLAIM_BATCH: usize = 32;
 /// (a multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
 const SSI_PURGE_EVERY: u32 = 64;
 
-/// This thread's slot index, dealt round-robin on first use; callers
-/// reduce it modulo their own stripe count (epoch shards, reclaim
-/// slots). It is a **locality hint**, never a correctness assumption:
-/// any thread may use any stripe, and threads share one whenever there
-/// are more threads than stripes.
-fn thread_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-    SLOT.with(|s| match s.get() {
-        Some(i) => i,
-        None => {
-            let i = NEXT.fetch_add(1, Ordering::Relaxed);
-            s.set(Some(i));
-            i
-        }
-    })
-}
+// A scheme's transaction ids carry their thread's slot (`n × ID_SLOTS +
+// slot`, `finecc_obs::SlotIds`): `txn % TXN_STRIPES` is then the slot,
+// and a client's registry stripe is its own.
+const _: () = assert!(finecc_obs::ID_SLOTS.is_multiple_of(TXN_STRIPES));
 
 /// A write was refused because another transaction got to the field
 /// first (first-updater-wins at field granularity — two transactions
@@ -424,6 +410,9 @@ struct ChainShard {
     chains: RwLock<MulMap<Oid, Chain>>,
 }
 
+/// One stripe of the transaction registry, alone on its cache lines.
+type TxnStripe = CachePadded<Mutex<MulMap<TxnId, TxnState>>>;
+
 struct TxnState {
     /// The registered snapshot epoch; `epoch.ts` is the snapshot
     /// timestamp.
@@ -507,16 +496,16 @@ pub(crate) struct EpochHandle {
 /// and the versions it can demand were not reclaimable.
 #[derive(Debug)]
 struct EpochTable {
-    shards: Box<[Mutex<BTreeMap<Ts, usize>>]>,
+    shards: Box<[EpochShard]>,
 }
+
+/// `ts → number of holders`, alone on its cache lines.
+type EpochShard = CachePadded<Mutex<BTreeMap<Ts, usize>>>;
 
 impl EpochTable {
     fn new() -> EpochTable {
         EpochTable {
-            shards: (0..EPOCH_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            shards: (0..EPOCH_SHARDS).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -561,7 +550,7 @@ pub struct MvccHeap {
     base: Arc<Database>,
     shards: Box<[ChainShard]>,
     /// Transaction registry, striped by `TxnId`.
-    txns: Box<[Mutex<MulMap<TxnId, TxnState>>]>,
+    txns: Box<[TxnStripe]>,
     /// Snapshot registry; the minimum active entry is the GC horizon.
     epochs: EpochTable,
     /// The commit-timestamp allocator. Drawing a timestamp is one
@@ -655,14 +644,10 @@ impl MvccHeap {
         wal: Option<Arc<Wal>>,
         base_ts: Ts,
     ) -> MvccHeap {
-        let txns = (0..TXN_STRIPES)
-            .map(|_| Mutex::new(MulMap::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         MvccHeap {
             base,
             shards: (0..SHARD_COUNT).map(|_| ChainShard::default()).collect(),
-            txns,
+            txns: (0..TXN_STRIPES).map(|_| CachePadded::default()).collect(),
             epochs: EpochTable::new(),
             clock: AtomicU64::new(base_ts),
             watermark: Watermark::with_base(base_ts),
@@ -825,7 +810,7 @@ impl MvccHeap {
 
     #[inline]
     fn txn_stripe(&self, txn: TxnId) -> &Mutex<MulMap<TxnId, TxnState>> {
-        &self.txns[(txn.raw() as usize) % TXN_STRIPES]
+        &self.txns[(txn.raw() as usize) % TXN_STRIPES].0
     }
 
     /// The latest fully published commit timestamp (the watermark).
@@ -943,12 +928,13 @@ impl MvccHeap {
     }
 
     /// Snapshot read through a registered transaction (sees its own
-    /// pending writes).
-    pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
+    /// pending writes); a `txn` the heap does not know is refused with
+    /// [`MvccReadError::UnknownTxn`].
+    pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, MvccReadError> {
         let ts = self
             .snapshot_ts(txn)
-            .unwrap_or_else(|| panic!("transaction {txn} is not registered with the mvcc heap"));
-        self.read_as(ts, Some(txn), oid, field)
+            .ok_or(MvccReadError::UnknownTxn(txn))?;
+        Ok(self.read_as(ts, Some(txn), oid, field)?)
     }
 
     /// Writes `field` of `oid` in transaction `txn`, resolving the
@@ -1511,6 +1497,35 @@ impl std::fmt::Display for MvccWriteError {
 
 impl std::error::Error for MvccWriteError {}
 
+/// Why [`MvccHeap::read`] failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MvccReadError {
+    /// The base store refused the read (unknown OID, field not visible).
+    Store(StoreError),
+    /// The transaction is not registered with the heap — never begun,
+    /// or already committed or aborted. Retrying cannot help.
+    UnknownTxn(TxnId),
+}
+
+impl From<StoreError> for MvccReadError {
+    fn from(e: StoreError) -> MvccReadError {
+        MvccReadError::Store(e)
+    }
+}
+
+impl std::fmt::Display for MvccReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MvccReadError::Store(e) => e.fmt(f),
+            MvccReadError::UnknownTxn(t) => {
+                write!(f, "transaction {t} is not registered with the mvcc heap")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MvccReadError {}
+
 /// Why [`MvccHeap::commit`] refused a transaction. On the first two
 /// variants the transaction is fully rolled back (as by [`MvccHeap::abort`])
 /// and its drawn timestamp is published as a *skip*, keeping the
@@ -1905,6 +1920,33 @@ mod tests {
         assert_eq!(heap.base().read(o, x), Ok(Value::Int(1)));
         let m = heap.stats.snapshot();
         assert_eq!((m.versions_created, m.write_conflicts), (1, 0));
+    }
+
+    #[test]
+    fn a_read_by_an_unknown_txn_is_a_typed_error() {
+        let (_, heap, a, x, _) = setup();
+        let o = heap.base().create(a);
+        let stranger = TxnId(9);
+        assert_eq!(
+            heap.read(stranger, o, x),
+            Err(MvccReadError::UnknownTxn(stranger))
+        );
+        heap.begin(TxnId(1));
+        assert_eq!(heap.read(TxnId(1), o, x), Ok(Value::Int(0)));
+        heap.commit(TxnId(1)).unwrap();
+        // An ended transaction is just as unknown; a store refusal keeps
+        // its own type.
+        assert_eq!(
+            heap.read(TxnId(1), o, x),
+            Err(MvccReadError::UnknownTxn(TxnId(1)))
+        );
+        heap.begin(TxnId(2));
+        assert!(matches!(
+            heap.read(TxnId(2), Oid(u64::MAX), x),
+            Err(MvccReadError::Store(StoreError::UnknownOid(_)))
+        ));
+        heap.abort(TxnId(2));
+        assert_eq!(heap.stats.snapshot().snapshot_reads, 1);
     }
 
     #[test]

@@ -114,6 +114,7 @@
 
 use crate::{Ts, TS_PENDING};
 use finecc_model::{FieldId, MulMap, Oid, TxnId};
+use finecc_obs::CachePadded;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -262,8 +263,10 @@ impl Flags {
 /// sees every reader's commit status without the flag table.
 type ReaderShard = Mutex<MulMap<(Oid, FieldId), Vec<Arc<TxnHandle>>>>;
 
-/// One stripe of the flag table.
-type FlagStripe = Mutex<MulMap<TxnId, Flags>>;
+/// One stripe of the flag table, on its own cache lines: a scheme's
+/// transaction ids carry their thread's slot, so `txn % FLAG_STRIPES`
+/// is the beginning thread's own stripe.
+type FlagStripe = CachePadded<Mutex<MulMap<TxnId, Flags>>>;
 
 /// The rw-antidependency tracker of a Serializable-level heap.
 ///
@@ -304,10 +307,7 @@ impl SsiTracker {
             .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let flags = (0..FLAG_STRIPES)
-            .map(|_| Mutex::new(MulMap::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let flags = (0..FLAG_STRIPES).map(|_| CachePadded::default()).collect();
         SsiTracker {
             readers,
             flags,

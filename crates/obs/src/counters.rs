@@ -2,57 +2,87 @@
 //!
 //! [`counters!`](crate::counters!) expands a single
 //! `field: Kind "dotted.name"` list into everything a subsystem's
-//! statistics need — the live struct of [`Cell`]s its owner bumps, a
+//! statistics need — the live struct of cells its owner bumps, a
 //! `Copy` snapshot with the same public field names, `snapshot()`,
 //! `since()` and `collect_metrics()` — so a new counter is one line in
 //! its owning crate, and its name is spelt once.
 //!
 //! # Kinds
 //!
-//! * `Counter` — a monotone count. `since` differences it (saturating)
-//!   and it is exported as a Prometheus `counter`.
-//! * `Gauge` — a level, a maximum, a quantile or a fact set once.
-//!   `since` keeps the later value (none of these can be windowed after
-//!   the fact) and it is exported as a `gauge`.
+//! * `Counter` — a monotone count, a [`Counter`] cell. `since`
+//!   differences it (saturating) and it is exported as a Prometheus
+//!   `counter`.
+//! * `Gauge` — a level, a maximum, a quantile or a fact set once, a
+//!   [`Gauge`] cell. `since` keeps the later value (none of these can
+//!   be windowed after the fact) and it is exported as a `gauge`.
 //!
 //! A field declared without a name follows its kind in `since` but is
 //! not exported: raw material for a mean the family exports instead
 //! (`ratios`).
 //!
-//! A bump is one relaxed operation on a cell the owner holds directly;
-//! nothing here is looked up, boxed or indirected at record time.
+//! A bump is one relaxed `fetch_add` on a line the bumping thread owns
+//! (a [`Counter`] is striped by [`thread_slot`]); nothing is looked up
+//! or locked at record time. Every transaction bumps several counters,
+//! so an unstriped cell would be a line both clients write on every
+//! transaction.
 
 use crate::registry::MetricKind;
+use crate::slot::{thread_slot, CachePadded};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One live counter or gauge cell. Relaxed everywhere: the values feed
-/// reports, never control flow, and publish no other data.
-#[derive(Debug, Default)]
-#[repr(transparent)]
-pub struct Cell(AtomicU64);
+/// Stripes a [`Counter`] is spread over.
+pub const COUNTER_STRIPES: usize = 16;
 
-impl Cell {
+/// A monotone count, striped by [`thread_slot`]: each stripe alone on
+/// its own 128-byte block, summed when read. Relaxed everywhere: the
+/// values feed reports, never control flow, and publish no other data.
+pub struct Counter {
+    stripes: Box<[CachePadded<AtomicU64>; COUNTER_STRIPES]>,
+}
+
+impl Default for Counter {
+    fn default() -> Counter {
+        Counter {
+            stripes: Box::new(std::array::from_fn(|_| CachePadded::default())),
+        }
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+impl Counter {
     /// Counts one event.
     #[inline]
     pub fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Counts `n` events (or bytes).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.stripes[thread_slot() % COUNTER_STRIPES].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one event as plain load + store — for a cell whose only
-    /// writer holds a latch, sparing the locked read-modify-write.
-    #[inline]
-    pub fn bump_exclusive(&self) {
-        self.0
-            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    /// The sum over the stripes (wrapping, like the `fetch_add`s).
+    pub fn get(&self) -> u64 {
+        self.stripes
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.load(Ordering::Relaxed)))
     }
+}
 
-    /// Sets a gauge.
+/// A level, a maximum or a fact: one cell, since a last `set` or a
+/// `max` cannot be recovered from per-thread parts. Relaxed, like
+/// [`Counter`].
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
@@ -126,7 +156,7 @@ macro_rules! counters {
         $(#[$live_meta])*
         #[derive(Debug, Default)]
         $live_vis struct $Live {
-            $($(#[$doc])* $cell_vis $f: $crate::Cell,)*
+            $($(#[$doc])* $cell_vis $f: $crate::$kind,)*
             $($(#[$extra_meta])* $extra_vis $extra: $extra_ty,)*
         }
 
@@ -220,7 +250,7 @@ mod tests {
         let live = Live::default();
         assert_eq!(live.snapshot().mean(), 0.0, "no samples, no division");
         live.events.bump();
-        live.events.bump_exclusive();
+        live.events.bump();
         live.sum.add(10);
         live.largest.max(7);
         live.largest.max(3);
@@ -242,5 +272,40 @@ mod tests {
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE test_events counter"));
         assert!(text.contains("# TYPE test_largest gauge"));
+    }
+
+    fn test_threads() -> usize {
+        std::env::var("FINECC_TEST_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8)
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_and_gauges_stay_single() {
+        const ROUNDS: u64 = 10_000;
+        // More threads than stripes, so some share one.
+        let threads = test_threads().max(2 * super::COUNTER_STRIPES) as u64;
+        let live = Live::default();
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let live = &live;
+                s.spawn(move || {
+                    for i in 0..ROUNDS {
+                        live.events.bump();
+                        live.sum.add(t + 1);
+                        live.largest.max(t * ROUNDS + i);
+                    }
+                });
+            }
+        });
+        let s = live.snapshot();
+        assert_eq!(s.events, threads * ROUNDS, "every bump counted once");
+        assert_eq!(s.sum, ROUNDS * threads * (threads + 1) / 2, "every add");
+        assert_eq!(s.largest, threads * ROUNDS - 1, "the maximum of all");
+        live.largest.set(3);
+        assert_eq!(live.snapshot().largest, 3, "a set is the gauge's value");
+        live.largest.max(2);
+        assert_eq!(live.snapshot().largest, 3, "a lower max leaves it");
     }
 }

@@ -10,13 +10,14 @@
 //! never an overestimate).
 //!
 //! [`ShardedHistogram`] spreads recording across per-thread shards
-//! (threads are striped over [`HIST_SHARDS`] plain histograms by a
-//! thread-local index drawn once per thread), keeping the record path
-//! contention-free; shards merge losslessly at snapshot time — bucket
-//! counts are plain sums, so `merge(shards)` equals the histogram of
-//! the concatenated samples exactly.
+//! (threads are striped over [`HIST_SHARDS`] plain histograms by their
+//! [`thread_slot`]), keeping the record path contention-free; shards
+//! merge losslessly at snapshot time — bucket counts are plain sums, so
+//! `merge(shards)` equals the histogram of the concatenated samples
+//! exactly.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::slot::thread_slot;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log₂ of the linear sub-bucket count per power-of-two range.
 pub const SUB_BITS: u32 = 5;
@@ -221,19 +222,6 @@ pub struct LatencySummary {
 /// Shards recording is striped over.
 pub const HIST_SHARDS: usize = 16;
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread draws one stripe index for its lifetime, so a shard
-    /// has a stable (usually singleton) writer set.
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-fn thread_shard() -> usize {
-    THREAD_SLOT.with(|s| *s) % HIST_SHARDS
-}
-
 /// A histogram striped over [`HIST_SHARDS`] shards to keep concurrent
 /// recording contention-free; merged losslessly at snapshot time.
 pub struct ShardedHistogram {
@@ -257,7 +245,7 @@ impl ShardedHistogram {
     /// Records one sample into the calling thread's shard.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.shards[thread_shard()].record(v);
+        self.shards[thread_slot() % HIST_SHARDS].record(v);
     }
 
     /// Merges every shard into one snapshot.

@@ -5,8 +5,9 @@
 //! and one registry that exports them:
 //!
 //! * [`mod@counters`] — the one **declaration** each subsystem's counter
-//!   family is expanded from ([`counters!`]: live [`Cell`]s, `Copy`
-//!   snapshot, kind-aware `since`, named export), and [`MetricSet`],
+//!   family is expanded from ([`counters!`]: live [`Counter`]s, striped
+//!   by thread slot, and [`Gauge`]s, a `Copy` snapshot, kind-aware
+//!   `since`, named export), and [`MetricSet`],
 //!   the by-name reader for code that holds no concrete owner.
 //! * [`hist`] — lock-free log-bucketed latency **histograms** for the
 //!   timed [`Phase`]s (txn end-to-end, commit sub-phases, lock wait,
@@ -19,6 +20,12 @@
 //! * [`registry`] — the unified **metrics registry**: every
 //!   subsystem's counters under stable dotted names with labels,
 //!   pulled as a snapshot and rendered as Prometheus text exposition.
+//!
+//! Beside them, [`slot`] defines the **thread slot** — the one index by
+//! which every per-thread stripe in the workspace is picked (counters,
+//! histogram shards, lock-table held lists and class-lock partitions,
+//! the version heap's registries) — and [`SlotIds`], the transaction
+//! ids that carry it.
 //!
 //! There is no knob: an [`Obs`] is built from [`ObsConfig::enabled`]
 //! (histograms + contention) or [`ObsConfig::disabled`]. A **disabled**
@@ -34,11 +41,13 @@ pub mod contention;
 pub mod counters;
 pub mod hist;
 pub mod registry;
+pub mod slot;
 
 pub use contention::{ContentionKind, ContentionRegistry, HotObject, ObjKey, KIND_COUNT};
-pub use counters::Cell;
+pub use counters::{Counter, Gauge};
 pub use hist::{HistSnapshot, Histogram, LatencySummary, ShardedHistogram};
 pub use registry::{Collector, MetricKind, MetricSet, MetricsRegistry, Sample};
+pub use slot::{thread_slot, CachePadded, SlotIds, ID_SLOTS};
 
 use std::time::Instant;
 

@@ -56,11 +56,11 @@ use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccWriteError, SsiConflict, Wal,
-    WalConfig,
+    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccReadError, MvccWriteError,
+    SsiConflict, Wal, WalConfig,
 };
+use finecc_obs::SlotIds;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Snapshot reads + optimistic first-updater-wins writes over the
@@ -68,7 +68,9 @@ use std::sync::Arc;
 pub struct MvccScheme {
     env: Env,
     heap: Arc<MvccHeap>,
-    next_txn: AtomicU64,
+    /// Transaction ids, carrying the beginning thread's slot: the heap's
+    /// registry and SSI flag stripes are keyed by it.
+    ids: SlotIds,
 }
 
 impl MvccScheme {
@@ -88,7 +90,7 @@ impl MvccScheme {
                     .with_obs(Arc::clone(&env.obs)),
             ),
             env,
-            next_txn: AtomicU64::new(1),
+            ids: SlotIds::new(),
         }
     }
 
@@ -129,7 +131,7 @@ impl MvccScheme {
         Ok(MvccScheme {
             heap,
             env,
-            next_txn: AtomicU64::new(1),
+            ids: SlotIds::new(),
         })
     }
 
@@ -207,21 +209,27 @@ impl DataAccess for MvccAccess<'_> {
 }
 
 impl MvccScheme {
-    fn access<'a>(&'a self, txn: &Txn) -> MvccAccess<'a> {
+    fn access<'a>(&'a self, txn: &Txn) -> Result<MvccAccess<'a>, ExecError> {
         // The snapshot timestamp is cached in the transaction session at
         // begin, so steady-state message sends never touch the heap's
         // transaction registry (the fallback covers hand-built `Txn`s).
-        let snapshot_ts = txn.snapshot_ts.unwrap_or_else(|| {
-            self.heap
-                .snapshot_ts(txn.id)
-                .expect("transaction began through this scheme")
-        });
-        MvccAccess {
+        let snapshot_ts = match txn.snapshot_ts {
+            Some(ts) => ts,
+            None => self.heap.snapshot_ts(txn.id).ok_or_else(|| {
+                // Not this scheme's transaction (or one already ended):
+                // a re-run would fare no better.
+                ExecError::ConcurrencyAbort {
+                    deadlock: false,
+                    msg: MvccReadError::UnknownTxn(txn.id).to_string(),
+                }
+            })?,
+        };
+        Ok(MvccAccess {
             env: &self.env,
             heap: &self.heap,
             txn: txn.id,
             snapshot_ts,
-        }
+        })
     }
 }
 
@@ -238,7 +246,7 @@ impl CcScheme for MvccScheme {
     }
 
     fn begin(&self) -> Txn {
-        let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        let id = TxnId(self.ids.next());
         let snapshot_ts = self.heap.begin(id);
         Txn::with_snapshot_ts(id, snapshot_ts)
     }
@@ -250,8 +258,7 @@ impl CcScheme for MvccScheme {
         method: &str,
         args: &[Value],
     ) -> Result<Value, ExecError> {
-        let mut da = self.access(txn);
-        interpreter(&self.env).send(&mut da, oid, method, args)
+        interpreter(&self.env).send(&mut self.access(txn)?, oid, method, args)
     }
 
     fn send_all(
@@ -261,8 +268,9 @@ impl CcScheme for MvccScheme {
         method: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, ExecError> {
+        let mut access = self.access(txn)?;
         let extent = self.env.db.deep_extent(root);
-        send_each(&self.env, &mut self.access(txn), extent, method, args)
+        send_each(&self.env, &mut access, extent, method, args)
     }
 
     fn send_some(
@@ -275,7 +283,7 @@ impl CcScheme for MvccScheme {
     ) -> Result<Vec<Value>, ExecError> {
         let _ = root; // No intentional class locks to take.
         let oids = oids.iter().copied();
-        send_each(&self.env, &mut self.access(txn), oids, method, args)
+        send_each(&self.env, &mut self.access(txn)?, oids, method, args)
     }
 
     fn commit(&self, mut txn: Txn) -> Result<u64, ExecError> {
@@ -485,6 +493,70 @@ mod tests {
             "an honest writer must commit at once"
         );
         assert_eq!(s.env().read_named(o2, "c2", "f4"), Value::Int(7));
+    }
+
+    #[test]
+    fn a_hand_built_transaction_the_heap_does_not_know_is_refused_not_retried() {
+        let (s, o1, o2) = setup();
+        let c1 = s.env().schema.class_by_name("c1").unwrap();
+        // No cached snapshot timestamp, and none in the heap's registry.
+        let mut stranger = Txn::new(TxnId(1 << 40));
+        let refusals = [
+            s.send(&mut stranger, o2, "m3", &[]).unwrap_err(),
+            s.send_all(&mut stranger, c1, "m3", &[]).unwrap_err(),
+            s.send_some(&mut stranger, c1, &[o1], "m3", &[])
+                .unwrap_err(),
+        ];
+        for err in refusals {
+            assert!(
+                matches!(
+                    err,
+                    ExecError::ConcurrencyAbort {
+                        deadlock: false,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert!(!err.is_retryable(), "{err}");
+        }
+        // A hand-built session of a transaction the heap does know
+        // resolves its snapshot from the registry.
+        let known = s.begin();
+        let mut rebuilt = Txn::new(known.id);
+        assert!(s.send(&mut rebuilt, o2, "m3", &[]).is_ok());
+        s.commit(known).unwrap();
+    }
+
+    #[test]
+    fn ids_are_distinct_and_increase_within_each_thread() {
+        const THREADS: usize = 16;
+        const BEGINS: usize = 10_000;
+        let (s, _, _) = setup();
+        let per_thread: Vec<Vec<TxnId>> = std::thread::scope(|scope| {
+            let s = &s;
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(move || {
+                        (0..BEGINS)
+                            .map(|_| {
+                                let txn = s.begin();
+                                let id = txn.id;
+                                s.abort(txn);
+                                id
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "increasing per thread");
+        }
+        let all: std::collections::HashSet<TxnId> = per_thread.into_iter().flatten().collect();
+        assert_eq!(all.len(), THREADS * BEGINS, "distinct over all threads");
+        assert_eq!(s.heap().stats.snapshot().begins, (THREADS * BEGINS) as u64);
     }
 
     #[test]

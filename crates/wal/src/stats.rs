@@ -82,13 +82,12 @@ finecc_obs::counters! {
 
 impl WalStats {
     /// Counts one staged record; `queue_depth` is the staging buffer's
-    /// record count. Called **under the staging latch**, which makes
-    /// the caller the only writer of these three: plain load + store,
-    /// no locked read-modify-write on the append path.
+    /// record count. Called under the staging latch; the two counts
+    /// land on the appending thread's own stripes.
     pub(crate) fn note_staged(&self, queue_depth: u64, waits_for_sync: bool) {
-        self.appends.bump_exclusive();
+        self.appends.bump();
         if waits_for_sync {
-            self.sync_waits.bump_exclusive();
+            self.sync_waits.bump();
         }
         self.queue_depth.set(queue_depth);
     }

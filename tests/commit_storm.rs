@@ -32,6 +32,7 @@
 
 use finecc::model::{FieldId, FieldType, Oid, SchemaBuilder, TxnId, Value};
 use finecc::mvcc::{IsolationLevel, MvccHeap, MvccWriteError, Ts};
+use finecc::obs::SlotIds;
 use finecc::store::Database;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,7 +55,7 @@ struct Storm {
     fields: Vec<FieldId>,
     /// Shared objects; thread `t` writes objects `t % K` and `(t+1) % K`.
     oids: Vec<Oid>,
-    next_txn: AtomicU64,
+    ids: SlotIds,
 }
 
 fn setup(threads: usize, isolation: IsolationLevel) -> Storm {
@@ -77,7 +78,7 @@ fn setup(threads: usize, isolation: IsolationLevel) -> Storm {
         heap: Arc::new(MvccHeap::with_isolation(db, isolation)),
         fields,
         oids,
-        next_txn: AtomicU64::new(1),
+        ids: SlotIds::new(),
     }
 }
 
@@ -107,7 +108,7 @@ impl Storm {
         let neighbor_field = self.fields[neighbor_t];
         let mut validation_aborts = 0;
         for _attempt in 0..10_000 {
-            let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+            let txn = TxnId(self.ids.next());
             self.heap.begin(txn);
             if read_neighbor {
                 self.heap.read(txn, neighbor_obj, neighbor_field).unwrap();
@@ -491,7 +492,7 @@ fn reader_storm_cold_miss_never_sees_aborted_writes() {
                     if round >= rounds && (observed || Instant::now() >= deadline) {
                         break;
                     }
-                    let txn = TxnId(storm.next_txn.fetch_add(1, Ordering::Relaxed));
+                    let txn = TxnId(storm.ids.next());
                     storm.heap.begin(txn);
                     let even = round % 2 == 0;
                     let value = Value::Int(if even { round } else { -round });

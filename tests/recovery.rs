@@ -29,11 +29,11 @@
 
 use finecc::model::{FieldId, FieldType, Oid, SchemaBuilder, TxnId, Value};
 use finecc::mvcc::{DurabilityLevel, IsolationLevel, MvccHeap, WalConfig};
+use finecc::obs::SlotIds;
 use finecc::store::Database;
 use finecc::wal::{LogReader, LogRecord, Wal};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn storm_threads() -> usize {
@@ -118,7 +118,7 @@ struct Fixture {
     oids: Vec<Oid>,
     fields: Vec<FieldId>,
     genesis: BTreeMap<(Oid, FieldId), Value>,
-    next_txn: AtomicU64,
+    ids: SlotIds,
 }
 
 fn fixture(name: &str, isolation: IsolationLevel, objects: usize, fields: usize) -> Fixture {
@@ -147,13 +147,13 @@ fn fixture(name: &str, isolation: IsolationLevel, objects: usize, fields: usize)
         oids,
         fields: field_ids,
         genesis,
-        next_txn: AtomicU64::new(1),
+        ids: SlotIds::new(),
     }
 }
 
 impl Fixture {
     fn txn(&self) -> TxnId {
-        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+        TxnId(self.ids.next())
     }
 }
 
