@@ -21,7 +21,7 @@
 //! ## Scoping
 //!
 //! Installation is process-global but *participation is opt-in*: only
-//! the installing thread and threads that called [`register_worker`]
+//! the installing thread and threads that called [`register_worker_as`]
 //! see the harness. Unrelated threads (other tests in the same
 //! process, background flushers of other logs) pass through every hook
 //! untouched, which keeps hit counting — and therefore fault firing —
@@ -32,7 +32,7 @@
 //! ## Modes
 //!
 //! * `threads > 0` — **scheduled**: that many workers must
-//!   [`register_worker`]; exactly one runs at a time and every yield
+//!   [`register_worker_as`]; exactly one runs at a time and every yield
 //!   point is a scheduling decision (virtual time advances one tick
 //!   per decision).
 //! * `threads == 0` — **fault-only**: no scheduling, yield points stay
@@ -105,7 +105,7 @@ fn eligible_ctx() -> Option<ThreadCtx> {
 pub struct ChaosConfig {
     /// Seed for the scheduling RNG.
     pub seed: u64,
-    /// Scheduled workers that will [`register_worker`] (0 = fault-only
+    /// Scheduled workers that will [`register_worker_as`] (0 = fault-only
     /// mode, no scheduling).
     pub threads: usize,
     /// The armed fault plane.
@@ -188,13 +188,6 @@ pub struct Worker {
     idx: usize,
 }
 
-impl Worker {
-    /// This worker's index (0-based registration order).
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-}
-
 impl Drop for Worker {
     fn drop(&mut self) {
         self.harness.finish(self.idx);
@@ -206,41 +199,28 @@ impl Drop for Worker {
     }
 }
 
-/// Registers the calling thread as a scheduled worker of the installed
-/// harness, claiming the lowest free slot. Blocks until all configured
-/// workers have registered and the scheduler makes its first grant.
-/// Returns `None` when no scheduling harness is installed.
-///
-/// The claimed index depends on thread startup order; when decision
-/// sequences must be comparable across runs, claim a fixed slot with
-/// [`register_worker_as`] instead.
-pub fn register_worker() -> Option<Worker> {
-    register_slot(None)
-}
-
-/// Like [`register_worker`], but claims worker slot `slot`
-/// (0-based, `< ChaosConfig::threads`). Panics if the slot is out of
-/// range or already claimed. This pins the workload's worker identity
-/// to the schedule's decision values independent of OS thread startup
-/// order — required for cross-run determinism and replay.
+/// Registers the calling thread as scheduled worker `slot` of the
+/// installed harness (0-based, `< ChaosConfig::threads`) and blocks
+/// until all configured workers have registered and the scheduler makes
+/// its first grant. Panics if the slot is out of range or already
+/// claimed. A fixed slot pins the workload's worker identity to the
+/// schedule's decision values independent of OS thread startup order —
+/// required for cross-run determinism and replay. Returns `None` when
+/// no scheduling harness is installed.
 pub fn register_worker_as(slot: usize) -> Option<Worker> {
-    register_slot(Some(slot))
-}
-
-fn register_slot(slot: Option<usize>) -> Option<Worker> {
     if !SCHEDULING.load(Ordering::Acquire) {
         return None;
     }
     let harness = current_harness()?;
     let gen = harness.gen;
-    let idx = harness.register(slot);
+    harness.register(slot);
     CTX.with(|c| {
         c.set(ThreadCtx {
             gen,
-            worker: idx as u32,
+            worker: slot as u32,
         })
     });
-    Some(Worker { harness, idx })
+    Some(Worker { harness, idx: slot })
 }
 
 /// A scheduling/fault yield point. One relaxed load when no harness is
@@ -269,7 +249,8 @@ fn yield_point_slow(site: Site) {
 
 /// Probes the fault plane at an I/O site. Hit counting is per-site and
 /// deterministic; only threads participating in the live harness
-/// consume hits. Returns the armed fault for this hit, if any.
+/// consume hits. Returns the I/O error or crash armed for this hit, if
+/// any; a returned crash has already turned [`crashed`] on.
 #[inline]
 pub fn fault_at(site: Site) -> Option<FaultKind> {
     if !ACTIVE.load(Ordering::Relaxed) {
@@ -337,17 +318,10 @@ impl FaultToken {
         ACTIVE.load(Ordering::Relaxed) && GENERATION.load(Ordering::Acquire) == self.gen
     }
 
-    /// Probes the fault plane (same counters as [`fault_at`]).
+    /// Probes the fault plane (same counters and crash recording as
+    /// [`fault_at`]).
     pub fn fault_at(&self, site: Site) -> Option<FaultKind> {
         self.live().then(|| self.harness.probe(site)).flatten()
-    }
-
-    /// Records that a simulated crash fired (see [`crashed`]).
-    pub fn note_crash(&self) {
-        if self.live() {
-            self.harness.crashed.store(true, Ordering::Relaxed);
-            CRASHED.store(true, Ordering::SeqCst);
-        }
     }
 }
 
@@ -363,13 +337,6 @@ pub fn fault_token() -> Option<FaultToken> {
         harness: h,
         gen: ctx.gen,
     })
-}
-
-/// Records that a simulated crash fired (participating threads).
-pub fn note_crash() {
-    if let Some(t) = fault_token() {
-        t.note_crash();
-    }
 }
 
 /// Greedy schedule minimization: repeatedly tries dropping chunks of
@@ -423,7 +390,7 @@ mod tests {
         assert!(!disabled_at(Site::CommitPublishWait));
         assert!(!scheduled_session());
         assert!(!crashed());
-        assert!(register_worker().is_none());
+        assert!(register_worker_as(0).is_none());
         assert!(fault_token().is_none());
     }
 
@@ -488,7 +455,7 @@ mod tests {
             for t in 0..2u32 {
                 let order = &order;
                 s.spawn(move || {
-                    let _worker = register_worker().unwrap();
+                    let _worker = register_worker_as(t as usize).unwrap();
                     // Worker 0 trips the delay; worker 1 keeps running.
                     if t == 0 {
                         yield_point(Site::TxnBackoff);
@@ -530,12 +497,37 @@ mod tests {
         // A token keeps working on the flusher's behalf…
         let token = fault_token().expect("installer thread is eligible");
         assert_eq!(token.fault_at(Site::WalFlushWrite), None);
-        token.note_crash();
-        assert!(crashed());
         drop(handle);
         // …but goes inert once the harness is gone.
         assert_eq!(token.fault_at(Site::WalFlushWrite), None);
+    }
+
+    #[test]
+    fn a_fired_crash_records_itself() {
+        let plan = FaultPlan::of([
+            FaultSpec::once(Site::WalFsync, 0, FaultKind::IoError),
+            FaultSpec::once(Site::WalFsync, 1, FaultKind::Crash),
+        ]);
+        let handle = install(ChaosConfig {
+            faults: plan.clone(),
+            ..ChaosConfig::default()
+        });
+        assert_eq!(fault_at(Site::WalFsync), Some(FaultKind::IoError));
+        assert!(!crashed(), "an I/O error is not a crash");
+        assert_eq!(fault_at(Site::WalFsync), Some(FaultKind::Crash));
+        assert!(crashed(), "the probe that fired the crash recorded it");
+        assert!(handle.finish().crashed);
+        // The same through a token (the flusher's probes).
+        let handle = install(ChaosConfig {
+            faults: plan,
+            ..ChaosConfig::default()
+        });
+        let token = fault_token().expect("installer thread is eligible");
+        assert_eq!(token.fault_at(Site::WalFsync), Some(FaultKind::IoError));
         assert!(!crashed());
+        assert_eq!(token.fault_at(Site::WalFsync), Some(FaultKind::Crash));
+        assert!(crashed());
+        assert!(handle.finish().crashed);
     }
 
     #[test]

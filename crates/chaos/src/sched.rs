@@ -86,7 +86,7 @@ pub(crate) struct Harness {
     pub(crate) gen: u64,
     pub(crate) expected: usize,
     pub(crate) plan: FaultPlan,
-    pub(crate) crashed: AtomicBool,
+    crashed: AtomicBool,
     state: Mutex<SchedState>,
     cv: Condvar,
 }
@@ -126,35 +126,19 @@ impl Harness {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Registers the calling thread as a scheduled worker and blocks
-    /// until the scheduler grants it the token for the first time.
-    /// Returns the worker index. `slot` claims a *specific* index —
-    /// the workload's stable worker identity, independent of the OS
-    /// order in which the threads happen to start up (decision values
-    /// name worker indices, so replay across runs needs the mapping
-    /// fixed); `None` claims the lowest free slot.
-    pub(crate) fn register(&self, slot: Option<usize>) -> usize {
+    /// Registers the calling thread as scheduled worker `idx` and blocks
+    /// until the scheduler grants it the token for the first time. The
+    /// index is the workload's stable worker identity, independent of
+    /// the OS order in which the threads happen to start up (decision
+    /// values name worker indices, so replay across runs needs the
+    /// mapping fixed).
+    pub(crate) fn register(&self, idx: usize) {
         let mut st = self.lock();
-        let idx = match slot {
-            Some(i) => {
-                assert!(
-                    i < self.expected,
-                    "chaos harness: worker slot {i} out of range ({})",
-                    self.expected
-                );
-                i
-            }
-            None => st
-                .workers
-                .iter()
-                .position(|w| *w == WorkerState::Unregistered)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "chaos harness: more workers registered than configured ({})",
-                        self.expected
-                    )
-                }),
-        };
+        assert!(
+            idx < self.expected,
+            "chaos harness: worker slot {idx} out of range ({})",
+            self.expected
+        );
         assert!(
             st.workers[idx] == WorkerState::Unregistered,
             "chaos harness: worker slot {idx} claimed twice"
@@ -166,7 +150,6 @@ impl Harness {
             self.schedule_next(&mut st);
         }
         self.wait_token(st, idx);
-        idx
     }
 
     /// The running worker yields at `site`: apply any armed delay,
@@ -193,12 +176,21 @@ impl Harness {
         self.wait_token(st, idx);
     }
 
-    /// Deterministic per-site fault probe (I/O sites).
+    /// Deterministic per-site fault probe (I/O sites): the I/O error or
+    /// crash armed for this hit, a crash recorded as it fires.
     pub(crate) fn probe(&self, site: Site) -> Option<FaultKind> {
         let mut st = self.lock();
         let hit = st.probe_hits[site.index()];
         st.probe_hits[site.index()] += 1;
-        self.plan.at(site, hit)
+        let kind = self
+            .plan
+            .at(site, hit)
+            .filter(|k| matches!(k, FaultKind::IoError | FaultKind::Crash));
+        if kind == Some(FaultKind::Crash) {
+            self.crashed.store(true, Ordering::Relaxed);
+            crate::CRASHED.store(true, Ordering::SeqCst);
+        }
+        kind
     }
 
     /// The calling worker is done; hand the token on.

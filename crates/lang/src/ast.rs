@@ -1,8 +1,8 @@
 //! Abstract syntax of method bodies.
 //!
-//! The AST is what the parser produces and the pretty-printer renders:
-//! names (`Expr::Name`, `Stmt::Assign`, message and class names) are
-//! plain strings here. Nothing executes or analyses this form.
+//! The AST is what the parser produces: names (`Expr::Name`,
+//! `Stmt::Assign`, message and class names) are plain strings here.
+//! Nothing executes or analyses this form.
 //! [`crate::build_schema`] resolves every body **once**
 //! ([`crate::resolve`]) against the method's parameters, its `var`s and
 //! the fields visible in the *defining* class — the order the paper's

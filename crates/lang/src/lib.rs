@@ -57,7 +57,6 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 #[cfg(test)]
 mod reference;
 pub mod resolve;

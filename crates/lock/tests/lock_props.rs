@@ -395,21 +395,14 @@ fn storm(policy: VictimPolicy, threads: usize, txns: usize) {
     }
 }
 
-fn storm_threads() -> usize {
-    std::env::var("FINECC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-}
-
 #[test]
 fn storm_requester_dies() {
-    storm(VictimPolicy::Requester, storm_threads(), 400);
+    storm(VictimPolicy::Requester, finecc_obs::test_threads(), 400);
 }
 
 #[test]
 fn storm_youngest_dies() {
-    storm(VictimPolicy::Youngest, storm_threads(), 400);
+    storm(VictimPolicy::Youngest, finecc_obs::test_threads(), 400);
 }
 
 /// The `n`-th transaction id drawn in thread slot `slot` — how a test
@@ -477,7 +470,7 @@ fn a_hierarchical_class_lock_excludes_intentional_requests_from_every_slot() {
 #[test]
 fn intentional_locks_from_different_slots_never_block_each_other() {
     const TXNS: usize = 2_000;
-    let threads = storm_threads();
+    let threads = finecc_obs::test_threads();
     let lm = LockManager::new(RwSource);
     let res = ResourceId::Class(ClassId(1));
     let barrier = std::sync::Barrier::new(threads);

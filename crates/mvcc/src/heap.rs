@@ -846,14 +846,6 @@ impl MvccHeap {
         self.txn_stripe(txn).lock().get(&txn).map(|s| s.epoch.ts)
     }
 
-    /// The number of objects `txn` has written so far.
-    pub fn write_set_len(&self, txn: TxnId) -> usize {
-        self.txn_stripe(txn)
-            .lock()
-            .get(&txn)
-            .map_or(0, |s| s.write_set.len())
-    }
-
     /// Reconstructs `field` of `oid` as of snapshot `ts`, seeing the
     /// pending writes of `as_txn` (pass `None` for a pure snapshot read).
     ///
@@ -1202,7 +1194,7 @@ impl MvccHeap {
         // needs a session abstraction the heap does not have (see the
         // ROADMAP). The chaos fault plane can switch this barrier off
         // (`Site::CommitPublishWait` + `FaultKind::Disable`): the
-        // explorer's known-bug regression re-creates the pre-barrier
+        // chaos suite's known-bug regression re-creates the pre-barrier
         // engine and shows the lost-own-write anomaly it allowed.
         if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
             self.watermark.wait_published(commit_ts);
@@ -1752,8 +1744,7 @@ mod tests {
             MvccWriteError::Store(StoreError::TypeMismatch { .. })
         ));
         assert_eq!(heap.live_versions(), 0);
-        assert_eq!(heap.write_set_len(TxnId(1)), 0);
-        heap.abort(TxnId(1));
+        assert_eq!(heap.abort(TxnId(1)), 0, "nothing to roll back");
     }
 
     #[test]
@@ -1843,14 +1834,6 @@ mod tests {
         heap.begin(TxnId(2));
         assert_eq!(heap.read(TxnId(2), o, x), Ok(Value::Int(2)));
         heap.abort(TxnId(2));
-    }
-
-    /// Storm width: `FINECC_TEST_THREADS` (default 8; CI runs 16).
-    fn test_threads() -> usize {
-        std::env::var("FINECC_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8)
     }
 
     /// A seeded xorshift stream — the storms below pick objects from it,
@@ -1973,7 +1956,7 @@ mod tests {
         const COMMITS: u64 = 10_000;
         const OBJECTS: usize = 64;
         let (_, heap, a, x, _) = setup();
-        let threads = test_threads() as u64;
+        let threads = finecc_obs::test_threads() as u64;
         let per_thread = COMMITS / threads;
         let total_latches = AtomicU64::new(0);
         std::thread::scope(|s| {
@@ -2026,8 +2009,8 @@ mod tests {
             heap.commit(txn).unwrap();
         }
         let pinned = heap.snapshot();
-        let writers = (test_threads() / 2).max(1) as u64;
-        let readers = (test_threads() / 2).max(1) as u64;
+        let writers = (finecc_obs::test_threads() / 2).max(1) as u64;
+        let readers = (finecc_obs::test_threads() / 2).max(1) as u64;
         let writers_left = AtomicU64::new(writers);
         std::thread::scope(|s| {
             for w in 0..writers {

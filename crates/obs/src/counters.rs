@@ -274,18 +274,11 @@ mod tests {
         assert!(text.contains("# TYPE test_largest gauge"));
     }
 
-    fn test_threads() -> usize {
-        std::env::var("FINECC_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8)
-    }
-
     #[test]
     fn striped_counters_sum_exactly_and_gauges_stay_single() {
         const ROUNDS: u64 = 10_000;
         // More threads than stripes, so some share one.
-        let threads = test_threads().max(2 * super::COUNTER_STRIPES) as u64;
+        let threads = crate::test_threads().max(2 * super::COUNTER_STRIPES) as u64;
         let live = Live::default();
         std::thread::scope(|s| {
             for t in 0..threads {

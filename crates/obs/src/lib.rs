@@ -47,7 +47,7 @@ pub use contention::{ContentionKind, ContentionRegistry, HotObject, ObjKey, KIND
 pub use counters::{Counter, Gauge};
 pub use hist::{HistSnapshot, Histogram, LatencySummary, ShardedHistogram};
 pub use registry::{Collector, MetricKind, MetricSet, MetricsRegistry, Sample};
-pub use slot::{thread_slot, CachePadded, SlotIds, ID_SLOTS};
+pub use slot::{test_threads, thread_slot, CachePadded, SlotIds, ID_SLOTS};
 
 use std::time::Instant;
 

@@ -86,6 +86,17 @@ pub fn thread_slot() -> usize {
     CLAIM.try_with(|c| c.0).unwrap_or(0)
 }
 
+/// How many threads a stress test runs: `FINECC_TEST_THREADS` when it
+/// names a positive count (CI sets 16), else 8. The one environment
+/// variable the workspace reads, and only tests read it.
+pub fn test_threads() -> usize {
+    std::env::var("FINECC_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(8)
+}
+
 /// How many slots the ids of [`SlotIds`] distinguish. A structure keyed
 /// by such ids through `id % n` keeps each thread on its own stripe
 /// when `n` divides this.

@@ -136,20 +136,6 @@ pub enum Anomaly {
     },
 }
 
-impl Anomaly {
-    /// Stable kind slug, for aggregation (metric labels, counters).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Anomaly::LostOwnWrite { .. } => "lost_own_write",
-            Anomaly::TornPair { .. } => "torn_pair",
-            Anomaly::UnstableSnapshot { .. } => "unstable_snapshot",
-            Anomaly::WatermarkRegression { .. } => "watermark_regression",
-            Anomaly::RecoveryMismatch { .. } => "recovery_mismatch",
-            Anomaly::RecoveryNotRestartable { .. } => "recovery_not_restartable",
-        }
-    }
-}
-
 impl std::fmt::Display for Anomaly {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

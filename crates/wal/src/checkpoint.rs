@@ -24,6 +24,7 @@
 
 use crate::error::RecoveryError;
 use crate::record::{checksum, put_str, put_u32, put_u64, put_value, Cursor};
+use finecc_chaos::{FaultKind, Site};
 use finecc_model::{ClassId, FieldType, Oid, Schema, SchemaBuilder, Value};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -255,12 +256,19 @@ pub fn file_name(ts: u64) -> String {
     format!("checkpoint-{ts:020}.ckpt")
 }
 
-/// An injected checkpoint/recovery fault, file context attached.
-fn injected(file: &Path, what: &str) -> RecoveryError {
+/// The failure injected at `site` (an I/O error or a crash, which has
+/// recorded itself), file context attached.
+fn injected(file: &Path, site: Site, kind: FaultKind) -> RecoveryError {
     RecoveryError::Io {
         file: file.to_path_buf(),
-        source: format!("injected: {what}"),
+        source: format!("injected: {} at {}", kind.name(), site.name()),
     }
+}
+
+/// Probes the fault plane at `site`: a failure armed there comes back
+/// as the error a real one at that stage returns.
+pub(crate) fn probe(site: Site, file: &Path) -> Result<(), RecoveryError> {
+    finecc_chaos::fault_at(site).map_or(Ok(()), |kind| Err(injected(file, site, kind)))
 }
 
 /// Writes a checkpoint atomically (temp file, fsync, rename, directory
@@ -269,7 +277,7 @@ fn injected(file: &Path, what: &str) -> RecoveryError {
 /// Returns the final path.
 ///
 /// Every pipeline stage carries a `finecc_chaos` fault probe
-/// ([`Site::CHECKPOINT`](finecc_chaos::Site::CHECKPOINT)): an injected
+/// ([`Site::CHECKPOINT`]): an injected
 /// error or crash leaves the directory exactly as a real failure at
 /// that stage would — a half-written temp file after `ckpt_tmp_write`,
 /// a complete-but-unrenamed temp after `ckpt_fsync`/`ckpt_rename`, and
@@ -278,70 +286,34 @@ fn injected(file: &Path, what: &str) -> RecoveryError {
 /// truncation, so the previous checkpoint and the full log are still
 /// in place and recovery is unaffected.
 pub fn write(dir: &Path, data: &CheckpointData<'_>) -> io::Result<PathBuf> {
-    use finecc_chaos::{FaultKind, Site};
     let path = dir.join(file_name(data.ckpt_ts));
     let tmp = dir.join(format!("{}.tmp", file_name(data.ckpt_ts)));
-    match finecc_chaos::fault_at(Site::CkptEncode) {
-        Some(FaultKind::IoError) => return Err(injected(&path, "checkpoint encode error").into()),
-        Some(FaultKind::Crash) => {
-            finecc_chaos::note_crash();
-            return Err(injected(&path, "crash before checkpoint encode").into());
-        }
-        _ => {}
-    }
+    probe(Site::CkptEncode, &path)?;
     let bytes = encode(data);
     {
         let mut f = std::fs::File::create(&tmp).map_err(|e| RecoveryError::io(&tmp, e))?;
-        match finecc_chaos::fault_at(Site::CkptTmpWrite) {
-            Some(FaultKind::IoError) => {
-                // A realistic partial write: half the image reaches the
-                // temp file and stays there (the stale-tmp cleanup on
-                // the next `Wal::open` removes it).
-                let _ = f.write_all(&bytes[..bytes.len() / 2]);
-                return Err(injected(&tmp, "checkpoint temp write error").into());
-            }
-            Some(FaultKind::Crash) => {
-                let _ = f.write_all(&bytes[..bytes.len() / 2]);
-                let _ = f.sync_data();
-                finecc_chaos::note_crash();
-                return Err(injected(&tmp, "crash mid checkpoint temp write").into());
-            }
-            _ => {}
+        if let Some(kind) = finecc_chaos::fault_at(Site::CkptTmpWrite) {
+            // A realistic partial write: half the image reaches the temp
+            // file and stays there (the stale-tmp cleanup on the next
+            // `Wal::open` removes it).
+            let _ = f.write_all(&bytes[..bytes.len() / 2]);
+            return Err(injected(&tmp, Site::CkptTmpWrite, kind).into());
         }
         f.write_all(&bytes)
             .map_err(|e| RecoveryError::io(&tmp, e))?;
-        match finecc_chaos::fault_at(Site::CkptFsync) {
-            Some(FaultKind::IoError) => return Err(injected(&tmp, "checkpoint fsync error").into()),
-            Some(FaultKind::Crash) => {
-                finecc_chaos::note_crash();
-                return Err(injected(&tmp, "crash at checkpoint fsync").into());
-            }
-            _ => {}
-        }
+        probe(Site::CkptFsync, &tmp)?;
         f.sync_data().map_err(|e| RecoveryError::io(&tmp, e))?;
     }
-    match finecc_chaos::fault_at(Site::CkptRename) {
-        Some(FaultKind::IoError) => return Err(injected(&path, "checkpoint rename error").into()),
-        Some(FaultKind::Crash) => {
-            finecc_chaos::note_crash();
-            return Err(injected(&path, "crash before checkpoint rename").into());
-        }
-        _ => {}
-    }
+    probe(Site::CkptRename, &path)?;
     std::fs::rename(&tmp, &path).map_err(|e| RecoveryError::io(&path, e))?;
-    match finecc_chaos::fault_at(Site::CkptDirFsync) {
-        Some(FaultKind::IoError) => {
-            return Err(injected(&path, "checkpoint directory fsync error").into())
-        }
-        Some(FaultKind::Crash) => {
+    if let Some(kind) = finecc_chaos::fault_at(Site::CkptDirFsync) {
+        if kind == FaultKind::Crash {
             // The power cut the directory fsync exists to defend
             // against: the rename reached the page cache but not the
             // disk, so after the "reboot" the dirent is gone.
             let _ = std::fs::remove_file(&path);
-            finecc_chaos::note_crash();
-            return Err(injected(&path, "crash at checkpoint directory fsync").into());
         }
-        _ => {}
+        return Err(injected(&path, Site::CkptDirFsync, kind).into());
     }
     crate::log::fsync_dir(dir).map_err(|e| RecoveryError::io(dir, e))?;
     Ok(path)
@@ -419,25 +391,17 @@ pub fn list(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// *none* validates, the newest one's corruption is the error.
 ///
 /// Each candidate read carries a fault probe at
-/// [`Site::RecoverCkptDecode`](finecc_chaos::Site::RecoverCkptDecode),
+/// [`Site::RecoverCkptDecode`],
 /// so chaos scenarios can fail or crash recovery before it has a base
 /// image.
 pub fn read_latest(dir: &Path) -> Result<Option<CheckpointImage>, RecoveryError> {
-    use finecc_chaos::{FaultKind, Site};
     let mut first_corrupt: Option<RecoveryError> = None;
     for (_, path) in list(dir)
         .map_err(|e| RecoveryError::io(dir, e))?
         .into_iter()
         .rev()
     {
-        match finecc_chaos::fault_at(Site::RecoverCkptDecode) {
-            Some(FaultKind::IoError) => return Err(injected(&path, "checkpoint read error")),
-            Some(FaultKind::Crash) => {
-                finecc_chaos::note_crash();
-                return Err(injected(&path, "crash during checkpoint decode"));
-            }
-            _ => {}
-        }
+        probe(Site::RecoverCkptDecode, &path)?;
         let mut bytes = Vec::new();
         std::fs::File::open(&path)
             .and_then(|mut f| f.read_to_end(&mut bytes))

@@ -63,7 +63,7 @@ pub use error::{as_recovery_error, RecoveryError};
 pub use log::{DurabilityLevel, Wal, WalConfig, RETAIN_CHECKPOINTS};
 pub use record::{FrameStream, LogReader, LogRecord};
 pub use recover::{
-    recover_database, recover_database_with_window, recover_schema, recovery_floor, RecoveryInfo,
+    recover_database, recover_database_with_window, recovery_floor, RecoveryInfo,
     DEFAULT_REORDER_WINDOW,
 };
 pub use stats::{WalStats, WalStatsSnapshot};

@@ -413,11 +413,6 @@ impl Shared {
         if crash || !rolled_back {
             self.failed.store(true, Ordering::Release);
         }
-        if crash {
-            if let Some(t) = &self.token {
-                t.note_crash();
-            }
-        }
         false
     }
 
@@ -1297,11 +1292,7 @@ mod tests {
     /// along), every record lands exactly once, and the queue drains.
     #[test]
     fn staging_storm_respects_capacity_and_drains() {
-        let threads: u64 = std::env::var("FINECC_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(8);
+        let threads = finecc_obs::test_threads() as u64;
         let per = 400u64;
         let dir = tmpdir("storm");
         let wal = Wal::open(

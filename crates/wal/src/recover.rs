@@ -58,7 +58,6 @@ use crate::checkpoint;
 use crate::error::RecoveryError;
 use crate::log::Wal;
 use crate::record::{FrameStream, LogRecord};
-use finecc_model::Schema;
 use finecc_store::Database;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -146,7 +145,7 @@ pub fn recover_database_with_window(
     dir: &Path,
     window: usize,
 ) -> Result<(Database, RecoveryInfo), RecoveryError> {
-    use finecc_chaos::{FaultKind, Site};
+    use finecc_chaos::Site;
     let window = window.max(1);
     let ckpt = checkpoint::read_latest(dir)?.ok_or_else(|| RecoveryError::NoCheckpoint {
         dir: dir.to_path_buf(),
@@ -177,22 +176,7 @@ pub fn recover_database_with_window(
     let mut applied_ts: Option<u64> = None;
 
     let mut apply = |k: Keyed, info: &mut RecoveryInfo| -> Result<(), RecoveryError> {
-        match finecc_chaos::fault_at(Site::RecoverApply) {
-            Some(FaultKind::IoError) => {
-                return Err(RecoveryError::Io {
-                    file: log_path.clone(),
-                    source: "injected: recovery apply error".into(),
-                })
-            }
-            Some(FaultKind::Crash) => {
-                finecc_chaos::note_crash();
-                return Err(RecoveryError::Io {
-                    file: log_path.clone(),
-                    source: "injected: crash during recovery apply".into(),
-                });
-            }
-            _ => {}
-        }
+        checkpoint::probe(Site::RecoverApply, &log_path)?;
         if applied_ts.is_some_and(|a| k.ts < a) {
             return Err(RecoveryError::ReorderWindowExceeded {
                 file: log_path.clone(),
@@ -247,22 +231,7 @@ pub fn recover_database_with_window(
     };
 
     loop {
-        match finecc_chaos::fault_at(Site::RecoverScan) {
-            Some(FaultKind::IoError) => {
-                return Err(RecoveryError::Io {
-                    file: log_path.clone(),
-                    source: "injected: recovery scan error".into(),
-                })
-            }
-            Some(FaultKind::Crash) => {
-                finecc_chaos::note_crash();
-                return Err(RecoveryError::Io {
-                    file: log_path.clone(),
-                    source: "injected: crash during recovery scan".into(),
-                });
-            }
-            _ => {}
-        }
+        checkpoint::probe(Site::RecoverScan, &log_path)?;
         let Some((offset, rec)) = stream.next_record()? else {
             break;
         };
@@ -309,22 +278,12 @@ pub fn recovery_floor(dir: &Path) -> Result<u64, RecoveryError> {
     Ok(floor)
 }
 
-/// Rebuilds a schema-aware [`Schema`] handle from the newest checkpoint
-/// without replaying the log (introspection/tooling).
-pub fn recover_schema(dir: &Path) -> Result<Schema, RecoveryError> {
-    Ok(checkpoint::read_latest(dir)?
-        .ok_or_else(|| RecoveryError::NoCheckpoint {
-            dir: dir.to_path_buf(),
-        })?
-        .schema)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::{CheckpointData, InstanceImage};
     use crate::log::WalConfig;
-    use finecc_model::{FieldType, Oid, SchemaBuilder, TxnId, Value};
+    use finecc_model::{FieldType, Oid, Schema, SchemaBuilder, TxnId, Value};
     use finecc_store::FieldImage;
     use std::path::PathBuf;
 

@@ -2,8 +2,15 @@
 //! seed ⇒ byte-identical runs across all six schemes, graceful
 //! write-ahead log degradation, crash-recovery prefix consistency, and
 //! the known-bug regression — disabling the mvcc commit barrier loses
-//! an own write, which the explorer finds, minimizes, and replays from
-//! a repro file.
+//! an own write, which [`explore`] finds, minimizes, and replays from a
+//! repro file.
+//!
+//! Two sweeps are `#[ignore]`d for their length and run by CI's
+//! chaos-smoke and recovery-smoke jobs (`cargo test --release --test
+//! chaos -- --ignored <name>`): the seed sweep over every scheme and
+//! durability level, and the checkpoint fault sweep with restartable
+//! recovery. A sweep that finds an anomaly writes the minimized
+//! schedule as a repro file under [`REPRO_DIR`] and fails.
 //!
 //! The harness is process-global (one installation at a time), so
 //! these tests run the chaos scenarios; the serial order among them is
@@ -15,6 +22,89 @@ use finecc::sim::chaos::{
     explore, pinned, read_repro, replay_repro, run_chaos, run_upgrade_deadlock, write_repro,
     Anomaly, ChaosScenario,
 };
+use std::ops::Range;
+use std::path::Path;
+
+/// Where a sweep writes the minimized repro of an anomaly it finds.
+const REPRO_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/target/chaos-repros");
+
+/// Explores `seeds` of `base`; on the first anomaly, writes its
+/// minimized schedule to `REPRO_DIR/<name>-seed<n>.repro` and fails.
+fn assert_clean(base: &ChaosScenario, seeds: Range<u64>, name: &str) {
+    let Some(finding) = explore(base, seeds, 200).unwrap() else {
+        return;
+    };
+    let seed = finding.seed;
+    let sc = pinned(
+        &ChaosScenario {
+            seed,
+            ..base.clone()
+        },
+        &finding.minimized,
+    );
+    let path = Path::new(REPRO_DIR).join(format!("{name}-seed{seed}.repro"));
+    write_repro(&path, &sc, &finding.minimized).unwrap();
+    let anomalies: Vec<String> = finding
+        .report
+        .anomalies
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    panic!(
+        "{name} seed {seed}: {}; repro at {}",
+        anomalies.join("; "),
+        path.display()
+    );
+}
+
+/// Seeds 1..26 over all six schemes at every durability level (450
+/// runs): no lost own write, torn pair, unstable snapshot or watermark
+/// regression, and every durable run recovers to an acked prefix.
+#[test]
+#[ignore = "450 runs; CI's chaos-smoke job"]
+fn seed_sweep_is_clean() {
+    for kind in SchemeKind::ALL {
+        for level in [
+            DurabilityLevel::None,
+            DurabilityLevel::Wal,
+            DurabilityLevel::WalSync,
+        ] {
+            let base = ChaosScenario::new(kind, 0).durable(level);
+            assert_clean(&base, 1..26, &format!("{kind}-{}", level.name()));
+        }
+    }
+}
+
+/// An I/O error or a crash at every checkpoint fault site, on the
+/// genesis checkpoint (hit 0) and the first online one (hit 1), plus a
+/// fault-free cell, for both mvcc schemes at `WalSync` with worker 0
+/// checkpointing every second op (84 runs). Every run recovers to an
+/// acked prefix, and a recovery crashed at any of its probe sites
+/// recovers identically on restart.
+#[test]
+#[ignore = "84 runs with restartable recovery; CI's recovery-smoke job"]
+fn checkpoint_fault_sweep_recovers_restartably() {
+    let mut cells = vec![(FaultPlan::none(), "fault-free".to_string())];
+    for site in Site::CHECKPOINT {
+        for fault in [FaultKind::IoError, FaultKind::Crash] {
+            for hit in 0..2 {
+                let plan = FaultPlan::of([FaultSpec::once(site, hit, fault)]);
+                cells.push((plan, format!("{}@{}#{hit}", fault.name(), site.name())));
+            }
+        }
+    }
+    for kind in [SchemeKind::Mvcc, SchemeKind::MvccSsi] {
+        for (plan, label) in &cells {
+            let mut base = ChaosScenario::new(kind, 0)
+                .durable(DurabilityLevel::WalSync)
+                .with_faults(plan.clone());
+            base.ops_per_worker = 8;
+            base.checkpoint_every = 2;
+            base.verify_restartable = true;
+            assert_clean(&base, 1..3, &format!("{kind}-{label}"));
+        }
+    }
+}
 
 /// Same seed, same scheme ⇒ byte-identical reports (decisions, trace,
 /// counters, anomalies) — for every scheme, twice each.
@@ -143,9 +233,10 @@ fn unbounded_log_failure_exhausts_retries() {
 
 /// The known-bug regression: disabling the `wait_published` commit
 /// barrier through the fault plane makes an mvcc transaction's own
-/// committed write invisible to its next snapshot. The explorer finds
+/// committed write invisible to its next snapshot. [`explore`] finds
 /// the anomaly, minimization keeps it reproducible, the repro file
-/// round-trips, and the replay is deterministic.
+/// round-trips, and its replay is deterministic and equals a direct
+/// run of the pinned scenario.
 #[test]
 fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
     let base =
@@ -187,6 +278,11 @@ fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
         "the minimized repro reproduces the anomaly"
     );
     assert_eq!(once, twice, "repro replays are byte-identical");
+    assert_eq!(
+        run_chaos(&sc).unwrap(),
+        once,
+        "the file round trip changes nothing"
+    );
 
     // And the same seeds with the barrier *enabled* are clean — the
     // anomaly is the bug lever, not the workload.

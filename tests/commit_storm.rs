@@ -39,14 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn storm_threads() -> usize {
-    std::env::var("FINECC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
-}
-
 struct Storm {
     heap: Arc<MvccHeap>,
     /// `fields[t]` is thread `t`'s private field — threads overlap on
@@ -154,7 +146,7 @@ impl Storm {
 }
 
 fn run_storm(isolation: IsolationLevel, rounds: i64, read_neighbor: bool) {
-    let threads = storm_threads();
+    let threads = finecc::obs::test_threads();
     let storm = Arc::new(setup(threads, isolation));
     let stop = Arc::new(AtomicBool::new(false));
     let total_validation_aborts = Arc::new(AtomicU64::new(0));
@@ -296,7 +288,7 @@ struct Sample {
 /// out **zero** — the acceptance check that the hit path answered from
 /// the chain alone and took no base `RwLock`.
 fn run_reader_storm(isolation: IsolationLevel, rounds: i64) {
-    let threads = storm_threads();
+    let threads = finecc::obs::test_threads();
     let storm = Arc::new(setup(threads, isolation));
     // Pin the GC horizon at 0 for the whole storm: warmed chains never
     // shrink, so no sampled read can miss into the base store.
@@ -462,7 +454,7 @@ fn reader_storm_serializable() {
 /// and rollback holds exclusively — must make that impossible.
 #[test]
 fn reader_storm_cold_miss_never_sees_aborted_writes() {
-    let threads = storm_threads();
+    let threads = finecc::obs::test_threads();
     let storm = Arc::new(setup(threads, IsolationLevel::Snapshot));
     let writers_live = Arc::new(AtomicU64::new(threads as u64));
     let rounds: i64 = 200;

@@ -36,14 +36,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-fn storm_threads() -> usize {
-    std::env::var("FINECC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
-}
-
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("finecc-recovery-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -366,7 +358,7 @@ fn fuzzy_checkpoint_compacts_replay_and_preserves_extents() {
 
 #[test]
 fn threaded_commit_storm_recovers_acked_commits() {
-    let threads = storm_threads();
+    let threads = finecc::obs::test_threads();
     let per_thread = 30i64;
     let owned = fixture(
         "storm",
