@@ -63,7 +63,9 @@
 //! SIREAD shards — see [`crate::ssi`]) are never nested with heap
 //! latches: reads register SIREADs *before* taking the shard latch and
 //! record edges *after* dropping it; writes scan the SIREAD registry
-//! after dropping the exclusive latch; commit validates before the
+//! after dropping the exclusive latch (and, while an extent message's
+//! class-granular SIREAD is registered, look up the object's class in
+//! the base store first, under nothing); commit validates before the
 //! first flip.
 //!
 //! ## Reclamation
@@ -116,7 +118,7 @@
 //! is a leaf. The **read path carries no probe**: no histogram, no
 //! registry touch, no branch on the handle.
 
-use crate::ssi::{SsiTracker, SsiVerdict};
+use crate::ssi::{ReadKey, SsiTracker, SsiVerdict};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts, TS_PENDING};
@@ -854,10 +856,13 @@ impl MvccHeap {
     /// flipping records — across the chain walk and, on a chain miss,
     /// the one base-store read; exactly one [`Value`] is cloned. At
     /// [`IsolationLevel::Serializable`] a transactional read
-    /// additionally registers a SIREAD entry (before the walk) and
-    /// records an outgoing rw-antidependency for every invisible
-    /// overwrite of the field it steps past — still without blocking
-    /// on anyone's transaction.
+    /// additionally registers a SIREAD entry for `(oid, field)` (before
+    /// the walk) and records an outgoing rw-antidependency for every
+    /// invisible overwrite of the field it steps past — still without
+    /// blocking on anyone's transaction. A read that a class-granular
+    /// SIREAD already covers ([`MvccHeap::record_class_read`]) goes
+    /// through [`MvccHeap::read_covered`] instead, which skips the
+    /// registration and keeps the edges.
     ///
     /// Deletion caveat: [`Database::delete`] bypasses the version layer
     /// (like creation — see the ROADMAP's versioned-extents item), so a
@@ -879,11 +884,55 @@ impl MvccHeap {
                 // either installed its record already (the walk sees it
                 // and marks the edge here) or will scan the registry
                 // after installing (and marks it there).
-                ssi.record_read(txn, oid, field);
+                ssi.record_read(txn, ReadKey::Instance(oid), field);
                 Some((ssi, txn))
             }
             _ => None,
         };
+        self.walk(ts, as_txn, oid, field, ssi)
+    }
+
+    /// Registers a class-granular SIREAD at
+    /// [`IsolationLevel::Serializable`] (a no-op at `Snapshot`): `txn`
+    /// is about to read `field` of any number of instances of `class`,
+    /// which it then reads through [`MvccHeap::read_covered`]. A writer
+    /// of `field` of any instance of `class` meets this one entry — the
+    /// extent message's registration (see the `ssi` module docs'
+    /// *Class-granular SIREADs*). Must run before those reads.
+    pub fn record_class_read(&self, txn: TxnId, class: ClassId, field: FieldId) {
+        if let Some(ssi) = &self.ssi {
+            ssi.record_read(txn, ReadKey::Class(class), field);
+        }
+    }
+
+    /// [`MvccHeap::read_as`] by `txn` for a read its class-granular
+    /// SIREAD on `(class_of(oid), field)` covers: no per-instance
+    /// registration, but the same chain walk, and at `Serializable` an
+    /// edge for every invisible overwrite it steps past. Registering
+    /// the covering entry first is the caller's part.
+    pub fn read_covered(
+        &self,
+        ts: Ts,
+        txn: TxnId,
+        oid: Oid,
+        field: FieldId,
+    ) -> Result<Value, StoreError> {
+        let ssi = self.ssi.as_ref().map(|ssi| (ssi, txn));
+        self.walk(ts, Some(txn), oid, field, ssi)
+    }
+
+    /// The chain walk behind [`MvccHeap::read_as`] and
+    /// [`MvccHeap::read_covered`], after any SIREAD registration: the
+    /// read itself, then — with a tracker — the read-side edges.
+    #[inline]
+    fn walk(
+        &self,
+        ts: Ts,
+        as_txn: Option<TxnId>,
+        oid: Oid,
+        field: FieldId,
+        ssi: Option<(&SsiTracker, TxnId)>,
+    ) -> Result<Value, StoreError> {
         // Overwriters are only worth collecting when an SSI tracker
         // will consume them — the pure-snapshot path allocates nothing.
         let mut overwriters: Vec<TxnId> = Vec::new();
@@ -1015,9 +1064,18 @@ impl MvccHeap {
         self.stats.sample_chain_len(chain_len);
         // SSI: scan SIREAD entries AFTER the pending version is
         // installed (see `read_as` for why the order closes the race)
-        // and record an incoming rw edge per concurrent reader.
+        // and record an incoming rw edge per concurrent reader — the
+        // object's own readers, and, while an extent message holds a
+        // class-granular entry, its class's.
         if let Some(ssi) = &self.ssi {
-            let edges = ssi.write_edges(txn, snapshot_ts, oid, field);
+            let mut edges = ssi.write_edges(txn, snapshot_ts, ReadKey::Instance(oid), field);
+            if ssi.has_class_reads() {
+                // A delete since the write-through leaves no class to
+                // probe (deletion bypasses the versions; see `read_as`).
+                if let Ok(class) = self.base.class_of(oid) {
+                    edges += ssi.write_edges(txn, snapshot_ts, ReadKey::Class(class), field);
+                }
+            }
             if edges > 0 {
                 self.stats.ssi_edges.add(edges);
             }
@@ -1409,8 +1467,9 @@ impl MvccHeap {
     /// that covers. At [`IsolationLevel::Serializable`] the same horizon
     /// also retires SSI flag entries and SIREAD registrations (a
     /// transaction committed at or below the horizon cannot be
-    /// concurrent with any live or future one). Returns the number of
-    /// records reclaimed.
+    /// concurrent with any live or future one), class-granular ones
+    /// included: once the last is gone, writers stop probing their
+    /// object's class. Returns the number of records reclaimed.
     pub fn gc(&self) -> usize {
         // The reclamation decision point — outside every latch.
         finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
@@ -2362,6 +2421,49 @@ mod tests {
     }
 
     #[test]
+    fn an_extent_read_registers_one_siread_per_class_and_field() {
+        // What `send_all` does at Serializable: one class-granular SIREAD
+        // per (domain class, TAV field), registered before the scan,
+        // then covered reads of every instance.
+        const N: usize = 200;
+        let (schema, _, a, x, y) = setup();
+        let db = Arc::new(Database::new(schema));
+        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
+        let oids: Vec<Oid> = (0..N).map(|_| heap.base().create(a)).collect();
+        let scan = TxnId(1);
+        let ts = heap.begin(scan);
+        heap.record_class_read(scan, a, x);
+        for &o in &oids {
+            assert_eq!(heap.read_covered(ts, scan, o, x), Ok(Value::Int(0)));
+        }
+        assert_eq!(
+            ssi.siread_entries(),
+            (0, 1),
+            "one class entry, no instance one"
+        );
+        let edges = || heap.stats.snapshot().ssi_edges;
+        // A concurrent writer of a field outside the covered set meets
+        // no reader; one of the covered field meets the scan once.
+        heap.begin(TxnId(2));
+        heap.write(TxnId(2), oids[7], y, Value::Int(1)).unwrap();
+        assert_eq!(edges(), 0);
+        heap.begin(TxnId(3));
+        heap.write(TxnId(3), oids[8], x, Value::Int(1)).unwrap();
+        assert_eq!(edges(), 1);
+        // A read nothing covers still registers per instance.
+        heap.read(scan, oids[0], y).unwrap();
+        assert_eq!(ssi.siread_entries(), (1, 1));
+        for t in 1..=3 {
+            heap.commit(TxnId(t)).unwrap();
+        }
+        // With every session ended, the sweep leaves nothing to probe.
+        heap.gc();
+        assert_eq!(ssi.siread_entries(), (0, 0));
+        assert!(!ssi.has_class_reads());
+    }
+
+    #[test]
     fn a_read_modify_write_loop_keeps_its_siread_list_short() {
         // One client, one field: each transaction's SIREAD entry is dead
         // weight once the next reclamation batch's horizon passes its
@@ -2380,7 +2482,7 @@ mod tests {
                 panic!("x is an int")
             };
             heap.write(t, o, x, Value::Int(v + 1)).unwrap();
-            longest = longest.max(ssi.siread_len(o, x));
+            longest = longest.max(ssi.siread_len(ReadKey::Instance(o), x));
             heap.commit(t).unwrap();
         }
         assert_eq!(heap.base().read(o, x), Ok(Value::Int(10_000)));

@@ -23,8 +23,9 @@
 //!
 //! # Striping and the per-edge protocol
 //!
-//! Both tracker tables are sharded: the SIREAD registry by OID and the
-//! flag table by `TxnId`, so no tracker operation takes a global lock.
+//! Both tracker tables are sharded: the SIREAD registry by OID (a
+//! class-granular key by its class) and the flag table by `TxnId`, so no
+//! tracker operation takes a global lock.
 //! The correctness argument leans on two facts:
 //!
 //! 1. **A transaction's own thread is sequential.** Edge recording that
@@ -77,6 +78,46 @@
 //!   registry and the flag table bounded — including fields that are
 //!   read and then never touched again.
 //!
+//! # Class-granular SIREADs
+//!
+//! An extent message (`send_all`) reads the same fields of every
+//! instance of its domain. Instead of one SIREAD per instance × field,
+//! the runtime registers — before it lists the extent — one entry per
+//! domain class `c` and field `f` of the method's transitive access
+//! vector (TAV) on `c`, and then skips per-instance registration for a
+//! read those entries *cover*: a field in that set, of an instance whose
+//! class is one of them. The entries live in the same registry, keyed
+//! `Class(c)` beside `Instance(oid)` as the lock table's `ResourceId`
+//! is (`ReadKey`), and share its dedupe, horizon pruning, lock-free
+//! skip and check-and-flag. A writer of `(oid, f)` probes
+//! `(Class(class_of(oid)), f)` after `(Instance(oid), f)`.
+//!
+//! * **Soundness.** A read counts as covered only when its class and
+//!   field were registered, so every edge a per-instance entry recorded
+//!   is still recorded: a writer of that field of that instance finds
+//!   the class entry instead. The TAV is a superset of what executes
+//!   (`tests/props.rs` checks it), so a covered field is one the message
+//!   may read and nothing it reads outside the set (a field reached
+//!   through a reference, an instance outside the domain) loses its own
+//!   entry. Extra edges come only from TAV fields the run did not read,
+//!   or from instances created after the extent was listed. The read
+//!   side is unchanged: a covered read still walks the chain and records
+//!   an edge for every invisible version it steps past.
+//! * **Register before walk.** The class entries are registered before
+//!   the extent is read and so before any covered chain walk, which
+//!   keeps the per-object argument of *the per-edge protocol*: a writer
+//!   that installs before the scan's walk of an object is seen by the
+//!   walk, and one that installs after it finds the class entry.
+//! * **Probing only while one is live.** Writers read one counter of
+//!   class lists in the registry and probe the class key only while it
+//!   is non-zero; the counter changes only when a class list is added or
+//!   removed, under that list's shard lock, so a write stores to no
+//!   shared line for it. The scan's increment precedes its walk of every
+//!   object and a writer's load follows its install, so the object's
+//!   chain latch orders the two whenever the walk comes first. A class
+//!   list is removed as soon as its last entry is pruned, and writers
+//!   stop probing once the scan's reader falls below the horizon.
+//!
 //! # Lock order
 //!
 //! At most one flag stripe is held at any time (edge endpoints are
@@ -85,19 +126,24 @@
 //! runs each non-skipped reader's check-and-flag under the shard it is
 //! walking, and `record_read` looks up a newly registering reader's
 //! handle under it. The writer's own in-flag is set after the shard is
-//! dropped. `purge` takes every lock alone. The order is never reversed.
+//! dropped. A class key sits in one SIREAD shard like an instance key,
+//! and a writer's two probes take their shards one after the other,
+//! never together. `purge` takes every lock alone. The order is never
+//! reversed.
 //!
 //! The reads feeding the tracker are the interpreter's field-granularity
 //! footprints — the runtime projection of the paper's access vectors —
-//! so a reader of `o.x` never conflicts with a writer of `o.y`: the
+//! so a reader of `o.x` never conflicts with a writer of `o.y`, and an
+//! extent message's reads are registered per class and TAV field: the
 //! validation granularity matches the locking granularity of the TAV
-//! scheme (Huang et al. show granularity drives the false-positive
-//! rate). The flags themselves are still conservative: one bit per
-//! direction, kept even when the edge partner later aborts, so some
-//! serializable histories abort (see `ROADMAP.md` for the precise,
-//! edge-list-based follow-up). The tracker never blocks readers — it
-//! only records, which is why the mvcc scheme's lock statistics stay
-//! identically zero under either isolation level.
+//! scheme, instance and hierarchical class locks alike (Huang et al.
+//! show granularity drives the false-positive rate). The flags
+//! themselves are still conservative: one bit per direction, kept even
+//! when the edge partner later aborts, so some serializable histories
+//! abort (see `ROADMAP.md` for the precise, edge-list-based follow-up).
+//! The tracker never blocks readers — it only records, which is why the
+//! mvcc scheme's lock statistics stay identically zero under either
+//! isolation level.
 //!
 //! # Observability probes
 //!
@@ -113,10 +159,11 @@
 //! read-only pivot.
 
 use crate::{Ts, TS_PENDING};
-use finecc_model::{FieldId, MulMap, Oid, TxnId};
+use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId};
 use finecc_obs::CachePadded;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many mutexes the SIREAD registry is striped over.
@@ -258,10 +305,21 @@ impl Flags {
     }
 }
 
+/// What one SIREAD list is about, keyed as the lock table's
+/// `ResourceId` is: a field of one instance, or — a class-granular
+/// entry (see the module docs) — that field of every instance of a
+/// class.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum ReadKey {
+    Instance(Oid),
+    Class(ClassId),
+}
+
 /// The SIREAD registry: which transactions have read which field,
-/// striped by OID. Each entry is the reader's handle, so a list holder
-/// sees every reader's commit status without the flag table.
-type ReaderShard = Mutex<MulMap<(Oid, FieldId), Vec<Arc<TxnHandle>>>>;
+/// striped by OID (a class key by its class). Each entry is the
+/// reader's handle, so a list holder sees every reader's commit status
+/// without the flag table.
+type ReaderShard = Mutex<MulMap<(ReadKey, FieldId), Vec<Arc<TxnHandle>>>>;
 
 /// One stripe of the flag table, on its own cache lines: a scheme's
 /// transaction ids carry their thread's slot, so `txn % FLAG_STRIPES`
@@ -290,6 +348,14 @@ pub(crate) struct SsiTracker {
     /// one, so its SIREAD entries may be dropped. `Relaxed`: every value
     /// it ever held is a valid bound, and it publishes no other data.
     horizon: AtomicU64,
+    /// How many class-keyed lists the registry holds; writers probe a
+    /// class key only while it is non-zero. Changed only under the
+    /// shard lock that adds or removes such a list (`Release`), loaded
+    /// by every writer (`Acquire`; the module docs' *Probing only while
+    /// one is live* gives the ordering the probe relies on). Unpadded,
+    /// like `horizon`: both are read by every writer and written
+    /// rarely.
+    class_lists: AtomicUsize,
 }
 
 /// What [`SsiTracker::validate_and_commit`] decided.
@@ -312,12 +378,24 @@ impl SsiTracker {
             readers,
             flags,
             horizon: AtomicU64::new(0),
+            class_lists: AtomicUsize::new(0),
         }
     }
 
     #[inline]
-    fn reader_shard(&self, oid: Oid) -> &ReaderShard {
-        &self.readers[(oid.raw() as usize) % READER_SHARDS]
+    fn reader_shard(&self, key: ReadKey) -> &ReaderShard {
+        let i = match key {
+            ReadKey::Instance(oid) => oid.raw() as usize,
+            ReadKey::Class(class) => class.index(),
+        };
+        &self.readers[i % READER_SHARDS]
+    }
+
+    /// Whether the registry holds a class-keyed list, i.e. whether a
+    /// writer must probe its object's class as well as the object.
+    #[inline]
+    pub(crate) fn has_class_reads(&self) -> bool {
+        self.class_lists.load(Ordering::Acquire) > 0
     }
 
     #[inline]
@@ -349,14 +427,23 @@ impl SsiTracker {
             .max(horizon)
     }
 
-    /// Registers a SIREAD: `txn` is about to read `(oid, field)`. Must
-    /// run BEFORE the version-chain walk. Drops the list's entries that
-    /// can no longer yield an edge on the way, and registers `txn` at
-    /// most once — an unknown (aborted) `txn` is not registered at all.
-    pub(crate) fn record_read(&self, txn: TxnId, oid: Oid, field: FieldId) {
+    /// Registers a SIREAD: `txn` is about to read `field` of `key` (of
+    /// every instance of a `Class` key). Must run BEFORE the
+    /// version-chain walks it covers. Drops the list's entries that can
+    /// no longer yield an edge on the way, and registers `txn` at most
+    /// once — an unknown (aborted) `txn` is not registered at all.
+    pub(crate) fn record_read(&self, txn: TxnId, key: ReadKey, field: FieldId) {
         let horizon = self.horizon.load(Ordering::Relaxed);
-        let mut shard = self.reader_shard(oid).lock();
-        let entries = shard.entry((oid, field)).or_default();
+        let mut shard = self.reader_shard(key).lock();
+        let entries = match shard.entry((key, field)) {
+            Entry::Occupied(list) => list.into_mut(),
+            Entry::Vacant(slot) => {
+                if let ReadKey::Class(_) = key {
+                    self.class_lists.fetch_add(1, Ordering::Release);
+                }
+                slot.insert(Vec::new())
+            }
+        };
         let mut registered = false;
         entries.retain(|r| {
             registered |= r.txn == txn;
@@ -411,29 +498,30 @@ impl SsiTracker {
     }
 
     /// Marks every rw edge `R ──rw──▶ writer` for concurrent readers `R`
-    /// of `(oid, field)`, discovered on the write side. Must run AFTER
+    /// of `field` of `key`, discovered on the write side. Must run AFTER
     /// the writer's pending version is installed. Called by the
     /// **writer's own thread**, walking the field's SIREAD list in place
     /// under its shard: a reader committed at or below the writer's
     /// snapshot is skipped on its handle alone, an entry that can no
     /// longer yield an edge is dropped, and every other reader's stripe
     /// is locked for the concurrency test plus out-flag (atomic against
-    /// that reader's validation). The writer's own in-flag lands before
-    /// its own validation by program order. Returns the number of edges
-    /// recorded.
+    /// that reader's validation). A class list left empty is removed, so
+    /// writers stop probing class keys once none is live. The writer's
+    /// own in-flag lands before its own validation by program order.
+    /// Returns the number of edges recorded.
     pub(crate) fn write_edges(
         &self,
         writer: TxnId,
         writer_snapshot: Ts,
-        oid: Oid,
+        key: ReadKey,
         field: FieldId,
     ) -> u64 {
         let horizon = self.horizon.load(Ordering::Relaxed);
         let mut edges = 0;
         let mut doom: Option<TxnId> = None;
         {
-            let mut shard = self.reader_shard(oid).lock();
-            let Some(readers) = shard.get_mut(&(oid, field)) else {
+            let mut shard = self.reader_shard(key).lock();
+            let Some(readers) = shard.get_mut(&(key, field)) else {
                 return 0;
             };
             readers.retain(|reader| {
@@ -469,6 +557,10 @@ impl SsiTracker {
                 }
                 true
             });
+            if readers.is_empty() && matches!(key, ReadKey::Class(_)) {
+                shard.remove(&(key, field));
+                self.class_lists.fetch_sub(1, Ordering::Release);
+            }
         }
         if edges > 0 {
             let mut stripe = self.stripe(writer).lock();
@@ -537,28 +629,44 @@ impl SsiTracker {
             stripe.lock().retain(|_, f| f.handle.may_conflict(horizon));
         }
         for shard in self.readers.iter() {
-            shard.lock().retain(|_, rs| {
+            let mut shard = shard.lock();
+            let mut class_lists = 0;
+            shard.retain(|&(key, _), rs| {
                 rs.retain(|r| r.may_conflict(horizon));
-                !rs.is_empty()
+                let dropped = rs.is_empty();
+                if dropped && matches!(key, ReadKey::Class(_)) {
+                    class_lists += 1;
+                }
+                !dropped
             });
+            if class_lists > 0 {
+                self.class_lists.fetch_sub(class_lists, Ordering::Release);
+            }
         }
     }
 
-    /// Number of live SIREAD registrations.
+    /// Number of live SIREAD registrations: instance-keyed and
+    /// class-keyed.
     #[cfg(test)]
-    fn siread_entries(&self) -> usize {
-        self.readers
-            .iter()
-            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
-            .sum()
+    pub(crate) fn siread_entries(&self) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for shard in self.readers.iter() {
+            for (&(key, _), rs) in shard.lock().iter() {
+                match key {
+                    ReadKey::Instance(_) => counts.0 += rs.len(),
+                    ReadKey::Class(_) => counts.1 += rs.len(),
+                }
+            }
+        }
+        counts
     }
 
-    /// Length of the SIREAD list of `(oid, field)`.
+    /// Length of the SIREAD list of `field` of `key`.
     #[cfg(test)]
-    pub(crate) fn siread_len(&self, oid: Oid, field: FieldId) -> usize {
-        self.reader_shard(oid)
+    pub(crate) fn siread_len(&self, key: ReadKey, field: FieldId) -> usize {
+        self.reader_shard(key)
             .lock()
-            .get(&(oid, field))
+            .get(&(key, field))
             .map_or(0, Vec::len)
     }
 
@@ -572,6 +680,7 @@ impl SsiTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ReadKey::Instance;
 
     const T1: TxnId = TxnId(1);
     const T2: TxnId = TxnId(2);
@@ -604,7 +713,7 @@ mod tests {
         t.register(T1);
         t.register(T2);
         t.register(T3);
-        let oid = Oid(1);
+        let oid = Instance(Oid(1));
         let f = FieldId(0);
         // T2 reads; T3 overwrites what T2 read; T1 reads what T2 wrote…
         t.record_read(T2, oid, f);
@@ -634,7 +743,7 @@ mod tests {
         let t = SsiTracker::new();
         t.register(T1);
         t.register(T3);
-        let oid = Oid(4);
+        let oid = Instance(Oid(4));
         let f = FieldId(1);
         // T1 reads (oid, f) at snapshot 0 and gains an IN edge: T3 read
         // something T1 overwrote (T3 → T1). T1 then commits — one flag
@@ -661,7 +770,7 @@ mod tests {
     fn non_concurrent_committed_reader_creates_no_edge() {
         let t = SsiTracker::new();
         t.register(T1);
-        t.record_read(T1, Oid(9), FieldId(0));
+        t.record_read(T1, Instance(Oid(9)), FieldId(0));
         assert!(matches!(
             t.validate_and_commit(T1, 3),
             SsiVerdict::Committed
@@ -669,7 +778,7 @@ mod tests {
         // A writer whose snapshot (5) already includes T1's commit (3):
         // plain wr ordering, not an antidependency.
         t.register(T2);
-        assert_eq!(t.write_edges(T2, 5, Oid(9), FieldId(0)), 0);
+        assert_eq!(t.write_edges(T2, 5, Instance(Oid(9)), FieldId(0)), 0);
         assert!(matches!(
             t.validate_and_commit(T2, 6),
             SsiVerdict::Committed
@@ -679,7 +788,7 @@ mod tests {
     #[test]
     fn lists_dedupe_and_drop_readers_below_the_horizon() {
         let t = SsiTracker::new();
-        let (oid, f) = (Oid(5), FieldId(0));
+        let (oid, f) = (Instance(Oid(5)), FieldId(0));
         t.register(T1);
         t.record_read(T1, oid, f);
         t.record_read(T1, oid, f);
@@ -707,24 +816,24 @@ mod tests {
     fn aborted_readers_leave_no_edges_and_purge_drains() {
         let t = SsiTracker::new();
         t.register(T1);
-        t.record_read(T1, Oid(2), FieldId(0));
+        t.record_read(T1, Instance(Oid(2)), FieldId(0));
         t.forget(T1); // aborted
         t.register(T2);
-        t.record_read(T2, Oid(3), FieldId(0));
+        t.record_read(T2, Instance(Oid(3)), FieldId(0));
         // The writer's scan finds the aborted reader's entry and drops
         // it: no edge, and no entry left for anyone to scan again.
-        assert_eq!(t.write_edges(T2, 0, Oid(2), FieldId(0)), 0);
-        assert_eq!(t.siread_len(Oid(2), FieldId(0)), 0);
+        assert_eq!(t.write_edges(T2, 0, Instance(Oid(2)), FieldId(0)), 0);
+        assert_eq!(t.siread_len(Instance(Oid(2)), FieldId(0)), 0);
         assert!(matches!(
             t.validate_and_commit(T2, 1),
             SsiVerdict::Committed
         ));
         // What the purge is still for: the committed transaction's flag
         // entry, and its SIREAD of a field nobody touched again.
-        assert_eq!(t.siread_entries(), 1);
+        assert_eq!(t.siread_entries(), (1, 0));
         assert_eq!(t.tracked_txns(), 1);
         t.purge(10);
-        assert_eq!(t.siread_entries(), 0);
+        assert_eq!(t.siread_entries(), (0, 0));
         assert_eq!(t.tracked_txns(), 0);
     }
 
@@ -740,7 +849,7 @@ mod tests {
         t.register(a);
         t.register(b);
         t.register(c);
-        let oid = Oid(7);
+        let oid = Instance(Oid(7));
         let f = FieldId(0);
         t.record_read(b, oid, f);
         assert_eq!(t.write_edges(c, 0, oid, f), 1); // b → c
@@ -757,11 +866,50 @@ mod tests {
     fn purge_keeps_sireads_of_live_transactions() {
         let t = SsiTracker::new();
         t.register(T1);
-        t.record_read(T1, Oid(3), FieldId(0));
+        t.record_read(T1, Instance(Oid(3)), FieldId(0));
         // T1 is live: horizon way past anything must not drop its
         // registration (only ended transactions are purged).
         t.purge(1_000);
-        assert_eq!(t.siread_entries(), 1);
+        assert_eq!(t.siread_entries(), (1, 0));
         assert_eq!(t.tracked_txns(), 1);
+    }
+
+    #[test]
+    fn class_lists_are_probed_only_while_one_is_registered() {
+        let t = SsiTracker::new();
+        let class = ReadKey::Class(ClassId::from_index(2));
+        let f = FieldId(1);
+        assert!(!t.has_class_reads());
+        t.register(T1);
+        t.record_read(T1, class, f);
+        t.record_read(T1, class, f);
+        assert_eq!(t.siread_entries(), (0, 1), "one entry, deduped");
+        assert!(t.has_class_reads());
+        // A concurrent writer finds the reader on the class key, not on
+        // an instance key nobody registered.
+        t.register(T2);
+        assert_eq!(t.write_edges(T2, 0, Instance(Oid(9)), f), 0);
+        assert_eq!(t.write_edges(T2, 0, class, f), 1);
+        assert!(matches!(
+            t.validate_and_commit(T1, 1),
+            SsiVerdict::Committed
+        ));
+        // Once the horizon passes the reader, the next probe drops the
+        // entry and the list with it: writers stop probing.
+        t.raise_horizon(1);
+        t.register(T3);
+        assert_eq!(t.write_edges(T3, 1, class, f), 0);
+        assert_eq!(t.siread_entries(), (0, 0));
+        assert!(!t.has_class_reads());
+        // The purge removes a class list nobody probes again.
+        t.register(TxnId(4));
+        t.record_read(TxnId(4), class, FieldId(2));
+        assert!(t.has_class_reads());
+        assert!(matches!(
+            t.validate_and_commit(TxnId(4), 2),
+            SsiVerdict::Committed
+        ));
+        t.purge(2);
+        assert!(!t.has_class_reads());
     }
 }

@@ -39,6 +39,12 @@
 //!   dangerous structures with a retryable
 //!   [`ExecError::ConcurrencyAbort`]; [`crate::run_txn`] re-runs the
 //!   victim on a fresh snapshot exactly like a deadlock victim.
+//! * **Extent messages** at `Serializable` register their reads at the
+//!   granularity the lock schemes lock them: `send_all` registers one
+//!   class-granular SIREAD per domain class and field of the method's
+//!   transitive access vector there, and a read those cover registers
+//!   nothing per instance (`finecc_mvcc::ssi`, *Class-granular
+//!   SIREADs*).
 //!
 //! Compared per §5.2: every pair the TAV scheme admits, MVCC admits too
 //! (a TAV write-set conflict is a superset of a field write-write
@@ -54,7 +60,7 @@ use crate::scheme::CcScheme;
 use crate::schemes::{interpreter, send_each};
 use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
-use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
+use finecc_model::{ClassId, FieldId, MethodId, Oid, TxnId, Value};
 use finecc_mvcc::{
     CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccReadError, MvccWriteError,
     SsiConflict, Wal, WalConfig,
@@ -183,6 +189,52 @@ struct MvccAccess<'a> {
     /// version chains without ever touching the heap's transaction
     /// registry.
     snapshot_ts: u64,
+    /// The `(class, field)` pairs this operation registered
+    /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a read
+    /// of such a field of an instance of such a class registers nothing
+    /// of its own, the way a hierarchical lock covers its instances
+    /// under the lock schemes. Empty outside `send_all` at
+    /// `Serializable`.
+    covered: Vec<(ClassId, FieldId)>,
+    /// The latest top message's receiver and its class. A method reads
+    /// its own receiver's fields, so this answers the class half of a
+    /// covered read without a store lookup, save after a return from a
+    /// message to another instance.
+    receiver: Option<(Oid, ClassId)>,
+}
+
+impl MvccAccess<'_> {
+    /// Registers one class-granular SIREAD per class `c` of `root`'s
+    /// domain and field of `method`'s transitive access vector on `c`,
+    /// and records them as covered. Runs before the extent is read (see
+    /// `finecc_mvcc::ssi`, *Class-granular SIREADs*). A class that does
+    /// not understand `method` has no vector; the interpreter refuses
+    /// its instances.
+    fn cover_extent(&mut self, root: ClassId, method: &str) {
+        for &c in self.env.schema.domain(root) {
+            let table = self.env.compiled.class(c);
+            let Some(idx) = table.index_of(method) else {
+                continue;
+            };
+            for (field, _) in table.tav(idx).iter() {
+                self.heap.record_class_read(self.txn, c, field);
+                self.covered.push((c, field));
+            }
+        }
+    }
+
+    /// Whether a class-granular SIREAD of this operation covers the read
+    /// of `field` of `oid`.
+    fn covers(&self, oid: Oid, field: FieldId) -> bool {
+        if !self.covered.iter().any(|&(_, f)| f == field) {
+            return false;
+        }
+        let class = match self.receiver {
+            Some((o, c)) if o == oid => Some(c),
+            _ => self.env.db.class_of(oid).ok(),
+        };
+        class.is_some_and(|c| self.covered.contains(&(c, field)))
+    }
 }
 
 impl DataAccess for MvccAccess<'_> {
@@ -191,9 +243,14 @@ impl DataAccess for MvccAccess<'_> {
     }
 
     fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        self.heap
-            .read_as(self.snapshot_ts, Some(self.txn), oid, field)
-            .map_err(Env::store_err)
+        let read = if self.covers(oid, field) {
+            self.heap
+                .read_covered(self.snapshot_ts, self.txn, oid, field)
+        } else {
+            self.heap
+                .read_as(self.snapshot_ts, Some(self.txn), oid, field)
+        };
+        read.map_err(Env::store_err)
     }
 
     fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
@@ -203,9 +260,13 @@ impl DataAccess for MvccAccess<'_> {
             .map_err(MvccScheme::exec_err)
     }
 
-    // on_message / on_self_message: default no-ops. There is no lock to
-    // announce — versioning replaces admission control for readers, and
-    // writers are validated at each write.
+    /// There is no lock to announce — versioning replaces admission
+    /// control for readers, and writers are validated at each write —
+    /// so a top message only notes its receiver for [`MvccAccess::covers`].
+    fn on_message(&mut self, oid: Oid, class: ClassId, _mid: MethodId) -> Result<(), ExecError> {
+        self.receiver = Some((oid, class));
+        Ok(())
+    }
 }
 
 impl MvccScheme {
@@ -229,6 +290,8 @@ impl MvccScheme {
             heap: &self.heap,
             txn: txn.id,
             snapshot_ts,
+            covered: Vec::new(),
+            receiver: None,
         })
     }
 }
@@ -269,6 +332,12 @@ impl CcScheme for MvccScheme {
         args: &[Value],
     ) -> Result<Vec<Value>, ExecError> {
         let mut access = self.access(txn)?;
+        if self.isolation() == IsolationLevel::Serializable {
+            // One SIREAD per class and field, as the lock schemes take
+            // one hierarchical lock per class (§5.2) — before the extent
+            // is read, like those locks.
+            access.cover_extent(root, method);
+        }
         let extent = self.env.db.deep_extent(root);
         send_each(&self.env, &mut access, extent, method, args)
     }
@@ -575,6 +644,73 @@ mod tests {
         assert_eq!(results.len(), 1);
         s.commit(txn).unwrap();
         assert_eq!(crate::read_metrics(&s).get("finecc.lock.requests"), None);
+    }
+
+    /// The benchmark ledger's shape: `balance_of` reads `balance`,
+    /// `set_limit` writes only `limit`, and `peer_balance` reads a
+    /// reference field and asks the account behind it.
+    const LEDGER: &str = r#"
+class account {
+  fields { balance: integer; limit: integer; }
+  method balance_of is
+    return balance
+  end
+  method set_limit(l) is
+    limit := l
+  end
+  method deposit(amt) is
+    balance := balance + amt
+  end
+}
+class savings inherits account {
+  fields { peer: account; }
+  method peer_balance is
+    return send balance_of to peer
+  end
+}
+"#;
+
+    #[test]
+    fn an_extent_read_is_validated_at_class_granularity() {
+        const N: usize = 100;
+        let env = Env::from_source(LEDGER).unwrap();
+        let account = env.schema.class_by_name("account").unwrap();
+        let savings = env.schema.class_by_name("savings").unwrap();
+        let peer = env.schema.resolve_field(savings, "peer").unwrap();
+        let outside = env.db.create(account);
+        let oids: Vec<Oid> = (0..N).map(|_| env.db.create(savings)).collect();
+        for &o in &oids {
+            env.db.write(o, peer, Value::Ref(outside)).unwrap();
+        }
+        let s = MvccScheme::with_isolation(env, IsolationLevel::Serializable);
+        let edges = || s.heap().stats.snapshot().ssi_edges;
+        let mut scan = s.begin();
+        let balances = s.send_all(&mut scan, savings, "balance_of", &[]).unwrap();
+        assert_eq!(balances.len(), N);
+        // `limit` is outside balance_of's vector: no edge.
+        let mut limit = s.begin();
+        s.send(&mut limit, oids[1], "set_limit", &[Value::Int(5)])
+            .unwrap();
+        assert_eq!(edges(), 0);
+        // A covered field meets the class entry — exactly once, so no
+        // per-instance entry was registered beside it.
+        let mut deposit = s.begin();
+        s.send(&mut deposit, oids[2], "deposit", &[Value::Int(5)])
+            .unwrap();
+        assert_eq!(edges(), 1);
+        for txn in [scan, limit, deposit] {
+            s.commit(txn).unwrap();
+        }
+        // A read through a reference, of an instance outside the domain,
+        // still registers per instance: its writer finds it.
+        let mut scan = s.begin();
+        s.send_all(&mut scan, savings, "peer_balance", &[]).unwrap();
+        let mut deposit = s.begin();
+        s.send(&mut deposit, outside, "deposit", &[Value::Int(5)])
+            .unwrap();
+        assert_eq!(edges(), 2);
+        s.commit(scan).unwrap();
+        s.commit(deposit).unwrap();
     }
 
     #[test]

@@ -301,39 +301,41 @@ fn mvcc_snapshot_readers_never_block_and_gc_reclaims() {
 
 #[test]
 fn extent_ops_and_instance_ops_mix_safely() {
-    let (scheme, oids) = setup(SchemeKind::Tav, 6);
-    let env = scheme.env().clone();
-    let counter = env.schema.class_by_name("counter").unwrap();
-    std::thread::scope(|s| {
-        for t in 0..3 {
-            let scheme = Arc::clone(&scheme);
-            let oids = oids.clone();
-            s.spawn(move || {
-                for i in 0..30 {
-                    if (t + i) % 7 == 0 {
-                        let out = run_txn(scheme.as_ref(), 100, |txn| {
-                            scheme
-                                .send_all(txn, counter, "inc", &[Value::Int(1)])
-                                .map(|_| Value::Nil)
-                        });
-                        assert!(out.is_committed());
-                    } else {
-                        let oid = oids[i % oids.len()];
-                        let out = run_txn(scheme.as_ref(), 100, |txn| {
-                            scheme.send(txn, oid, "inc", &[Value::Int(1)])
-                        });
-                        assert!(out.is_committed());
+    for kind in SchemeKind::ALL {
+        let (scheme, oids) = setup(kind, 6);
+        let env = scheme.env().clone();
+        let counter = env.schema.class_by_name("counter").unwrap();
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                let scheme = Arc::clone(&scheme);
+                let oids = oids.clone();
+                s.spawn(move || {
+                    for i in 0..30 {
+                        if (t + i) % 7 == 0 {
+                            let out = run_txn(scheme.as_ref(), 100, |txn| {
+                                scheme
+                                    .send_all(txn, counter, "inc", &[Value::Int(1)])
+                                    .map(|_| Value::Nil)
+                            });
+                            assert!(out.is_committed(), "{kind}: send_all must commit");
+                        } else {
+                            let oid = oids[i % oids.len()];
+                            let out = run_txn(scheme.as_ref(), 100, |txn| {
+                                scheme.send(txn, oid, "inc", &[Value::Int(1)])
+                            });
+                            assert!(out.is_committed(), "{kind}: inc must commit");
+                        }
                     }
-                }
-            });
+                });
+            }
+        });
+        // n per instance == bumps per instance (inc always notes).
+        for &o in &oids {
+            assert_eq!(
+                env.read_named(o, "counter", "n"),
+                env.read_named(o, "counter", "bumps"),
+                "{kind}: inc/note atomicity violated"
+            );
         }
-    });
-    // n per instance == bumps per instance (inc always notes).
-    for &o in &oids {
-        assert_eq!(
-            env.read_named(o, "counter", "n"),
-            env.read_named(o, "counter", "bumps"),
-            "inc/note atomicity violated"
-        );
     }
 }

@@ -213,6 +213,46 @@ fn mvcc_ssi_never_lets_both_skewed_drains_commit() {
     assert!(m.get("finecc.mvcc.ssi_aborts").expect("emitted") >= 1.0);
 }
 
+/// [`mvcc_ssi_refuses_write_skew`] with T1's drain sent to the whole
+/// extent: `send_all` registers one class-granular SIREAD per field of
+/// `drain_a`'s access vector instead of one per instance, and T1's reads
+/// of `a` and `b` register nothing of their own. In either commit order
+/// the transaction that runs second completes a dangerous structure
+/// around the committed first and dies at commit. When T1 goes first,
+/// T2's write of `b` finds T1's read of it only through the class
+/// entry: a write path that did not probe its object's class would let
+/// both drains commit.
+#[test]
+fn mvcc_ssi_refuses_write_skew_through_an_extent_read() {
+    for extent_first in [true, false] {
+        let (scheme, oid) = setup(SchemeKind::MvccSsi);
+        let duo = scheme.env().schema.class_by_name("duo").unwrap();
+        let mut t1 = scheme.begin();
+        let mut t2 = scheme.begin();
+        let (first, second) = if extent_first {
+            scheme.send_all(&mut t1, duo, "drain_a", &[]).unwrap();
+            let first = scheme.commit(t1);
+            scheme.send(&mut t2, oid, "drain_b", &[]).unwrap();
+            (first, scheme.commit(t2))
+        } else {
+            scheme.send(&mut t2, oid, "drain_b", &[]).unwrap();
+            let first = scheme.commit(t2);
+            scheme.send_all(&mut t1, duo, "drain_a", &[]).unwrap();
+            (first, scheme.commit(t1))
+        };
+        assert!(first.is_ok(), "extent first {extent_first}: {first:?}");
+        let err = second.expect_err("SSI must refuse the second drain");
+        assert!(
+            err.to_string().contains("dangerous structure"),
+            "extent first {extent_first}: {err}"
+        );
+        assert_eq!(total(scheme.as_ref(), oid), 1, "exactly one drain applied");
+        let m = read_metrics(scheme.as_ref());
+        assert_eq!(m.get("finecc.mvcc.ssi_aborts"), Some(1.0));
+        assert_eq!(m.get("finecc.mvcc.write_conflicts"), Some(0.0));
+    }
+}
+
 /// Acceptance check: snapshot readers acquire zero locks — the scheme
 /// emits no `finecc.lock.*` sample at all — while a writer holds
 /// pending versions.
