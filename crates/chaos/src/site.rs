@@ -29,51 +29,49 @@ pub enum Site {
     CommitTsDraw = 5,
     /// Mvcc commit: after the draw, before the write-ahead-log append.
     CommitWalAppend = 6,
-    /// Mvcc commit: before each per-record commit-timestamp flip.
-    CommitFlipStep = 7,
     /// Mvcc commit: before the watermark publication.
-    CommitPublish = 8,
+    CommitPublish = 7,
     /// Mvcc commit: the read-your-own-commits publication barrier,
     /// which a refused commit's skip also waits behind
     /// (`FaultKind::Disable` here skips the barrier — the known-bug
     /// regression lever).
-    CommitPublishWait = 9,
+    CommitPublishWait = 8,
     /// Watermark: one spin of `wait_published`.
-    WatermarkWait = 10,
+    WatermarkWait = 9,
     /// Watermark: one spin of the publication ring's overflow wait.
-    WatermarkPublish = 11,
+    WatermarkPublish = 10,
     /// Mvcc heap: before a reclamation batch or a full GC sweep prunes
     /// version chains.
-    Reclaim = 12,
+    Reclaim = 11,
     /// WAL: before an inline-mode append claims the file.
-    WalAppend = 13,
+    WalAppend = 12,
     /// WAL: before an inline-mode fsync.
-    WalFsync = 14,
+    WalFsync = 13,
     /// WAL: group-commit flusher, before writing a batch.
-    WalFlushWrite = 15,
+    WalFlushWrite = 14,
     /// WAL: group-commit flusher, before syncing a batch.
-    WalFlushFsync = 16,
+    WalFlushFsync = 15,
     /// Checkpoint writer: before the image is encoded.
-    CkptEncode = 17,
+    CkptEncode = 16,
     /// Checkpoint writer: before the temp file is written.
-    CkptTmpWrite = 18,
+    CkptTmpWrite = 17,
     /// Checkpoint writer: before the temp file's fsync.
-    CkptFsync = 19,
+    CkptFsync = 18,
     /// Checkpoint writer: before the rename into place.
-    CkptRename = 20,
+    CkptRename = 19,
     /// Checkpoint writer: before the directory fsync that persists the
     /// rename (a crash here may lose the just-renamed dirent).
-    CkptDirFsync = 21,
+    CkptDirFsync = 20,
     /// Recovery: before a checkpoint file is read and decoded.
-    RecoverCkptDecode = 22,
+    RecoverCkptDecode = 21,
     /// Recovery: before each log frame is read during replay.
-    RecoverScan = 23,
+    RecoverScan = 22,
     /// Recovery: before each decoded record is applied to the store.
-    RecoverApply = 24,
+    RecoverApply = 23,
 }
 
 /// Number of distinct sites (sizes the per-site hit counters).
-pub const SITE_COUNT: usize = 25;
+pub const SITE_COUNT: usize = 24;
 
 impl Site {
     /// Every site, indexable by discriminant.
@@ -85,7 +83,6 @@ impl Site {
         Site::WriteInstall,
         Site::CommitTsDraw,
         Site::CommitWalAppend,
-        Site::CommitFlipStep,
         Site::CommitPublish,
         Site::CommitPublishWait,
         Site::WatermarkWait,
@@ -135,7 +132,6 @@ impl Site {
             Site::WriteInstall => "write_install",
             Site::CommitTsDraw => "commit_ts_draw",
             Site::CommitWalAppend => "commit_wal_append",
-            Site::CommitFlipStep => "commit_flip_step",
             Site::CommitPublish => "commit_publish",
             Site::CommitPublishWait => "commit_publish_wait",
             Site::WatermarkWait => "watermark_wait",

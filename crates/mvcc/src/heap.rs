@@ -25,16 +25,26 @@
 //!   transaction's further write to an object it already wrote edits
 //!   its own record **in place**: the field is added, or its after-image
 //!   replaced.
-//! * **Commits flip under the shared latch.** A record's `commit_ts` is
-//!   atomic, and only its owner stores to it, so the flip runs beside
-//!   readers walking the same chain (see `VersionRecord` for why a torn
-//!   observation is harmless).
+//! * **One commit status per transaction.** A record holds no timestamp
+//!   of its own: it points at its writer's *status cell* (the `ssi`
+//!   module's `TxnHandle` — live, its commit timestamp, or dead), after
+//!   Larson et al.'s per-transaction end timestamp. Commit is
+//!   draw → mark → log → publish: the mark is one atomic store into the
+//!   cell (at [`IsolationLevel::Serializable`], SSI validation and the
+//!   store in one step under the cell's lock), and it commits every
+//!   record the writer made without latching a chain. A marked record
+//!   is invisible until publication — its timestamp lies above every
+//!   registered snapshot — and reads as committed-after-snapshot to a
+//!   rival writer. The cell is made at a transaction's first write (at
+//!   `Serializable`, at `begin`: its SIREAD entries are clones of it),
+//!   so a read-only snapshot transaction allocates none.
 //! * **Publication is a lock-free ring** (the crate-private `watermark`
 //!   module): an ordered watermark advances `last_committed` only
-//!   across a contiguous flipped prefix, with CAS-claimed in-flight
-//!   slots. A timestamp drawn by a transaction that then fails SSI
-//!   validation is published as a *skip* (nothing was flipped at it),
-//!   keeping the prefix dense.
+//!   across a contiguous prefix of marked (and logged) timestamps, with
+//!   CAS-claimed in-flight slots. A timestamp drawn by a transaction
+//!   whose commit is then refused — by SSI validation or by the log —
+//!   is published as a *skip*, its cell marked dead first, keeping the
+//!   prefix dense.
 //! * **Registries are striped**, each stripe on its own cache lines:
 //!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids
 //!   carry their thread's slot, so that is the beginning thread's own
@@ -43,12 +53,15 @@
 //!   snapshot timestamp in its session, so steady-state reads and
 //!   writes skip the transaction registry entirely (the registry is
 //!   touched once per transaction at begin/commit plus once per
-//!   *first* write of an object).
+//!   *first* write of an object). At `Serializable` the session caches
+//!   the transaction's status cell too, so a read reaches the SSI
+//!   tracker without a registry lookup.
 //!
 //! ## Latch order
 //!
 //! 1. **One chain shard**, shared or exclusive, never two at once.
-//!    Commit and rollback visit their write set one shard at a time.
+//!    Rollback, and a logged commit assembling its redo images, visit
+//!    the write set one shard at a time; an unlogged commit takes none.
 //! 2. Under a chain shard, leaves only: a **base-store shard** (the
 //!    miss read, the write-through, the rollback restore) and, on a
 //!    transaction's first write of an object, its **txn stripe** (the
@@ -59,14 +72,15 @@
 //! 3. The **epoch shard** and the **reclaim slot** (see *Reclamation*)
 //!    are leaves taken under nothing.
 //!
-//! The watermark has no latch. SSI-tracker latches (flag stripes,
-//! SIREAD shards — see [`crate::ssi`]) are never nested with heap
-//! latches: reads register SIREADs *before* taking the shard latch and
-//! record edges *after* dropping it; writes scan the SIREAD registry
-//! after dropping the exclusive latch (and, while an extent message's
-//! class-granular SIREAD is registered, look up the object's class in
-//! the base store first, under nothing); commit validates before the
-//! first flip.
+//! The watermark has no latch. SSI-tracker latches (SIREAD shards and
+//! the status cells' flag locks — see [`crate::ssi`]) are never nested
+//! with heap latches: reads register SIREADs *before* taking the shard
+//! latch and record edges *after* dropping it; writes scan the SIREAD
+//! registry after dropping the exclusive latch (and, while an extent
+//! message's class-granular SIREAD is registered, look up the object's
+//! class in the base store first, under nothing); commit validates
+//! under nothing else. Chain walks read a record's status with one
+//! atomic load and take no cell lock.
 //!
 //! ## Reclamation
 //!
@@ -92,7 +106,10 @@
 //!   (rotating), so a slot whose thread went idle does not strand
 //!   versions. At [`IsolationLevel::Serializable`] every batch also
 //!   hands its horizon to the SSI tracker, whose SIREAD lists prune
-//!   below it, and every `SSI_PURGE_EVERY`-th runs the tracker's purge.
+//!   below it, and every `SSI_PURGE_EVERY`-th runs the tracker's purge;
+//!   there a read-only commit counts toward its slot's cadence as well,
+//!   so a stream with no writer still bounds the tracker (at `Snapshot`
+//!   it touches no reclamation state).
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
 //!   watermark, which only grows (see `EpochTable`). Pruning with an
@@ -108,20 +125,20 @@
 //! ## Observability probes
 //!
 //! With an attached `finecc_obs::Obs` handle the commit path times
-//! four consecutive segments into latency histograms — *ts draw* (the
-//! clock `fetch_add` plus SSI validation), *WAL ack* (redo assembly,
-//! append, and at `WalSync` the group-commit ack), *chain flip* (the
-//! atomic `commit_ts` stores), and *publish* (watermark publish plus
-//! the in-order visibility wait) — plus the commit total. The probes
+//! three consecutive segments into latency histograms — *ts draw* (the
+//! clock `fetch_add` plus the mark, SSI validation included), *WAL ack*
+//! (redo assembly, append, and at `WalSync` the group-commit ack), and
+//! *publish* (watermark publish plus the in-order visibility wait) —
+//! plus the commit total. The probes
 //! take no lock, and contention attribution (ww conflicts, SSI aborts)
 //! runs after every heap latch is dropped; the registry stripe it takes
 //! is a leaf. The **read path carries no probe**: no histogram, no
 //! registry touch, no branch on the handle.
 
-use crate::ssi::{ReadKey, SsiTracker, SsiVerdict};
+use crate::ssi::{committed, ReadKey, SsiTracker, SsiVerdict, TxnHandle, LIVE};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
-use crate::{IsolationLevel, SsiConflict, Ts, TS_PENDING};
+use crate::{IsolationLevel, SsiConflict, Ts};
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId, Value};
 use finecc_obs::{thread_slot, CachePadded, ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
@@ -143,7 +160,8 @@ const EPOCH_SHARDS: usize = 16;
 /// How many reclaim slots threads are dealt over.
 const RECLAIM_SLOTS: usize = 32;
 
-/// Every how many writer commits of one slot a reclamation batch runs.
+/// Every how many writer commits of one slot (at `Serializable`, every
+/// how many commits) a reclamation batch runs.
 const RECLAIM_EVERY: u32 = 8;
 
 /// The least number of queue entries a batch may prune; a slot that
@@ -151,8 +169,8 @@ const RECLAIM_EVERY: u32 = 8;
 /// it queued, so batches outpace any write-set size.
 const RECLAIM_BATCH: usize = 32;
 
-/// Every how many writer commits of one slot the SSI tracker is purged
-/// (a multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
+/// Every how many commits of one slot the SSI tracker is purged (a
+/// multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
 const SSI_PURGE_EVERY: u32 = 64;
 
 // A scheme's transaction ids carry their thread's slot (`n × ID_SLOTS +
@@ -222,40 +240,17 @@ struct FieldWrite {
 /// (after-images) or *past* its writer (before-images).
 ///
 /// Its writer edits `writes` in place under the shard latch held
-/// exclusively. `commit_ts` is atomic because the commit flip runs
-/// under the *shared* latch, beside readers. A torn observation is
-/// benign by construction: a concurrent reader that loads the old
-/// value sees [`TS_PENDING`] (invisible: not its own record) and one
-/// that loads the new value sees a timestamp above its snapshot
-/// (invisible: fresh commits publish above every registered snapshot) —
-/// the visibility verdict is identical either way.
+/// exclusively. The record carries no timestamp of its own: `owner` is
+/// its writer's status cell, whose one commit mark commits every record
+/// the writer made (see the module docs).
 #[derive(Debug)]
 struct VersionRecord {
-    writer: TxnId,
-    /// Commit timestamp; [`TS_PENDING`] until the writer commits.
-    commit_ts: AtomicU64,
+    owner: Arc<TxnHandle>,
     /// `(field, before, after)` for every field this writer modified.
     writes: Vec<FieldWrite>,
 }
 
 impl VersionRecord {
-    fn pending(writer: TxnId, write: FieldWrite) -> VersionRecord {
-        VersionRecord {
-            writer,
-            commit_ts: AtomicU64::new(TS_PENDING),
-            writes: vec![write],
-        }
-    }
-
-    #[inline]
-    fn ts(&self) -> Ts {
-        self.commit_ts.load(Ordering::SeqCst)
-    }
-
-    fn is_pending_of(&self, txn: TxnId) -> bool {
-        self.writer == txn && self.ts() == TS_PENDING
-    }
-
     fn write_of(&self, field: FieldId) -> Option<&FieldWrite> {
         self.writes.iter().find(|w| w.field == field)
     }
@@ -295,29 +290,22 @@ struct Chain {
 }
 
 impl Chain {
-    /// The position of the pending record `txn` owns here. Only its
-    /// owner installs, flips or removes it, so the owner's commit or
-    /// rollback always finds it.
-    fn own_at(&self, txn: TxnId) -> usize {
+    /// The position of the record `owner` made here. Only its owner
+    /// installs or removes it, so the owner's commit or rollback always
+    /// finds it.
+    fn own_at(&self, owner: &TxnHandle) -> usize {
         self.records
             .iter()
-            .position(|r| r.is_pending_of(txn))
-            .expect("pending record owned by its transaction")
-    }
-
-    /// The pending record `txn` owns here (see [`Chain::own_at`]).
-    fn own(&self, txn: TxnId) -> &VersionRecord {
-        &self.records[self.own_at(txn)]
+            .position(|r| std::ptr::eq(&*r.owner, owner))
+            .expect("a written chain holds its writer's record")
     }
 
     /// Drops the records no snapshot can read past any more — those
     /// committed at or below `horizon` — and returns how many.
     fn prune(&mut self, horizon: Ts) -> usize {
         let len = self.records.len();
-        self.records.retain(|r| {
-            let cts = r.ts();
-            cts == TS_PENDING || cts > horizon
-        });
+        self.records
+            .retain(|r| committed(r.owner.status()).is_none_or(|c| c > horizon));
         len - self.records.len()
     }
 }
@@ -325,25 +313,28 @@ impl Chain {
 /// Walks `records` for `field` as of snapshot `ts` (seeing `as_txn`'s
 /// pending writes). Returns the reconstructed value by reference —
 /// `None` is a chain miss (no record touches the field). When
-/// `overwriters` is given, it collects the writers of invisible
-/// versions stepped past (the read side of SSI's rw-antidependencies).
+/// `overwriters` is given, it collects the cells of the writers of
+/// invisible versions stepped past (the read side of SSI's
+/// rw-antidependencies).
 fn reconstruct<'a>(
     records: &'a [VersionRecord],
     ts: Ts,
     as_txn: Option<TxnId>,
     field: FieldId,
-    mut overwriters: Option<&mut Vec<TxnId>>,
+    mut overwriters: Option<&mut Vec<Arc<TxnHandle>>>,
 ) -> Option<&'a Value> {
     let mut oldest_invisible: Option<&'a Value> = None;
     for rec in records {
         let Some(w) = rec.write_of(field) else {
             continue;
         };
-        let cts = rec.ts();
-        let visible = if cts == TS_PENDING {
-            as_txn == Some(rec.writer)
-        } else {
-            cts <= ts
+        // A writer marked but not yet published is above every
+        // registered snapshot, so it reads as invisible like a pending
+        // one — the mark needs no latch.
+        let status = rec.owner.status();
+        let visible = match committed(status) {
+            Some(cts) => cts <= ts,
+            None => status == LIVE && as_txn == Some(rec.owner.txn),
         };
         if visible {
             // Records of one field are newest-first: the first visible
@@ -351,7 +342,7 @@ fn reconstruct<'a>(
             return Some(&w.after);
         }
         if let Some(ovw) = overwriters.as_deref_mut() {
-            ovw.push(rec.writer);
+            ovw.push(Arc::clone(&rec.owner));
         }
         oldest_invisible = Some(&w.before);
     }
@@ -361,13 +352,14 @@ fn reconstruct<'a>(
 }
 
 /// First-updater-wins admission of `txn`'s write of `field` over an
-/// object's `records`, at field granularity: another live transaction
-/// with a pending version of the field, or a version of it committed
-/// after `snapshot_ts`, wins. (A record flipped to its commit timestamp
-/// but not yet published by the watermark behaves exactly like a
-/// committed-after-snapshot record here, which is the correct verdict:
-/// it can only publish above this transaction's snapshot.) Admitted,
-/// returns the position of `txn`'s own pending record, if it has one.
+/// object's `records`, at field granularity: another transaction with
+/// an uncommitted version of the field (live, or refused and not yet
+/// rolled back), or a version of it committed after `snapshot_ts`,
+/// wins. (A writer marked committed but not yet published by the
+/// watermark behaves exactly like a committed-after-snapshot one here,
+/// which is the correct verdict: it can only publish above this
+/// transaction's snapshot.) Admitted, returns the position of `txn`'s
+/// own pending record, if it has one.
 fn admit(
     records: &[VersionRecord],
     snapshot_ts: Ts,
@@ -377,9 +369,9 @@ fn admit(
 ) -> Result<Option<usize>, MvccConflict> {
     let mut own = None;
     for (i, rec) in records.iter().enumerate() {
-        let cts = rec.ts();
-        if rec.writer == txn {
-            if cts == TS_PENDING {
+        let status = rec.owner.status();
+        if rec.owner.txn == txn {
+            if status == LIVE {
                 own = Some(i);
             }
             continue;
@@ -387,12 +379,10 @@ fn admit(
         if rec.write_of(field).is_none() {
             continue;
         }
-        let pending_in = if cts == TS_PENDING {
-            Some(rec.writer)
-        } else if cts > snapshot_ts {
-            None
-        } else {
-            continue;
+        let pending_in = match committed(status) {
+            None => Some(rec.owner.txn),
+            Some(cts) if cts > snapshot_ts => None,
+            Some(_) => continue,
         };
         return Err(MvccConflict {
             oid,
@@ -421,10 +411,39 @@ struct TxnState {
     epoch: EpochHandle,
     /// Objects this transaction installed pending versions on, sorted
     /// and duplicate-free (write sets are a handful of objects, so
-    /// commit walks this as is — nothing to hash, collect or sort).
-    /// Only the transaction's own operations touch it, under the
-    /// registry stripe that holds it.
+    /// commit and rollback walk this as is — nothing to hash, collect
+    /// or sort). Only the transaction's own operations touch it, under
+    /// the registry stripe that holds it.
     write_set: Vec<Oid>,
+    /// The transaction's status cell: made at `begin` at
+    /// [`IsolationLevel::Serializable`], at the first write otherwise
+    /// (a read-only snapshot transaction allocates none), and always
+    /// present once `write_set` is non-empty.
+    cell: Option<Arc<TxnHandle>>,
+}
+
+/// A registered transaction as its session holds it: its id, its
+/// snapshot timestamp and, at [`IsolationLevel::Serializable`], its
+/// status cell — so reads and writes through it never look the
+/// transaction up in the heap's registry. [`MvccHeap::begin`] returns
+/// it, [`MvccHeap::txn`] finds it again.
+#[derive(Clone, Debug)]
+pub struct MvccTxn {
+    id: TxnId,
+    ts: Ts,
+    cell: Option<Arc<TxnHandle>>,
+}
+
+impl MvccTxn {
+    /// The transaction id.
+    pub fn id(&self) -> TxnId {
+        self.id
+    }
+
+    /// The snapshot timestamp the transaction reads at.
+    pub fn ts(&self) -> Ts {
+        self.ts
+    }
 }
 
 /// One thread slot's share of reclamation (see the module docs'
@@ -468,9 +487,9 @@ struct ReclaimSlot {
 
 #[cfg(test)]
 thread_local! {
-    /// Shard-latch acquisitions made by reclamation batches on this
-    /// thread.
-    static RECLAIM_LATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Chain-shard latch acquisitions made on this thread (each one
+    /// goes through `MvccHeap::shard`).
+    static CHAIN_LATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A live registration in the sharded epoch table: which shard holds
@@ -560,7 +579,7 @@ pub struct MvccHeap {
     /// clock.
     clock: AtomicU64,
     /// Lock-free ordered publication: `last_committed` advances only
-    /// across a contiguous flipped prefix.
+    /// across a contiguous prefix of completed commits.
     watermark: Watermark,
     /// Reclaim queues, one per thread slot.
     reclaim: Box<[ReclaimSlot]>,
@@ -769,7 +788,7 @@ impl MvccHeap {
                 let mut values = Vec::with_capacity(ci.all_fields.len());
                 let mut live = true;
                 for &f in &ci.all_fields {
-                    match self.read_as(ckpt_ts, None, oid, f) {
+                    match self.walk(ckpt_ts, None, oid, f, None) {
                         Ok(v) => values.push(v),
                         Err(_) => {
                             live = false; // deleted under the scan
@@ -807,6 +826,8 @@ impl MvccHeap {
 
     #[inline]
     fn shard(&self, oid: Oid) -> &ChainShard {
+        #[cfg(test)]
+        CHAIN_LATCHES.with(|n| n.set(n.get() + 1));
         &self.shards[(oid.raw() as usize) % SHARD_COUNT]
     }
 
@@ -821,48 +842,66 @@ impl MvccHeap {
     }
 
     /// Registers a transaction, assigning it a snapshot of the latest
-    /// published state. Returns the snapshot timestamp.
-    pub fn begin(&self, txn: TxnId) -> Ts {
+    /// published state. Returns the session's view of it, whose
+    /// [`MvccTxn::ts`] is the snapshot timestamp.
+    pub fn begin(&self, txn: TxnId) -> MvccTxn {
         let epoch = self.epochs.register(&self.watermark);
-        let ts = epoch.ts;
+        // SIREAD entries are clones of a reader's cell, so a serializable
+        // transaction needs one from its first read on.
+        let cell = self.ssi.as_ref().map(|_| Arc::new(TxnHandle::new(txn)));
         let prev = self.txn_stripe(txn).lock().insert(
             txn,
             TxnState {
                 epoch,
                 write_set: Vec::new(),
+                cell: cell.clone(),
             },
         );
         debug_assert!(prev.is_none(), "transaction {txn} already registered");
-        if let Some(ssi) = &self.ssi {
-            ssi.register(txn);
-        }
         self.stats.begins.bump();
-        ts
+        MvccTxn {
+            id: txn,
+            ts: epoch.ts,
+            cell,
+        }
     }
 
-    /// The registered snapshot timestamp of `txn`. Callers on a hot
-    /// path should cache the value returned by [`MvccHeap::begin`]
-    /// instead (the scheme's transaction session does), so steady-state
-    /// operations skip the registry stripe.
-    pub fn snapshot_ts(&self, txn: TxnId) -> Option<Ts> {
-        self.txn_stripe(txn).lock().get(&txn).map(|s| s.epoch.ts)
+    /// The registered transaction `txn`, as [`MvccHeap::begin`] returned
+    /// it. Callers on a hot path keep that value instead (the scheme's
+    /// transaction session does), so steady-state operations skip the
+    /// registry stripe.
+    pub fn txn(&self, txn: TxnId) -> Option<MvccTxn> {
+        let stripe = self.txn_stripe(txn).lock();
+        let state = stripe.get(&txn)?;
+        Some(MvccTxn {
+            id: txn,
+            ts: state.epoch.ts,
+            cell: state.cell.clone(),
+        })
     }
 
-    /// Reconstructs `field` of `oid` as of snapshot `ts`, seeing the
-    /// pending writes of `as_txn` (pass `None` for a pure snapshot read).
+    /// The tracker and the cell a transaction's reads and writes report
+    /// to at [`IsolationLevel::Serializable`]; `None` at `Snapshot`.
+    #[inline]
+    fn tracking<'a>(&'a self, txn: &'a MvccTxn) -> Option<(&'a SsiTracker, &'a Arc<TxnHandle>)> {
+        self.ssi.as_ref().zip(txn.cell.as_ref())
+    }
+
+    /// Reconstructs `field` of `oid` as of `txn`'s snapshot, seeing its
+    /// own pending writes.
     ///
     /// Takes no logical lock: the object's chain shard is held
-    /// *shared* — alongside any number of readers and committers
-    /// flipping records — across the chain walk and, on a chain miss,
-    /// the one base-store read; exactly one [`Value`] is cloned. At
-    /// [`IsolationLevel::Serializable`] a transactional read
+    /// *shared* — alongside any number of readers — across the chain
+    /// walk and, on a chain miss, the one base-store read; exactly one
+    /// [`Value`] is cloned. At [`IsolationLevel::Serializable`] the read
     /// additionally registers a SIREAD entry for `(oid, field)` (before
     /// the walk) and records an outgoing rw-antidependency for every
     /// invisible overwrite of the field it steps past — still without
     /// blocking on anyone's transaction. A read that a class-granular
     /// SIREAD already covers ([`MvccHeap::record_class_read`]) goes
     /// through [`MvccHeap::read_covered`] instead, which skips the
-    /// registration and keeps the edges.
+    /// registration and keeps the edges. [`crate::Snapshot::read`] is
+    /// the read outside any transaction.
     ///
     /// Deletion caveat: [`Database::delete`] bypasses the version layer
     /// (like creation — see the ROADMAP's versioned-extents item), so a
@@ -871,25 +910,17 @@ impl MvccHeap {
     /// object existed there), while a chain miss surfaces the base
     /// store's [`StoreError::UnknownOid`]. Until extents are versioned,
     /// don't use read errors to probe liveness of versioned objects.
-    pub fn read_as(
-        &self,
-        ts: Ts,
-        as_txn: Option<TxnId>,
-        oid: Oid,
-        field: FieldId,
-    ) -> Result<Value, StoreError> {
-        let ssi = match (&self.ssi, as_txn) {
-            (Some(ssi), Some(txn)) => {
-                // Register BEFORE walking the chain: a concurrent writer
-                // either installed its record already (the walk sees it
-                // and marks the edge here) or will scan the registry
-                // after installing (and marks it there).
-                ssi.record_read(txn, ReadKey::Instance(oid), field);
-                Some((ssi, txn))
-            }
-            _ => None,
-        };
-        self.walk(ts, as_txn, oid, field, ssi)
+    pub fn read_as(&self, txn: &MvccTxn, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
+        let tracking = self.tracking(txn);
+        if let Some((ssi, cell)) = tracking {
+            // Register BEFORE walking the chain: a concurrent writer
+            // either installed its record already (the walk sees it and
+            // marks the edge here) or will scan the registry after
+            // installing (and marks it there).
+            ssi.record_read(cell, ReadKey::Instance(oid), field);
+        }
+        let reader = tracking.map(|(_, cell)| &**cell);
+        self.walk(txn.ts, Some(txn.id), oid, field, reader)
     }
 
     /// Registers a class-granular SIREAD at
@@ -899,9 +930,9 @@ impl MvccHeap {
     /// of `field` of any instance of `class` meets this one entry — the
     /// extent message's registration (see the `ssi` module docs'
     /// *Class-granular SIREADs*). Must run before those reads.
-    pub fn record_class_read(&self, txn: TxnId, class: ClassId, field: FieldId) {
-        if let Some(ssi) = &self.ssi {
-            ssi.record_read(txn, ReadKey::Class(class), field);
+    pub fn record_class_read(&self, txn: &MvccTxn, class: ClassId, field: FieldId) {
+        if let Some((ssi, cell)) = self.tracking(txn) {
+            ssi.record_read(cell, ReadKey::Class(class), field);
         }
     }
 
@@ -912,31 +943,34 @@ impl MvccHeap {
     /// the covering entry first is the caller's part.
     pub fn read_covered(
         &self,
-        ts: Ts,
-        txn: TxnId,
+        txn: &MvccTxn,
         oid: Oid,
         field: FieldId,
     ) -> Result<Value, StoreError> {
-        let ssi = self.ssi.as_ref().map(|ssi| (ssi, txn));
-        self.walk(ts, Some(txn), oid, field, ssi)
+        let reader = self.tracking(txn).map(|(_, cell)| &**cell);
+        self.walk(txn.ts, Some(txn.id), oid, field, reader)
     }
 
     /// The chain walk behind [`MvccHeap::read_as`] and
     /// [`MvccHeap::read_covered`], after any SIREAD registration: the
-    /// read itself, then — with a tracker — the read-side edges.
+    /// read itself, then — with a tracker — the read-side edges. With
+    /// no transaction and no tracker it is the read of a snapshot or a
+    /// checkpoint.
     #[inline]
-    fn walk(
+    pub(crate) fn walk(
         &self,
         ts: Ts,
         as_txn: Option<TxnId>,
         oid: Oid,
         field: FieldId,
-        ssi: Option<(&SsiTracker, TxnId)>,
+        reader: Option<&TxnHandle>,
     ) -> Result<Value, StoreError> {
         // Overwriters are only worth collecting when an SSI tracker
-        // will consume them — the pure-snapshot path allocates nothing.
-        let mut overwriters: Vec<TxnId> = Vec::new();
-        let collect = ssi.is_some().then_some(&mut overwriters);
+        // will consume them — the pure-snapshot path allocates nothing,
+        // and a serializable read clones a cell only for an invisible
+        // version it steps past.
+        let mut overwriters: Vec<Arc<TxnHandle>> = Vec::new();
+        let collect = reader.is_some().then_some(&mut overwriters);
         let (value, hit) = {
             let chains = self.shard(oid).chains.read();
             match chains
@@ -955,10 +989,10 @@ impl MvccHeap {
         } else {
             self.stats.read_base_loads.bump();
         }
-        if let Some((ssi, txn)) = ssi {
+        if let Some(reader) = reader {
             let mut edges = 0;
-            for &writer in &overwriters {
-                edges += ssi.read_edge(txn, writer);
+            for writer in &overwriters {
+                edges += reader.read_edge(writer);
             }
             if edges > 0 {
                 self.stats.ssi_edges.add(edges);
@@ -972,16 +1006,14 @@ impl MvccHeap {
     /// pending writes); a `txn` the heap does not know is refused with
     /// [`MvccReadError::UnknownTxn`].
     pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, MvccReadError> {
-        let ts = self
-            .snapshot_ts(txn)
-            .ok_or(MvccReadError::UnknownTxn(txn))?;
-        Ok(self.read_as(ts, Some(txn), oid, field)?)
+        let txn = self.txn(txn).ok_or(MvccReadError::UnknownTxn(txn))?;
+        Ok(self.read_as(&txn, oid, field)?)
     }
 
-    /// Writes `field` of `oid` in transaction `txn`, resolving the
-    /// snapshot timestamp from the registry (a `txn` the heap does not
-    /// know is refused with [`MvccWriteError::UnknownTxn`]). Hot paths
-    /// that already know it (the scheme session caches it at begin) use
+    /// Writes `field` of `oid` in transaction `txn`, looking it up in
+    /// the registry (a `txn` the heap does not know is refused with
+    /// [`MvccWriteError::UnknownTxn`]). Hot paths that keep what
+    /// [`MvccHeap::begin`] returned (the scheme session does) use
     /// [`MvccHeap::write_at`] and skip the registry stripe.
     pub fn write(
         &self,
@@ -990,32 +1022,30 @@ impl MvccHeap {
         field: FieldId,
         value: Value,
     ) -> Result<WriteOutcome, MvccWriteError> {
-        let snapshot_ts = self
-            .snapshot_ts(txn)
-            .ok_or(MvccWriteError::UnknownTxn(txn))?;
-        self.write_at(snapshot_ts, txn, oid, field, value)
+        let txn = self.txn(txn).ok_or(MvccWriteError::UnknownTxn(txn))?;
+        self.write_at(&txn, oid, field, value)
     }
 
-    /// Writes `field` of `oid` in transaction `txn`, whose registered
-    /// snapshot timestamp the caller supplies. Under the object's
-    /// chain-shard latch held exclusively: first-updater-wins admission,
-    /// the write-through to the base store (its previous value is the
-    /// before-image), then the install — a new pending record on the
+    /// Writes `field` of `oid` in transaction `txn`. Under the object's
+    /// chain-shard latch held exclusively: first-updater-wins admission
+    /// at `txn`'s snapshot, the write-through to the base store (its
+    /// previous value is the before-image), then the install — a new
+    /// pending record pointing at the transaction's status cell on the
     /// object's first write, an in-place edit of the transaction's own
     /// record after that. Returns what happened to the chain.
     ///
     /// A refused write leaves nothing behind: a conflict or a store
-    /// error is raised before anything changes, and a `txn` the heap
-    /// does not know ([`MvccWriteError::UnknownTxn`]) has its
+    /// error is raised before anything changes, and a `txn` the heap no
+    /// longer knows ([`MvccWriteError::UnknownTxn`]) has its
     /// write-through restored before the latch is released.
     pub fn write_at(
         &self,
-        snapshot_ts: Ts,
-        txn: TxnId,
+        txn: &MvccTxn,
         oid: Oid,
         field: FieldId,
         value: Value,
     ) -> Result<WriteOutcome, MvccWriteError> {
+        let snapshot_ts = txn.ts;
         // Chaos scheduling decision strictly before the latch: a parked
         // latch holder would deadlock the token scheduler.
         finecc_chaos::yield_point(finecc_chaos::Site::WriteInstall);
@@ -1023,7 +1053,7 @@ impl MvccHeap {
         self.base.check_write(field, &value)?;
         let mut chains = self.shard(oid).chains.write();
         let admitted = chains.get(&oid).map_or(Ok(None), |chain| {
-            admit(&chain.records, snapshot_ts, txn, oid, field)
+            admit(&chain.records, snapshot_ts, txn.id, oid, field)
         });
         let own = match admitted {
             Ok(own) => own,
@@ -1036,44 +1066,44 @@ impl MvccHeap {
             }
         };
         let before = self.base.exchange_unchecked(oid, field, value.clone())?;
-        if own.is_none() && !self.enlist(txn, oid) {
-            let _ = self.base.write_unchecked(oid, field, before);
-            return Err(MvccWriteError::UnknownTxn(txn));
-        }
-        let chain = chains.entry(oid).or_default();
-        let outcome = match own {
+        let (outcome, chain_len) = match own {
             Some(i) => {
+                let chain = chains.entry(oid).or_default();
                 chain.records[i].set(field, before, value);
-                WriteOutcome::MergedVersion
+                (WriteOutcome::MergedVersion, chain.records.len())
             }
             None => {
-                let write = FieldWrite {
+                let Some(owner) = self.enlist(txn.id, oid) else {
+                    let _ = self.base.write_unchecked(oid, field, before);
+                    return Err(MvccWriteError::UnknownTxn(txn.id));
+                };
+                let writes = vec![FieldWrite {
                     field,
                     before,
                     after: value,
-                };
-                chain.records.insert(0, VersionRecord::pending(txn, write));
-                WriteOutcome::NewVersion
+                }];
+                let chain = chains.entry(oid).or_default();
+                chain.records.insert(0, VersionRecord { owner, writes });
+                (WriteOutcome::NewVersion, chain.records.len())
             }
         };
-        let chain_len = chain.records.len() as u64;
         drop(chains);
         if outcome == WriteOutcome::NewVersion {
             self.stats.versions_created.bump();
         }
-        self.stats.sample_chain_len(chain_len);
+        self.stats.sample_chain_len(chain_len as u64);
         // SSI: scan SIREAD entries AFTER the pending version is
         // installed (see `read_as` for why the order closes the race)
         // and record an incoming rw edge per concurrent reader — the
         // object's own readers, and, while an extent message holds a
         // class-granular entry, its class's.
-        if let Some(ssi) = &self.ssi {
-            let mut edges = ssi.write_edges(txn, snapshot_ts, ReadKey::Instance(oid), field);
+        if let Some((ssi, cell)) = self.tracking(txn) {
+            let mut edges = ssi.write_edges(cell, snapshot_ts, ReadKey::Instance(oid), field);
             if ssi.has_class_reads() {
                 // A delete since the write-through leaves no class to
                 // probe (deletion bypasses the versions; see `read_as`).
                 if let Ok(class) = self.base.class_of(oid) {
-                    edges += ssi.write_edges(txn, snapshot_ts, ReadKey::Class(class), field);
+                    edges += ssi.write_edges(cell, snapshot_ts, ReadKey::Class(class), field);
                 }
             }
             if edges > 0 {
@@ -1083,19 +1113,22 @@ impl MvccHeap {
         Ok(outcome)
     }
 
-    /// Adds `oid` to `txn`'s write set, or returns `false` when the heap
-    /// does not know `txn`. Called under `oid`'s chain-shard latch (the
-    /// txn stripe is a leaf there), so the write set and the chain agree
-    /// at every instant a commit or abort can observe.
-    fn enlist(&self, txn: TxnId, oid: Oid) -> bool {
+    /// Adds `oid` to `txn`'s write set and returns the transaction's
+    /// status cell for the new record — making the cell on the first
+    /// write — or `None` when the heap does not know `txn`. Called under
+    /// `oid`'s chain-shard latch (the txn stripe is a leaf there), so
+    /// the write set and the chain agree at every instant a commit or
+    /// abort can observe.
+    fn enlist(&self, txn: TxnId, oid: Oid) -> Option<Arc<TxnHandle>> {
         let mut stripe = self.txn_stripe(txn).lock();
-        let Some(state) = stripe.get_mut(&txn) else {
-            return false;
-        };
+        let state = stripe.get_mut(&txn)?;
         if let Err(at) = state.write_set.binary_search(&oid) {
             state.write_set.insert(at, oid);
         }
-        true
+        let cell = state
+            .cell
+            .get_or_insert_with(|| Arc::new(TxnHandle::new(txn)));
+        Some(Arc::clone(cell))
     }
 
     /// Attributes an SSI dangerous-structure abort: to the smallest
@@ -1110,29 +1143,29 @@ impl MvccHeap {
         self.obs.contend(key, ContentionKind::SsiAbort);
     }
 
-    /// Commits `txn`: draws the next commit timestamp from the atomic
-    /// clock, appends the redo images of its records to the log (when
-    /// one is attached), flips every pending record of the transaction
-    /// by storing the timestamp into its atomic `commit_ts` — under
-    /// each object's chain shard held *shared*, one object at a time —
-    /// then publishes the timestamp through the lock-free ordered
-    /// watermark. Concurrent snapshots cannot observe a half-flipped
-    /// transaction: the records become visible only once the watermark
-    /// publishes the timestamp, and the watermark publishes it only
-    /// after every record is flipped. Returns the commit timestamp, and
-    /// returns only once the timestamp is **published**: any snapshot
-    /// taken after `commit` returns — including this session's next
+    /// Commits `txn` in four steps: **draw** the next commit timestamp
+    /// from the atomic clock; **mark** the transaction's status cell
+    /// with it — one store, which every version record of the
+    /// transaction reads as its commit; **log** the redo images of its
+    /// records (when a log is attached); **publish** the timestamp
+    /// through the lock-free ordered watermark, then wait until it is
+    /// visible. No chain latch is taken and no record is touched: a
+    /// marked record is invisible to every registered snapshot (all
+    /// lie below the unpublished timestamp) until the watermark
+    /// publishes it, and the watermark publishes it only after the log
+    /// append — durable before visible. Returns the commit timestamp,
+    /// and returns only once it is **published**: any snapshot taken
+    /// after `commit` returns — including this session's next
     /// transaction — observes the commit (read-your-own-commits across
     /// transactions; the wait covers only the bounded publication lag
     /// behind concurrent committers holding earlier timestamps). A
     /// **read-only** transaction serializes at (and returns) its
-    /// snapshot timestamp without drawing a timestamp or taking a chain
-    /// latch at all.
+    /// snapshot timestamp without drawing a timestamp at all.
     ///
     /// At [`IsolationLevel::Snapshot`] commit is infallible by
     /// construction — all conflicts were detected at write time. At
-    /// [`IsolationLevel::Serializable`] the commit additionally runs
-    /// dangerous-structure validation; on failure the transaction is
+    /// [`IsolationLevel::Serializable`] the mark is dangerous-structure
+    /// validation and mark in one step; on failure the transaction is
     /// fully rolled back (as by [`MvccHeap::abort`]), its drawn
     /// timestamp is published as a *skip* (keeping the watermark prefix
     /// contiguous), and the [`SsiConflict`] is returned — the caller
@@ -1149,23 +1182,10 @@ impl MvccHeap {
             .lock()
             .remove(&txn)
             .ok_or(CommitError::UnknownTxn(txn))?;
-
-        if state.write_set.is_empty() {
-            // Read-only transactions still validate: their reads can
-            // complete a dangerous structure around a committed pivot
-            // (the SI read-only anomaly, Fekete et al. 2004).
-            if let Some(ssi) = &self.ssi {
-                if let SsiVerdict::Abort(c) = ssi.validate_and_commit(txn, state.epoch.ts) {
-                    self.note_ssi_abort(&state);
-                    self.stats.ssi_aborts.bump();
-                    self.discard(txn, &state);
-                    return Err(c.into());
-                }
-            }
-            self.epochs.unregister(state.epoch);
-            self.stats.commits.bump();
-            return Ok(state.epoch.ts);
-        }
+        let cell = match &state.cell {
+            Some(cell) if !state.write_set.is_empty() => cell,
+            _ => return self.commit_read_only(state),
+        };
 
         finecc_chaos::yield_point(finecc_chaos::Site::CommitTsDraw);
 
@@ -1174,33 +1194,29 @@ impl MvccHeap {
         // time, never inside a latch: the timer itself takes nothing.
         let mut phases = self.obs.phase_timer();
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(ssi) = &self.ssi {
-            // Validation and commit publication are one atomic step per
-            // transaction in the tracker; the timestamp becomes visible
-            // to snapshots only below, after every record is flipped.
-            if let SsiVerdict::Abort(c) = ssi.validate_and_commit(txn, commit_ts) {
-                self.note_ssi_abort(&state);
-                self.stats.ssi_aborts.bump();
-                self.refuse_commit(txn, &state, commit_ts);
-                return Err(c.into());
-            }
+        // Under SSI, validation and the mark are one atomic step on the
+        // cell.
+        if self.ssi.is_none() {
+            cell.mark(commit_ts);
+        } else if let SsiVerdict::Abort(c) = cell.validate_and_commit(commit_ts) {
+            self.note_ssi_abort(&state);
+            self.stats.ssi_aborts.bump();
+            self.refuse_commit(&state, commit_ts);
+            return Err(c.into());
         }
         phases.lap(Phase::CommitTsDraw);
-        // The write set's sorted order is determinism, not a
-        // lock-ordering requirement: one shard latch is held at a time.
-        let oids = &state.write_set;
         // Durable before visible: the record hits the log — and, at
-        // WalSync, the disk (group-commit ack) — strictly before any
-        // record flips and strictly before the watermark publishes the
-        // timestamp. No latch is held across the append or the wait;
-        // concurrent committers keep drawing, appending and sharing
-        // fsyncs, and the ordered watermark serializes visibility
-        // afterwards exactly as without a log.
+        // WalSync, the disk (group-commit ack) — strictly before the
+        // watermark publishes the timestamp. No latch is held across
+        // the append or the wait; concurrent committers keep drawing,
+        // appending and sharing fsyncs, and the ordered watermark
+        // serializes visibility afterwards exactly as without a log.
         if let Some(wal) = &self.wal {
-            let mut writes = Vec::with_capacity(oids.len());
-            for &oid in oids {
+            let mut writes = Vec::with_capacity(state.write_set.len());
+            for &oid in &state.write_set {
                 let chains = self.shard(oid).chains.read();
-                let own = chains.get(&oid).expect("written chain exists").own(txn);
+                let chain = chains.get(&oid).expect("written chain exists");
+                let own = &chain.records[chain.own_at(cell)];
                 writes.extend(own.writes.iter().map(|w| FieldImage {
                     oid,
                     field: w.field,
@@ -1210,30 +1226,12 @@ impl MvccHeap {
             finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
             if let Err(e) = wal.append_commit(commit_ts, txn, &writes) {
                 // Graceful degradation: the record never reached the
-                // log, so the commit must not happen. The SSI tracker
-                // has already recorded the transaction as committed at
-                // `commit_ts`; leaving that in place is conservative —
-                // it can only produce false-positive aborts of rivals,
-                // never a missed conflict.
-                self.refuse_commit(txn, &state, commit_ts);
+                // log, so the commit must not happen.
+                self.refuse_commit(&state, commit_ts);
                 return Err(CommitError::LogIo(e.to_string()));
             }
         }
         phases.lap(Phase::CommitWalAck);
-        // Flip this transaction's pending records to the commit
-        // timestamp: an atomic store per record, each under its shard
-        // held shared.
-        for &oid in oids {
-            finecc_chaos::yield_point(finecc_chaos::Site::CommitFlipStep);
-            let chains = self.shard(oid).chains.read();
-            chains
-                .get(&oid)
-                .expect("written chain exists")
-                .own(txn)
-                .commit_ts
-                .store(commit_ts, Ordering::SeqCst);
-        }
-        phases.lap(Phase::CommitFlip);
         finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
         if self.watermark.publish(commit_ts) {
             self.stats.watermark_waits.bump();
@@ -1246,7 +1244,7 @@ impl MvccHeap {
         // "committed after snapshot" by its previous transaction.
         // Deliberate trade-off: commit *returns* re-serialize in
         // timestamp order (head-of-line behind the slowest in-flight
-        // committer), but only the return waits — flips, validation
+        // committer), but only the return waits — the mark, validation
         // and publication all ran without waiting on anyone above.
         // Relaxing this needs a per-session visibility floor, which
         // needs a session abstraction the heap does not have (see the
@@ -1266,23 +1264,54 @@ impl MvccHeap {
         Ok(commit_ts)
     }
 
+    /// The commit of a transaction that wrote nothing: it serializes at
+    /// its snapshot. At [`IsolationLevel::Serializable`] it still
+    /// validates — its reads can complete a dangerous structure around
+    /// a committed pivot (the SI read-only anomaly, Fekete et al.
+    /// 2004) — and it counts toward its slot's reclamation cadence, so
+    /// a stream without writers still raises the SSI horizon and purges
+    /// the tracker. At `Snapshot` it touches no reclamation state.
+    fn commit_read_only(&self, state: TxnState) -> Result<Ts, CommitError> {
+        let ts = state.epoch.ts;
+        if let Some(cell) = state.cell.as_ref().filter(|_| self.ssi.is_some()) {
+            if let SsiVerdict::Abort(c) = cell.validate_and_commit(ts) {
+                self.note_ssi_abort(&state);
+                self.stats.ssi_aborts.bump();
+                self.discard(&state);
+                return Err(c.into());
+            }
+        }
+        self.epochs.unregister(state.epoch);
+        self.stats.commits.bump();
+        if self.ssi.is_some() {
+            self.queue_reclaim(ts, &[]);
+        }
+        Ok(ts)
+    }
+
     /// The tail of a writer commit refused after its timestamp was
-    /// drawn (SSI validation, a failed redo append). The timestamp must
-    /// still reach the watermark — as a *skip* — or the contiguous
-    /// prefix would stall forever. Nothing was flipped at `commit_ts`,
-    /// so a snapshot there observes exactly the state at
+    /// drawn (SSI validation, a failed redo append). The cell is marked
+    /// `DEAD` first — a log-refused commit was already marked at
+    /// `commit_ts`, and nothing may read as committed there once it is
+    /// published. The timestamp must still reach the watermark — as a
+    /// *skip* — or the contiguous prefix would stall forever; a
+    /// snapshot at `commit_ts` observes exactly the state at
     /// `commit_ts - 1`. The skip is logged before it is published so
     /// recovery restores the hole, but the append never waits for a
     /// sync and is best-effort even on a degraded log: a lost skip is
     /// harmless (any later durable commit covers the frame; a reused
-    /// trailing skip timestamp flipped nothing), so a failed append
+    /// trailing skip timestamp committed nothing), so a failed append
     /// must not escalate a refusal into a panic. Then the transaction
     /// is rolled back and ended as by [`MvccHeap::abort`]. Like a
     /// commit, the refusal returns only once its skip is published, so
     /// each thread has at most one drawn timestamp in flight: a refused
     /// caller retrying at once cannot lap the watermark ring while an
-    /// earlier committer is descheduled between its draw and its flips.
-    fn refuse_commit(&self, txn: TxnId, state: &TxnState, commit_ts: Ts) {
+    /// earlier committer is descheduled between its draw and its
+    /// publication.
+    fn refuse_commit(&self, state: &TxnState, commit_ts: Ts) {
+        if let Some(cell) = &state.cell {
+            cell.abort();
+        }
         if let Some(wal) = &self.wal {
             let _ = wal.append_skip(commit_ts);
         }
@@ -1290,16 +1319,16 @@ impl MvccHeap {
             self.stats.watermark_waits.bump();
         }
         self.stats.ts_skips.bump();
-        self.discard(txn, state);
+        self.discard(state);
         if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
             self.watermark.wait_published(commit_ts);
         }
     }
 
-    /// Rolls `txn`'s writes back and ends it (counted in `aborts`).
-    /// Returns the number of objects rolled back.
-    fn discard(&self, txn: TxnId, state: &TxnState) -> usize {
-        let rolled_back = self.rollback_writes(txn, state);
+    /// Rolls the transaction's writes back and ends it (counted in
+    /// `aborts`). Returns the number of objects rolled back.
+    fn discard(&self, state: &TxnState) -> usize {
+        let rolled_back = self.rollback_writes(state);
         // Abort-discarded records count as reclaimed, so created and
         // reclaimed balance once GC has drained the committed history.
         self.stats.versions_reclaimed.add(rolled_back as u64);
@@ -1308,7 +1337,7 @@ impl MvccHeap {
         rolled_back
     }
 
-    /// Removes every pending record `txn` owns and restores its
+    /// Removes every record the transaction made and restores its
     /// before-images into the base store, each object under its shard
     /// held exclusively — so no reader observes the record gone and
     /// the base not yet restored, or the reverse. No other live
@@ -1316,11 +1345,14 @@ impl MvccHeap {
     /// restoring is safe; an instance deleted concurrently has nothing
     /// to restore (same contract as `UndoLog::rollback`). Returns the
     /// number of objects rolled back.
-    fn rollback_writes(&self, txn: TxnId, state: &TxnState) -> usize {
+    fn rollback_writes(&self, state: &TxnState) -> usize {
+        let Some(cell) = &state.cell else {
+            return 0; // no write, so no cell at `Snapshot`
+        };
         for &oid in &state.write_set {
             let mut chains = self.shard(oid).chains.write();
             let chain = chains.get_mut(&oid).expect("written chain exists");
-            let at = chain.own_at(txn);
+            let at = chain.own_at(cell);
             for w in chain.records.remove(at).writes {
                 let _ = self.base.write_unchecked(oid, w.field, w.before);
             }
@@ -1343,10 +1375,10 @@ impl MvccHeap {
             self.stats.aborts.bump();
             return 0;
         };
-        if let Some(ssi) = &self.ssi {
-            ssi.forget(txn);
+        if let Some(cell) = &state.cell {
+            cell.abort();
         }
-        self.discard(txn, &state)
+        self.discard(&state)
     }
 
     /// Opens a standalone read snapshot of the latest committed state.
@@ -1441,8 +1473,6 @@ impl MvccHeap {
         }
         let mut reclaimed = 0;
         for &oid in &due {
-            #[cfg(test)]
-            RECLAIM_LATCHES.with(|n| n.set(n.get() + 1));
             let mut chains = self.shard(oid).chains.write();
             // An earlier entry of the same object may have pruned the
             // whole chain already.
@@ -1465,7 +1495,7 @@ impl MvccHeap {
     /// future snapshot can ever need to reconstruct *past* such a
     /// record — and drains every slot's reclaim queue of the entries
     /// that covers. At [`IsolationLevel::Serializable`] the same horizon
-    /// also retires SSI flag entries and SIREAD registrations (a
+    /// also retires SIREAD registrations (a
     /// transaction committed at or below the horizon cannot be
     /// concurrent with any live or future one), class-granular ones
     /// included: once the last is gone, writers stop probing their
@@ -1759,21 +1789,27 @@ mod tests {
     #[test]
     fn commit_is_atomic_across_objects() {
         let (_, heap, a, x, _) = setup();
-        let o1 = heap.base().create(a);
-        let o2 = heap.base().create(a);
+        let oids: Vec<Oid> = (0..3).map(|_| heap.base().create(a)).collect();
         heap.begin(TxnId(1));
-        heap.write(TxnId(1), o1, x, Value::Int(1)).unwrap();
-        heap.write(TxnId(1), o2, x, Value::Int(2)).unwrap();
+        for (i, &o) in oids.iter().enumerate() {
+            heap.write(TxnId(1), o, x, Value::Int(i as i64 + 1))
+                .unwrap();
+        }
         let snap_before = heap.snapshot();
+        // Without a log, commit is draw → mark → publish: the one store
+        // into the writer's cell commits every record, so no chain shard
+        // is latched, shared or exclusive.
+        let latches = chain_latches();
         let ts = heap.commit(TxnId(1)).unwrap();
+        assert_eq!(chain_latches(), latches, "commit latched a chain shard");
         let snap_after = heap.snapshot();
         assert!(snap_after.ts() >= ts);
-        // The pre-commit snapshot sees neither write; the post-commit
-        // snapshot sees both.
-        assert_eq!(snap_before.read(o1, x), Ok(Value::Int(0)));
-        assert_eq!(snap_before.read(o2, x), Ok(Value::Int(0)));
-        assert_eq!(snap_after.read(o1, x), Ok(Value::Int(1)));
-        assert_eq!(snap_after.read(o2, x), Ok(Value::Int(2)));
+        // The pre-commit snapshot sees no write; the post-commit
+        // snapshot sees all three.
+        for (i, &o) in oids.iter().enumerate() {
+            assert_eq!(snap_before.read(o, x), Ok(Value::Int(0)));
+            assert_eq!(snap_after.read(o, x), Ok(Value::Int(i as i64 + 1)));
+        }
     }
 
     #[test]
@@ -1907,8 +1943,8 @@ mod tests {
         }
     }
 
-    fn reclaim_latches() -> u64 {
-        RECLAIM_LATCHES.with(|n| n.get())
+    fn chain_latches() -> u64 {
+        CHAIN_LATCHES.with(|n| n.get())
     }
 
     /// Every reclaim slot's queue is empty.
@@ -1945,8 +1981,11 @@ mod tests {
         let (_, heap, a, x, _) = setup();
         let o = heap.base().create(a);
         let stranger = TxnId(9);
+        // A session kept past its transaction's end is a stranger too.
+        let ended = heap.begin(stranger);
+        heap.abort(stranger);
         assert_eq!(
-            heap.write_at(0, stranger, o, x, Value::Int(5)),
+            heap.write_at(&ended, o, x, Value::Int(5)),
             Err(MvccWriteError::UnknownTxn(stranger))
         );
         assert_eq!(
@@ -2024,21 +2063,25 @@ mod tests {
                 let (heap, total_latches) = (&heap, &total_latches);
                 s.spawn(move || {
                     let mut next = rng(0x5eed ^ t);
-                    let start = reclaim_latches();
+                    let mut reclaim_latches = 0;
                     for i in 0..per_thread {
                         let txn = TxnId(t << 32 | (i + 1));
                         heap.begin(txn);
                         let oid = oids[next() as usize % OBJECTS];
                         heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
-                        let before = reclaim_latches();
+                        let before = chain_latches();
                         heap.commit(txn).unwrap();
-                        let taken = reclaim_latches() - before;
+                        // An unlogged commit latches no chain itself
+                        // (`commit_is_atomic_across_objects`): whatever
+                        // it took, its reclamation batch took.
+                        let taken = chain_latches() - before;
                         assert!(
                             taken <= RECLAIM_BATCH as u64,
                             "one commit took {taken} reclamation latches"
                         );
+                        reclaim_latches += taken;
                     }
-                    total_latches.fetch_add(reclaim_latches() - start, Ordering::Relaxed);
+                    total_latches.fetch_add(reclaim_latches, Ordering::Relaxed);
                 });
             }
         });
@@ -2047,7 +2090,7 @@ mod tests {
         let total = total_latches.load(Ordering::Relaxed);
         assert!(
             total <= 2 * committed,
-            "{total} latches for {committed} objects"
+            "{total} reclamation latches for {committed} objects"
         );
     }
 
@@ -2236,7 +2279,7 @@ mod tests {
         // both isolation levels. Every round first writes the poison
         // into both fields, then either rolls back or rewrites both
         // fields with the round number (in-place merges of its pending
-        // record) and commits — so installs, merges, flips, rollbacks
+        // record) and commits — so installs, merges, marks, rollbacks
         // and pruning all race the readers. Readers alternate
         // standalone snapshots and read-only transactions of their own
         // (at Serializable those also register SIREADs and step past
@@ -2296,11 +2339,9 @@ mod tests {
                                 (snap.ts(), snap.read(o, x), snap.read(o, y))
                             } else {
                                 let t = TxnId(next_txn.fetch_add(1, Ordering::SeqCst));
-                                let ts = heap.begin(t);
-                                let pair = (
-                                    heap.read_as(ts, Some(t), o, x),
-                                    heap.read_as(ts, Some(t), o, y),
-                                );
+                                let txn = heap.begin(t);
+                                let ts = txn.ts();
+                                let pair = (heap.read_as(&txn, o, x), heap.read_as(&txn, o, y));
                                 // Read-only: it commits at its snapshot, or
                                 // validation refuses it and there is
                                 // nothing to roll back.
@@ -2432,10 +2473,10 @@ mod tests {
         let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
         let oids: Vec<Oid> = (0..N).map(|_| heap.base().create(a)).collect();
         let scan = TxnId(1);
-        let ts = heap.begin(scan);
-        heap.record_class_read(scan, a, x);
+        let scan_txn = heap.begin(scan);
+        heap.record_class_read(&scan_txn, a, x);
         for &o in &oids {
-            assert_eq!(heap.read_covered(ts, scan, o, x), Ok(Value::Int(0)));
+            assert_eq!(heap.read_covered(&scan_txn, o, x), Ok(Value::Int(0)));
         }
         assert_eq!(
             ssi.siread_entries(),
@@ -2489,6 +2530,73 @@ mod tests {
         assert!(
             longest <= RECLAIM_EVERY as usize + 1,
             "the SIREAD list grew to {longest}"
+        );
+    }
+
+    #[test]
+    fn a_marked_but_unpublished_writer_is_refused_and_invisible() {
+        // Stop a commit between its mark and its publication: the
+        // writer's records read as committed at a timestamp above every
+        // registered snapshot.
+        let (_, heap, a, x, y) = setup();
+        let o = heap.base().create(a);
+        let early = heap.snapshot();
+        let (writer, rival) = (TxnId(1), TxnId(2));
+        heap.begin(writer);
+        heap.begin(rival);
+        heap.write(writer, o, x, Value::Int(7)).unwrap();
+        heap.write(writer, o, y, Value::Int(8)).unwrap();
+        let stripe = heap.txn_stripe(writer).lock();
+        let cell = stripe[&writer].cell.clone().expect("a writer has a cell");
+        drop(stripe);
+        let ts = heap.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        cell.mark(ts);
+        let late = heap.snapshot();
+        assert!(late.ts() < ts, "the mark published nothing");
+        // `admit`: committed after the rival's snapshot, not pending.
+        let refused = heap.write(rival, o, x, Value::Int(9));
+        let pending_in = None;
+        let conflict = MvccConflict {
+            oid: o,
+            field: x,
+            pending_in,
+        };
+        assert_eq!(refused, Err(MvccWriteError::Conflict(conflict)));
+        // `reconstruct`: invisible at every registered snapshot.
+        for f in [x, y] {
+            assert_eq!(early.read(o, f), Ok(Value::Int(0)));
+            assert_eq!(late.read(o, f), Ok(Value::Int(0)));
+            assert_eq!(heap.read(rival, o, f), Ok(Value::Int(0)));
+        }
+        // Publication is all it takes to make the records visible.
+        heap.watermark.publish(ts);
+        assert_eq!(heap.snapshot().read(o, x), Ok(Value::Int(7)));
+        assert_eq!(early.read(o, x), Ok(Value::Int(0)));
+    }
+
+    #[test]
+    fn a_read_only_serializable_stream_keeps_the_tracker_bounded() {
+        // No writer ever commits, so no writer's reclamation batch ever
+        // runs: read-only commits must keep the purge cadence themselves.
+        const OBJECTS: usize = 1_000;
+        const TXNS: u64 = 20_000;
+        let (schema, _, a, x, _) = setup();
+        let db = Arc::new(Database::new(schema));
+        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
+        let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
+        let mut next = rng(20_000);
+        let mut most = 0;
+        for i in 1..=TXNS {
+            let t = TxnId(i);
+            heap.begin(t);
+            heap.read(t, oids[next() as usize % OBJECTS], x).unwrap();
+            heap.commit(t).unwrap();
+            most = most.max(ssi.siread_entries().0);
+        }
+        assert!(
+            most <= SSI_PURGE_EVERY as usize,
+            "{most} SIREAD entries after {TXNS} read-only transactions"
         );
     }
 }

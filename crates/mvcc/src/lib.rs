@@ -15,15 +15,15 @@
 //!   per writer commit) decoupled from *visibility*: a **lock-free**
 //!   ordered publication watermark (a CAS ring of in-flight commit
 //!   slots) advances the snapshot source only across a contiguous
-//!   flipped prefix, so a snapshot never observes a half-flipped
-//!   transaction even though committers flip their records one object
-//!   at a time (see the `heap` module's "Concurrency architecture"
-//!   docs).
+//!   prefix of completed commits. A version record points at its
+//!   writer's status cell, so a commit is one store into that cell, and
+//!   a snapshot never observes half a transaction (see the `heap`
+//!   module's "Concurrency architecture" docs).
 //! * **Snapshots** ([`snapshot::Snapshot`]) — first-class read-only
 //!   views: no logical locks, stable for their whole lifetime, and
 //!   registered with the GC so the versions they need stay alive. A
 //!   snapshot read holds its object's chain shard *shared* — readers
-//!   never wait for one another or for a committer's flip, only for a
+//!   never wait for one another or for a committer, only for a
 //!   writer editing a chain of the same shard — and a chain hit never
 //!   touches the base store (records carry before- *and* after-images
 //!   per field). Chains are plain vectors edited in place: there is no
@@ -61,7 +61,9 @@ pub mod ssi;
 pub mod stats;
 mod watermark;
 
-pub use heap::{CommitError, MvccConflict, MvccHeap, MvccReadError, MvccWriteError, WriteOutcome};
+pub use heap::{
+    CommitError, MvccConflict, MvccHeap, MvccReadError, MvccTxn, MvccWriteError, WriteOutcome,
+};
 pub use snapshot::Snapshot;
 pub use ssi::{IsolationLevel, SsiConflict};
 pub use stats::{MvccStats, MvccStatsSnapshot};
@@ -72,9 +74,5 @@ pub use finecc_wal::{
     WalStatsSnapshot, DEFAULT_REORDER_WINDOW,
 };
 
-/// Commit timestamps. `0` is the genesis timestamp (before any commit);
-/// pending versions carry [`TS_PENDING`].
+/// Commit timestamps. `0` is the genesis timestamp (before any commit).
 pub type Ts = u64;
-
-/// The sentinel timestamp of a not-yet-committed version record.
-pub const TS_PENDING: Ts = u64::MAX;

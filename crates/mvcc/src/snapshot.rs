@@ -29,7 +29,7 @@ impl Snapshot {
 
     /// Reads one field as of the snapshot.
     pub fn read(&self, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
-        self.heap.read_as(self.epoch.ts, None, oid, field)
+        self.heap.walk(self.epoch.ts, None, oid, field, None)
     }
 }
 

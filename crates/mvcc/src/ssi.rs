@@ -21,47 +21,53 @@
 //! instead ([`SsiConflict::pivot`]). The tracker itself (`SsiTracker`)
 //! is crate-internal; `finecc_mvcc::MvccHeap` drives it.
 //!
-//! # Striping and the per-edge protocol
+//! # Status cells and the per-edge protocol
 //!
-//! Both tracker tables are sharded: the SIREAD registry by OID (a
-//! class-granular key by its class) and the flag table by `TxnId`, so no
-//! tracker operation takes a global lock.
-//! The correctness argument leans on two facts:
+//! Every tracked transaction owns one status cell (`TxnHandle`), shared
+//! by the heap's registry, the transaction's session, every version
+//! record it writes and every SIREAD entry it registers. The cell holds
+//! the transaction's id, its atomic commit status — `LIVE` while it
+//! runs, its commit timestamp once committed (a read-only transaction's
+//! snapshot), `DEAD` once aborted — and Cahill's flags behind its own
+//! small lock. There is no table of transactions: the check-and-mark
+//! protocol lives on the cell (`mark`, `abort`, `read_edge`,
+//! `validate_and_commit`), and `SsiTracker` keeps only what is shared —
+//! the SIREAD registry, its pruning horizon and its count of class
+//! lists — and is handed the cells it touches. The SIREAD registry is
+//! sharded by OID (a class-granular key by its class), so no tracker
+//! operation takes a global lock. The correctness argument leans on two
+//! facts:
 //!
 //! 1. **A transaction's own thread is sequential.** Edge recording that
 //!    a transaction performs for *itself* (its out-flag during a read,
 //!    its in-flag after a write) is ordered before its own commit
 //!    validation by program order; no lock is needed for that ordering.
-//! 2. **Remote flag updates synchronize on the target's stripe.** When
+//! 2. **Remote flag updates synchronize on the target's cell.** When
 //!    transaction `A`'s thread updates transaction `B`'s flags (the
 //!    writer's in-flag on the read side, the readers' out-flags on the
-//!    write side), it locks `B`'s stripe, and
-//!    `SsiTracker::validate_and_commit` checks-and-marks `B`'s
-//!    commit in one critical section on that same stripe. A remote
-//!    update therefore lands either *before* `B`'s pivot check (and is
-//!    seen by it) or *after* `B` is properly committed (and takes the
+//!    write side), it locks `B`'s cell, and
+//!    `TxnHandle::validate_and_commit` checks-and-marks `B`'s commit
+//!    in one critical section on that same lock. A remote update
+//!    therefore lands either *before* `B`'s pivot check (and is seen by
+//!    it) or *after* `B` is properly committed (and takes the
 //!    committed-pivot path, dooming the completing transaction).
 //!
-//! # Transaction handles and self-pruning SIREAD lists
+//! # Self-pruning SIREAD lists
 //!
-//! Every tracked transaction owns one shared handle (`TxnHandle`): its
-//! id and an atomic commit status — `LIVE` while it runs, its commit
-//! timestamp once committed (a read-only transaction's snapshot), `DEAD`
-//! once aborted. The status is stored only under the transaction's flag
-//! stripe, in the same critical section as `validate_and_commit`'s
-//! commit mark or the flag entry's removal, so it never disagrees with
-//! the flag table; it moves once, from `LIVE`, and never back. A SIREAD
-//! entry is a clone of the reader's handle, so whoever holds a SIREAD
-//! list can tell, from one atomic load per entry and without a stripe
-//! lock, which of its readers can still take part in an edge:
+//! The status is stored only under the cell's lock (a
+//! snapshot-isolation heap, which keeps no flags, stores its commit mark
+//! without it), and it moves once, from `LIVE` — a commit refused by
+//! the log after its mark moves on to `DEAD`. So whoever holds a SIREAD
+//! list can tell, from one atomic load per entry and without a lock,
+//! which of its readers can still take part in an edge:
 //!
 //! * **The lock-free skip.** A reader committed at or below the
 //!   writer's snapshot is not concurrent with the writer (the writer's
 //!   snapshot already contains everything it read): `write_edges`
 //!   passes over it with that one load. Only a live reader, or one
 //!   committed after the writer's snapshot, goes through the locked
-//!   check-and-flag on its stripe — the same verdict the stripe would
-//!   give, since the status is written under it.
+//!   check-and-flag on its cell, which re-reads the status under the
+//!   lock.
 //! * **Lazy pruning.** An entry whose reader is `DEAD`, or committed at
 //!   or below the tracker's cached horizon, can never yield an edge
 //!   again: every live or future writer's snapshot already contains it.
@@ -72,11 +78,11 @@
 //!   `gc_horizon()`, raised with `fetch_max` by every reclamation batch
 //!   — a horizon once computed stays a valid bound forever.
 //! * **What `SsiTracker::purge` is still for.** Lists prune only when
-//!   their field is touched again, and flag entries of committed
-//!   transactions are dropped only by the purge: the heap runs it every
-//!   64th writer commit of a slot (and in every full `gc`) to keep the
-//!   registry and the flag table bounded — including fields that are
-//!   read and then never touched again.
+//!   their field is touched again: the heap runs the purge every 64th
+//!   commit of a slot (read-only ones included) and in every full `gc`
+//!   to keep the registry bounded — including fields that are read and
+//!   then never touched again. A cell is freed when the last record and
+//!   the last SIREAD entry pointing at it go.
 //!
 //! # Class-granular SIREADs
 //!
@@ -120,16 +126,16 @@
 //!
 //! # Lock order
 //!
-//! At most one flag stripe is held at any time (edge endpoints are
-//! visited one after the other), so stripe acquisition cannot deadlock.
-//! The only nesting is **SIREAD shard → flag stripe**: `write_edges`
-//! runs each non-skipped reader's check-and-flag under the shard it is
-//! walking, and `record_read` looks up a newly registering reader's
-//! handle under it. The writer's own in-flag is set after the shard is
-//! dropped. A class key sits in one SIREAD shard like an instance key,
-//! and a writer's two probes take their shards one after the other,
-//! never together. `purge` takes every lock alone. The order is never
-//! reversed.
+//! At most one cell lock is held at any time (edge endpoints are
+//! visited one after the other), so cell locks cannot deadlock among
+//! themselves. The only nesting is **SIREAD shard → cell**:
+//! `write_edges` runs each non-skipped reader's check-and-flag under
+//! the shard it is walking. The writer's own in-flag is set after the
+//! shard is dropped, and `record_read` takes the shard alone: the
+//! reader hands in its cell. A class key sits in one SIREAD shard like
+//! an instance key, and a writer's two probes take their shards one
+//! after the other, never together. `purge` takes every shard alone.
+//! The order is never reversed.
 //!
 //! The reads feeding the tracker are the interpreter's field-granularity
 //! footprints — the runtime projection of the paper's access vectors —
@@ -147,20 +153,19 @@
 //!
 //! # Observability probes
 //!
-//! The tracker itself carries no probes — its stripe mutexes stay
-//! exactly as analyzed above. Validation time is charged to the
-//! heap's `commit_ts_draw` histogram segment (the pivot check gates
-//! the draw's visibility, so the two are timed as one), and each
-//! [`SsiConflict`] is attributed in the contention registry by the
-//! heap *after* `validate_and_commit` returns — never from inside a
-//! flag stripe or SIREAD shard, so the probe cannot add an edge to the
-//! lock-order argument. The abort is keyed to the transaction's first
+//! The tracker itself carries no probes — its locks stay exactly as
+//! analyzed above. Validation time is charged to the heap's
+//! `commit_ts_draw` histogram segment (the pivot check is the commit
+//! mark, so the two are timed as one), and each [`SsiConflict`] is
+//! attributed in the contention registry by the heap *after*
+//! `validate_and_commit` returns — never from inside a cell lock or
+//! SIREAD shard, so the probe cannot add an edge to the lock-order
+//! argument. The abort is keyed to the transaction's first
 //! written object when it has one, or recorded unattributed for a
 //! read-only pivot.
 
-use crate::{Ts, TS_PENDING};
+use crate::Ts;
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId};
-use finecc_obs::CachePadded;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -169,14 +174,11 @@ use std::sync::Arc;
 /// How many mutexes the SIREAD registry is striped over.
 const READER_SHARDS: usize = 32;
 
-/// How many mutexes the flag table is striped over.
-const FLAG_STRIPES: usize = 64;
-
-/// Commit status of a running transaction.
-const LIVE: Ts = TS_PENDING;
+/// Commit status of a running transaction: above every timestamp.
+pub(crate) const LIVE: Ts = Ts::MAX;
 
 /// Commit status of an aborted transaction.
-const DEAD: Ts = TS_PENDING - 1;
+const DEAD: Ts = LIVE - 1;
 
 /// The isolation level of an [`crate::MvccHeap`] — a first-class scheme
 /// parameter (the runtime exposes one scheme entry per level).
@@ -242,24 +244,120 @@ impl std::fmt::Display for SsiConflict {
 
 impl std::error::Error for SsiConflict {}
 
-/// A tracked transaction's identity and commit status, shared by its
-/// flag entry and every SIREAD entry it registers (see the module docs'
-/// *Transaction handles*).
+/// One transaction's status cell: its id, its commit status, and its
+/// conflict flags. A writer's version records point at it, and every
+/// SIREAD entry of a serializable reader is a clone of it (see the
+/// module docs' *Status cells and the per-edge protocol*).
 #[derive(Debug)]
-struct TxnHandle {
-    txn: TxnId,
-    /// `LIVE`, the commit timestamp, or `DEAD`. Stored (`Release`) only
-    /// under the transaction's flag stripe; loaded (`Acquire`) anywhere.
-    /// It publishes nothing but itself: a load that misses a store sees
-    /// `LIVE` and takes the locked path, which reads it under the stripe.
-    commit_ts: AtomicU64,
+pub(crate) struct TxnHandle {
+    pub(crate) txn: TxnId,
+    /// `LIVE`, the commit timestamp, or `DEAD` (module docs,
+    /// *Self-pruning SIREAD lists*). Stored with `Release`, loaded with
+    /// `Acquire`; it publishes nothing but itself. A snapshot at or
+    /// above a commit timestamp sees its mark through the watermark,
+    /// whose `SeqCst` publish follows the store; a load that misses a
+    /// store sees `LIVE`, and the tracker re-reads it under `flags`.
+    status: AtomicU64,
+    /// Cahill's sticky flags, kept under the cell's own lock.
+    flags: Mutex<Flags>,
+}
+
+/// The conflict flags of one transaction.
+#[derive(Debug, Default)]
+struct Flags {
+    /// An incoming rw edge exists: a concurrent transaction read a
+    /// version this one overwrote.
+    in_conflict: bool,
+    /// An outgoing rw edge exists: this transaction read a version a
+    /// concurrent transaction overwrote.
+    out_conflict: bool,
+    /// Set when an edge completed a dangerous structure around an
+    /// already-committed pivot; the named pivot cannot be aborted, so
+    /// this transaction must be.
+    doomed_by: Option<TxnId>,
 }
 
 impl TxnHandle {
-    /// The commit status.
+    /// A live transaction's cell.
+    pub(crate) fn new(txn: TxnId) -> TxnHandle {
+        TxnHandle {
+            txn,
+            status: AtomicU64::new(LIVE),
+            flags: Mutex::default(),
+        }
+    }
+
+    /// The commit status: `LIVE`, the commit timestamp, or `DEAD`.
     #[inline]
-    fn status(&self) -> Ts {
-        self.commit_ts.load(Ordering::Acquire)
+    pub(crate) fn status(&self) -> Ts {
+        self.status.load(Ordering::Acquire)
+    }
+
+    /// The snapshot-isolation commit mark: no flags, no validation.
+    pub(crate) fn mark(&self, ts: Ts) {
+        self.status.store(ts, Ordering::Release);
+    }
+
+    /// Ends the transaction as aborted: its versions read as
+    /// uncommitted until rolled back, and its SIREAD entries go the next
+    /// time their lists are walked. Flags it set on OTHER transactions
+    /// stay set (sticky, conservatively), matching Cahill's original
+    /// formulation.
+    pub(crate) fn abort(&self) {
+        let _flags = self.flags.lock();
+        self.status.store(DEAD, Ordering::Release);
+    }
+
+    /// Marks the rw edge `self ──rw──▶ writer`, discovered on the read
+    /// side: this reader reconstructed a version of a field that `writer`
+    /// has overwritten (pending, or committed after the reader's
+    /// snapshot). Called by the **reader's own thread**, so the
+    /// reader-side flag lands before the reader's own validation by
+    /// program order; the writer's cell is locked to make the
+    /// check-and-mark against the writer's commit status atomic.
+    /// Returns the number of edges recorded (0 or 1).
+    pub(crate) fn read_edge(&self, writer: &TxnHandle) -> u64 {
+        if std::ptr::eq(self, writer) {
+            return 0;
+        }
+        // An aborted writer's in-flag lands where nobody reads it.
+        let writer_committed_pivot = {
+            let mut w = writer.flags.lock();
+            w.in_conflict = true;
+            committed(writer.status()).is_some() && w.out_conflict
+        };
+        let mut r = self.flags.lock();
+        r.out_conflict = true;
+        if writer_committed_pivot && r.doomed_by.is_none() {
+            // `writer` is committed with both flags: it is a pivot we
+            // can no longer abort, so the completing side must go.
+            r.doomed_by = Some(writer.txn);
+        }
+        1
+    }
+
+    /// Commit-time validation, atomic with the commit mark **per
+    /// transaction**: the check and the mark happen in one critical
+    /// section on the transaction's own cell, so an edge discovered by
+    /// a concurrent transaction lands either before the check or
+    /// against a properly committed transaction — never in between.
+    /// Only the one cell is locked; validations of other transactions
+    /// proceed in parallel.
+    pub(crate) fn validate_and_commit(&self, commit_ts: Ts) -> SsiVerdict {
+        let f = self.flags.lock();
+        let pivot = match f.doomed_by {
+            Some(p) => Some(p),
+            None if f.in_conflict && f.out_conflict => None,
+            None => {
+                self.status.store(commit_ts, Ordering::Release);
+                return SsiVerdict::Committed;
+            }
+        };
+        self.status.store(DEAD, Ordering::Release);
+        SsiVerdict::Abort(SsiConflict {
+            txn: self.txn,
+            pivot,
+        })
     }
 
     /// Whether a SIREAD entry of this transaction can still yield an
@@ -273,36 +371,11 @@ impl TxnHandle {
     }
 }
 
-/// Conflict-flag record of one tracked transaction. Entries of committed
-/// transactions are retained until no concurrent transaction can remain
-/// (see [`SsiTracker::purge`]); entries of aborted transactions are
-/// dropped immediately.
-#[derive(Debug)]
-struct Flags {
-    /// An incoming rw edge exists: a concurrent transaction read a
-    /// version this one overwrote.
-    in_conflict: bool,
-    /// An outgoing rw edge exists: this transaction read a version a
-    /// concurrent transaction overwrote.
-    out_conflict: bool,
-    /// Set when an edge completed a dangerous structure around an
-    /// already-committed pivot; the named pivot cannot be aborted, so
-    /// this transaction must be.
-    doomed_by: Option<TxnId>,
-    /// The transaction's handle: its commit timestamp once committed.
-    /// Read-only transactions record their snapshot timestamp — they
-    /// serialize there, so no later-snapshot transaction is concurrent
-    /// with them.
-    handle: Arc<TxnHandle>,
-}
-
-impl Flags {
-    /// The commit timestamp, or `None` while live (a flag entry is
-    /// removed in the critical section that marks its handle `DEAD`).
-    #[inline]
-    fn commit_ts(&self) -> Option<Ts> {
-        Some(self.handle.status()).filter(|&c| c != LIVE)
-    }
+/// The commit timestamp a status holds, or `None` while the transaction
+/// is live or once it aborted.
+#[inline]
+pub(crate) fn committed(status: Ts) -> Option<Ts> {
+    Some(status).filter(|&c| c < DEAD)
 }
 
 /// What one SIREAD list is about, keyed as the lock table's
@@ -317,14 +390,9 @@ pub(crate) enum ReadKey {
 
 /// The SIREAD registry: which transactions have read which field,
 /// striped by OID (a class key by its class). Each entry is the
-/// reader's handle, so a list holder sees every reader's commit status
-/// without the flag table.
+/// reader's cell, so a list holder sees every reader's commit status
+/// and reaches its flags.
 type ReaderShard = Mutex<MulMap<(ReadKey, FieldId), Vec<Arc<TxnHandle>>>>;
-
-/// One stripe of the flag table, on its own cache lines: a scheme's
-/// transaction ids carry their thread's slot, so `txn % FLAG_STRIPES`
-/// is the beginning thread's own stripe.
-type FlagStripe = CachePadded<Mutex<MulMap<TxnId, Flags>>>;
 
 /// The rw-antidependency tracker of a Serializable-level heap.
 ///
@@ -337,12 +405,6 @@ type FlagStripe = CachePadded<Mutex<MulMap<TxnId, Flags>>>;
 pub(crate) struct SsiTracker {
     /// SIREAD registry: who has read which field, striped by OID.
     readers: Box<[ReaderShard]>,
-    /// Conflict flags of live and recently committed transactions,
-    /// striped by `TxnId`. Each stripe is the commit-status authority
-    /// for its transactions, so per-transaction flag updates and commit
-    /// publication are atomic with respect to each other (see the
-    /// module docs for the striping protocol).
-    flags: Box<[FlagStripe]>,
     /// The highest GC horizon the heap has reported: a transaction
     /// committed at or below it is concurrent with no live or future
     /// one, so its SIREAD entries may be dropped. `Relaxed`: every value
@@ -358,12 +420,13 @@ pub(crate) struct SsiTracker {
     class_lists: AtomicUsize,
 }
 
-/// What [`SsiTracker::validate_and_commit`] decided.
+/// What [`TxnHandle::validate_and_commit`] decided.
 pub(crate) enum SsiVerdict {
     /// No dangerous structure: the transaction was atomically marked
     /// committed at the given timestamp.
     Committed,
-    /// Dangerous structure: the caller must roll the transaction back.
+    /// Dangerous structure: the transaction was marked `DEAD`, and the
+    /// caller must roll it back.
     Abort(SsiConflict),
 }
 
@@ -373,10 +436,8 @@ impl SsiTracker {
             .map(|_| Mutex::new(MulMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let flags = (0..FLAG_STRIPES).map(|_| CachePadded::default()).collect();
         SsiTracker {
             readers,
-            flags,
             horizon: AtomicU64::new(0),
             class_lists: AtomicUsize::new(0),
         }
@@ -398,26 +459,6 @@ impl SsiTracker {
         self.class_lists.load(Ordering::Acquire) > 0
     }
 
-    #[inline]
-    fn stripe(&self, txn: TxnId) -> &FlagStripe {
-        &self.flags[(txn.raw() as usize) % FLAG_STRIPES]
-    }
-
-    /// Starts tracking `txn`.
-    pub(crate) fn register(&self, txn: TxnId) {
-        let handle = Arc::new(TxnHandle {
-            txn,
-            commit_ts: AtomicU64::new(LIVE),
-        });
-        let flags = Flags {
-            in_conflict: false,
-            out_conflict: false,
-            doomed_by: None,
-            handle,
-        };
-        self.stripe(txn).lock().insert(txn, flags);
-    }
-
     /// Raises the pruning horizon to `horizon` (a [`crate::MvccHeap`]
     /// GC horizon; a stale one merely prunes less) and returns the
     /// horizon now in force.
@@ -427,12 +468,12 @@ impl SsiTracker {
             .max(horizon)
     }
 
-    /// Registers a SIREAD: `txn` is about to read `field` of `key` (of
-    /// every instance of a `Class` key). Must run BEFORE the
+    /// Registers a SIREAD: `reader` is about to read `field` of `key`
+    /// (of every instance of a `Class` key). Must run BEFORE the
     /// version-chain walks it covers. Drops the list's entries that can
-    /// no longer yield an edge on the way, and registers `txn` at most
-    /// once — an unknown (aborted) `txn` is not registered at all.
-    pub(crate) fn record_read(&self, txn: TxnId, key: ReadKey, field: FieldId) {
+    /// no longer yield an edge on the way, and registers `reader` at
+    /// most once — an aborted one not at all.
+    pub(crate) fn record_read(&self, reader: &Arc<TxnHandle>, key: ReadKey, field: FieldId) {
         let horizon = self.horizon.load(Ordering::Relaxed);
         let mut shard = self.reader_shard(key).lock();
         let entries = match shard.entry((key, field)) {
@@ -446,55 +487,12 @@ impl SsiTracker {
         };
         let mut registered = false;
         entries.retain(|r| {
-            registered |= r.txn == txn;
+            registered |= Arc::ptr_eq(r, reader);
             r.may_conflict(horizon)
         });
-        if registered {
-            return;
+        if !registered && reader.may_conflict(horizon) {
+            entries.push(Arc::clone(reader));
         }
-        // SIREAD shard → flag stripe, the one nesting (module docs).
-        let handle = self
-            .stripe(txn)
-            .lock()
-            .get(&txn)
-            .map(|f| Arc::clone(&f.handle));
-        entries.extend(handle);
-    }
-
-    /// Marks the rw edge `reader ──rw──▶ writer`, discovered on the read
-    /// side: `reader` reconstructed a version of a field that `writer`
-    /// has overwritten (pending, or committed after the reader's
-    /// snapshot). Called by the **reader's own thread**, so the
-    /// reader-side flag lands before the reader's own validation by
-    /// program order; the writer's stripe is locked to make the
-    /// check-and-mark against the writer's commit status atomic.
-    /// Returns the number of edges recorded (0 or 1).
-    pub(crate) fn read_edge(&self, reader: TxnId, writer: TxnId) -> u64 {
-        if reader == writer {
-            return 0;
-        }
-        // The writer may be long gone (purged): its flags can no longer
-        // matter to anyone live, but the reader's out-edge is real.
-        let writer_committed_pivot = {
-            let mut stripe = self.stripe(writer).lock();
-            match stripe.get_mut(&writer) {
-                Some(w) => {
-                    w.in_conflict = true;
-                    w.commit_ts().is_some() && w.out_conflict
-                }
-                None => false,
-            }
-        };
-        let mut stripe = self.stripe(reader).lock();
-        if let Some(r) = stripe.get_mut(&reader) {
-            r.out_conflict = true;
-            if writer_committed_pivot && r.doomed_by.is_none() {
-                // `writer` is committed with both flags: it is a pivot
-                // we can no longer abort, so the completing side must go.
-                r.doomed_by = Some(writer);
-            }
-        }
-        1
     }
 
     /// Marks every rw edge `R ──rw──▶ writer` for concurrent readers `R`
@@ -502,8 +500,8 @@ impl SsiTracker {
     /// the writer's pending version is installed. Called by the
     /// **writer's own thread**, walking the field's SIREAD list in place
     /// under its shard: a reader committed at or below the writer's
-    /// snapshot is skipped on its handle alone, an entry that can no
-    /// longer yield an edge is dropped, and every other reader's stripe
+    /// snapshot is skipped on its status alone, an entry that can no
+    /// longer yield an edge is dropped, and every other reader's cell
     /// is locked for the concurrency test plus out-flag (atomic against
     /// that reader's validation). A class list left empty is removed, so
     /// writers stop probing class keys once none is live. The writer's
@@ -511,7 +509,7 @@ impl SsiTracker {
     /// Returns the number of edges recorded.
     pub(crate) fn write_edges(
         &self,
-        writer: TxnId,
+        writer: &TxnHandle,
         writer_snapshot: Ts,
         key: ReadKey,
         field: FieldId,
@@ -525,7 +523,7 @@ impl SsiTracker {
                 return 0;
             };
             readers.retain(|reader| {
-                if reader.txn == writer {
+                if std::ptr::eq(&**reader, writer) {
                     return true;
                 }
                 let status = reader.status();
@@ -538,15 +536,17 @@ impl SsiTracker {
                 if status <= writer_snapshot {
                     return true;
                 }
-                let mut stripe = self.stripe(reader.txn).lock();
-                // Aborted (or purged) reader: no edge, now or ever.
-                let Some(f) = stripe.get_mut(&reader.txn) else {
+                let mut f = reader.flags.lock();
+                // Concurrency, re-read under the reader's lock: a live
+                // reader overlaps the live writer by definition; a
+                // committed reader overlaps iff the writer's snapshot
+                // predates the reader's commit; an aborted one yields
+                // no edge, now or ever.
+                let status = reader.status();
+                if status == DEAD {
                     return false;
-                };
-                // Concurrency: a live reader overlaps the live writer by
-                // definition; a committed reader overlaps iff the
-                // writer's snapshot predates the reader's commit.
-                let committed = f.commit_ts();
+                }
+                let committed = committed(status);
                 if committed.is_some_and(|c| c <= writer_snapshot) {
                     return true;
                 }
@@ -563,71 +563,30 @@ impl SsiTracker {
             }
         }
         if edges > 0 {
-            let mut stripe = self.stripe(writer).lock();
-            if let Some(w) = stripe.get_mut(&writer) {
-                w.in_conflict = true;
-                if let Some(p) = doom {
-                    if w.doomed_by.is_none() {
-                        w.doomed_by = Some(p);
-                    }
+            let mut w = writer.flags.lock();
+            w.in_conflict = true;
+            if let Some(p) = doom {
+                if w.doomed_by.is_none() {
+                    w.doomed_by = Some(p);
                 }
             }
         }
         edges
     }
 
-    /// Commit-time validation, atomic with commit publication **per
-    /// transaction**: the check and the commit mark happen in one
-    /// critical section on the transaction's own flag stripe, so an
-    /// edge discovered by a concurrent transaction lands either before
-    /// the check or against a properly committed transaction — never in
-    /// between. Only the one stripe is locked; validations of
-    /// transactions on other stripes proceed in parallel.
-    pub(crate) fn validate_and_commit(&self, txn: TxnId, commit_ts: Ts) -> SsiVerdict {
-        let mut stripe = self.stripe(txn).lock();
-        let f = stripe
-            .get_mut(&txn)
-            .expect("transaction is registered with the ssi tracker");
-        let pivot = match f.doomed_by {
-            Some(p) => Some(p),
-            None if f.in_conflict && f.out_conflict => None,
-            None => {
-                f.handle.commit_ts.store(commit_ts, Ordering::Release);
-                return SsiVerdict::Committed;
-            }
-        };
-        f.handle.commit_ts.store(DEAD, Ordering::Release);
-        stripe.remove(&txn);
-        SsiVerdict::Abort(SsiConflict { txn, pivot })
-    }
-
-    /// Drops all tracking state of an aborted transaction. Flags it set
-    /// on OTHER transactions stay set (sticky, conservatively), matching
-    /// Cahill's original formulation. Its SIREAD entries go the next
-    /// time their lists are walked.
-    pub(crate) fn forget(&self, txn: TxnId) {
-        if let Some(f) = self.stripe(txn).lock().remove(&txn) {
-            f.handle.commit_ts.store(DEAD, Ordering::Release);
-        }
-    }
-
     /// Raises the horizon to `horizon` (see
-    /// [`SsiTracker::raise_horizon`]) and drops every flag entry and
-    /// SIREAD registration that can no longer participate in an edge:
-    /// committed transactions whose commit timestamp is at or below the
-    /// horizon (every live or future transaction's snapshot already
-    /// contains them, so no further concurrency is possible), and the
-    /// SIREADs of aborted ones. This is what bounds the flag table and
-    /// the lists of fields nobody touches again; lists in use prune
-    /// themselves.
+    /// [`SsiTracker::raise_horizon`]) and drops every SIREAD
+    /// registration that can no longer participate in an edge: those of
+    /// transactions committed at or below the horizon (every live or
+    /// future transaction's snapshot already contains them, so no
+    /// further concurrency is possible), and those of aborted ones.
+    /// This is what bounds the lists of fields nobody touches again;
+    /// lists in use prune themselves.
     ///
-    /// Runs stripe-at-a-time, one lock at a time — no global lock and
-    /// no nesting: a SIREAD entry's fate is read off its handle.
+    /// Runs shard-at-a-time, one lock at a time — no global lock and
+    /// no nesting: a SIREAD entry's fate is read off its cell.
     pub(crate) fn purge(&self, horizon: Ts) {
         let horizon = self.raise_horizon(horizon);
-        for stripe in self.flags.iter() {
-            stripe.lock().retain(|_, f| f.handle.may_conflict(horizon));
-        }
         for shard in self.readers.iter() {
             let mut shard = shard.lock();
             let mut class_lists = 0;
@@ -669,12 +628,6 @@ impl SsiTracker {
             .get(&(key, field))
             .map_or(0, Vec::len)
     }
-
-    /// Number of tracked (live or retained-committed) transactions.
-    #[cfg(test)]
-    fn tracked_txns(&self) -> usize {
-        self.flags.iter().map(|s| s.lock().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -682,9 +635,10 @@ mod tests {
     use super::*;
     use ReadKey::Instance;
 
-    const T1: TxnId = TxnId(1);
-    const T2: TxnId = TxnId(2);
-    const T3: TxnId = TxnId(3);
+    /// A live transaction's cell.
+    fn live(txn: u64) -> Arc<TxnHandle> {
+        Arc::new(TxnHandle::new(TxnId(txn)))
+    }
 
     #[test]
     fn isolation_level_names() {
@@ -696,13 +650,13 @@ mod tests {
     #[test]
     fn conflict_display_mentions_dangerous_structure() {
         let own = SsiConflict {
-            txn: T1,
+            txn: TxnId(1),
             pivot: None,
         };
         assert!(own.to_string().contains("dangerous structure"));
         let completing = SsiConflict {
-            txn: T1,
-            pivot: Some(T2),
+            txn: TxnId(1),
+            pivot: Some(TxnId(2)),
         };
         assert!(completing.to_string().contains("committed pivot"));
     }
@@ -710,58 +664,47 @@ mod tests {
     #[test]
     fn pivot_with_both_flags_aborts_at_commit() {
         let t = SsiTracker::new();
-        t.register(T1);
-        t.register(T2);
-        t.register(T3);
+        let (t1, t2, t3) = (live(1), live(2), live(3));
         let oid = Instance(Oid(1));
         let f = FieldId(0);
         // T2 reads; T3 overwrites what T2 read; T1 reads what T2 wrote…
-        t.record_read(T2, oid, f);
-        assert_eq!(t.write_edges(T3, 0, oid, f), 1); // T2 → T3
-        assert_eq!(t.read_edge(T1, T2), 1); // T1 → T2
-                                            // …so T2 is the pivot: in (from T1) and out (to T3).
-        match t.validate_and_commit(T2, 7) {
+        t.record_read(&t2, oid, f);
+        assert_eq!(t.write_edges(&t3, 0, oid, f), 1); // T2 → T3
+        assert_eq!(t1.read_edge(&t2), 1); // T1 → T2
+                                          // …so T2 is the pivot: in (from T1) and out (to T3).
+        match t2.validate_and_commit(7) {
             SsiVerdict::Abort(c) => {
-                assert_eq!(c.txn, T2);
+                assert_eq!(c.txn, t2.txn);
                 assert_eq!(c.pivot, None);
             }
             SsiVerdict::Committed => panic!("pivot must abort"),
         }
+        assert_eq!(t2.status(), DEAD);
         // The other two carry one flag each and commit fine.
-        assert!(matches!(
-            t.validate_and_commit(T1, 8),
-            SsiVerdict::Committed
-        ));
-        assert!(matches!(
-            t.validate_and_commit(T3, 9),
-            SsiVerdict::Committed
-        ));
+        assert!(matches!(t1.validate_and_commit(8), SsiVerdict::Committed));
+        assert!(matches!(t3.validate_and_commit(9), SsiVerdict::Committed));
+        assert_eq!((t1.status(), t3.status()), (8, 9));
     }
 
     #[test]
     fn committed_pivot_dooms_the_completing_transaction() {
         let t = SsiTracker::new();
-        t.register(T1);
-        t.register(T3);
+        let (t1, t3) = (live(1), live(3));
         let oid = Instance(Oid(4));
         let f = FieldId(1);
         // T1 reads (oid, f) at snapshot 0 and gains an IN edge: T3 read
         // something T1 overwrote (T3 → T1). T1 then commits — one flag
         // only, so commit succeeds.
-        t.record_read(T1, oid, f);
-        t.read_edge(T3, T1);
-        assert!(matches!(
-            t.validate_and_commit(T1, 5),
-            SsiVerdict::Committed
-        ));
+        t.record_read(&t1, oid, f);
+        t3.read_edge(&t1);
+        assert!(matches!(t1.validate_and_commit(5), SsiVerdict::Committed));
         // T4 (snapshot 0, concurrent with T1's commit at 5) overwrites
         // what T1 read: edge T1 → T4 gives committed T1 its OUT flag —
         // T1 is now a pivot nobody can abort, so T4 is doomed.
-        let t4 = TxnId(4);
-        t.register(t4);
-        assert_eq!(t.write_edges(t4, 0, oid, f), 1, "edge from committed T1");
-        match t.validate_and_commit(t4, 6) {
-            SsiVerdict::Abort(c) => assert_eq!(c.pivot, Some(T1)),
+        let t4 = live(4);
+        assert_eq!(t.write_edges(&t4, 0, oid, f), 1, "edge from committed T1");
+        match t4.validate_and_commit(6) {
+            SsiVerdict::Abort(c) => assert_eq!(c.pivot, Some(t1.txn)),
             SsiVerdict::Committed => panic!("completing txn must abort"),
         }
     }
@@ -769,109 +712,75 @@ mod tests {
     #[test]
     fn non_concurrent_committed_reader_creates_no_edge() {
         let t = SsiTracker::new();
-        t.register(T1);
-        t.record_read(T1, Instance(Oid(9)), FieldId(0));
-        assert!(matches!(
-            t.validate_and_commit(T1, 3),
-            SsiVerdict::Committed
-        ));
+        let t1 = live(1);
+        t.record_read(&t1, Instance(Oid(9)), FieldId(0));
+        assert!(matches!(t1.validate_and_commit(3), SsiVerdict::Committed));
         // A writer whose snapshot (5) already includes T1's commit (3):
         // plain wr ordering, not an antidependency.
-        t.register(T2);
-        assert_eq!(t.write_edges(T2, 5, Instance(Oid(9)), FieldId(0)), 0);
-        assert!(matches!(
-            t.validate_and_commit(T2, 6),
-            SsiVerdict::Committed
-        ));
+        let t2 = live(2);
+        assert_eq!(t.write_edges(&t2, 5, Instance(Oid(9)), FieldId(0)), 0);
+        assert!(matches!(t2.validate_and_commit(6), SsiVerdict::Committed));
     }
 
     #[test]
     fn lists_dedupe_and_drop_readers_below_the_horizon() {
         let t = SsiTracker::new();
         let (oid, f) = (Instance(Oid(5)), FieldId(0));
-        t.register(T1);
-        t.record_read(T1, oid, f);
-        t.record_read(T1, oid, f);
+        let t1 = live(1);
+        t.record_read(&t1, oid, f);
+        t.record_read(&t1, oid, f);
         assert_eq!(t.siread_len(oid, f), 1, "one entry per reader");
-        assert!(matches!(
-            t.validate_and_commit(T1, 2),
-            SsiVerdict::Committed
-        ));
-        t.register(T2);
-        t.record_read(T2, oid, f);
+        assert!(matches!(t1.validate_and_commit(2), SsiVerdict::Committed));
+        let t2 = live(2);
+        t.record_read(&t2, oid, f);
         // A writer whose snapshot contains T1's commit passes over T1
         // (kept: an older-snapshot writer may still need it) and finds
         // the live T2.
-        t.register(T3);
-        assert_eq!(t.write_edges(T3, 2, oid, f), 1);
+        assert_eq!(t.write_edges(&live(3), 2, oid, f), 1);
         assert_eq!(t.siread_len(oid, f), 2);
         // Once the horizon passes T1's commit, the next touch drops it.
         t.raise_horizon(2);
-        t.register(TxnId(4));
-        t.record_read(TxnId(4), oid, f);
+        t.record_read(&live(4), oid, f);
         assert_eq!(t.siread_len(oid, f), 2, "T2 and T4");
+        assert_eq!(Arc::strong_count(&t1), 1, "T1's cell is ours alone");
     }
 
     #[test]
     fn aborted_readers_leave_no_edges_and_purge_drains() {
         let t = SsiTracker::new();
-        t.register(T1);
-        t.record_read(T1, Instance(Oid(2)), FieldId(0));
-        t.forget(T1); // aborted
-        t.register(T2);
-        t.record_read(T2, Instance(Oid(3)), FieldId(0));
+        let t1 = live(1);
+        t.record_read(&t1, Instance(Oid(2)), FieldId(0));
+        t1.abort();
+        // An aborted reader registers nothing more.
+        t.record_read(&t1, Instance(Oid(4)), FieldId(0));
+        let t2 = live(2);
+        t.record_read(&t2, Instance(Oid(3)), FieldId(0));
         // The writer's scan finds the aborted reader's entry and drops
         // it: no edge, and no entry left for anyone to scan again.
-        assert_eq!(t.write_edges(T2, 0, Instance(Oid(2)), FieldId(0)), 0);
+        assert_eq!(t.write_edges(&t2, 0, Instance(Oid(2)), FieldId(0)), 0);
         assert_eq!(t.siread_len(Instance(Oid(2)), FieldId(0)), 0);
-        assert!(matches!(
-            t.validate_and_commit(T2, 1),
-            SsiVerdict::Committed
-        ));
-        // What the purge is still for: the committed transaction's flag
-        // entry, and its SIREAD of a field nobody touched again.
+        assert_eq!(Arc::strong_count(&t1), 1, "the tracker let go of T1");
+        assert!(matches!(t2.validate_and_commit(1), SsiVerdict::Committed));
+        // What the purge is still for: the committed transaction's
+        // SIREAD of a field nobody touched again, and with it the last
+        // reference the tracker held to its cell.
         assert_eq!(t.siread_entries(), (1, 0));
-        assert_eq!(t.tracked_txns(), 1);
+        assert_eq!(Arc::strong_count(&t2), 2);
         t.purge(10);
         assert_eq!(t.siread_entries(), (0, 0));
-        assert_eq!(t.tracked_txns(), 0);
-    }
-
-    #[test]
-    fn striping_keeps_edges_across_distant_txn_ids() {
-        // Transactions deliberately chosen to land on distinct stripes
-        // (ids differ mod FLAG_STRIPES): the edge protocol must behave
-        // exactly as under one global lock.
-        let a = TxnId(1);
-        let b = TxnId(1 + FLAG_STRIPES as u64);
-        let c = TxnId(2 + 2 * FLAG_STRIPES as u64);
-        let t = SsiTracker::new();
-        t.register(a);
-        t.register(b);
-        t.register(c);
-        let oid = Instance(Oid(7));
-        let f = FieldId(0);
-        t.record_read(b, oid, f);
-        assert_eq!(t.write_edges(c, 0, oid, f), 1); // b → c
-        assert_eq!(t.read_edge(a, b), 1); // a → b
-        match t.validate_and_commit(b, 3) {
-            SsiVerdict::Abort(conflict) => assert_eq!(conflict.txn, b),
-            SsiVerdict::Committed => panic!("cross-stripe pivot must abort"),
-        }
-        assert!(matches!(t.validate_and_commit(a, 4), SsiVerdict::Committed));
-        assert!(matches!(t.validate_and_commit(c, 5), SsiVerdict::Committed));
+        assert_eq!(Arc::strong_count(&t2), 1);
     }
 
     #[test]
     fn purge_keeps_sireads_of_live_transactions() {
         let t = SsiTracker::new();
-        t.register(T1);
-        t.record_read(T1, Instance(Oid(3)), FieldId(0));
+        let t1 = live(1);
+        t.record_read(&t1, Instance(Oid(3)), FieldId(0));
         // T1 is live: horizon way past anything must not drop its
         // registration (only ended transactions are purged).
         t.purge(1_000);
         assert_eq!(t.siread_entries(), (1, 0));
-        assert_eq!(t.tracked_txns(), 1);
+        assert_eq!(Arc::strong_count(&t1), 2, "the list still holds T1");
     }
 
     #[test]
@@ -880,35 +789,28 @@ mod tests {
         let class = ReadKey::Class(ClassId::from_index(2));
         let f = FieldId(1);
         assert!(!t.has_class_reads());
-        t.register(T1);
-        t.record_read(T1, class, f);
-        t.record_read(T1, class, f);
+        let t1 = live(1);
+        t.record_read(&t1, class, f);
+        t.record_read(&t1, class, f);
         assert_eq!(t.siread_entries(), (0, 1), "one entry, deduped");
         assert!(t.has_class_reads());
         // A concurrent writer finds the reader on the class key, not on
         // an instance key nobody registered.
-        t.register(T2);
-        assert_eq!(t.write_edges(T2, 0, Instance(Oid(9)), f), 0);
-        assert_eq!(t.write_edges(T2, 0, class, f), 1);
-        assert!(matches!(
-            t.validate_and_commit(T1, 1),
-            SsiVerdict::Committed
-        ));
+        let t2 = live(2);
+        assert_eq!(t.write_edges(&t2, 0, Instance(Oid(9)), f), 0);
+        assert_eq!(t.write_edges(&t2, 0, class, f), 1);
+        assert!(matches!(t1.validate_and_commit(1), SsiVerdict::Committed));
         // Once the horizon passes the reader, the next probe drops the
         // entry and the list with it: writers stop probing.
         t.raise_horizon(1);
-        t.register(T3);
-        assert_eq!(t.write_edges(T3, 1, class, f), 0);
+        assert_eq!(t.write_edges(&live(3), 1, class, f), 0);
         assert_eq!(t.siread_entries(), (0, 0));
         assert!(!t.has_class_reads());
         // The purge removes a class list nobody probes again.
-        t.register(TxnId(4));
-        t.record_read(TxnId(4), class, FieldId(2));
+        let t4 = live(4);
+        t.record_read(&t4, class, FieldId(2));
         assert!(t.has_class_reads());
-        assert!(matches!(
-            t.validate_and_commit(TxnId(4), 2),
-            SsiVerdict::Committed
-        ));
+        assert!(matches!(t4.validate_and_commit(2), SsiVerdict::Committed));
         t.purge(2);
         assert!(!t.has_class_reads());
     }

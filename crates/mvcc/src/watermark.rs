@@ -1,15 +1,15 @@
 //! The ordered publication watermark, as a **lock-free ring** of
 //! in-flight commit slots.
 //!
-//! Committers draw timestamps from an atomic clock and flip their
-//! chains without any global lock, so transaction `T+1` can finish
-//! flipping before `T` does. Publishing `T+1` at that moment would let
-//! a snapshot at `T+1` miss `T`'s writes. The watermark therefore
-//! tracks completed-but-unpublished timestamps and advances `published`
-//! (the snapshot source) only across a **contiguous** prefix: every
-//! commit at or below the watermark has fully flipped (or was published
-//! as a *skip* by an SSI-refused commit — nothing was flipped at it, so
-//! the prefix stays dense either way).
+//! Committers draw timestamps from an atomic clock, mark their status
+//! cells and log their records without any global lock, so transaction
+//! `T+1` can finish before `T` does. Publishing `T+1` at that moment
+//! would let a snapshot at `T+1` miss `T`'s writes. The watermark
+//! therefore tracks completed-but-unpublished timestamps and advances
+//! `published` (the snapshot source) only across a **contiguous**
+//! prefix: every commit at or below the watermark is fully marked and
+//! logged (or was published as a *skip* by a refused commit — nothing
+//! committed at it, so the prefix stays dense either way).
 //!
 //! Earlier revisions guarded the pending set with a mutex — tiny, but
 //! every writer commit passed through it. This implementation has **no
@@ -40,7 +40,7 @@
 //!
 //! All operations are `SeqCst`; the slot claim → advance → snapshot
 //! read chain is the happens-before edge that carries a committer's
-//! chain flips (and its skip decisions) to every snapshot reader at or
+//! commit mark (and its skip decisions) to every snapshot reader at or
 //! above its timestamp.
 
 use crate::Ts;
@@ -57,7 +57,7 @@ const EMPTY: u64 = 0;
 #[derive(Debug)]
 pub(crate) struct Watermark {
     /// The highest timestamp `t` such that every commit in `1..=t` has
-    /// fully flipped (or was skipped). This is `last_committed` — the
+    /// completed (or was skipped). This is `last_committed` — the
     /// snapshot source.
     published: AtomicU64,
     /// In-flight completion slots; `slots[ts % capacity]` holds `ts`
@@ -134,7 +134,7 @@ impl Watermark {
         }
     }
 
-    /// Marks `ts` complete (flipped, or skipped by an SSI-refused
+    /// Marks `ts` complete (committed, or skipped by a refused
     /// commit) and advances the contiguous published prefix as far as
     /// it now reaches. Lock-free; waits only in the documented ring-
     /// overflow fallback. Returns `true` if this call had to wait.
@@ -225,13 +225,13 @@ mod tests {
     #[test]
     fn skip_fill_keeps_the_prefix_dense() {
         // A timestamp drawn by an SSI-refused commit is published
-        // through the same path with nothing flipped at it: the prefix
+        // through the same path with nothing committed at it: the prefix
         // must advance straight across the hole.
         let w = Watermark::new();
         w.publish(1);
         w.publish(3); // skip-filled later by 2
         assert_eq!(w.get(), 1);
-        w.publish(2); // the "skip": published, nothing flipped
+        w.publish(2); // the "skip": published, nothing committed
         assert_eq!(w.get(), 3, "skip publication closes the hole");
     }
 

@@ -59,25 +59,23 @@ pub enum Phase {
     TxnLatency = 0,
     /// The whole commit call.
     CommitTotal = 1,
-    /// Commit: timestamp draw + validation (SSI's dangerous-structure
-    /// check included — it gates the draw's visibility).
+    /// Commit: timestamp draw + the commit mark (SSI's
+    /// dangerous-structure check included — it is the mark there).
     CommitTsDraw = 2,
     /// Commit: WAL append + group-commit ack (durable-before-visible).
     CommitWalAck = 3,
-    /// Commit: version-chain `commit_ts` flips.
-    CommitFlip = 4,
     /// Commit: watermark publish + in-order wait.
-    CommitPublish = 5,
+    CommitPublish = 4,
     /// Lock-manager block time (granted waits only).
-    LockWait = 6,
+    LockWait = 5,
     /// WAL group-commit ack wait inside `append`.
-    GroupCommitAck = 7,
+    GroupCommitAck = 6,
     /// Checkpoint write end-to-end (quiesce + encode + fsync + rename).
-    Checkpoint = 8,
+    Checkpoint = 7,
 }
 
 /// Number of [`Phase`]s.
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 8;
 
 impl Phase {
     /// Every phase, in index order.
@@ -86,7 +84,6 @@ impl Phase {
         Phase::CommitTotal,
         Phase::CommitTsDraw,
         Phase::CommitWalAck,
-        Phase::CommitFlip,
         Phase::CommitPublish,
         Phase::LockWait,
         Phase::GroupCommitAck,
@@ -100,7 +97,6 @@ impl Phase {
             Phase::CommitTotal => "commit",
             Phase::CommitTsDraw => "commit_ts_draw",
             Phase::CommitWalAck => "commit_wal_ack",
-            Phase::CommitFlip => "commit_flip",
             Phase::CommitPublish => "commit_publish",
             Phase::LockWait => "lock_wait",
             Phase::GroupCommitAck => "group_commit_ack",
@@ -350,9 +346,13 @@ mod tests {
         let obs = Obs::new(ObsConfig::enabled());
         let mut t = obs.phase_timer();
         t.lap(Phase::CommitTsDraw);
-        t.lap(Phase::CommitFlip);
+        t.lap(Phase::CommitPublish);
         t.finish(Phase::CommitTotal);
-        for p in [Phase::CommitTsDraw, Phase::CommitFlip, Phase::CommitTotal] {
+        for p in [
+            Phase::CommitTsDraw,
+            Phase::CommitPublish,
+            Phase::CommitTotal,
+        ] {
             assert_eq!(obs.phase_summary(p).count, 1, "{}", p.name());
         }
         // Total covers the laps.

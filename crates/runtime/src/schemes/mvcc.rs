@@ -20,8 +20,9 @@
 //!   no `finecc.lock.*` sample at all, and the heap's
 //!   `read_base_loads` counter stays at zero whenever a chain covers
 //!   the field). The snapshot
-//!   timestamp is cached in the transaction session, so steady-state
-//!   operations skip the heap's transaction registry too.
+//!   timestamp (and at `Serializable` the transaction's status cell) is
+//!   cached in the transaction session, so steady-state operations skip
+//!   the heap's transaction registry too.
 //! * **Writes** install pending versions under first-updater-wins
 //!   admission control at **field granularity** — like the TAV scheme,
 //!   writers of disjoint fields of one instance run in parallel (the
@@ -30,13 +31,14 @@
 //!   [`ExecError::ConcurrencyAbort`], so the standard
 //!   [`crate::run_txn`] retry loop re-runs the transaction on a fresh
 //!   snapshot — the optimistic analogue of a deadlock-victim restart.
-//! * **Commit** draws one timestamp and flips every pending version
-//!   atomically with respect to new snapshots; the returned commit
-//!   sequence *is* the commit timestamp. At `Snapshot` commit is
-//!   infallible (all validation happened at write time). At
-//!   `Serializable` the heap validates Cahill-style conflict flags fed
-//!   by the interpreter's field-granularity footprints and refuses
-//!   dangerous structures with a retryable
+//! * **Commit** draws one timestamp and marks the transaction's status
+//!   cell with it — every pending version points at that cell, so one
+//!   store commits them all, atomically with respect to new snapshots;
+//!   the returned commit sequence *is* the commit timestamp. At
+//!   `Snapshot` commit is infallible (all validation happened at write
+//!   time). At `Serializable` the heap validates Cahill-style conflict
+//!   flags fed by the interpreter's field-granularity footprints and
+//!   refuses dangerous structures with a retryable
 //!   [`ExecError::ConcurrencyAbort`]; [`crate::run_txn`] re-runs the
 //!   victim on a fresh snapshot exactly like a deadlock victim.
 //! * **Extent messages** at `Serializable` register their reads at the
@@ -62,10 +64,11 @@ use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
 use finecc_model::{ClassId, FieldId, MethodId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccReadError, MvccWriteError,
+    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccReadError, MvccTxn, MvccWriteError,
     SsiConflict, Wal, WalConfig,
 };
 use finecc_obs::SlotIds;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,7 +78,7 @@ pub struct MvccScheme {
     env: Env,
     heap: Arc<MvccHeap>,
     /// Transaction ids, carrying the beginning thread's slot: the heap's
-    /// registry and SSI flag stripes are keyed by it.
+    /// registry stripes are keyed by it.
     ids: SlotIds,
 }
 
@@ -183,12 +186,10 @@ impl MvccScheme {
 struct MvccAccess<'a> {
     env: &'a Env,
     heap: &'a MvccHeap,
-    txn: TxnId,
-    /// The transaction's snapshot timestamp, cached in the [`Txn`]
-    /// session at begin — field reads and writes go straight to the
-    /// version chains without ever touching the heap's transaction
-    /// registry.
-    snapshot_ts: u64,
+    /// The transaction as the [`Txn`] session caches it at begin — field
+    /// reads and writes go straight to the version chains without ever
+    /// touching the heap's transaction registry.
+    txn: Cow<'a, MvccTxn>,
     /// The `(class, field)` pairs this operation registered
     /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a read
     /// of such a field of an instance of such a class registers nothing
@@ -217,7 +218,7 @@ impl MvccAccess<'_> {
                 continue;
             };
             for (field, _) in table.tav(idx).iter() {
-                self.heap.record_class_read(self.txn, c, field);
+                self.heap.record_class_read(&self.txn, c, field);
                 self.covered.push((c, field));
             }
         }
@@ -244,18 +245,16 @@ impl DataAccess for MvccAccess<'_> {
 
     fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
         let read = if self.covers(oid, field) {
-            self.heap
-                .read_covered(self.snapshot_ts, self.txn, oid, field)
+            self.heap.read_covered(&self.txn, oid, field)
         } else {
-            self.heap
-                .read_as(self.snapshot_ts, Some(self.txn), oid, field)
+            self.heap.read_as(&self.txn, oid, field)
         };
         read.map_err(Env::store_err)
     }
 
     fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
         self.heap
-            .write_at(self.snapshot_ts, self.txn, oid, field, value)
+            .write_at(&self.txn, oid, field, value)
             .map(drop)
             .map_err(MvccScheme::exec_err)
     }
@@ -270,26 +269,25 @@ impl DataAccess for MvccAccess<'_> {
 }
 
 impl MvccScheme {
-    fn access<'a>(&'a self, txn: &Txn) -> Result<MvccAccess<'a>, ExecError> {
-        // The snapshot timestamp is cached in the transaction session at
+    fn access<'a>(&'a self, txn: &'a Txn) -> Result<MvccAccess<'a>, ExecError> {
+        // The heap's view of the transaction is cached in the session at
         // begin, so steady-state message sends never touch the heap's
         // transaction registry (the fallback covers hand-built `Txn`s).
-        let snapshot_ts = match txn.snapshot_ts {
-            Some(ts) => ts,
-            None => self.heap.snapshot_ts(txn.id).ok_or_else(|| {
+        let mvcc = match &txn.mvcc {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(self.heap.txn(txn.id).ok_or_else(|| {
                 // Not this scheme's transaction (or one already ended):
                 // a re-run would fare no better.
                 ExecError::ConcurrencyAbort {
                     deadlock: false,
                     msg: MvccReadError::UnknownTxn(txn.id).to_string(),
                 }
-            })?,
+            })?),
         };
         Ok(MvccAccess {
             env: &self.env,
             heap: &self.heap,
-            txn: txn.id,
-            snapshot_ts,
+            txn: mvcc,
             covered: Vec::new(),
             receiver: None,
         })
@@ -309,9 +307,7 @@ impl CcScheme for MvccScheme {
     }
 
     fn begin(&self) -> Txn {
-        let id = TxnId(self.ids.next());
-        let snapshot_ts = self.heap.begin(id);
-        Txn::with_snapshot_ts(id, snapshot_ts)
+        Txn::with_mvcc(self.heap.begin(TxnId(self.ids.next())))
     }
 
     fn send(
@@ -518,7 +514,7 @@ mod tests {
     #[test]
     fn a_transaction_the_heap_does_not_know_is_refused_not_retried() {
         let (s, _, _) = setup();
-        let stranger = Txn::with_snapshot_ts(TxnId(1 << 40), 0);
+        let stranger = Txn::new(TxnId(1 << 40));
         let err = s.commit(stranger).unwrap_err();
         assert!(matches!(
             err,
@@ -529,14 +525,14 @@ mod tests {
         ));
         assert!(!err.is_retryable(), "{err}");
         // Aborting one is a no-op rather than a panic.
-        s.abort(Txn::with_snapshot_ts(TxnId(1 << 40), 0));
+        s.abort(Txn::new(TxnId(1 << 40)));
         assert_eq!(s.heap().stats.snapshot().commits, 0);
     }
 
     #[test]
     fn a_write_by_a_transaction_the_heap_does_not_know_leaves_nothing_behind() {
         let (s, _, o2) = setup();
-        let mut stranger = Txn::with_snapshot_ts(TxnId(1 << 40), 0);
+        let mut stranger = Txn::new(TxnId(1 << 40));
         let err = s
             .send(&mut stranger, o2, "m2", &[Value::Int(9)])
             .unwrap_err();

@@ -4,6 +4,7 @@ use crate::scheme::CcScheme;
 use finecc_lang::ExecError;
 use finecc_lock::{LockMode, ResourceId};
 use finecc_model::TxnId;
+use finecc_mvcc::MvccTxn;
 use finecc_obs::Phase;
 use finecc_store::UndoLog;
 
@@ -14,13 +15,14 @@ pub struct Txn {
     pub id: TxnId,
     /// Before-images recorded during execution.
     pub undo: UndoLog,
-    /// The session-cached MVCC snapshot timestamp (`None` for the lock
-    /// schemes). The mvcc schemes stamp it at begin so steady-state
-    /// reads and writes never consult the heap's transaction registry —
-    /// the per-operation registry-stripe lookup this cache replaced was
-    /// the read path's last shared-mutable touch besides the chains
-    /// themselves.
-    pub snapshot_ts: Option<u64>,
+    /// The mvcc schemes' session view of the transaction: its snapshot
+    /// timestamp and, at `Serializable`, its status cell (`None` for
+    /// the lock schemes). The mvcc schemes stamp it at begin so
+    /// steady-state reads and writes never consult the heap's
+    /// transaction registry — the per-operation registry-stripe lookup
+    /// this cache replaced was the read path's last shared-mutable
+    /// touch besides the chains themselves.
+    pub mvcc: Option<MvccTxn>,
     /// The first [`Txn::HELD_LOCKS`] locks the lock schemes were
     /// granted (empty for the mvcc schemes). Strict 2PL holds a granted
     /// lock to commit, so a repeated request found here needs no trip
@@ -38,17 +40,17 @@ impl Txn {
         Txn {
             id,
             undo: UndoLog::new(),
-            snapshot_ts: None,
+            mvcc: None,
             held: Vec::new(),
         }
     }
 
-    /// Creates a transaction carrying its MVCC snapshot timestamp.
-    pub fn with_snapshot_ts(id: TxnId, snapshot_ts: u64) -> Txn {
+    /// Creates a transaction carrying its MVCC session view.
+    pub fn with_mvcc(mvcc: MvccTxn) -> Txn {
         Txn {
-            id,
+            id: mvcc.id(),
             undo: UndoLog::new(),
-            snapshot_ts: Some(snapshot_ts),
+            mvcc: Some(mvcc),
             held: Vec::new(),
         }
     }

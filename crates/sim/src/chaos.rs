@@ -586,7 +586,7 @@ fn run_op(
     track: &Mutex<Track>,
 ) {
     let observe_snapshot = |txn: &finecc_runtime::Txn| {
-        if let Some(ts) = txn.snapshot_ts {
+        if let Some(ts) = txn.mvcc.as_ref().map(|t| t.ts()) {
             let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
             if ts < t.max_snapshot_ts {
                 let floor = t.max_snapshot_ts;

@@ -473,7 +473,7 @@ proptest! {
                     if open[slot].is_none() {
                         let id = TxnId(next_id);
                         next_id += 1;
-                        let begin_ts = heap.begin(id);
+                        let begin_ts = heap.begin(id).ts();
                         open[slot] = Some(Open { id, begin_ts, writes: HashMap::new() });
                     }
                     let txn = open[slot].as_mut().expect("opened above");
@@ -640,7 +640,7 @@ proptest! {
             if open[slot].is_none() {
                 let id = TxnId(next_id);
                 next_id += 1;
-                let begin_ts = heap.begin(id);
+                let begin_ts = heap.begin(id).ts();
                 open[slot] = Some(Open {
                     id,
                     begin_ts,
@@ -793,7 +793,7 @@ fn ssi_aborts_strictly_fewer_than_naive_read_set_revalidation() {
         let reader = TxnId(next_id);
         let writer = TxnId(next_id + 1);
         next_id += 2;
-        let r_begin = heap.begin(reader);
+        let r_begin = heap.begin(reader).ts();
         heap.read(reader, hot, field).expect("object exists");
         heap.begin(writer);
         heap.write(writer, hot, field, Value::Int(i as i64))

@@ -220,11 +220,9 @@ fn assert_prefix_recovery(
 /// One committed transaction writing `value` to `(oid, field)` pairs.
 fn commit_writes(fx: &Fixture, writes: &[(Oid, FieldId)], value: i64) -> u64 {
     let txn = fx.txn();
-    let ts = fx.heap.begin(txn);
+    let t = fx.heap.begin(txn);
     for &(oid, field) in writes {
-        fx.heap
-            .write_at(ts, txn, oid, field, Value::Int(value))
-            .unwrap();
+        fx.heap.write_at(&t, oid, field, Value::Int(value)).unwrap();
     }
     fx.heap.commit(txn).unwrap()
 }
@@ -245,9 +243,9 @@ fn crash_at_every_record_boundary_recovers_exact_committed_prefix() {
             commit_writes(&fx, &[(o, f), (o2, f)], 100 + round);
             // Aborted transaction: writes a sentinel, then rolls back.
             let txn = fx.txn();
-            let ts = fx.heap.begin(txn);
+            let t = fx.heap.begin(txn);
             fx.heap
-                .write_at(ts, txn, o, fx.fields[0], Value::Int(-1))
+                .write_at(&t, o, fx.fields[0], Value::Int(-1))
                 .unwrap();
             fx.heap.abort(txn);
         }
@@ -380,19 +378,19 @@ fn threaded_commit_storm_recovers_acked_commits() {
                 let b = fx.oids[(t + 1) % fx.oids.len()];
                 for round in 0..per_thread {
                     let txn = fx.txn();
-                    let ts = fx.heap.begin(txn);
+                    let t = fx.heap.begin(txn);
                     if round % 3 == 2 {
                         fx.heap
-                            .write_at(ts, txn, a, field, Value::Int(round * 2 + 1))
+                            .write_at(&t, a, field, Value::Int(round * 2 + 1))
                             .unwrap();
                         fx.heap.abort(txn);
                         continue;
                     }
                     fx.heap
-                        .write_at(ts, txn, a, field, Value::Int(round * 2))
+                        .write_at(&t, a, field, Value::Int(round * 2))
                         .unwrap();
                     fx.heap
-                        .write_at(ts, txn, b, field, Value::Int(round * 2))
+                        .write_at(&t, b, field, Value::Int(round * 2))
                         .unwrap();
                     fx.heap.commit(txn).unwrap();
                 }
@@ -837,9 +835,9 @@ fn durable_heap_read_path_takes_no_new_latches() {
     commit_writes(&fx, &[(o, f)], 9);
     let before = fx.heap.stats.snapshot();
     let txn = fx.txn();
-    let ts = fx.heap.begin(txn);
+    let t = fx.heap.begin(txn);
     for _ in 0..100 {
-        assert_eq!(fx.heap.read_as(ts, Some(txn), o, f), Ok(Value::Int(9)));
+        assert_eq!(fx.heap.read_as(&t, o, f), Ok(Value::Int(9)));
     }
     fx.heap.abort(txn);
     let s = fx.heap.stats.snapshot().since(&before);
