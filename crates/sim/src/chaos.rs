@@ -8,19 +8,20 @@
 //! of the six schemes — plus a seed, an armed fault plane, and
 //! (optionally) a recorded decision sequence to replay. [`run_chaos`]
 //! executes it under the harness, serialized on virtual time, and
-//! checks four invariants the schemes must uphold:
+//! checks three invariants the schemes must uphold:
 //!
-//! * **Lost own write** — a transaction must observe its own earlier
-//!   committed writes ([`Anomaly::LostOwnWrite`]). This is the anomaly
-//!   the mvcc commit barrier (`wait_published`) exists to prevent;
-//!   disabling the barrier through the fault plane
+//! * **The history check** — every attempt is recorded
+//!   ([`crate::history::Recorded`]), the run ends with one read of every
+//!   cell (skipped after a fired crash), and [`History::check`] judges
+//!   the history against the scheme's contract: a violation it does not
+//!   admit is an [`Anomaly::Isolation`]; the G2 cycles plain `mvcc`
+//!   admits are counted in [`ChaosReport::admitted`]. The
+//!   [`ChaosOp::SkewPair`] op makes write skew reachable. Disabling the
+//!   mvcc commit barrier (`wait_published`) through the fault plane
 //!   (`Site::CommitPublishWait` + `FaultKind::Disable`) is the
-//!   known-bug lever the regression tests explore against.
-//! * **Torn pairs / unstable snapshots** — cell pairs are only ever
-//!   written atomically with equal values, so a reader seeing them
-//!   differ ([`Anomaly::TornPair`]) or change across two reads in one
-//!   transaction ([`Anomaly::UnstableSnapshot`]) proves a broken
-//!   snapshot or broken 2PL.
+//!   known-bug lever the regression tests explore against: a worker's
+//!   next snapshot misses its own commit, a G-single through a session
+//!   edge.
 //! * **Watermark monotonicity** — mvcc snapshot timestamps observed in
 //!   begin order must never regress ([`Anomaly::WatermarkRegression`]).
 //! * **Recovery = committed prefix** — for durable scenarios the
@@ -32,17 +33,18 @@
 //!   refuses the in-flight batch, which is exactly the rolled-back
 //!   (never acknowledged) suffix.
 //!
-//! On top of the single run sit [`explore`] (sweep seeds until a
-//! scenario yields an anomaly), [`minimize`] (shrink the failing
-//! decision sequence while the anomaly persists), and the
+//! On top of the single run sit [`minimize`] (shrink a failing
+//! decision sequence while the anomaly persists) and the
 //! `finecc-chaos-repro v1` file format ([`write_repro`] /
 //! [`read_repro`] / [`replay_repro`]) that pins a minimized schedule
 //! to disk for byte-for-byte reproduction.
 
+use crate::history::{History, Key, Recorded, Violation};
 use finecc_chaos::{self as chaos, ChaosOutcome, FaultKind, FaultPlan, FaultSpec, Site};
-use finecc_model::{Oid, Value};
+use finecc_lang::ExecError;
+use finecc_model::{FieldId, Oid, Value};
 use finecc_runtime::{
-    run_txn_with, CcScheme, DurabilityLevel, Env, RetryPolicy, SchemeKind, TxnOutcome,
+    run_txn_with, CcScheme, DurabilityLevel, Env, RetryPolicy, SchemeKind, Txn, TxnOutcome,
 };
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -62,53 +64,29 @@ class chaos_cell {
 }
 "#;
 
-/// One scripted operation, each run as its own transaction.
+/// One scripted operation, each run as its own transaction. Every
+/// attempt writes a fresh value, unique to the worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaosOp {
-    /// Write `value` to the worker's private cell.
-    WriteOwn(i64),
-    /// Read the private cell back; must equal the last acknowledged
-    /// [`ChaosOp::WriteOwn`].
+    /// Write the worker's private cell.
+    WriteOwn,
+    /// Read the private cell back.
     ReadOwn,
-    /// Write `value` to **both** cells of shared pair `pair`, in one
-    /// transaction.
-    WritePair(u32, i64),
-    /// Read both cells of pair `pair` twice; all four reads must agree.
+    /// Write **both** cells of shared pair `pair`, in one transaction.
+    WritePair(u32),
+    /// Read both cells of pair `pair` twice.
     ReadPair(u32),
+    /// Read both cells of pair `pair`, then write cell `cell` (0 or 1)
+    /// of it: write skew's shape.
+    SkewPair(u32, u8),
 }
 
 /// An invariant violation detected by [`run_chaos`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Anomaly {
-    /// A worker's read of its private cell missed its own last
-    /// acknowledged committed write.
-    LostOwnWrite {
-        /// The worker.
-        worker: u32,
-        /// The value its last acknowledged write committed.
-        expected: i64,
-        /// What the read returned.
-        got: i64,
-    },
-    /// The two cells of a pair — only ever written together with equal
-    /// values — differed within one transaction.
-    TornPair {
-        /// The pair.
-        pair: u32,
-        /// First cell's value.
-        a: i64,
-        /// Second cell's value.
-        b: i64,
-    },
-    /// A pair changed between two reads inside one transaction.
-    UnstableSnapshot {
-        /// The pair.
-        pair: u32,
-        /// The first (a, b) read.
-        first: (i64, i64),
-        /// The second (a, b) read.
-        second: (i64, i64),
-    },
+    /// The recorded history holds a violation the scheme's contract
+    /// does not admit.
+    Isolation(Violation),
     /// An mvcc snapshot timestamp observed in begin order regressed.
     WatermarkRegression {
         /// The highest snapshot timestamp observed so far.
@@ -139,25 +117,7 @@ pub enum Anomaly {
 impl std::fmt::Display for Anomaly {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Anomaly::LostOwnWrite {
-                worker,
-                expected,
-                got,
-            } => write!(
-                f,
-                "lost own write: worker {worker} wrote {expected}, read {got}"
-            ),
-            Anomaly::TornPair { pair, a, b } => {
-                write!(f, "torn pair {pair}: read ({a}, {b})")
-            }
-            Anomaly::UnstableSnapshot {
-                pair,
-                first,
-                second,
-            } => write!(
-                f,
-                "unstable snapshot of pair {pair}: {first:?} then {second:?} in one txn"
-            ),
+            Anomaly::Isolation(v) => write!(f, "isolation {v}"),
             Anomaly::WatermarkRegression { floor, observed } => {
                 write!(
                     f,
@@ -194,7 +154,7 @@ pub struct ChaosScenario {
     pub workers: usize,
     /// Transactions per worker.
     pub ops_per_worker: usize,
-    /// Shared cell pairs for torn-commit detection.
+    /// Shared cell pairs, written together or write-skewed.
     pub pairs: usize,
     /// The armed fault plane.
     pub faults: FaultPlan,
@@ -274,39 +234,33 @@ impl ChaosScenario {
         (0..self.workers)
             .map(|w| {
                 let mut rng = self.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                let mut writes = 0i64;
-                let mut script = Vec::with_capacity(self.ops_per_worker);
-                for i in 0..self.ops_per_worker {
-                    // Every script opens with a write so later ReadOwn
-                    // ops always have a committed value to miss.
-                    let roll = if i == 0 { 0 } else { splitmix(&mut rng) % 10 };
-                    let op = match roll {
-                        0..=2 => {
-                            writes += 1;
-                            ChaosOp::WriteOwn(own_value(w, writes))
+                (0..self.ops_per_worker)
+                    .map(|i| {
+                        // Every script opens with a write so later reads
+                        // always have a committed value to miss.
+                        let roll = if i == 0 { 0 } else { splitmix(&mut rng) % 10 };
+                        if self.pairs == 0 || roll < 4 {
+                            return if roll < 2 {
+                                ChaosOp::WriteOwn
+                            } else {
+                                ChaosOp::ReadOwn
+                            };
                         }
-                        3..=5 => ChaosOp::ReadOwn,
-                        6..=7 if self.pairs > 0 => {
-                            writes += 1;
-                            let p = (splitmix(&mut rng) % self.pairs as u64) as u32;
-                            ChaosOp::WritePair(p, own_value(w, writes))
+                        let p = (splitmix(&mut rng) % self.pairs as u64) as u32;
+                        match roll {
+                            4..=5 => ChaosOp::WritePair(p),
+                            6..=7 => ChaosOp::ReadPair(p),
+                            _ => ChaosOp::SkewPair(p, (roll % 2) as u8),
                         }
-                        _ if self.pairs > 0 => {
-                            let p = (splitmix(&mut rng) % self.pairs as u64) as u32;
-                            ChaosOp::ReadPair(p)
-                        }
-                        _ => ChaosOp::ReadOwn,
-                    };
-                    script.push(op);
-                }
-                script
+                    })
+                    .collect()
             })
             .collect()
     }
 }
 
-/// Worker `w`'s `n`-th written value — globally unique so a lost or
-/// misdirected write is attributable from the value alone.
+/// Worker `w`'s `n`-th attempt's value — globally unique, so a version
+/// is identified by its value alone.
 fn own_value(w: usize, n: i64) -> i64 {
     (w as i64 + 1) * 1_000_000 + n
 }
@@ -352,19 +306,17 @@ pub struct ChaosReport {
     pub checkpoint_failures: u64,
     /// Invariant violations detected, in detection order.
     pub anomalies: Vec<Anomaly>,
+    /// Cycles the history check found and the scheme's contract admits
+    /// (G2 under plain `mvcc`).
+    pub admitted: u64,
 }
 
 /// Tracking state shared by the workers. Updated only in plain
 /// straight-line code (no yield points while the mutex is held), so
 /// under the virtual-time scheduler every update is atomic with the
 /// commit acknowledgement that precedes it.
+#[derive(Default)]
 struct Track {
-    /// Acknowledged commits in acknowledgement order; each entry is
-    /// the full (cell, value) write set of one commit, indivisible for
-    /// the recovery prefix check.
-    acked: Vec<Vec<(usize, i64)>>,
-    /// Per-worker last acknowledged private-cell value.
-    own_last: Vec<i64>,
     /// Highest mvcc snapshot timestamp observed so far.
     max_snapshot_ts: u64,
     commits: u64,
@@ -377,22 +329,17 @@ struct Track {
 }
 
 impl Track {
-    fn settle(&mut self, outcome: &TxnOutcome<()>) -> bool {
+    fn settle(&mut self, outcome: &TxnOutcome<()>) {
         match outcome {
             TxnOutcome::Committed { retries, .. } => {
                 self.commits += 1;
                 self.retries += u64::from(*retries);
-                true
             }
             TxnOutcome::Exhausted { retries } => {
                 self.exhausted += 1;
                 self.retries += u64::from(*retries);
-                false
             }
-            TxnOutcome::Failed(_) => {
-                self.failed += 1;
-                false
-            }
+            TxnOutcome::Failed(_) => self.failed += 1,
         }
     }
 }
@@ -431,6 +378,10 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
         .copied()
         .chain(pairs.iter().flat_map(|&(a, b)| [a, b]))
         .collect();
+    let val = env
+        .schema
+        .resolve_field(class, "val")
+        .expect("chaos schema has val");
     let schema = std::sync::Arc::clone(&env.schema);
 
     // A fault injected into the *genesis* checkpoint (hit 0 of the
@@ -452,25 +403,18 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
     };
 
     let policy = RetryPolicy::with_max_retries(sc.max_retries);
-    let track = Mutex::new(Track {
-        acked: Vec::new(),
-        own_last: vec![0; sc.workers],
-        max_snapshot_ts: 0,
-        commits: 0,
-        retries: 0,
-        exhausted: 0,
-        failed: 0,
-        checkpoints: 0,
-        checkpoint_failures: 0,
-        anomalies: Vec::new(),
-    });
+    let history = Mutex::new(History::default());
+    let track = Mutex::new(Track::default());
 
+    let layout = Layout {
+        own: &own,
+        pairs: &pairs,
+        val,
+    };
     if let Some(scheme) = scheme.as_deref() {
         std::thread::scope(|scope| {
             for (w, script) in scripts.iter().enumerate() {
-                let track = &track;
-                let own = &own;
-                let pairs = &pairs;
+                let (track, history, layout) = (&track, &history, &layout);
                 scope.spawn(move || {
                     // Keeps this thread registered (and the token
                     // honest) for its whole lifetime; `None` in
@@ -479,6 +423,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
                     // runs — OS thread startup order must not leak
                     // into the schedule.
                     let _worker = chaos::register_worker_as(w);
+                    let mut written = 0;
                     for (i, &op) in script.iter().enumerate() {
                         if chaos::crashed() {
                             break; // drain: the log is poisoned, stop acking
@@ -499,11 +444,20 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
                                 }
                             }
                         }
-                        run_op(scheme, policy, w, op, own, pairs, track);
+                        let rec = Recorded::new(scheme, history, w as u32, i as u32);
+                        run_op(&rec, policy, w, op, layout, &mut written, track);
                     }
                 });
             }
         });
+        // The final state, unless a crash cut the run (the recovery
+        // check covers that case).
+        if !chaos::crashed() {
+            let rec = Recorded::new(scheme, &history, sc.workers as u32, 0);
+            let _ = run_txn_with(&rec, policy, |txn| {
+                cells.iter().try_for_each(|&oid| get(&rec, txn, (oid, val)))
+            });
+        }
     }
 
     let log_failures = scheme
@@ -516,8 +470,26 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
     let outcome = handle.finish();
 
     let mut t = track.into_inner().unwrap_or_else(|e| e.into_inner());
+    let history = history.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut admitted = 0;
+    for v in history.check() {
+        if v.admitted(sc.scheme.serializable()) {
+            admitted += 1;
+        } else {
+            t.anomalies.push(Anomaly::Isolation(v));
+        }
+    }
     if let Some(dir) = dir.as_ref() {
-        if let Some(a) = recovery_anomaly(dir, &schema, class, &cells, &t.acked, sc.scheduled)? {
+        // Acknowledged commits in acknowledgement order (a record is
+        // pushed as its commit returns), each write set indivisible.
+        let cell = |oid| cells.iter().position(|&c| c == oid).expect("a chaos cell");
+        let acked: Vec<Vec<(usize, i64)>> = (history.txns.iter())
+            .filter(|r| r.commit.is_some())
+            .map(|r| r.installs().into_iter().map(|((oid, _), v)| (cell(oid), v)))
+            .map(Vec::from_iter)
+            .filter(|writes| !writes.is_empty())
+            .collect();
+        if let Some(a) = recovery_anomaly(dir, &schema, class, &cells, &acked, sc.scheduled)? {
             t.anomalies.push(a);
         }
         if sc.verify_restartable {
@@ -544,6 +516,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
         checkpoints: t.checkpoints,
         checkpoint_failures: t.checkpoint_failures,
         anomalies: t.anomalies,
+        admitted,
     })
 }
 
@@ -572,20 +545,28 @@ fn durable_dir(sc: &ChaosScenario) -> io::Result<(Option<PathBuf>, bool)> {
     Ok((Some(dir), scratch))
 }
 
-/// Runs one scripted op as a transaction and settles the tracking
-/// state. Tracking updates happen after the commit acknowledgement
-/// with no yield point in between, so under the virtual-time scheduler
-/// the acked sequence is exactly the acknowledgement order.
+/// The scenario's cells: each worker's own, the shared pairs, and the
+/// one field they hold.
+struct Layout<'a> {
+    own: &'a [Oid],
+    pairs: &'a [(Oid, Oid)],
+    val: FieldId,
+}
+
+/// Runs one scripted op as a recorded transaction and settles the
+/// counters. Each attempt writes the worker's next value (`written`
+/// counts them), so no retry rewrites an aborted attempt's value.
 fn run_op(
-    scheme: &dyn CcScheme,
+    rec: &Recorded,
     policy: RetryPolicy,
     w: usize,
     op: ChaosOp,
-    own: &[Oid],
-    pairs: &[(Oid, Oid)],
+    layout: &Layout,
+    written: &mut i64,
     track: &Mutex<Track>,
 ) {
-    let observe_snapshot = |txn: &finecc_runtime::Txn| {
+    let key = |oid| (oid, layout.val);
+    let out = run_txn_with(rec, policy, |txn| {
         if let Some(ts) = txn.mvcc.as_ref().map(|t| t.ts()) {
             let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
             if ts < t.max_snapshot_ts {
@@ -598,88 +579,45 @@ fn run_op(
                 t.max_snapshot_ts = ts;
             }
         }
-    };
-    match op {
-        ChaosOp::WriteOwn(v) => {
-            let out = run_txn_with(scheme, policy, |txn| {
-                observe_snapshot(txn);
-                scheme.send(txn, own[w], "set_val", &[Value::Int(v)])?;
-                Ok(())
-            });
-            let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
-            if t.settle(&out) {
-                t.own_last[w] = v;
-                t.acked.push(vec![(w, v)]);
+        *written += 1;
+        let v = own_value(w, *written);
+        let pair = |p: u32| layout.pairs[p as usize];
+        match op {
+            ChaosOp::WriteOwn => set(rec, txn, key(layout.own[w]), v),
+            ChaosOp::ReadOwn => get(rec, txn, key(layout.own[w])),
+            ChaosOp::WritePair(p) => {
+                let (a, b) = pair(p);
+                set(rec, txn, key(a), v)?;
+                set(rec, txn, key(b), v)
+            }
+            ChaosOp::ReadPair(p) => {
+                let (a, b) = pair(p);
+                [a, b, a, b]
+                    .into_iter()
+                    .try_for_each(|oid| get(rec, txn, key(oid)))
+            }
+            ChaosOp::SkewPair(p, cell) => {
+                let (a, b) = pair(p);
+                get(rec, txn, key(a))?;
+                get(rec, txn, key(b))?;
+                set(rec, txn, key([a, b][cell as usize]), v)
             }
         }
-        ChaosOp::ReadOwn => {
-            let got = std::cell::Cell::new(0i64);
-            let out = run_txn_with(scheme, policy, |txn| {
-                observe_snapshot(txn);
-                got.set(int(scheme.send(txn, own[w], "get_val", &[])?));
-                Ok(())
-            });
-            let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
-            if t.settle(&out) {
-                let expected = t.own_last[w];
-                let got = got.get();
-                if got != expected {
-                    t.anomalies.push(Anomaly::LostOwnWrite {
-                        worker: w as u32,
-                        expected,
-                        got,
-                    });
-                }
-            }
-        }
-        ChaosOp::WritePair(p, v) => {
-            let (a, b) = pairs[p as usize];
-            let out = run_txn_with(scheme, policy, |txn| {
-                observe_snapshot(txn);
-                scheme.send(txn, a, "set_val", &[Value::Int(v)])?;
-                scheme.send(txn, b, "set_val", &[Value::Int(v)])?;
-                Ok(())
-            });
-            let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
-            if t.settle(&out) {
-                // One indivisible acked entry: a recovery that applies
-                // half of it matches no prefix.
-                let base = own.len() + 2 * p as usize;
-                t.acked.push(vec![(base, v), (base + 1, v)]);
-            }
-        }
-        ChaosOp::ReadPair(p) => {
-            let (a, b) = pairs[p as usize];
-            let reads = std::cell::Cell::new((0i64, 0i64, 0i64, 0i64));
-            let out = run_txn_with(scheme, policy, |txn| {
-                observe_snapshot(txn);
-                let a1 = int(scheme.send(txn, a, "get_val", &[])?);
-                let b1 = int(scheme.send(txn, b, "get_val", &[])?);
-                let a2 = int(scheme.send(txn, a, "get_val", &[])?);
-                let b2 = int(scheme.send(txn, b, "get_val", &[])?);
-                reads.set((a1, b1, a2, b2));
-                Ok(())
-            });
-            let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
-            if t.settle(&out) {
-                let (a1, b1, a2, b2) = reads.get();
-                if a1 != b1 {
-                    t.anomalies.push(Anomaly::TornPair {
-                        pair: p,
-                        a: a1,
-                        b: b1,
-                    });
-                }
-                if (a1, b1) != (a2, b2) {
-                    t.anomalies.push(Anomaly::UnstableSnapshot {
-                        pair: p,
-                        first: (a1, b1),
-                        second: (a2, b2),
-                    });
-                }
-            }
-        }
-    }
+    });
+    track.lock().unwrap_or_else(|e| e.into_inner()).settle(&out);
+}
+
+/// Reads a cell, noting the value read.
+fn get(rec: &Recorded, txn: &mut Txn, key: Key) -> Result<(), ExecError> {
+    let v = int(rec.send(txn, key.0, "get_val", &[])?);
+    rec.read(key, v);
+    Ok(())
+}
+
+/// Writes a cell, noting the value first.
+fn set(rec: &Recorded, txn: &mut Txn, key: Key, v: i64) -> Result<(), ExecError> {
+    rec.write(key, v);
+    rec.send(txn, key.0, "set_val", &[Value::Int(v)]).map(drop)
 }
 
 fn int(v: Value) -> i64 {
@@ -733,25 +671,28 @@ fn recovery_anomaly(
         }
         return Ok(None);
     }
-    // Walk the acked sequence forward, comparing after every prefix.
-    let mut state = vec![0i64; cells.len()];
-    if state == recovered {
-        return Ok(None);
-    }
-    for commit in acked {
-        for &(cell, v) in commit {
-            state[cell] = v;
-        }
-        if state == recovered {
-            return Ok(None);
-        }
-    }
-    Ok(Some(Anomaly::RecoveryMismatch {
+    let mismatch = matches_a_prefix(&recovered, acked).err();
+    Ok(mismatch.map(|state| Anomaly::RecoveryMismatch {
         detail: format!(
             "recovered {recovered:?} matches no prefix of {} acked commits (full state {state:?})",
             acked.len()
         ),
     }))
+}
+
+/// `Ok` when `recovered` is the cell state after some prefix of `acked`,
+/// else the state after all of it.
+fn matches_a_prefix(recovered: &[i64], acked: &[Vec<(usize, i64)>]) -> Result<(), Vec<i64>> {
+    let mut state = vec![0i64; recovered.len()];
+    for commit in std::iter::once(&Vec::new()).chain(acked) {
+        for &(cell, v) in commit {
+            state[cell] = v;
+        }
+        if state == recovered {
+            return Ok(());
+        }
+    }
+    Err(state)
 }
 
 /// True when the io::Error wraps [`finecc_wal::RecoveryError::NoCheckpoint`].
@@ -835,47 +776,6 @@ fn restartability_anomaly(
                     }
                 }
             }
-        }
-    }
-    Ok(None)
-}
-
-/// One anomalous seed surfaced by [`explore`], with its minimized
-/// schedule.
-#[derive(Clone, Debug)]
-pub struct Finding {
-    /// The seed whose free exploration produced the anomaly.
-    pub seed: u64,
-    /// The full report of the anomalous run.
-    pub report: ChaosReport,
-    /// The minimized decision sequence (replay it through
-    /// [`pinned`] to reproduce).
-    pub minimized: Vec<u32>,
-}
-
-/// Sweeps `seeds` over fresh runs of `base` (replay cleared) until one
-/// yields an anomaly, then minimizes its schedule within
-/// `minimize_budget` candidate replays. Returns `None` if the whole
-/// sweep is clean.
-pub fn explore(
-    base: &ChaosScenario,
-    seeds: std::ops::Range<u64>,
-    minimize_budget: usize,
-) -> io::Result<Option<Finding>> {
-    for seed in seeds {
-        let sc = ChaosScenario {
-            seed,
-            replay: Vec::new(),
-            ..base.clone()
-        };
-        let report = run_chaos(&sc)?;
-        if !report.anomalies.is_empty() {
-            let minimized = minimize(&sc, &report.outcome.decisions, minimize_budget);
-            return Ok(Some(Finding {
-                seed,
-                report,
-                minimized,
-            }));
         }
     }
     Ok(None)
@@ -1150,7 +1050,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         for script in &a {
             assert_eq!(script.len(), 6);
-            assert!(matches!(script[0], ChaosOp::WriteOwn(_)));
+            assert_eq!(script[0], ChaosOp::WriteOwn);
         }
         let c = ChaosScenario::new(SchemeKind::Tav, 8).scripts();
         assert_ne!(a, c, "different seed, different scripts");
@@ -1293,36 +1193,16 @@ mod tests {
 
     #[test]
     fn recovery_prefix_check_accepts_prefixes_and_rejects_tears() {
-        // Pure logic test of the prefix walker via a fabricated acked
-        // sequence (the full recovery path is exercised in tests/).
         let acked = vec![vec![(0usize, 10i64)], vec![(1, 5), (2, 5)], vec![(0, 20)]];
-        let states: Vec<Vec<i64>> = vec![
-            vec![0, 0, 0],
-            vec![10, 0, 0],
-            vec![10, 5, 5],
-            vec![20, 5, 5],
-        ];
-        for s in &states {
-            let mut state = vec![0i64; 3];
-            let mut matched = state == *s;
-            for commit in &acked {
-                for &(c, v) in commit {
-                    state[c] = v;
-                }
-                matched |= state == *s;
-            }
-            assert!(matched, "{s:?} is a valid prefix");
+        for s in [[0, 0, 0], [10, 0, 0], [10, 5, 5], [20, 5, 5]] {
+            assert_eq!(
+                matches_a_prefix(&s, &acked),
+                Ok(()),
+                "{s:?} is a valid prefix"
+            );
         }
         // Half a pair applied is not a prefix.
-        let torn = vec![10i64, 5, 0];
-        let mut state = vec![0i64; 3];
-        let mut matched = state == torn;
-        for commit in &acked {
-            for &(c, v) in commit {
-                state[c] = v;
-            }
-            matched |= state == torn;
-        }
-        assert!(!matched, "torn pair must not match any prefix");
+        let torn = matches_a_prefix(&[10, 5, 0], &acked);
+        assert_eq!(torn, Err(vec![20, 5, 5]), "a torn pair matches no prefix");
     }
 }

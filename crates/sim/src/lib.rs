@@ -14,23 +14,29 @@
 //!   hot-spot skew.
 //! * [`exec`] — a multi-threaded transaction executor that counts
 //!   commits, exhausted retry budgets, failures and retries.
+//! * [`history`] — the one isolation checker: a recorded history of
+//!   attempts (reads and writes with their values, read point, commit
+//!   order) replayed against the committed state and searched for
+//!   dependency cycles, every violation named by its Adya class; the
+//!   [`history::Recorded`] scheme wrapper records at the `CcScheme` seam.
 //! * [`chaos`] — deterministic fault-injection scenarios over the
 //!   `finecc-chaos` harness: seeded schedule exploration across all six
-//!   schemes, invariant checking (lost own writes, torn pairs,
-//!   watermark regressions, recovery = committed prefix), greedy
-//!   schedule minimization, and replayable repro files.
+//!   schemes, invariant checking (the history check, watermark
+//!   monotonicity, recovery = committed prefix), greedy schedule
+//!   minimization, and replayable repro files.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod exec;
 pub mod figure1;
+pub mod history;
 pub mod scenarios;
 pub mod workload;
 
 pub use chaos::{
-    explore, minimize, read_repro, replay_repro, run_chaos, write_repro, Anomaly, ChaosOp,
-    ChaosReport, ChaosScenario, Finding,
+    minimize, read_repro, replay_repro, run_chaos, write_repro, Anomaly, ChaosOp, ChaosReport,
+    ChaosScenario,
 };
 pub use exec::{run_concurrent, ExecReport};
 pub use scenarios::{scenario_outcomes, ScenarioOutcome, TxnKind};

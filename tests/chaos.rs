@@ -1,9 +1,11 @@
 //! End-to-end tests of the deterministic fault-injection harness: same
 //! seed ⇒ byte-identical runs across all six schemes, graceful
-//! write-ahead log degradation, crash-recovery prefix consistency, and
-//! the known-bug regression — disabling the mvcc commit barrier loses
-//! an own write, which [`explore`] finds, minimizes, and replays from a
-//! repro file.
+//! write-ahead log degradation, crash-recovery prefix consistency, the
+//! history check's positive control — plain `mvcc` admits write skew
+//! (G2), `mvcc-ssi` refuses it — and the known-bug regression:
+//! disabling the mvcc commit barrier loses an own write, a G-single
+//! through a session edge, which a seed sweep finds, [`minimize`]
+//! shrinks, and a repro file replays.
 //!
 //! Two sweeps are `#[ignore]`d for their length and run by CI's
 //! chaos-smoke and recovery-smoke jobs (`cargo test --release --test
@@ -19,47 +21,48 @@
 use finecc::chaos::{FaultKind, FaultPlan, FaultSpec, Site};
 use finecc::runtime::{DurabilityLevel, SchemeKind};
 use finecc::sim::chaos::{
-    explore, pinned, read_repro, replay_repro, run_chaos, run_upgrade_deadlock, write_repro,
+    minimize, pinned, read_repro, replay_repro, run_chaos, run_upgrade_deadlock, write_repro,
     Anomaly, ChaosScenario,
 };
+use finecc::sim::history::{Class, Dep};
 use std::ops::Range;
 use std::path::Path;
 
 /// Where a sweep writes the minimized repro of an anomaly it finds.
 const REPRO_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/target/chaos-repros");
 
-/// Explores `seeds` of `base`; on the first anomaly, writes its
-/// minimized schedule to `REPRO_DIR/<name>-seed<n>.repro` and fails.
-fn assert_clean(base: &ChaosScenario, seeds: Range<u64>, name: &str) {
-    let Some(finding) = explore(base, seeds, 200).unwrap() else {
-        return;
-    };
-    let seed = finding.seed;
-    let sc = pinned(
-        &ChaosScenario {
+/// Runs `seeds` of `base` and returns the cycles their schemes' contract
+/// admitted; on the first anomaly, writes its minimized schedule to
+/// `REPRO_DIR/<name>-seed<n>.repro` and fails.
+fn assert_clean(base: &ChaosScenario, seeds: Range<u64>, name: &str) -> u64 {
+    let mut admitted = 0;
+    for seed in seeds {
+        let sc = ChaosScenario {
             seed,
             ..base.clone()
-        },
-        &finding.minimized,
-    );
-    let path = Path::new(REPRO_DIR).join(format!("{name}-seed{seed}.repro"));
-    write_repro(&path, &sc, &finding.minimized).unwrap();
-    let anomalies: Vec<String> = finding
-        .report
-        .anomalies
-        .iter()
-        .map(|a| a.to_string())
-        .collect();
-    panic!(
-        "{name} seed {seed}: {}; repro at {}",
-        anomalies.join("; "),
-        path.display()
-    );
+        };
+        let report = run_chaos(&sc).unwrap();
+        admitted += report.admitted;
+        if report.anomalies.is_empty() {
+            continue;
+        }
+        let minimized = minimize(&sc, &report.outcome.decisions, 200);
+        let path = Path::new(REPRO_DIR).join(format!("{name}-seed{seed}.repro"));
+        write_repro(&path, &pinned(&sc, &minimized), &minimized).unwrap();
+        let anomalies: Vec<String> = report.anomalies.iter().map(|a| a.to_string()).collect();
+        panic!(
+            "{name} seed {seed}: {}; repro at {}",
+            anomalies.join("; "),
+            path.display()
+        );
+    }
+    admitted
 }
 
 /// Seeds 1..26 over all six schemes at every durability level (450
-/// runs): no lost own write, torn pair, unstable snapshot or watermark
-/// regression, and every durable run recovers to an acked prefix.
+/// runs): every history passes the history check under its scheme's
+/// contract, no watermark regresses, and every durable run recovers to
+/// an acked prefix.
 #[test]
 #[ignore = "450 runs; CI's chaos-smoke job"]
 fn seed_sweep_is_clean() {
@@ -73,6 +76,17 @@ fn seed_sweep_is_clean() {
             assert_clean(&base, 1..26, &format!("{kind}-{}", level.name()));
         }
     }
+}
+
+/// The history check's positive control: over the sweep's seeds (at
+/// durability `None`), the write-skew op makes plain `mvcc` commit G2
+/// cycles, which its contract admits, and nothing else, while
+/// `mvcc-ssi` commits none.
+#[test]
+fn mvcc_admits_write_skew_and_mvcc_ssi_refuses_it() {
+    let admitted = |kind| assert_clean(&ChaosScenario::new(kind, 0), 1..26, kind.name());
+    assert!(admitted(SchemeKind::Mvcc) > 0, "no write skew in 25 seeds");
+    assert_eq!(admitted(SchemeKind::MvccSsi), 0);
 }
 
 /// An I/O error or a crash at every checkpoint fault site, on the
@@ -233,10 +247,11 @@ fn unbounded_log_failure_exhausts_retries() {
 
 /// The known-bug regression: disabling the `wait_published` commit
 /// barrier through the fault plane makes an mvcc transaction's own
-/// committed write invisible to its next snapshot. [`explore`] finds
-/// the anomaly, minimization keeps it reproducible, the repro file
-/// round-trips, and its replay is deterministic and equals a direct
-/// run of the pinned scenario.
+/// committed write invisible to its next snapshot — a G-single whose
+/// cycle runs through a session edge. A seed sweep finds the anomaly,
+/// minimization keeps it reproducible, the repro file round-trips, and
+/// its replay is deterministic and equals a direct run of the pinned
+/// scenario.
 #[test]
 fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
     let base =
@@ -244,32 +259,32 @@ fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
             Site::CommitPublishWait,
             FaultKind::Disable,
         )]));
-    let finding = explore(&base, 1..101, 60)
-        .unwrap()
+    let (found, report) = (1..101)
+        .map(|seed| ChaosScenario {
+            seed,
+            ..base.clone()
+        })
+        .map(|sc| (sc.clone(), run_chaos(&sc).unwrap()))
+        .find(|(_, report)| !report.anomalies.is_empty())
         .expect("a disabled commit barrier must lose an own write within 100 seeds");
     assert!(
-        finding
-            .report
+        report
             .anomalies
             .iter()
-            .any(|a| matches!(a, Anomaly::LostOwnWrite { .. })),
+            .any(|a| matches!(a, Anomaly::Isolation(v)
+            if v.class == Class::GSingle && v.cycle.iter().any(|&(_, d)| d == Dep::Session))),
         "{:?}",
-        finding.report.anomalies
+        report.anomalies
     );
+    let minimized = minimize(&found, &report.outcome.decisions, 60);
 
     // Pin the minimized schedule to a repro file and replay it.
-    let sc = pinned(
-        &ChaosScenario {
-            seed: finding.seed,
-            ..base.clone()
-        },
-        &finding.minimized,
-    );
+    let sc = pinned(&found, &minimized);
     let path = std::env::temp_dir().join(format!("finecc-chaos-test-{}.repro", std::process::id()));
-    write_repro(&path, &sc, &finding.minimized).unwrap();
+    write_repro(&path, &sc, &minimized).unwrap();
     let parsed = read_repro(&path).unwrap();
     assert_eq!(parsed.faults, sc.faults, "fault plane survives the file");
-    assert_eq!(parsed.replay, finding.minimized);
+    assert_eq!(parsed.replay, minimized);
     let once = replay_repro(&path).unwrap();
     let twice = replay_repro(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -286,7 +301,7 @@ fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
 
     // And the same seeds with the barrier *enabled* are clean — the
     // anomaly is the bug lever, not the workload.
-    let clean = run_chaos(&ChaosScenario::new(SchemeKind::Mvcc, finding.seed)).unwrap();
+    let clean = run_chaos(&ChaosScenario::new(SchemeKind::Mvcc, found.seed)).unwrap();
     assert!(clean.anomalies.is_empty(), "{:?}", clean.anomalies);
 }
 

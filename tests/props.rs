@@ -9,6 +9,7 @@ use finecc::model::{
 };
 use finecc::mvcc::{IsolationLevel, MvccHeap, MvccWriteError};
 use finecc::runtime::Env;
+use finecc::sim::history::{History, Op, Record};
 use finecc::sim::workload::{generate_env, SchemaGenConfig};
 use finecc::store::Database;
 use proptest::prelude::*;
@@ -37,38 +38,8 @@ fn cfg_strategy() -> impl Strategy<Value = SchemaGenConfig> {
         )
 }
 
-/// One step of a randomly interleaved multi-transaction MVCC history
-/// over four transaction slots and six objects.
-#[derive(Clone, Debug)]
-enum MvccStep {
-    /// Write `val` to object `oid` in slot `slot`'s open transaction
-    /// (opening one if needed).
-    Write { slot: usize, oid: usize, val: i64 },
-    /// Commit slot's open transaction, if any.
-    Commit(usize),
-    /// Abort slot's open transaction, if any.
-    Abort(usize),
-}
-
-fn mvcc_step_strategy() -> impl Strategy<Value = MvccStep> {
-    prop_oneof![
-        (0usize..4, 0usize..6, -100i64..100).prop_map(|(slot, oid, val)| MvccStep::Write {
-            slot,
-            oid,
-            val
-        }),
-        (0usize..4).prop_map(MvccStep::Commit),
-        (0usize..4).prop_map(MvccStep::Abort),
-    ]
-}
-
 /// A one-class fixture for driving the version heap directly.
-fn mvcc_fixture(objects: usize) -> (Arc<MvccHeap>, Vec<Oid>, FieldId) {
-    mvcc_fixture_at(IsolationLevel::Snapshot, objects)
-}
-
-/// Same fixture at an explicit isolation level.
-fn mvcc_fixture_at(level: IsolationLevel, objects: usize) -> (Arc<MvccHeap>, Vec<Oid>, FieldId) {
+fn mvcc_fixture(level: IsolationLevel, objects: usize) -> (Arc<MvccHeap>, Vec<Oid>, FieldId) {
     let mut b = SchemaBuilder::new();
     b.class("obj").field("v", FieldType::Int);
     let schema = Arc::new(b.finish().unwrap());
@@ -81,14 +52,14 @@ fn mvcc_fixture_at(level: IsolationLevel, objects: usize) -> (Arc<MvccHeap>, Vec
 }
 
 /// One step of a randomly interleaved read/write MVCC history over four
-/// transaction slots and five objects, for the SSI serializability
-/// property.
+/// transaction slots and five objects ([`run_slots`]).
 #[derive(Clone, Debug)]
 enum SsiStep {
     /// Read object `oid` in slot `slot`'s open transaction.
     Read { slot: usize, oid: usize },
-    /// Write `val` to object `oid` in slot `slot`'s open transaction.
-    Write { slot: usize, oid: usize, val: i64 },
+    /// Write to object `oid` in slot `slot`'s open transaction; the
+    /// value is the step's position in the script, unique per attempt.
+    Write { slot: usize, oid: usize },
     /// Commit slot's open transaction, if any.
     Commit(usize),
     /// Abort slot's open transaction, if any.
@@ -102,20 +73,88 @@ fn ssi_step_strategy() -> impl Strategy<Value = SsiStep> {
     // alive long enough to interleave.
     prop_oneof![
         (0usize..4, 0usize..5).prop_map(|(slot, oid)| SsiStep::Read { slot, oid }),
-        (0usize..4, 0usize..5, -100i64..100).prop_map(|(slot, oid, val)| SsiStep::Write {
-            slot,
-            oid,
-            val
-        }),
+        (0usize..4, 0usize..5).prop_map(|(slot, oid)| SsiStep::Write { slot, oid }),
         (0usize..4, 0usize..5).prop_map(|(slot, oid)| SsiStep::Read { slot, oid }),
-        (0usize..4, 0usize..5, -100i64..100).prop_map(|(slot, oid, val)| SsiStep::Write {
-            slot,
-            oid,
-            val
-        }),
+        (0usize..4, 0usize..5).prop_map(|(slot, oid)| SsiStep::Write { slot, oid }),
         (0usize..4).prop_map(SsiStep::Commit),
         (0usize..4).prop_map(SsiStep::Abort),
     ]
+}
+
+/// Runs `steps` against a fresh five-object heap at `level`, each slot a
+/// session, then commits every slot still open, and returns the heap and
+/// its recorded history, which ends with one read of the base store. A
+/// commit the heap refuses is recorded as an abort; only `Serializable`
+/// validation may refuse one — a snapshot-level commit is infallible.
+fn run_slots(level: IsolationLevel, steps: Vec<SsiStep>) -> (Arc<MvccHeap>, History) {
+    let (heap, oids, field) = mvcc_fixture(level, 5);
+    let int = |v: Value| v.as_int().expect("obj.v is an integer");
+    let mut open: Vec<Option<(TxnId, Record)>> = vec![None; 4];
+    let mut history = History::default();
+    let closing = (0..open.len()).map(SsiStep::Commit);
+    for (i, step) in steps.into_iter().chain(closing).enumerate() {
+        if let SsiStep::Read { slot, .. } | SsiStep::Write { slot, .. } = step {
+            if open[slot].is_none() {
+                // A slot opens at most once per step: the id is unique.
+                let id = TxnId(i as u64 + 1);
+                let record = Record {
+                    session: slot as u32,
+                    op: i as u32,
+                    read_point: heap.begin(id).ts(),
+                    ..Record::default()
+                };
+                open[slot] = Some((id, record));
+            }
+        }
+        let (slot, commit) = match step {
+            SsiStep::Read { slot, oid } => {
+                let (id, record) = open[slot].as_mut().expect("opened above");
+                let v = heap.read(*id, oids[oid], field).expect("object exists");
+                record.ops.push(Op::Read((oids[oid], field), int(v)));
+                continue;
+            }
+            SsiStep::Write { slot, oid } => {
+                let (id, record) = open[slot].as_mut().expect("opened above");
+                let val = i as i64 + 1;
+                record.ops.push(Op::Write((oids[oid], field), val));
+                match heap.write(*id, oids[oid], field, Value::Int(val)) {
+                    Ok(_) => continue,
+                    // First-updater-wins refusal: the transaction aborts,
+                    // like a deadlock victim would.
+                    Err(MvccWriteError::Conflict(_)) => (slot, false),
+                    Err(e) => panic!("unexpected write error: {e}"),
+                }
+            }
+            SsiStep::Commit(slot) => (slot, true),
+            SsiStep::Abort(slot) => (slot, false),
+        };
+        let Some((id, mut record)) = open[slot].take() else {
+            continue;
+        };
+        record.commit = match commit.then(|| heap.commit(id)) {
+            Some(Ok(ts)) => Some(ts),
+            // Refused by validation, and already rolled back.
+            Some(Err(_)) if level == IsolationLevel::Serializable => None,
+            Some(Err(e)) => panic!("snapshot-level commit is infallible: {e:?}"),
+            None => {
+                heap.abort(id);
+                None
+            }
+        };
+        history.txns.push(record);
+    }
+    let last = oids.iter().map(|&oid| {
+        let v = heap.base().read(oid, field).expect("object exists");
+        Op::Read((oid, field), int(v))
+    });
+    history.txns.push(Record {
+        session: 4,
+        read_point: u64::MAX,
+        commit: Some(u64::MAX),
+        ops: last.collect(),
+        ..Record::default()
+    });
+    (heap, history)
 }
 
 fn av_strategy() -> impl Strategy<Value = AccessVector> {
@@ -448,102 +487,43 @@ proptest! {
     /// Snapshot-isolation safety: in ANY interleaved history the mvcc
     /// heap admits, committed transactions that ran concurrently have
     /// disjoint write sets (no write-write conflicts survive
-    /// first-updater-wins validation), the final store state equals the
-    /// commit-timestamp-order replay of the committed write sets, aborted
-    /// transactions leave no trace, and GC drains every superseded
-    /// version once no snapshot is live.
+    /// first-updater-wins validation), the history check finds only
+    /// what snapshot isolation admits — every read and the final store
+    /// state replay the commit-timestamp order, aborted transactions
+    /// leave no trace — and GC drains every superseded version once no
+    /// snapshot is live.
     #[test]
     fn mvcc_committed_histories_are_ww_conflict_free(
-        steps in proptest::collection::vec(mvcc_step_strategy(), 1..60)
+        steps in proptest::collection::vec(ssi_step_strategy(), 1..60)
     ) {
-        struct Open {
-            id: TxnId,
-            begin_ts: u64,
-            writes: HashMap<Oid, i64>,
-        }
-        let (heap, oids, field) = mvcc_fixture(6);
-        let mut next_id = 1u64;
-        let mut open: Vec<Option<Open>> = (0..4).map(|_| None).collect();
-        // Committed transactions: (begin_ts, commit_ts, write set).
-        let mut committed: Vec<(u64, u64, HashMap<Oid, i64>)> = Vec::new();
-
-        for step in steps {
-            match step {
-                MvccStep::Write { slot, oid, val } => {
-                    if open[slot].is_none() {
-                        let id = TxnId(next_id);
-                        next_id += 1;
-                        let begin_ts = heap.begin(id).ts();
-                        open[slot] = Some(Open { id, begin_ts, writes: HashMap::new() });
-                    }
-                    let txn = open[slot].as_mut().expect("opened above");
-                    match heap.write(txn.id, oids[oid], field, Value::Int(val)) {
-                        Ok(_) => {
-                            txn.writes.insert(oids[oid], val);
-                        }
-                        Err(MvccWriteError::Conflict(_)) => {
-                            // First-updater-wins refusal: the transaction
-                            // aborts, like a deadlock victim would.
-                            let txn = open[slot].take().expect("still open");
-                            heap.abort(txn.id);
-                        }
-                        Err(e) => {
-                            prop_assert!(false, "unexpected write error: {e}");
-                        }
-                    }
-                }
-                MvccStep::Commit(slot) => {
-                    if let Some(txn) = open[slot].take() {
-                        let commit_ts = heap
-                            .commit(txn.id)
-                            .expect("snapshot-level commit is infallible");
-                        committed.push((txn.begin_ts, commit_ts, txn.writes));
-                    }
-                }
-                MvccStep::Abort(slot) => {
-                    if let Some(txn) = open[slot].take() {
-                        heap.abort(txn.id);
-                    }
-                }
-            }
-        }
-        // Close stragglers: commit is infallible for admitted writes.
-        for txn in open.into_iter().flatten() {
-            let commit_ts = heap
-                .commit(txn.id)
-                .expect("snapshot-level commit is infallible");
-            committed.push((txn.begin_ts, commit_ts, txn.writes));
-        }
+        let (heap, history) = run_slots(IsolationLevel::Snapshot, steps);
 
         // (1) Concurrent committed transactions never share an object.
-        for i in 0..committed.len() {
-            for j in i + 1..committed.len() {
-                let (a_begin, a_commit, a_writes) = &committed[i];
-                let (b_begin, b_commit, b_writes) = &committed[j];
+        let writers: Vec<(u64, u64, HashSet<Oid>)> = history
+            .txns
+            .iter()
+            .filter_map(|r| {
+                let written = r.ops.iter().filter_map(|op| match op {
+                    Op::Write((oid, _), _) => Some(*oid),
+                    Op::Read(..) => None,
+                });
+                Some((r.read_point, r.commit?, written.collect()))
+            })
+            .collect();
+        for (i, (a_begin, a_commit, a_writes)) in writers.iter().enumerate() {
+            for (b_begin, b_commit, b_writes) in &writers[i + 1..] {
                 let concurrent = a_begin < b_commit && b_begin < a_commit;
-                if concurrent {
-                    prop_assert!(
-                        a_writes.keys().all(|o| !b_writes.contains_key(o)),
-                        "concurrent commits share a written object: \
-                         [{a_begin},{a_commit}) vs [{b_begin},{b_commit})"
-                    );
-                }
+                prop_assert!(
+                    !concurrent || a_writes.is_disjoint(b_writes),
+                    "concurrent commits share a written object: \
+                     [{a_begin},{a_commit}) vs [{b_begin},{b_commit})"
+                );
             }
         }
 
-        // (2) Final state == last-committer-wins replay in commit order.
-        committed.sort_by_key(|(_, commit_ts, _)| *commit_ts);
-        let mut expect: HashMap<Oid, i64> = HashMap::new();
-        for (_, _, writes) in &committed {
-            for (oid, val) in writes {
-                expect.insert(*oid, *val);
-            }
-        }
-        for &oid in &oids {
-            let got = heap.base().read(oid, field).expect("object exists");
-            let want = Value::Int(expect.get(&oid).copied().unwrap_or(0));
-            prop_assert_eq!(got, want, "replay mismatch at {}", oid);
-        }
+        // (2) The history check, under snapshot isolation's contract.
+        let found = history.check();
+        prop_assert!(found.iter().all(|v| v.admitted(false)), "{:?}", found);
 
         // (3) No transaction is live: GC reclaims the whole history —
         // what the commits' own batches left, and nothing twice.
@@ -562,7 +542,7 @@ proptest! {
         prefix in proptest::collection::vec((0usize..4, -50i64..50), 0..12),
         suffix in proptest::collection::vec((0usize..4, -50i64..50), 0..12),
     ) {
-        let (heap, oids, field) = mvcc_fixture(4);
+        let (heap, oids, field) = mvcc_fixture(IsolationLevel::Snapshot, 4);
         let mut next_id = 1u64;
         let mut run = |writes: &[(usize, i64)], heap: &Arc<MvccHeap>| {
             for &(oid, val) in writes {
@@ -605,173 +585,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Serializability of every history `mvcc-ssi` admits: over the
-    /// committed transactions, the multiversion serialization graph —
-    /// ww edges in commit-timestamp (version) order, wr edges from a
-    /// version's writer to its readers, rw edges from a version's
-    /// readers to the next version's writer — must be acyclic, and (the
-    /// snapshot-level oracle, reused) the commit-order replay of the
-    /// committed write sets must reproduce the exact final state.
-    /// Dangerous-structure aborts are allowed (flag-based SSI
-    /// over-aborts); admitting a non-serializable history is not.
+    /// Serializability of every history `mvcc-ssi` admits, judged by the
+    /// history check: each slot is a session, every attempt is recorded
+    /// with the values it read and wrote, and the base store is read
+    /// once at the end. Dangerous-structure aborts are allowed
+    /// (flag-based SSI over-aborts); admitting a non-serializable
+    /// history — or a final state no commit order explains — is not.
     #[test]
     fn mvcc_ssi_committed_histories_are_serializable(
         steps in proptest::collection::vec(ssi_step_strategy(), 1..70)
     ) {
-        struct Open {
-            id: TxnId,
-            begin_ts: u64,
-            reads: HashSet<Oid>,
-            writes: HashMap<Oid, i64>,
-        }
-        struct Done {
-            begin_ts: u64,
-            commit_ts: u64,
-            reads: HashSet<Oid>,
-            writes: HashMap<Oid, i64>,
-        }
-        let (heap, oids, field) = mvcc_fixture_at(IsolationLevel::Serializable, 5);
-        let mut next_id = 1u64;
-        let mut open: Vec<Option<Open>> = (0..4).map(|_| None).collect();
-        let mut committed: Vec<Done> = Vec::new();
-        let mut ensure_open = |slot: usize,
-                               open: &mut Vec<Option<Open>>,
-                               heap: &Arc<MvccHeap>| {
-            if open[slot].is_none() {
-                let id = TxnId(next_id);
-                next_id += 1;
-                let begin_ts = heap.begin(id).ts();
-                open[slot] = Some(Open {
-                    id,
-                    begin_ts,
-                    reads: HashSet::new(),
-                    writes: HashMap::new(),
-                });
-            }
-        };
-
-        for step in steps {
-            match step {
-                SsiStep::Read { slot, oid } => {
-                    ensure_open(slot, &mut open, &heap);
-                    let txn = open[slot].as_mut().expect("opened above");
-                    txn.reads.insert(oids[oid]);
-                    heap.read(txn.id, oids[oid], field).expect("object exists");
-                }
-                SsiStep::Write { slot, oid, val } => {
-                    ensure_open(slot, &mut open, &heap);
-                    let txn = open[slot].as_mut().expect("opened above");
-                    match heap.write(txn.id, oids[oid], field, Value::Int(val)) {
-                        Ok(_) => {
-                            txn.writes.insert(oids[oid], val);
-                        }
-                        Err(MvccWriteError::Conflict(_)) => {
-                            let txn = open[slot].take().expect("still open");
-                            heap.abort(txn.id);
-                        }
-                        Err(e) => {
-                            prop_assert!(false, "unexpected write error: {e}");
-                        }
-                    }
-                }
-                SsiStep::Commit(slot) => {
-                    if let Some(txn) = open[slot].take() {
-                        // A refused commit is already rolled back.
-                        if let Ok(commit_ts) = heap.commit(txn.id) {
-                            committed.push(Done {
-                                begin_ts: txn.begin_ts,
-                                commit_ts,
-                                reads: txn.reads,
-                                writes: txn.writes,
-                            });
-                        }
-                    }
-                }
-                SsiStep::Abort(slot) => {
-                    if let Some(txn) = open[slot].take() {
-                        heap.abort(txn.id);
-                    }
-                }
-            }
-        }
-        for txn in open.into_iter().flatten() {
-            if let Ok(commit_ts) = heap.commit(txn.id) {
-                committed.push(Done {
-                    begin_ts: txn.begin_ts,
-                    commit_ts,
-                    reads: txn.reads,
-                    writes: txn.writes,
-                });
-            }
-        }
-        // Read-only transactions serialize at their snapshot timestamp,
-        // which writer commit timestamps can collide with; they change
-        // no state, so any order among equals satisfies oracle (1), and
-        // oracle (2) never consults this order.
-        committed.sort_by_key(|t| (t.commit_ts, !t.writes.is_empty()));
-
-        // (1) Final state equals the commit-order replay of the write
-        // sets — the same oracle the snapshot-level history test uses.
-        let mut expect: HashMap<Oid, i64> = HashMap::new();
-        for t in &committed {
-            for (oid, val) in &t.writes {
-                expect.insert(*oid, *val);
-            }
-        }
-        for &oid in &oids {
-            let got = heap.base().read(oid, field).expect("object exists");
-            let want = Value::Int(expect.get(&oid).copied().unwrap_or(0));
-            prop_assert_eq!(got, want, "replay mismatch at {}", oid);
-        }
-
-        // (2) The multiversion serialization graph is acyclic. Node 0 is
-        // the virtual initial transaction; nodes 1.. are the committed
-        // transactions in commit order.
-        let n = committed.len() + 1;
-        // Version list per object: (commit_ts, writer node), ascending.
-        let mut versions: HashMap<Oid, Vec<(u64, usize)>> = HashMap::new();
-        for &oid in &oids {
-            versions.insert(oid, vec![(0, 0)]);
-        }
-        for (i, t) in committed.iter().enumerate() {
-            for oid in t.writes.keys() {
-                versions.get_mut(oid).expect("fixture object").push((t.commit_ts, i + 1));
-            }
-        }
-        let mut edges: HashSet<(usize, usize)> = HashSet::new();
-        for vs in versions.values() {
-            for w in vs.windows(2) {
-                edges.insert((w[0].1, w[1].1)); // ww, version order
-            }
-        }
-        for (i, t) in committed.iter().enumerate() {
-            let node = i + 1;
-            for oid in &t.reads {
-                let vs = &versions[oid];
-                // The version this transaction read: newest at or below
-                // its snapshot (its own write, if any, comes later).
-                let pos = vs.iter().rposition(|&(ts, _)| ts <= t.begin_ts)
-                    .expect("initial version is at ts 0");
-                let (_, writer) = vs[pos];
-                if writer != node {
-                    edges.insert((writer, node)); // wr
-                }
-                if let Some(&(_, next_writer)) = vs.get(pos + 1) {
-                    if next_writer != node {
-                        edges.insert((node, next_writer)); // rw
-                    }
-                }
-            }
-        }
-        // A cycle is a strongly connected component of two or more
-        // nodes: no edge above joins a node to itself.
-        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            succ[a].push(b as u32);
-        }
-        for scc in finecc::core::tarjan::sccs(&succ) {
-            prop_assert!(scc.len() < 2, "serialization graph has a cycle through {:?}", scc);
-        }
+        let found = run_slots(IsolationLevel::Serializable, steps).1.check();
+        prop_assert!(found.is_empty(), "{:?}", found);
     }
 }
 
@@ -785,7 +610,7 @@ proptest! {
 #[test]
 fn ssi_aborts_strictly_fewer_than_naive_read_set_revalidation() {
     const ROUNDS: u64 = 100;
-    let (heap, oids, field) = mvcc_fixture_at(IsolationLevel::Serializable, 1 + ROUNDS as usize);
+    let (heap, oids, field) = mvcc_fixture(IsolationLevel::Serializable, 1 + ROUNDS as usize);
     let hot = oids[0];
     let mut naive_aborts = 0u64;
     let mut next_id = 1u64;

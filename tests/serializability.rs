@@ -186,20 +186,24 @@ fn concurrent_execution_equals_commit_order_replay() {
     }
 }
 
+/// Writer commits are strictly increasing under all six schemes: the
+/// history check's version order is this commit order.
 #[test]
 fn commit_sequences_are_monotone_per_scheme() {
-    let (env, oids) = build_env();
-    let scheme = SchemeKind::Tav.build(env);
-    let mut last = None;
-    for _ in 0..10 {
-        let mut txn = scheme.begin();
-        scheme
-            .send(&mut txn, oids[0], "add_a", &[Value::Int(1)])
-            .unwrap();
-        let seq = scheme.commit(txn).unwrap();
-        if let Some(prev) = last {
-            assert!(seq > prev);
+    for kind in SchemeKind::ALL {
+        let (env, oids) = build_env();
+        let scheme = kind.build(env);
+        let mut last = None;
+        for _ in 0..10 {
+            let mut txn = scheme.begin();
+            scheme
+                .send(&mut txn, oids[0], "add_a", &[Value::Int(1)])
+                .unwrap();
+            let seq = scheme.commit(txn).unwrap();
+            if let Some(prev) = last {
+                assert!(seq > prev, "{kind}: {seq} after {prev}");
+            }
+            last = Some(seq);
         }
-        last = Some(seq);
     }
 }
