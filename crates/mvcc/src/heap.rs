@@ -38,6 +38,15 @@
 //!   rival writer. The cell is made at a transaction's first write (at
 //!   `Serializable`, at `begin`: its SIREAD entries are clones of it),
 //!   so a read-only snapshot transaction allocates none.
+//! * **A safe snapshot keeps its reads in its cell.** At `Serializable`
+//!   a transaction that begins with no older snapshot live runs *safe*
+//!   (the `ssi` module docs' *Safe snapshots*): its reads register no
+//!   SIREAD but go into a read set held under the cell's own lock, which
+//!   only its own operations take while it is safe. [`MvccHeap::convert`]
+//!   registers that set and re-walks its chains before the transaction's
+//!   first write, its first class-granular registration, or — through
+//!   the runtime — its first top message whose access vector writes; a
+//!   safe read-only commit validates nothing.
 //! * **Publication is a lock-free ring** (the crate-private `watermark`
 //!   module): an ordered watermark advances `last_committed` only
 //!   across a contiguous prefix of marked (and logged) timestamps, with
@@ -49,13 +58,15 @@
 //!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids
 //!   carry their thread's slot, so that is the beginning thread's own
 //!   stripe) and the snapshot-epoch table by the registering thread's
-//!   slot. The `MvccScheme` additionally caches each transaction's
-//!   snapshot timestamp in its session, so steady-state reads and
-//!   writes skip the transaction registry entirely (the registry is
-//!   touched once per transaction at begin/commit plus once per
-//!   *first* write of an object). At `Serializable` the session caches
-//!   the transaction's status cell too, so a read reaches the SSI
-//!   tracker without a registry lookup.
+//!   slot. Each epoch shard publishes its minimum in an atomic, so the
+//!   GC horizon — and the safe test every serializable `begin` makes —
+//!   takes no lock (see `EpochTable`). The `MvccScheme` additionally
+//!   caches each transaction's snapshot timestamp in its session, so
+//!   steady-state reads and writes skip the transaction registry
+//!   entirely (the registry is touched once per transaction at
+//!   begin/commit plus once per *first* write of an object). At
+//!   `Serializable` the session caches the transaction's status cell
+//!   too, so a read reaches the SSI tracker without a registry lookup.
 //!
 //! ## Latch order
 //!
@@ -69,8 +80,9 @@
 //!    install, so a transaction the heap does not know is refused
 //!    before anything is installed). Begin, commit and abort take a txn
 //!    stripe alone and drop it before any chain shard.
-//! 3. The **epoch shard** and the **reclaim slot** (see *Reclamation*)
-//!    are leaves taken under nothing.
+//! 3. The **epoch shard** (taken by registration and release only;
+//!    the horizon loads its published minimum) and the **reclaim slot**
+//!    (see *Reclamation*) are leaves taken under nothing.
 //!
 //! The watermark has no latch. SSI-tracker latches (SIREAD shards and
 //! the status cells' flag locks — see [`crate::ssi`]) are never nested
@@ -107,9 +119,10 @@
 //!   versions. At [`IsolationLevel::Serializable`] every batch also
 //!   hands its horizon to the SSI tracker, whose SIREAD lists prune
 //!   below it, and every `SSI_PURGE_EVERY`-th runs the tracker's purge;
-//!   there a read-only commit counts toward its slot's cadence as well,
-//!   so a stream with no writer still bounds the tracker (at `Snapshot`
-//!   it touches no reclamation state).
+//!   there a read-only commit that registered SIREADs counts toward its
+//!   slot's cadence as well, so a stream with no writer still bounds the
+//!   tracker (at `Snapshot`, or on a safe snapshot, which registered
+//!   nothing, it touches no reclamation state).
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
 //!   watermark, which only grows (see `EpochTable`). Pruning with an
@@ -416,9 +429,10 @@ struct TxnState {
     /// the registry stripe that holds it.
     write_set: Vec<Oid>,
     /// The transaction's status cell: made at `begin` at
-    /// [`IsolationLevel::Serializable`], at the first write otherwise
-    /// (a read-only snapshot transaction allocates none), and always
-    /// present once `write_set` is non-empty.
+    /// [`IsolationLevel::Serializable`] (holding the read set while the
+    /// transaction is safe), at the first write otherwise (a read-only
+    /// snapshot transaction allocates none), and always present once
+    /// `write_set` is non-empty.
     cell: Option<Arc<TxnHandle>>,
 }
 
@@ -443,6 +457,14 @@ impl MvccTxn {
     /// The snapshot timestamp the transaction reads at.
     pub fn ts(&self) -> Ts {
         self.ts
+    }
+
+    /// Whether the transaction runs on a safe snapshot: it began at
+    /// [`IsolationLevel::Serializable`] with no older snapshot live, and
+    /// [`MvccHeap::convert`] has not ended that yet (the `ssi` module
+    /// docs' *Safe snapshots*).
+    pub fn is_safe(&self) -> bool {
+        self.cell.as_ref().is_some_and(|cell| cell.is_safe())
     }
 }
 
@@ -503,25 +525,74 @@ pub(crate) struct EpochHandle {
 /// The snapshot registry: `ts → number of holders` per shard, sharded by
 /// the registering thread's slot so a client's `begin` takes a mutex its
 /// own core touched last (a hint: any thread may use any shard, and
-/// release goes by the handle's shard whichever thread calls it). The
-/// minimum key across shards is the GC horizon.
+/// release goes by the handle's shard whichever thread calls it). Each
+/// shard publishes its minimum key in an atomic, stored under the
+/// shard's lock whenever its map changes, so the minimum across shards
+/// — the GC horizon's, and the safe-snapshot test's — is
+/// [`EPOCH_SHARDS`] loads and no lock.
 ///
-/// Registration reads the watermark **under its shard's lock**, and
-/// [`MvccHeap::gc_horizon`] reads the watermark *before* scanning the
-/// shards (one at a time). That closes the registration/GC race without
-/// a global lock: if the scan misses a concurrent registration, the
-/// scan of that shard completed before the registration's critical
-/// section, so the registration's watermark read happened after the
-/// horizon's watermark bound was read — by monotonicity its pinned
-/// timestamp is at or above the bound, hence at or above the horizon,
-/// and the versions it can demand were not reclaimable.
+/// Registration inserts its entry, stores the shard's new minimum, and
+/// then re-reads the watermark: if the watermark moved, it re-registers
+/// at the new value and confirms again. [`MvccHeap::gc_horizon`] reads
+/// the watermark *before* it loads the minima. These accesses are all
+/// `SeqCst`, which closes the registration/GC race: if the scan misses
+/// a registration, its load of that shard's minimum came before the
+/// registration's store, so the registration's confirming re-read came
+/// after the horizon's watermark bound was read — by monotonicity the
+/// pinned timestamp is at or above the bound, hence at or above the
+/// horizon, and the versions it can demand were not reclaimable. A
+/// minimum stored later than the missed one was computed under the
+/// same lock from a map that still holds the entry, so a scan that
+/// loads it cannot miss the registration. Unregistration only raises a
+/// minimum — a scan that still loads the older, lower one is merely
+/// conservative — so its store is `Release`: a scan that loads it also
+/// sees every watermark value the releasing thread had seen (the
+/// safe-snapshot test relies on that: the `ssi` module docs' *Safe
+/// snapshots*).
 #[derive(Debug)]
 struct EpochTable {
-    shards: Box<[EpochShard]>,
+    shards: Box<[CachePadded<EpochShard>]>,
 }
 
-/// `ts → number of holders`, alone on its cache lines.
-type EpochShard = CachePadded<Mutex<BTreeMap<Ts, usize>>>;
+/// What an empty epoch shard publishes as its minimum.
+const NO_EPOCH: Ts = Ts::MAX;
+
+/// `ts → number of holders` behind its lock, and the map's minimum key
+/// published for lock-free scans ([`NO_EPOCH`] while empty).
+#[derive(Debug)]
+struct EpochShard {
+    map: Mutex<BTreeMap<Ts, usize>>,
+    min: AtomicU64,
+}
+
+impl Default for EpochShard {
+    fn default() -> EpochShard {
+        EpochShard {
+            map: Mutex::default(),
+            min: AtomicU64::new(NO_EPOCH),
+        }
+    }
+}
+
+impl EpochShard {
+    /// Publishes `map`'s minimum; called under the shard's lock, so the
+    /// last store always matches the map.
+    fn publish_min(&self, map: &BTreeMap<Ts, usize>, order: Ordering) {
+        let min = map.first_key_value().map_or(NO_EPOCH, |(&ts, _)| ts);
+        self.min.store(min, order);
+    }
+}
+
+/// Drops one holder of the epoch at `ts` from `map`.
+fn release_epoch(map: &mut BTreeMap<Ts, usize>, ts: Ts) {
+    match map.get_mut(&ts) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            map.remove(&ts);
+        }
+        None => debug_assert!(false, "unregistering unknown epoch {ts}"),
+    }
+}
 
 impl EpochTable {
     fn new() -> EpochTable {
@@ -530,39 +601,52 @@ impl EpochTable {
         }
     }
 
-    /// Atomically reads the current watermark and registers it as a
-    /// live epoch in the calling thread's shard.
+    /// Registers the current watermark as a live epoch in the calling
+    /// thread's shard, confirmed by a re-read (see the type-level doc).
     fn register(&self, watermark: &Watermark) -> EpochHandle {
         let shard = thread_slot() % self.shards.len();
-        let mut map = self.shards[shard].lock();
-        let ts = watermark.get();
-        *map.entry(ts).or_insert(0) += 1;
-        EpochHandle {
-            shard: shard as u32,
-            ts,
+        let s = &self.shards[shard].0;
+        let mut ts = watermark.get();
+        let mut moved_from = None;
+        loop {
+            {
+                let mut map = s.map.lock();
+                if let Some(old) = moved_from {
+                    release_epoch(&mut map, old);
+                }
+                *map.entry(ts).or_insert(0) += 1;
+                s.publish_min(&map, Ordering::SeqCst);
+            }
+            let now = watermark.get();
+            if now == ts {
+                return EpochHandle {
+                    shard: shard as u32,
+                    ts,
+                };
+            }
+            moved_from = Some(ts);
+            ts = now;
         }
     }
 
     fn unregister(&self, h: EpochHandle) {
-        let mut map = self.shards[h.shard as usize].lock();
-        match map.get_mut(&h.ts) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                map.remove(&h.ts);
-            }
-            None => debug_assert!(false, "unregistering unknown epoch {}", h.ts),
-        }
+        let s = &self.shards[h.shard as usize].0;
+        let mut map = s.map.lock();
+        release_epoch(&mut map, h.ts);
+        s.publish_min(&map, Ordering::Release);
     }
 
-    /// The minimum registered snapshot timestamp, scanning shards one
-    /// at a time (never holding two epoch locks). May miss an entry
-    /// registered during the scan; see the type-level doc for why that
-    /// is safe given the caller's watermark bound.
+    /// The minimum registered snapshot timestamp, from the shards'
+    /// published minima, without a lock. May miss an entry registered
+    /// during the scan; see the type-level doc for why that is safe
+    /// given the caller's watermark bound.
     fn min_active(&self) -> Option<Ts> {
-        self.shards
+        let min = self
+            .shards
             .iter()
-            .filter_map(|s| s.lock().keys().next().copied())
-            .min()
+            .map(|s| s.0.min.load(Ordering::SeqCst))
+            .fold(NO_EPOCH, Ts::min);
+        (min != NO_EPOCH).then_some(min)
     }
 }
 
@@ -628,8 +712,9 @@ impl MvccHeap {
         wal: Arc<Wal>,
     ) -> std::io::Result<MvccHeap> {
         let base_ts = wal.max_logged_ts();
+        let genesis = !wal.has_checkpoint()?;
         let heap = MvccHeap::build(base, isolation, Some(wal), base_ts);
-        if !heap.wal.as_ref().expect("just attached").has_checkpoint()? {
+        if genesis {
             heap.checkpoint()?;
         }
         Ok(heap)
@@ -760,8 +845,8 @@ impl MvccHeap {
     /// state at the pinned timestamp. Objects deleted under the scan
     /// are skipped (their log records replay idempotently). The file is
     /// written atomically (temp + rename); recovery replays the log
-    /// only above the returned timestamp. Requires an attached
-    /// write-ahead log.
+    /// only above the returned timestamp. A heap without a write-ahead
+    /// log refuses with [`std::io::ErrorKind::Unsupported`].
     ///
     /// After the checkpoint is durable (its rename directory-fsynced),
     /// the maintenance pipeline runs: checkpoints beyond the retention
@@ -774,10 +859,12 @@ impl MvccHeap {
     /// The pass ends with a full [`MvccHeap::gc`] sweep — maintenance
     /// is where the stop-and-sweep belongs.
     pub fn checkpoint(&self) -> std::io::Result<Ts> {
-        let wal = self
-            .wal
-            .as_ref()
-            .expect("checkpoint requires an attached write-ahead log");
+        let Some(wal) = self.wal.as_ref() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "checkpoint requires an attached write-ahead log",
+            ));
+        };
         let ckpt_start = self.obs.clock();
         let epoch = self.epochs.register(&self.watermark);
         let ckpt_ts = epoch.ts;
@@ -847,8 +934,16 @@ impl MvccHeap {
     pub fn begin(&self, txn: TxnId) -> MvccTxn {
         let epoch = self.epochs.register(&self.watermark);
         // SIREAD entries are clones of a reader's cell, so a serializable
-        // transaction needs one from its first read on.
-        let cell = self.ssi.as_ref().map(|_| Arc::new(TxnHandle::new(txn)));
+        // transaction needs one from its first read on; one that begins
+        // on a safe snapshot keeps its read set in it instead.
+        let cell = self.ssi.as_ref().map(|_| {
+            Arc::new(if self.is_safe_snapshot(epoch.ts) {
+                self.stats.ssi_safe_snapshots.bump();
+                TxnHandle::safe(txn)
+            } else {
+                TxnHandle::new(txn)
+            })
+        });
         let prev = self.txn_stripe(txn).lock().insert(
             txn,
             TxnState {
@@ -864,6 +959,14 @@ impl MvccHeap {
             ts: epoch.ts,
             cell,
         }
+    }
+
+    /// Whether a serializable transaction whose epoch is registered at
+    /// `ts` begins on a safe snapshot: no registered snapshot is older,
+    /// and the watermark has not moved past `ts` while the minima were
+    /// loaded (the `ssi` module docs' *Safe snapshots*).
+    fn is_safe_snapshot(&self, ts: Ts) -> bool {
+        self.epochs.min_active().is_none_or(|m| m >= ts) && self.current_ts() == ts
     }
 
     /// The registered transaction `txn`, as [`MvccHeap::begin`] returned
@@ -897,7 +1000,9 @@ impl MvccHeap {
     /// additionally registers a SIREAD entry for `(oid, field)` (before
     /// the walk) and records an outgoing rw-antidependency for every
     /// invisible overwrite of the field it steps past — still without
-    /// blocking on anyone's transaction. A read that a class-granular
+    /// blocking on anyone's transaction — unless the transaction runs on
+    /// a safe snapshot: then the read only joins its read set, for
+    /// [`MvccHeap::convert`] to register. A read that a class-granular
     /// SIREAD already covers ([`MvccHeap::record_class_read`]) goes
     /// through [`MvccHeap::read_covered`] instead, which skips the
     /// registration and keeps the edges. [`crate::Snapshot::read`] is
@@ -911,15 +1016,17 @@ impl MvccHeap {
     /// store's [`StoreError::UnknownOid`]. Until extents are versioned,
     /// don't use read errors to probe liveness of versioned objects.
     pub fn read_as(&self, txn: &MvccTxn, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
-        let tracking = self.tracking(txn);
-        if let Some((ssi, cell)) = tracking {
+        let reader = self.tracking(txn).and_then(|(ssi, cell)| {
+            if cell.note_safe_read(oid, field) {
+                return None;
+            }
             // Register BEFORE walking the chain: a concurrent writer
             // either installed its record already (the walk sees it and
             // marks the edge here) or will scan the registry after
             // installing (and marks it there).
             ssi.record_read(cell, ReadKey::Instance(oid), field);
-        }
-        let reader = tracking.map(|(_, cell)| &**cell);
+            Some(&**cell)
+        });
         self.walk(txn.ts, Some(txn.id), oid, field, reader)
     }
 
@@ -929,11 +1036,42 @@ impl MvccHeap {
     /// which it then reads through [`MvccHeap::read_covered`]. A writer
     /// of `field` of any instance of `class` meets this one entry — the
     /// extent message's registration (see the `ssi` module docs'
-    /// *Class-granular SIREADs*). Must run before those reads.
+    /// *Class-granular SIREADs*). Must run before those reads. A
+    /// transaction on a safe snapshot is converted first.
     pub fn record_class_read(&self, txn: &MvccTxn, class: ClassId, field: FieldId) {
         if let Some((ssi, cell)) = self.tracking(txn) {
+            self.convert(txn);
             ssi.record_read(cell, ReadKey::Class(class), field);
         }
+    }
+
+    /// Ends `txn`'s safe snapshot, if it runs on one (the `ssi` module
+    /// docs' *Safe snapshots*): registers a SIREAD for every field it
+    /// has read, then walks each of those chains again and records an
+    /// edge to every writer of a version invisible to it — what its
+    /// reads would have recorded had they been tracked. Idempotent, and
+    /// a no-op at [`IsolationLevel::Snapshot`]. [`MvccHeap::write_at`]
+    /// and [`MvccHeap::record_class_read`] call it; a caller that knows
+    /// the transaction is about to write calls it before the reads that
+    /// precede the write, so those register as they happen.
+    pub fn convert(&self, txn: &MvccTxn) {
+        let Some((ssi, cell)) = self.tracking(txn) else {
+            return;
+        };
+        let Some(reads) = cell.take_safe_reads() else {
+            return;
+        };
+        for &(oid, field) in &reads {
+            ssi.record_read(cell, ReadKey::Instance(oid), field);
+        }
+        let mut overwriters = Vec::new();
+        for &(oid, field) in &reads {
+            if let Some(chain) = self.shard(oid).chains.read().get(&oid) {
+                let walked = Some(&mut overwriters);
+                reconstruct(&chain.records, txn.ts, Some(txn.id), field, walked);
+            }
+        }
+        self.read_edges(cell, &overwriters);
     }
 
     /// [`MvccHeap::read_as`] by `txn` for a read its class-granular
@@ -990,16 +1128,20 @@ impl MvccHeap {
             self.stats.read_base_loads.bump();
         }
         if let Some(reader) = reader {
-            let mut edges = 0;
-            for writer in &overwriters {
-                edges += reader.read_edge(writer);
-            }
-            if edges > 0 {
-                self.stats.ssi_edges.add(edges);
-            }
+            self.read_edges(reader, &overwriters);
         }
         self.stats.snapshot_reads.bump();
         Ok(value)
+    }
+
+    /// Records the rw edge `reader ──rw──▶ w` for each writer `w` of an
+    /// invisible version a chain walk stepped past. Runs under no heap
+    /// latch.
+    fn read_edges(&self, reader: &TxnHandle, overwriters: &[Arc<TxnHandle>]) {
+        let edges: u64 = overwriters.iter().map(|w| reader.read_edge(w)).sum();
+        if edges > 0 {
+            self.stats.ssi_edges.add(edges);
+        }
     }
 
     /// Snapshot read through a registered transaction (sees its own
@@ -1026,8 +1168,9 @@ impl MvccHeap {
         self.write_at(&txn, oid, field, value)
     }
 
-    /// Writes `field` of `oid` in transaction `txn`. Under the object's
-    /// chain-shard latch held exclusively: first-updater-wins admission
+    /// Writes `field` of `oid` in transaction `txn`, first converting
+    /// it if it runs on a safe snapshot ([`MvccHeap::convert`]). Under
+    /// the object's chain-shard latch held exclusively: first-updater-wins admission
     /// at `txn`'s snapshot, the write-through to the base store (its
     /// previous value is the before-image), then the install — a new
     /// pending record pointing at the transaction's status cell on the
@@ -1049,6 +1192,7 @@ impl MvccHeap {
         // Chaos scheduling decision strictly before the latch: a parked
         // latch holder would deadlock the token scheduler.
         finecc_chaos::yield_point(finecc_chaos::Site::WriteInstall);
+        self.convert(txn);
         // Type/domain validation runs before any latch is taken.
         self.base.check_write(field, &value)?;
         let mut chains = self.shard(oid).chains.write();
@@ -1265,15 +1409,22 @@ impl MvccHeap {
     }
 
     /// The commit of a transaction that wrote nothing: it serializes at
-    /// its snapshot. At [`IsolationLevel::Serializable`] it still
-    /// validates — its reads can complete a dangerous structure around
-    /// a committed pivot (the SI read-only anomaly, Fekete et al.
+    /// its snapshot. At [`IsolationLevel::Serializable`] a tracked one
+    /// still validates — its reads can complete a dangerous structure
+    /// around a committed pivot (the SI read-only anomaly, Fekete et al.
     /// 2004) — and it counts toward its slot's reclamation cadence, so
     /// a stream without writers still raises the SSI horizon and purges
-    /// the tracker. At `Snapshot` it touches no reclamation state.
+    /// the SIREADs it registered. One that stayed on a safe snapshot
+    /// registered none and validates nothing (the `ssi` module docs'
+    /// *Safe snapshots*); like a commit at `Snapshot`, it touches no
+    /// reclamation state.
     fn commit_read_only(&self, state: TxnState) -> Result<Ts, CommitError> {
         let ts = state.epoch.ts;
-        if let Some(cell) = state.cell.as_ref().filter(|_| self.ssi.is_some()) {
+        let tracked = state
+            .cell
+            .as_ref()
+            .filter(|cell| self.ssi.is_some() && !cell.is_safe());
+        if let Some(cell) = tracked {
             if let SsiVerdict::Abort(c) = cell.validate_and_commit(ts) {
                 self.note_ssi_abort(&state);
                 self.stats.ssi_aborts.bump();
@@ -1283,7 +1434,7 @@ impl MvccHeap {
         }
         self.epochs.unregister(state.epoch);
         self.stats.commits.bump();
-        if self.ssi.is_some() {
+        if tracked.is_some() {
             self.queue_reclaim(ts, &[]);
         }
         Ok(ts)
@@ -2372,93 +2523,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ssi_verdicts_of_a_fixed_interleaving() {
-        // Four sessions interleaved step by step on one thread, by a
-        // seeded stream: read-only transactions, read-modify-writes and
-        // write-skew pairs over three fields, with voluntary aborts,
-        // first-updater-wins losers and SSI refusals. Which SIREAD
-        // entries the tracker keeps must not move a single verdict, so
-        // the counts are pinned exactly.
-        #[derive(Clone, Copy)]
-        enum Op {
-            Read(usize),
-            Write(usize),
-            Commit,
-            Abort,
-        }
+    /// A serializable heap over `setup`'s schema.
+    fn serializable() -> (MvccHeap, ClassId, FieldId, FieldId) {
         let (schema, _, a, x, y) = setup();
         let db = Arc::new(Database::new(schema));
         let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
-        let (o1, o2) = (heap.base().create(a), heap.base().create(a));
-        let fields = [(o1, x), (o1, y), (o2, x)];
-        let mut next = rng(1993);
-        let mut next_txn = 0;
-        // Per session: the running transaction and its remaining ops.
-        let mut sessions: Vec<Option<(TxnId, Vec<Op>)>> = vec![None; 4];
-        let mut outcomes = [0u64; 3]; // committed, refused, abandoned
-        for step in 0..4_000i64 {
-            let s = (next() % 4) as usize;
-            let Some((txn, ops)) = &mut sessions[s] else {
-                next_txn += 1;
-                let txn = TxnId(next_txn);
-                heap.begin(txn);
-                let (f, g) = ((next() % 3) as usize, (next() % 3) as usize);
-                let end = if next().is_multiple_of(10) {
-                    Op::Abort
-                } else {
-                    Op::Commit
-                };
-                // Stored reversed: ops are popped from the back.
-                let ops = match next() % 3 {
-                    0 => vec![end, Op::Read(g), Op::Read(f)],
-                    1 => vec![end, Op::Write(f), Op::Read(f)],
-                    _ => vec![end, Op::Write(g), Op::Read(g), Op::Read(f)],
-                };
-                sessions[s] = Some((txn, ops));
-                continue;
-            };
-            let txn = *txn;
-            let done = match ops.pop().expect("a session ends at commit or abort") {
-                Op::Read(f) => {
-                    let (o, field) = fields[f];
-                    heap.read(txn, o, field).unwrap();
-                    false
-                }
-                Op::Write(f) => {
-                    let (o, field) = fields[f];
-                    match heap.write(txn, o, field, Value::Int(step)) {
-                        Ok(_) => false,
-                        Err(MvccWriteError::Conflict(_)) => {
-                            heap.abort(txn);
-                            outcomes[2] += 1;
-                            true
-                        }
-                        Err(e) => panic!("{e}"),
-                    }
-                }
-                Op::Commit => {
-                    match heap.commit(txn) {
-                        Ok(_) => outcomes[0] += 1,
-                        Err(CommitError::Ssi(_)) => outcomes[1] += 1,
-                        Err(e) => panic!("{e}"),
-                    }
-                    true
-                }
-                Op::Abort => {
-                    heap.abort(txn);
-                    outcomes[2] += 1;
-                    true
-                }
-            };
-            if done {
-                sessions[s] = None;
-            }
+        (heap, a, x, y)
+    }
+
+    #[test]
+    fn the_read_only_anomaly_is_refused() {
+        // Fekete, O'Neil & O'Neil's read-only anomaly: T2 reads x and y,
+        // T3 writes x and commits, T1 reads x and y and commits, T2
+        // writes y. T1 sees T3's x but not T2's y, so T1 ──rw──▶ T2
+        // ──rw──▶ T3 ──wr──▶ T1 is a cycle, although T1 writes nothing.
+        // T1 begins while T2 is live on an older snapshot, so it is not
+        // safe: validation must refuse one of T1 and T2.
+        let (heap, a, x, y) = serializable();
+        let o = heap.base().create(a);
+        let (t1, t2, t3) = (TxnId(1), TxnId(2), TxnId(3));
+        heap.begin(t2);
+        assert_eq!(heap.read(t2, o, x), Ok(Value::Int(0)));
+        assert_eq!(heap.read(t2, o, y), Ok(Value::Int(0)));
+        heap.begin(t3);
+        heap.write(t3, o, x, Value::Int(1)).unwrap();
+        heap.commit(t3).unwrap();
+        let t1_safe = heap.begin(t1).is_safe();
+        assert_eq!(heap.read(t1, o, x), Ok(Value::Int(1)));
+        assert_eq!(heap.read(t1, o, y), Ok(Value::Int(0)));
+        let r1 = heap.commit(t1);
+        heap.write(t2, o, y, Value::Int(2)).unwrap();
+        let r2 = heap.commit(t2);
+        assert!(r1.is_err() || r2.is_err(), "both committed: {r1:?} {r2:?}");
+        assert!(!t1_safe, "T2 holds an older snapshot");
+    }
+
+    #[test]
+    fn conversion_records_the_edges_a_safe_snapshot_skipped() {
+        // T begins safe and reads x, so no SIREAD tells W, which then
+        // overwrites x and commits, about T. U, begun after W, reads x
+        // (W's version) and y. When T writes y, its conversion must
+        // register x and walk x's chain again, finding W; otherwise the
+        // cycle U ──rw──▶ T ──rw──▶ W ──wr──▶ U is admitted.
+        let (heap, a, x, y) = serializable();
+        let o = heap.base().create(a);
+        let (t, w, u) = (TxnId(1), TxnId(2), TxnId(3));
+        assert!(heap.begin(t).is_safe());
+        assert_eq!(heap.read(t, o, x), Ok(Value::Int(0)));
+        heap.begin(w);
+        heap.write(w, o, x, Value::Int(1)).unwrap();
+        heap.commit(w).unwrap();
+        assert!(!heap.begin(u).is_safe(), "T holds an older snapshot");
+        assert_eq!(heap.read(u, o, x), Ok(Value::Int(1)));
+        assert_eq!(heap.read(u, o, y), Ok(Value::Int(0)));
+        heap.write(t, o, y, Value::Int(2)).unwrap();
+        let (rt, ru) = (heap.commit(t), heap.commit(u));
+        assert!(rt.is_err() || ru.is_err(), "both committed: {rt:?} {ru:?}");
+    }
+
+    #[test]
+    fn a_sequential_read_only_stream_runs_on_safe_snapshots() {
+        // One session: nothing is ever live beside the transaction that
+        // begins, so every snapshot is safe, and readers register no
+        // SIREAD, record no edge and validate nothing.
+        const TXNS: u64 = 1_000;
+        let (heap, a, x, y) = serializable();
+        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
+        let oids: Vec<Oid> = (0..10).map(|_| heap.base().create(a)).collect();
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), oids[0], x, Value::Int(7)).unwrap();
+        heap.commit(TxnId(1)).unwrap();
+        for i in 2..=TXNS {
+            let txn = heap.begin(TxnId(i));
+            assert!(txn.is_safe(), "transaction {i} began unsafe");
+            let o = oids[i as usize % oids.len()];
+            let want = if o == oids[0] { 7 } else { 0 };
+            assert_eq!(heap.read_as(&txn, o, x), Ok(Value::Int(want)));
+            assert_eq!(heap.read_as(&txn, o, y), Ok(Value::Int(0)));
+            heap.commit(TxnId(i)).unwrap();
         }
-        assert_eq!(outcomes, [604, 66, 300]);
+        assert_eq!(ssi.siread_entries(), (0, 0));
         let m = heap.stats.snapshot();
-        assert_eq!((m.ssi_edges, m.ssi_aborts), (732, 66));
-        assert_eq!(m.write_conflicts, 218);
+        assert_eq!((m.begins, m.commits), (TXNS, TXNS));
+        assert_eq!(m.ssi_safe_snapshots, m.begins);
+        assert_eq!((m.ssi_edges, m.ssi_aborts), (0, 0));
     }
 
     #[test]
@@ -2577,7 +2725,11 @@ mod tests {
     #[test]
     fn a_read_only_serializable_stream_keeps_the_tracker_bounded() {
         // No writer ever commits, so no writer's reclamation batch ever
-        // runs: read-only commits must keep the purge cadence themselves.
+        // runs: a read-only commit that registered SIREADs must keep the
+        // purge cadence itself. Each transaction here would begin safe
+        // and register nothing, so it is converted first — as the
+        // runtime converts before a message whose access vector writes,
+        // such as a withdrawal that then finds too little to withdraw.
         const OBJECTS: usize = 1_000;
         const TXNS: u64 = 20_000;
         let (schema, _, a, x, _) = setup();
@@ -2589,7 +2741,7 @@ mod tests {
         let mut most = 0;
         for i in 1..=TXNS {
             let t = TxnId(i);
-            heap.begin(t);
+            heap.convert(&heap.begin(t));
             heap.read(t, oids[next() as usize % OBJECTS], x).unwrap();
             heap.commit(t).unwrap();
             most = most.max(ssi.siread_entries().0);

@@ -124,6 +124,66 @@
 //!   list is removed as soon as its last entry is pruned, and writers
 //!   stop probing once the scan's reader falls below the horizon.
 //!
+//! # Safe snapshots
+//!
+//! Every anomaly snapshot isolation admits contains a dangerous
+//! structure `T1 ──rw──▶ T2 ──rw──▶ T3` whose `T3` commits first (Ports
+//! & Grittner, "Serializable Snapshot Isolation in PostgreSQL", PVLDB
+//! 5(12), 2012, §4). When `T1` is read-only, `T3` committed no later
+//! than `T1`'s snapshot, and then:
+//!
+//! * the pivot `T2` overwrote what `T1` read, so it committed after
+//!   `T1`'s snapshot;
+//! * `T2` read something `T3` overwrote, and `T3` committed after `T2`'s
+//!   snapshot but no later than `T1`'s. So `T2`'s snapshot is older
+//!   than `T1`'s, and `T2` was live when `T1` took its snapshot.
+//!
+//! A read-only transaction whose snapshot no live transaction predates
+//! is therefore the `T1` of no anomaly, and, writing nothing, it is no
+//! `T2` or `T3` either: it needs no SIREAD. Any transaction that begins
+//! later has a snapshot at least as new as its own.
+//!
+//! * **The test.** `MvccHeap::begin` registers the snapshot epoch
+//!   first, then loads the epoch table's per-shard minima (no lock).
+//!   The transaction begins *safe* when no registered snapshot is older
+//!   than its own and the watermark still equals its snapshot after
+//!   that scan. A transaction the scan missed either registered during
+//!   it — its confirming watermark read came after the scan began, so
+//!   its snapshot is at least ours — or had already ended: an aborted
+//!   one takes part in no edge, and a committed one unregisters only
+//!   once its commit is published (the commit barrier; the chaos fault
+//!   that disables it voids this too), so the watermark re-read, still
+//!   at our snapshot, puts that commit at or below it. Safety is
+//!   decided from the heap's own state; there is no option for it.
+//! * **While safe.** A read registers nothing and records no read-side
+//!   edge; it goes into the cell's read set (`Flags::safe_reads`, under
+//!   the cell's own lock, which only the transaction's operations take
+//!   while it is safe). No edge can reach a transaction that holds no
+//!   SIREAD and wrote nothing, so a safe read-only commit validates
+//!   nothing, and, registering nothing, it counts toward no reclamation
+//!   cadence.
+//! * **Conversion.** Before anything the transaction writes, the heap
+//!   ends the safe snapshot (`MvccHeap::convert`, idempotent): it takes
+//!   the read set, registers each entry as an ordinary SIREAD, then
+//!   re-walks each entry's chain and records an edge to every
+//!   overwriter it steps past. That is the register-then-walk argument
+//!   of the per-edge protocol: a writer that installs after the
+//!   registration finds the entry; one that installed before it is on
+//!   the chain, and still is, because its commit lies above the
+//!   reader's snapshot, which pins the horizon (or it aborted, and is
+//!   owed no edge). The runtime converts
+//!   before a top message whose transitive access vector writes, so a
+//!   transaction that opens with an update registers its reads as a
+//!   tracked one always did; `MvccHeap::write_at` converts too, for
+//!   callers that drive the heap directly.
+//! * **Why class reads convert.** `MvccHeap::record_class_read`
+//!   converts before it registers: a read its entry covers registers
+//!   nothing per instance and so has no place in a read set, and an
+//!   extent scan stays tracked exactly as before.
+//!
+//! Cahill's flags are unchanged: a converted transaction carries the
+//! flags its re-walk sets, and a safe one carries none.
+//!
 //! # Lock order
 //!
 //! At most one cell lock is held at any time (edge endpoints are
@@ -135,7 +195,9 @@
 //! reader hands in its cell. A class key sits in one SIREAD shard like
 //! an instance key, and a writer's two probes take their shards one
 //! after the other, never together. `purge` takes every shard alone.
-//! The order is never reversed.
+//! A safe read takes its own cell's lock alone to note the read, and a
+//! conversion takes it alone to end the read set, before it registers
+//! and walks as a tracked read does. The order is never reversed.
 //!
 //! The reads feeding the tracker are the interpreter's field-granularity
 //! footprints — the runtime projection of the paper's access vectors —
@@ -154,13 +216,14 @@
 //! # Observability probes
 //!
 //! The tracker itself carries no probes — its locks stay exactly as
-//! analyzed above. Validation time is charged to the heap's
-//! `commit_ts_draw` histogram segment (the pivot check is the commit
-//! mark, so the two are timed as one), and each [`SsiConflict`] is
-//! attributed in the contention registry by the heap *after*
-//! `validate_and_commit` returns — never from inside a cell lock or
-//! SIREAD shard, so the probe cannot add an edge to the lock-order
-//! argument. The abort is keyed to the transaction's first
+//! analyzed above. The heap counts the transactions that begin safe
+//! (`ssi_safe_snapshots`) at `begin`, under no lock. Validation time is
+//! charged to the heap's `commit_ts_draw` histogram segment (the pivot
+//! check is the commit mark, so the two are timed as one), and each
+//! [`SsiConflict`] is attributed in the contention registry by the heap
+//! *after* `validate_and_commit` returns — never from inside a cell
+//! lock or SIREAD shard, so the probe cannot add an edge to the
+//! lock-order argument. The abort is keyed to the transaction's first
 //! written object when it has one, or recorded unattributed for a
 //! read-only pivot.
 
@@ -168,7 +231,7 @@ use crate::Ts;
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many mutexes the SIREAD registry is striped over.
@@ -247,7 +310,9 @@ impl std::error::Error for SsiConflict {}
 /// One transaction's status cell: its id, its commit status, and its
 /// conflict flags. A writer's version records point at it, and every
 /// SIREAD entry of a serializable reader is a clone of it (see the
-/// module docs' *Status cells and the per-edge protocol*).
+/// module docs' *Status cells and the per-edge protocol*). While the
+/// transaction runs on a safe snapshot the cell also holds its read set
+/// (module docs, *Safe snapshots*).
 #[derive(Debug)]
 pub(crate) struct TxnHandle {
     pub(crate) txn: TxnId,
@@ -258,6 +323,12 @@ pub(crate) struct TxnHandle {
     /// whose `SeqCst` publish follows the store; a load that misses a
     /// store sees `LIVE`, and the tracker re-reads it under `flags`.
     status: AtomicU64,
+    /// Whether `flags.safe_reads` is `Some`, readable without the lock:
+    /// a tracked read pays one load for it. `Relaxed`: it publishes
+    /// nothing (the read set is read under the lock, and a stale `true`
+    /// finds `None` there), and only the transaction's own operations
+    /// store it, once, at conversion.
+    safe: AtomicBool,
     /// Cahill's sticky flags, kept under the cell's own lock.
     flags: Mutex<Flags>,
 }
@@ -275,16 +346,68 @@ struct Flags {
     /// already-committed pivot; the named pivot cannot be aborted, so
     /// this transaction must be.
     doomed_by: Option<TxnId>,
+    /// `Some` while the transaction runs on a safe snapshot: the fields
+    /// it has read, none of them registered (module docs, *Safe
+    /// snapshots*).
+    safe_reads: Option<Vec<(Oid, FieldId)>>,
 }
 
 impl TxnHandle {
-    /// A live transaction's cell.
+    /// A live tracked transaction's cell.
     pub(crate) fn new(txn: TxnId) -> TxnHandle {
         TxnHandle {
             txn,
             status: AtomicU64::new(LIVE),
+            safe: AtomicBool::new(false),
             flags: Mutex::default(),
         }
+    }
+
+    /// The cell of a live transaction that begins on a safe snapshot.
+    pub(crate) fn safe(txn: TxnId) -> TxnHandle {
+        TxnHandle {
+            txn,
+            status: AtomicU64::new(LIVE),
+            safe: AtomicBool::new(true),
+            flags: Mutex::new(Flags {
+                safe_reads: Some(Vec::new()),
+                ..Flags::default()
+            }),
+        }
+    }
+
+    /// Whether the transaction still runs on a safe snapshot.
+    #[inline]
+    pub(crate) fn is_safe(&self) -> bool {
+        self.safe.load(Ordering::Relaxed)
+    }
+
+    /// Adds a read of `field` of `oid` to a safe transaction's read set
+    /// and returns `true`; returns `false`, noting nothing, once the
+    /// transaction is tracked and the read must register its SIREAD.
+    #[inline]
+    pub(crate) fn note_safe_read(&self, oid: Oid, field: FieldId) -> bool {
+        if !self.is_safe() {
+            return false;
+        }
+        match &mut self.flags.lock().safe_reads {
+            Some(reads) => {
+                reads.push((oid, field));
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Ends the safe snapshot: returns the read set for the caller to
+    /// register, or `None` when the transaction is tracked already.
+    pub(crate) fn take_safe_reads(&self) -> Option<Vec<(Oid, FieldId)>> {
+        if !self.is_safe() {
+            return None;
+        }
+        let reads = self.flags.lock().safe_reads.take();
+        self.safe.store(false, Ordering::Relaxed);
+        reads
     }
 
     /// The commit status: `LIVE`, the commit timestamp, or `DEAD`.

@@ -22,6 +22,10 @@ finecc_obs::counters! {
         /// rw-antidependency edges observed by the SSI tracker (zero at
         /// [`crate::IsolationLevel::Snapshot`]).
         ssi_edges: Counter "finecc.mvcc.ssi_edges",
+        /// Transactions that began on a safe snapshot and so registered
+        /// no SIREAD until their first writing message (zero at
+        /// [`crate::IsolationLevel::Snapshot`]).
+        ssi_safe_snapshots: Counter "finecc.mvcc.ssi_safe_snapshots",
         /// Commit timestamps drawn from the clock but published as *skips*
         /// because SSI validation refused the transaction after the draw.
         /// The watermark prefix stays contiguous: `current_ts` equals

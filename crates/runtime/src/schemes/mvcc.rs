@@ -47,6 +47,12 @@
 //!   transitive access vector there, and a read those cover registers
 //!   nothing per instance (`finecc_mvcc::ssi`, *Class-granular
 //!   SIREADs*).
+//! * **Safe snapshots** at `Serializable`: a transaction that begins
+//!   with no older snapshot live registers no SIREAD until its first
+//!   top message whose transitive access vector writes, or its first
+//!   extent message (`finecc_mvcc::ssi`, *Safe snapshots*), so a
+//!   read-only transaction that began so writes nothing shared: its
+//!   status cell and its read set are its own.
 //!
 //! Compared per §5.2: every pair the TAV scheme admits, MVCC admits too
 //! (a TAV write-set conflict is a superset of a field write-write
@@ -260,10 +266,19 @@ impl DataAccess for MvccAccess<'_> {
     }
 
     /// There is no lock to announce — versioning replaces admission
-    /// control for readers, and writers are validated at each write —
-    /// so a top message only notes its receiver for [`MvccAccess::covers`].
-    fn on_message(&mut self, oid: Oid, class: ClassId, _mid: MethodId) -> Result<(), ExecError> {
+    /// control for readers, and writers are validated at each write — so
+    /// a top message notes its receiver for [`MvccAccess::covers`], and
+    /// one whose transitive access vector writes ends a safe snapshot
+    /// first ([`MvccHeap::convert`]): the compiler knows a priori that
+    /// the message may write, so its reads register as they happen.
+    fn on_message(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
         self.receiver = Some((oid, class));
+        if self.txn.is_safe() {
+            let tav = self.env.compiled.tav_of(class, mid);
+            if tav.is_none_or(|tav| !tav.is_read_only()) {
+                self.heap.convert(&self.txn);
+            }
+        }
         Ok(())
     }
 }
@@ -643,8 +658,9 @@ mod tests {
     }
 
     /// The benchmark ledger's shape: `balance_of` reads `balance`,
-    /// `set_limit` writes only `limit`, and `peer_balance` reads a
-    /// reference field and asks the account behind it.
+    /// `set_limit` writes only `limit`, `withdraw` writes `balance` only
+    /// when it covers the amount, and `peer_balance` reads a reference
+    /// field and asks the account behind it.
     const LEDGER: &str = r#"
 class account {
   fields { balance: integer; limit: integer; }
@@ -656,6 +672,11 @@ class account {
   end
   method deposit(amt) is
     balance := balance + amt
+  end
+  method withdraw(amt) is
+    if balance >= amt then
+      balance := balance - amt
+    end
   end
 }
 class savings inherits account {
@@ -707,6 +728,28 @@ class savings inherits account {
         assert_eq!(edges(), 2);
         s.commit(scan).unwrap();
         s.commit(deposit).unwrap();
+    }
+
+    #[test]
+    fn a_message_that_may_write_ends_a_safe_snapshot() {
+        let env = Env::from_source(LEDGER).unwrap();
+        let account = env.schema.class_by_name("account").unwrap();
+        let o = env.db.create(account);
+        let s = MvccScheme::with_isolation(env, IsolationLevel::Serializable);
+        let safe = |txn: &Txn| txn.mvcc.as_ref().is_some_and(MvccTxn::is_safe);
+        let mut txn = s.begin();
+        assert!(safe(&txn), "nothing else is live");
+        s.send(&mut txn, o, "balance_of", &[]).unwrap();
+        assert!(safe(&txn), "balance_of's access vector only reads");
+        // The balance is 0, so `withdraw` writes nothing, but its access
+        // vector writes `balance`: the conversion runs at the message,
+        // before the body's first read.
+        s.send(&mut txn, o, "withdraw", &[Value::Int(5)]).unwrap();
+        assert!(!safe(&txn));
+        assert_eq!(s.heap().live_versions(), 0, "nothing was written");
+        s.commit(txn).unwrap();
+        let m = s.heap().stats.snapshot();
+        assert_eq!((m.begins, m.ssi_safe_snapshots), (1, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use finecc::lang::{DataAccess, ExecError, Interpreter};
 use finecc::model::{
     ClassId, FieldId, FieldType, Instance, MethodId, Oid, SchemaBuilder, TxnId, Value,
 };
-use finecc::mvcc::{IsolationLevel, MvccHeap, MvccWriteError};
+use finecc::mvcc::{CommitError, IsolationLevel, MvccHeap, MvccWriteError};
 use finecc::runtime::Env;
 use finecc::sim::history::{History, Op, Record};
 use finecc::sim::workload::{generate_env, SchemaGenConfig};
@@ -649,4 +649,140 @@ fn ssi_aborts_strictly_fewer_than_naive_read_set_revalidation() {
     );
     assert!(stats.ssi_edges >= ROUNDS, "the rw edges were still tracked");
     assert_eq!(stats.commits, 2 * ROUNDS);
+}
+
+/// Four sessions interleaved step by step on one thread by a seeded
+/// xorshift stream: read-only transactions, read-modify-writes and
+/// write-skew pairs over three fields, with voluntary aborts,
+/// first-updater-wins losers and SSI refusals. The verdicts are
+/// deterministic, so the counts are pinned exactly; and the history is
+/// recorded and must check clean, so every transaction the tracker lets
+/// commit commits serializably.
+#[test]
+fn ssi_verdicts_of_a_fixed_interleaving() {
+    #[derive(Clone, Copy)]
+    enum Step {
+        Read(usize),
+        Write(usize),
+        Commit,
+        Abort,
+    }
+    let mut b = SchemaBuilder::new();
+    b.class("a")
+        .field("x", FieldType::Int)
+        .field("y", FieldType::Int);
+    let schema = Arc::new(b.finish().unwrap());
+    let a = schema.class_by_name("a").unwrap();
+    let x = schema.resolve_field(a, "x").unwrap();
+    let y = schema.resolve_field(a, "y").unwrap();
+    let db = Arc::new(Database::new(schema));
+    let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+    let (o1, o2) = (heap.base().create(a), heap.base().create(a));
+    let fields = [(o1, x), (o1, y), (o2, x)];
+    let int = |v: Value| v.as_int().expect("a's fields are integers");
+    let mut state = 1993u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut next_txn = 0;
+    // Per session: the running transaction, its remaining steps and its
+    // record so far.
+    let mut sessions: Vec<Option<(TxnId, Vec<Step>, Record)>> = vec![None; 4];
+    let mut history = History::default();
+    let mut outcomes = [0u64; 3]; // committed, refused, abandoned
+    for step in 0..4_000i64 {
+        let s = (next() % 4) as usize;
+        let Some((txn, steps, record)) = &mut sessions[s] else {
+            next_txn += 1;
+            let txn = TxnId(next_txn);
+            let record = Record {
+                session: s as u32,
+                op: next_txn as u32,
+                read_point: heap.begin(txn).ts(),
+                ..Record::default()
+            };
+            let (f, g) = ((next() % 3) as usize, (next() % 3) as usize);
+            let end = if next().is_multiple_of(10) {
+                Step::Abort
+            } else {
+                Step::Commit
+            };
+            // Stored reversed: steps are popped from the back.
+            let steps = match next() % 3 {
+                0 => vec![end, Step::Read(g), Step::Read(f)],
+                1 => vec![end, Step::Write(f), Step::Read(f)],
+                _ => vec![end, Step::Write(g), Step::Read(g), Step::Read(f)],
+            };
+            sessions[s] = Some((txn, steps, record));
+            continue;
+        };
+        let txn = *txn;
+        let commit = match steps.pop().expect("a session ends at commit or abort") {
+            Step::Read(f) => {
+                let (o, field) = fields[f];
+                let v = heap.read(txn, o, field).unwrap();
+                record.ops.push(Op::Read((o, field), int(v)));
+                continue;
+            }
+            Step::Write(f) => {
+                let (o, field) = fields[f];
+                record.ops.push(Op::Write((o, field), step));
+                match heap.write(txn, o, field, Value::Int(step)) {
+                    Ok(_) => continue,
+                    Err(MvccWriteError::Conflict(_)) => {
+                        heap.abort(txn);
+                        outcomes[2] += 1;
+                        None
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            Step::Commit => match heap.commit(txn) {
+                Ok(ts) => {
+                    outcomes[0] += 1;
+                    Some(ts)
+                }
+                Err(CommitError::Ssi(_)) => {
+                    outcomes[1] += 1;
+                    None
+                }
+                Err(e) => panic!("{e}"),
+            },
+            Step::Abort => {
+                heap.abort(txn);
+                outcomes[2] += 1;
+                None
+            }
+        };
+        if let Some((_, _, mut record)) = sessions[s].take() {
+            record.commit = commit;
+            history.txns.push(record);
+        }
+    }
+    assert_eq!(outcomes, [642, 52, 274]);
+    let m = heap.stats.snapshot();
+    assert_eq!((m.ssi_edges, m.ssi_aborts), (633, 52));
+    assert_eq!(m.write_conflicts, 197);
+    // The sessions still open abort, and the base store is read last.
+    for (txn, _, mut record) in sessions.into_iter().flatten() {
+        heap.abort(txn);
+        record.commit = None;
+        history.txns.push(record);
+    }
+    let last = fields.iter().map(|&(o, field)| {
+        let v = heap.base().read(o, field).expect("object exists");
+        Op::Read((o, field), int(v))
+    });
+    history.txns.push(Record {
+        session: 4,
+        read_point: u64::MAX,
+        commit: Some(u64::MAX),
+        ops: last.collect(),
+        ..Record::default()
+    });
+    let found = history.check();
+    assert!(found.is_empty(), "{found:?}");
 }
