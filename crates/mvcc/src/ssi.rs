@@ -584,8 +584,13 @@ impl SsiTracker {
 
     /// Raises the pruning horizon to `horizon` (a [`crate::MvccHeap`]
     /// GC horizon; a stale one merely prunes less) and returns the
-    /// horizon now in force.
+    /// horizon now in force. Loads first, so a batch whose horizon is
+    /// not newer writes nothing to the word every client reads.
     pub(crate) fn raise_horizon(&self, horizon: Ts) -> Ts {
+        let now = self.horizon.load(Ordering::Relaxed);
+        if horizon <= now {
+            return now;
+        }
         self.horizon
             .fetch_max(horizon, Ordering::Relaxed)
             .max(horizon)

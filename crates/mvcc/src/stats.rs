@@ -48,6 +48,10 @@ finecc_obs::counters! {
         /// rollback. After a full GC with no live transactions this equals
         /// [`MvccStatsSnapshot::versions_created`].
         versions_reclaimed: Counter "finecc.mvcc.versions_reclaimed",
+        /// Reclaim-queue entries a batch pruned from another slot's
+        /// queue: only a slot whose owner ran no batch between two
+        /// looks is adopted, so a busy client's queue never counts here.
+        versions_adopted: Counter "finecc.mvcc.versions_adopted",
         /// Sum of chain lengths sampled at each write.
         chain_len_sum: Counter,
         /// Number of chain-length samples.

@@ -96,14 +96,17 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Lock-free: two relaxed `fetch_add`s, one
-    /// relaxed `fetch_max`, no allocation.
+    /// Records one sample. Lock-free: three relaxed `fetch_add`s, a
+    /// relaxed `fetch_max` only when the sample beats the maximum it
+    /// loads, no allocation.
     #[inline]
     pub fn record(&self, v: u64) {
         self.counts[Self::index_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Copies the counters out into an owned snapshot.
