@@ -10,89 +10,86 @@
 //! copy-on-write, so nothing waits out a grace period, and the crate
 //! root forbids `unsafe_code`.
 //!
-//! * **Reads hold the shard latch shared.** [`MvccHeap::read_as`] walks
-//!   the chain under it and, on a miss (no record covers the field),
-//!   reads the base store under it too. Records carry **both before-
-//!   and after-images** per field, so a chain hit is answered from the
-//!   chain alone. A miss is answered correctly from the base because
-//!   every install, write-through and rollback restore of a field
-//!   happens under the same latch held exclusively: while a reader
-//!   holds it shared, a field no record covers has no pending writer,
-//!   and the base holds its latest committed value.
+//! * **Reads hold the shard latch shared.** A read walks the chain under
+//!   it and, on a miss (no record covers the field), reads the base
+//!   store under it too. Records carry **both before- and after-images**
+//!   per field, so a chain hit is answered from the chain alone. A miss
+//!   is answered correctly from the base because every install,
+//!   write-through and rollback restore happens under the same latch held
+//!   exclusively: while a reader holds it shared, a field no record
+//!   covers has no pending writer, and the base holds its latest
+//!   committed value.
 //! * **Writes hold it exclusive.** [`MvccHeap::write_at`] runs
-//!   first-updater-wins, the base write-through (whose previous value
-//!   is the before-image) and the install in one critical section. A
-//!   transaction's further write to an object it already wrote edits
-//!   its own record **in place**: the field is added, or its after-image
-//!   replaced.
-//! * **One commit status per transaction.** A record holds no timestamp
-//!   of its own: it points at its writer's *status cell* (the `ssi`
-//!   module's `TxnHandle` — live, its commit timestamp, or dead), after
-//!   Larson et al.'s per-transaction end timestamp. Commit is
-//!   draw → mark → log → publish: the mark is one atomic store into the
-//!   cell (at [`IsolationLevel::Serializable`], SSI validation and the
-//!   store in one step under the cell's lock), and it commits every
-//!   record the writer made without latching a chain. A marked record
-//!   is invisible until publication — its timestamp lies above every
-//!   registered snapshot — and reads as committed-after-snapshot to a
-//!   rival writer. The cell is made at a transaction's first write (at
-//!   `Serializable`, at `begin`: its SIREAD entries are clones of it),
-//!   so a read-only snapshot transaction allocates none.
-//! * **A safe snapshot keeps its reads in its cell.** At `Serializable`
-//!   a transaction that begins with no older snapshot live runs *safe*
-//!   (the `ssi` module docs' *Safe snapshots*): its reads register no
-//!   SIREAD but go into a read set held under the cell's own lock, which
-//!   only its own operations take while it is safe. [`MvccHeap::convert`]
-//!   registers that set and re-walks its chains before the transaction's
-//!   first write, its first class-granular registration, or — through
-//!   the runtime — its first top message whose access vector writes; a
-//!   safe read-only commit validates nothing.
+//!   first-updater-wins, the base write-through (whose previous value is
+//!   the before-image) and the install in one critical section. A
+//!   further write to an object the transaction already wrote edits its
+//!   own record **in place**.
+//! * **One commit status per transaction.** A record points at its
+//!   writer's *status cell* (the `ssi` module's `TxnHandle` — live, its
+//!   commit timestamp, or dead), after Larson et al.'s per-transaction
+//!   end timestamp. Commit is draw → mark → log → publish: the mark is
+//!   one atomic store into the cell (at [`IsolationLevel::Serializable`],
+//!   SSI validation and the store in one step under the cell's lock),
+//!   and it commits every record the writer made without latching a
+//!   chain. A marked record is invisible until publication — its
+//!   timestamp lies above every registered snapshot — and reads as
+//!   committed-after-snapshot to a rival writer. The cell is made at a
+//!   transaction's first write (at `Serializable`, at `begin`), so a
+//!   read-only snapshot transaction allocates none.
+//! * **SIREADs ride the chain.** At `Serializable` a chain also lists
+//!   its readers, `(status cell, fields it may read)`, one entry per
+//!   reader, added or widened by [`MvccHeap::register_reads`] under the
+//!   exclusive latch — once per top message, with its transitive access
+//!   vector. A write collects the concurrent readers of its field in the
+//!   critical section of its install and flags them after dropping the
+//!   latch (the `ssi` module docs' *Status cells and the per-edge
+//!   protocol*). A chain stays in its shard's map while it holds records
+//!   *or* readers.
+//! * **A safe snapshot keeps its reads in its cell** (the `ssi` module
+//!   docs' *Safe snapshots*): its registrations go into a read set under
+//!   the cell's own lock, and [`MvccHeap::convert`] registers that set
+//!   and re-walks its chains before the transaction's first write, its
+//!   first class-granular registration, or — through the runtime — its
+//!   first top message whose access vector writes.
 //! * **Publication is a lock-free ring** (the crate-private `watermark`
-//!   module): an ordered watermark advances `last_committed` only
-//!   across a contiguous prefix of marked (and logged) timestamps, with
-//!   CAS-claimed in-flight slots. A timestamp drawn by a transaction
-//!   whose commit is then refused — by SSI validation or by the log —
-//!   is published as a *skip*, its cell marked dead first, keeping the
-//!   prefix dense.
+//!   module): an ordered watermark advances `last_committed` only across
+//!   a contiguous prefix of marked (and logged) timestamps. A timestamp
+//!   whose commit is then refused — by SSI validation or by the log — is
+//!   published as a *skip*, its cell marked dead first.
 //! * **Registries are striped**, each stripe on its own cache lines:
-//!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids
-//!   carry their thread's slot, so that is the beginning thread's own
-//!   stripe) and the snapshot-epoch table by the registering thread's
-//!   slot. Each epoch shard publishes its minimum in an atomic, so the
-//!   GC horizon — and the safe test every serializable `begin` makes —
-//!   takes no lock (see `EpochTable`). The `MvccScheme` additionally
-//!   caches each transaction's snapshot timestamp in its session, so
-//!   steady-state reads and writes skip the transaction registry
-//!   entirely (the registry is touched once per transaction at
-//!   begin/commit plus once per *first* write of an object). At
-//!   `Serializable` the session caches the transaction's status cell
-//!   too, so a read reaches the SSI tracker without a registry lookup.
+//!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids carry
+//!   their thread's slot, so that is the beginning thread's own stripe)
+//!   and the snapshot-epoch table by the registering thread's slot. Each
+//!   epoch shard publishes its minimum in an atomic, so the GC horizon —
+//!   and the safe test every serializable `begin` makes — takes no lock
+//!   (see `EpochTable`). A session caches what [`MvccHeap::begin`]
+//!   returned (snapshot timestamp and status cell), so steady-state
+//!   operations touch the registry only at begin/commit and at the first
+//!   write of, or registration on, an object.
 //!
 //! ## Latch order
 //!
 //! 1. **One chain shard**, shared or exclusive, never two at once.
 //!    Rollback, and a logged commit assembling its redo images, visit
-//!    the write set one shard at a time; an unlogged commit takes none.
+//!    objects one shard at a time; an unlogged commit takes none.
 //! 2. Under a chain shard, leaves only: a **base-store shard** (the
-//!    miss read, the write-through, the rollback restore) and, on a
-//!    transaction's first write of an object, its **txn stripe** (the
-//!    object joins the write set in the same critical section as the
-//!    install, so a transaction the heap does not know is refused
-//!    before anything is installed). Begin, commit and abort take a txn
-//!    stripe alone and drop it before any chain shard.
-//! 3. The **epoch shard** (taken by registration and release only;
-//!    the horizon loads its published minimum) and the **reclaim slot**
-//!    (see *Reclamation*) are leaves taken under nothing.
+//!    miss read, the write-through, the rollback restore) and the
+//!    transaction's **txn stripe** (at its first write of an object the
+//!    object joins the write set in the critical section of the install,
+//!    so a transaction the heap does not know is refused before anything
+//!    is installed; a registration joins the read set the same way).
+//!    Begin, commit and abort take a txn stripe alone.
+//! 3. The **epoch shard** and the **reclaim slot** are leaves taken
+//!    under nothing.
 //!
-//! The watermark has no latch. SSI-tracker latches (SIREAD shards and
-//! the status cells' flag locks — see [`crate::ssi`]) are never nested
-//! with heap latches: reads register SIREADs *before* taking the shard
-//! latch and record edges *after* dropping it; writes scan the SIREAD
-//! registry after dropping the exclusive latch (and, while an extent
-//! message's class-granular SIREAD is registered, look up the object's
-//! class in the base store first, under nothing); commit validates
-//! under nothing else. Chain walks read a record's status with one
-//! atomic load and take no cell lock.
+//! The watermark has no latch. A status cell's flag lock is never taken
+//! under a chain latch: a write clones the cells of the readers it must
+//! flag and flags them after dropping it, and a read records its edges
+//! after dropping its shared latch. The class-granular SIREAD shards
+//! (see [`crate::ssi`]) are never nested with heap latches: while an
+//! extent message's entry is registered a write probes its object's
+//! class after the latch is dropped. Chain walks read a record's status
+//! with one atomic load.
 //!
 //! ## Reclamation
 //!
@@ -101,54 +98,38 @@
 //!
 //! * **Who queues.** A writer commit appends `(commit_ts, oid)` for
 //!   each object of its write set to the *reclaim queue* of the
-//!   committing thread's slot — a cache-line-padded mutex. The slot is
-//!   the thread's `finecc_obs::thread_slot` and is a
-//!   **locality hint, never a correctness assumption**: threads share a
-//!   slot when there are more threads than slots, and a transaction
-//!   begun on one thread, written on a second and committed on a third
-//!   is just as correct — every structure below is guarded by its own
-//!   mutex.
-//! * **Who prunes.** Every `RECLAIM_EVERY`-th writer commit of a slot
-//!   runs one bounded batch (the median commit does no reclamation at
-//!   all): it computes [`MvccHeap::gc_horizon`], pops the queue's head
-//!   entries committed at or below it, and prunes exactly those chains
-//!   in place — one exclusive shard latch per popped entry, dropping the
-//!   records at or below the horizon and the chain itself once it
-//!   empties. A batch prunes its own slot's queue; with budget to spare
-//!   it looks at one other slot (a rotating cursor) and **adopts** that
-//!   slot's due entries only if its owner has run no batch since this
-//!   slot last looked — each slot counts its batches, and keeps, for
-//!   every other slot, the count it saw there last, in an array only it
-//!   touches. So the versions of a thread that went idle or exited are
-//!   still drained (`finecc.mvcc.versions_adopted` counts the entries
-//!   adopted), while a busy client's queue, chains and allocations are
-//!   never touched by another client. The measured reason: when every
-//!   batch drained a rotating slot, each of two `mvcc` clients on
-//!   `durable-update` pruned some of the other's chains and so freed
-//!   records the other had allocated — few (0.055 of 4.1 frees per
-//!   commit in a heap-only two-writer loop), yet two clients committed
-//!   at 0.63 of `tav`'s rate instead of 0.82. A variant that still
-//!   popped and pruned the other slot's entries but leaked what it
-//!   pruned ran as fast as owner-only reclamation: the cost is freeing
-//!   the other client's memory, not visiting its queue or chains
-//!   (glibc's `malloc` keeps a freed block in the *freeing* thread's
-//!   cache for its next allocation, so the two clients' live records
-//!   end up side by side).
-//!
-//!   At [`IsolationLevel::Serializable`] every batch also hands its
-//!   horizon to the SSI tracker, whose SIREAD lists prune below it,
-//!   and every `SSI_PURGE_EVERY`-th runs the tracker's purge;
-//!   there a read-only commit that registered SIREADs counts toward its
-//!   slot's cadence as well, so a stream with no writer still bounds the
-//!   tracker (at `Snapshot`, or on a safe snapshot, which registered
-//!   nothing, it touches no reclamation state).
+//!   committing thread's slot — a cache-line-padded mutex. The slot
+//!   (`finecc_obs::thread_slot`) is a **locality hint, never a
+//!   correctness assumption**: a transaction begun on one thread,
+//!   written on a second and committed on a third is just as correct.
+//!   At [`IsolationLevel::Serializable`] a commit also queues the
+//!   objects it registered SIREADs on, and a tracked read-only commit
+//!   queues those and counts toward the cadence below, so a chain only
+//!   readers kept goes with its readers' batches (a safe snapshot, which
+//!   registered nothing, touches no reclamation state).
+//! * **Who prunes.** Every `RECLAIM_EVERY`-th commit of a slot runs one
+//!   bounded batch: it computes [`MvccHeap::gc_horizon`], pops the
+//!   queue's head entries committed at or below it, and prunes exactly
+//!   those chains in place — one exclusive shard latch per entry,
+//!   dropping the records at or below the horizon, the reader entries
+//!   that can yield no edge, and the chain once it is empty. A batch
+//!   prunes its own slot's queue; with budget to spare it looks at one
+//!   other slot (a rotating cursor) and **adopts** that slot's due
+//!   entries only if its owner has run no batch since this slot last
+//!   looked. So an idle or exited thread's versions are still drained
+//!   (`finecc.mvcc.versions_adopted`), while a busy client's queue,
+//!   chains and allocations are its own: when every batch drained a
+//!   rotating slot, two `mvcc` clients on `durable-update` freed each
+//!   other's records (glibc keeps a freed block in the *freeing*
+//!   thread's cache), and committed at 0.63 of `tav`'s rate instead of
+//!   0.82. Every batch hands its horizon to the SSI tracker, and every
+//!   `SSI_PURGE_EVERY`-th purges its class-granular lists.
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
-//!   watermark, which only grows (see `EpochTable`). Pruning with an
-//!   older horizon merely prunes less.
+//!   watermark, which only grows (see `EpochTable`).
 //! * **Freeing is dropping.** No reader holds a reference into a chain
 //!   without its shard latch, so a pruned or rolled-back record is
-//!   freed where it is removed: there is no grace period to wait out.
+//!   freed where it is removed.
 //! * **The full sweep.** [`MvccHeap::gc`] is the explicit
 //!   stop-and-sweep for tests and maintenance: every chain of every
 //!   shard, every slot's queue. [`MvccHeap::checkpoint`] ends with one;
@@ -161,13 +142,11 @@
 //! clock `fetch_add` plus the mark, SSI validation included), *WAL ack*
 //! (redo assembly, append, and at `WalSync` the group-commit ack), and
 //! *publish* (watermark publish plus the in-order visibility wait) —
-//! plus the commit total. The probes
-//! take no lock, and contention attribution (ww conflicts, SSI aborts)
-//! runs after every heap latch is dropped; the registry stripe it takes
-//! is a leaf. The **read path carries no probe**: no histogram, no
-//! registry touch, no branch on the handle.
+//! plus the commit total. The probes take no lock, and contention
+//! attribution runs after every heap latch is dropped. The **read path
+//! carries no probe**.
 
-use crate::ssi::{committed, ReadKey, SsiTracker, SsiVerdict, TxnHandle, LIVE};
+use crate::ssi::{committed, field_set, Sireads, SsiTracker, SsiVerdict, TxnHandle, LIVE};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts};
@@ -315,10 +294,14 @@ impl VersionRecord {
 /// * the base store holds every field's newest (possibly pending)
 ///   value — maintained for non-MVCC consumers and chain-miss reads,
 ///   never consulted on a chain hit;
-/// * a chain in a shard's map is never empty.
+/// * a chain in a shard's map is never empty: it holds a record or a
+///   reader.
 #[derive(Debug, Default)]
 struct Chain {
     records: Vec<VersionRecord>,
+    /// The SIREAD entries of serializable readers of this object (see
+    /// the module docs).
+    readers: Sireads,
 }
 
 impl Chain {
@@ -332,13 +315,31 @@ impl Chain {
             .expect("a written chain holds its writer's record")
     }
 
+    fn is_empty(&self) -> bool {
+        self.records.is_empty() && self.readers.is_empty()
+    }
+
     /// Drops the records no snapshot can read past any more — those
-    /// committed at or below `horizon` — and returns how many.
+    /// committed at or below `horizon` — and the reader entries that can
+    /// no longer yield an edge; returns how many records went.
     fn prune(&mut self, horizon: Ts) -> usize {
+        self.readers.prune(horizon);
         let len = self.records.len();
         self.records
             .retain(|r| committed(r.owner.status()).is_none_or(|c| c > horizon));
         len - self.records.len()
+    }
+}
+
+/// Whether `rec` is visible at snapshot `ts` to `as_txn`. A writer
+/// marked but not yet published is above every registered snapshot, so
+/// it reads as invisible like a pending one — the mark needs no latch.
+#[inline]
+fn visible(rec: &VersionRecord, ts: Ts, as_txn: Option<TxnId>) -> bool {
+    let status = rec.owner.status();
+    match committed(status) {
+        Some(cts) => cts <= ts,
+        None => status == LIVE && as_txn == Some(rec.owner.txn),
     }
 }
 
@@ -360,15 +361,7 @@ fn reconstruct<'a>(
         let Some(w) = rec.write_of(field) else {
             continue;
         };
-        // A writer marked but not yet published is above every
-        // registered snapshot, so it reads as invisible like a pending
-        // one — the mark needs no latch.
-        let status = rec.owner.status();
-        let visible = match committed(status) {
-            Some(cts) => cts <= ts,
-            None => status == LIVE && as_txn == Some(rec.owner.txn),
-        };
-        if visible {
+        if visible(rec, ts, as_txn) {
             // Records of one field are newest-first: the first visible
             // one holds the field's value at this snapshot.
             return Some(&w.after);
@@ -447,6 +440,10 @@ struct TxnState {
     /// or sort). Only the transaction's own operations touch it, under
     /// the registry stripe that holds it.
     write_set: Vec<Oid>,
+    /// Objects whose chains hold this transaction's SIREAD entry, in
+    /// registration order: queued for reclamation at its commit, rid of
+    /// its entries at its rollback. Kept like `write_set`.
+    read_set: Vec<Oid>,
     /// The transaction's status cell: made at `begin` at
     /// [`IsolationLevel::Serializable`] (holding the read set while the
     /// transaction is safe), at the first write otherwise (a read-only
@@ -988,6 +985,7 @@ impl MvccHeap {
             TxnState {
                 epoch,
                 write_set: Vec::new(),
+                read_set: Vec::new(),
                 cell: cell.clone(),
             },
         );
@@ -1030,22 +1028,11 @@ impl MvccHeap {
     }
 
     /// Reconstructs `field` of `oid` as of `txn`'s snapshot, seeing its
-    /// own pending writes.
-    ///
-    /// Takes no logical lock: the object's chain shard is held
-    /// *shared* — alongside any number of readers — across the chain
-    /// walk and, on a chain miss, the one base-store read; exactly one
-    /// [`Value`] is cloned. At [`IsolationLevel::Serializable`] the read
-    /// additionally registers a SIREAD entry for `(oid, field)` (before
-    /// the walk) and records an outgoing rw-antidependency for every
-    /// invisible overwrite of the field it steps past — still without
-    /// blocking on anyone's transaction — unless the transaction runs on
-    /// a safe snapshot: then the read only joins its read set, for
-    /// [`MvccHeap::convert`] to register. A read that a class-granular
-    /// SIREAD already covers ([`MvccHeap::record_class_read`]) goes
-    /// through [`MvccHeap::read_covered`] instead, which skips the
-    /// registration and keeps the edges. [`crate::Snapshot::read`] is
-    /// the read outside any transaction.
+    /// own pending writes: [`MvccHeap::register_reads`] of the one field,
+    /// then [`MvccHeap::read_covered`], which holds the object's chain
+    /// shard *shared* across the walk and, on a chain miss, the one
+    /// base-store read. [`crate::Snapshot::read`] is the read outside
+    /// any transaction.
     ///
     /// Deletion caveat: [`Database::delete`] bypasses the version layer
     /// (like creation — see the ROADMAP's versioned-extents item), so a
@@ -1055,43 +1042,84 @@ impl MvccHeap {
     /// store's [`StoreError::UnknownOid`]. Until extents are versioned,
     /// don't use read errors to probe liveness of versioned objects.
     pub fn read_as(&self, txn: &MvccTxn, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
-        let reader = self.tracking(txn).and_then(|(ssi, cell)| {
-            if cell.note_safe_read(oid, field) {
-                return None;
+        self.register_reads(txn, oid, [field]);
+        self.read_covered(txn, oid, field)
+    }
+
+    /// Registers `txn`'s SIREAD on `oid` at
+    /// [`IsolationLevel::Serializable`] (a no-op at `Snapshot`): the
+    /// transaction is about to read some of `fields`, and a concurrent
+    /// writer of any of them meets this one entry, added to the object's
+    /// chain (or widened) under the exclusive latch every install holds
+    /// (the `ssi` module docs' *Status cells and the per-edge
+    /// protocol*). Must run before the reads it covers, which go through
+    /// [`MvccHeap::read_covered`]; the runtime calls it once per top
+    /// message, with the message's transitive access vector. On a safe
+    /// snapshot the entry only joins the read set ([`MvccHeap::convert`]);
+    /// a transaction the heap no longer knows registers nothing.
+    pub fn register_reads(
+        &self,
+        txn: &MvccTxn,
+        oid: Oid,
+        fields: impl IntoIterator<Item = FieldId>,
+    ) {
+        let Some((ssi, cell)) = self.tracking(txn) else {
+            return;
+        };
+        let fields = field_set(fields);
+        if fields != 0 && !cell.note_safe_reads(oid, fields) {
+            self.register(ssi.horizon(), txn.id, cell, oid, fields);
+        }
+    }
+
+    /// The chain half of [`MvccHeap::register_reads`]: the entry, and on
+    /// a new one the object's place in the transaction's read set, in
+    /// one critical section (see *Latch order*).
+    fn register(&self, horizon: Ts, txn: TxnId, cell: &Arc<TxnHandle>, oid: Oid, fields: u64) {
+        {
+            let mut chains = self.shard(oid).chains.write();
+            let mut stripe = self.txn_stripe(txn).lock();
+            let Some(state) = stripe.get_mut(&txn) else {
+                return;
+            };
+            let chain = chains.entry(oid).or_default();
+            if chain.readers.add(cell, fields, horizon) {
+                state.read_set.push(oid);
             }
-            // Register BEFORE walking the chain: a concurrent writer
-            // either installed its record already (the walk sees it and
-            // marks the edge here) or will scan the registry after
-            // installing (and marks it there).
-            ssi.record_read(cell, ReadKey::Instance(oid), field);
-            Some(&**cell)
-        });
-        self.walk(txn.ts, Some(txn.id), oid, field, reader)
+        }
+        self.stats.ssi_registrations.bump();
     }
 
     /// Registers a class-granular SIREAD at
     /// [`IsolationLevel::Serializable`] (a no-op at `Snapshot`): `txn`
-    /// is about to read `field` of any number of instances of `class`,
-    /// which it then reads through [`MvccHeap::read_covered`]. A writer
-    /// of `field` of any instance of `class` meets this one entry — the
-    /// extent message's registration (see the `ssi` module docs'
-    /// *Class-granular SIREADs*). Must run before those reads. A
+    /// is about to read some of `fields` of any number of instances of
+    /// `class`, which it then reads through [`MvccHeap::read_covered`].
+    /// A writer of one of them in any instance of `class` meets this one
+    /// entry — the extent message's registration (see the `ssi` module
+    /// docs' *Class-granular SIREADs*). Must run before those reads. A
     /// transaction on a safe snapshot is converted first.
-    pub fn record_class_read(&self, txn: &MvccTxn, class: ClassId, field: FieldId) {
+    pub fn record_class_read(
+        &self,
+        txn: &MvccTxn,
+        class: ClassId,
+        fields: impl IntoIterator<Item = FieldId>,
+    ) {
         if let Some((ssi, cell)) = self.tracking(txn) {
             self.convert(txn);
-            ssi.record_read(cell, ReadKey::Class(class), field);
+            ssi.record_read(cell, class, field_set(fields));
+            self.stats.ssi_registrations.bump();
         }
     }
 
     /// Ends `txn`'s safe snapshot, if it runs on one (the `ssi` module
-    /// docs' *Safe snapshots*): registers a SIREAD for every field it
-    /// has read, then walks each of those chains again and records an
-    /// edge to every writer of a version invisible to it — what its
-    /// reads would have recorded had they been tracked. Idempotent, and
-    /// a no-op at [`IsolationLevel::Snapshot`]. [`MvccHeap::write_at`]
-    /// and [`MvccHeap::record_class_read`] call it; a caller that knows
-    /// the transaction is about to write calls it before the reads that
+    /// docs' *Safe snapshots*): registers every entry of its read set on
+    /// its chain, then walks each of those chains again and records an
+    /// edge to every writer of a version invisible to it of a field in
+    /// the entry — what its reads would have recorded had they been
+    /// tracked. Idempotent, and a no-op at
+    /// [`IsolationLevel::Snapshot`]. [`MvccHeap::write_at`] and
+    /// [`MvccHeap::record_class_read`] call it; a caller that knows the
+    /// transaction is about to write calls it before the reads that
     /// precede the write, so those register as they happen.
     pub fn convert(&self, txn: &MvccTxn) {
         let Some((ssi, cell)) = self.tracking(txn) else {
@@ -1100,24 +1128,34 @@ impl MvccHeap {
         let Some(reads) = cell.take_safe_reads() else {
             return;
         };
-        for &(oid, field) in &reads {
-            ssi.record_read(cell, ReadKey::Instance(oid), field);
+        for &(oid, fields) in &reads {
+            self.register(ssi.horizon(), txn.id, cell, oid, fields);
         }
         let mut overwriters = Vec::new();
-        for &(oid, field) in &reads {
+        for &(oid, fields) in &reads {
             if let Some(chain) = self.shard(oid).chains.read().get(&oid) {
-                let walked = Some(&mut overwriters);
-                reconstruct(&chain.records, txn.ts, Some(txn.id), field, walked);
+                // Of the records touching a field, the invisible ones are
+                // the newest (see `Chain`): the ones a walk steps past.
+                let invisible = chain.records.iter().filter(|rec| {
+                    !visible(rec, txn.ts, Some(txn.id))
+                        && rec
+                            .writes
+                            .iter()
+                            .any(|w| fields & field_set([w.field]) != 0)
+                });
+                overwriters.extend(invisible.map(|rec| Arc::clone(&rec.owner)));
             }
         }
         self.read_edges(cell, &overwriters);
     }
 
-    /// [`MvccHeap::read_as`] by `txn` for a read its class-granular
-    /// SIREAD on `(class_of(oid), field)` covers: no per-instance
+    /// [`MvccHeap::read_as`] by `txn` for a read its registration
+    /// covers — its top message's ([`MvccHeap::register_reads`]) or its
+    /// extent message's ([`MvccHeap::record_class_read`]): no
     /// registration, but the same chain walk, and at `Serializable` an
-    /// edge for every invisible overwrite it steps past. Registering
-    /// the covering entry first is the caller's part.
+    /// edge for every invisible overwrite it steps past — unless the
+    /// transaction runs on a safe snapshot, whose reads record no edge.
+    /// Registering first is the caller's part.
     pub fn read_covered(
         &self,
         txn: &MvccTxn,
@@ -1125,6 +1163,7 @@ impl MvccHeap {
         field: FieldId,
     ) -> Result<Value, StoreError> {
         let reader = self.tracking(txn).map(|(_, cell)| &**cell);
+        let reader = reader.filter(|cell| !cell.is_safe());
         self.walk(txn.ts, Some(txn.id), oid, field, reader)
     }
 
@@ -1214,7 +1253,10 @@ impl MvccHeap {
     /// previous value is the before-image), then the install — a new
     /// pending record pointing at the transaction's status cell on the
     /// object's first write, an in-place edit of the transaction's own
-    /// record after that. Returns what happened to the chain.
+    /// record after that — and at [`IsolationLevel::Serializable`] the
+    /// collection of the chain's readers of `field` that may overlap
+    /// `txn`, flagged once the latch is dropped. Returns what happened
+    /// to the chain.
     ///
     /// A refused write leaves nothing behind: a conflict or a store
     /// error is raised before anything changes, and a `txn` the heap no
@@ -1249,11 +1291,11 @@ impl MvccHeap {
             }
         };
         let before = self.base.exchange_unchecked(oid, field, value.clone())?;
-        let (outcome, chain_len) = match own {
+        let (outcome, chain) = match own {
             Some(i) => {
                 let chain = chains.entry(oid).or_default();
                 chain.records[i].set(field, before, value);
-                (WriteOutcome::MergedVersion, chain.records.len())
+                (WriteOutcome::MergedVersion, chain)
             }
             None => {
                 let Some(owner) = self.enlist(txn.id, oid) else {
@@ -1267,26 +1309,36 @@ impl MvccHeap {
                 }];
                 let chain = chains.entry(oid).or_default();
                 chain.records.insert(0, VersionRecord { owner, writes });
-                (WriteOutcome::NewVersion, chain.records.len())
+                (WriteOutcome::NewVersion, chain)
             }
         };
+        let chain_len = chain.records.len();
+        // SSI: collect the concurrent readers of the field in the same
+        // critical section as the install (see `register_reads` for why
+        // that closes the race) and flag them once the latch is dropped.
+        let tracking = self.tracking(txn);
+        let mut readers = Vec::new();
+        if let Some((ssi, cell)) = tracking {
+            let horizon = ssi.horizon();
+            chain
+                .readers
+                .overlapping(field, cell, snapshot_ts, horizon, &mut readers);
+        }
         drop(chains);
         if outcome == WriteOutcome::NewVersion {
             self.stats.versions_created.bump();
         }
         self.stats.sample_chain_len(chain_len as u64);
-        // SSI: scan SIREAD entries AFTER the pending version is
-        // installed (see `read_as` for why the order closes the race)
-        // and record an incoming rw edge per concurrent reader — the
-        // object's own readers, and, while an extent message holds a
-        // class-granular entry, its class's.
-        if let Some((ssi, cell)) = self.tracking(txn) {
-            let mut edges = ssi.write_edges(cell, snapshot_ts, ReadKey::Instance(oid), field);
+        // An incoming rw edge per concurrent reader — the object's own
+        // readers, and, while an extent message holds a class-granular
+        // entry, its class's.
+        if let Some((ssi, cell)) = tracking {
+            let mut edges = cell.flag_readers(snapshot_ts, &readers);
             if ssi.has_class_reads() {
                 // A delete since the write-through leaves no class to
                 // probe (deletion bypasses the versions; see `read_as`).
                 if let Ok(class) = self.base.class_of(oid) {
-                    edges += ssi.write_edges(cell, snapshot_ts, ReadKey::Class(class), field);
+                    edges += ssi.write_edges(cell, snapshot_ts, class, field);
                 }
             }
             if edges > 0 {
@@ -1332,30 +1384,22 @@ impl MvccHeap {
     /// transaction reads as its commit; **log** the redo images of its
     /// records (when a log is attached); **publish** the timestamp
     /// through the lock-free ordered watermark, then wait until it is
-    /// visible. No chain latch is taken and no record is touched: a
-    /// marked record is invisible to every registered snapshot (all
-    /// lie below the unpublished timestamp) until the watermark
-    /// publishes it, and the watermark publishes it only after the log
-    /// append — durable before visible. Returns the commit timestamp,
-    /// and returns only once it is **published**: any snapshot taken
-    /// after `commit` returns — including this session's next
-    /// transaction — observes the commit (read-your-own-commits across
-    /// transactions; the wait covers only the bounded publication lag
-    /// behind concurrent committers holding earlier timestamps). A
+    /// visible. No chain latch is taken: a marked record is invisible to
+    /// every registered snapshot until the watermark publishes it, after
+    /// the log append — durable before visible. Returns the commit
+    /// timestamp once it is **published**, so any snapshot taken after —
+    /// this session's next transaction's included — observes it. A
     /// **read-only** transaction serializes at (and returns) its
-    /// snapshot timestamp without drawing a timestamp at all.
+    /// snapshot timestamp without drawing one.
     ///
     /// At [`IsolationLevel::Snapshot`] commit is infallible by
-    /// construction — all conflicts were detected at write time. At
-    /// [`IsolationLevel::Serializable`] the mark is dangerous-structure
-    /// validation and mark in one step; on failure the transaction is
-    /// fully rolled back (as by [`MvccHeap::abort`]), its drawn
-    /// timestamp is published as a *skip* (keeping the watermark prefix
-    /// contiguous), and the [`SsiConflict`] is returned — the caller
-    /// retries on a fresh snapshot, like a first-updater-wins victim.
-    ///
-    /// A `txn` the heap does not know (never begun, or already ended)
-    /// is refused with [`CommitError::UnknownTxn`] and touches nothing.
+    /// construction. At [`IsolationLevel::Serializable`] the mark is
+    /// dangerous-structure validation and mark in one step; on failure
+    /// the transaction is rolled back (as by [`MvccHeap::abort`]), its
+    /// drawn timestamp is published as a *skip*, and the [`SsiConflict`]
+    /// is returned — the caller retries on a fresh snapshot. A `txn` the
+    /// heap does not know is refused with [`CommitError::UnknownTxn`]
+    /// and touches nothing.
     pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
         // The stripe guard is a temporary, dropped at the end of this
         // statement: it must never be held into a chain latch, under
@@ -1372,9 +1416,8 @@ impl MvccHeap {
 
         finecc_chaos::yield_point(finecc_chaos::Site::CommitTsDraw);
 
-        // Commit-phase probes (no-ops on a disabled handle — not even
-        // a clock read). Laps sit strictly *between* the steps they
-        // time, never inside a latch: the timer itself takes nothing.
+        // Commit-phase probes (no-ops on a disabled handle); laps sit
+        // between the steps they time, never inside a latch.
         let mut phases = self.obs.phase_timer();
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         // Under SSI, validation and the mark are one atomic step on the
@@ -1388,12 +1431,9 @@ impl MvccHeap {
             return Err(c.into());
         }
         phases.lap(Phase::CommitTsDraw);
-        // Durable before visible: the record hits the log — and, at
-        // WalSync, the disk (group-commit ack) — strictly before the
-        // watermark publishes the timestamp. No latch is held across
-        // the append or the wait; concurrent committers keep drawing,
-        // appending and sharing fsyncs, and the ordered watermark
-        // serializes visibility afterwards exactly as without a log.
+        // Durable before visible: the record hits the log (at WalSync,
+        // the disk) before the watermark publishes the timestamp; no
+        // latch is held across the append or the wait.
         if let Some(wal) = &self.wal {
             let mut writes = Vec::with_capacity(state.write_set.len());
             for &oid in &state.write_set {
@@ -1419,22 +1459,15 @@ impl MvccHeap {
         if self.watermark.publish(commit_ts) {
             self.stats.watermark_waits.bump();
         }
-        // A returned commit is a *visible* commit: wait out the (tiny,
-        // bounded) publication lag behind concurrent committers with
-        // earlier timestamps, so this session's next snapshot — and
-        // anyone it signals — observes the commit. Without this, a
-        // session's own next write could be refused as
-        // "committed after snapshot" by its previous transaction.
-        // Deliberate trade-off: commit *returns* re-serialize in
-        // timestamp order (head-of-line behind the slowest in-flight
-        // committer), but only the return waits — the mark, validation
-        // and publication all ran without waiting on anyone above.
-        // Relaxing this needs a per-session visibility floor, which
-        // needs a session abstraction the heap does not have (see the
-        // ROADMAP). The chaos fault plane can switch this barrier off
-        // (`Site::CommitPublishWait` + `FaultKind::Disable`): the
-        // chaos suite's known-bug regression re-creates the pre-barrier
-        // engine and shows the lost-own-write anomaly it allowed.
+        // A returned commit is a *visible* commit: wait out the bounded
+        // publication lag behind committers with earlier timestamps, or
+        // a session's own next write could be refused as "committed
+        // after snapshot" by its previous transaction. Only the return
+        // re-serializes in timestamp order; relaxing that needs a
+        // per-session visibility floor (see the ROADMAP). The chaos
+        // fault plane can switch this barrier off
+        // (`Site::CommitPublishWait`): the chaos suite's known-bug
+        // regression shows the lost-own-write anomaly it prevents.
         if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
             self.watermark.wait_published(commit_ts);
         }
@@ -1443,7 +1476,7 @@ impl MvccHeap {
 
         self.epochs.unregister(state.epoch);
         self.stats.commits.bump();
-        self.queue_reclaim(commit_ts, &state.write_set);
+        self.queue_reclaim(commit_ts, &state);
         Ok(commit_ts)
     }
 
@@ -1451,12 +1484,9 @@ impl MvccHeap {
     /// its snapshot. At [`IsolationLevel::Serializable`] a tracked one
     /// still validates — its reads can complete a dangerous structure
     /// around a committed pivot (the SI read-only anomaly, Fekete et al.
-    /// 2004) — and it counts toward its slot's reclamation cadence, so
-    /// a stream without writers still raises the SSI horizon and purges
-    /// the SIREADs it registered. One that stayed on a safe snapshot
-    /// registered none and validates nothing (the `ssi` module docs'
-    /// *Safe snapshots*); like a commit at `Snapshot`, it touches no
-    /// reclamation state.
+    /// 2004) — and queues its SIREADs' chains (see *Reclamation*). One
+    /// that stayed on a safe snapshot registered none and, like a commit
+    /// at `Snapshot`, validates nothing and touches no reclamation state.
     fn commit_read_only(&self, state: TxnState) -> Result<Ts, CommitError> {
         let ts = state.epoch.ts;
         let tracked = state
@@ -1474,7 +1504,7 @@ impl MvccHeap {
         self.epochs.unregister(state.epoch);
         self.stats.commits.bump();
         if tracked.is_some() {
-            self.queue_reclaim(ts, &[]);
+            self.queue_reclaim(ts, &state);
         }
         Ok(ts)
     }
@@ -1482,22 +1512,15 @@ impl MvccHeap {
     /// The tail of a writer commit refused after its timestamp was
     /// drawn (SSI validation, a failed redo append). The cell is marked
     /// `DEAD` first — a log-refused commit was already marked at
-    /// `commit_ts`, and nothing may read as committed there once it is
-    /// published. The timestamp must still reach the watermark — as a
-    /// *skip* — or the contiguous prefix would stall forever; a
-    /// snapshot at `commit_ts` observes exactly the state at
-    /// `commit_ts - 1`. The skip is logged before it is published so
-    /// recovery restores the hole, but the append never waits for a
-    /// sync and is best-effort even on a degraded log: a lost skip is
-    /// harmless (any later durable commit covers the frame; a reused
-    /// trailing skip timestamp committed nothing), so a failed append
-    /// must not escalate a refusal into a panic. Then the transaction
-    /// is rolled back and ended as by [`MvccHeap::abort`]. Like a
-    /// commit, the refusal returns only once its skip is published, so
-    /// each thread has at most one drawn timestamp in flight: a refused
-    /// caller retrying at once cannot lap the watermark ring while an
-    /// earlier committer is descheduled between its draw and its
-    /// publication.
+    /// `commit_ts`. The timestamp must still reach the watermark as a
+    /// *skip*, or the contiguous prefix would stall. The skip is logged
+    /// before it is published so recovery restores the hole, best-effort:
+    /// a lost skip is harmless (a later durable commit covers the frame),
+    /// so a failed append must not escalate a refusal into a panic. Then
+    /// the transaction is rolled back as by [`MvccHeap::abort`]. The
+    /// refusal returns only once its skip is published, so each thread
+    /// has at most one drawn timestamp in flight and a caller retrying
+    /// at once cannot lap the watermark ring.
     fn refuse_commit(&self, state: &TxnState, commit_ts: Ts) {
         if let Some(cell) = &state.cell {
             cell.abort();
@@ -1533,7 +1556,8 @@ impl MvccHeap {
     /// the base not yet restored, or the reverse. No other live
     /// transaction wrote these fields (it would have conflicted), so
     /// restoring is safe; an instance deleted concurrently has nothing
-    /// to restore (same contract as `UndoLog::rollback`). Returns the
+    /// to restore (same contract as `UndoLog::rollback`). Then drops
+    /// its SIREAD entries, which can yield no edge any more. Returns the
     /// number of objects rolled back.
     fn rollback_writes(&self, state: &TxnState) -> usize {
         let Some(cell) = &state.cell else {
@@ -1546,8 +1570,17 @@ impl MvccHeap {
             for w in chain.records.remove(at).writes {
                 let _ = self.base.write_unchecked(oid, w.field, w.before);
             }
-            if chain.records.is_empty() {
+            if chain.is_empty() {
                 chains.remove(&oid);
+            }
+        }
+        for &oid in &state.read_set {
+            let mut chains = self.shard(oid).chains.write();
+            if let Some(chain) = chains.get_mut(&oid) {
+                chain.readers.remove(cell);
+                if chain.is_empty() {
+                    chains.remove(&oid);
+                }
             }
         }
         state.write_set.len()
@@ -1603,17 +1636,23 @@ impl MvccHeap {
         thread_slot() % RECLAIM_SLOTS
     }
 
-    /// The tail of a writer commit: queues the write set for pruning in
-    /// the committing thread's slot and, every [`RECLAIM_EVERY`]-th
-    /// commit of that slot, runs one reclamation batch.
-    fn queue_reclaim(&self, commit_ts: Ts, write_set: &[Oid]) {
+    /// The tail of a writer commit, or of a tracked read-only one:
+    /// queues the write set, and the objects of the read set it does not
+    /// hold, for pruning in the committing thread's slot and, every
+    /// [`RECLAIM_EVERY`]-th commit of that slot, runs one reclamation
+    /// batch.
+    fn queue_reclaim(&self, commit_ts: Ts, txn: &TxnState) {
         let slot = self.my_slot();
+        let read_only = txn
+            .read_set
+            .iter()
+            .filter(|o| txn.write_set.binary_search(o).is_err());
         let commits = {
             let mut state = self.reclaim[slot].state.lock();
-            state
-                .queue
-                .extend(write_set.iter().map(|&oid| (commit_ts, oid)));
-            state.queued += write_set.len();
+            let queued = state.queue.len();
+            let oids = txn.write_set.iter().chain(read_only);
+            state.queue.extend(oids.map(|&oid| (commit_ts, oid)));
+            state.queued += state.queue.len() - queued;
             state.commits = state.commits.wrapping_add(1);
             state.commits
         };
@@ -1680,7 +1719,7 @@ impl MvccHeap {
             // whole chain already.
             if let Some(chain) = chains.get_mut(&oid) {
                 reclaimed += chain.prune(horizon);
-                if chain.records.is_empty() {
+                if chain.is_empty() {
                     chains.remove(&oid);
                 }
             }
@@ -1692,16 +1731,11 @@ impl MvccHeap {
 
     /// The explicit **full sweep** (tests, maintenance — the commit
     /// path never runs it; see the module docs' *Reclamation* section):
-    /// drops every version record, of every chain of every shard,
-    /// whose commit timestamp is at or below the horizon — no active or
-    /// future snapshot can ever need to reconstruct *past* such a
-    /// record — and drains every slot's reclaim queue of the entries
-    /// that covers. At [`IsolationLevel::Serializable`] the same horizon
-    /// also retires SIREAD registrations (a
-    /// transaction committed at or below the horizon cannot be
-    /// concurrent with any live or future one), class-granular ones
-    /// included: once the last is gone, writers stop probing their
-    /// object's class. Returns the number of records reclaimed.
+    /// prunes every chain of every shard at the horizon, records and
+    /// SIREAD entries alike, drops the chains left empty, and drains
+    /// every slot's reclaim queue of the entries that covers. At
+    /// [`IsolationLevel::Serializable`] it also purges the class-granular
+    /// SIREADs. Returns the number of records reclaimed.
     pub fn gc(&self) -> usize {
         // The reclamation decision point — outside every latch.
         finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
@@ -1713,7 +1747,7 @@ impl MvccHeap {
         for shard in self.shards.iter() {
             shard.chains.write().retain(|_, chain| {
                 reclaimed += chain.prune(horizon);
-                !chain.records.is_empty()
+                !chain.is_empty()
             });
         }
         self.stats.versions_reclaimed.add(reclaimed as u64);
@@ -2154,6 +2188,16 @@ mod tests {
         heap.reclaim
             .iter()
             .all(|slot| slot.state.lock().queue.is_empty())
+    }
+
+    /// Live SIREAD entries: on the chains, and class-granular.
+    fn siread_entries(heap: &MvccHeap) -> (usize, usize) {
+        let chains = heap.shards.iter().map(|shard| {
+            let chains = shard.chains.read();
+            chains.values().map(|c| c.readers.len()).sum::<usize>()
+        });
+        let classes = heap.ssi.as_ref().map_or(0, SsiTracker::class_entries);
+        (chains.sum(), classes)
     }
 
     #[test]
@@ -2696,21 +2740,23 @@ mod tests {
         // SIREAD, record no edge and validate nothing.
         const TXNS: u64 = 1_000;
         let (heap, a, x, y) = serializable();
-        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
         let oids: Vec<Oid> = (0..10).map(|_| heap.base().create(a)).collect();
         heap.begin(TxnId(1));
         heap.write(TxnId(1), oids[0], x, Value::Int(7)).unwrap();
         heap.commit(TxnId(1)).unwrap();
         for i in 2..=TXNS {
             let txn = heap.begin(TxnId(i));
-            assert!(txn.is_safe(), "transaction {i} began unsafe");
+            assert!(
+                txn.is_safe(),
+                "transaction {i} did not begin on a safe snapshot"
+            );
             let o = oids[i as usize % oids.len()];
             let want = if o == oids[0] { 7 } else { 0 };
             assert_eq!(heap.read_as(&txn, o, x), Ok(Value::Int(want)));
             assert_eq!(heap.read_as(&txn, o, y), Ok(Value::Int(0)));
             heap.commit(TxnId(i)).unwrap();
         }
-        assert_eq!(ssi.siread_entries(), (0, 0));
+        assert_eq!(siread_entries(&heap), (0, 0));
         let m = heap.stats.snapshot();
         assert_eq!((m.begins, m.commits), (TXNS, TXNS));
         assert_eq!(m.ssi_safe_snapshots, m.begins);
@@ -2726,18 +2772,17 @@ mod tests {
         let (schema, _, a, x, y) = setup();
         let db = Arc::new(Database::new(schema));
         let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
-        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
         let oids: Vec<Oid> = (0..N).map(|_| heap.base().create(a)).collect();
         let scan = TxnId(1);
         let scan_txn = heap.begin(scan);
-        heap.record_class_read(&scan_txn, a, x);
+        heap.record_class_read(&scan_txn, a, [x]);
         for &o in &oids {
             assert_eq!(heap.read_covered(&scan_txn, o, x), Ok(Value::Int(0)));
         }
         assert_eq!(
-            ssi.siread_entries(),
+            siread_entries(&heap),
             (0, 1),
-            "one class entry, no instance one"
+            "one class entry, none on a chain"
         );
         let edges = || heap.stats.snapshot().ssi_edges;
         // A concurrent writer of a field outside the covered set meets
@@ -2748,29 +2793,30 @@ mod tests {
         heap.begin(TxnId(3));
         heap.write(TxnId(3), oids[8], x, Value::Int(1)).unwrap();
         assert_eq!(edges(), 1);
-        // A read nothing covers still registers per instance.
+        // A read nothing covers still registers on its chain.
         heap.read(scan, oids[0], y).unwrap();
-        assert_eq!(ssi.siread_entries(), (1, 1));
+        assert_eq!(siread_entries(&heap), (1, 1));
         for t in 1..=3 {
             heap.commit(TxnId(t)).unwrap();
         }
         // With every session ended, the sweep leaves nothing to probe.
         heap.gc();
-        assert_eq!(ssi.siread_entries(), (0, 0));
-        assert!(!ssi.has_class_reads());
+        assert_eq!(siread_entries(&heap), (0, 0));
+        assert!(!heap.ssi.as_ref().is_some_and(SsiTracker::has_class_reads));
+        assert_eq!(heap.live_chains(), 0);
     }
 
     #[test]
     fn a_read_modify_write_loop_keeps_its_siread_list_short() {
-        // One client, one field: each transaction's SIREAD entry is dead
-        // weight once the next reclamation batch's horizon passes its
-        // commit, and the next read or write of the field drops it —
-        // the list never waits for the tracker's periodic purge.
-        let (schema, _, a, x, _) = setup();
+        // One client, one object: each transaction's SIREAD entry is
+        // dead weight once the next reclamation batch's horizon passes
+        // its commit, and that batch's pruning of the chain, or the next
+        // registration on it, drops it. A transaction's second read
+        // widens its entry instead of adding one.
+        let (schema, _, a, x, y) = setup();
         let db = Arc::new(Database::new(schema));
         let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
         let o = heap.base().create(a);
-        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
         let mut longest = 0;
         for i in 1..=10_000u64 {
             let t = TxnId(i);
@@ -2779,7 +2825,8 @@ mod tests {
                 panic!("x is an int")
             };
             heap.write(t, o, x, Value::Int(v + 1)).unwrap();
-            longest = longest.max(ssi.siread_len(ReadKey::Instance(o), x));
+            assert_eq!(heap.read(t, o, y), Ok(Value::Int(0)));
+            longest = longest.max(siread_entries(&heap).0);
             heap.commit(t).unwrap();
         }
         assert_eq!(heap.base().read(o, x), Ok(Value::Int(10_000)));
@@ -2787,6 +2834,34 @@ mod tests {
             longest <= RECLAIM_EVERY as usize + 1,
             "the SIREAD list grew to {longest}"
         );
+    }
+
+    #[test]
+    fn a_registration_and_an_install_meet_in_either_order() {
+        // Registration and install serialize on the chain latch: a
+        // writer that installed before a message registered is on the
+        // chain when the message's walk steps past it, and one that
+        // installs after finds the registration — unless it writes a
+        // field outside the registered set.
+        let (heap, a, x, y) = serializable();
+        let (o1, o2) = (heap.base().create(a), heap.base().create(a));
+        let edges = || heap.stats.snapshot().ssi_edges;
+        let (r, w) = (heap.begin(TxnId(1)), heap.begin(TxnId(2)));
+        heap.convert(&r);
+        heap.write_at(&w, o1, x, Value::Int(1)).unwrap();
+        heap.register_reads(&r, o1, [x, y]);
+        assert_eq!(edges(), 0, "a registration records no edge");
+        assert_eq!(heap.read_covered(&r, o1, x), Ok(Value::Int(0)));
+        assert_eq!(edges(), 1, "the walk stepped past the install");
+        heap.register_reads(&r, o2, [x]);
+        heap.write_at(&w, o2, y, Value::Int(2)).unwrap();
+        assert_eq!(edges(), 1, "y is outside the registered set");
+        heap.write_at(&w, o2, x, Value::Int(2)).unwrap();
+        assert_eq!(edges(), 2, "the install found the registration");
+        assert_eq!(heap.stats.snapshot().ssi_registrations, 2);
+        // R ──rw──▶ W twice over: one flag each, so both commit.
+        heap.commit(TxnId(1)).unwrap();
+        heap.commit(TxnId(2)).unwrap();
     }
 
     #[test]
@@ -2833,9 +2908,10 @@ mod tests {
     #[test]
     fn a_read_only_serializable_stream_keeps_the_tracker_bounded() {
         // No writer ever commits, so no writer's reclamation batch ever
-        // runs: a read-only commit that registered SIREADs must keep the
-        // purge cadence itself. Each transaction here would begin safe
-        // and register nothing, so it is converted first — as the
+        // runs: a read-only commit that registered SIREADs must queue
+        // their chains and keep the batch cadence itself. Each
+        // transaction here would begin safe and register nothing, so it
+        // is converted first — as the
         // runtime converts before a message whose access vector writes,
         // such as a withdrawal that then finds too little to withdraw.
         const OBJECTS: usize = 1_000;
@@ -2843,20 +2919,32 @@ mod tests {
         let (schema, _, a, x, _) = setup();
         let db = Arc::new(Database::new(schema));
         let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
-        let ssi = heap.ssi.as_ref().expect("a serializable heap tracks reads");
         let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
         let mut next = rng(20_000);
         let mut most = 0;
         for i in 1..=TXNS {
             let t = TxnId(i);
             heap.convert(&heap.begin(t));
-            heap.read(t, oids[next() as usize % OBJECTS], x).unwrap();
+            let o = oids[next() as usize % OBJECTS];
+            assert_eq!(heap.read(t, o, x), heap.read(t, o, x));
             heap.commit(t).unwrap();
-            most = most.max(ssi.siread_entries().0);
+            most = most.max(siread_entries(&heap).0);
         }
         assert!(
-            most <= SSI_PURGE_EVERY as usize,
+            most < RECLAIM_EVERY as usize,
             "{most} SIREAD entries after {TXNS} read-only transactions"
         );
+        // The chains only those readers kept went with them, no `gc()`
+        // needed; a rollback drops its own entries itself.
+        let left = heap.live_chains();
+        assert!(left < RECLAIM_EVERY as usize, "{left} reader-only chains");
+        let aborted = heap.begin(TxnId(TXNS + 1));
+        heap.convert(&aborted);
+        heap.register_reads(&aborted, heap.base().create(a), [x]);
+        assert_eq!(heap.live_chains(), left + 1);
+        heap.abort(TxnId(TXNS + 1));
+        assert_eq!(heap.live_chains(), left);
+        heap.gc();
+        assert_eq!((heap.live_chains(), siread_entries(&heap)), (0, (0, 0)));
     }
 }

@@ -24,105 +24,102 @@
 //! # Status cells and the per-edge protocol
 //!
 //! Every tracked transaction owns one status cell (`TxnHandle`), shared
-//! by the heap's registry, the transaction's session, every version
-//! record it writes and every SIREAD entry it registers. The cell holds
-//! the transaction's id, its atomic commit status — `LIVE` while it
-//! runs, its commit timestamp once committed (a read-only transaction's
-//! snapshot), `DEAD` once aborted — and Cahill's flags behind its own
-//! small lock. There is no table of transactions: the check-and-mark
-//! protocol lives on the cell (`mark`, `abort`, `read_edge`,
-//! `validate_and_commit`), and `SsiTracker` keeps only what is shared —
-//! the SIREAD registry, its pruning horizon and its count of class
-//! lists — and is handed the cells it touches. The SIREAD registry is
-//! sharded by OID (a class-granular key by its class), so no tracker
-//! operation takes a global lock. The correctness argument leans on two
-//! facts:
+//! by the heap's registry, its session, every version record it writes
+//! and every SIREAD entry it registers. The cell holds the id, the
+//! atomic commit status — `LIVE` while it runs, its commit timestamp
+//! once committed (a read-only transaction's snapshot), `DEAD` once
+//! aborted — and Cahill's flags behind its own small lock. There is no
+//! table of transactions: the check-and-mark protocol lives on the cell
+//! (`mark`, `abort`, `read_edge`, `flag_readers`,
+//! `validate_and_commit`). A SIREAD entry lives beside the data it
+//! guards, as Larson et al. keep a transaction's state with its
+//! versions: an instance read is registered on the object's version
+//! chain (`MvccHeap::register_reads`), and `SsiTracker` keeps only the
+//! class-granular entries of extent messages and the pruning horizon.
+//! The correctness argument leans on three facts:
 //!
 //! 1. **A transaction's own thread is sequential.** Edge recording that
 //!    a transaction performs for *itself* (its out-flag during a read,
 //!    its in-flag after a write) is ordered before its own commit
-//!    validation by program order; no lock is needed for that ordering.
-//! 2. **Remote flag updates synchronize on the target's cell.** When
-//!    transaction `A`'s thread updates transaction `B`'s flags (the
-//!    writer's in-flag on the read side, the readers' out-flags on the
-//!    write side), it locks `B`'s cell, and
-//!    `TxnHandle::validate_and_commit` checks-and-marks `B`'s commit
-//!    in one critical section on that same lock. A remote update
-//!    therefore lands either *before* `B`'s pivot check (and is seen by
-//!    it) or *after* `B` is properly committed (and takes the
-//!    committed-pivot path, dooming the completing transaction).
+//!    validation by program order.
+//! 2. **Registration and install serialize on the chain latch.** A
+//!    top message registers `(its cell, the fields it may read)` on its
+//!    receiver's chain under the exclusive latch before it reads
+//!    anything, and a writer collects the concurrent readers of its
+//!    field under that latch, in the critical section of its install.
+//!    Whichever came first decides who records the edge: a writer that
+//!    installed first is on the chain when each of the reader's walks
+//!    steps past it (the read side marks the edge); one that installs
+//!    after finds the entry (the write side marks it).
+//! 3. **Remote flag updates synchronize on the target's cell.** When
+//!    `A`'s thread updates `B`'s flags (the writer's in-flag on the read
+//!    side, the readers' out-flags on the write side), it locks `B`'s
+//!    cell, and `validate_and_commit` checks-and-marks `B`'s commit in
+//!    one critical section on that lock. A remote update lands either
+//!    *before* `B`'s pivot check (and is seen by it) or *after* `B` is
+//!    committed (and takes the committed-pivot path, dooming the
+//!    completing transaction) — so a writer may flag the readers it
+//!    collected after dropping the latch.
 //!
 //! # Self-pruning SIREAD lists
 //!
-//! The status is stored only under the cell's lock (a
-//! snapshot-isolation heap, which keeps no flags, stores its commit mark
-//! without it), and it moves once, from `LIVE` — a commit refused by
-//! the log after its mark moves on to `DEAD`. So whoever holds a SIREAD
-//! list can tell, from one atomic load per entry and without a lock,
-//! which of its readers can still take part in an edge:
+//! The status is stored only under the cell's lock (a snapshot-isolation
+//! heap, which keeps no flags, stores its mark without it), and it moves
+//! once, from `LIVE` — a commit refused by the log after its mark moves
+//! on to `DEAD`. So whoever holds a SIREAD list — a chain under its
+//! latch, a class list under its shard — tells from one atomic load per
+//! entry which readers can still take part in an edge
+//! (`TxnHandle::overlaps`):
 //!
-//! * **The lock-free skip.** A reader committed at or below the
-//!   writer's snapshot is not concurrent with the writer (the writer's
-//!   snapshot already contains everything it read): `write_edges`
-//!   passes over it with that one load. Only a live reader, or one
-//!   committed after the writer's snapshot, goes through the locked
-//!   check-and-flag on its cell, which re-reads the status under the
-//!   lock.
+//! * **The lock-free skip.** A reader committed at or below the writer's
+//!   snapshot is not concurrent with it: the writer passes over it. Only
+//!   a live reader, or one committed after the writer's snapshot, is
+//!   collected for the locked check-and-flag (`flag_readers`), which
+//!   re-reads the status under the reader's lock.
 //! * **Lazy pruning.** An entry whose reader is `DEAD`, or committed at
-//!   or below the tracker's cached horizon, can never yield an edge
-//!   again: every live or future writer's snapshot already contains it.
-//!   Both `record_read` (which also dedupes the reader) and
-//!   `write_edges` drop such entries from the list they hold, so a
-//!   field that is read *and* written keeps a list about as long as its
-//!   number of concurrent readers. The horizon is the heap's
-//!   `gc_horizon()`, raised with `fetch_max` by every reclamation batch
-//!   — a horizon once computed stays a valid bound forever.
-//! * **What `SsiTracker::purge` is still for.** Lists prune only when
-//!   their field is touched again: the heap runs the purge every 64th
-//!   commit of a slot (read-only ones included) and in every full `gc`
-//!   to keep the registry bounded — including fields that are read and
-//!   then never touched again. A cell is freed when the last record and
-//!   the last SIREAD entry pointing at it go.
+//!   or below the cached horizon, can never yield an edge again: every
+//!   live or future writer's snapshot contains it. Registering (which
+//!   also dedupes: one entry per reader and chain, widened by later
+//!   messages), collecting and reclamation's `Chain::prune` drop such
+//!   entries. The horizon is the heap's `gc_horizon()`, raised with
+//!   `fetch_max` by every reclamation batch; once computed it stays a
+//!   valid bound forever.
+//! * **Reader-only chains.** A tracked commit queues the objects it
+//!   registered on in its own slot's reclaim queue, and a rollback drops
+//!   its own entries, so a chain only readers kept goes without a full
+//!   sweep. `SsiTracker::purge` bounds the class lists nobody touches
+//!   again. A cell is freed when the last record and SIREAD entry
+//!   pointing at it go.
 //!
 //! # Class-granular SIREADs
 //!
 //! An extent message (`send_all`) reads the same fields of every
-//! instance of its domain. Instead of one SIREAD per instance × field,
-//! the runtime registers — before it lists the extent — one entry per
-//! domain class `c` and field `f` of the method's transitive access
-//! vector (TAV) on `c`, and then skips per-instance registration for a
-//! read those entries *cover*: a field in that set, of an instance whose
-//! class is one of them. The entries live in the same registry, keyed
-//! `Class(c)` beside `Instance(oid)` as the lock table's `ResourceId`
-//! is (`ReadKey`), and share its dedupe, horizon pruning, lock-free
-//! skip and check-and-flag. A writer of `(oid, f)` probes
-//! `(Class(class_of(oid)), f)` after `(Instance(oid), f)`.
+//! instance of its domain. Before it lists the extent the runtime
+//! registers one entry per domain class `c` and field `f` of the
+//! method's transitive access vector (TAV) on `c`, keyed `(c, f)` in the
+//! tracker's registry, and a message to an instance whose class and
+//! whole vector those entries *cover* registers nothing on its chain. A
+//! writer of `(oid, f)` probes `(class_of(oid), f)` after collecting its
+//! chain's readers; the entries share the chains' dedupe, pruning,
+//! skip and check-and-flag.
 //!
-//! * **Soundness.** A read counts as covered only when its class and
-//!   field were registered, so every edge a per-instance entry recorded
-//!   is still recorded: a writer of that field of that instance finds
-//!   the class entry instead. The TAV is a superset of what executes
-//!   (`tests/props.rs` checks it), so a covered field is one the message
-//!   may read and nothing it reads outside the set (a field reached
-//!   through a reference, an instance outside the domain) loses its own
-//!   entry. Extra edges come only from TAV fields the run did not read,
-//!   or from instances created after the extent was listed. The read
-//!   side is unchanged: a covered read still walks the chain and records
-//!   an edge for every invisible version it steps past.
-//! * **Register before walk.** The class entries are registered before
-//!   the extent is read and so before any covered chain walk, which
-//!   keeps the per-object argument of *the per-edge protocol*: a writer
-//!   that installs before the scan's walk of an object is seen by the
-//!   walk, and one that installs after it finds the class entry.
-//! * **Probing only while one is live.** Writers read one counter of
-//!   class lists in the registry and probe the class key only while it
-//!   is non-zero; the counter changes only when a class list is added or
-//!   removed, under that list's shard lock, so a write stores to no
-//!   shared line for it. The scan's increment precedes its walk of every
-//!   object and a writer's load follows its install, so the object's
-//!   chain latch orders the two whenever the walk comes first. A class
-//!   list is removed as soon as its last entry is pruned, and writers
-//!   stop probing once the scan's reader falls below the horizon.
+//! * **Soundness.** A writer of a covered field of a covered instance
+//!   finds the class entry instead of a chain entry. A message outside
+//!   the set (one sent through a reference to an instance outside the
+//!   domain) registers on its own receiver. Extra edges come only from
+//!   TAV fields the run did not read, or from instances created after
+//!   the extent was listed.
+//! * **Register before walk.** The class entries precede every covered
+//!   walk, which keeps fact 2 per object: a writer that installs before
+//!   the scan's walk is seen by it, and one that installs after finds
+//!   the class entry.
+//! * **Probing only while one is live.** Writers probe the class key
+//!   only while the registry's count of lists is non-zero; the count
+//!   changes only under the shard lock that adds or removes a list, so a
+//!   write stores to no shared line for it. The scan's increment
+//!   precedes its walk of every object and a writer's load follows its
+//!   install, so the chain latch orders the two whenever the walk comes
+//!   first. A list goes as soon as its last entry is pruned.
 //!
 //! # Safe snapshots
 //!
@@ -140,8 +137,7 @@
 //!
 //! A read-only transaction whose snapshot no live transaction predates
 //! is therefore the `T1` of no anomaly, and, writing nothing, it is no
-//! `T2` or `T3` either: it needs no SIREAD. Any transaction that begins
-//! later has a snapshot at least as new as its own.
+//! `T2` or `T3` either: it needs no SIREAD.
 //!
 //! * **The test.** `MvccHeap::begin` registers the snapshot epoch
 //!   first, then loads the epoch table's per-shard minima (no lock).
@@ -153,79 +149,56 @@
 //!   one takes part in no edge, and a committed one unregisters only
 //!   once its commit is published (the commit barrier; the chaos fault
 //!   that disables it voids this too), so the watermark re-read, still
-//!   at our snapshot, puts that commit at or below it. Safety is
-//!   decided from the heap's own state; there is no option for it.
-//! * **While safe.** A read registers nothing and records no read-side
-//!   edge; it goes into the cell's read set (`Flags::safe_reads`, under
-//!   the cell's own lock, which only the transaction's operations take
-//!   while it is safe). No edge can reach a transaction that holds no
-//!   SIREAD and wrote nothing, so a safe read-only commit validates
-//!   nothing, and, registering nothing, it counts toward no reclamation
-//!   cadence.
+//!   at our snapshot, puts that commit at or below it.
+//! * **While safe.** A registration only notes its object and fields in
+//!   the cell's read set (`Flags::safe_reads`, under the cell's own
+//!   lock, which only the transaction's operations take while it is
+//!   safe), and reads record no edge. No edge can reach a transaction
+//!   that holds no SIREAD and wrote nothing, so a safe read-only commit
+//!   validates nothing and touches no reclamation state.
 //! * **Conversion.** Before anything the transaction writes, the heap
-//!   ends the safe snapshot (`MvccHeap::convert`, idempotent): it takes
-//!   the read set, registers each entry as an ordinary SIREAD, then
-//!   re-walks each entry's chain and records an edge to every
-//!   overwriter it steps past. That is the register-then-walk argument
-//!   of the per-edge protocol: a writer that installs after the
-//!   registration finds the entry; one that installed before it is on
-//!   the chain, and still is, because its commit lies above the
-//!   reader's snapshot, which pins the horizon (or it aborted, and is
-//!   owed no edge). The runtime converts
-//!   before a top message whose transitive access vector writes, so a
-//!   transaction that opens with an update registers its reads as a
-//!   tracked one always did; `MvccHeap::write_at` converts too, for
-//!   callers that drive the heap directly.
-//! * **Why class reads convert.** `MvccHeap::record_class_read`
-//!   converts before it registers: a read its entry covers registers
-//!   nothing per instance and so has no place in a read set, and an
-//!   extent scan stays tracked exactly as before.
-//!
-//! Cahill's flags are unchanged: a converted transaction carries the
-//! flags its re-walk sets, and a safe one carries none.
+//!   ends the safe snapshot (`MvccHeap::convert`, idempotent): it
+//!   registers each read-set entry on its chain, then re-walks those
+//!   chains and records an edge to every writer of an invisible version
+//!   of a field in the entry. That is fact 2 again: a writer installing
+//!   after the registration finds the entry; one that installed before
+//!   is still on the chain, as its commit lies above the reader's
+//!   snapshot, which pins the horizon (or it aborted, and is owed no
+//!   edge). The runtime converts before a top message whose vector
+//!   writes; `MvccHeap::write_at` and `MvccHeap::record_class_read`
+//!   convert too (a covered message has no place in a read set).
 //!
 //! # Lock order
 //!
-//! At most one cell lock is held at any time (edge endpoints are
-//! visited one after the other), so cell locks cannot deadlock among
-//! themselves. The only nesting is **SIREAD shard → cell**:
-//! `write_edges` runs each non-skipped reader's check-and-flag under
-//! the shard it is walking. The writer's own in-flag is set after the
-//! shard is dropped, and `record_read` takes the shard alone: the
-//! reader hands in its cell. A class key sits in one SIREAD shard like
-//! an instance key, and a writer's two probes take their shards one
-//! after the other, never together. `purge` takes every shard alone.
-//! A safe read takes its own cell's lock alone to note the read, and a
-//! conversion takes it alone to end the read set, before it registers
-//! and walks as a tracked read does. The order is never reversed.
+//! At most one cell lock is held at any time, and none under a chain
+//! latch or a SIREAD shard: a writer clones the cells of the readers it
+//! collected and flags them after dropping the latch or shard, its own
+//! in-flag last. `record_read` and `purge` take shards alone. A safe
+//! registration and a conversion take their own cell's lock alone.
 //!
-//! The reads feeding the tracker are the interpreter's field-granularity
-//! footprints — the runtime projection of the paper's access vectors —
-//! so a reader of `o.x` never conflicts with a writer of `o.y`, and an
-//! extent message's reads are registered per class and TAV field: the
-//! validation granularity matches the locking granularity of the TAV
-//! scheme, instance and hierarchical class locks alike (Huang et al.
-//! show granularity drives the false-positive rate). The flags
-//! themselves are still conservative: one bit per direction, kept even
-//! when the edge partner later aborts, so some serializable histories
-//! abort (see `ROADMAP.md` for the precise, edge-list-based follow-up).
+//! The SIREADs are the paper's access vectors: a top message registers
+//! on its receiver the fields its TAV may touch (`Write`-mode ones
+//! included, as a write may follow a read) — what the TAV scheme locks —
+//! and an extent message its class and TAV fields, like the
+//! hierarchical class locks. Huang et al. show validation granularity
+//! drives the false-positive rate: a TAV over-approximates a method
+//! with branches, so its untaken reads can add edges. The flags are
+//! conservative too: one bit per direction, kept even when the edge
+//! partner later aborts (see `ROADMAP.md` for the edge-list follow-up).
 //! The tracker never blocks readers — it only records, which is why the
-//! mvcc scheme's lock statistics stay identically zero under either
-//! isolation level.
+//! mvcc scheme's lock statistics stay zero under either isolation level.
 //!
 //! # Observability probes
 //!
-//! The tracker itself carries no probes — its locks stay exactly as
-//! analyzed above. The heap counts the transactions that begin safe
-//! (`ssi_safe_snapshots`) at `begin`, under no lock. Validation time is
-//! charged to the heap's `commit_ts_draw` histogram segment (the pivot
-//! check is the commit mark, so the two are timed as one), and each
-//! [`SsiConflict`] is attributed in the contention registry by the heap
-//! *after* `validate_and_commit` returns — never from inside a cell
-//! lock or SIREAD shard, so the probe cannot add an edge to the
-//! lock-order argument. The abort is keyed to the transaction's first
-//! written object when it has one, or recorded unattributed for a
-//! read-only pivot.
+//! The tracker carries no probes. The heap counts the transactions that
+//! begin safe (`ssi_safe_snapshots`) and the registrations
+//! (`ssi_registrations`: one per top message, or per class and field of
+//! an extent message), under no lock of the tracker's. Validation time
+//! is charged to the `commit_ts_draw` histogram segment (the pivot
+//! check is the commit mark), and each [`SsiConflict`] is attributed in
+//! the contention registry *after* `validate_and_commit` returns — never
+//! inside a cell lock or SIREAD shard — keyed to the transaction's first
+//! written object, or unattributed for a read-only pivot.
 
 use crate::Ts;
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId};
@@ -234,7 +207,7 @@ use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How many mutexes the SIREAD registry is striped over.
+/// How many mutexes the class-granular SIREAD registry is striped over.
 const READER_SHARDS: usize = 32;
 
 /// Commit status of a running transaction: above every timestamp.
@@ -324,10 +297,10 @@ pub(crate) struct TxnHandle {
     /// store sees `LIVE`, and the tracker re-reads it under `flags`.
     status: AtomicU64,
     /// Whether `flags.safe_reads` is `Some`, readable without the lock:
-    /// a tracked read pays one load for it. `Relaxed`: it publishes
-    /// nothing (the read set is read under the lock, and a stale `true`
-    /// finds `None` there), and only the transaction's own operations
-    /// store it, once, at conversion.
+    /// a tracked registration pays one load for it. `Relaxed`: it
+    /// publishes nothing (the read set is read under the lock, and a
+    /// stale `true` finds `None` there), and only the transaction's own
+    /// operations store it, once, at conversion.
     safe: AtomicBool,
     /// Cahill's sticky flags, kept under the cell's own lock.
     flags: Mutex<Flags>,
@@ -346,10 +319,11 @@ struct Flags {
     /// already-committed pivot; the named pivot cannot be aborted, so
     /// this transaction must be.
     doomed_by: Option<TxnId>,
-    /// `Some` while the transaction runs on a safe snapshot: the fields
-    /// it has read, none of them registered (module docs, *Safe
+    /// `Some` while the transaction runs on a safe snapshot: the objects
+    /// it has registered reads on and the fields of each (a chain
+    /// reader's field set), none of them registered (module docs, *Safe
     /// snapshots*).
-    safe_reads: Option<Vec<(Oid, FieldId)>>,
+    safe_reads: Option<Vec<(Oid, u64)>>,
 }
 
 impl TxnHandle {
@@ -382,17 +356,17 @@ impl TxnHandle {
         self.safe.load(Ordering::Relaxed)
     }
 
-    /// Adds a read of `field` of `oid` to a safe transaction's read set
+    /// Adds reads of `fields` of `oid` to a safe transaction's read set
     /// and returns `true`; returns `false`, noting nothing, once the
-    /// transaction is tracked and the read must register its SIREAD.
+    /// transaction is tracked and must register them on the chain.
     #[inline]
-    pub(crate) fn note_safe_read(&self, oid: Oid, field: FieldId) -> bool {
+    pub(crate) fn note_safe_reads(&self, oid: Oid, fields: u64) -> bool {
         if !self.is_safe() {
             return false;
         }
         match &mut self.flags.lock().safe_reads {
             Some(reads) => {
-                reads.push((oid, field));
+                reads.push((oid, fields));
                 true
             }
             None => false,
@@ -401,7 +375,7 @@ impl TxnHandle {
 
     /// Ends the safe snapshot: returns the read set for the caller to
     /// register, or `None` when the transaction is tracked already.
-    pub(crate) fn take_safe_reads(&self) -> Option<Vec<(Oid, FieldId)>> {
+    pub(crate) fn take_safe_reads(&self) -> Option<Vec<(Oid, u64)>> {
         if !self.is_safe() {
             return None;
         }
@@ -459,6 +433,47 @@ impl TxnHandle {
         1
     }
 
+    /// Marks every rw edge `R ──rw──▶ self` for the `readers` a scan of
+    /// the SIREAD entries of a field this writer wrote collected
+    /// ([`TxnHandle::overlaps`]), discovered on the write side. Called
+    /// by the **writer's own thread**, under no latch: each reader's
+    /// cell is locked for the concurrency test plus out-flag (atomic
+    /// against that reader's validation), and the writer's own in-flag
+    /// lands before its own validation by program order. Returns the
+    /// number of edges recorded.
+    pub(crate) fn flag_readers(&self, writer_snapshot: Ts, readers: &[Arc<TxnHandle>]) -> u64 {
+        let mut edges = 0;
+        let mut doom: Option<TxnId> = None;
+        for reader in readers {
+            let mut f = reader.flags.lock();
+            // Concurrency, re-read under the reader's lock: a live
+            // reader overlaps the live writer by definition; a
+            // committed reader overlaps iff the writer's snapshot
+            // predates the reader's commit; an aborted one yields no
+            // edge, now or ever.
+            let status = reader.status();
+            let committed = committed(status);
+            if status == DEAD || committed.is_some_and(|c| c <= writer_snapshot) {
+                continue;
+            }
+            f.out_conflict = true;
+            edges += 1;
+            if committed.is_some() && f.in_conflict {
+                doom = Some(reader.txn);
+            }
+        }
+        if edges > 0 {
+            let mut w = self.flags.lock();
+            w.in_conflict = true;
+            if let Some(p) = doom {
+                if w.doomed_by.is_none() {
+                    w.doomed_by = Some(p);
+                }
+            }
+        }
+        edges
+    }
+
     /// Commit-time validation, atomic with the commit mark **per
     /// transaction**: the check and the mark happen in one critical
     /// section on the transaction's own cell, so an edge discovered by
@@ -501,45 +516,114 @@ pub(crate) fn committed(status: Ts) -> Option<Ts> {
     Some(status).filter(|&c| c < DEAD)
 }
 
-/// What one SIREAD list is about, keyed as the lock table's
-/// `ResourceId` is: a field of one instance, or — a class-granular
-/// entry (see the module docs) — that field of every instance of a
-/// class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum ReadKey {
-    Instance(Oid),
-    Class(ClassId),
+/// A SIREAD entry's field set: one bit per `FieldId` modulo 64, so a
+/// collision only adds edges.
+#[inline]
+pub(crate) fn field_set(fields: impl IntoIterator<Item = FieldId>) -> u64 {
+    fields
+        .into_iter()
+        .fold(0, |set, f| set | 1 << (f.index() % 64))
 }
 
-/// The SIREAD registry: which transactions have read which field,
-/// striped by OID (a class key by its class). Each entry is the
-/// reader's cell, so a list holder sees every reader's commit status
-/// and reaches its flags.
-type ReaderShard = Mutex<MulMap<(ReadKey, FieldId), Vec<Arc<TxnHandle>>>>;
+/// A SIREAD list — a version chain's, or a class's: at most one entry
+/// per reader, its cell and the set of fields it may read (module docs,
+/// *Self-pruning SIREAD lists*).
+#[derive(Debug, Default)]
+pub(crate) struct Sireads(Vec<(Arc<TxnHandle>, u64)>);
 
-/// The rw-antidependency tracker of a Serializable-level heap.
-///
-/// Writers consult the SIREAD registry *after* installing their pending
-/// version; readers register *before* walking the version chain. Either
-/// the reader's chain walk sees the writer's record (the read side marks
-/// the edge) or the writer's registry scan sees the reader (the write
-/// side marks it) — the edge can never fall between the two.
+impl Sireads {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Adds `reader`'s entry for `fields`, or widens the one it has,
+    /// dropping the entries that can no longer yield an edge on the way;
+    /// an aborted reader registers nothing. Returns whether an entry was
+    /// added.
+    pub(crate) fn add(&mut self, reader: &Arc<TxnHandle>, fields: u64, horizon: Ts) -> bool {
+        let mut new = true;
+        self.0.retain_mut(|(r, set)| {
+            if Arc::ptr_eq(r, reader) {
+                *set |= fields;
+                new = false;
+                return true;
+            }
+            r.may_conflict(horizon)
+        });
+        let new = new && reader.may_conflict(horizon);
+        if new {
+            self.0.push((Arc::clone(reader), fields));
+        }
+        new
+    }
+
+    /// Collects into `out` the readers of `field` that may overlap
+    /// `writer`, whose snapshot is `snapshot`, for
+    /// [`TxnHandle::flag_readers`]: the lock-free skip passes over a
+    /// reader committed at or below the snapshot, and entries that can
+    /// no longer yield an edge are dropped.
+    pub(crate) fn overlapping(
+        &mut self,
+        field: FieldId,
+        writer: &TxnHandle,
+        snapshot: Ts,
+        horizon: Ts,
+        out: &mut Vec<Arc<TxnHandle>>,
+    ) {
+        let bit = field_set([field]);
+        self.0.retain(|(r, fields)| {
+            if std::ptr::eq(&**r, writer) {
+                return true;
+            }
+            let status = r.status();
+            if status == DEAD || status <= horizon {
+                return false;
+            }
+            if status > snapshot && fields & bit != 0 {
+                out.push(Arc::clone(r));
+            }
+            true
+        });
+    }
+
+    /// Drops the entries that can no longer yield an edge.
+    pub(crate) fn prune(&mut self, horizon: Ts) {
+        self.0.retain(|(r, _)| r.may_conflict(horizon));
+    }
+
+    /// Drops `reader`'s entry.
+    pub(crate) fn remove(&mut self, reader: &TxnHandle) {
+        self.0.retain(|(r, _)| !std::ptr::eq(&**r, reader));
+    }
+}
+
+/// The class-granular SIREAD registry, striped by class.
+type ReaderShard = Mutex<MulMap<ClassId, Sireads>>;
+
+/// The shared part of a Serializable-level heap's rw-antidependency
+/// tracking: the class-granular SIREADs of extent messages and the
+/// pruning horizon every SIREAD list reads. Instance SIREADs live on
+/// the version chains (the `heap` module).
 #[derive(Debug)]
 pub(crate) struct SsiTracker {
-    /// SIREAD registry: who has read which field, striped by OID.
+    /// Class-granular SIREAD registry, striped by class.
     readers: Box<[ReaderShard]>,
     /// The highest GC horizon the heap has reported: a transaction
     /// committed at or below it is concurrent with no live or future
     /// one, so its SIREAD entries may be dropped. `Relaxed`: every value
     /// it ever held is a valid bound, and it publishes no other data.
     horizon: AtomicU64,
-    /// How many class-keyed lists the registry holds; writers probe a
-    /// class key only while it is non-zero. Changed only under the
-    /// shard lock that adds or removes such a list (`Release`), loaded
-    /// by every writer (`Acquire`; the module docs' *Probing only while
-    /// one is live* gives the ordering the probe relies on). Unpadded,
-    /// like `horizon`: both are read by every writer and written
-    /// rarely.
+    /// How many lists the registry holds; writers probe their object's
+    /// class only while it is non-zero. Changed only under the shard
+    /// lock that adds or removes a list (`Release`), loaded by every
+    /// writer (`Acquire`; the module docs' *Probing only while one is
+    /// live* gives the ordering the probe relies on). Unpadded, like
+    /// `horizon`: both are read by every writer and written rarely.
     class_lists: AtomicUsize,
 }
 
@@ -567,12 +651,8 @@ impl SsiTracker {
     }
 
     #[inline]
-    fn reader_shard(&self, key: ReadKey) -> &ReaderShard {
-        let i = match key {
-            ReadKey::Instance(oid) => oid.raw() as usize,
-            ReadKey::Class(class) => class.index(),
-        };
-        &self.readers[i % READER_SHARDS]
+    fn reader_shard(&self, class: ClassId) -> &ReaderShard {
+        &self.readers[class.index() % READER_SHARDS]
     }
 
     /// Whether the registry holds a class-keyed list, i.e. whether a
@@ -582,12 +662,19 @@ impl SsiTracker {
         self.class_lists.load(Ordering::Acquire) > 0
     }
 
+    /// The pruning horizon in force: every live or future writer's
+    /// snapshot contains what committed at or below it.
+    #[inline]
+    pub(crate) fn horizon(&self) -> Ts {
+        self.horizon.load(Ordering::Relaxed)
+    }
+
     /// Raises the pruning horizon to `horizon` (a [`crate::MvccHeap`]
     /// GC horizon; a stale one merely prunes less) and returns the
     /// horizon now in force. Loads first, so a batch whose horizon is
     /// not newer writes nothing to the word every client reads.
     pub(crate) fn raise_horizon(&self, horizon: Ts) -> Ts {
-        let now = self.horizon.load(Ordering::Relaxed);
+        let now = self.horizon();
         if horizon <= now {
             return now;
         }
@@ -596,177 +683,102 @@ impl SsiTracker {
             .max(horizon)
     }
 
-    /// Registers a SIREAD: `reader` is about to read `field` of `key`
-    /// (of every instance of a `Class` key). Must run BEFORE the
-    /// version-chain walks it covers. Drops the list's entries that can
-    /// no longer yield an edge on the way, and registers `reader` at
-    /// most once — an aborted one not at all.
-    pub(crate) fn record_read(&self, reader: &Arc<TxnHandle>, key: ReadKey, field: FieldId) {
-        let horizon = self.horizon.load(Ordering::Relaxed);
-        let mut shard = self.reader_shard(key).lock();
-        let entries = match shard.entry((key, field)) {
+    /// Registers a class-granular SIREAD: `reader` is about to read
+    /// `fields` (a [`field_set`]) of any number of instances of
+    /// `class`. Must run BEFORE the version-chain walks it covers.
+    pub(crate) fn record_read(&self, reader: &Arc<TxnHandle>, class: ClassId, fields: u64) {
+        let horizon = self.horizon();
+        let mut shard = self.reader_shard(class).lock();
+        let list = match shard.entry(class) {
             Entry::Occupied(list) => list.into_mut(),
             Entry::Vacant(slot) => {
-                if let ReadKey::Class(_) = key {
-                    self.class_lists.fetch_add(1, Ordering::Release);
-                }
-                slot.insert(Vec::new())
+                self.class_lists.fetch_add(1, Ordering::Release);
+                slot.insert(Sireads::default())
             }
         };
-        let mut registered = false;
-        entries.retain(|r| {
-            registered |= Arc::ptr_eq(r, reader);
-            r.may_conflict(horizon)
-        });
-        if !registered && reader.may_conflict(horizon) {
-            entries.push(Arc::clone(reader));
-        }
+        list.add(reader, fields, horizon);
     }
 
     /// Marks every rw edge `R ──rw──▶ writer` for concurrent readers `R`
-    /// of `field` of `key`, discovered on the write side. Must run AFTER
-    /// the writer's pending version is installed. Called by the
-    /// **writer's own thread**, walking the field's SIREAD list in place
-    /// under its shard: a reader committed at or below the writer's
-    /// snapshot is skipped on its status alone, an entry that can no
-    /// longer yield an edge is dropped, and every other reader's cell
-    /// is locked for the concurrency test plus out-flag (atomic against
-    /// that reader's validation). A class list left empty is removed, so
-    /// writers stop probing class keys once none is live. The writer's
-    /// own in-flag lands before its own validation by program order.
-    /// Returns the number of edges recorded.
+    /// of `field` of every instance of `class`. Must run AFTER the
+    /// writer's pending version is installed. Collects the readers to
+    /// flag under the class's shard, dropping a list left empty (writers
+    /// stop probing once none is live), and flags them after dropping
+    /// it. Returns the number of edges recorded.
     pub(crate) fn write_edges(
         &self,
         writer: &TxnHandle,
         writer_snapshot: Ts,
-        key: ReadKey,
+        class: ClassId,
         field: FieldId,
     ) -> u64 {
-        let horizon = self.horizon.load(Ordering::Relaxed);
-        let mut edges = 0;
-        let mut doom: Option<TxnId> = None;
+        let mut overlapping = Vec::new();
         {
-            let mut shard = self.reader_shard(key).lock();
-            let Some(readers) = shard.get_mut(&(key, field)) else {
+            let mut shard = self.reader_shard(class).lock();
+            let Some(list) = shard.get_mut(&class) else {
                 return 0;
             };
-            readers.retain(|reader| {
-                if std::ptr::eq(&**reader, writer) {
-                    return true;
-                }
-                let status = reader.status();
-                if status == DEAD || status <= horizon {
-                    return false;
-                }
-                // Committed no later than the writer's snapshot: the
-                // snapshot contains everything it read — plain wr
-                // ordering, not an antidependency.
-                if status <= writer_snapshot {
-                    return true;
-                }
-                let mut f = reader.flags.lock();
-                // Concurrency, re-read under the reader's lock: a live
-                // reader overlaps the live writer by definition; a
-                // committed reader overlaps iff the writer's snapshot
-                // predates the reader's commit; an aborted one yields
-                // no edge, now or ever.
-                let status = reader.status();
-                if status == DEAD {
-                    return false;
-                }
-                let committed = committed(status);
-                if committed.is_some_and(|c| c <= writer_snapshot) {
-                    return true;
-                }
-                f.out_conflict = true;
-                edges += 1;
-                if committed.is_some() && f.in_conflict {
-                    doom = Some(reader.txn);
-                }
-                true
-            });
-            if readers.is_empty() && matches!(key, ReadKey::Class(_)) {
-                shard.remove(&(key, field));
+            list.overlapping(
+                field,
+                writer,
+                writer_snapshot,
+                self.horizon(),
+                &mut overlapping,
+            );
+            if list.is_empty() {
+                shard.remove(&class);
                 self.class_lists.fetch_sub(1, Ordering::Release);
             }
         }
-        if edges > 0 {
-            let mut w = writer.flags.lock();
-            w.in_conflict = true;
-            if let Some(p) = doom {
-                if w.doomed_by.is_none() {
-                    w.doomed_by = Some(p);
-                }
-            }
-        }
-        edges
+        writer.flag_readers(writer_snapshot, &overlapping)
     }
 
     /// Raises the horizon to `horizon` (see
-    /// [`SsiTracker::raise_horizon`]) and drops every SIREAD
-    /// registration that can no longer participate in an edge: those of
-    /// transactions committed at or below the horizon (every live or
-    /// future transaction's snapshot already contains them, so no
-    /// further concurrency is possible), and those of aborted ones.
-    /// This is what bounds the lists of fields nobody touches again;
-    /// lists in use prune themselves.
-    ///
-    /// Runs shard-at-a-time, one lock at a time — no global lock and
-    /// no nesting: a SIREAD entry's fate is read off its cell.
+    /// [`SsiTracker::raise_horizon`]) and drops every class-granular
+    /// SIREAD that can no longer yield an edge — what bounds the lists
+    /// nobody probes again; lists in use prune themselves. Returns at
+    /// once while no list is registered. Takes one shard at a time: an
+    /// entry's fate is read off its cell.
     pub(crate) fn purge(&self, horizon: Ts) {
         let horizon = self.raise_horizon(horizon);
+        if !self.has_class_reads() {
+            return;
+        }
         for shard in self.readers.iter() {
             let mut shard = shard.lock();
-            let mut class_lists = 0;
-            shard.retain(|&(key, _), rs| {
-                rs.retain(|r| r.may_conflict(horizon));
-                let dropped = rs.is_empty();
-                if dropped && matches!(key, ReadKey::Class(_)) {
-                    class_lists += 1;
-                }
-                !dropped
+            let before = shard.len();
+            shard.retain(|_, list| {
+                list.prune(horizon);
+                !list.is_empty()
             });
-            if class_lists > 0 {
-                self.class_lists.fetch_sub(class_lists, Ordering::Release);
+            let dropped = before - shard.len();
+            if dropped > 0 {
+                self.class_lists.fetch_sub(dropped, Ordering::Release);
             }
         }
     }
 
-    /// Number of live SIREAD registrations: instance-keyed and
-    /// class-keyed.
+    /// Number of live class-granular SIREAD entries.
     #[cfg(test)]
-    pub(crate) fn siread_entries(&self) -> (usize, usize) {
-        let mut counts = (0, 0);
-        for shard in self.readers.iter() {
-            for (&(key, _), rs) in shard.lock().iter() {
-                match key {
-                    ReadKey::Instance(_) => counts.0 += rs.len(),
-                    ReadKey::Class(_) => counts.1 += rs.len(),
-                }
-            }
-        }
-        counts
-    }
-
-    /// Length of the SIREAD list of `field` of `key`.
-    #[cfg(test)]
-    pub(crate) fn siread_len(&self, key: ReadKey, field: FieldId) -> usize {
-        self.reader_shard(key)
-            .lock()
-            .get(&(key, field))
-            .map_or(0, Vec::len)
+    pub(crate) fn class_entries(&self) -> usize {
+        let shards = self.readers.iter();
+        shards
+            .map(|s| s.lock().values().map(Sireads::len).sum::<usize>())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ReadKey::Instance;
 
     /// A live transaction's cell.
     fn live(txn: u64) -> Arc<TxnHandle> {
         Arc::new(TxnHandle::new(TxnId(txn)))
     }
+
+    /// The class every test's SIREADs are keyed by.
+    const C: ClassId = ClassId(1);
 
     #[test]
     fn isolation_level_names() {
@@ -793,11 +805,10 @@ mod tests {
     fn pivot_with_both_flags_aborts_at_commit() {
         let t = SsiTracker::new();
         let (t1, t2, t3) = (live(1), live(2), live(3));
-        let oid = Instance(Oid(1));
         let f = FieldId(0);
         // T2 reads; T3 overwrites what T2 read; T1 reads what T2 wrote…
-        t.record_read(&t2, oid, f);
-        assert_eq!(t.write_edges(&t3, 0, oid, f), 1); // T2 → T3
+        t.record_read(&t2, C, field_set([f]));
+        assert_eq!(t.write_edges(&t3, 0, C, f), 1); // T2 → T3
         assert_eq!(t1.read_edge(&t2), 1); // T1 → T2
                                           // …so T2 is the pivot: in (from T1) and out (to T3).
         match t2.validate_and_commit(7) {
@@ -818,19 +829,18 @@ mod tests {
     fn committed_pivot_dooms_the_completing_transaction() {
         let t = SsiTracker::new();
         let (t1, t3) = (live(1), live(3));
-        let oid = Instance(Oid(4));
         let f = FieldId(1);
-        // T1 reads (oid, f) at snapshot 0 and gains an IN edge: T3 read
+        // T1 reads (C, f) at snapshot 0 and gains an IN edge: T3 read
         // something T1 overwrote (T3 → T1). T1 then commits — one flag
         // only, so commit succeeds.
-        t.record_read(&t1, oid, f);
+        t.record_read(&t1, C, field_set([f]));
         t3.read_edge(&t1);
         assert!(matches!(t1.validate_and_commit(5), SsiVerdict::Committed));
         // T4 (snapshot 0, concurrent with T1's commit at 5) overwrites
         // what T1 read: edge T1 → T4 gives committed T1 its OUT flag —
         // T1 is now a pivot nobody can abort, so T4 is doomed.
         let t4 = live(4);
-        assert_eq!(t.write_edges(&t4, 0, oid, f), 1, "edge from committed T1");
+        assert_eq!(t.write_edges(&t4, 0, C, f), 1, "edge from committed T1");
         match t4.validate_and_commit(6) {
             SsiVerdict::Abort(c) => assert_eq!(c.pivot, Some(t1.txn)),
             SsiVerdict::Committed => panic!("completing txn must abort"),
@@ -841,102 +851,102 @@ mod tests {
     fn non_concurrent_committed_reader_creates_no_edge() {
         let t = SsiTracker::new();
         let t1 = live(1);
-        t.record_read(&t1, Instance(Oid(9)), FieldId(0));
+        t.record_read(&t1, C, field_set([FieldId(0)]));
         assert!(matches!(t1.validate_and_commit(3), SsiVerdict::Committed));
         // A writer whose snapshot (5) already includes T1's commit (3):
         // plain wr ordering, not an antidependency.
         let t2 = live(2);
-        assert_eq!(t.write_edges(&t2, 5, Instance(Oid(9)), FieldId(0)), 0);
+        assert_eq!(t.write_edges(&t2, 5, C, FieldId(0)), 0);
         assert!(matches!(t2.validate_and_commit(6), SsiVerdict::Committed));
     }
 
     #[test]
     fn lists_dedupe_and_drop_readers_below_the_horizon() {
         let t = SsiTracker::new();
-        let (oid, f) = (Instance(Oid(5)), FieldId(0));
+        let f = FieldId(0);
         let t1 = live(1);
-        t.record_read(&t1, oid, f);
-        t.record_read(&t1, oid, f);
-        assert_eq!(t.siread_len(oid, f), 1, "one entry per reader");
+        t.record_read(&t1, C, field_set([f]));
+        t.record_read(&t1, C, field_set([f]));
+        assert_eq!(t.class_entries(), 1, "one entry per reader");
         assert!(matches!(t1.validate_and_commit(2), SsiVerdict::Committed));
         let t2 = live(2);
-        t.record_read(&t2, oid, f);
+        t.record_read(&t2, C, field_set([f]));
         // A writer whose snapshot contains T1's commit passes over T1
         // (kept: an older-snapshot writer may still need it) and finds
         // the live T2.
-        assert_eq!(t.write_edges(&live(3), 2, oid, f), 1);
-        assert_eq!(t.siread_len(oid, f), 2);
+        assert_eq!(t.write_edges(&live(3), 2, C, f), 1);
+        assert_eq!(t.class_entries(), 2);
         // Once the horizon passes T1's commit, the next touch drops it.
         t.raise_horizon(2);
-        t.record_read(&live(4), oid, f);
-        assert_eq!(t.siread_len(oid, f), 2, "T2 and T4");
+        t.record_read(&live(4), C, field_set([f]));
+        assert_eq!(t.class_entries(), 2, "T2 and T4");
         assert_eq!(Arc::strong_count(&t1), 1, "T1's cell is ours alone");
     }
 
     #[test]
     fn aborted_readers_leave_no_edges_and_purge_drains() {
         let t = SsiTracker::new();
+        let (c2, c3, c4) = (ClassId(2), ClassId(3), ClassId(4));
         let t1 = live(1);
-        t.record_read(&t1, Instance(Oid(2)), FieldId(0));
+        t.record_read(&t1, c2, field_set([FieldId(0)]));
         t1.abort();
         // An aborted reader registers nothing more.
-        t.record_read(&t1, Instance(Oid(4)), FieldId(0));
+        t.record_read(&t1, c4, field_set([FieldId(0)]));
         let t2 = live(2);
-        t.record_read(&t2, Instance(Oid(3)), FieldId(0));
+        t.record_read(&t2, c3, field_set([FieldId(0)]));
         // The writer's scan finds the aborted reader's entry and drops
         // it: no edge, and no entry left for anyone to scan again.
-        assert_eq!(t.write_edges(&t2, 0, Instance(Oid(2)), FieldId(0)), 0);
-        assert_eq!(t.siread_len(Instance(Oid(2)), FieldId(0)), 0);
+        assert_eq!(t.write_edges(&t2, 0, c2, FieldId(0)), 0);
         assert_eq!(Arc::strong_count(&t1), 1, "the tracker let go of T1");
         assert!(matches!(t2.validate_and_commit(1), SsiVerdict::Committed));
         // What the purge is still for: the committed transaction's
-        // SIREAD of a field nobody touched again, and with it the last
+        // SIREAD of a list nobody touched again, and with it the last
         // reference the tracker held to its cell.
-        assert_eq!(t.siread_entries(), (1, 0));
+        assert_eq!(t.class_entries(), 1);
         assert_eq!(Arc::strong_count(&t2), 2);
         t.purge(10);
-        assert_eq!(t.siread_entries(), (0, 0));
+        assert_eq!(t.class_entries(), 0);
         assert_eq!(Arc::strong_count(&t2), 1);
+        assert!(!t.has_class_reads());
     }
 
     #[test]
     fn purge_keeps_sireads_of_live_transactions() {
         let t = SsiTracker::new();
         let t1 = live(1);
-        t.record_read(&t1, Instance(Oid(3)), FieldId(0));
+        t.record_read(&t1, C, field_set([FieldId(0)]));
         // T1 is live: horizon way past anything must not drop its
         // registration (only ended transactions are purged).
         t.purge(1_000);
-        assert_eq!(t.siread_entries(), (1, 0));
+        assert_eq!(t.class_entries(), 1);
         assert_eq!(Arc::strong_count(&t1), 2, "the list still holds T1");
     }
 
     #[test]
     fn class_lists_are_probed_only_while_one_is_registered() {
         let t = SsiTracker::new();
-        let class = ReadKey::Class(ClassId::from_index(2));
         let f = FieldId(1);
         assert!(!t.has_class_reads());
         let t1 = live(1);
-        t.record_read(&t1, class, f);
-        t.record_read(&t1, class, f);
-        assert_eq!(t.siread_entries(), (0, 1), "one entry, deduped");
+        t.record_read(&t1, C, field_set([f]));
+        t.record_read(&t1, C, field_set([f]));
+        assert_eq!(t.class_entries(), 1, "one entry, deduped");
         assert!(t.has_class_reads());
-        // A concurrent writer finds the reader on the class key, not on
-        // an instance key nobody registered.
+        // A concurrent writer finds the reader on its class, not on a
+        // class nobody registered.
         let t2 = live(2);
-        assert_eq!(t.write_edges(&t2, 0, Instance(Oid(9)), f), 0);
-        assert_eq!(t.write_edges(&t2, 0, class, f), 1);
+        assert_eq!(t.write_edges(&t2, 0, ClassId(9), f), 0);
+        assert_eq!(t.write_edges(&t2, 0, C, f), 1);
         assert!(matches!(t1.validate_and_commit(1), SsiVerdict::Committed));
         // Once the horizon passes the reader, the next probe drops the
         // entry and the list with it: writers stop probing.
         t.raise_horizon(1);
-        assert_eq!(t.write_edges(&live(3), 1, class, f), 0);
-        assert_eq!(t.siread_entries(), (0, 0));
+        assert_eq!(t.write_edges(&live(3), 1, C, f), 0);
+        assert_eq!(t.class_entries(), 0);
         assert!(!t.has_class_reads());
         // The purge removes a class list nobody probes again.
         let t4 = live(4);
-        t.record_read(&t4, class, FieldId(2));
+        t.record_read(&t4, C, field_set([FieldId(2)]));
         assert!(t.has_class_reads());
         assert!(matches!(t4.validate_and_commit(2), SsiVerdict::Committed));
         t.purge(2);

@@ -26,6 +26,11 @@ finecc_obs::counters! {
         /// no SIREAD until their first writing message (zero at
         /// [`crate::IsolationLevel::Snapshot`]).
         ssi_safe_snapshots: Counter "finecc.mvcc.ssi_safe_snapshots",
+        /// SIREAD registrations: one per top message on its receiver's
+        /// version chain (a safe snapshot's once it converts), one per
+        /// class and field of an extent message (zero at
+        /// [`crate::IsolationLevel::Snapshot`]).
+        ssi_registrations: Counter "finecc.mvcc.ssi_registrations",
         /// Commit timestamps drawn from the clock but published as *skips*
         /// because SSI validation refused the transaction after the draw.
         /// The watermark prefix stays contiguous: `current_ts` equals

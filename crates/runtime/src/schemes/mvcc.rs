@@ -37,22 +37,30 @@
 //!   the returned commit sequence *is* the commit timestamp. At
 //!   `Snapshot` commit is infallible (all validation happened at write
 //!   time). At `Serializable` the heap validates Cahill-style conflict
-//!   flags fed by the interpreter's field-granularity footprints and
-//!   refuses dangerous structures with a retryable
+//!   flags and refuses dangerous structures with a retryable
 //!   [`ExecError::ConcurrencyAbort`]; [`crate::run_txn`] re-runs the
 //!   victim on a fresh snapshot exactly like a deadlock victim.
+//! * **One SIREAD per top message** at `Serializable`: the compiler
+//!   knows a priori what a message may access, so — like the TAV
+//!   scheme's one lock per top message — `on_message` registers one
+//!   entry on the receiver's version chain for every field of the
+//!   message's transitive access vector on the receiver's class
+//!   (`MvccHeap::register_reads`), and the message's field reads, its
+//!   self-sends' included, register nothing. A message sent through a
+//!   reference field passes `on_message` too and registers on its own
+//!   receiver.
 //! * **Extent messages** at `Serializable` register their reads at the
 //!   granularity the lock schemes lock them: `send_all` registers one
-//!   class-granular SIREAD per domain class and field of the method's
-//!   transitive access vector there, and a read those cover registers
-//!   nothing per instance (`finecc_mvcc::ssi`, *Class-granular
-//!   SIREADs*).
+//!   class-granular SIREAD per domain class for the fields of the
+//!   method's transitive access vector there, and a message whose class
+//!   and vector those cover registers nothing on its chain
+//!   (`finecc_mvcc::ssi`, *Class-granular SIREADs*).
 //! * **Safe snapshots** at `Serializable`: a transaction that begins
 //!   with no older snapshot live registers no SIREAD until its first
 //!   top message whose transitive access vector writes, or its first
-//!   extent message (`finecc_mvcc::ssi`, *Safe snapshots*), so a
-//!   read-only transaction that began so writes nothing shared: its
-//!   status cell and its read set are its own.
+//!   extent message (`finecc_mvcc::ssi`, *Safe snapshots*): its
+//!   registrations only note `(object, fields)` in its own status cell,
+//!   so a read-only transaction that began so writes nothing shared.
 //!
 //! Compared per §5.2: every pair the TAV scheme admits, MVCC admits too
 //! (a TAV write-set conflict is a superset of a field write-write
@@ -197,23 +205,18 @@ struct MvccAccess<'a> {
     /// touching the heap's transaction registry.
     txn: Cow<'a, MvccTxn>,
     /// The `(class, field)` pairs this operation registered
-    /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a read
-    /// of such a field of an instance of such a class registers nothing
-    /// of its own, the way a hierarchical lock covers its instances
-    /// under the lock schemes. Empty outside `send_all` at
-    /// `Serializable`.
+    /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a
+    /// message to an instance of such a class whose whole vector they
+    /// hold registers nothing on its chain, the way a hierarchical lock
+    /// covers its instances under the lock schemes. Empty outside
+    /// `send_all` at `Serializable`.
     covered: Vec<(ClassId, FieldId)>,
-    /// The latest top message's receiver and its class. A method reads
-    /// its own receiver's fields, so this answers the class half of a
-    /// covered read without a store lookup, save after a return from a
-    /// message to another instance.
-    receiver: Option<(Oid, ClassId)>,
 }
 
 impl MvccAccess<'_> {
     /// Registers one class-granular SIREAD per class `c` of `root`'s
-    /// domain and field of `method`'s transitive access vector on `c`,
-    /// and records them as covered. Runs before the extent is read (see
+    /// domain, for the fields of `method`'s transitive access vector on
+    /// `c`, and records them as covered. Runs before the extent is read (see
     /// `finecc_mvcc::ssi`, *Class-granular SIREADs*). A class that does
     /// not understand `method` has no vector; the interpreter refuses
     /// its instances.
@@ -223,24 +226,11 @@ impl MvccAccess<'_> {
             let Some(idx) = table.index_of(method) else {
                 continue;
             };
-            for (field, _) in table.tav(idx).iter() {
-                self.heap.record_class_read(&self.txn, c, field);
-                self.covered.push((c, field));
-            }
+            let tav = table.tav(idx);
+            self.heap
+                .record_class_read(&self.txn, c, tav.iter().map(|(f, _)| f));
+            self.covered.extend(tav.iter().map(|(f, _)| (c, f)));
         }
-    }
-
-    /// Whether a class-granular SIREAD of this operation covers the read
-    /// of `field` of `oid`.
-    fn covers(&self, oid: Oid, field: FieldId) -> bool {
-        if !self.covered.iter().any(|&(_, f)| f == field) {
-            return false;
-        }
-        let class = match self.receiver {
-            Some((o, c)) if o == oid => Some(c),
-            _ => self.env.db.class_of(oid).ok(),
-        };
-        class.is_some_and(|c| self.covered.contains(&(c, field)))
     }
 }
 
@@ -249,13 +239,12 @@ impl DataAccess for MvccAccess<'_> {
         self.env.db.class_of(oid).map_err(Env::store_err)
     }
 
+    /// Every read runs inside a top message, whose registration (or its
+    /// extent's) covers it: see [`MvccAccess::on_message`].
     fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
-        let read = if self.covers(oid, field) {
-            self.heap.read_covered(&self.txn, oid, field)
-        } else {
-            self.heap.read_as(&self.txn, oid, field)
-        };
-        read.map_err(Env::store_err)
+        self.heap
+            .read_covered(&self.txn, oid, field)
+            .map_err(Env::store_err)
     }
 
     fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
@@ -266,17 +255,30 @@ impl DataAccess for MvccAccess<'_> {
     }
 
     /// There is no lock to announce — versioning replaces admission
-    /// control for readers, and writers are validated at each write — so
-    /// a top message notes its receiver for [`MvccAccess::covers`], and
-    /// one whose transitive access vector writes ends a safe snapshot
-    /// first ([`MvccHeap::convert`]): the compiler knows a priori that
-    /// the message may write, so its reads register as they happen.
+    /// control for readers, and writers are validated at each write —
+    /// but at `Serializable` the compiler's a-priori knowledge of what
+    /// the message may touch is its one control: a message whose
+    /// transitive access vector writes ends a safe snapshot first
+    /// ([`MvccHeap::convert`]), and the message registers one SIREAD on
+    /// its receiver for every field of that vector
+    /// ([`MvccHeap::register_reads`]; a `Write`-mode field may be read
+    /// too) — unless its extent's class-granular entries cover them all.
+    /// Every message that reaches an instance passes here, one sent
+    /// through a reference field included, and the vector covers every
+    /// field the message and its self-sends touch, so its reads register
+    /// nothing of their own.
     fn on_message(&mut self, oid: Oid, class: ClassId, mid: MethodId) -> Result<(), ExecError> {
-        self.receiver = Some((oid, class));
-        if self.txn.is_safe() {
-            let tav = self.env.compiled.tav_of(class, mid);
-            if tav.is_none_or(|tav| !tav.is_read_only()) {
-                self.heap.convert(&self.txn);
+        if self.heap.isolation() == IsolationLevel::Snapshot {
+            return Ok(());
+        }
+        let tav = self.env.compiled.tav_of(class, mid);
+        if self.txn.is_safe() && tav.is_none_or(|tav| !tav.is_read_only()) {
+            self.heap.convert(&self.txn);
+        }
+        if let Some(tav) = tav {
+            if !tav.iter().all(|(f, _)| self.covered.contains(&(class, f))) {
+                let fields = tav.iter().map(|(f, _)| f);
+                self.heap.register_reads(&self.txn, oid, fields);
             }
         }
         Ok(())
@@ -304,7 +306,6 @@ impl MvccScheme {
             heap: &self.heap,
             txn: mvcc,
             covered: Vec::new(),
-            receiver: None,
         })
     }
 }
@@ -728,6 +729,42 @@ class savings inherits account {
         assert_eq!(edges(), 2);
         s.commit(scan).unwrap();
         s.commit(deposit).unwrap();
+    }
+
+    #[test]
+    fn a_write_skew_read_through_a_reference_is_refused() {
+        // Each transaction reads the other account's balance inside the
+        // message `peer_balance` sends through `peer`, then deposits into
+        // its own: write skew. That inner message registers on its own
+        // receiver, so each deposit finds the other transaction there.
+        let env = Env::from_source(LEDGER).unwrap();
+        let savings = env.schema.class_by_name("savings").unwrap();
+        let peer = env.schema.resolve_field(savings, "peer").unwrap();
+        let (a, b, c) = (
+            env.db.create(savings),
+            env.db.create(savings),
+            env.db.create(savings),
+        );
+        env.db.write(a, peer, Value::Ref(b)).unwrap();
+        env.db.write(b, peer, Value::Ref(a)).unwrap();
+        let s = MvccScheme::with_isolation(env, IsolationLevel::Serializable);
+        // An older snapshot stays live, so neither transaction below
+        // begins safe (and none converts and re-walks later).
+        let pin = s.begin();
+        let out = run_txn(&s, 1, |txn| s.send(txn, c, "deposit", &[Value::Int(1)]));
+        assert!(out.is_committed());
+        let (mut t1, mut t2) = (s.begin(), s.begin());
+        for txn in [&t1, &t2] {
+            assert!(!txn.mvcc.as_ref().is_some_and(MvccTxn::is_safe));
+        }
+        assert_eq!(s.send(&mut t1, a, "peer_balance", &[]), Ok(Value::Int(0)));
+        assert_eq!(s.send(&mut t2, b, "peer_balance", &[]), Ok(Value::Int(0)));
+        s.send(&mut t1, a, "deposit", &[Value::Int(5)]).unwrap();
+        s.send(&mut t2, b, "deposit", &[Value::Int(5)]).unwrap();
+        assert_eq!(s.heap().stats.snapshot().ssi_edges, 2);
+        let (r1, r2) = (s.commit(t1), s.commit(t2));
+        assert!(r1.is_err() || r2.is_err(), "both committed: {r1:?} {r2:?}");
+        s.commit(pin).unwrap();
     }
 
     #[test]
