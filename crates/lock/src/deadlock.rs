@@ -35,44 +35,26 @@ impl WaitsFor {
         self.edges.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Finds a cycle reachable from `start`, returned as the list of
-    /// transactions on the cycle (in edge order, starting anywhere on the
-    /// cycle). `None` if `start` cannot reach a cycle through itself.
+    /// `true` if `start` lies on a cycle: one depth-first search from
+    /// its successors, each node visited once, that looks for `start`.
     ///
     /// Only cycles **through `start`** matter to the caller: `start` is
     /// the transaction that just blocked, and any pre-existing cycle not
     /// involving it was already handled when its own last edge appeared.
-    pub fn cycle_through(&self, start: TxnId) -> Option<Vec<TxnId>> {
-        // Iterative DFS tracking the path.
-        let mut path: Vec<TxnId> = vec![start];
-        let mut iters: Vec<usize> = vec![0];
-        let mut on_path: HashSet<TxnId> = HashSet::from([start]);
-        let mut done: HashSet<TxnId> = HashSet::new();
-
-        while let Some(&node) = path.last() {
-            let i = *iters.last().expect("parallel stacks");
-            let succs = self.successors(node);
-            if i < succs.len() {
-                *iters.last_mut().expect("parallel stacks") += 1;
-                let next = succs[i];
+    pub fn on_cycle(&self, start: TxnId) -> bool {
+        let mut seen = HashSet::new();
+        let mut stack = vec![start];
+        while let Some(node) = stack.pop() {
+            for &next in self.successors(node) {
                 if next == start {
-                    return Some(path.clone());
+                    return true;
                 }
-                if on_path.contains(&next) || done.contains(&next) {
-                    // A cycle not through `start`, or an exhausted branch.
-                    continue;
+                if seen.insert(next) {
+                    stack.push(next);
                 }
-                on_path.insert(next);
-                path.push(next);
-                iters.push(0);
-            } else {
-                done.insert(node);
-                on_path.remove(&node);
-                path.pop();
-                iters.pop();
             }
         }
-        None
+        false
     }
 }
 
@@ -89,8 +71,8 @@ mod tests {
         let mut g = WaitsFor::new();
         g.add_edges(t(1), [t(2)]);
         g.add_edges(t(2), [t(3)]);
-        assert!(g.cycle_through(t(1)).is_none());
-        assert!(g.cycle_through(t(3)).is_none());
+        assert!(!g.on_cycle(t(1)));
+        assert!(!g.on_cycle(t(3)));
     }
 
     #[test]
@@ -98,9 +80,8 @@ mod tests {
         let mut g = WaitsFor::new();
         g.add_edges(t(1), [t(2)]);
         g.add_edges(t(2), [t(1)]);
-        let c = g.cycle_through(t(1)).unwrap();
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(&t(1)) && c.contains(&t(2)));
+        assert!(g.on_cycle(t(1)));
+        assert!(g.on_cycle(t(2)));
     }
 
     #[test]
@@ -110,8 +91,10 @@ mod tests {
         g.add_edges(t(2), [t(6), t(3)]);
         g.add_edges(t(3), [t(1)]);
         g.add_edges(t(5), [t(6)]);
-        let c = g.cycle_through(t(1)).unwrap();
-        assert_eq!(c, vec![t(1), t(2), t(3)]);
+        assert!(g.on_cycle(t(1)));
+        assert!(g.on_cycle(t(2)));
+        assert!(g.on_cycle(t(3)));
+        assert!(!g.on_cycle(t(5)), "a branch off the cycle is on none");
     }
 
     #[test]
@@ -120,15 +103,15 @@ mod tests {
         g.add_edges(t(1), [t(2)]);
         g.add_edges(t(2), [t(3)]);
         g.add_edges(t(3), [t(2)]); // 2↔3 cycle, not through 1
-        assert!(g.cycle_through(t(1)).is_none());
-        assert!(g.cycle_through(t(2)).is_some());
+        assert!(!g.on_cycle(t(1)));
+        assert!(g.on_cycle(t(2)));
     }
 
     #[test]
     fn self_edges_ignored() {
         let mut g = WaitsFor::new();
         g.add_edges(t(1), [t(1)]);
-        assert!(g.cycle_through(t(1)).is_none());
+        assert!(!g.on_cycle(t(1)));
     }
 
     #[test]
@@ -145,7 +128,7 @@ mod tests {
         for i in 0..n {
             g.add_edges(t(i), [t((i + 1) % n)]);
         }
-        let c = g.cycle_through(t(0)).unwrap();
-        assert_eq!(c.len(), n as usize);
+        assert!(g.on_cycle(t(0)));
+        assert!(g.on_cycle(t(n / 2)));
     }
 }

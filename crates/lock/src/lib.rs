@@ -23,9 +23,9 @@
 //!   message announces, transaction ids and held lists follow the
 //!   thread slot, and the counters are striped by it; a blocked request
 //!   polls for about one context switch's worth of time before it parks,
-//! * blocking acquisition with **waits-for-graph deadlock detection** and
-//!   a configurable victim policy, plus a non-blocking `try_acquire` for
-//!   deterministic simulation,
+//! * blocking acquisition with **waits-for-graph deadlock detection**
+//!   (the request that closes a cycle is its victim), plus a
+//!   non-blocking `try_acquire` for deterministic simulation,
 //! * full statistics (requests, blocks, deadlocks, upgrades, …).
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,7 @@ pub mod resource;
 mod shard;
 pub mod stats;
 
-pub use manager::{AcquireError, LockManager, TryAcquire, VictimPolicy};
+pub use manager::{AcquireError, LockManager, TryAcquire};
 pub use modes::{CommutSource, LockKind, LockMode, ModeSource, RwSource, READ, WRITE};
 pub use resource::ResourceId;
 pub use stats::{LockStats, StatsSnapshot};

@@ -8,7 +8,7 @@ use crate::shard::{part_of, shard_of, txn_shard, EntryShard, Table, TxnShard, PA
 use crate::stats::LockStats;
 use finecc_model::TxnId;
 use finecc_obs::{ContentionKind, ObjKey, Obs, Phase, SlotIds};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,8 +31,8 @@ fn obj_key(res: &ResourceId) -> ObjKey {
 /// should abort (release everything, undo, optionally retry).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcquireError {
-    /// The request closed a waits-for cycle and this transaction was
-    /// chosen as the victim, or another detector flagged it.
+    /// The request closed a waits-for cycle; the request that closes a
+    /// cycle is always its victim.
     Deadlock,
     /// The request waited longer than the configured timeout.
     Timeout,
@@ -56,18 +56,6 @@ pub enum TryAcquire {
     Granted,
     /// The lock conflicts with granted or queued requests.
     WouldBlock,
-}
-
-/// Which transaction dies when a deadlock cycle is found.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VictimPolicy {
-    /// Abort the requester that closed the cycle (deterministic, cheap).
-    #[default]
-    Requester,
-    /// Abort the transaction with the largest [`TxnId`] on the cycle:
-    /// the youngest of its thread's (ids increase within a thread, not
-    /// across threads).
-    Youngest,
 }
 
 /// How long a blocked request polls its shard's epoch word before it
@@ -162,44 +150,29 @@ pub struct LockManager<S> {
     /// needs two requests, so a request that blocks alone in one row
     /// skips the detector.
     waiting: AtomicUsize,
-    /// Transactions another request's detector chose to die
-    /// ([`VictimPolicy::Youngest`] only). A leaf latch: taken alone or
-    /// under entry-shard latches, never the other way round.
-    victims: Mutex<HashSet<TxnId>>,
-    /// `victims.len()`, so the grant path reads one word instead.
-    victims_pending: AtomicUsize,
     ids: SlotIds,
     /// Live counters, shared so metrics-registry sources can hold them
     /// beyond the manager's borrow.
     pub stats: Arc<LockStats>,
-    victim_policy: VictimPolicy,
     wait_timeout: Duration,
     obs: Arc<Obs>,
 }
 
 impl<S: ModeSource> LockManager<S> {
-    /// Creates a manager with the default victim policy (requester dies)
-    /// and a 10-second wait timeout.
+    /// Creates a manager with a 10-second wait timeout. A request that
+    /// closes a waits-for cycle is refused with
+    /// [`AcquireError::Deadlock`].
     pub fn new(src: S) -> LockManager<S> {
         LockManager {
             src,
             shards: (0..SHARDS).map(|_| EntryShard::default()).collect(),
             txns: (0..SHARDS).map(|_| TxnShard::default()).collect(),
             waiting: AtomicUsize::new(0),
-            victims: Mutex::new(HashSet::new()),
-            victims_pending: AtomicUsize::new(0),
             ids: SlotIds::new(),
             stats: Arc::new(LockStats::default()),
-            victim_policy: VictimPolicy::Requester,
             wait_timeout: Duration::from_secs(10),
             obs: Arc::new(Obs::disabled()),
         }
-    }
-
-    /// Sets the deadlock victim policy.
-    pub fn with_victim_policy(mut self, p: VictimPolicy) -> Self {
-        self.victim_policy = p;
-        self
     }
 
     /// Sets the blocking-wait timeout.
@@ -231,8 +204,8 @@ impl<S: ModeSource> LockManager<S> {
     }
 
     /// Starts a new transaction. Its id carries the calling thread's
-    /// slot ([`SlotIds`]): ids are distinct, increase within a thread,
-    /// and double as the age for [`VictimPolicy::Youngest`].
+    /// slot ([`SlotIds`]): ids are distinct and increase within a
+    /// thread, not across threads.
     pub fn begin(&self) -> TxnId {
         TxnId(self.ids.next())
     }
@@ -344,22 +317,6 @@ impl<S: ModeSource> LockManager<S> {
         held.entry(txn).or_default().push(res);
     }
 
-    /// Consumes `txn`'s victim flag, if another request's detector set
-    /// one.
-    fn take_victim(&self, txn: TxnId) -> bool {
-        // Relaxed: a waiter reads this under the shard latch the
-        // detector held while it flagged; a fresh request that misses
-        // a concurrent flag is a request that came first.
-        if self.victims_pending.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        let hit = self.victims.lock().remove(&txn);
-        if hit {
-            self.victims_pending.fetch_sub(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
     /// Takes `(txn, mode)` out of `g`'s queue (under `shard`'s latch)
     /// and lets the waiters behind it look again.
     fn leave_queue(
@@ -392,16 +349,13 @@ impl<S: ModeSource> LockManager<S> {
         }
     }
 
-    /// Blocking acquisition under strict 2PL. Returns when granted, the
-    /// transaction is chosen as a deadlock victim, or the wait times out.
+    /// Blocking acquisition under strict 2PL. Returns when granted, when
+    /// the request closes a waits-for cycle (it is the victim), or when
+    /// the wait times out.
     pub fn acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<(), AcquireError> {
         // Chaos scheduling decision strictly before any latch (a parked
         // latch holder would deadlock the token scheduler).
         finecc_chaos::yield_point(finecc_chaos::Site::LockAcquire);
-        if self.take_victim(txn) {
-            self.stats.requests.bump();
-            return Err(AcquireError::Deadlock);
-        }
         match self.try_grant(txn, res, mode) {
             Ok(()) => Ok(()),
             Err((plan, tables)) => self.wait(txn, mode, &plan, tables),
@@ -452,10 +406,6 @@ impl<S: ModeSource> LockManager<S> {
             // Under the latches. The first pass matters too: a request
             // queued only so as not to overtake waiters it is
             // compatible with waits for nobody, and nobody would wake it.
-            if self.take_victim(txn) {
-                self.leave_queues(plan, &mut tables, txn, mode);
-                return Err(AcquireError::Deadlock);
-            }
             let blocking = plan
                 .iter()
                 .zip(tables.iter_mut())
@@ -553,7 +503,6 @@ impl<S: ModeSource> LockManager<S> {
     /// and wakes waiters. Called exactly once at commit/abort.
     pub fn release_all(&self, txn: TxnId) {
         self.stats.releases.bump();
-        self.take_victim(txn);
         let held = self.txns[txn_shard(txn)].held.lock().remove(&txn);
         for res in held.into_iter().flatten() {
             let own = Self::own(txn, res);
@@ -620,9 +569,9 @@ impl<S: ModeSource> LockManager<S> {
 
     /// The deadlock detector, run by a queued `(txn, mode)` request on
     /// the granules of `plan` with no latch held: `true` when the
-    /// request closed a waits-for cycle and `txn` is the one to die (its
-    /// request is then already out of every queue). Any other victim is
-    /// flagged and woken.
+    /// request closed a waits-for cycle. The requester is the victim:
+    /// its request is then already out of every queue, and the rest of
+    /// the cycle waits on as before.
     ///
     /// The one place a thread holds every latch: every entry-shard
     /// latch, taken in index order, so the graph is the exact waits-for
@@ -631,42 +580,21 @@ impl<S: ModeSource> LockManager<S> {
     fn closes_cycle(&self, txn: TxnId, plan: &[(usize, Granule)], mode: LockMode) -> bool {
         let mut tables: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
         let mut wf = WaitsFor::new();
-        let mut queued_at = Vec::new();
-        for (i, table) in tables.iter().enumerate() {
+        for table in &tables {
             for (g, entry) in &table.entries {
                 for &(t, m) in &entry.queue {
                     wf.add_edges(t, entry.blockers(&self.src, &g.res, t, m));
-                    queued_at.push((t, i));
                 }
             }
         }
-        let Some(cycle) = wf.cycle_through(txn) else {
+        if !wf.on_cycle(txn) {
             return false;
-        };
-        let victim = match self.victim_policy {
-            VictimPolicy::Requester => txn,
-            VictimPolicy::Youngest => *cycle.iter().max().expect("cycle is non-empty"),
-        };
-        if victim == txn {
-            self.stats.deadlocks.bump();
-            for &(i, g) in plan {
-                self.leave_queue(&self.shards[i], &mut tables[i], txn, g, mode);
-            }
-            return true;
         }
-        // A cycle seen again before its victim has left is not news:
-        // waking the victim's shard once more would only make this
-        // request (polling the same epoch, perhaps) look again at once.
-        if self.victims.lock().insert(victim) {
-            self.victims_pending.fetch_add(1, Ordering::Relaxed);
-            self.stats.deadlocks.bump();
-            for (t, i) in queued_at {
-                if t == victim {
-                    self.shards[i].wake(&tables[i]);
-                }
-            }
+        self.stats.deadlocks.bump();
+        for &(i, g) in plan {
+            self.leave_queue(&self.shards[i], &mut tables[i], txn, g, mode);
         }
-        false
+        true
     }
 }
 
@@ -787,44 +715,15 @@ mod tests {
         let h1 = upgrade(t1);
         let h2 = upgrade(t2);
         let (r1, r2) = (h1.join().unwrap(), h2.join().unwrap());
-        // No timeout allowed; at least one must be a deadlock victim, and
-        // if exactly one dies the other must have won the write.
+        // No timeout allowed. Whichever upgrade finds the cycle dies and
+        // leaves its queue inside the detector, so the cycle is gone and
+        // the other wins the write.
         match (r1, r2) {
             (Ok(()), Err(AcquireError::Deadlock)) => {}
             (Err(AcquireError::Deadlock), Ok(())) => {}
-            // Both deadlocked is also a safe (if pessimistic) outcome
-            // under the Requester policy if timing interleaves detection.
-            (Err(AcquireError::Deadlock), Err(AcquireError::Deadlock)) => {}
             other => panic!("unexpected outcome: {other:?}"),
         }
-        assert!(lm.stats.snapshot().deadlocks >= 1);
-    }
-
-    #[test]
-    fn youngest_victim_policy() {
-        let lm = Arc::new(
-            LockManager::new(RwSource)
-                .with_victim_policy(VictimPolicy::Youngest)
-                .with_timeout(Duration::from_secs(5)),
-        );
-        let t1 = lm.begin(); // older
-        let t2 = lm.begin(); // younger
-        lm.acquire(t1, res(1), wr()).unwrap();
-        lm.acquire(t2, res(2), wr()).unwrap();
-        let lm2 = Arc::clone(&lm);
-        let h = thread::spawn(move || {
-            let r = lm2.acquire(t2, res(1), wr());
-            if r.is_err() {
-                lm2.release_all(t2);
-            }
-            r
-        });
-        thread::sleep(Duration::from_millis(50));
-        // t1 closes the cycle; youngest (t2) must die, t1 proceeds.
-        let r1 = lm.acquire(t1, res(2), wr());
-        assert_eq!(r1, Ok(()));
-        assert_eq!(h.join().unwrap(), Err(AcquireError::Deadlock));
-        lm.release_all(t1);
+        assert_eq!(lm.stats.snapshot().deadlocks, 1);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! completely.
 
 use finecc_lock::{
-    AcquireError, LockManager, LockMode, ModeSource, ResourceId, RwSource, TryAcquire,
-    VictimPolicy, READ, WRITE,
+    AcquireError, LockManager, LockMode, ModeSource, ResourceId, RwSource, TryAcquire, READ, WRITE,
 };
 use finecc_model::{ClassId, FieldId, Oid, TxnId};
 use finecc_obs::ID_SLOTS;
@@ -326,13 +325,9 @@ impl Script {
 /// `threads` clients × `txns` transactions of up to four random
 /// blocking requests over six resources, with a shadow holder table
 /// checked inside every critical region.
-fn storm(policy: VictimPolicy, threads: usize, txns: usize) {
+fn storm(threads: usize, txns: usize) {
     let src = MatrixSource::new(4, &[true, false, true, true, false, false, true]);
-    let lm = Arc::new(
-        LockManager::new(src.clone())
-            .with_victim_policy(policy)
-            .with_timeout(Duration::from_secs(30)),
-    );
+    let lm = Arc::new(LockManager::new(src.clone()).with_timeout(Duration::from_secs(30)));
     let shadow: Arc<Mutex<Vec<Row>>> = Arc::default();
     let workers: Vec<_> = (0..threads as u64)
         .map(|id| {
@@ -388,21 +383,12 @@ fn storm(policy: VictimPolicy, threads: usize, txns: usize) {
     let s = lm.stats.snapshot();
     assert_eq!(s.timeouts, 0);
     assert!(s.parks <= s.blocks);
-    match policy {
-        VictimPolicy::Requester => assert_eq!(s.requests, s.immediate + s.blocks),
-        // A flagged victim's next request is refused uncounted.
-        VictimPolicy::Youngest => assert!(s.requests >= s.immediate + s.blocks),
-    }
+    assert_eq!(s.requests, s.immediate + s.blocks);
 }
 
 #[test]
 fn storm_requester_dies() {
-    storm(VictimPolicy::Requester, finecc_obs::test_threads(), 400);
-}
-
-#[test]
-fn storm_youngest_dies() {
-    storm(VictimPolicy::Youngest, finecc_obs::test_threads(), 400);
+    storm(finecc_obs::test_threads(), 400);
 }
 
 /// The `n`-th transaction id drawn in thread slot `slot` — how a test
@@ -561,13 +547,7 @@ fn a_conversion_jumps_the_queue_of_every_partition() {
 
 #[test]
 fn a_cycle_through_a_partition_is_detected() {
-    // Either request of the cycle may be the one that runs the
-    // detector; with the youngest dying, the victim is t2 either way.
-    let lm = Arc::new(
-        LockManager::new(RwSource)
-            .with_victim_policy(VictimPolicy::Youngest)
-            .with_timeout(Duration::from_secs(30)),
-    );
+    let lm = Arc::new(LockManager::new(RwSource).with_timeout(Duration::from_secs(30)));
     let (class, object) = (
         ResourceId::Class(ClassId(3)),
         ResourceId::Instance(Oid(9), ClassId(3)),
@@ -576,26 +556,44 @@ fn a_cycle_through_a_partition_is_detected() {
     // the object and asks for the whole class, which queues it in every
     // partition, behind t1 in t1's.
     let (t1, t2) = (in_slot(1, 1), in_slot(2, 1));
-    assert!(t1 < t2);
     lm.acquire(t1, class, intent(WRITE)).unwrap();
     lm.acquire(t2, object, LockMode::plain(WRITE)).unwrap();
+    // Each side lets go of everything at once if refused, as an aborting
+    // transaction would.
+    fn attempt(
+        lm: &LockManager<RwSource>,
+        txn: TxnId,
+        res: ResourceId,
+        mode: LockMode,
+    ) -> Result<(), AcquireError> {
+        let r = lm.acquire(txn, res, mode);
+        if r.is_err() {
+            lm.release_all(txn);
+        }
+        r
+    }
     let waiter = {
         let lm = Arc::clone(&lm);
-        thread::spawn(move || {
-            let r = lm.acquire(t2, class, whole(READ));
-            if r.is_err() {
-                lm.release_all(t2);
-            }
-            r
-        })
+        thread::spawn(move || attempt(&lm, t2, class, whole(READ)))
     };
     await_blocks(&lm, 1);
-    // t1 closes the cycle t1 → t2 (object) → t1 (partition 1); t2 dies
-    // and lets go of the object.
-    assert_eq!(lm.acquire(t1, object, LockMode::plain(WRITE)), Ok(()));
-    assert_eq!(waiter.join().unwrap(), Err(AcquireError::Deadlock));
-    assert!(lm.stats.snapshot().deadlocks >= 1);
-    lm.release_all(t1);
+    // t1 closes the cycle t1 → t2 (object) → t1 (partition 1). Either
+    // request may be the one whose detector finds it, and that one dies.
+    let r1 = attempt(&lm, t1, object, LockMode::plain(WRITE));
+    let r2 = waiter.join().unwrap();
+    let survivor = match (r1, r2) {
+        (Ok(()), Err(AcquireError::Deadlock)) => {
+            assert!(lm.holds(t1, object, LockMode::plain(WRITE)));
+            t1
+        }
+        (Err(AcquireError::Deadlock), Ok(())) => {
+            assert!(lm.holds(t2, class, whole(READ)));
+            t2
+        }
+        other => panic!("one of the two must die, the other be granted: {other:?}"),
+    };
+    assert_eq!(lm.stats.snapshot().deadlocks, 1);
+    lm.release_all(survivor);
     assert_eq!(lm.entry_count(), 0);
 }
 

@@ -80,8 +80,8 @@ id_type!(
 
 id_type!(
     /// A transaction identifier. A scheme's ids carry the beginning
-    /// thread's slot and increase within that thread; they double as the
-    /// age used by deadlock victim selection.
+    /// thread's slot and increase within that thread, not across
+    /// threads.
     TxnId,
     u64,
     "txn:"

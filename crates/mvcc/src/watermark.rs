@@ -18,21 +18,25 @@
 //! * **Slots.** A fixed ring of `capacity` atomic slots; timestamp `ts`
 //!   completes into slot `ts % capacity`. A slot holding `EMPTY` (0) is
 //!   free; timestamps start at 1, so the sentinel never collides.
-//! * **Claim.** The publisher of `ts` CAS-claims its slot
-//!   (`EMPTY → ts`). The claim is attempted only once
+//! * **Claim.** The publisher of `ts` stores `ts` into its slot once
 //!   `published ≥ ts − capacity`, i.e. once every earlier occupant of
 //!   the slot has been published — claiming on emptiness alone would
 //!   let `ts` steal the slot from the still-unpublished `ts −
-//!   capacity` and deadlock the prefix. Unpublished timestamps are
+//!   capacity` and deadlock the prefix. What the slot may still hold
+//!   then is a published occupant whose advancer was preempted between
+//!   its advance and its clear; the store overwrites it, and that
+//!   advancer's late clear fails harmlessly. Unpublished timestamps are
 //!   bounded by the number of in-flight commits (each committer
 //!   publishes its own draw before finishing), so with `capacity` far
 //!   above any plausible thread count the wait never triggers; the
-//!   **overflow fallback** is to spin-then-yield until the slot frees,
-//!   counted per publish in the heap's `watermark_waits` statistic.
+//!   **overflow fallback** is to spin-then-yield until the prefix
+//!   reaches `ts − capacity`, counted per publish in the heap's
+//!   `watermark_waits` statistic.
 //! * **Advance.** After claiming, every publisher helps advance: while
 //!   slot `published + 1` holds its timestamp, CAS `published` forward
 //!   and clear the slot (in that order — clearing first would leave the
-//!   prefix undetectable). Whoever wins the CAS clears; losers re-read
+//!   prefix undetectable) unless a later lap has already stored over
+//!   it. Whoever wins the CAS clears; losers re-read
 //!   and keep helping, so the watermark drains even if the original
 //!   publisher of some timestamp stalls right after its claim. ABA is
 //!   impossible: slot values are unique timestamps and every CAS
@@ -142,15 +146,13 @@ impl Watermark {
         debug_assert!(ts != EMPTY, "timestamps start at 1");
         let cap = self.slots.len() as u64;
         let slot = &self.slots[(ts % cap) as usize];
-        // Claim the slot. The occupancy precondition (`published ≥ ts −
-        // capacity`) and the CAS are re-checked together: the slot may
-        // stay non-empty for a moment after the precondition holds
-        // (advancers clear just *after* moving `published`).
+        // Claim the slot once `published ≥ ts − capacity`. Anything
+        // still in it then is `≤ ts − capacity ≤ published`: published
+        // already, left by an advancer preempted between its advance
+        // and its clear. Waiting for that thread to clear it gains nothing.
         let mut waited = false;
         let mut spins = 0u32;
-        while self.published.load(SeqCst) + cap < ts
-            || slot.compare_exchange(EMPTY, ts, SeqCst, SeqCst).is_err()
-        {
+        while self.published.load(SeqCst) + cap < ts {
             // Same token hand-back as `wait_published`: the overflow
             // fallback spins on other publishers making progress.
             finecc_chaos::yield_point(finecc_chaos::Site::WatermarkPublish);
@@ -165,6 +167,7 @@ impl Watermark {
                 std::thread::yield_now();
             }
         }
+        slot.store(ts, SeqCst);
         // Help advance the contiguous prefix. Every publisher drives
         // this loop, so the watermark drains without a dedicated owner.
         loop {
@@ -180,9 +183,16 @@ impl Watermark {
                 .is_ok()
             {
                 // Only the winning advancer clears — after the advance,
-                // so the contiguity check above never misses `next`.
-                let cleared = next_slot.compare_exchange(next, EMPTY, SeqCst, SeqCst);
-                debug_assert!(cleared.is_ok(), "slot {next} cleared by non-winner");
+                // so the contiguity check above never misses `next`. If
+                // it was preempted in between, a later lap of the slot
+                // may have stored over `next` (and even been published
+                // and cleared since).
+                if let Err(v) = next_slot.compare_exchange(next, EMPTY, SeqCst, SeqCst) {
+                    debug_assert!(
+                        v == EMPTY || (v > next && (v - next).is_multiple_of(cap)),
+                        "slot of {next} holds {v}, no later lap of it"
+                    );
+                }
             }
             // On CAS failure another helper advanced; loop and re-read.
         }
@@ -194,6 +204,7 @@ impl Watermark {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn publishes_contiguous_prefix_out_of_order() {
@@ -273,6 +284,34 @@ mod tests {
         });
         assert_eq!(w.get(), 3);
         assert!(w.waits() >= 1, "the collision was counted");
+    }
+
+    #[test]
+    fn a_published_occupant_does_not_hold_up_the_next_lap() {
+        // An advancer preempted between moving `published` past 1 and
+        // clearing 1's slot leaves 1 there. The next lap's 5 takes the
+        // slot at once: what it overwrites is already published.
+        let w = Arc::new(Watermark::with_capacity(4));
+        for ts in 1..=4 {
+            w.publish(ts);
+        }
+        w.slots[1].store(1, SeqCst); // the preempted advancer's leftover
+        let publisher = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.publish(5))
+        };
+        let patience = Instant::now() + Duration::from_secs(1);
+        while !publisher.is_finished() {
+            assert!(
+                Instant::now() < patience,
+                "5 waited for an occupant already published"
+            );
+            std::thread::yield_now();
+        }
+        assert!(!publisher.join().unwrap(), "5 reported a wait");
+        assert_eq!(w.get(), 5);
+        assert_eq!(w.waits(), 0);
+        assert!(w.slots.iter().all(|s| s.load(SeqCst) == EMPTY));
     }
 
     #[test]

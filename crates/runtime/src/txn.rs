@@ -11,7 +11,7 @@ use finecc_store::UndoLog;
 /// One transaction: identifier plus its undo log. Created by
 /// [`CcScheme::begin`], consumed by [`CcScheme::commit`]/[`CcScheme::abort`].
 pub struct Txn {
-    /// The transaction id (also its age for victim selection).
+    /// The transaction id.
     pub id: TxnId,
     /// Before-images recorded during execution.
     pub undo: UndoLog,
