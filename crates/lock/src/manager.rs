@@ -386,7 +386,6 @@ impl<S: ModeSource> LockManager<S> {
         self.waiting.fetch_add(plan.len(), Ordering::SeqCst);
         // Counted as blocked once queued and counted as waiting, so
         // whoever sees `blocks` move finds the request in both.
-        self.stats.requests.bump();
         self.stats.blocks.bump();
         if conversion {
             self.stats.upgrades.bump();
@@ -494,7 +493,6 @@ impl<S: ModeSource> LockManager<S> {
         if self.try_grant(txn, res, mode).is_ok() {
             return TryAcquire::Granted;
         }
-        self.stats.requests.bump();
         self.stats.would_blocks.bump();
         TryAcquire::WouldBlock
     }

@@ -9,8 +9,6 @@ finecc_obs::counters! {
     /// A point-in-time copy of [`LockStats`].
     pub struct StatsSnapshot;
     pub cells {
-        /// Lock requests (acquire + try_acquire).
-        requests: Counter "finecc.lock.requests",
         /// Requests granted without waiting.
         immediate: Counter "finecc.lock.immediate",
         /// Requests that blocked at least once.
@@ -30,15 +28,23 @@ finecc_obs::counters! {
         /// try_acquire calls that returned `WouldBlock`.
         would_blocks: Counter "finecc.lock.would_blocks",
     }
+    derived by fill_requests {
+        /// Lock requests (acquire + try_acquire): granted at once,
+        /// blocked, or refused without waiting.
+        requests: Counter "finecc.lock.requests",
+    }
 }
 
 impl LockStats {
+    fn fill_requests(&self, s: &mut StatsSnapshot) {
+        s.requests = s.immediate + s.blocks + s.would_blocks;
+    }
+
     /// Counts one request granted without waiting — what the table
     /// counts for such a grant, and what a scheme counts when it
     /// answers a repeat request from the transaction's own held list,
     /// so the two cannot be counted differently.
     pub fn count_immediate(&self) {
-        self.requests.bump();
         self.immediate.bump();
     }
 }
@@ -50,7 +56,7 @@ mod tests {
     #[test]
     fn snapshot_and_reset() {
         let s = LockStats::default();
-        s.requests.bump();
+        s.would_blocks.bump();
         s.count_immediate();
         s.deadlocks.bump();
         let snap = s.snapshot();

@@ -44,7 +44,10 @@
 //!   critical section of its install and flags them after dropping the
 //!   latch (the `ssi` module docs' *Status cells and the per-edge
 //!   protocol*). A chain stays in its shard's map while it holds records
-//!   *or* readers.
+//!   *or* readers. An extent message's class-granular entries ride a
+//!   *class chain* in the same maps, keyed at the top of the OID space
+//!   ([`MvccHeap::record_class_read`]); a writer probes its object's
+//!   class chain only while the heap counts one.
 //! * **A safe snapshot keeps its reads in its cell** (the `ssi` module
 //!   docs' *Safe snapshots*): its registrations go into a read set under
 //!   the cell's own lock, and [`MvccHeap::convert`] registers that set
@@ -85,11 +88,10 @@
 //! The watermark has no latch. A status cell's flag lock is never taken
 //! under a chain latch: a write clones the cells of the readers it must
 //! flag and flags them after dropping it, and a read records its edges
-//! after dropping its shared latch. The class-granular SIREAD shards
-//! (see [`crate::ssi`]) are never nested with heap latches: while an
-//! extent message's entry is registered a write probes its object's
-//! class after the latch is dropped. Chain walks read a record's status
-//! with one atomic load.
+//! after dropping its shared latch. A write probes its object's class
+//! chain after dropping the object's chain latch, so it too holds one
+//! chain latch at a time. Chain walks read a record's status with one
+//! atomic load.
 //!
 //! ## Reclamation
 //!
@@ -103,10 +105,11 @@
 //!   correctness assumption**: a transaction begun on one thread,
 //!   written on a second and committed on a third is just as correct.
 //!   At [`IsolationLevel::Serializable`] a commit also queues the
-//!   objects it registered SIREADs on, and a tracked read-only commit
-//!   queues those and counts toward the cadence below, so a chain only
-//!   readers kept goes with its readers' batches (a safe snapshot, which
-//!   registered nothing, touches no reclamation state).
+//!   chains it registered SIREADs on (class chains included), and a
+//!   tracked read-only commit queues those and counts toward the cadence
+//!   below, so a chain only readers kept goes with its readers' batches
+//!   (a safe snapshot, which registered nothing, touches no reclamation
+//!   state).
 //! * **Who prunes.** Every `RECLAIM_EVERY`-th commit of a slot runs one
 //!   bounded batch: it computes [`MvccHeap::gc_horizon`], pops the
 //!   queue's head entries committed at or below it, and prunes exactly
@@ -122,8 +125,8 @@
 //!   rotating slot, two `mvcc` clients on `durable-update` freed each
 //!   other's records (glibc keeps a freed block in the *freeing*
 //!   thread's cache), and committed at 0.63 of `tav`'s rate instead of
-//!   0.82. Every batch hands its horizon to the SSI tracker, and every
-//!   `SSI_PURGE_EVERY`-th purges its class-granular lists.
+//!   0.82. At `Serializable` every batch also raises the SIREAD pruning
+//!   horizon, check-first.
 //! * **Why a stale horizon is safe.** A horizon, once computed, is a
 //!   valid pruning bound forever: later registrations pin the
 //!   watermark, which only grows (see `EpochTable`).
@@ -146,7 +149,7 @@
 //! attribution runs after every heap latch is dropped. The **read path
 //! carries no probe**.
 
-use crate::ssi::{committed, field_set, Sireads, SsiTracker, SsiVerdict, TxnHandle, LIVE};
+use crate::ssi::{committed, field_set, Sireads, SsiVerdict, TxnHandle, LIVE};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts};
@@ -180,14 +183,22 @@ const RECLAIM_EVERY: u32 = 8;
 /// it queued, so batches outpace any write-set size.
 const RECLAIM_BATCH: usize = 32;
 
-/// Every how many commits of one slot the SSI tracker is purged (a
-/// multiple of [`RECLAIM_EVERY`]: the purge rides a batch).
-const SSI_PURGE_EVERY: u32 = 64;
-
 // A scheme's transaction ids carry their thread's slot (`n × ID_SLOTS +
 // slot`, `finecc_obs::SlotIds`): `txn % TXN_STRIPES` is then the slot,
 // and a client's registry stripe is its own.
 const _: () = assert!(finecc_obs::ID_SLOTS.is_multiple_of(TXN_STRIPES));
+
+/// The chain that holds class `c`'s class-granular SIREADs: keyed at the
+/// top of the OID space, which `Database` (counting up from 1) never
+/// allocates.
+fn class_chain(c: ClassId) -> Oid {
+    Oid(u64::MAX - u64::from(c.raw()))
+}
+
+/// Whether `oid` keys a class chain ([`class_chain`]).
+fn is_class_chain(oid: Oid) -> bool {
+    oid.raw() >= u64::MAX - u64::from(u32::MAX)
+}
 
 /// A write was refused because another transaction got to the field
 /// first (first-updater-wins at field granularity — two transactions
@@ -440,9 +451,10 @@ struct TxnState {
     /// or sort). Only the transaction's own operations touch it, under
     /// the registry stripe that holds it.
     write_set: Vec<Oid>,
-    /// Objects whose chains hold this transaction's SIREAD entry, in
-    /// registration order: queued for reclamation at its commit, rid of
-    /// its entries at its rollback. Kept like `write_set`.
+    /// The chains — objects' and classes' — that hold this
+    /// transaction's SIREAD entry, in registration order: queued for
+    /// reclamation at its commit, rid of its entries at its rollback.
+    /// Kept like `write_set`.
     read_set: Vec<Oid>,
     /// The transaction's status cell: made at `begin` at
     /// [`IsolationLevel::Serializable`] (holding the read set while the
@@ -456,7 +468,7 @@ struct TxnState {
 /// snapshot timestamp and, at [`IsolationLevel::Serializable`], its
 /// status cell — so reads and writes through it never look the
 /// transaction up in the heap's registry. [`MvccHeap::begin`] returns
-/// it, [`MvccHeap::txn`] finds it again.
+/// it.
 #[derive(Clone, Debug)]
 pub struct MvccTxn {
     id: TxnId,
@@ -709,9 +721,23 @@ pub struct MvccHeap {
     /// commit path and on extent events; the snapshot read path never
     /// touches it.
     wal: Option<Arc<Wal>>,
-    /// The rw-antidependency tracker; `Some` iff the heap runs at
-    /// [`IsolationLevel::Serializable`].
-    ssi: Option<SsiTracker>,
+    /// Whether the heap runs at [`IsolationLevel::Serializable`]: tracks
+    /// SIREADs and validates commits.
+    serializable: bool,
+    /// The highest GC horizon a reclamation pass has computed: a
+    /// transaction committed at or below it is concurrent with no live or
+    /// future one, so its SIREAD entries may be dropped. `Relaxed`: every
+    /// value it ever held is a valid bound, and it publishes no other
+    /// data.
+    horizon: AtomicU64,
+    /// How many class chains the shards hold; a writer probes its
+    /// object's class chain only while it is non-zero. Changed only under
+    /// the exclusive latch of the shard that inserts or removes one
+    /// (`Release`), loaded by every serializable writer (`Acquire`; the
+    /// `ssi` module docs' *Class-granular SIREADs* give the ordering the
+    /// probe relies on). Unpadded, like `horizon`: both are read by
+    /// every writer and written rarely.
+    class_chains: AtomicUsize,
     /// Observability: commit-phase histograms and per-object contention
     /// attribution. Disabled by default (one branch per probe; the read
     /// path records nothing per read either way — see the module docs).
@@ -795,10 +821,9 @@ impl MvccHeap {
             watermark: Watermark::with_base(base_ts),
             reclaim: (0..RECLAIM_SLOTS).map(|_| ReclaimSlot::default()).collect(),
             wal,
-            ssi: match isolation {
-                IsolationLevel::Snapshot => None,
-                IsolationLevel::Serializable => Some(SsiTracker::new()),
-            },
+            serializable: isolation == IsolationLevel::Serializable,
+            horizon: AtomicU64::new(0),
+            class_chains: AtomicUsize::new(0),
             obs: Arc::new(Obs::disabled()),
             stats: MvccStats::default(),
         }
@@ -824,7 +849,7 @@ impl MvccHeap {
 
     /// The heap's isolation level.
     pub fn isolation(&self) -> IsolationLevel {
-        if self.ssi.is_some() {
+        if self.serializable {
             IsolationLevel::Serializable
         } else {
             IsolationLevel::Snapshot
@@ -972,7 +997,7 @@ impl MvccHeap {
         // SIREAD entries are clones of a reader's cell, so a serializable
         // transaction needs one from its first read on; one that begins
         // on a safe snapshot keeps its read set in it instead.
-        let cell = self.ssi.as_ref().map(|_| {
+        let cell = self.serializable.then(|| {
             Arc::new(if self.is_safe_snapshot(epoch.ts) {
                 self.stats.ssi_safe_snapshots.bump();
                 TxnHandle::safe(txn)
@@ -1007,10 +1032,9 @@ impl MvccHeap {
     }
 
     /// The registered transaction `txn`, as [`MvccHeap::begin`] returned
-    /// it. Callers on a hot path keep that value instead (the scheme's
-    /// transaction session does), so steady-state operations skip the
-    /// registry stripe.
-    pub fn txn(&self, txn: TxnId) -> Option<MvccTxn> {
+    /// it: what the id-based [`MvccHeap::read`] and [`MvccHeap::write`]
+    /// look up. A session keeps what `begin` returned instead.
+    fn txn(&self, txn: TxnId) -> Option<MvccTxn> {
         let stripe = self.txn_stripe(txn).lock();
         let state = stripe.get(&txn)?;
         Some(MvccTxn {
@@ -1020,11 +1044,28 @@ impl MvccHeap {
         })
     }
 
-    /// The tracker and the cell a transaction's reads and writes report
-    /// to at [`IsolationLevel::Serializable`]; `None` at `Snapshot`.
+    /// The cell a transaction's reads and writes report to at
+    /// [`IsolationLevel::Serializable`]; `None` at `Snapshot`.
     #[inline]
-    fn tracking<'a>(&'a self, txn: &'a MvccTxn) -> Option<(&'a SsiTracker, &'a Arc<TxnHandle>)> {
-        self.ssi.as_ref().zip(txn.cell.as_ref())
+    fn tracking<'a>(&self, txn: &'a MvccTxn) -> Option<&'a Arc<TxnHandle>> {
+        txn.cell.as_ref().filter(|_| self.serializable)
+    }
+
+    /// The pruning horizon in force: every live or future writer's
+    /// snapshot contains what committed at or below it.
+    #[inline]
+    fn horizon(&self) -> Ts {
+        self.horizon.load(Ordering::Relaxed)
+    }
+
+    /// Raises the pruning horizon to `horizon` (a GC horizon; a stale
+    /// one merely prunes less) at [`IsolationLevel::Serializable`].
+    /// Loads first, so a pass whose horizon is not newer writes nothing
+    /// to the word every writer reads.
+    fn raise_horizon(&self, horizon: Ts) {
+        if self.serializable && horizon > self.horizon() {
+            self.horizon.fetch_max(horizon, Ordering::Relaxed);
+        }
     }
 
     /// Reconstructs `field` of `oid` as of `txn`'s snapshot, seeing its
@@ -1063,26 +1104,34 @@ impl MvccHeap {
         oid: Oid,
         fields: impl IntoIterator<Item = FieldId>,
     ) {
-        let Some((ssi, cell)) = self.tracking(txn) else {
+        let Some(cell) = self.tracking(txn) else {
             return;
         };
         let fields = field_set(fields);
         if fields != 0 && !cell.note_safe_reads(oid, fields) {
-            self.register(ssi.horizon(), txn.id, cell, oid, fields);
+            self.register(txn.id, cell, oid, fields);
         }
     }
 
-    /// The chain half of [`MvccHeap::register_reads`]: the entry, and on
-    /// a new one the object's place in the transaction's read set, in
-    /// one critical section (see *Latch order*).
-    fn register(&self, horizon: Ts, txn: TxnId, cell: &Arc<TxnHandle>, oid: Oid, fields: u64) {
+    /// The chain half of [`MvccHeap::register_reads`] and
+    /// [`MvccHeap::record_class_read`]: the entry on `oid`'s chain (an
+    /// object's, or a [`class_chain`]), and on a new one the chain's
+    /// place in the transaction's read set, in one critical section (see
+    /// *Latch order*).
+    fn register(&self, txn: TxnId, cell: &Arc<TxnHandle>, oid: Oid, fields: u64) {
+        let horizon = self.horizon();
         {
             let mut chains = self.shard(oid).chains.write();
             let mut stripe = self.txn_stripe(txn).lock();
             let Some(state) = stripe.get_mut(&txn) else {
                 return;
             };
-            let chain = chains.entry(oid).or_default();
+            let chain = chains.entry(oid).or_insert_with(|| {
+                if is_class_chain(oid) {
+                    self.class_chains.fetch_add(1, Ordering::Release);
+                }
+                Chain::default()
+            });
             if chain.readers.add(cell, fields, horizon) {
                 state.read_set.push(oid);
             }
@@ -1095,19 +1144,19 @@ impl MvccHeap {
     /// is about to read some of `fields` of any number of instances of
     /// `class`, which it then reads through [`MvccHeap::read_covered`].
     /// A writer of one of them in any instance of `class` meets this one
-    /// entry — the extent message's registration (see the `ssi` module
-    /// docs' *Class-granular SIREADs*). Must run before those reads. A
-    /// transaction on a safe snapshot is converted first.
+    /// entry on the class's chain — the extent message's registration
+    /// (see the `ssi` module docs' *Class-granular SIREADs*). Must run
+    /// before those reads. A transaction on a safe snapshot is converted
+    /// first.
     pub fn record_class_read(
         &self,
         txn: &MvccTxn,
         class: ClassId,
         fields: impl IntoIterator<Item = FieldId>,
     ) {
-        if let Some((ssi, cell)) = self.tracking(txn) {
+        if let Some(cell) = self.tracking(txn) {
             self.convert(txn);
-            ssi.record_read(cell, class, field_set(fields));
-            self.stats.ssi_registrations.bump();
+            self.register(txn.id, cell, class_chain(class), field_set(fields));
         }
     }
 
@@ -1122,14 +1171,14 @@ impl MvccHeap {
     /// transaction is about to write calls it before the reads that
     /// precede the write, so those register as they happen.
     pub fn convert(&self, txn: &MvccTxn) {
-        let Some((ssi, cell)) = self.tracking(txn) else {
+        let Some(cell) = self.tracking(txn) else {
             return;
         };
         let Some(reads) = cell.take_safe_reads() else {
             return;
         };
         for &(oid, fields) in &reads {
-            self.register(ssi.horizon(), txn.id, cell, oid, fields);
+            self.register(txn.id, cell, oid, fields);
         }
         let mut overwriters = Vec::new();
         for &(oid, fields) in &reads {
@@ -1162,7 +1211,7 @@ impl MvccHeap {
         oid: Oid,
         field: FieldId,
     ) -> Result<Value, StoreError> {
-        let reader = self.tracking(txn).map(|(_, cell)| &**cell);
+        let reader = self.tracking(txn).map(|cell| &**cell);
         let reader = reader.filter(|cell| !cell.is_safe());
         self.walk(txn.ts, Some(txn.id), oid, field, reader)
     }
@@ -1208,7 +1257,6 @@ impl MvccHeap {
         if let Some(reader) = reader {
             self.read_edges(reader, &overwriters);
         }
-        self.stats.snapshot_reads.bump();
         Ok(value)
     }
 
@@ -1318,8 +1366,8 @@ impl MvccHeap {
         // that closes the race) and flag them once the latch is dropped.
         let tracking = self.tracking(txn);
         let mut readers = Vec::new();
-        if let Some((ssi, cell)) = tracking {
-            let horizon = ssi.horizon();
+        if let Some(cell) = tracking {
+            let horizon = self.horizon();
             chain
                 .readers
                 .overlapping(field, cell, snapshot_ts, horizon, &mut readers);
@@ -1330,22 +1378,41 @@ impl MvccHeap {
         }
         self.stats.sample_chain_len(chain_len as u64);
         // An incoming rw edge per concurrent reader — the object's own
-        // readers, and, while an extent message holds a class-granular
-        // entry, its class's.
-        if let Some((ssi, cell)) = tracking {
-            let mut edges = cell.flag_readers(snapshot_ts, &readers);
-            if ssi.has_class_reads() {
-                // A delete since the write-through leaves no class to
-                // probe (deletion bypasses the versions; see `read_as`).
+        // readers, and, while some extent message holds a class-granular
+        // entry, its class chain's, collected under that chain's latch
+        // alone. A delete since the write-through leaves no class to
+        // probe (deletion bypasses the versions; see `read_as`).
+        if let Some(cell) = tracking {
+            if self.class_chains.load(Ordering::Acquire) > 0 {
                 if let Ok(class) = self.base.class_of(oid) {
-                    edges += ssi.write_edges(cell, snapshot_ts, class, field);
+                    let key = class_chain(class);
+                    let mut chains = self.shard(key).chains.write();
+                    if let Some(chain) = chains.get_mut(&key) {
+                        let horizon = self.horizon();
+                        chain
+                            .readers
+                            .overlapping(field, cell, snapshot_ts, horizon, &mut readers);
+                        if chain.is_empty() {
+                            self.unlink(&mut chains, key);
+                        }
+                    }
                 }
             }
+            let edges = cell.flag_readers(snapshot_ts, &readers);
             if edges > 0 {
                 self.stats.ssi_edges.add(edges);
             }
         }
         Ok(outcome)
+    }
+
+    /// Removes `oid`'s chain, left empty, from its shard's map (held
+    /// exclusively), keeping the count of class chains.
+    fn unlink(&self, chains: &mut MulMap<Oid, Chain>, oid: Oid) {
+        chains.remove(&oid);
+        if is_class_chain(oid) {
+            self.class_chains.fetch_sub(1, Ordering::Release);
+        }
     }
 
     /// Adds `oid` to `txn`'s write set and returns the transaction's
@@ -1422,7 +1489,7 @@ impl MvccHeap {
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         // Under SSI, validation and the mark are one atomic step on the
         // cell.
-        if self.ssi.is_none() {
+        if !self.serializable {
             cell.mark(commit_ts);
         } else if let SsiVerdict::Abort(c) = cell.validate_and_commit(commit_ts) {
             self.note_ssi_abort(&state);
@@ -1492,7 +1559,7 @@ impl MvccHeap {
         let tracked = state
             .cell
             .as_ref()
-            .filter(|cell| self.ssi.is_some() && !cell.is_safe());
+            .filter(|cell| self.serializable && !cell.is_safe());
         if let Some(cell) = tracked {
             if let SsiVerdict::Abort(c) = cell.validate_and_commit(ts) {
                 self.note_ssi_abort(&state);
@@ -1571,7 +1638,7 @@ impl MvccHeap {
                 let _ = self.base.write_unchecked(oid, w.field, w.before);
             }
             if chain.is_empty() {
-                chains.remove(&oid);
+                self.unlink(&mut chains, oid);
             }
         }
         for &oid in &state.read_set {
@@ -1579,7 +1646,7 @@ impl MvccHeap {
             if let Some(chain) = chains.get_mut(&oid) {
                 chain.readers.remove(cell);
                 if chain.is_empty() {
-                    chains.remove(&oid);
+                    self.unlink(&mut chains, oid);
                 }
             }
         }
@@ -1657,7 +1724,7 @@ impl MvccHeap {
             state.commits
         };
         if commits.is_multiple_of(RECLAIM_EVERY) {
-            self.reclaim_batch(slot, commits.is_multiple_of(SSI_PURGE_EVERY));
+            self.reclaim_batch(slot);
         }
     }
 
@@ -1666,19 +1733,11 @@ impl MvccHeap {
     /// latch each) and spends what budget is left on one other slot,
     /// adopting its entries only if that slot ran no batch since this
     /// one last looked. Never visits all shards or slots.
-    fn reclaim_batch(&self, slot: usize, purge_ssi: bool) {
+    fn reclaim_batch(&self, slot: usize) {
         // The reclamation decision point — outside every latch.
         finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
         let horizon = self.gc_horizon();
-        if let Some(ssi) = &self.ssi {
-            // Every batch lets SIREAD lists prune below the new horizon;
-            // the full tracker purge rides every `SSI_PURGE_EVERY`-th.
-            if purge_ssi {
-                ssi.purge(horizon);
-            } else {
-                ssi.raise_horizon(horizon);
-            }
-        }
+        self.raise_horizon(horizon);
         let mut due = Vec::new();
         let own = &self.reclaim[slot];
         own.batches.fetch_add(1, Ordering::Relaxed);
@@ -1720,7 +1779,7 @@ impl MvccHeap {
             if let Some(chain) = chains.get_mut(&oid) {
                 reclaimed += chain.prune(horizon);
                 if chain.is_empty() {
-                    chains.remove(&oid);
+                    self.unlink(&mut chains, oid);
                 }
             }
         }
@@ -1732,22 +1791,23 @@ impl MvccHeap {
     /// The explicit **full sweep** (tests, maintenance — the commit
     /// path never runs it; see the module docs' *Reclamation* section):
     /// prunes every chain of every shard at the horizon, records and
-    /// SIREAD entries alike, drops the chains left empty, and drains
-    /// every slot's reclaim queue of the entries that covers. At
-    /// [`IsolationLevel::Serializable`] it also purges the class-granular
-    /// SIREADs. Returns the number of records reclaimed.
+    /// SIREAD entries alike (class chains included), drops the chains
+    /// left empty, and drains every slot's reclaim queue of the entries
+    /// that covers. Returns the number of records reclaimed.
     pub fn gc(&self) -> usize {
         // The reclamation decision point — outside every latch.
         finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
         let horizon = self.gc_horizon();
-        if let Some(ssi) = &self.ssi {
-            ssi.purge(horizon);
-        }
+        self.raise_horizon(horizon);
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
-            shard.chains.write().retain(|_, chain| {
+            shard.chains.write().retain(|&oid, chain| {
                 reclaimed += chain.prune(horizon);
-                !chain.is_empty()
+                let empty = chain.is_empty();
+                if empty && is_class_chain(oid) {
+                    self.class_chains.fetch_sub(1, Ordering::Release);
+                }
+                !empty
             });
         }
         self.stats.versions_reclaimed.add(reclaimed as u64);
@@ -1773,8 +1833,9 @@ impl MvccHeap {
             .sum()
     }
 
-    /// Number of objects with a live chain (diagnostics; approximate
-    /// under concurrency, like [`MvccHeap::live_versions`]).
+    /// Number of live chains — objects', and the class chains of live
+    /// class-granular SIREADs (diagnostics; approximate under
+    /// concurrency, like [`MvccHeap::live_versions`]).
     pub fn live_chains(&self) -> usize {
         self.shards.iter().map(|s| s.chains.read().len()).sum()
     }
@@ -2190,14 +2251,24 @@ mod tests {
             .all(|slot| slot.state.lock().queue.is_empty())
     }
 
-    /// Live SIREAD entries: on the chains, and class-granular.
+    /// Live SIREAD entries: on the objects' chains, and on class chains.
     fn siread_entries(heap: &MvccHeap) -> (usize, usize) {
-        let chains = heap.shards.iter().map(|shard| {
-            let chains = shard.chains.read();
-            chains.values().map(|c| c.readers.len()).sum::<usize>()
-        });
-        let classes = heap.ssi.as_ref().map_or(0, SsiTracker::class_entries);
-        (chains.sum(), classes)
+        let (mut objects, mut classes) = (0, 0);
+        for shard in heap.shards.iter() {
+            for (&oid, chain) in shard.chains.read().iter() {
+                if is_class_chain(oid) {
+                    classes += chain.readers.len();
+                } else {
+                    objects += chain.readers.len();
+                }
+            }
+        }
+        (objects, classes)
+    }
+
+    /// The heap's count of class chains.
+    fn class_chains(heap: &MvccHeap) -> usize {
+        heap.class_chains.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -2764,10 +2835,10 @@ mod tests {
     }
 
     #[test]
-    fn an_extent_read_registers_one_siread_per_class_and_field() {
+    fn an_extent_read_registers_one_siread_per_class() {
         // What `send_all` does at Serializable: one class-granular SIREAD
-        // per (domain class, TAV field), registered before the scan,
-        // then covered reads of every instance.
+        // per domain class, for its TAV fields, registered on the class
+        // chain before the scan, then covered reads of every instance.
         const N: usize = 200;
         let (schema, _, a, x, y) = setup();
         let db = Arc::new(Database::new(schema));
@@ -2782,8 +2853,9 @@ mod tests {
         assert_eq!(
             siread_entries(&heap),
             (0, 1),
-            "one class entry, none on a chain"
+            "one class entry, none on an object's chain"
         );
+        assert_eq!(heap.stats.snapshot().ssi_registrations, 1);
         let edges = || heap.stats.snapshot().ssi_edges;
         // A concurrent writer of a field outside the covered set meets
         // no reader; one of the covered field meets the scan once.
@@ -2802,8 +2874,85 @@ mod tests {
         // With every session ended, the sweep leaves nothing to probe.
         heap.gc();
         assert_eq!(siread_entries(&heap), (0, 0));
-        assert!(!heap.ssi.as_ref().is_some_and(SsiTracker::has_class_reads));
+        assert_eq!(class_chains(&heap), 0);
         assert_eq!(heap.live_chains(), 0);
+    }
+
+    #[test]
+    fn a_live_scans_class_chain_survives_gc() {
+        let (heap, a, x, _) = serializable();
+        let o = heap.base().create(a);
+        let scan = heap.begin(TxnId(1));
+        heap.record_class_read(&scan, a, [x]);
+        // Writers commit around the scan; the sweep prunes what it can,
+        // which is not the live scan's entry.
+        for t in 2..=4 {
+            heap.begin(TxnId(t));
+            heap.write(TxnId(t), o, x, Value::Int(t as i64)).unwrap();
+            heap.commit(TxnId(t)).unwrap();
+        }
+        heap.gc();
+        assert_eq!(siread_entries(&heap), (0, 1));
+        assert_eq!(class_chains(&heap), 1);
+        // Its entry still meets a writer of the class.
+        let edges = heap.stats.snapshot().ssi_edges;
+        heap.begin(TxnId(5));
+        heap.write(TxnId(5), o, x, Value::Int(5)).unwrap();
+        assert_eq!(heap.stats.snapshot().ssi_edges, edges + 1);
+        heap.abort(TxnId(5));
+        heap.commit(TxnId(1)).unwrap();
+    }
+
+    #[test]
+    fn a_committed_scans_class_chain_goes_with_its_slots_batches() {
+        // No writer probes the class chain and nobody calls `gc()`: the
+        // scan queued its class chain at commit, and the batches its slot
+        // runs for the read-only commits that follow prune the entry and
+        // unlink the chain.
+        let (heap, a, x, _) = serializable();
+        let o = heap.base().create(a);
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        heap.commit(TxnId(1)).unwrap();
+        let scan = heap.begin(TxnId(2));
+        heap.record_class_read(&scan, a, [x]);
+        heap.commit(TxnId(2)).unwrap();
+        assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (1, 1));
+        for t in 3..3 + RECLAIM_EVERY as u64 {
+            heap.convert(&heap.begin(TxnId(t)));
+            assert_eq!(heap.read(TxnId(t), o, x), Ok(Value::Int(1)));
+            heap.commit(TxnId(t)).unwrap();
+        }
+        assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
+        // A rollback drops a class entry, and its chain, too.
+        let aborted = heap.begin(TxnId(100));
+        heap.record_class_read(&aborted, a, [x]);
+        assert_eq!(class_chains(&heap), 1);
+        heap.abort(TxnId(100));
+        assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
+    }
+
+    #[test]
+    fn a_writer_whose_probe_empties_a_class_chain_unlinks_it() {
+        let (heap, a, x, _) = serializable();
+        let o = heap.base().create(a);
+        heap.begin(TxnId(1));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        heap.commit(TxnId(1)).unwrap();
+        let scan = heap.begin(TxnId(2));
+        heap.record_class_read(&scan, a, [x]);
+        heap.commit(TxnId(2)).unwrap();
+        // Once the horizon passes the scan's commit, the writer's probe
+        // is the next touch of the class chain: it drops the entry, finds
+        // the chain empty and unlinks it.
+        heap.raise_horizon(heap.gc_horizon());
+        assert_eq!(class_chains(&heap), 1);
+        heap.begin(TxnId(3));
+        heap.write(TxnId(3), o, x, Value::Int(3)).unwrap();
+        assert_eq!(siread_entries(&heap).1, 0);
+        assert_eq!(class_chains(&heap), 0, "writers stop probing");
+        assert_eq!(heap.stats.snapshot().ssi_edges, 0);
+        heap.commit(TxnId(3)).unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! whose serialization graph contains a cycle with two **consecutive
 //! rw-antidependency edges** between concurrent transactions — the
 //! *dangerous structure* `T_in ──rw──▶ T_pivot ──rw──▶ T_out`. The
-//! tracker detects candidates with Cahill's two sticky flags per
+//! heap detects candidates with Cahill's two sticky flags per
 //! transaction:
 //!
 //! * `in_conflict` — some concurrent transaction read a version this
@@ -18,8 +18,9 @@
 //! candidate and is aborted ([`SsiConflict`]). When an edge would turn an
 //! already **committed** transaction into a pivot, it is too late to
 //! abort the pivot, so the transaction *completing* the structure aborts
-//! instead ([`SsiConflict::pivot`]). The tracker itself (`SsiTracker`)
-//! is crate-internal; `finecc_mvcc::MvccHeap` drives it.
+//! instead ([`SsiConflict::pivot`]). The protocol lives on each
+//! transaction's status cell (`TxnHandle`) and on the SIREAD lists
+//! (`Sireads`), both crate-internal; `finecc_mvcc::MvccHeap` drives them.
 //!
 //! # Status cells and the per-edge protocol
 //!
@@ -34,9 +35,9 @@
 //! `validate_and_commit`). A SIREAD entry lives beside the data it
 //! guards, as Larson et al. keep a transaction's state with its
 //! versions: an instance read is registered on the object's version
-//! chain (`MvccHeap::register_reads`), and `SsiTracker` keeps only the
-//! class-granular entries of extent messages and the pruning horizon.
-//! The correctness argument leans on three facts:
+//! chain (`MvccHeap::register_reads`), an extent read on its class's
+//! chain (`MvccHeap::record_class_read`), and the heap keeps the pruning
+//! horizon. The correctness argument leans on three facts:
 //!
 //! 1. **A transaction's own thread is sequential.** Edge recording that
 //!    a transaction performs for *itself* (its out-flag during a read,
@@ -66,10 +67,10 @@
 //! The status is stored only under the cell's lock (a snapshot-isolation
 //! heap, which keeps no flags, stores its mark without it), and it moves
 //! once, from `LIVE` — a commit refused by the log after its mark moves
-//! on to `DEAD`. So whoever holds a SIREAD list — a chain under its
-//! latch, a class list under its shard — tells from one atomic load per
-//! entry which readers can still take part in an edge
-//! (`TxnHandle::overlaps`):
+//! on to `DEAD`. So whoever holds a SIREAD list — an object's or a
+//! class's chain, under its latch — tells from one atomic load per entry
+//! which readers can still take part in an edge
+//! (`Sireads::overlapping`):
 //!
 //! * **The lock-free skip.** A reader committed at or below the writer's
 //!   snapshot is not concurrent with it: the writer passes over it. Only
@@ -82,44 +83,56 @@
 //!   also dedupes: one entry per reader and chain, widened by later
 //!   messages), collecting and reclamation's `Chain::prune` drop such
 //!   entries. The horizon is the heap's `gc_horizon()`, raised with
-//!   `fetch_max` by every reclamation batch; once computed it stays a
+//!   `fetch_max` by every reclamation pass; once computed it stays a
 //!   valid bound forever.
-//! * **Reader-only chains.** A tracked commit queues the objects it
-//!   registered on in its own slot's reclaim queue, and a rollback drops
-//!   its own entries, so a chain only readers kept goes without a full
-//!   sweep. `SsiTracker::purge` bounds the class lists nobody touches
-//!   again. A cell is freed when the last record and SIREAD entry
-//!   pointing at it go.
+//! * **Reader-only chains.** A tracked commit queues the chains it
+//!   registered on, class chains included, in its own slot's reclaim
+//!   queue, and a rollback drops its own entries, so a chain only readers
+//!   kept goes without a full sweep. A cell is freed when the last record
+//!   and SIREAD entry pointing at it go.
 //!
 //! # Class-granular SIREADs
 //!
 //! An extent message (`send_all`) reads the same fields of every
 //! instance of its domain. Before it lists the extent the runtime
-//! registers one entry per domain class `c` and field `f` of the
-//! method's transitive access vector (TAV) on `c`, keyed `(c, f)` in the
-//! tracker's registry, and a message to an instance whose class and
-//! whole vector those entries *cover* registers nothing on its chain. A
-//! writer of `(oid, f)` probes `(class_of(oid), f)` after collecting its
-//! chain's readers; the entries share the chains' dedupe, pruning,
-//! skip and check-and-flag.
+//! registers one entry per domain class `c`, for the fields of the
+//! method's transitive access vector (TAV) on `c`, on `c`'s *class
+//! chain*: a chain in the same maps as the objects', keyed at the top of
+//! the OID space, which the store never allocates. A message to an
+//! instance whose class and whole vector those entries *cover* registers
+//! nothing on its own chain. A writer of `(oid, f)` collects its chain's
+//! readers, drops that latch, and collects the readers of `f` on
+//! `class_of(oid)`'s chain under that chain's latch; it flags both in
+//! one list. A class entry is an object's entry in every other respect:
+//! it joins the reader's read set, and shares the dedupe, the pruning,
+//! the queueing at commit, the rollback, the skip and the
+//! check-and-flag.
 //!
 //! * **Soundness.** A writer of a covered field of a covered instance
-//!   finds the class entry instead of a chain entry. A message outside
-//!   the set (one sent through a reference to an instance outside the
-//!   domain) registers on its own receiver. Extra edges come only from
-//!   TAV fields the run did not read, or from instances created after
-//!   the extent was listed.
+//!   finds the class entry instead of one on the object's chain. A
+//!   message outside the set (one sent through a reference to an
+//!   instance outside the domain) registers on its own receiver. Extra
+//!   edges come only from TAV fields the run did not read, or from
+//!   instances created after the extent was listed.
 //! * **Register before walk.** The class entries precede every covered
 //!   walk, which keeps fact 2 per object: a writer that installs before
 //!   the scan's walk is seen by it, and one that installs after finds
 //!   the class entry.
-//! * **Probing only while one is live.** Writers probe the class key
-//!   only while the registry's count of lists is non-zero; the count
-//!   changes only under the shard lock that adds or removes a list, so a
-//!   write stores to no shared line for it. The scan's increment
-//!   precedes its walk of every object and a writer's load follows its
-//!   install, so the chain latch orders the two whenever the walk comes
-//!   first. A list goes as soon as its last entry is pruned.
+//! * **Probing only while one exists.** Writers probe their object's
+//!   class chain only while the heap's count of class chains is
+//!   non-zero, so a write stores to no shared line for it. The count
+//!   changes only under the exclusive latch of the shard that inserts a
+//!   class chain (registration) or removes one (once its last entry is
+//!   pruned or rolled back), so it equals the number of class chains in
+//!   the maps at every point of its modification order. A scan's class
+//!   chain exists from its registration, which precedes its walk of
+//!   every object, until its entry is dropped, which needs it to be
+//!   `DEAD` or below the horizon. A writer's load follows its install,
+//!   so whenever the walk came first the object's chain latch orders the
+//!   registration before the load, and the load sees a non-zero count
+//!   while the scan can still take part in an edge; the class chain's
+//!   latch, taken after that load, then orders the writer's collection
+//!   after the registration.
 //!
 //! # Safe snapshots
 //!
@@ -166,15 +179,16 @@
 //!   snapshot, which pins the horizon (or it aborted, and is owed no
 //!   edge). The runtime converts before a top message whose vector
 //!   writes; `MvccHeap::write_at` and `MvccHeap::record_class_read`
-//!   convert too (a covered message has no place in a read set).
+//!   convert too (a class entry has no place in a read set).
 //!
 //! # Lock order
 //!
 //! At most one cell lock is held at any time, and none under a chain
-//! latch or a SIREAD shard: a writer clones the cells of the readers it
-//! collected and flags them after dropping the latch or shard, its own
-//! in-flag last. `record_read` and `purge` take shards alone. A safe
-//! registration and a conversion take their own cell's lock alone.
+//! latch: a writer clones the cells of the readers it collected, on its
+//! object's chain and then on its class's, and flags them after dropping
+//! the last latch, its own in-flag last. At most one chain latch is held
+//! at a time, a class chain's included. A safe registration and a
+//! conversion take their own cell's lock alone.
 //!
 //! The SIREADs are the paper's access vectors: a top message registers
 //! on its receiver the fields its TAV may touch (`Write`-mode ones
@@ -185,30 +199,27 @@
 //! with branches, so its untaken reads can add edges. The flags are
 //! conservative too: one bit per direction, kept even when the edge
 //! partner later aborts (see `ROADMAP.md` for the edge-list follow-up).
-//! The tracker never blocks readers — it only records, which is why the
-//! mvcc scheme's lock statistics stay zero under either isolation level.
+//! SSI never blocks readers — it only records, which is why the mvcc
+//! scheme's lock statistics stay zero under either isolation level.
 //!
 //! # Observability probes
 //!
-//! The tracker carries no probes. The heap counts the transactions that
-//! begin safe (`ssi_safe_snapshots`) and the registrations
-//! (`ssi_registrations`: one per top message, or per class and field of
-//! an extent message), under no lock of the tracker's. Validation time
+//! The cells and lists carry no probes. The heap counts the
+//! transactions that begin safe (`ssi_safe_snapshots`) and the
+//! registrations (`ssi_registrations`: one per top message, or per
+//! domain class of an extent message), after dropping the latch they
+//! took. Validation time
 //! is charged to the `commit_ts_draw` histogram segment (the pivot
 //! check is the commit mark), and each [`SsiConflict`] is attributed in
 //! the contention registry *after* `validate_and_commit` returns — never
-//! inside a cell lock or SIREAD shard — keyed to the transaction's first
+//! inside a cell lock or chain latch — keyed to the transaction's first
 //! written object, or unattributed for a read-only pivot.
 
 use crate::Ts;
-use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId};
+use finecc_model::{FieldId, Oid, TxnId};
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How many mutexes the class-granular SIREAD registry is striped over.
-const READER_SHARDS: usize = 32;
 
 /// Commit status of a running transaction: above every timestamp.
 pub(crate) const LIVE: Ts = Ts::MAX;
@@ -294,7 +305,7 @@ pub(crate) struct TxnHandle {
     /// `Acquire`; it publishes nothing but itself. A snapshot at or
     /// above a commit timestamp sees its mark through the watermark,
     /// whose `SeqCst` publish follows the store; a load that misses a
-    /// store sees `LIVE`, and the tracker re-reads it under `flags`.
+    /// store sees `LIVE`, and `flag_readers` re-reads it under `flags`.
     status: AtomicU64,
     /// Whether `flags.safe_reads` is `Some`, readable without the lock:
     /// a tracked registration pays one load for it. `Relaxed`: it
@@ -525,9 +536,9 @@ pub(crate) fn field_set(fields: impl IntoIterator<Item = FieldId>) -> u64 {
         .fold(0, |set, f| set | 1 << (f.index() % 64))
 }
 
-/// A SIREAD list — a version chain's, or a class's: at most one entry
-/// per reader, its cell and the set of fields it may read (module docs,
-/// *Self-pruning SIREAD lists*).
+/// A SIREAD list — an object's chain's, or a class chain's: at most
+/// one entry per reader, its cell and the set of fields it may read
+/// (module docs, *Self-pruning SIREAD lists*).
 #[derive(Debug, Default)]
 pub(crate) struct Sireads(Vec<(Arc<TxnHandle>, u64)>);
 
@@ -602,31 +613,6 @@ impl Sireads {
     }
 }
 
-/// The class-granular SIREAD registry, striped by class.
-type ReaderShard = Mutex<MulMap<ClassId, Sireads>>;
-
-/// The shared part of a Serializable-level heap's rw-antidependency
-/// tracking: the class-granular SIREADs of extent messages and the
-/// pruning horizon every SIREAD list reads. Instance SIREADs live on
-/// the version chains (the `heap` module).
-#[derive(Debug)]
-pub(crate) struct SsiTracker {
-    /// Class-granular SIREAD registry, striped by class.
-    readers: Box<[ReaderShard]>,
-    /// The highest GC horizon the heap has reported: a transaction
-    /// committed at or below it is concurrent with no live or future
-    /// one, so its SIREAD entries may be dropped. `Relaxed`: every value
-    /// it ever held is a valid bound, and it publishes no other data.
-    horizon: AtomicU64,
-    /// How many lists the registry holds; writers probe their object's
-    /// class only while it is non-zero. Changed only under the shard
-    /// lock that adds or removes a list (`Release`), loaded by every
-    /// writer (`Acquire`; the module docs' *Probing only while one is
-    /// live* gives the ordering the probe relies on). Unpadded, like
-    /// `horizon`: both are read by every writer and written rarely.
-    class_lists: AtomicUsize,
-}
-
 /// What [`TxnHandle::validate_and_commit`] decided.
 pub(crate) enum SsiVerdict {
     /// No dangerous structure: the transaction was atomically marked
@@ -635,137 +621,6 @@ pub(crate) enum SsiVerdict {
     /// Dangerous structure: the transaction was marked `DEAD`, and the
     /// caller must roll it back.
     Abort(SsiConflict),
-}
-
-impl SsiTracker {
-    pub(crate) fn new() -> SsiTracker {
-        let readers = (0..READER_SHARDS)
-            .map(|_| Mutex::new(MulMap::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SsiTracker {
-            readers,
-            horizon: AtomicU64::new(0),
-            class_lists: AtomicUsize::new(0),
-        }
-    }
-
-    #[inline]
-    fn reader_shard(&self, class: ClassId) -> &ReaderShard {
-        &self.readers[class.index() % READER_SHARDS]
-    }
-
-    /// Whether the registry holds a class-keyed list, i.e. whether a
-    /// writer must probe its object's class as well as the object.
-    #[inline]
-    pub(crate) fn has_class_reads(&self) -> bool {
-        self.class_lists.load(Ordering::Acquire) > 0
-    }
-
-    /// The pruning horizon in force: every live or future writer's
-    /// snapshot contains what committed at or below it.
-    #[inline]
-    pub(crate) fn horizon(&self) -> Ts {
-        self.horizon.load(Ordering::Relaxed)
-    }
-
-    /// Raises the pruning horizon to `horizon` (a [`crate::MvccHeap`]
-    /// GC horizon; a stale one merely prunes less) and returns the
-    /// horizon now in force. Loads first, so a batch whose horizon is
-    /// not newer writes nothing to the word every client reads.
-    pub(crate) fn raise_horizon(&self, horizon: Ts) -> Ts {
-        let now = self.horizon();
-        if horizon <= now {
-            return now;
-        }
-        self.horizon
-            .fetch_max(horizon, Ordering::Relaxed)
-            .max(horizon)
-    }
-
-    /// Registers a class-granular SIREAD: `reader` is about to read
-    /// `fields` (a [`field_set`]) of any number of instances of
-    /// `class`. Must run BEFORE the version-chain walks it covers.
-    pub(crate) fn record_read(&self, reader: &Arc<TxnHandle>, class: ClassId, fields: u64) {
-        let horizon = self.horizon();
-        let mut shard = self.reader_shard(class).lock();
-        let list = match shard.entry(class) {
-            Entry::Occupied(list) => list.into_mut(),
-            Entry::Vacant(slot) => {
-                self.class_lists.fetch_add(1, Ordering::Release);
-                slot.insert(Sireads::default())
-            }
-        };
-        list.add(reader, fields, horizon);
-    }
-
-    /// Marks every rw edge `R ──rw──▶ writer` for concurrent readers `R`
-    /// of `field` of every instance of `class`. Must run AFTER the
-    /// writer's pending version is installed. Collects the readers to
-    /// flag under the class's shard, dropping a list left empty (writers
-    /// stop probing once none is live), and flags them after dropping
-    /// it. Returns the number of edges recorded.
-    pub(crate) fn write_edges(
-        &self,
-        writer: &TxnHandle,
-        writer_snapshot: Ts,
-        class: ClassId,
-        field: FieldId,
-    ) -> u64 {
-        let mut overlapping = Vec::new();
-        {
-            let mut shard = self.reader_shard(class).lock();
-            let Some(list) = shard.get_mut(&class) else {
-                return 0;
-            };
-            list.overlapping(
-                field,
-                writer,
-                writer_snapshot,
-                self.horizon(),
-                &mut overlapping,
-            );
-            if list.is_empty() {
-                shard.remove(&class);
-                self.class_lists.fetch_sub(1, Ordering::Release);
-            }
-        }
-        writer.flag_readers(writer_snapshot, &overlapping)
-    }
-
-    /// Raises the horizon to `horizon` (see
-    /// [`SsiTracker::raise_horizon`]) and drops every class-granular
-    /// SIREAD that can no longer yield an edge — what bounds the lists
-    /// nobody probes again; lists in use prune themselves. Returns at
-    /// once while no list is registered. Takes one shard at a time: an
-    /// entry's fate is read off its cell.
-    pub(crate) fn purge(&self, horizon: Ts) {
-        let horizon = self.raise_horizon(horizon);
-        if !self.has_class_reads() {
-            return;
-        }
-        for shard in self.readers.iter() {
-            let mut shard = shard.lock();
-            let before = shard.len();
-            shard.retain(|_, list| {
-                list.prune(horizon);
-                !list.is_empty()
-            });
-            let dropped = before - shard.len();
-            if dropped > 0 {
-                self.class_lists.fetch_sub(dropped, Ordering::Release);
-            }
-        }
-    }
-
-    /// Number of live class-granular SIREAD entries.
-    #[cfg(test)]
-    pub(crate) fn class_entries(&self) -> usize {
-        let shards = self.readers.iter();
-        shards
-            .map(|s| s.lock().values().map(Sireads::len).sum::<usize>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -777,8 +632,14 @@ mod tests {
         Arc::new(TxnHandle::new(TxnId(txn)))
     }
 
-    /// The class every test's SIREADs are keyed by.
-    const C: ClassId = ClassId(1);
+    /// What a writer of `field` whose snapshot is `snapshot` does with a
+    /// SIREAD list: collect the readers that may overlap it, then flag
+    /// them. Returns the number of edges recorded.
+    fn write_edges(list: &mut Sireads, writer: &TxnHandle, snapshot: Ts, field: FieldId) -> u64 {
+        let mut readers = Vec::new();
+        list.overlapping(field, writer, snapshot, 0, &mut readers);
+        writer.flag_readers(snapshot, &readers)
+    }
 
     #[test]
     fn isolation_level_names() {
@@ -803,14 +664,15 @@ mod tests {
 
     #[test]
     fn pivot_with_both_flags_aborts_at_commit() {
-        let t = SsiTracker::new();
+        let mut list = Sireads::default();
         let (t1, t2, t3) = (live(1), live(2), live(3));
         let f = FieldId(0);
         // T2 reads; T3 overwrites what T2 read; T1 reads what T2 wrote…
-        t.record_read(&t2, C, field_set([f]));
-        assert_eq!(t.write_edges(&t3, 0, C, f), 1); // T2 → T3
+        list.add(&t2, field_set([f]), 0);
+        assert_eq!(write_edges(&mut list, &t3, 0, f), 1); // T2 → T3
         assert_eq!(t1.read_edge(&t2), 1); // T1 → T2
-                                          // …so T2 is the pivot: in (from T1) and out (to T3).
+
+        // …so T2 is the pivot: in (from T1) and out (to T3).
         match t2.validate_and_commit(7) {
             SsiVerdict::Abort(c) => {
                 assert_eq!(c.txn, t2.txn);
@@ -827,20 +689,24 @@ mod tests {
 
     #[test]
     fn committed_pivot_dooms_the_completing_transaction() {
-        let t = SsiTracker::new();
+        let mut list = Sireads::default();
         let (t1, t3) = (live(1), live(3));
         let f = FieldId(1);
-        // T1 reads (C, f) at snapshot 0 and gains an IN edge: T3 read
+        // T1 reads f at snapshot 0 and gains an IN edge: T3 read
         // something T1 overwrote (T3 → T1). T1 then commits — one flag
         // only, so commit succeeds.
-        t.record_read(&t1, C, field_set([f]));
+        list.add(&t1, field_set([f]), 0);
         t3.read_edge(&t1);
         assert!(matches!(t1.validate_and_commit(5), SsiVerdict::Committed));
         // T4 (snapshot 0, concurrent with T1's commit at 5) overwrites
         // what T1 read: edge T1 → T4 gives committed T1 its OUT flag —
         // T1 is now a pivot nobody can abort, so T4 is doomed.
         let t4 = live(4);
-        assert_eq!(t.write_edges(&t4, 0, C, f), 1, "edge from committed T1");
+        assert_eq!(
+            write_edges(&mut list, &t4, 0, f),
+            1,
+            "edge from committed T1"
+        );
         match t4.validate_and_commit(6) {
             SsiVerdict::Abort(c) => assert_eq!(c.pivot, Some(t1.txn)),
             SsiVerdict::Committed => panic!("completing txn must abort"),
@@ -849,107 +715,56 @@ mod tests {
 
     #[test]
     fn non_concurrent_committed_reader_creates_no_edge() {
-        let t = SsiTracker::new();
+        let mut list = Sireads::default();
         let t1 = live(1);
-        t.record_read(&t1, C, field_set([FieldId(0)]));
+        list.add(&t1, field_set([FieldId(0)]), 0);
         assert!(matches!(t1.validate_and_commit(3), SsiVerdict::Committed));
         // A writer whose snapshot (5) already includes T1's commit (3):
         // plain wr ordering, not an antidependency.
         let t2 = live(2);
-        assert_eq!(t.write_edges(&t2, 5, C, FieldId(0)), 0);
+        assert_eq!(write_edges(&mut list, &t2, 5, FieldId(0)), 0);
         assert!(matches!(t2.validate_and_commit(6), SsiVerdict::Committed));
     }
 
     #[test]
     fn lists_dedupe_and_drop_readers_below_the_horizon() {
-        let t = SsiTracker::new();
-        let f = FieldId(0);
+        let mut list = Sireads::default();
+        let f = field_set([FieldId(0)]);
         let t1 = live(1);
-        t.record_read(&t1, C, field_set([f]));
-        t.record_read(&t1, C, field_set([f]));
-        assert_eq!(t.class_entries(), 1, "one entry per reader");
+        assert!(list.add(&t1, f, 0));
+        assert!(!list.add(&t1, f, 0), "one entry per reader");
+        assert_eq!(list.len(), 1);
         assert!(matches!(t1.validate_and_commit(2), SsiVerdict::Committed));
         let t2 = live(2);
-        t.record_read(&t2, C, field_set([f]));
+        list.add(&t2, f, 0);
         // A writer whose snapshot contains T1's commit passes over T1
         // (kept: an older-snapshot writer may still need it) and finds
         // the live T2.
-        assert_eq!(t.write_edges(&live(3), 2, C, f), 1);
-        assert_eq!(t.class_entries(), 2);
+        assert_eq!(write_edges(&mut list, &live(3), 2, FieldId(0)), 1);
+        assert_eq!(list.len(), 2);
         // Once the horizon passes T1's commit, the next touch drops it.
-        t.raise_horizon(2);
-        t.record_read(&live(4), C, field_set([f]));
-        assert_eq!(t.class_entries(), 2, "T2 and T4");
+        list.add(&live(4), f, 2);
+        assert_eq!(list.len(), 2, "T2 and T4");
         assert_eq!(Arc::strong_count(&t1), 1, "T1's cell is ours alone");
     }
 
     #[test]
-    fn aborted_readers_leave_no_edges_and_purge_drains() {
-        let t = SsiTracker::new();
-        let (c2, c3, c4) = (ClassId(2), ClassId(3), ClassId(4));
+    fn aborted_readers_leave_no_edges() {
+        let f = field_set([FieldId(0)]);
+        let mut list = Sireads::default();
         let t1 = live(1);
-        t.record_read(&t1, c2, field_set([FieldId(0)]));
+        list.add(&t1, f, 0);
         t1.abort();
         // An aborted reader registers nothing more.
-        t.record_read(&t1, c4, field_set([FieldId(0)]));
-        let t2 = live(2);
-        t.record_read(&t2, c3, field_set([FieldId(0)]));
+        let mut other = Sireads::default();
+        assert!(!other.add(&t1, f, 0));
+        assert!(other.is_empty());
         // The writer's scan finds the aborted reader's entry and drops
         // it: no edge, and no entry left for anyone to scan again.
-        assert_eq!(t.write_edges(&t2, 0, c2, FieldId(0)), 0);
-        assert_eq!(Arc::strong_count(&t1), 1, "the tracker let go of T1");
-        assert!(matches!(t2.validate_and_commit(1), SsiVerdict::Committed));
-        // What the purge is still for: the committed transaction's
-        // SIREAD of a list nobody touched again, and with it the last
-        // reference the tracker held to its cell.
-        assert_eq!(t.class_entries(), 1);
-        assert_eq!(Arc::strong_count(&t2), 2);
-        t.purge(10);
-        assert_eq!(t.class_entries(), 0);
-        assert_eq!(Arc::strong_count(&t2), 1);
-        assert!(!t.has_class_reads());
-    }
-
-    #[test]
-    fn purge_keeps_sireads_of_live_transactions() {
-        let t = SsiTracker::new();
-        let t1 = live(1);
-        t.record_read(&t1, C, field_set([FieldId(0)]));
-        // T1 is live: horizon way past anything must not drop its
-        // registration (only ended transactions are purged).
-        t.purge(1_000);
-        assert_eq!(t.class_entries(), 1);
-        assert_eq!(Arc::strong_count(&t1), 2, "the list still holds T1");
-    }
-
-    #[test]
-    fn class_lists_are_probed_only_while_one_is_registered() {
-        let t = SsiTracker::new();
-        let f = FieldId(1);
-        assert!(!t.has_class_reads());
-        let t1 = live(1);
-        t.record_read(&t1, C, field_set([f]));
-        t.record_read(&t1, C, field_set([f]));
-        assert_eq!(t.class_entries(), 1, "one entry, deduped");
-        assert!(t.has_class_reads());
-        // A concurrent writer finds the reader on its class, not on a
-        // class nobody registered.
         let t2 = live(2);
-        assert_eq!(t.write_edges(&t2, 0, ClassId(9), f), 0);
-        assert_eq!(t.write_edges(&t2, 0, C, f), 1);
-        assert!(matches!(t1.validate_and_commit(1), SsiVerdict::Committed));
-        // Once the horizon passes the reader, the next probe drops the
-        // entry and the list with it: writers stop probing.
-        t.raise_horizon(1);
-        assert_eq!(t.write_edges(&live(3), 1, C, f), 0);
-        assert_eq!(t.class_entries(), 0);
-        assert!(!t.has_class_reads());
-        // The purge removes a class list nobody probes again.
-        let t4 = live(4);
-        t.record_read(&t4, C, field_set([FieldId(2)]));
-        assert!(t.has_class_reads());
-        assert!(matches!(t4.validate_and_commit(2), SsiVerdict::Committed));
-        t.purge(2);
-        assert!(!t.has_class_reads());
+        assert_eq!(write_edges(&mut list, &t2, 0, FieldId(0)), 0);
+        assert!(list.is_empty());
+        assert_eq!(Arc::strong_count(&t1), 1, "the list let go of T1");
+        assert!(matches!(t2.validate_and_commit(1), SsiVerdict::Committed));
     }
 }

@@ -28,16 +28,14 @@ finecc_obs::counters! {
         ssi_safe_snapshots: Counter "finecc.mvcc.ssi_safe_snapshots",
         /// SIREAD registrations: one per top message on its receiver's
         /// version chain (a safe snapshot's once it converts), one per
-        /// class and field of an extent message (zero at
-        /// [`crate::IsolationLevel::Snapshot`]).
+        /// domain class of an extent message on the class's chain (zero
+        /// at [`crate::IsolationLevel::Snapshot`]).
         ssi_registrations: Counter "finecc.mvcc.ssi_registrations",
         /// Commit timestamps drawn from the clock but published as *skips*
         /// because SSI validation refused the transaction after the draw.
         /// The watermark prefix stays contiguous: `current_ts` equals
         /// writer commits + skips once all transactions have finished.
         ts_skips: Counter "finecc.mvcc.ts_skips",
-        /// Snapshot field reads served.
-        snapshot_reads: Counter "finecc.mvcc.snapshot_reads",
         /// Snapshot reads answered entirely from a version chain: no
         /// base-store access.
         read_chain_hits: Counter "finecc.mvcc.read_chain_hits",
@@ -64,6 +62,10 @@ finecc_obs::counters! {
         /// Longest chain observed at a write.
         chain_len_max: Gauge "finecc.mvcc.chain_len_max",
     }
+    derived by fill_reads {
+        /// Snapshot field reads served: chain hits plus base loads.
+        snapshot_reads: Counter "finecc.mvcc.snapshot_reads",
+    }
     ratios {
         /// Mean version-chain length observed at writes.
         mean_chain_len: chain_len_sum / chain_len_samples "finecc.mvcc.chain_len_mean",
@@ -71,6 +73,10 @@ finecc_obs::counters! {
 }
 
 impl MvccStats {
+    fn fill_reads(&self, s: &mut MvccStatsSnapshot) {
+        s.snapshot_reads = s.read_chain_hits + s.read_base_loads;
+    }
+
     pub(crate) fn sample_chain_len(&self, len: u64) {
         self.chain_len_sum.add(len);
         self.chain_len_samples.bump();

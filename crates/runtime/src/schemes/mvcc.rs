@@ -51,10 +51,10 @@
 //!   receiver.
 //! * **Extent messages** at `Serializable` register their reads at the
 //!   granularity the lock schemes lock them: `send_all` registers one
-//!   class-granular SIREAD per domain class for the fields of the
-//!   method's transitive access vector there, and a message whose class
-//!   and vector those cover registers nothing on its chain
-//!   (`finecc_mvcc::ssi`, *Class-granular SIREADs*).
+//!   class-granular SIREAD per domain class, on the class's chain, for
+//!   the fields of the method's transitive access vector there, and a
+//!   message whose class and vector those cover registers nothing on its
+//!   own chain (`finecc_mvcc::ssi`, *Class-granular SIREADs*).
 //! * **Safe snapshots** at `Serializable`: a transaction that begins
 //!   with no older snapshot live registers no SIREAD until its first
 //!   top message whose transitive access vector writes, or its first
@@ -82,7 +82,6 @@ use finecc_mvcc::{
     SsiConflict, Wal, WalConfig,
 };
 use finecc_obs::SlotIds;
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -203,7 +202,7 @@ struct MvccAccess<'a> {
     /// The transaction as the [`Txn`] session caches it at begin — field
     /// reads and writes go straight to the version chains without ever
     /// touching the heap's transaction registry.
-    txn: Cow<'a, MvccTxn>,
+    txn: &'a MvccTxn,
     /// The `(class, field)` pairs this operation registered
     /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a
     /// message to an instance of such a class whose whole vector they
@@ -228,7 +227,7 @@ impl MvccAccess<'_> {
             };
             let tav = table.tav(idx);
             self.heap
-                .record_class_read(&self.txn, c, tav.iter().map(|(f, _)| f));
+                .record_class_read(self.txn, c, tav.iter().map(|(f, _)| f));
             self.covered.extend(tav.iter().map(|(f, _)| (c, f)));
         }
     }
@@ -243,13 +242,13 @@ impl DataAccess for MvccAccess<'_> {
     /// extent's) covers it: see [`MvccAccess::on_message`].
     fn read_field(&mut self, oid: Oid, field: FieldId) -> Result<Value, ExecError> {
         self.heap
-            .read_covered(&self.txn, oid, field)
+            .read_covered(self.txn, oid, field)
             .map_err(Env::store_err)
     }
 
     fn write_field(&mut self, oid: Oid, field: FieldId, value: Value) -> Result<(), ExecError> {
         self.heap
-            .write_at(&self.txn, oid, field, value)
+            .write_at(self.txn, oid, field, value)
             .map(drop)
             .map_err(MvccScheme::exec_err)
     }
@@ -273,12 +272,12 @@ impl DataAccess for MvccAccess<'_> {
         }
         let tav = self.env.compiled.tav_of(class, mid);
         if self.txn.is_safe() && tav.is_none_or(|tav| !tav.is_read_only()) {
-            self.heap.convert(&self.txn);
+            self.heap.convert(self.txn);
         }
         if let Some(tav) = tav {
             if !tav.iter().all(|(f, _)| self.covered.contains(&(class, f))) {
                 let fields = tav.iter().map(|(f, _)| f);
-                self.heap.register_reads(&self.txn, oid, fields);
+                self.heap.register_reads(self.txn, oid, fields);
             }
         }
         Ok(())
@@ -288,19 +287,16 @@ impl DataAccess for MvccAccess<'_> {
 impl MvccScheme {
     fn access<'a>(&'a self, txn: &'a Txn) -> Result<MvccAccess<'a>, ExecError> {
         // The heap's view of the transaction is cached in the session at
-        // begin, so steady-state message sends never touch the heap's
-        // transaction registry (the fallback covers hand-built `Txn`s).
-        let mvcc = match &txn.mvcc {
-            Some(t) => Cow::Borrowed(t),
-            None => Cow::Owned(self.heap.txn(txn.id).ok_or_else(|| {
-                // Not this scheme's transaction (or one already ended):
-                // a re-run would fare no better.
-                ExecError::ConcurrencyAbort {
-                    deadlock: false,
-                    msg: MvccReadError::UnknownTxn(txn.id).to_string(),
-                }
-            })?),
-        };
+        // begin, so message sends never touch the heap's transaction
+        // registry. A `Txn` without it is not this scheme's transaction:
+        // a re-run would fare no better.
+        let mvcc = txn
+            .mvcc
+            .as_ref()
+            .ok_or_else(|| ExecError::ConcurrencyAbort {
+                deadlock: false,
+                msg: MvccReadError::UnknownTxn(txn.id).to_string(),
+            })?;
         Ok(MvccAccess {
             env: &self.env,
             heap: &self.heap,
@@ -345,9 +341,9 @@ impl CcScheme for MvccScheme {
     ) -> Result<Vec<Value>, ExecError> {
         let mut access = self.access(txn)?;
         if self.isolation() == IsolationLevel::Serializable {
-            // One SIREAD per class and field, as the lock schemes take
-            // one hierarchical lock per class (§5.2) — before the extent
-            // is read, like those locks.
+            // One SIREAD per class, on its class chain, as the lock
+            // schemes take one hierarchical lock per class (§5.2) —
+            // before the extent is read, like those locks.
             access.cover_extent(root, method);
         }
         let extent = self.env.db.deep_extent(root);
@@ -601,12 +597,6 @@ mod tests {
             );
             assert!(!err.is_retryable(), "{err}");
         }
-        // A hand-built session of a transaction the heap does know
-        // resolves its snapshot from the registry.
-        let known = s.begin();
-        let mut rebuilt = Txn::new(known.id);
-        assert!(s.send(&mut rebuilt, o2, "m3", &[]).is_ok());
-        s.commit(known).unwrap();
     }
 
     #[test]

@@ -348,6 +348,31 @@ pub(crate) fn decode_body(body: &[u8]) -> io::Result<LogRecord> {
     Ok(rec)
 }
 
+/// Reads one frame from `r`, which holds `remaining` bytes: the length
+/// header, the body's bounds, its checksum and its decoding — the one
+/// frame check [`LogReader`] and [`FrameStream`] share. Returns the
+/// frame's length and its record, or `None` for a torn or corrupt frame
+/// (the caller stops there); an error is `r`'s own. A length that runs
+/// past `remaining` is caught before any body is allocated.
+fn read_frame(r: &mut impl Read, remaining: u64) -> io::Result<Option<(u64, LogRecord)>> {
+    if remaining < 8 {
+        return Ok(None);
+    }
+    let mut header = [0u8; 8];
+    r.read_exact(&mut header)?;
+    let [l0, l1, l2, l3, s0, s1, s2, s3] = header;
+    let len = u64::from(u32::from_le_bytes([l0, l1, l2, l3]));
+    if remaining - 8 < len {
+        return Ok(None);
+    }
+    let mut body = vec![0u8; len as usize];
+    r.read_exact(&mut body)?;
+    if checksum(&body) != u32::from_le_bytes([s0, s1, s2, s3]) {
+        return Ok(None);
+    }
+    Ok(decode_body(&body).ok().map(|rec| (8 + len, rec)))
+}
+
 /// Iterates the intact records of a log byte stream, stopping cleanly
 /// at the first torn or corrupt frame. Each item carries the byte
 /// offset just *past* its frame — the crash-point tests truncate the
@@ -404,27 +429,15 @@ impl Iterator for LogReader<'_> {
         if self.torn || self.pos >= self.bytes.len() {
             return None;
         }
-        let remaining = &self.bytes[self.pos..];
-        if remaining.len() < 8 {
-            self.torn = true;
-            return None;
-        }
-        let len = u32::from_le_bytes(remaining[0..4].try_into().expect("4 bytes")) as usize;
-        let sum = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
-        let Some(body) = remaining.get(8..8 + len) else {
-            self.torn = true;
-            return None;
-        };
-        if checksum(body) != sum {
-            self.torn = true;
-            return None;
-        }
-        match decode_body(body) {
-            Ok(rec) => {
-                self.pos += 8 + len;
+        let mut rest = &self.bytes[self.pos..];
+        let remaining = rest.len() as u64;
+        // Reading a slice within its bounds cannot fail.
+        match read_frame(&mut rest, remaining).ok().flatten() {
+            Some((len, rec)) => {
+                self.pos += len as usize;
                 Some((self.pos, rec))
             }
-            Err(_) => {
+            None => {
                 self.torn = true;
                 None
             }
@@ -492,36 +505,14 @@ impl FrameStream {
         if self.torn || self.pos >= self.len {
             return Ok(None);
         }
-        if self.len - self.pos < 8 {
-            self.torn = true;
-            return Ok(None);
-        }
-        let mut header = [0u8; 8];
-        self.reader
-            .read_exact(&mut header)
+        let frame = read_frame(&mut self.reader, self.len - self.pos)
             .map_err(|e| RecoveryError::io(&self.path, e))?;
-        let body_len = u64::from(u32::from_le_bytes(
-            header[0..4].try_into().expect("4 bytes"),
-        ));
-        let sum = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if self.len - self.pos - 8 < body_len {
-            self.torn = true;
-            return Ok(None);
-        }
-        let mut body = vec![0u8; body_len as usize];
-        self.reader
-            .read_exact(&mut body)
-            .map_err(|e| RecoveryError::io(&self.path, e))?;
-        if checksum(&body) != sum {
-            self.torn = true;
-            return Ok(None);
-        }
-        match decode_body(&body) {
-            Ok(rec) => {
-                self.pos += 8 + body_len;
+        match frame {
+            Some((len, rec)) => {
+                self.pos += len;
                 Ok(Some((self.pos, rec)))
             }
-            Err(_) => {
+            None => {
                 self.torn = true;
                 Ok(None)
             }
