@@ -15,10 +15,6 @@ pub enum FaultKind {
     /// The thread arriving at the yield site is descheduled for this
     /// many virtual-time ticks.
     Delay(u64),
-    /// The mechanism guarded by the site is switched off entirely
-    /// (e.g. the `wait_published` commit barrier) — the known-bug
-    /// lever for regression tests.
-    Disable,
 }
 
 impl FaultKind {
@@ -28,7 +24,6 @@ impl FaultKind {
             FaultKind::IoError => "io_error",
             FaultKind::Crash => "crash",
             FaultKind::Delay(_) => "delay",
-            FaultKind::Disable => "disable",
         }
     }
 }
@@ -38,8 +33,7 @@ impl FaultKind {
 ///
 /// Hits are counted deterministically per site: yield sites count
 /// scheduler arrivals ([`crate::yield_point`]), I/O sites count fault
-/// probes ([`crate::fault_at`]). `Disable` ignores hit counting — it
-/// holds for the whole run.
+/// probes ([`crate::fault_at`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Where the fault is armed.
@@ -100,21 +94,11 @@ impl FaultPlan {
     }
 
     /// The fault (if any) firing at `site` on hit number `hit`.
-    /// `Disable` specs are excluded — they are site-wide, not per-hit
-    /// (see [`FaultPlan::disables`]).
     pub(crate) fn at(&self, site: Site, hit: u64) -> Option<FaultKind> {
         self.specs
             .iter()
-            .find(|s| s.site == site && s.kind != FaultKind::Disable && s.matches(hit))
+            .find(|s| s.site == site && s.matches(hit))
             .map(|s| s.kind)
-    }
-
-    /// Bitmask of sites with a `Disable` spec.
-    pub(crate) fn disables(&self) -> u32 {
-        self.specs
-            .iter()
-            .filter(|s| s.kind == FaultKind::Disable)
-            .fold(0, |m, s| m | 1 << s.site.index())
     }
 }
 
@@ -127,14 +111,9 @@ mod tests {
         let plan = FaultPlan::of([
             FaultSpec::once(Site::WalAppend, 2, FaultKind::IoError),
             FaultSpec::always(Site::WalAppend, FaultKind::Crash),
-            FaultSpec::always(Site::CommitPublishWait, FaultKind::Disable),
         ]);
         assert_eq!(plan.at(Site::WalAppend, 0), Some(FaultKind::Crash));
         assert_eq!(plan.at(Site::WalAppend, 2), Some(FaultKind::IoError));
         assert_eq!(plan.at(Site::WalFsync, 0), None);
-        // Disable never surfaces through per-hit matching…
-        assert_eq!(plan.at(Site::CommitPublishWait, 0), None);
-        // …only through the site-wide mask.
-        assert_eq!(plan.disables(), 1 << Site::CommitPublishWait.index(),);
     }
 }

@@ -11,12 +11,11 @@
 //!
 //! ## How the hooks cost nothing when disabled
 //!
-//! The engine calls free functions ([`yield_point`], [`fault_at`],
-//! [`disabled_at`]) at named [`Site`]s. Each compiles to **one relaxed
-//! atomic load and a predictable branch** while no harness is
-//! installed — the same discipline as `finecc-obs`. The mvcc read path
-//! carries *no* sites at all, so its reads stay probe-free even with
-//! the harness linked in.
+//! The engine calls free functions ([`yield_point`], [`fault_at`]) at
+//! named [`Site`]s. Each compiles to **one relaxed atomic load and a
+//! predictable branch** while no harness is installed — the same
+//! discipline as `finecc-obs`. The mvcc read path carries *no* sites at
+//! all, so its reads stay probe-free even with the harness linked in.
 //!
 //! ## Scoping
 //!
@@ -36,9 +35,8 @@
 //!   point is a scheduling decision (virtual time advances one tick
 //!   per decision).
 //! * `threads == 0` — **fault-only**: no scheduling, yield points stay
-//!   no-ops, but [`fault_at`]/[`disabled_at`] fire for eligible
-//!   threads. Used by unit tests that inject I/O errors under the
-//!   normal thread interleaving.
+//!   no-ops, but [`fault_at`] fires for eligible threads. Used by unit
+//!   tests that inject I/O errors under the normal thread interleaving.
 
 #![forbid(unsafe_code)]
 
@@ -53,7 +51,7 @@ pub use site::{Site, SITE_COUNT};
 
 use sched::Harness;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fast-path gate: every hook bails on one relaxed load while false.
@@ -64,8 +62,6 @@ static SCHEDULING: AtomicBool = AtomicBool::new(false);
 /// state left behind by a previous harness can never leak into the
 /// next one.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
-/// Bitmask of sites with an armed `FaultKind::Disable`.
-static DISABLED_MASK: AtomicU32 = AtomicU32::new(0);
 /// Set when a `FaultKind::Crash` fires; cleared at install.
 static CRASHED: AtomicBool = AtomicBool::new(false);
 /// The installed harness (participating threads clone the `Arc`).
@@ -140,7 +136,6 @@ impl Drop for ChaosHandle {
     fn drop(&mut self) {
         ACTIVE.store(false, Ordering::SeqCst);
         SCHEDULING.store(false, Ordering::SeqCst);
-        DISABLED_MASK.store(0, Ordering::SeqCst);
         *HARNESS.lock().unwrap_or_else(|e| e.into_inner()) = None;
         CTX.with(|c| {
             c.set(ThreadCtx {
@@ -165,7 +160,6 @@ pub fn install(config: ChaosConfig) -> ChaosHandle {
         config.replay,
     ));
     *HARNESS.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&harness));
-    DISABLED_MASK.store(config.faults.disables(), Ordering::SeqCst);
     CRASHED.store(false, Ordering::SeqCst);
     SCHEDULING.store(config.threads > 0, Ordering::SeqCst);
     CTX.with(|c| {
@@ -264,17 +258,6 @@ fn fault_at_slow(site: Site) -> Option<FaultKind> {
     let ctx = eligible_ctx()?;
     let h = current_harness()?;
     (h.gen == ctx.gen).then(|| h.probe(site)).flatten()
-}
-
-/// True when the mechanism guarded by `site` is switched off by a
-/// `FaultKind::Disable` in the live harness (participating threads
-/// only).
-#[inline]
-pub fn disabled_at(site: Site) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    eligible_ctx().is_some() && DISABLED_MASK.load(Ordering::Relaxed) & (1 << site.index()) != 0
 }
 
 /// True when the calling thread participates in a *scheduling* harness
@@ -387,7 +370,6 @@ mod tests {
         let _no_harness = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         yield_point(Site::TxnStart);
         assert_eq!(fault_at(Site::WalAppend), None);
-        assert!(!disabled_at(Site::CommitPublishWait));
         assert!(!scheduled_session());
         assert!(!crashed());
         assert!(register_worker_as(0).is_none());
@@ -482,18 +464,13 @@ mod tests {
         let handle = install(ChaosConfig {
             seed: 0,
             threads: 0,
-            faults: FaultPlan::of([
-                FaultSpec::once(Site::WalFlushFsync, 1, FaultKind::IoError),
-                FaultSpec::always(Site::CommitPublishWait, FaultKind::Disable),
-            ]),
+            faults: FaultPlan::of([FaultSpec::once(Site::WalFlushFsync, 1, FaultKind::IoError)]),
             ..ChaosConfig::default()
         });
         assert!(!scheduled_session(), "fault-only mode never schedules");
         assert_eq!(fault_at(Site::WalFlushFsync), None, "hit 0 unarmed");
         assert_eq!(fault_at(Site::WalFlushFsync), Some(FaultKind::IoError));
         assert_eq!(fault_at(Site::WalFlushFsync), None, "window passed");
-        assert!(disabled_at(Site::CommitPublishWait));
-        assert!(!disabled_at(Site::WatermarkWait));
         // A token keeps working on the flusher's behalf…
         let token = fault_token().expect("installer thread is eligible");
         assert_eq!(token.fault_at(Site::WalFlushWrite), None);

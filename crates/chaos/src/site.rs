@@ -2,7 +2,7 @@
 
 /// A named point in the engine where the deterministic scheduler may
 /// preempt the running thread ([`crate::yield_point`]) or the fault
-/// plane may fire ([`crate::fault_at`] / [`crate::disabled_at`]).
+/// plane may fire ([`crate::fault_at`]).
 ///
 /// Sites are the harness's vocabulary: schedules are sequences of
 /// decisions taken *at* sites, fault specs name the site they arm, and
@@ -31,47 +31,40 @@ pub enum Site {
     CommitWalAppend = 6,
     /// Mvcc commit: before the watermark publication.
     CommitPublish = 7,
-    /// Mvcc commit: the read-your-own-commits publication barrier,
-    /// which a refused commit's skip also waits behind
-    /// (`FaultKind::Disable` here skips the barrier — the known-bug
-    /// regression lever).
-    CommitPublishWait = 8,
-    /// Watermark: one spin of `wait_published`.
-    WatermarkWait = 9,
-    /// Watermark: one spin of the publication ring's overflow wait.
-    WatermarkPublish = 10,
+    /// Watermark: one round of a publisher's wait for its predecessor.
+    WatermarkWait = 8,
     /// Mvcc heap: before a reclamation batch or a full GC sweep prunes
     /// version chains.
-    Reclaim = 11,
+    Reclaim = 9,
     /// WAL: before an inline-mode append claims the file.
-    WalAppend = 12,
+    WalAppend = 10,
     /// WAL: before an inline-mode fsync.
-    WalFsync = 13,
+    WalFsync = 11,
     /// WAL: group-commit flusher, before writing a batch.
-    WalFlushWrite = 14,
+    WalFlushWrite = 12,
     /// WAL: group-commit flusher, before syncing a batch.
-    WalFlushFsync = 15,
+    WalFlushFsync = 13,
     /// Checkpoint writer: before the image is encoded.
-    CkptEncode = 16,
+    CkptEncode = 14,
     /// Checkpoint writer: before the temp file is written.
-    CkptTmpWrite = 17,
+    CkptTmpWrite = 15,
     /// Checkpoint writer: before the temp file's fsync.
-    CkptFsync = 18,
+    CkptFsync = 16,
     /// Checkpoint writer: before the rename into place.
-    CkptRename = 19,
+    CkptRename = 17,
     /// Checkpoint writer: before the directory fsync that persists the
     /// rename (a crash here may lose the just-renamed dirent).
-    CkptDirFsync = 20,
+    CkptDirFsync = 18,
     /// Recovery: before a checkpoint file is read and decoded.
-    RecoverCkptDecode = 21,
+    RecoverCkptDecode = 19,
     /// Recovery: before each log frame is read during replay.
-    RecoverScan = 22,
+    RecoverScan = 20,
     /// Recovery: before each decoded record is applied to the store.
-    RecoverApply = 23,
+    RecoverApply = 21,
 }
 
 /// Number of distinct sites (sizes the per-site hit counters).
-pub const SITE_COUNT: usize = 24;
+pub const SITE_COUNT: usize = 22;
 
 impl Site {
     /// Every site, indexable by discriminant.
@@ -84,9 +77,7 @@ impl Site {
         Site::CommitTsDraw,
         Site::CommitWalAppend,
         Site::CommitPublish,
-        Site::CommitPublishWait,
         Site::WatermarkWait,
-        Site::WatermarkPublish,
         Site::Reclaim,
         Site::WalAppend,
         Site::WalFsync,
@@ -133,9 +124,7 @@ impl Site {
             Site::CommitTsDraw => "commit_ts_draw",
             Site::CommitWalAppend => "commit_wal_append",
             Site::CommitPublish => "commit_publish",
-            Site::CommitPublishWait => "commit_publish_wait",
             Site::WatermarkWait => "watermark_wait",
-            Site::WatermarkPublish => "watermark_publish",
             Site::Reclaim => "reclaim",
             Site::WalAppend => "wal_append",
             Site::WalFsync => "wal_fsync",

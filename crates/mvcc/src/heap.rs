@@ -54,11 +54,12 @@
 //!   and re-walks its chains before the transaction's first write, its
 //!   first class-granular registration, or — through the runtime — its
 //!   first top message whose access vector writes.
-//! * **Publication is a lock-free ring** (the crate-private `watermark`
-//!   module): an ordered watermark advances `last_committed` only across
-//!   a contiguous prefix of marked (and logged) timestamps. A timestamp
-//!   whose commit is then refused — by SSI validation or by the log — is
-//!   published as a *skip*, its cell marked dead first.
+//! * **Publication is in timestamp order** (the crate-private
+//!   `watermark` module): the publisher of a marked (and logged)
+//!   timestamp waits until its predecessor is published, then stores
+//!   it, so `last_committed` only ever covers a contiguous prefix. A
+//!   timestamp whose commit is then refused — by SSI validation or by
+//!   the log — is published as a *skip*, its cell marked dead first.
 //! * **Registries are striped**, each stripe on its own cache lines:
 //!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids carry
 //!   their thread's slot, so that is the beginning thread's own stripe)
@@ -144,7 +145,7 @@
 //! three consecutive segments into latency histograms — *ts draw* (the
 //! clock `fetch_add` plus the mark, SSI validation included), *WAL ack*
 //! (redo assembly, append, and at `WalSync` the group-commit ack), and
-//! *publish* (watermark publish plus the in-order visibility wait) —
+//! *publish* (the wait for earlier timestamps plus the watermark store) —
 //! plus the commit total. The probes take no lock, and contention
 //! attribution runs after every heap latch is dropped. The **read path
 //! carries no probe**.
@@ -1081,8 +1082,13 @@ impl MvccHeap {
     /// chain hit returns the field's value as of the snapshot (the
     /// object existed there), while a chain miss surfaces the base
     /// store's [`StoreError::UnknownOid`]. Until extents are versioned,
-    /// don't use read errors to probe liveness of versioned objects.
+    /// don't use read errors to probe liveness of versioned objects. At
+    /// [`IsolationLevel::Serializable`] an object the base store does
+    /// not hold is refused before anything is registered.
     pub fn read_as(&self, txn: &MvccTxn, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
+        if self.tracking(txn).is_some() {
+            self.base.class_of(oid)?;
+        }
         self.register_reads(txn, oid, [field]);
         self.read_covered(txn, oid, field)
     }
@@ -1097,14 +1103,15 @@ impl MvccHeap {
     /// [`MvccHeap::read_covered`]; the runtime calls it once per top
     /// message, with the message's transitive access vector. On a safe
     /// snapshot the entry only joins the read set ([`MvccHeap::convert`]);
-    /// a transaction the heap no longer knows registers nothing.
+    /// a transaction the heap no longer knows, or an OID that keys a
+    /// class chain, registers nothing.
     pub fn register_reads(
         &self,
         txn: &MvccTxn,
         oid: Oid,
         fields: impl IntoIterator<Item = FieldId>,
     ) {
-        let Some(cell) = self.tracking(txn) else {
+        let Some(cell) = self.tracking(txn).filter(|_| !is_class_chain(oid)) else {
             return;
         };
         let fields = field_set(fields);
@@ -1450,12 +1457,12 @@ impl MvccHeap {
     /// with it — one store, which every version record of the
     /// transaction reads as its commit; **log** the redo images of its
     /// records (when a log is attached); **publish** the timestamp
-    /// through the lock-free ordered watermark, then wait until it is
-    /// visible. No chain latch is taken: a marked record is invisible to
-    /// every registered snapshot until the watermark publishes it, after
-    /// the log append — durable before visible. Returns the commit
-    /// timestamp once it is **published**, so any snapshot taken after —
-    /// this session's next transaction's included — observes it. A
+    /// through the watermark, once every earlier timestamp is published.
+    /// No chain latch is taken: a marked record is invisible to every
+    /// registered snapshot until the watermark publishes it, after the
+    /// log append — durable before visible. Returns the commit timestamp
+    /// once it is **published**, so any snapshot taken after — this
+    /// session's next transaction's included — observes it. A
     /// **read-only** transaction serializes at (and returns) its
     /// snapshot timestamp without drawing one.
     ///
@@ -1523,21 +1530,12 @@ impl MvccHeap {
         }
         phases.lap(Phase::CommitWalAck);
         finecc_chaos::yield_point(finecc_chaos::Site::CommitPublish);
-        if self.watermark.publish(commit_ts) {
-            self.stats.watermark_waits.bump();
-        }
-        // A returned commit is a *visible* commit: wait out the bounded
-        // publication lag behind committers with earlier timestamps, or
-        // a session's own next write could be refused as "committed
-        // after snapshot" by its previous transaction. Only the return
-        // re-serializes in timestamp order; relaxing that needs a
-        // per-session visibility floor (see the ROADMAP). The chaos
-        // fault plane can switch this barrier off
-        // (`Site::CommitPublishWait`): the chaos suite's known-bug
-        // regression shows the lost-own-write anomaly it prevents.
-        if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
-            self.watermark.wait_published(commit_ts);
-        }
+        // Publication waits out the committers with earlier timestamps,
+        // so a returned commit is a *visible* one: a session's next
+        // snapshot is at or above it, or its own next write could be
+        // refused as "committed after snapshot" by its previous
+        // transaction.
+        self.watermark.publish(commit_ts);
         phases.lap(Phase::CommitPublish);
         phases.finish(Phase::CommitTotal);
 
@@ -1584,10 +1582,9 @@ impl MvccHeap {
     /// before it is published so recovery restores the hole, best-effort:
     /// a lost skip is harmless (a later durable commit covers the frame),
     /// so a failed append must not escalate a refusal into a panic. Then
-    /// the transaction is rolled back as by [`MvccHeap::abort`]. The
-    /// refusal returns only once its skip is published, so each thread
-    /// has at most one drawn timestamp in flight and a caller retrying
-    /// at once cannot lap the watermark ring.
+    /// the transaction is rolled back as by [`MvccHeap::abort`]. Like a
+    /// commit, the refusal returns only once its skip is published, so
+    /// a thread publishes each timestamp it draws before it draws again.
     fn refuse_commit(&self, state: &TxnState, commit_ts: Ts) {
         if let Some(cell) = &state.cell {
             cell.abort();
@@ -1595,14 +1592,9 @@ impl MvccHeap {
         if let Some(wal) = &self.wal {
             let _ = wal.append_skip(commit_ts);
         }
-        if self.watermark.publish(commit_ts) {
-            self.stats.watermark_waits.bump();
-        }
+        self.watermark.publish(commit_ts);
         self.stats.ts_skips.bump();
         self.discard(state);
-        if !finecc_chaos::disabled_at(finecc_chaos::Site::CommitPublishWait) {
-            self.watermark.wait_published(commit_ts);
-        }
     }
 
     /// Rolls the transaction's writes back and ends it (counted in
@@ -2956,6 +2948,25 @@ mod tests {
     }
 
     #[test]
+    fn a_read_of_an_unknown_oid_registers_nothing() {
+        // A refused read leaves no reader-only chain behind, and an OID
+        // at the top of the space is never taken for a class chain.
+        let (heap, _, x, _) = serializable();
+        let reader = heap.begin(TxnId(1));
+        heap.convert(&reader);
+        for oid in [Oid(999), Oid(u64::MAX)] {
+            assert_eq!(
+                heap.read_as(&reader, oid, x),
+                Err(StoreError::UnknownOid(oid))
+            );
+        }
+        heap.register_reads(&reader, Oid(u64::MAX), [x]);
+        assert_eq!((heap.live_chains(), class_chains(&heap)), (0, 0));
+        assert_eq!(heap.stats.snapshot().ssi_registrations, 0);
+        heap.commit(TxnId(1)).unwrap();
+    }
+
+    #[test]
     fn a_read_modify_write_loop_keeps_its_siread_list_short() {
         // One client, one object: each transaction's SIREAD entry is
         // dead weight once the next reclamation batch's horizon passes
@@ -3055,7 +3066,7 @@ mod tests {
     }
 
     #[test]
-    fn a_read_only_serializable_stream_keeps_the_tracker_bounded() {
+    fn a_read_only_serializable_stream_keeps_its_sireads_bounded() {
         // No writer ever commits, so no writer's reclamation batch ever
         // runs: a read-only commit that registered SIREADs must queue
         // their chains and keep the batch cadence itself. Each

@@ -12,10 +12,9 @@
 //!   chain records hold the before-images needed to reconstruct any
 //!   registered snapshot — the rollback-segment organization.
 //! * **Timestamps** — an atomic commit-timestamp clock (one `fetch_add`
-//!   per writer commit) decoupled from *visibility*: a **lock-free**
-//!   ordered publication watermark (a CAS ring of in-flight commit
-//!   slots) advances the snapshot source only across a contiguous
-//!   prefix of completed commits. A version record points at its
+//!   per writer commit) decoupled from *visibility*: the publication
+//!   watermark, the snapshot source, publishes completed commits one
+//!   timestamp at a time, in order. A version record points at its
 //!   writer's status cell, so a commit is one store into that cell, and
 //!   a snapshot never observes half a transaction (see the `heap`
 //!   module's "Concurrency architecture" docs).

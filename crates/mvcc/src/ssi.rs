@@ -160,9 +160,9 @@
 //!   it — its confirming watermark read came after the scan began, so
 //!   its snapshot is at least ours — or had already ended: an aborted
 //!   one takes part in no edge, and a committed one unregisters only
-//!   once its commit is published (the commit barrier; the chaos fault
-//!   that disables it voids this too), so the watermark re-read, still
-//!   at our snapshot, puts that commit at or below it.
+//!   once its commit is published (publication returns only then), so
+//!   the watermark re-read, still at our snapshot, puts that commit at
+//!   or below it.
 //! * **While safe.** A registration only notes its object and fields in
 //!   the cell's read set (`Flags::safe_reads`, under the cell's own
 //!   lock, which only the transaction's operations take while it is
@@ -446,7 +446,7 @@ impl TxnHandle {
 
     /// Marks every rw edge `R ──rw──▶ self` for the `readers` a scan of
     /// the SIREAD entries of a field this writer wrote collected
-    /// ([`TxnHandle::overlaps`]), discovered on the write side. Called
+    /// ([`Sireads::overlapping`]), discovered on the write side. Called
     /// by the **writer's own thread**, under no latch: each reader's
     /// cell is locked for the concurrency test plus out-flag (atomic
     /// against that reader's validation), and the writer's own in-flag

@@ -42,9 +42,6 @@ finecc_obs::counters! {
         /// Snapshot reads that missed the chains (no record covers the
         /// field) and paid exactly one base-store `RwLock::read`.
         read_base_loads: Counter "finecc.mvcc.read_base_loads",
-        /// Commit publications that hit the watermark ring's overflow
-        /// fallback (more in-flight commits than ring slots).
-        watermark_waits: Counter "finecc.mvcc.watermark_waits",
         /// Version records installed.
         versions_created: Counter "finecc.mvcc.versions_created",
         /// Version records reclaimed — by epoch GC or discarded by abort

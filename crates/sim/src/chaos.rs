@@ -16,12 +16,9 @@
 //!   the history against the scheme's contract: a violation it does not
 //!   admit is an [`Anomaly::Isolation`]; the G2 cycles plain `mvcc`
 //!   admits are counted in [`ChaosReport::admitted`]. The
-//!   [`ChaosOp::SkewPair`] op makes write skew reachable. Disabling the
-//!   mvcc commit barrier (`wait_published`) through the fault plane
-//!   (`Site::CommitPublishWait` + `FaultKind::Disable`) is the
-//!   known-bug lever the regression tests explore against: a worker's
-//!   next snapshot misses its own commit, a G-single through a session
-//!   edge.
+//!   [`ChaosOp::SkewPair`] op makes write skew reachable, and plain
+//!   `mvcc`'s admitted write skew is the real cycle the regression
+//!   tests find, minimize and replay.
 //! * **Watermark monotonicity** — mvcc snapshot timestamps observed in
 //!   begin order must never regress ([`Anomaly::WatermarkRegression`]).
 //! * **Recovery = committed prefix** — for durable scenarios the
@@ -915,7 +912,6 @@ pub fn read_repro(path: &Path) -> io::Result<ChaosScenario> {
                 let kind = match kind {
                     "io_error" => FaultKind::IoError,
                     "crash" => FaultKind::Crash,
-                    "disable" => FaultKind::Disable,
                     d if d.starts_with("delay@") => FaultKind::Delay(num(&d[6..])?),
                     other => return Err(bad(format!("unknown fault kind: {other}"))),
                 };
@@ -1090,7 +1086,7 @@ mod tests {
             verify_restartable: true,
             faults: FaultPlan::of([
                 FaultSpec::once(Site::WalFsync, 1, FaultKind::IoError),
-                FaultSpec::always(Site::CommitPublishWait, FaultKind::Disable),
+                FaultSpec::always(Site::CommitPublish, FaultKind::Delay(2)),
                 FaultSpec::once(Site::TxnStart, 0, FaultKind::Delay(5)),
             ]),
             ..ChaosScenario::new(SchemeKind::Mvcc, 99)

@@ -2,10 +2,9 @@
 //! seed ⇒ byte-identical runs across all six schemes, graceful
 //! write-ahead log degradation, crash-recovery prefix consistency, the
 //! history check's positive control — plain `mvcc` admits write skew
-//! (G2), `mvcc-ssi` refuses it — and the known-bug regression:
-//! disabling the mvcc commit barrier loses an own write, a G-single
-//! through a session edge, which a seed sweep finds, [`minimize`]
-//! shrinks, and a repro file replays.
+//! (G2), `mvcc-ssi` refuses it — and the repro pipeline on that
+//! cycle: a seed sweep finds it, [`minimize_decisions`] shrinks its
+//! schedule, and a repro file replays it.
 //!
 //! Two sweeps are `#[ignore]`d for their length and run by CI's
 //! chaos-smoke and recovery-smoke jobs (`cargo test --release --test
@@ -18,13 +17,12 @@
 //! these tests run the chaos scenarios; the serial order among them is
 //! handled by the harness's own installation lock.
 
-use finecc::chaos::{FaultKind, FaultPlan, FaultSpec, Site};
+use finecc::chaos::{minimize_decisions, FaultKind, FaultPlan, FaultSpec, Site};
 use finecc::runtime::{DurabilityLevel, SchemeKind};
 use finecc::sim::chaos::{
     minimize, pinned, read_repro, replay_repro, run_chaos, run_upgrade_deadlock, write_repro,
-    Anomaly, ChaosScenario,
+    ChaosScenario,
 };
-use finecc::sim::history::{Class, Dep};
 use std::ops::Range;
 use std::path::Path;
 
@@ -245,69 +243,55 @@ fn unbounded_log_failure_exhausts_retries() {
     );
 }
 
-/// The known-bug regression: disabling the `wait_published` commit
-/// barrier through the fault plane makes an mvcc transaction's own
-/// committed write invisible to its next snapshot — a G-single whose
-/// cycle runs through a session edge. A seed sweep finds the anomaly,
-/// minimization keeps it reproducible, the repro file round-trips, and
-/// its replay is deterministic and equals a direct run of the pinned
+/// The repro pipeline on a real cycle: plain `mvcc` admits write skew,
+/// a G2 cycle its contract allows. A seed sweep finds one,
+/// [`minimize_decisions`] shrinks the schedule while its pinned replay
+/// still admits a cycle, the repro file keeps the decisions, and its
+/// replay is deterministic and equals a direct run of the pinned
 /// scenario.
 #[test]
-fn disabled_commit_barrier_loses_own_writes_and_replays_from_repro() {
-    let base =
-        ChaosScenario::new(SchemeKind::Mvcc, 0).with_faults(FaultPlan::of([FaultSpec::always(
-            Site::CommitPublishWait,
-            FaultKind::Disable,
-        )]));
+fn mvcc_write_skew_minimizes_and_replays_from_repro() {
     let (found, report) = (1..101)
-        .map(|seed| ChaosScenario {
-            seed,
-            ..base.clone()
-        })
+        .map(|seed| ChaosScenario::new(SchemeKind::Mvcc, seed))
         .map(|sc| (sc.clone(), run_chaos(&sc).unwrap()))
-        .find(|(_, report)| !report.anomalies.is_empty())
-        .expect("a disabled commit barrier must lose an own write within 100 seeds");
+        .find(|(_, report)| report.admitted > 0)
+        .expect("plain mvcc must admit write skew within 100 seeds");
+    assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+    let admits = |decisions: &[u32]| {
+        run_chaos(&pinned(&found, decisions)).is_ok_and(|report| report.admitted > 0)
+    };
+    let minimized = minimize_decisions(&report.outcome.decisions, 60, admits);
     assert!(
-        report
-            .anomalies
-            .iter()
-            .any(|a| matches!(a, Anomaly::Isolation(v)
-            if v.class == Class::GSingle && v.cycle.iter().any(|&(_, d)| d == Dep::Session))),
-        "{:?}",
-        report.anomalies
+        minimized.len() < report.outcome.decisions.len(),
+        "seed {}: {} decisions did not shrink",
+        found.seed,
+        minimized.len()
     );
-    let minimized = minimize(&found, &report.outcome.decisions, 60);
 
     // Pin the minimized schedule to a repro file and replay it.
     let sc = pinned(&found, &minimized);
     let path = std::env::temp_dir().join(format!("finecc-chaos-test-{}.repro", std::process::id()));
     write_repro(&path, &sc, &minimized).unwrap();
     let parsed = read_repro(&path).unwrap();
-    assert_eq!(parsed.faults, sc.faults, "fault plane survives the file");
-    assert_eq!(parsed.replay, minimized);
+    assert_eq!(parsed.replay, minimized, "the decisions survive the file");
     let once = replay_repro(&path).unwrap();
     let twice = replay_repro(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     assert!(
-        !once.anomalies.is_empty(),
-        "the minimized repro reproduces the anomaly"
+        once.admitted > 0,
+        "the minimized repro still admits a cycle"
     );
+    assert!(once.anomalies.is_empty(), "{:?}", once.anomalies);
     assert_eq!(once, twice, "repro replays are byte-identical");
     assert_eq!(
         run_chaos(&sc).unwrap(),
         once,
         "the file round trip changes nothing"
     );
-
-    // And the same seeds with the barrier *enabled* are clean — the
-    // anomaly is the bug lever, not the workload.
-    let clean = run_chaos(&ChaosScenario::new(SchemeKind::Mvcc, found.seed)).unwrap();
-    assert!(clean.anomalies.is_empty(), "{:?}", clean.anomalies);
 }
 
 /// Delay faults are schedulable too: descheduling a worker at its
-/// commit publish point is deterministic and harmless with the
-/// barrier in place.
+/// commit publish point is deterministic and harmless.
 #[test]
 fn delay_fault_is_deterministic_and_harmless() {
     let sc =

@@ -338,10 +338,6 @@ fn run_storm(isolation: IsolationLevel, rounds: i64, readers: Readers) {
                 m.read_base_loads, 0,
                 "a warmed-chain read fell through to the base store's RwLock"
             );
-            assert_eq!(
-                m.watermark_waits, 0,
-                "the ring never overflows at storm thread counts"
-            );
         }
     }
     let sampled = !samples.is_empty();
