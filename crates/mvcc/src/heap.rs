@@ -1,4 +1,4 @@
-//! The versioned heap: chains, transaction registry, commit/abort,
+//! The versioned heap: chains, transaction sessions, commit/abort,
 //! reclamation, and — at [`IsolationLevel::Serializable`] — SSI conflict
 //! tracking.
 //!
@@ -34,8 +34,8 @@
 //!   chain. A marked record is invisible until publication — its
 //!   timestamp lies above every registered snapshot — and reads as
 //!   committed-after-snapshot to a rival writer. The cell is made at a
-//!   transaction's first write (at `Serializable`, at `begin`), so a
-//!   read-only snapshot transaction allocates none.
+//!   transaction's first write (at `Serializable`, when its session
+//!   starts), so a read-only snapshot transaction allocates none.
 //! * **SIREADs ride the chain.** At `Serializable` a chain also lists
 //!   its readers, `(status cell, fields it may read)`, one entry per
 //!   reader, added or widened by [`MvccHeap::register_reads`] under the
@@ -48,9 +48,9 @@
 //!   *class chain* in the same maps, keyed at the top of the OID space
 //!   ([`MvccHeap::record_class_read`]); a writer probes its object's
 //!   class chain only while the heap counts one.
-//! * **A safe snapshot keeps its reads in its cell** (the `ssi` module
-//!   docs' *Safe snapshots*): its registrations go into a read set under
-//!   the cell's own lock, and [`MvccHeap::convert`] registers that set
+//! * **A safe snapshot keeps its reads in its session** (the `ssi`
+//!   module docs' *Safe snapshots*): its registrations go into a safe
+//!   read set, and [`MvccHeap::convert`] registers that set
 //!   and re-walks its chains before the transaction's first write, its
 //!   first class-granular registration, or — through the runtime — its
 //!   first top message whose access vector writes.
@@ -60,31 +60,35 @@
 //!   it, so `last_committed` only ever covers a contiguous prefix. A
 //!   timestamp whose commit is then refused — by SSI validation or by
 //!   the log — is published as a *skip*, its cell marked dead first.
-//! * **Registries are striped**, each stripe on its own cache lines:
-//!   the transaction table by `TxnId` (`txn % 64` — a scheme's ids carry
-//!   their thread's slot, so that is the beginning thread's own stripe)
-//!   and the snapshot-epoch table by the registering thread's slot. Each
-//!   epoch shard publishes its minimum in an atomic, so the GC horizon —
-//!   and the safe test every serializable `begin` makes — takes no lock
-//!   (see `EpochTable`). A session caches what [`MvccHeap::begin`]
-//!   returned (snapshot timestamp and status cell), so steady-state
-//!   operations touch the registry only at begin/commit and at the first
-//!   write of, or registration on, an object.
+//! * **The transaction owns its state.** Its snapshot epoch, its
+//!   sorted write set, its read set, its safe read set and its status
+//!   cell live in its
+//!   [`MvccTxn`], after Larson et al.'s transaction object:
+//!   [`MvccHeap::session`] makes one, the reads, writes and
+//!   registrations take it `&mut`, and [`MvccHeap::commit_session`] or
+//!   [`MvccHeap::abort_session`] consumes it. Only the transaction's own
+//!   operations ever read that state, so no lock guards it.
+//! * **The epoch table is striped**, each shard on its own cache lines,
+//!   by the registering thread's slot. Each shard publishes its minimum
+//!   in an atomic, so the GC horizon — and the safe test every
+//!   serializable session start makes — takes no lock (see
+//!   `EpochTable`).
 //!
 //! ## Latch order
 //!
 //! 1. **One chain shard**, shared or exclusive, never two at once.
 //!    Rollback, and a logged commit assembling its redo images, visit
 //!    objects one shard at a time; an unlogged commit takes none.
-//! 2. Under a chain shard, leaves only: a **base-store shard** (the
-//!    miss read, the write-through, the rollback restore) and the
-//!    transaction's **txn stripe** (at its first write of an object the
-//!    object joins the write set in the critical section of the install,
-//!    so a transaction the heap does not know is refused before anything
-//!    is installed; a registration joins the read set the same way).
-//!    Begin, commit and abort take a txn stripe alone.
-//! 3. The **epoch shard** and the **reclaim slot** are leaves taken
-//!    under nothing.
+//! 2. Under a chain shard, one leaf only: a **base-store shard** (the
+//!    miss read, the write-through, the rollback restore). A first
+//!    write of an object adds it to the write set in the critical
+//!    section of its install, but the write set is the session's own
+//!    memory: the `&mut MvccTxn` every write holds keeps every other
+//!    thread out of it, and commit and abort consume the session, so
+//!    the borrow checker — not a lock — keeps the write set and the
+//!    chains in agreement whenever a commit or an abort walks them.
+//! 3. The **epoch shard**, the **reclaim slot** and the by-id
+//!    adapter's session map are leaves taken under nothing.
 //!
 //! The watermark has no latch. A status cell's flag lock is never taken
 //! under a chain latch: a write clones the cells of the readers it must
@@ -166,9 +170,6 @@ use std::sync::Arc;
 
 const SHARD_COUNT: usize = 64;
 
-/// How many mutexes the transaction registry is striped over.
-const TXN_STRIPES: usize = 64;
-
 /// How many mutexes the snapshot-epoch table is sharded over.
 const EPOCH_SHARDS: usize = 16;
 
@@ -183,11 +184,6 @@ const RECLAIM_EVERY: u32 = 8;
 /// queued more than half of this since its last batch gets twice what
 /// it queued, so batches outpace any write-set size.
 const RECLAIM_BATCH: usize = 32;
-
-// A scheme's transaction ids carry their thread's slot (`n × ID_SLOTS +
-// slot`, `finecc_obs::SlotIds`): `txn % TXN_STRIPES` is then the slot,
-// and a client's registry stripe is its own.
-const _: () = assert!(finecc_obs::ID_SLOTS.is_multiple_of(TXN_STRIPES));
 
 /// The chain that holds class `c`'s class-granular SIREADs: keyed at the
 /// top of the OID space, which `Database` (counting up from 1) never
@@ -236,7 +232,7 @@ impl std::fmt::Display for MvccConflict {
 
 impl std::error::Error for MvccConflict {}
 
-/// What [`MvccHeap::write`] did.
+/// What [`MvccHeap::write_at`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteOutcome {
     /// A fresh pending version record was installed on the chain.
@@ -439,41 +435,39 @@ struct ChainShard {
     chains: RwLock<MulMap<Oid, Chain>>,
 }
 
-/// One stripe of the transaction registry, alone on its cache lines.
-type TxnStripe = CachePadded<Mutex<MulMap<TxnId, TxnState>>>;
-
-struct TxnState {
+/// A transaction of the heap, as its session owns it: the id, the
+/// registered snapshot epoch, the objects written, the chains holding
+/// its SIREAD entries, the reads of a safe snapshot, and the status cell. [`MvccHeap::session`] makes
+/// one; only its own operations touch it — reads, writes and
+/// registrations borrow it `&mut`, and [`MvccHeap::commit_session`] or
+/// [`MvccHeap::abort_session`] consumes it — so nothing locks it.
+/// Dropped unended, it keeps its snapshot pinned and its pending
+/// versions installed.
+#[must_use = "a session ends only through commit_session or abort_session"]
+#[derive(Debug)]
+pub struct MvccTxn {
+    id: TxnId,
     /// The registered snapshot epoch; `epoch.ts` is the snapshot
     /// timestamp.
     epoch: EpochHandle,
     /// Objects this transaction installed pending versions on, sorted
     /// and duplicate-free (write sets are a handful of objects, so
     /// commit and rollback walk this as is — nothing to hash, collect
-    /// or sort). Only the transaction's own operations touch it, under
-    /// the registry stripe that holds it.
+    /// or sort).
     write_set: Vec<Oid>,
     /// The chains — objects' and classes' — that hold this
     /// transaction's SIREAD entry, in registration order: queued for
     /// reclamation at its commit, rid of its entries at its rollback.
-    /// Kept like `write_set`.
     read_set: Vec<Oid>,
-    /// The transaction's status cell: made at `begin` at
-    /// [`IsolationLevel::Serializable`] (holding the read set while the
-    /// transaction is safe), at the first write otherwise (a read-only
-    /// snapshot transaction allocates none), and always present once
-    /// `write_set` is non-empty.
-    cell: Option<Arc<TxnHandle>>,
-}
-
-/// A registered transaction as its session holds it: its id, its
-/// snapshot timestamp and, at [`IsolationLevel::Serializable`], its
-/// status cell — so reads and writes through it never look the
-/// transaction up in the heap's registry. [`MvccHeap::begin`] returns
-/// it.
-#[derive(Clone, Debug)]
-pub struct MvccTxn {
-    id: TxnId,
-    ts: Ts,
+    /// `Some` while the transaction runs on a safe snapshot: the objects
+    /// it has registered reads on and the fields of each (a chain
+    /// reader's field set), none of them on a chain yet (the `ssi`
+    /// module docs' *Safe snapshots*).
+    safe_reads: Option<Vec<(Oid, u64)>>,
+    /// The transaction's status cell: made when the session starts at
+    /// [`IsolationLevel::Serializable`], at the first write otherwise (a
+    /// read-only snapshot transaction allocates none), and always
+    /// present once `write_set` is non-empty.
     cell: Option<Arc<TxnHandle>>,
 }
 
@@ -485,7 +479,7 @@ impl MvccTxn {
 
     /// The snapshot timestamp the transaction reads at.
     pub fn ts(&self) -> Ts {
-        self.ts
+        self.epoch.ts
     }
 
     /// Whether the transaction runs on a safe snapshot: it began at
@@ -493,7 +487,21 @@ impl MvccTxn {
     /// [`MvccHeap::convert`] has not ended that yet (the `ssi` module
     /// docs' *Safe snapshots*).
     pub fn is_safe(&self) -> bool {
-        self.cell.as_ref().is_some_and(|cell| cell.is_safe())
+        self.safe_reads.is_some()
+    }
+
+    /// Adds `oid` to the write set and returns the status cell for the
+    /// transaction's new record there, making the cell on the first
+    /// write.
+    fn enlist(&mut self, oid: Oid) -> Arc<TxnHandle> {
+        if let Err(at) = self.write_set.binary_search(&oid) {
+            self.write_set.insert(at, oid);
+        }
+        let id = self.id;
+        Arc::clone(
+            self.cell
+                .get_or_insert_with(|| Arc::new(TxnHandle::new(id))),
+        )
     }
 }
 
@@ -703,8 +711,6 @@ impl EpochTable {
 pub struct MvccHeap {
     base: Arc<Database>,
     shards: Box<[ChainShard]>,
-    /// Transaction registry, striped by `TxnId`.
-    txns: Box<[TxnStripe]>,
     /// Snapshot registry; the minimum active entry is the GC horizon.
     epochs: EpochTable,
     /// The commit-timestamp allocator. Drawing a timestamp is one
@@ -745,6 +751,8 @@ pub struct MvccHeap {
     obs: Arc<Obs>,
     /// Live counters.
     pub stats: MvccStats,
+    /// The by-id adapter's sessions (see [`MvccHeap::begin`]).
+    by_id: Mutex<MulMap<TxnId, MvccTxn>>,
 }
 
 impl MvccHeap {
@@ -816,7 +824,6 @@ impl MvccHeap {
         MvccHeap {
             base,
             shards: (0..SHARD_COUNT).map(|_| ChainShard::default()).collect(),
-            txns: (0..TXN_STRIPES).map(|_| CachePadded::default()).collect(),
             epochs: EpochTable::new(),
             clock: AtomicU64::new(base_ts),
             watermark: Watermark::with_base(base_ts),
@@ -827,6 +834,7 @@ impl MvccHeap {
             class_chains: AtomicUsize::new(0),
             obs: Arc::new(Obs::disabled()),
             stats: MvccStats::default(),
+            by_id: Mutex::default(),
         }
     }
 
@@ -980,47 +988,32 @@ impl MvccHeap {
         &self.shards[(oid.raw() as usize) % SHARD_COUNT]
     }
 
-    #[inline]
-    fn txn_stripe(&self, txn: TxnId) -> &Mutex<MulMap<TxnId, TxnState>> {
-        &self.txns[(txn.raw() as usize) % TXN_STRIPES].0
-    }
-
     /// The latest fully published commit timestamp (the watermark).
     pub fn current_ts(&self) -> Ts {
         self.watermark.get()
     }
 
-    /// Registers a transaction, assigning it a snapshot of the latest
-    /// published state. Returns the session's view of it, whose
-    /// [`MvccTxn::ts`] is the snapshot timestamp.
-    pub fn begin(&self, txn: TxnId) -> MvccTxn {
+    /// Starts transaction `txn` on a snapshot of the latest published
+    /// state and returns its session, whose [`MvccTxn::ts`] is the
+    /// snapshot timestamp. The heap keeps nothing of it but the epoch
+    /// registration that pins the snapshot.
+    pub fn session(&self, txn: TxnId) -> MvccTxn {
         let epoch = self.epochs.register(&self.watermark);
         // SIREAD entries are clones of a reader's cell, so a serializable
         // transaction needs one from its first read on; one that begins
-        // on a safe snapshot keeps its read set in it instead.
-        let cell = self.serializable.then(|| {
-            Arc::new(if self.is_safe_snapshot(epoch.ts) {
-                self.stats.ssi_safe_snapshots.bump();
-                TxnHandle::safe(txn)
-            } else {
-                TxnHandle::new(txn)
-            })
-        });
-        let prev = self.txn_stripe(txn).lock().insert(
-            txn,
-            TxnState {
-                epoch,
-                write_set: Vec::new(),
-                read_set: Vec::new(),
-                cell: cell.clone(),
-            },
-        );
-        debug_assert!(prev.is_none(), "transaction {txn} already registered");
+        // on a safe snapshot keeps its reads in the session instead.
+        let safe = self.serializable && self.is_safe_snapshot(epoch.ts);
+        if safe {
+            self.stats.ssi_safe_snapshots.bump();
+        }
         self.stats.begins.bump();
         MvccTxn {
             id: txn,
-            ts: epoch.ts,
-            cell,
+            epoch,
+            write_set: Vec::new(),
+            read_set: Vec::new(),
+            safe_reads: safe.then(Vec::new),
+            cell: self.serializable.then(|| Arc::new(TxnHandle::new(txn))),
         }
     }
 
@@ -1030,19 +1023,6 @@ impl MvccHeap {
     /// loaded (the `ssi` module docs' *Safe snapshots*).
     fn is_safe_snapshot(&self, ts: Ts) -> bool {
         self.epochs.min_active().is_none_or(|m| m >= ts) && self.current_ts() == ts
-    }
-
-    /// The registered transaction `txn`, as [`MvccHeap::begin`] returned
-    /// it: what the id-based [`MvccHeap::read`] and [`MvccHeap::write`]
-    /// look up. A session keeps what `begin` returned instead.
-    fn txn(&self, txn: TxnId) -> Option<MvccTxn> {
-        let stripe = self.txn_stripe(txn).lock();
-        let state = stripe.get(&txn)?;
-        Some(MvccTxn {
-            id: txn,
-            ts: state.epoch.ts,
-            cell: state.cell.clone(),
-        })
     }
 
     /// The cell a transaction's reads and writes report to at
@@ -1085,7 +1065,12 @@ impl MvccHeap {
     /// don't use read errors to probe liveness of versioned objects. At
     /// [`IsolationLevel::Serializable`] an object the base store does
     /// not hold is refused before anything is registered.
-    pub fn read_as(&self, txn: &MvccTxn, oid: Oid, field: FieldId) -> Result<Value, StoreError> {
+    pub fn read_as(
+        &self,
+        txn: &mut MvccTxn,
+        oid: Oid,
+        field: FieldId,
+    ) -> Result<Value, StoreError> {
         if self.tracking(txn).is_some() {
             self.base.class_of(oid)?;
         }
@@ -1099,49 +1084,53 @@ impl MvccHeap {
     /// writer of any of them meets this one entry, added to the object's
     /// chain (or widened) under the exclusive latch every install holds
     /// (the `ssi` module docs' *Status cells and the per-edge
-    /// protocol*). Must run before the reads it covers, which go through
+    /// protocol*), and a new chain joins the session's read set. Must
+    /// run before the reads it covers, which go through
     /// [`MvccHeap::read_covered`]; the runtime calls it once per top
     /// message, with the message's transitive access vector. On a safe
-    /// snapshot the entry only joins the read set ([`MvccHeap::convert`]);
-    /// a transaction the heap no longer knows, or an OID that keys a
-    /// class chain, registers nothing.
+    /// snapshot the entry only joins the session's safe read set
+    /// ([`MvccHeap::convert`]); an OID that keys a class chain registers
+    /// nothing.
     pub fn register_reads(
         &self,
-        txn: &MvccTxn,
+        txn: &mut MvccTxn,
         oid: Oid,
         fields: impl IntoIterator<Item = FieldId>,
     ) {
-        let Some(cell) = self.tracking(txn).filter(|_| !is_class_chain(oid)) else {
+        if self.tracking(txn).is_none() || is_class_chain(oid) {
             return;
-        };
+        }
         let fields = field_set(fields);
-        if fields != 0 && !cell.note_safe_reads(oid, fields) {
-            self.register(txn.id, cell, oid, fields);
+        if fields == 0 {
+            return;
+        }
+        match &mut txn.safe_reads {
+            Some(reads) => reads.push((oid, fields)),
+            None => self.register(txn, oid, fields),
         }
     }
 
     /// The chain half of [`MvccHeap::register_reads`] and
-    /// [`MvccHeap::record_class_read`]: the entry on `oid`'s chain (an
-    /// object's, or a [`class_chain`]), and on a new one the chain's
-    /// place in the transaction's read set, in one critical section (see
-    /// *Latch order*).
-    fn register(&self, txn: TxnId, cell: &Arc<TxnHandle>, oid: Oid, fields: u64) {
+    /// [`MvccHeap::record_class_read`]: the entry of `txn`'s cell on
+    /// `oid`'s chain (an object's, or a [`class_chain`]), and on a new
+    /// one the chain's place in the session's read set.
+    fn register(&self, txn: &mut MvccTxn, oid: Oid, fields: u64) {
+        let Some(cell) = &txn.cell else {
+            return;
+        };
         let horizon = self.horizon();
-        {
+        let added = {
             let mut chains = self.shard(oid).chains.write();
-            let mut stripe = self.txn_stripe(txn).lock();
-            let Some(state) = stripe.get_mut(&txn) else {
-                return;
-            };
             let chain = chains.entry(oid).or_insert_with(|| {
                 if is_class_chain(oid) {
                     self.class_chains.fetch_add(1, Ordering::Release);
                 }
                 Chain::default()
             });
-            if chain.readers.add(cell, fields, horizon) {
-                state.read_set.push(oid);
-            }
+            chain.readers.add(cell, fields, horizon)
+        };
+        if added {
+            txn.read_set.push(oid);
         }
         self.stats.ssi_registrations.bump();
     }
@@ -1157,19 +1146,19 @@ impl MvccHeap {
     /// first.
     pub fn record_class_read(
         &self,
-        txn: &MvccTxn,
+        txn: &mut MvccTxn,
         class: ClassId,
         fields: impl IntoIterator<Item = FieldId>,
     ) {
-        if let Some(cell) = self.tracking(txn) {
+        if self.tracking(txn).is_some() {
             self.convert(txn);
-            self.register(txn.id, cell, class_chain(class), field_set(fields));
+            self.register(txn, class_chain(class), field_set(fields));
         }
     }
 
     /// Ends `txn`'s safe snapshot, if it runs on one (the `ssi` module
-    /// docs' *Safe snapshots*): registers every entry of its read set on
-    /// its chain, then walks each of those chains again and records an
+    /// docs' *Safe snapshots*): registers every entry of its safe read set
+    /// on its chain, then walks each of those chains again and records an
     /// edge to every writer of a version invisible to it of a field in
     /// the entry — what its reads would have recorded had they been
     /// tracked. Idempotent, and a no-op at
@@ -1177,15 +1166,12 @@ impl MvccHeap {
     /// [`MvccHeap::record_class_read`] call it; a caller that knows the
     /// transaction is about to write calls it before the reads that
     /// precede the write, so those register as they happen.
-    pub fn convert(&self, txn: &MvccTxn) {
-        let Some(cell) = self.tracking(txn) else {
-            return;
-        };
-        let Some(reads) = cell.take_safe_reads() else {
+    pub fn convert(&self, txn: &mut MvccTxn) {
+        let Some(reads) = txn.safe_reads.take() else {
             return;
         };
         for &(oid, fields) in &reads {
-            self.register(txn.id, cell, oid, fields);
+            self.register(txn, oid, fields);
         }
         let mut overwriters = Vec::new();
         for &(oid, fields) in &reads {
@@ -1193,7 +1179,7 @@ impl MvccHeap {
                 // Of the records touching a field, the invisible ones are
                 // the newest (see `Chain`): the ones a walk steps past.
                 let invisible = chain.records.iter().filter(|rec| {
-                    !visible(rec, txn.ts, Some(txn.id))
+                    !visible(rec, txn.ts(), Some(txn.id))
                         && rec
                             .writes
                             .iter()
@@ -1202,7 +1188,9 @@ impl MvccHeap {
                 overwriters.extend(invisible.map(|rec| Arc::clone(&rec.owner)));
             }
         }
-        self.read_edges(cell, &overwriters);
+        if let Some(cell) = &txn.cell {
+            self.read_edges(cell, &overwriters);
+        }
     }
 
     /// [`MvccHeap::read_as`] by `txn` for a read its registration
@@ -1218,9 +1206,9 @@ impl MvccHeap {
         oid: Oid,
         field: FieldId,
     ) -> Result<Value, StoreError> {
-        let reader = self.tracking(txn).map(|cell| &**cell);
-        let reader = reader.filter(|cell| !cell.is_safe());
-        self.walk(txn.ts, Some(txn.id), oid, field, reader)
+        let reader = self.tracking(txn).filter(|_| !txn.is_safe());
+        let reader = reader.map(|cell| &**cell);
+        self.walk(txn.ts(), Some(txn.id), oid, field, reader)
     }
 
     /// The chain walk behind [`MvccHeap::read_as`] and
@@ -1277,54 +1265,29 @@ impl MvccHeap {
         }
     }
 
-    /// Snapshot read through a registered transaction (sees its own
-    /// pending writes); a `txn` the heap does not know is refused with
-    /// [`MvccReadError::UnknownTxn`].
-    pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, MvccReadError> {
-        let txn = self.txn(txn).ok_or(MvccReadError::UnknownTxn(txn))?;
-        Ok(self.read_as(&txn, oid, field)?)
-    }
-
-    /// Writes `field` of `oid` in transaction `txn`, looking it up in
-    /// the registry (a `txn` the heap does not know is refused with
-    /// [`MvccWriteError::UnknownTxn`]). Hot paths that keep what
-    /// [`MvccHeap::begin`] returned (the scheme session does) use
-    /// [`MvccHeap::write_at`] and skip the registry stripe.
-    pub fn write(
-        &self,
-        txn: TxnId,
-        oid: Oid,
-        field: FieldId,
-        value: Value,
-    ) -> Result<WriteOutcome, MvccWriteError> {
-        let txn = self.txn(txn).ok_or(MvccWriteError::UnknownTxn(txn))?;
-        self.write_at(&txn, oid, field, value)
-    }
-
     /// Writes `field` of `oid` in transaction `txn`, first converting
     /// it if it runs on a safe snapshot ([`MvccHeap::convert`]). Under
-    /// the object's chain-shard latch held exclusively: first-updater-wins admission
-    /// at `txn`'s snapshot, the write-through to the base store (its
-    /// previous value is the before-image), then the install — a new
-    /// pending record pointing at the transaction's status cell on the
-    /// object's first write, an in-place edit of the transaction's own
-    /// record after that — and at [`IsolationLevel::Serializable`] the
-    /// collection of the chain's readers of `field` that may overlap
-    /// `txn`, flagged once the latch is dropped. Returns what happened
-    /// to the chain.
+    /// the object's chain-shard latch held exclusively:
+    /// first-updater-wins admission at `txn`'s snapshot, the
+    /// write-through to the base store (its previous value is the
+    /// before-image), then the install — a new pending record pointing
+    /// at the transaction's status cell on the object's first write,
+    /// which also joins the session's write set, an in-place edit of
+    /// the transaction's own record after that — and at
+    /// [`IsolationLevel::Serializable`] the collection of the chain's
+    /// readers of `field` that may overlap `txn`, flagged once the latch
+    /// is dropped. Returns what happened to the chain.
     ///
     /// A refused write leaves nothing behind: a conflict or a store
-    /// error is raised before anything changes, and a `txn` the heap no
-    /// longer knows ([`MvccWriteError::UnknownTxn`]) has its
-    /// write-through restored before the latch is released.
+    /// error is raised before anything changes.
     pub fn write_at(
         &self,
-        txn: &MvccTxn,
+        txn: &mut MvccTxn,
         oid: Oid,
         field: FieldId,
         value: Value,
     ) -> Result<WriteOutcome, MvccWriteError> {
-        let snapshot_ts = txn.ts;
+        let snapshot_ts = txn.ts();
         // Chaos scheduling decision strictly before the latch: a parked
         // latch holder would deadlock the token scheduler.
         finecc_chaos::yield_point(finecc_chaos::Site::WriteInstall);
@@ -1346,25 +1309,21 @@ impl MvccHeap {
             }
         };
         let before = self.base.exchange_unchecked(oid, field, value.clone())?;
-        let (outcome, chain) = match own {
+        let chain = chains.entry(oid).or_default();
+        let outcome = match own {
             Some(i) => {
-                let chain = chains.entry(oid).or_default();
                 chain.records[i].set(field, before, value);
-                (WriteOutcome::MergedVersion, chain)
+                WriteOutcome::MergedVersion
             }
             None => {
-                let Some(owner) = self.enlist(txn.id, oid) else {
-                    let _ = self.base.write_unchecked(oid, field, before);
-                    return Err(MvccWriteError::UnknownTxn(txn.id));
-                };
                 let writes = vec![FieldWrite {
                     field,
                     before,
                     after: value,
                 }];
-                let chain = chains.entry(oid).or_default();
+                let owner = txn.enlist(oid);
                 chain.records.insert(0, VersionRecord { owner, writes });
-                (WriteOutcome::NewVersion, chain)
+                WriteOutcome::NewVersion
             }
         };
         let chain_len = chain.records.len();
@@ -1422,30 +1381,12 @@ impl MvccHeap {
         }
     }
 
-    /// Adds `oid` to `txn`'s write set and returns the transaction's
-    /// status cell for the new record — making the cell on the first
-    /// write — or `None` when the heap does not know `txn`. Called under
-    /// `oid`'s chain-shard latch (the txn stripe is a leaf there), so
-    /// the write set and the chain agree at every instant a commit or
-    /// abort can observe.
-    fn enlist(&self, txn: TxnId, oid: Oid) -> Option<Arc<TxnHandle>> {
-        let mut stripe = self.txn_stripe(txn).lock();
-        let state = stripe.get_mut(&txn)?;
-        if let Err(at) = state.write_set.binary_search(&oid) {
-            state.write_set.insert(at, oid);
-        }
-        let cell = state
-            .cell
-            .get_or_insert_with(|| Arc::new(TxnHandle::new(txn)));
-        Some(Arc::clone(cell))
-    }
-
     /// Attributes an SSI dangerous-structure abort: to the smallest
     /// OID in the pivot's write set (deterministic, and exactly one
     /// attribution per abort so registry totals match `ssi_aborts`),
     /// or unattributed for a read-only victim.
-    fn note_ssi_abort(&self, state: &TxnState) {
-        let key = state
+    fn note_ssi_abort(&self, txn: &MvccTxn) {
+        let key = txn
             .write_set
             .first()
             .map_or(ObjKey::Unattributed, |o| ObjKey::Instance(o.0));
@@ -1469,23 +1410,15 @@ impl MvccHeap {
     /// At [`IsolationLevel::Snapshot`] commit is infallible by
     /// construction. At [`IsolationLevel::Serializable`] the mark is
     /// dangerous-structure validation and mark in one step; on failure
-    /// the transaction is rolled back (as by [`MvccHeap::abort`]), its
-    /// drawn timestamp is published as a *skip*, and the [`SsiConflict`]
-    /// is returned — the caller retries on a fresh snapshot. A `txn` the
-    /// heap does not know is refused with [`CommitError::UnknownTxn`]
-    /// and touches nothing.
-    pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
-        // The stripe guard is a temporary, dropped at the end of this
-        // statement: it must never be held into a chain latch, under
-        // which a first write takes a stripe (see *Latch order*).
-        let state = self
-            .txn_stripe(txn)
-            .lock()
-            .remove(&txn)
-            .ok_or(CommitError::UnknownTxn(txn))?;
-        let cell = match &state.cell {
-            Some(cell) if !state.write_set.is_empty() => cell,
-            _ => return self.commit_read_only(state),
+    /// the transaction is rolled back (as by
+    /// [`MvccHeap::abort_session`]), its drawn timestamp is published as
+    /// a *skip*, and the [`SsiConflict`] is returned — the caller retries
+    /// on a fresh snapshot. A refused redo append ends the same way with
+    /// [`CommitError::LogIo`].
+    pub fn commit_session(&self, txn: MvccTxn) -> Result<Ts, CommitError> {
+        let cell = match &txn.cell {
+            Some(cell) if !txn.write_set.is_empty() => cell,
+            _ => return self.commit_read_only(txn),
         };
 
         finecc_chaos::yield_point(finecc_chaos::Site::CommitTsDraw);
@@ -1499,9 +1432,9 @@ impl MvccHeap {
         if !self.serializable {
             cell.mark(commit_ts);
         } else if let SsiVerdict::Abort(c) = cell.validate_and_commit(commit_ts) {
-            self.note_ssi_abort(&state);
+            self.note_ssi_abort(&txn);
             self.stats.ssi_aborts.bump();
-            self.refuse_commit(&state, commit_ts);
+            self.refuse_commit(&txn, commit_ts);
             return Err(c.into());
         }
         phases.lap(Phase::CommitTsDraw);
@@ -1509,8 +1442,8 @@ impl MvccHeap {
         // the disk) before the watermark publishes the timestamp; no
         // latch is held across the append or the wait.
         if let Some(wal) = &self.wal {
-            let mut writes = Vec::with_capacity(state.write_set.len());
-            for &oid in &state.write_set {
+            let mut writes = Vec::with_capacity(txn.write_set.len());
+            for &oid in &txn.write_set {
                 let chains = self.shard(oid).chains.read();
                 let chain = chains.get(&oid).expect("written chain exists");
                 let own = &chain.records[chain.own_at(cell)];
@@ -1521,10 +1454,10 @@ impl MvccHeap {
                 }));
             }
             finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
-            if let Err(e) = wal.append_commit(commit_ts, txn, &writes) {
+            if let Err(e) = wal.append_commit(commit_ts, txn.id, &writes) {
                 // Graceful degradation: the record never reached the
                 // log, so the commit must not happen.
-                self.refuse_commit(&state, commit_ts);
+                self.refuse_commit(&txn, commit_ts);
                 return Err(CommitError::LogIo(e.to_string()));
             }
         }
@@ -1539,9 +1472,9 @@ impl MvccHeap {
         phases.lap(Phase::CommitPublish);
         phases.finish(Phase::CommitTotal);
 
-        self.epochs.unregister(state.epoch);
+        self.epochs.unregister(txn.epoch);
         self.stats.commits.bump();
-        self.queue_reclaim(commit_ts, &state);
+        self.queue_reclaim(commit_ts, &txn);
         Ok(commit_ts)
     }
 
@@ -1552,24 +1485,21 @@ impl MvccHeap {
     /// 2004) — and queues its SIREADs' chains (see *Reclamation*). One
     /// that stayed on a safe snapshot registered none and, like a commit
     /// at `Snapshot`, validates nothing and touches no reclamation state.
-    fn commit_read_only(&self, state: TxnState) -> Result<Ts, CommitError> {
-        let ts = state.epoch.ts;
-        let tracked = state
-            .cell
-            .as_ref()
-            .filter(|cell| self.serializable && !cell.is_safe());
+    fn commit_read_only(&self, txn: MvccTxn) -> Result<Ts, CommitError> {
+        let ts = txn.ts();
+        let tracked = self.tracking(&txn).filter(|_| !txn.is_safe());
         if let Some(cell) = tracked {
             if let SsiVerdict::Abort(c) = cell.validate_and_commit(ts) {
-                self.note_ssi_abort(&state);
+                self.note_ssi_abort(&txn);
                 self.stats.ssi_aborts.bump();
-                self.discard(&state);
+                self.discard(&txn);
                 return Err(c.into());
             }
         }
-        self.epochs.unregister(state.epoch);
+        self.epochs.unregister(txn.epoch);
         self.stats.commits.bump();
         if tracked.is_some() {
-            self.queue_reclaim(ts, &state);
+            self.queue_reclaim(ts, &txn);
         }
         Ok(ts)
     }
@@ -1582,11 +1512,12 @@ impl MvccHeap {
     /// before it is published so recovery restores the hole, best-effort:
     /// a lost skip is harmless (a later durable commit covers the frame),
     /// so a failed append must not escalate a refusal into a panic. Then
-    /// the transaction is rolled back as by [`MvccHeap::abort`]. Like a
-    /// commit, the refusal returns only once its skip is published, so
-    /// a thread publishes each timestamp it draws before it draws again.
-    fn refuse_commit(&self, state: &TxnState, commit_ts: Ts) {
-        if let Some(cell) = &state.cell {
+    /// the transaction is rolled back as by [`MvccHeap::abort_session`].
+    /// Like a commit, the refusal returns only once its skip is
+    /// published, so a thread publishes each timestamp it draws before
+    /// it draws again.
+    fn refuse_commit(&self, txn: &MvccTxn, commit_ts: Ts) {
+        if let Some(cell) = &txn.cell {
             cell.abort();
         }
         if let Some(wal) = &self.wal {
@@ -1594,17 +1525,17 @@ impl MvccHeap {
         }
         self.watermark.publish(commit_ts);
         self.stats.ts_skips.bump();
-        self.discard(state);
+        self.discard(txn);
     }
 
     /// Rolls the transaction's writes back and ends it (counted in
     /// `aborts`). Returns the number of objects rolled back.
-    fn discard(&self, state: &TxnState) -> usize {
-        let rolled_back = self.rollback_writes(state);
+    fn discard(&self, txn: &MvccTxn) -> usize {
+        let rolled_back = self.rollback_writes(txn);
         // Abort-discarded records count as reclaimed, so created and
         // reclaimed balance once GC has drained the committed history.
         self.stats.versions_reclaimed.add(rolled_back as u64);
-        self.epochs.unregister(state.epoch);
+        self.epochs.unregister(txn.epoch);
         self.stats.aborts.bump();
         rolled_back
     }
@@ -1618,11 +1549,11 @@ impl MvccHeap {
     /// to restore (same contract as `UndoLog::rollback`). Then drops
     /// its SIREAD entries, which can yield no edge any more. Returns the
     /// number of objects rolled back.
-    fn rollback_writes(&self, state: &TxnState) -> usize {
-        let Some(cell) = &state.cell else {
+    fn rollback_writes(&self, txn: &MvccTxn) -> usize {
+        let Some(cell) = &txn.cell else {
             return 0; // no write, so no cell at `Snapshot`
         };
-        for &oid in &state.write_set {
+        for &oid in &txn.write_set {
             let mut chains = self.shard(oid).chains.write();
             let chain = chains.get_mut(&oid).expect("written chain exists");
             let at = chain.own_at(cell);
@@ -1633,7 +1564,7 @@ impl MvccHeap {
                 self.unlink(&mut chains, oid);
             }
         }
-        for &oid in &state.read_set {
+        for &oid in &txn.read_set {
             let mut chains = self.shard(oid).chains.write();
             if let Some(chain) = chains.get_mut(&oid) {
                 chain.readers.remove(cell);
@@ -1642,25 +1573,17 @@ impl MvccHeap {
                 }
             }
         }
-        state.write_set.len()
+        txn.write_set.len()
     }
 
     /// Aborts `txn`: restores every before-image of its pending records
     /// into the base store and removes the records. Returns the number of
-    /// objects rolled back. Aborting a `txn` the heap does not know
-    /// (never begun, or already ended) rolls nothing back and returns 0;
-    /// the call is still counted in `aborts`.
-    pub fn abort(&self, txn: TxnId) -> usize {
-        // As in `commit`: the stripe guard dies with this statement,
-        // before `discard` takes any chain latch.
-        let Some(state) = self.txn_stripe(txn).lock().remove(&txn) else {
-            self.stats.aborts.bump();
-            return 0;
-        };
-        if let Some(cell) = &state.cell {
+    /// objects rolled back.
+    pub fn abort_session(&self, txn: MvccTxn) -> usize {
+        if let Some(cell) = &txn.cell {
             cell.abort();
         }
-        self.discard(&state)
+        self.discard(&txn)
     }
 
     /// Opens a standalone read snapshot of the latest committed state.
@@ -1700,7 +1623,7 @@ impl MvccHeap {
     /// hold, for pruning in the committing thread's slot and, every
     /// [`RECLAIM_EVERY`]-th commit of that slot, runs one reclamation
     /// batch.
-    fn queue_reclaim(&self, commit_ts: Ts, txn: &TxnState) {
+    fn queue_reclaim(&self, commit_ts: Ts, txn: &MvccTxn) {
         let slot = self.my_slot();
         let read_only = txn
             .read_set
@@ -1833,6 +1756,78 @@ impl MvccHeap {
     }
 }
 
+/// The by-id adapter: transactions named by [`TxnId`], their sessions
+/// kept in one map. It has no logic of its own — each call takes the
+/// session out of the map, runs the session call, and puts it back — so
+/// the map's lock is taken under nothing, no heap latch or chaos yield
+/// runs under it, and one transaction must not be driven from two
+/// threads at once (the second call would find it unknown). It serves
+/// callers that cannot hold a session, such as the benchmark's bare-heap
+/// probe; everything else holds an [`MvccTxn`].
+impl MvccHeap {
+    /// [`MvccHeap::session`], kept in the adapter's map under `txn`.
+    /// Returns the snapshot timestamp.
+    pub fn begin(&self, txn: TxnId) -> Ts {
+        let session = self.session(txn);
+        let ts = session.ts();
+        let prev = self.by_id.lock().insert(txn, session);
+        debug_assert!(prev.is_none(), "transaction {txn} already registered");
+        ts
+    }
+
+    /// Runs `op` on `txn`'s session, out of the map for the duration.
+    fn with_session<R>(&self, txn: TxnId, op: impl FnOnce(&mut MvccTxn) -> R) -> Option<R> {
+        let mut session = self.by_id.lock().remove(&txn)?;
+        let out = op(&mut session);
+        self.by_id.lock().insert(txn, session);
+        Some(out)
+    }
+
+    /// [`MvccHeap::read_as`] by id; a `txn` the adapter does not hold is
+    /// refused with [`MvccReadError::UnknownTxn`].
+    pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, MvccReadError> {
+        self.with_session(txn, |s| self.read_as(s, oid, field))
+            .ok_or(MvccReadError::UnknownTxn(txn))?
+            .map_err(MvccReadError::Store)
+    }
+
+    /// [`MvccHeap::write_at`] by id; a `txn` the adapter does not hold
+    /// is refused with [`MvccWriteError::UnknownTxn`]. A refused write
+    /// leaves its transaction known.
+    pub fn write(
+        &self,
+        txn: TxnId,
+        oid: Oid,
+        field: FieldId,
+        value: Value,
+    ) -> Result<WriteOutcome, MvccWriteError> {
+        self.with_session(txn, |s| self.write_at(s, oid, field, value))
+            .ok_or(MvccWriteError::UnknownTxn(txn))?
+    }
+
+    /// [`MvccHeap::commit_session`] by id; a `txn` the adapter does not
+    /// hold is refused with [`CommitError::UnknownTxn`] and touches
+    /// nothing.
+    pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
+        let session = self.by_id.lock().remove(&txn);
+        self.commit_session(session.ok_or(CommitError::UnknownTxn(txn))?)
+    }
+
+    /// [`MvccHeap::abort_session`] by id. Aborting a `txn` the adapter
+    /// does not hold (never begun, or already ended) rolls nothing back
+    /// and returns 0; the call is still counted in `aborts`.
+    pub fn abort(&self, txn: TxnId) -> usize {
+        let session = self.by_id.lock().remove(&txn);
+        match session {
+            Some(session) => self.abort_session(session),
+            None => {
+                self.stats.aborts.bump();
+                0
+            }
+        }
+    }
+}
+
 /// Why an MVCC write failed. Every variant leaves the heap and the base
 /// store as they were before the call.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1842,7 +1837,7 @@ pub enum MvccWriteError {
     Conflict(MvccConflict),
     /// The base store rejected the write (unknown OID, type mismatch, …).
     Store(StoreError),
-    /// The transaction is not registered with the heap — never begun,
+    /// The by-id adapter holds no session under this id — never begun,
     /// or already committed or aborted. Retrying cannot help.
     UnknownTxn(TxnId),
 }
@@ -1872,15 +1867,9 @@ impl std::error::Error for MvccWriteError {}
 pub enum MvccReadError {
     /// The base store refused the read (unknown OID, field not visible).
     Store(StoreError),
-    /// The transaction is not registered with the heap — never begun,
+    /// The by-id adapter holds no session under this id — never begun,
     /// or already committed or aborted. Retrying cannot help.
     UnknownTxn(TxnId),
-}
-
-impl From<StoreError> for MvccReadError {
-    fn from(e: StoreError) -> MvccReadError {
-        MvccReadError::Store(e)
-    }
 }
 
 impl std::fmt::Display for MvccReadError {
@@ -1896,10 +1885,11 @@ impl std::fmt::Display for MvccReadError {
 
 impl std::error::Error for MvccReadError {}
 
-/// Why [`MvccHeap::commit`] refused a transaction. On the first two
-/// variants the transaction is fully rolled back (as by [`MvccHeap::abort`])
-/// and its drawn timestamp is published as a *skip*, keeping the
-/// watermark prefix dense — callers retry on a fresh snapshot.
+/// Why [`MvccHeap::commit_session`] (or the by-id [`MvccHeap::commit`])
+/// refused a transaction. On the first two variants the transaction is
+/// fully rolled back (as by [`MvccHeap::abort_session`]) and its drawn
+/// timestamp is published as a *skip*, keeping the watermark prefix
+/// dense — callers retry on a fresh snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommitError {
     /// Serializable validation found a dangerous structure.
@@ -1909,7 +1899,7 @@ pub enum CommitError {
     /// transient (the log degrades batch by batch), so the error is
     /// retryable.
     LogIo(String),
-    /// The transaction is not registered with the heap — never begun,
+    /// The by-id adapter holds no session under this id — never begun,
     /// or already committed or aborted. Nothing was touched and no
     /// timestamp was drawn; retrying cannot help.
     UnknownTxn(TxnId),
@@ -2140,10 +2130,10 @@ mod tests {
                 let heap = &heap;
                 s.spawn(move || {
                     for round in 0..50u64 {
-                        let t = TxnId((i as u64) << 32 | round | 1 << 63);
-                        heap.begin(t);
-                        heap.write(t, oid, x, Value::Int(round as i64)).unwrap();
-                        heap.commit(t).unwrap();
+                        let mut t = heap.session(TxnId((i as u64) << 32 | round | 1 << 63));
+                        heap.write_at(&mut t, oid, x, Value::Int(round as i64))
+                            .unwrap();
+                        heap.commit_session(t).unwrap();
                     }
                 });
             }
@@ -2290,13 +2280,6 @@ mod tests {
         let (_, heap, a, x, _) = setup();
         let o = heap.base().create(a);
         let stranger = TxnId(9);
-        // A session kept past its transaction's end is a stranger too.
-        let ended = heap.begin(stranger);
-        heap.abort(stranger);
-        assert_eq!(
-            heap.write_at(&ended, o, x, Value::Int(5)),
-            Err(MvccWriteError::UnknownTxn(stranger))
-        );
         assert_eq!(
             heap.write(stranger, o, x, Value::Int(5)),
             Err(MvccWriteError::UnknownTxn(stranger))
@@ -2355,6 +2338,26 @@ mod tests {
     }
 
     #[test]
+    fn a_by_id_write_refused_by_a_rival_leaves_its_transaction_known() {
+        let (_, heap, a, x, y) = setup();
+        let o = heap.base().create(a);
+        heap.begin(TxnId(1));
+        heap.begin(TxnId(2));
+        heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
+        heap.write(TxnId(2), o, y, Value::Int(2)).unwrap();
+        assert!(matches!(
+            heap.write(TxnId(2), o, x, Value::Int(3)),
+            Err(MvccWriteError::Conflict(_))
+        ));
+        assert_eq!(heap.abort(TxnId(2)), 1, "its earlier write rolls back");
+        assert_eq!(heap.base().read(o, y), Ok(Value::Int(0)));
+        heap.commit(TxnId(1)).unwrap();
+        assert_eq!(heap.base().read(o, x), Ok(Value::Int(1)));
+        let m = heap.stats.snapshot();
+        assert_eq!((m.commits, m.aborts, m.write_conflicts), (1, 1, 1));
+    }
+
+    #[test]
     fn reclamation_never_stops_the_world_on_the_commit_path() {
         // 10,000 single-object commits over `threads` disjoint object
         // sets: no commit call may take more reclamation latches than
@@ -2374,12 +2377,12 @@ mod tests {
                     let mut next = rng(0x5eed ^ t);
                     let mut reclaim_latches = 0;
                     for i in 0..per_thread {
-                        let txn = TxnId(t << 32 | (i + 1));
-                        heap.begin(txn);
+                        let mut txn = heap.session(TxnId(t << 32 | (i + 1)));
                         let oid = oids[next() as usize % OBJECTS];
-                        heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
+                        heap.write_at(&mut txn, oid, x, Value::Int(i as i64))
+                            .unwrap();
                         let before = chain_latches();
-                        heap.commit(txn).unwrap();
+                        heap.commit_session(txn).unwrap();
                         // An unlogged commit latches no chain itself
                         // (`commit_is_atomic_across_objects`): whatever
                         // it took, its reclamation batch took.
@@ -2414,10 +2417,10 @@ mod tests {
         let (_, heap, a, x, y) = setup();
         let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
         for (i, &oid) in oids.iter().enumerate() {
-            let txn = TxnId(1 << 40 | i as u64);
-            heap.begin(txn);
-            heap.write(txn, oid, x, Value::Int(i as i64)).unwrap();
-            heap.commit(txn).unwrap();
+            let mut txn = heap.session(TxnId(1 << 40 | i as u64));
+            heap.write_at(&mut txn, oid, x, Value::Int(i as i64))
+                .unwrap();
+            heap.commit_session(txn).unwrap();
         }
         let pinned = heap.snapshot();
         let writers = (finecc_obs::test_threads() / 2).max(1) as u64;
@@ -2429,21 +2432,21 @@ mod tests {
                 s.spawn(move || {
                     let mut next = rng(0xabcd ^ w);
                     for i in 0..TXNS_PER_WRITER {
-                        let txn = TxnId((w + 1) << 32 | i);
-                        heap.begin(txn);
+                        let mut txn = heap.session(TxnId((w + 1) << 32 | i));
                         // One or two objects, both fields of the first:
                         // new versions, merges, and — when two writers
                         // meet — first-updater-wins aborts.
                         let first = oids[next() as usize % OBJECTS];
                         let second = oids[next() as usize % OBJECTS];
                         let v = Value::Int(-(i as i64) - 1);
-                        let ok = heap.write(txn, first, x, v.clone()).is_ok()
-                            && heap.write(txn, first, y, v.clone()).is_ok()
-                            && (i % 2 == 0 || heap.write(txn, second, x, v).is_ok());
+                        let mut write = |o, f, v| heap.write_at(&mut txn, o, f, v).is_ok();
+                        let ok = write(first, x, v.clone())
+                            && write(first, y, v.clone())
+                            && (i % 2 == 0 || write(second, x, v));
                         if ok {
-                            heap.commit(txn).unwrap();
+                            heap.commit_session(txn).unwrap();
                         } else {
-                            heap.abort(txn);
+                            heap.abort_session(txn);
                         }
                     }
                     writers_left.fetch_sub(1, Ordering::SeqCst);
@@ -2491,10 +2494,9 @@ mod tests {
             // and then idles, alive: its slot stays its own.
             let a_thread = s.spawn(move || {
                 for (i, &oid) in theirs.iter().enumerate() {
-                    let txn = TxnId(1 << 32 | i as u64);
-                    heap.begin(txn);
-                    heap.write(txn, oid, x, Value::Int(1)).unwrap();
-                    heap.commit(txn).unwrap();
+                    let mut txn = heap.session(TxnId(1 << 32 | i as u64));
+                    heap.write_at(&mut txn, oid, x, Value::Int(1)).unwrap();
+                    heap.commit_session(txn).unwrap();
                 }
                 committed.wait();
                 done.wait();
@@ -2509,11 +2511,10 @@ mod tests {
             let b_slot = s
                 .spawn(move || {
                     for i in 0..4_000u64 {
-                        let txn = TxnId(2 << 32 | i);
-                        heap.begin(txn);
-                        heap.write(txn, mine[i as usize % mine.len()], x, Value::Int(2))
-                            .unwrap();
-                        heap.commit(txn).unwrap();
+                        let mut txn = heap.session(TxnId(2 << 32 | i));
+                        let oid = mine[i as usize % mine.len()];
+                        heap.write_at(&mut txn, oid, x, Value::Int(2)).unwrap();
+                        heap.commit_session(txn).unwrap();
                     }
                     thread_slot()
                 })
@@ -2556,11 +2557,11 @@ mod tests {
                 let (heap, round) = (&heap, &round);
                 s.spawn(move || {
                     for i in 0..ROUNDS * RECLAIM_EVERY as u64 {
-                        let txn = TxnId((t + 1) << 32 | i);
-                        heap.begin(txn);
-                        heap.write(txn, oids[i as usize % OBJECTS], x, Value::Int(i as i64))
+                        let mut txn = heap.session(TxnId((t + 1) << 32 | i));
+                        let oid = oids[i as usize % OBJECTS];
+                        heap.write_at(&mut txn, oid, x, Value::Int(i as i64))
                             .unwrap();
-                        heap.commit(txn).unwrap();
+                        heap.commit_session(txn).unwrap();
                         if (i + 1).is_multiple_of(RECLAIM_EVERY as u64) {
                             round.wait();
                         }
@@ -2605,21 +2606,21 @@ mod tests {
         // a third: the thread slot is a locality hint, nothing more.
         let (_, heap, a, x, y) = setup();
         let oids: Vec<Oid> = (0..40).map(|_| heap.base().create(a)).collect();
-        let hop = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        fn hop<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+            std::thread::scope(|s| s.spawn(f).join().unwrap())
+        }
         for (i, &oid) in oids.iter().enumerate() {
-            let txn = TxnId(i as u64 + 1);
-            hop(&|| {
-                heap.begin(txn);
+            let mut txn = hop(|| heap.session(TxnId(i as u64 + 1)));
+            let txn = hop(|| {
+                heap.write_at(&mut txn, oid, x, Value::Int(7)).unwrap();
+                heap.write_at(&mut txn, oid, y, Value::Int(8)).unwrap();
+                txn
             });
-            hop(&|| {
-                heap.write(txn, oid, x, Value::Int(7)).unwrap();
-                heap.write(txn, oid, y, Value::Int(8)).unwrap();
-            });
-            hop(&|| {
+            hop(|| {
                 if i % 2 == 0 {
-                    heap.commit(txn).unwrap();
+                    heap.commit_session(txn).unwrap();
                 } else {
-                    assert_eq!(heap.abort(txn), 1);
+                    assert_eq!(heap.abort_session(txn), 1);
                 }
             });
         }
@@ -2672,18 +2673,17 @@ mod tests {
                     }
                     let mut last_committed = 0;
                     for round in 1..=ROUNDS {
-                        let t = TxnId(next_txn.fetch_add(1, Ordering::SeqCst));
-                        heap.begin(t);
-                        heap.write(t, o, x, POISON).unwrap();
-                        heap.write(t, o, y, POISON).unwrap();
+                        let mut t = heap.session(TxnId(next_txn.fetch_add(1, Ordering::SeqCst)));
+                        heap.write_at(&mut t, o, x, POISON).unwrap();
+                        heap.write_at(&mut t, o, y, POISON).unwrap();
                         if round % 2 == 0 {
-                            assert_eq!(heap.abort(t), 1);
+                            assert_eq!(heap.abort_session(t), 1);
                             continue;
                         }
                         let merged = [(x, round), (y, round)]
-                            .map(|(f, v)| heap.write(t, o, f, Value::Int(v)).unwrap());
+                            .map(|(f, v)| heap.write_at(&mut t, o, f, Value::Int(v)).unwrap());
                         assert_eq!(merged, [WriteOutcome::MergedVersion; 2]);
-                        match heap.commit(t) {
+                        match heap.commit_session(t) {
                             Ok(_) => last_committed = round,
                             // Refused and already rolled back.
                             Err(CommitError::Ssi(_)) => {}
@@ -2705,13 +2705,14 @@ mod tests {
                                 (snap.ts(), snap.read(o, x), snap.read(o, y))
                             } else {
                                 let t = TxnId(next_txn.fetch_add(1, Ordering::SeqCst));
-                                let txn = heap.begin(t);
+                                let mut txn = heap.session(t);
                                 let ts = txn.ts();
-                                let pair = (heap.read_as(&txn, o, x), heap.read_as(&txn, o, y));
+                                let pair =
+                                    (heap.read_as(&mut txn, o, x), heap.read_as(&mut txn, o, y));
                                 // Read-only: it commits at its snapshot, or
                                 // validation refuses it and there is
                                 // nothing to roll back.
-                                let _ = heap.commit(t);
+                                let _ = heap.commit_session(txn);
                                 (ts, pair.0, pair.1)
                             };
                             if i == r {
@@ -2756,19 +2757,19 @@ mod tests {
         // safe: validation must refuse one of T1 and T2.
         let (heap, a, x, y) = serializable();
         let o = heap.base().create(a);
-        let (t1, t2, t3) = (TxnId(1), TxnId(2), TxnId(3));
-        heap.begin(t2);
-        assert_eq!(heap.read(t2, o, x), Ok(Value::Int(0)));
-        assert_eq!(heap.read(t2, o, y), Ok(Value::Int(0)));
-        heap.begin(t3);
-        heap.write(t3, o, x, Value::Int(1)).unwrap();
-        heap.commit(t3).unwrap();
-        let t1_safe = heap.begin(t1).is_safe();
-        assert_eq!(heap.read(t1, o, x), Ok(Value::Int(1)));
-        assert_eq!(heap.read(t1, o, y), Ok(Value::Int(0)));
-        let r1 = heap.commit(t1);
-        heap.write(t2, o, y, Value::Int(2)).unwrap();
-        let r2 = heap.commit(t2);
+        let mut t2 = heap.session(TxnId(2));
+        assert_eq!(heap.read_as(&mut t2, o, x), Ok(Value::Int(0)));
+        assert_eq!(heap.read_as(&mut t2, o, y), Ok(Value::Int(0)));
+        let mut t3 = heap.session(TxnId(3));
+        heap.write_at(&mut t3, o, x, Value::Int(1)).unwrap();
+        heap.commit_session(t3).unwrap();
+        let mut t1 = heap.session(TxnId(1));
+        let t1_safe = t1.is_safe();
+        assert_eq!(heap.read_as(&mut t1, o, x), Ok(Value::Int(1)));
+        assert_eq!(heap.read_as(&mut t1, o, y), Ok(Value::Int(0)));
+        let r1 = heap.commit_session(t1);
+        heap.write_at(&mut t2, o, y, Value::Int(2)).unwrap();
+        let r2 = heap.commit_session(t2);
         assert!(r1.is_err() || r2.is_err(), "both committed: {r1:?} {r2:?}");
         assert!(!t1_safe, "T2 holds an older snapshot");
     }
@@ -2782,17 +2783,18 @@ mod tests {
         // cycle U ──rw──▶ T ──rw──▶ W ──wr──▶ U is admitted.
         let (heap, a, x, y) = serializable();
         let o = heap.base().create(a);
-        let (t, w, u) = (TxnId(1), TxnId(2), TxnId(3));
-        assert!(heap.begin(t).is_safe());
-        assert_eq!(heap.read(t, o, x), Ok(Value::Int(0)));
-        heap.begin(w);
-        heap.write(w, o, x, Value::Int(1)).unwrap();
-        heap.commit(w).unwrap();
-        assert!(!heap.begin(u).is_safe(), "T holds an older snapshot");
-        assert_eq!(heap.read(u, o, x), Ok(Value::Int(1)));
-        assert_eq!(heap.read(u, o, y), Ok(Value::Int(0)));
-        heap.write(t, o, y, Value::Int(2)).unwrap();
-        let (rt, ru) = (heap.commit(t), heap.commit(u));
+        let mut t = heap.session(TxnId(1));
+        assert!(t.is_safe());
+        assert_eq!(heap.read_as(&mut t, o, x), Ok(Value::Int(0)));
+        let mut w = heap.session(TxnId(2));
+        heap.write_at(&mut w, o, x, Value::Int(1)).unwrap();
+        heap.commit_session(w).unwrap();
+        let mut u = heap.session(TxnId(3));
+        assert!(!u.is_safe(), "T holds an older snapshot");
+        assert_eq!(heap.read_as(&mut u, o, x), Ok(Value::Int(1)));
+        assert_eq!(heap.read_as(&mut u, o, y), Ok(Value::Int(0)));
+        heap.write_at(&mut t, o, y, Value::Int(2)).unwrap();
+        let (rt, ru) = (heap.commit_session(t), heap.commit_session(u));
         assert!(rt.is_err() || ru.is_err(), "both committed: {rt:?} {ru:?}");
     }
 
@@ -2808,16 +2810,16 @@ mod tests {
         heap.write(TxnId(1), oids[0], x, Value::Int(7)).unwrap();
         heap.commit(TxnId(1)).unwrap();
         for i in 2..=TXNS {
-            let txn = heap.begin(TxnId(i));
+            let mut txn = heap.session(TxnId(i));
             assert!(
                 txn.is_safe(),
                 "transaction {i} did not begin on a safe snapshot"
             );
             let o = oids[i as usize % oids.len()];
             let want = if o == oids[0] { 7 } else { 0 };
-            assert_eq!(heap.read_as(&txn, o, x), Ok(Value::Int(want)));
-            assert_eq!(heap.read_as(&txn, o, y), Ok(Value::Int(0)));
-            heap.commit(TxnId(i)).unwrap();
+            assert_eq!(heap.read_as(&mut txn, o, x), Ok(Value::Int(want)));
+            assert_eq!(heap.read_as(&mut txn, o, y), Ok(Value::Int(0)));
+            heap.commit_session(txn).unwrap();
         }
         assert_eq!(siread_entries(&heap), (0, 0));
         let m = heap.stats.snapshot();
@@ -2832,15 +2834,12 @@ mod tests {
         // per domain class, for its TAV fields, registered on the class
         // chain before the scan, then covered reads of every instance.
         const N: usize = 200;
-        let (schema, _, a, x, y) = setup();
-        let db = Arc::new(Database::new(schema));
-        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let (heap, a, x, y) = serializable();
         let oids: Vec<Oid> = (0..N).map(|_| heap.base().create(a)).collect();
-        let scan = TxnId(1);
-        let scan_txn = heap.begin(scan);
-        heap.record_class_read(&scan_txn, a, [x]);
+        let mut scan = heap.session(TxnId(1));
+        heap.record_class_read(&mut scan, a, [x]);
         for &o in &oids {
-            assert_eq!(heap.read_covered(&scan_txn, o, x), Ok(Value::Int(0)));
+            assert_eq!(heap.read_covered(&scan, o, x), Ok(Value::Int(0)));
         }
         assert_eq!(
             siread_entries(&heap),
@@ -2851,17 +2850,19 @@ mod tests {
         let edges = || heap.stats.snapshot().ssi_edges;
         // A concurrent writer of a field outside the covered set meets
         // no reader; one of the covered field meets the scan once.
-        heap.begin(TxnId(2));
-        heap.write(TxnId(2), oids[7], y, Value::Int(1)).unwrap();
+        let mut outside = heap.session(TxnId(2));
+        heap.write_at(&mut outside, oids[7], y, Value::Int(1))
+            .unwrap();
         assert_eq!(edges(), 0);
-        heap.begin(TxnId(3));
-        heap.write(TxnId(3), oids[8], x, Value::Int(1)).unwrap();
+        let mut covered = heap.session(TxnId(3));
+        heap.write_at(&mut covered, oids[8], x, Value::Int(1))
+            .unwrap();
         assert_eq!(edges(), 1);
         // A read nothing covers still registers on its chain.
-        heap.read(scan, oids[0], y).unwrap();
+        heap.read_as(&mut scan, oids[0], y).unwrap();
         assert_eq!(siread_entries(&heap), (1, 1));
-        for t in 1..=3 {
-            heap.commit(TxnId(t)).unwrap();
+        for txn in [scan, outside, covered] {
+            heap.commit_session(txn).unwrap();
         }
         // With every session ended, the sweep leaves nothing to probe.
         heap.gc();
@@ -2874,8 +2875,8 @@ mod tests {
     fn a_live_scans_class_chain_survives_gc() {
         let (heap, a, x, _) = serializable();
         let o = heap.base().create(a);
-        let scan = heap.begin(TxnId(1));
-        heap.record_class_read(&scan, a, [x]);
+        let mut scan = heap.session(TxnId(1));
+        heap.record_class_read(&mut scan, a, [x]);
         // Writers commit around the scan; the sweep prunes what it can,
         // which is not the live scan's entry.
         for t in 2..=4 {
@@ -2892,7 +2893,7 @@ mod tests {
         heap.write(TxnId(5), o, x, Value::Int(5)).unwrap();
         assert_eq!(heap.stats.snapshot().ssi_edges, edges + 1);
         heap.abort(TxnId(5));
-        heap.commit(TxnId(1)).unwrap();
+        heap.commit_session(scan).unwrap();
     }
 
     #[test]
@@ -2906,21 +2907,22 @@ mod tests {
         heap.begin(TxnId(1));
         heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
         heap.commit(TxnId(1)).unwrap();
-        let scan = heap.begin(TxnId(2));
-        heap.record_class_read(&scan, a, [x]);
-        heap.commit(TxnId(2)).unwrap();
+        let mut scan = heap.session(TxnId(2));
+        heap.record_class_read(&mut scan, a, [x]);
+        heap.commit_session(scan).unwrap();
         assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (1, 1));
         for t in 3..3 + RECLAIM_EVERY as u64 {
-            heap.convert(&heap.begin(TxnId(t)));
-            assert_eq!(heap.read(TxnId(t), o, x), Ok(Value::Int(1)));
-            heap.commit(TxnId(t)).unwrap();
+            let mut txn = heap.session(TxnId(t));
+            heap.convert(&mut txn);
+            assert_eq!(heap.read_as(&mut txn, o, x), Ok(Value::Int(1)));
+            heap.commit_session(txn).unwrap();
         }
         assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
         // A rollback drops a class entry, and its chain, too.
-        let aborted = heap.begin(TxnId(100));
-        heap.record_class_read(&aborted, a, [x]);
+        let mut aborted = heap.session(TxnId(100));
+        heap.record_class_read(&mut aborted, a, [x]);
         assert_eq!(class_chains(&heap), 1);
-        heap.abort(TxnId(100));
+        heap.abort_session(aborted);
         assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
     }
 
@@ -2931,9 +2933,9 @@ mod tests {
         heap.begin(TxnId(1));
         heap.write(TxnId(1), o, x, Value::Int(1)).unwrap();
         heap.commit(TxnId(1)).unwrap();
-        let scan = heap.begin(TxnId(2));
-        heap.record_class_read(&scan, a, [x]);
-        heap.commit(TxnId(2)).unwrap();
+        let mut scan = heap.session(TxnId(2));
+        heap.record_class_read(&mut scan, a, [x]);
+        heap.commit_session(scan).unwrap();
         // Once the horizon passes the scan's commit, the writer's probe
         // is the next touch of the class chain: it drops the entry, finds
         // the chain empty and unlinks it.
@@ -2952,18 +2954,18 @@ mod tests {
         // A refused read leaves no reader-only chain behind, and an OID
         // at the top of the space is never taken for a class chain.
         let (heap, _, x, _) = serializable();
-        let reader = heap.begin(TxnId(1));
-        heap.convert(&reader);
+        let mut reader = heap.session(TxnId(1));
+        heap.convert(&mut reader);
         for oid in [Oid(999), Oid(u64::MAX)] {
             assert_eq!(
-                heap.read_as(&reader, oid, x),
+                heap.read_as(&mut reader, oid, x),
                 Err(StoreError::UnknownOid(oid))
             );
         }
-        heap.register_reads(&reader, Oid(u64::MAX), [x]);
+        heap.register_reads(&mut reader, Oid(u64::MAX), [x]);
         assert_eq!((heap.live_chains(), class_chains(&heap)), (0, 0));
         assert_eq!(heap.stats.snapshot().ssi_registrations, 0);
-        heap.commit(TxnId(1)).unwrap();
+        heap.commit_session(reader).unwrap();
     }
 
     #[test]
@@ -3006,22 +3008,22 @@ mod tests {
         let (heap, a, x, y) = serializable();
         let (o1, o2) = (heap.base().create(a), heap.base().create(a));
         let edges = || heap.stats.snapshot().ssi_edges;
-        let (r, w) = (heap.begin(TxnId(1)), heap.begin(TxnId(2)));
-        heap.convert(&r);
-        heap.write_at(&w, o1, x, Value::Int(1)).unwrap();
-        heap.register_reads(&r, o1, [x, y]);
+        let (mut r, mut w) = (heap.session(TxnId(1)), heap.session(TxnId(2)));
+        heap.convert(&mut r);
+        heap.write_at(&mut w, o1, x, Value::Int(1)).unwrap();
+        heap.register_reads(&mut r, o1, [x, y]);
         assert_eq!(edges(), 0, "a registration records no edge");
         assert_eq!(heap.read_covered(&r, o1, x), Ok(Value::Int(0)));
         assert_eq!(edges(), 1, "the walk stepped past the install");
-        heap.register_reads(&r, o2, [x]);
-        heap.write_at(&w, o2, y, Value::Int(2)).unwrap();
+        heap.register_reads(&mut r, o2, [x]);
+        heap.write_at(&mut w, o2, y, Value::Int(2)).unwrap();
         assert_eq!(edges(), 1, "y is outside the registered set");
-        heap.write_at(&w, o2, x, Value::Int(2)).unwrap();
+        heap.write_at(&mut w, o2, x, Value::Int(2)).unwrap();
         assert_eq!(edges(), 2, "the install found the registration");
         assert_eq!(heap.stats.snapshot().ssi_registrations, 2);
         // R ──rw──▶ W twice over: one flag each, so both commit.
-        heap.commit(TxnId(1)).unwrap();
-        heap.commit(TxnId(2)).unwrap();
+        heap.commit_session(r).unwrap();
+        heap.commit_session(w).unwrap();
     }
 
     #[test]
@@ -3032,20 +3034,16 @@ mod tests {
         let (_, heap, a, x, y) = setup();
         let o = heap.base().create(a);
         let early = heap.snapshot();
-        let (writer, rival) = (TxnId(1), TxnId(2));
-        heap.begin(writer);
-        heap.begin(rival);
-        heap.write(writer, o, x, Value::Int(7)).unwrap();
-        heap.write(writer, o, y, Value::Int(8)).unwrap();
-        let stripe = heap.txn_stripe(writer).lock();
-        let cell = stripe[&writer].cell.clone().expect("a writer has a cell");
-        drop(stripe);
+        let (mut writer, mut rival) = (heap.session(TxnId(1)), heap.session(TxnId(2)));
+        heap.write_at(&mut writer, o, x, Value::Int(7)).unwrap();
+        heap.write_at(&mut writer, o, y, Value::Int(8)).unwrap();
+        let cell = writer.cell.clone().expect("a writer has a cell");
         let ts = heap.clock.fetch_add(1, Ordering::Relaxed) + 1;
         cell.mark(ts);
         let late = heap.snapshot();
         assert!(late.ts() < ts, "the mark published nothing");
         // `admit`: committed after the rival's snapshot, not pending.
-        let refused = heap.write(rival, o, x, Value::Int(9));
+        let refused = heap.write_at(&mut rival, o, x, Value::Int(9));
         let pending_in = None;
         let conflict = MvccConflict {
             oid: o,
@@ -3057,7 +3055,7 @@ mod tests {
         for f in [x, y] {
             assert_eq!(early.read(o, f), Ok(Value::Int(0)));
             assert_eq!(late.read(o, f), Ok(Value::Int(0)));
-            assert_eq!(heap.read(rival, o, f), Ok(Value::Int(0)));
+            assert_eq!(heap.read_as(&mut rival, o, f), Ok(Value::Int(0)));
         }
         // Publication is all it takes to make the records visible.
         heap.watermark.publish(ts);
@@ -3083,11 +3081,11 @@ mod tests {
         let mut next = rng(20_000);
         let mut most = 0;
         for i in 1..=TXNS {
-            let t = TxnId(i);
-            heap.convert(&heap.begin(t));
+            let mut t = heap.session(TxnId(i));
+            heap.convert(&mut t);
             let o = oids[next() as usize % OBJECTS];
-            assert_eq!(heap.read(t, o, x), heap.read(t, o, x));
-            heap.commit(t).unwrap();
+            assert_eq!(heap.read_as(&mut t, o, x), heap.read_as(&mut t, o, x));
+            heap.commit_session(t).unwrap();
             most = most.max(siread_entries(&heap).0);
         }
         assert!(
@@ -3098,11 +3096,11 @@ mod tests {
         // needed; a rollback drops its own entries itself.
         let left = heap.live_chains();
         assert!(left < RECLAIM_EVERY as usize, "{left} reader-only chains");
-        let aborted = heap.begin(TxnId(TXNS + 1));
-        heap.convert(&aborted);
-        heap.register_reads(&aborted, heap.base().create(a), [x]);
+        let mut aborted = heap.session(TxnId(TXNS + 1));
+        heap.convert(&mut aborted);
+        heap.register_reads(&mut aborted, heap.base().create(a), [x]);
         assert_eq!(heap.live_chains(), left + 1);
-        heap.abort(TxnId(TXNS + 1));
+        heap.abort_session(aborted);
         assert_eq!(heap.live_chains(), left);
         heap.gc();
         assert_eq!((heap.live_chains(), siread_entries(&heap)), (0, (0, 0)));

@@ -25,8 +25,8 @@
 //! # Status cells and the per-edge protocol
 //!
 //! Every tracked transaction owns one status cell (`TxnHandle`), shared
-//! by the heap's registry, its session, every version record it writes
-//! and every SIREAD entry it registers. The cell holds the id, the
+//! by its session (`MvccTxn`), every version record it writes and every
+//! SIREAD entry it registers. The cell holds the id, the
 //! atomic commit status — `LIVE` while it runs, its commit timestamp
 //! once committed (a read-only transaction's snapshot), `DEAD` once
 //! aborted — and Cahill's flags behind its own small lock. There is no
@@ -152,7 +152,7 @@
 //! is therefore the `T1` of no anomaly, and, writing nothing, it is no
 //! `T2` or `T3` either: it needs no SIREAD.
 //!
-//! * **The test.** `MvccHeap::begin` registers the snapshot epoch
+//! * **The test.** `MvccHeap::session` registers the snapshot epoch
 //!   first, then loads the epoch table's per-shard minima (no lock).
 //!   The transaction begins *safe* when no registered snapshot is older
 //!   than its own and the watermark still equals its snapshot after
@@ -164,9 +164,8 @@
 //!   the watermark re-read, still at our snapshot, puts that commit at
 //!   or below it.
 //! * **While safe.** A registration only notes its object and fields in
-//!   the cell's read set (`Flags::safe_reads`, under the cell's own
-//!   lock, which only the transaction's operations take while it is
-//!   safe), and reads record no edge. No edge can reach a transaction
+//!   the session's safe read set (`MvccTxn`, which only the
+//!   transaction's own operations touch), and reads record no edge. No edge can reach a transaction
 //!   that holds no SIREAD and wrote nothing, so a safe read-only commit
 //!   validates nothing and touches no reclamation state.
 //! * **Conversion.** Before anything the transaction writes, the heap
@@ -187,8 +186,7 @@
 //! latch: a writer clones the cells of the readers it collected, on its
 //! object's chain and then on its class's, and flags them after dropping
 //! the last latch, its own in-flag last. At most one chain latch is held
-//! at a time, a class chain's included. A safe registration and a
-//! conversion take their own cell's lock alone.
+//! at a time, a class chain's included.
 //!
 //! The SIREADs are the paper's access vectors: a top message registers
 //! on its receiver the fields its TAV may touch (`Write`-mode ones
@@ -216,9 +214,9 @@
 //! written object, or unattributed for a read-only pivot.
 
 use crate::Ts;
-use finecc_model::{FieldId, Oid, TxnId};
+use finecc_model::{FieldId, TxnId};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Commit status of a running transaction: above every timestamp.
@@ -294,9 +292,7 @@ impl std::error::Error for SsiConflict {}
 /// One transaction's status cell: its id, its commit status, and its
 /// conflict flags. A writer's version records point at it, and every
 /// SIREAD entry of a serializable reader is a clone of it (see the
-/// module docs' *Status cells and the per-edge protocol*). While the
-/// transaction runs on a safe snapshot the cell also holds its read set
-/// (module docs, *Safe snapshots*).
+/// module docs' *Status cells and the per-edge protocol*).
 #[derive(Debug)]
 pub(crate) struct TxnHandle {
     pub(crate) txn: TxnId,
@@ -307,12 +303,6 @@ pub(crate) struct TxnHandle {
     /// whose `SeqCst` publish follows the store; a load that misses a
     /// store sees `LIVE`, and `flag_readers` re-reads it under `flags`.
     status: AtomicU64,
-    /// Whether `flags.safe_reads` is `Some`, readable without the lock:
-    /// a tracked registration pays one load for it. `Relaxed`: it
-    /// publishes nothing (the read set is read under the lock, and a
-    /// stale `true` finds `None` there), and only the transaction's own
-    /// operations store it, once, at conversion.
-    safe: AtomicBool,
     /// Cahill's sticky flags, kept under the cell's own lock.
     flags: Mutex<Flags>,
 }
@@ -330,11 +320,6 @@ struct Flags {
     /// already-committed pivot; the named pivot cannot be aborted, so
     /// this transaction must be.
     doomed_by: Option<TxnId>,
-    /// `Some` while the transaction runs on a safe snapshot: the objects
-    /// it has registered reads on and the fields of each (a chain
-    /// reader's field set), none of them registered (module docs, *Safe
-    /// snapshots*).
-    safe_reads: Option<Vec<(Oid, u64)>>,
 }
 
 impl TxnHandle {
@@ -343,56 +328,8 @@ impl TxnHandle {
         TxnHandle {
             txn,
             status: AtomicU64::new(LIVE),
-            safe: AtomicBool::new(false),
             flags: Mutex::default(),
         }
-    }
-
-    /// The cell of a live transaction that begins on a safe snapshot.
-    pub(crate) fn safe(txn: TxnId) -> TxnHandle {
-        TxnHandle {
-            txn,
-            status: AtomicU64::new(LIVE),
-            safe: AtomicBool::new(true),
-            flags: Mutex::new(Flags {
-                safe_reads: Some(Vec::new()),
-                ..Flags::default()
-            }),
-        }
-    }
-
-    /// Whether the transaction still runs on a safe snapshot.
-    #[inline]
-    pub(crate) fn is_safe(&self) -> bool {
-        self.safe.load(Ordering::Relaxed)
-    }
-
-    /// Adds reads of `fields` of `oid` to a safe transaction's read set
-    /// and returns `true`; returns `false`, noting nothing, once the
-    /// transaction is tracked and must register them on the chain.
-    #[inline]
-    pub(crate) fn note_safe_reads(&self, oid: Oid, fields: u64) -> bool {
-        if !self.is_safe() {
-            return false;
-        }
-        match &mut self.flags.lock().safe_reads {
-            Some(reads) => {
-                reads.push((oid, fields));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Ends the safe snapshot: returns the read set for the caller to
-    /// register, or `None` when the transaction is tracked already.
-    pub(crate) fn take_safe_reads(&self) -> Option<Vec<(Oid, u64)>> {
-        if !self.is_safe() {
-            return None;
-        }
-        let reads = self.flags.lock().safe_reads.take();
-        self.safe.store(false, Ordering::Relaxed);
-        reads
     }
 
     /// The commit status: `LIVE`, the commit timestamp, or `DEAD`.

@@ -62,4 +62,4 @@ pub use schemes::mvcc::MvccScheme;
 pub use schemes::relational::RelationalScheme;
 pub use schemes::rw::RwScheme;
 pub use schemes::tav::TavScheme;
-pub use txn::{run_txn, run_txn_with, RetryPolicy, Txn, TxnOutcome};
+pub use txn::{run_txn, Txn, TxnOutcome};

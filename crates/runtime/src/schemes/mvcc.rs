@@ -19,10 +19,10 @@
 //!   base-store `RwLock` (the scheme has no lock manager, so it emits
 //!   no `finecc.lock.*` sample at all, and the heap's
 //!   `read_base_loads` counter stays at zero whenever a chain covers
-//!   the field). The snapshot
-//!   timestamp (and at `Serializable` the transaction's status cell) is
-//!   cached in the transaction session, so steady-state operations skip
-//!   the heap's transaction registry too.
+//!   the field). The transaction's heap state — snapshot epoch, write
+//!   and read sets, status cell — is its [`MvccTxn`] session, kept in
+//!   [`Txn::mvcc`] and handed to the heap by reference: the heap keeps
+//!   no table of transactions to look anything up in.
 //! * **Writes** install pending versions under first-updater-wins
 //!   admission control at **field granularity** — like the TAV scheme,
 //!   writers of disjoint fields of one instance run in parallel (the
@@ -78,8 +78,8 @@ use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
 use finecc_model::{ClassId, FieldId, MethodId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccReadError, MvccTxn, MvccWriteError,
-    SsiConflict, Wal, WalConfig,
+    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccTxn, MvccWriteError, SsiConflict,
+    Wal, WalConfig,
 };
 use finecc_obs::SlotIds;
 use std::path::Path;
@@ -90,8 +90,8 @@ use std::sync::Arc;
 pub struct MvccScheme {
     env: Env,
     heap: Arc<MvccHeap>,
-    /// Transaction ids, carrying the beginning thread's slot: the heap's
-    /// registry stripes are keyed by it.
+    /// Transaction ids, carrying the beginning thread's slot, so ids
+    /// drawn on two threads never share a counter.
     ids: SlotIds,
 }
 
@@ -177,12 +177,21 @@ impl MvccScheme {
                 msg: c.to_string(),
             },
             MvccWriteError::Store(e) => Env::store_err(e),
-            // Not this scheme's transaction (or one already ended):
-            // nothing was installed, and a re-run would fare no better.
-            e @ MvccWriteError::UnknownTxn(_) => ExecError::ConcurrencyAbort {
+            // Only the heap's by-id adapter refuses a transaction as
+            // unknown, never a session.
+            e => ExecError::ConcurrencyAbort {
                 deadlock: false,
                 msg: e.to_string(),
             },
+        }
+    }
+
+    /// A [`Txn`] without a session is not this scheme's transaction (or
+    /// one already ended): refused, and a re-run would fare no better.
+    fn stranger(id: TxnId) -> ExecError {
+        ExecError::ConcurrencyAbort {
+            deadlock: false,
+            msg: format!("transaction {id} has no mvcc session"),
         }
     }
 
@@ -199,10 +208,10 @@ impl MvccScheme {
 struct MvccAccess<'a> {
     env: &'a Env,
     heap: &'a MvccHeap,
-    /// The transaction as the [`Txn`] session caches it at begin — field
-    /// reads and writes go straight to the version chains without ever
-    /// touching the heap's transaction registry.
-    txn: &'a MvccTxn,
+    /// The transaction's session, borrowed from [`Txn::mvcc`]: field reads
+    /// and writes hand it to the heap, whose only shared state they touch
+    /// is the version chains.
+    txn: &'a mut MvccTxn,
     /// The `(class, field)` pairs this operation registered
     /// class-granular SIREADs for ([`MvccAccess::cover_extent`]): a
     /// message to an instance of such a class whose whole vector they
@@ -285,18 +294,9 @@ impl DataAccess for MvccAccess<'_> {
 }
 
 impl MvccScheme {
-    fn access<'a>(&'a self, txn: &'a Txn) -> Result<MvccAccess<'a>, ExecError> {
-        // The heap's view of the transaction is cached in the session at
-        // begin, so message sends never touch the heap's transaction
-        // registry. A `Txn` without it is not this scheme's transaction:
-        // a re-run would fare no better.
-        let mvcc = txn
-            .mvcc
-            .as_ref()
-            .ok_or_else(|| ExecError::ConcurrencyAbort {
-                deadlock: false,
-                msg: MvccReadError::UnknownTxn(txn.id).to_string(),
-            })?;
+    fn access<'a>(&'a self, txn: &'a mut Txn) -> Result<MvccAccess<'a>, ExecError> {
+        let id = txn.id;
+        let mvcc = txn.mvcc.as_mut().ok_or_else(|| MvccScheme::stranger(id))?;
         Ok(MvccAccess {
             env: &self.env,
             heap: &self.heap,
@@ -319,7 +319,7 @@ impl CcScheme for MvccScheme {
     }
 
     fn begin(&self) -> Txn {
-        Txn::with_mvcc(self.heap.begin(TxnId(self.ids.next())))
+        Txn::with_mvcc(self.heap.session(TxnId(self.ids.next())))
     }
 
     fn send(
@@ -371,14 +371,17 @@ impl CcScheme for MvccScheme {
         // At Serializable the heap validates here and rolls the
         // transaction back itself on a dangerous structure.
         txn.undo.clear();
-        self.heap.commit(txn.id).map_err(|e| match e {
+        let session = txn
+            .mvcc
+            .take()
+            .ok_or_else(|| MvccScheme::stranger(txn.id))?;
+        self.heap.commit_session(session).map_err(|e| match e {
             CommitError::Ssi(c) => MvccScheme::ssi_err(c),
             // The heap already rolled the transaction back and skip-
             // published the drawn timestamp; the failure is retryable.
             CommitError::LogIo(m) => ExecError::LogIo(m),
-            // Not this scheme's transaction (or one already ended):
-            // nothing was touched, and a re-run would fare no better.
-            e @ CommitError::UnknownTxn(_) => ExecError::ConcurrencyAbort {
+            // As in `exec_err`: never a session's refusal.
+            e => ExecError::ConcurrencyAbort {
                 deadlock: false,
                 msg: e.to_string(),
             },
@@ -387,7 +390,9 @@ impl CcScheme for MvccScheme {
 
     fn abort(&self, mut txn: Txn) {
         txn.undo.clear();
-        self.heap.abort(txn.id);
+        if let Some(session) = txn.mvcc.take() {
+            self.heap.abort_session(session);
+        }
     }
 
     fn register_metrics(&self, reg: &finecc_obs::MetricsRegistry, labels: &[(&str, &str)]) {
@@ -470,7 +475,8 @@ mod tests {
         // snapshot predates the pending write.
         let mut reader = s.begin();
         s.send(&mut reader, o2, "m3", &[]).unwrap();
-        assert_eq!(s.heap().read(reader.id, o2, f4), Ok(Value::Int(0)));
+        let session = reader.mvcc.as_mut().unwrap();
+        assert_eq!(s.heap().read_as(session, o2, f4), Ok(Value::Int(0)));
         s.commit(reader).unwrap();
         s.commit(writer).unwrap();
         assert_eq!(crate::read_metrics(&s).get("finecc.lock.requests"), None);

@@ -15,13 +15,11 @@ pub struct Txn {
     pub id: TxnId,
     /// Before-images recorded during execution.
     pub undo: UndoLog,
-    /// The mvcc schemes' session view of the transaction: its snapshot
-    /// timestamp and, at `Serializable`, its status cell (`None` for
-    /// the lock schemes). The mvcc schemes stamp it at begin so
-    /// steady-state reads and writes never consult the heap's
-    /// transaction registry — the per-operation registry-stripe lookup
-    /// this cache replaced was the read path's last shared-mutable
-    /// touch besides the chains themselves.
+    /// The mvcc schemes' session: the transaction's whole heap state —
+    /// snapshot epoch, write and read sets, status cell (`None` for the
+    /// lock schemes). The heap keeps no table of transactions; the
+    /// scheme hands it this session on every read and write, and its
+    /// commit or abort consumes it.
     pub mvcc: Option<MvccTxn>,
     /// The first [`Txn::HELD_LOCKS`] locks the lock schemes were
     /// granted (empty for the mvcc schemes). Strict 2PL holds a granted
@@ -45,7 +43,7 @@ impl Txn {
         }
     }
 
-    /// Creates a transaction carrying its MVCC session view.
+    /// Creates a transaction carrying its MVCC session.
     pub fn with_mvcc(mvcc: MvccTxn) -> Txn {
         Txn {
             id: mvcc.id(),
@@ -67,7 +65,7 @@ pub enum TxnOutcome<T> {
         /// failures) before success.
         retries: u32,
     },
-    /// Gave up after exhausting the policy's retry budget.
+    /// Gave up after exhausting the retry budget.
     Exhausted {
         /// Retryable aborts performed.
         retries: u32,
@@ -91,60 +89,21 @@ impl<T> TxnOutcome<T> {
     }
 }
 
-/// Bounds and paces the retry loop of [`run_txn_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retryable aborts tolerated before giving up
-    /// ([`TxnOutcome::Exhausted`]).
-    pub max_retries: u32,
-    /// Backoff units per retry: attempt `n` backs off
-    /// `min(n, 8) * backoff_unit` steps, each one cooperative yield
-    /// (and, under a chaos scheduled session, one virtual-time
-    /// scheduling decision — the backoff is deterministic there).
-    pub backoff_unit: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 64,
-            backoff_unit: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The default pacing with a custom retry budget.
-    pub fn with_max_retries(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
-/// [`run_txn_with`] under the default pacing and a custom retry budget
-/// — the standard driver used by `finecc-sim`'s executor, the examples
-/// and the stress tests.
-pub fn run_txn<T>(
-    scheme: &dyn CcScheme,
-    max_retries: u32,
-    body: impl FnMut(&mut Txn) -> Result<T, ExecError>,
-) -> TxnOutcome<T> {
-    run_txn_with(scheme, RetryPolicy::with_max_retries(max_retries), body)
-}
-
 /// Runs `body` as a transaction against `scheme`, committing on
 /// success, aborting (undo + release) on error, and retrying
 /// *retryable* failures — deadlock victims and transient write-ahead
-/// log refusals ([`ExecError::is_retryable`]) — within the policy's
-/// budget. A *commit-time* refusal (mvcc-ssi dangerous structures, a
-/// failed redo append) counts as a retry too: the scheme has already
-/// rolled the transaction back, so the loop simply re-runs the body on
-/// a fresh snapshot.
-pub fn run_txn_with<T>(
+/// log refusals ([`ExecError::is_retryable`]) — up to `max_retries`
+/// times ([`TxnOutcome::Exhausted`] after that). A *commit-time*
+/// refusal (mvcc-ssi dangerous structures, a failed redo append) counts
+/// as a retry too: the scheme has already rolled the transaction back,
+/// so the loop simply re-runs the body on a fresh snapshot. Retry `n`
+/// backs off `min(n, 8)` cooperative yields (under a chaos scheduled
+/// session, as many virtual-time scheduling decisions, so the backoff
+/// is deterministic there). The standard driver of `finecc-sim`'s
+/// executor, the examples, the stress tests and the benchmark.
+pub fn run_txn<T>(
     scheme: &dyn CcScheme,
-    policy: RetryPolicy,
+    max_retries: u32,
     mut body: impl FnMut(&mut Txn) -> Result<T, ExecError>,
 ) -> TxnOutcome<T> {
     let obs = &scheme.env().obs;
@@ -175,12 +134,12 @@ pub fn run_txn_with<T>(
         };
         debug_assert!(retryable);
         retries += 1;
-        if retries > policy.max_retries {
+        if retries > max_retries {
             break TxnOutcome::Exhausted { retries };
         }
         // Bounded backoff proportional to the retry count keeps rival
         // victims from re-colliding in lockstep.
-        for _ in 0..retries.min(8).saturating_mul(policy.backoff_unit) {
+        for _ in 0..retries.min(8) {
             finecc_chaos::yield_point(finecc_chaos::Site::TxnBackoff);
             std::thread::yield_now();
         }

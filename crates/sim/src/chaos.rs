@@ -40,9 +40,7 @@ use crate::history::{History, Key, Recorded, Violation};
 use finecc_chaos::{self as chaos, ChaosOutcome, FaultKind, FaultPlan, FaultSpec, Site};
 use finecc_lang::ExecError;
 use finecc_model::{FieldId, Oid, Value};
-use finecc_runtime::{
-    run_txn_with, CcScheme, DurabilityLevel, Env, RetryPolicy, SchemeKind, Txn, TxnOutcome,
-};
+use finecc_runtime::{run_txn, CcScheme, DurabilityLevel, Env, SchemeKind, Txn, TxnOutcome};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -399,7 +397,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
         }
     };
 
-    let policy = RetryPolicy::with_max_retries(sc.max_retries);
+    let max_retries = sc.max_retries;
     let history = Mutex::new(History::default());
     let track = Mutex::new(Track::default());
 
@@ -442,7 +440,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
                             }
                         }
                         let rec = Recorded::new(scheme, history, w as u32, i as u32);
-                        run_op(&rec, policy, w, op, layout, &mut written, track);
+                        run_op(&rec, max_retries, w, op, layout, &mut written, track);
                     }
                 });
             }
@@ -451,7 +449,7 @@ pub fn run_chaos(sc: &ChaosScenario) -> io::Result<ChaosReport> {
         // check covers that case).
         if !chaos::crashed() {
             let rec = Recorded::new(scheme, &history, sc.workers as u32, 0);
-            let _ = run_txn_with(&rec, policy, |txn| {
+            let _ = run_txn(&rec, max_retries, |txn| {
                 cells.iter().try_for_each(|&oid| get(&rec, txn, (oid, val)))
             });
         }
@@ -555,7 +553,7 @@ struct Layout<'a> {
 /// counts them), so no retry rewrites an aborted attempt's value.
 fn run_op(
     rec: &Recorded,
-    policy: RetryPolicy,
+    max_retries: u32,
     w: usize,
     op: ChaosOp,
     layout: &Layout,
@@ -563,7 +561,7 @@ fn run_op(
     track: &Mutex<Track>,
 ) {
     let key = |oid| (oid, layout.val);
-    let out = run_txn_with(rec, policy, |txn| {
+    let out = run_txn(rec, max_retries, |txn| {
         if let Some(ts) = txn.mvcc.as_ref().map(|t| t.ts()) {
             let mut t = track.lock().unwrap_or_else(|e| e.into_inner());
             if ts < t.max_snapshot_ts {
@@ -1009,7 +1007,7 @@ pub fn run_upgrade_deadlock(seed: u64, replay: &[u32]) -> UpgradeDeadlockReport 
     let scheme = &finecc_runtime::FieldLockScheme::new(env);
     let withdraw = |w: usize| {
         let _worker = chaos::register_worker_as(w);
-        let out = run_txn_with(scheme, RetryPolicy::with_max_retries(8), |txn| {
+        let out = run_txn(scheme, 8, |txn| {
             scheme.send(txn, account, "withdraw", &[Value::Int(10)])
         });
         match out {

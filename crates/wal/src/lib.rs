@@ -61,7 +61,7 @@ pub mod stats;
 pub use checkpoint::{CheckpointData, CheckpointImage, InstanceImage};
 pub use error::{as_recovery_error, RecoveryError};
 pub use log::{DurabilityLevel, Wal, WalConfig, RETAIN_CHECKPOINTS};
-pub use record::{FrameStream, LogReader, LogRecord};
+pub use record::{FrameStream, LogRecord};
 pub use recover::{
     recover_database, recover_database_with_window, recovery_floor, RecoveryInfo,
     DEFAULT_REORDER_WINDOW,

@@ -897,7 +897,7 @@ fn flusher_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogReader;
+    use crate::record::FrameStream;
     use finecc_model::Value;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -932,8 +932,7 @@ mod tests {
         let wal = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.max_logged_ts(), 2);
         drop(wal);
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        let records: Vec<LogRecord> = LogReader::new(&bytes).unwrap().map(|(_, r)| r).collect();
+        let (records, _) = read_log(&dir);
         assert_eq!(records.len(), 3);
         assert!(matches!(records[2], LogRecord::Skip { ts: 2 }));
         let _ = std::fs::remove_dir_all(&dir);
@@ -996,11 +995,9 @@ mod tests {
         assert_eq!(wal.max_logged_ts(), 2);
         wal.append_commit(3, TxnId(3), &[image(1, 0, 9)]).unwrap();
         drop(wal);
-        let bytes = LogReader::read_file(&path).unwrap();
-        let mut reader = LogReader::new(&bytes).unwrap();
-        let records: Vec<LogRecord> = reader.by_ref().map(|(_, r)| r).collect();
+        let (records, torn) = read_log(&dir);
         assert_eq!(records.len(), 3, "torn tail gone, new record readable");
-        assert!(!reader.tail_torn());
+        assert!(!torn);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1029,8 +1026,7 @@ mod tests {
         let wal = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.max_logged_ts(), 3);
         drop(wal);
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        assert_eq!(LogReader::new(&bytes).unwrap().count(), 3);
+        assert_eq!(read_log(&dir).0.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1057,8 +1053,7 @@ mod tests {
         }
         drop(handle);
         // Only the acked record survived — the failed batch was rewound.
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        let records: Vec<LogRecord> = LogReader::new(&bytes).unwrap().map(|(_, r)| r).collect();
+        let (records, _) = read_log(&dir);
         assert_eq!(records.len(), 1);
         assert!(matches!(records[0], LogRecord::Commit { ts: 2, .. }));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1097,18 +1092,20 @@ mod tests {
         let wal = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.max_logged_ts(), 1);
         drop(wal);
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        let mut reader = LogReader::new(&bytes).unwrap();
-        assert_eq!(reader.by_ref().count(), 1);
+        assert_eq!(read_log(&dir).0.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The log's intact records in file order, and whether its tail is
+    /// torn.
+    fn read_log(dir: &Path) -> (Vec<LogRecord>, bool) {
+        let mut stream = FrameStream::open(&Wal::log_path(dir)).unwrap();
+        let records = stream.by_ref().map(|frame| frame.unwrap().1).collect();
+        (records, stream.tail_torn())
+    }
+
     fn read_log_timestamps(dir: &Path) -> Vec<u64> {
-        let bytes = LogReader::read_file(&Wal::log_path(dir)).unwrap();
-        LogReader::new(&bytes)
-            .unwrap()
-            .map(|(_, r)| r.order_ts())
-            .collect()
+        read_log(dir).0.iter().map(LogRecord::order_ts).collect()
     }
 
     #[test]
@@ -1225,11 +1222,7 @@ mod tests {
             "group commit never syncs more than once per record"
         );
         drop(wal);
-        let bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        assert_eq!(
-            LogReader::new(&bytes).unwrap().count() as u64,
-            threads * per
-        );
+        assert_eq!(read_log(&dir).0.len() as u64, threads * per);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1365,13 +1358,20 @@ mod tests {
     #[test]
     fn logs_are_byte_compatible_with_the_parent_pipeline() {
         // Frame by frame, the encoder reproduces the fixture …
-        let old: Vec<(usize, LogRecord)> = LogReader::new(PR18_LOG).unwrap().collect();
+        let resume = tmpdir("compat-resume");
+        std::fs::create_dir_all(&resume).unwrap();
+        std::fs::write(Wal::log_path(&resume), PR18_LOG).unwrap();
+        let old: Vec<(u64, LogRecord)> = FrameStream::open(&Wal::log_path(&resume))
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(old.len(), 7);
         let mut start = LOG_MAGIC.len();
         for (end, rec) in &old {
-            assert_eq!(record::encode_frame(rec), PR18_LOG[start..*end], "{rec:?}");
+            let end = *end as usize;
+            assert_eq!(record::encode_frame(rec), PR18_LOG[start..end], "{rec:?}");
             assert_eq!(record::frame_len(rec), end - start, "{rec:?}");
-            start = *end;
+            start = end;
         }
         assert_eq!(start, PR18_LOG.len(), "no torn tail in the fixture");
         // … the same appends through the new pipeline write the same
@@ -1395,24 +1395,22 @@ mod tests {
                 .unwrap();
             }
             drop(wal);
-            let written = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
+            let written = std::fs::read(Wal::log_path(&dir)).unwrap();
             assert_eq!(written, PR18_LOG, "{level} inline={inline}");
             let _ = std::fs::remove_dir_all(&dir);
         }
         // … and the parent's file itself resumes under the new code:
         // appended to, truncated (a rewrite of every kept frame), and
         // still byte-identical in what it kept.
-        let dir = tmpdir("compat-resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(Wal::log_path(&dir), PR18_LOG).unwrap();
+        let dir = resume;
         let wal = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.max_logged_ts(), 4);
         wal.append_commit(5, TxnId(11), &[image(1, 0, 5)]).unwrap();
         wal.truncate_below(0).unwrap();
         drop(wal);
-        let resumed = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
+        let resumed = std::fs::read(Wal::log_path(&dir)).unwrap();
         assert_eq!(resumed[..PR18_LOG.len()], *PR18_LOG);
-        let records: Vec<LogRecord> = LogReader::new(&resumed).unwrap().map(|(_, r)| r).collect();
+        let (records, _) = read_log(&dir);
         assert_eq!(records.len(), 8);
         assert!(matches!(records[7], LogRecord::Commit { ts: 5, .. }));
         let _ = std::fs::remove_dir_all(&dir);

@@ -349,11 +349,11 @@ pub(crate) fn decode_body(body: &[u8]) -> io::Result<LogRecord> {
 }
 
 /// Reads one frame from `r`, which holds `remaining` bytes: the length
-/// header, the body's bounds, its checksum and its decoding — the one
-/// frame check [`LogReader`] and [`FrameStream`] share. Returns the
-/// frame's length and its record, or `None` for a torn or corrupt frame
-/// (the caller stops there); an error is `r`'s own. A length that runs
-/// past `remaining` is caught before any body is allocated.
+/// header, the body's bounds, its checksum and its decoding —
+/// [`FrameStream`]'s frame check. Returns the frame's length and its
+/// record, or `None` for a torn or corrupt frame (the caller stops
+/// there); an error is `r`'s own. A length that runs past `remaining`
+/// is caught before any body is allocated.
 fn read_frame(r: &mut impl Read, remaining: u64) -> io::Result<Option<(u64, LogRecord)>> {
     if remaining < 8 {
         return Ok(None);
@@ -373,89 +373,17 @@ fn read_frame(r: &mut impl Read, remaining: u64) -> io::Result<Option<(u64, LogR
     Ok(decode_body(&body).ok().map(|rec| (8 + len, rec)))
 }
 
-/// Iterates the intact records of a log byte stream, stopping cleanly
-/// at the first torn or corrupt frame. Each item carries the byte
-/// offset just *past* its frame — the crash-point tests truncate the
-/// log at every such boundary.
-pub struct LogReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// `true` once a torn/corrupt frame ended the iteration with bytes
-    /// left over.
-    torn: bool,
-}
-
-impl<'a> LogReader<'a> {
-    /// A reader over a full log file image (header included). Returns
-    /// `None` if the magic does not match.
-    pub fn new(bytes: &'a [u8]) -> Option<LogReader<'a>> {
-        if bytes.len() < LOG_MAGIC.len() || &bytes[..LOG_MAGIC.len()] != LOG_MAGIC {
-            return None;
-        }
-        Some(LogReader {
-            bytes,
-            pos: LOG_MAGIC.len(),
-            torn: false,
-        })
-    }
-
-    /// Reads a whole log file into memory and returns a reader-owning
-    /// buffer. Recovery streams frames through [`FrameStream`] instead;
-    /// this stays for tests and tools that want the raw image (the
-    /// crash-point matrix cuts it at every byte).
-    pub fn read_file(path: &std::path::Path) -> io::Result<Vec<u8>> {
-        let mut f = std::fs::File::open(path)?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Byte offset of the last intact frame boundary seen so far.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// `true` if iteration stopped on a torn/corrupt frame rather than
-    /// a clean end of file.
-    pub fn tail_torn(&self) -> bool {
-        self.torn
-    }
-}
-
-impl Iterator for LogReader<'_> {
-    type Item = (usize, LogRecord);
-
-    fn next(&mut self) -> Option<(usize, LogRecord)> {
-        if self.torn || self.pos >= self.bytes.len() {
-            return None;
-        }
-        let mut rest = &self.bytes[self.pos..];
-        let remaining = rest.len() as u64;
-        // Reading a slice within its bounds cannot fail.
-        match read_frame(&mut rest, remaining).ok().flatten() {
-            Some((len, rec)) => {
-                self.pos += len as usize;
-                Some((self.pos, rec))
-            }
-            None => {
-                self.torn = true;
-                None
-            }
-        }
-    }
-}
-
 /// Streams the intact records of a log *file*, one frame at a time —
-/// the bounded-memory counterpart of [`LogReader`]. Recovery iterates
-/// this instead of slurping the file: resident memory is one frame
-/// body plus the replay reorder window, O(window) rather than O(log).
+/// the one log reader. Recovery iterates it instead of slurping the
+/// file: resident memory is one frame body plus the replay reorder
+/// window, O(window) rather than O(log). As an [`Iterator`] it yields
+/// the same items [`FrameStream::next_record`] returns.
 ///
-/// Torn-tail semantics match [`LogReader`]: a short, bit-rotten, or
-/// undecodable frame ends the stream cleanly ([`FrameStream::tail_torn`]
-/// reports it); only a bad *header* (wrong magic) or a real I/O error
-/// is an error. The file length is captured at open, so a corrupt
-/// frame length can never drive an allocation past the bytes actually
-/// on disk.
+/// A short, bit-rotten, or undecodable frame ends the stream cleanly
+/// ([`FrameStream::tail_torn`] reports it); only a bad *header* (wrong
+/// magic) or a real I/O error is an error. The file length is captured
+/// at open, so a corrupt frame length can never drive an allocation
+/// past the bytes actually on disk.
 pub struct FrameStream {
     reader: BufReader<std::fs::File>,
     path: PathBuf,
@@ -536,6 +464,14 @@ impl FrameStream {
     }
 }
 
+impl Iterator for FrameStream {
+    type Item = Result<(u64, LogRecord), RecoveryError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_record().transpose()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,33 +524,64 @@ mod tests {
         bytes
     }
 
+    /// A fresh file path under a per-test temporary directory.
+    fn log_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("finecc-record-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("wal.log")
+    }
+
+    /// Writes `bytes` to `path` and streams them back: every intact
+    /// frame with its end offset, and the stream once it stopped.
+    fn stream(path: &Path, bytes: &[u8]) -> (Vec<(u64, LogRecord)>, FrameStream) {
+        std::fs::write(path, bytes).unwrap();
+        let mut stream = FrameStream::open(path).unwrap();
+        let frames = stream.by_ref().map(Result::unwrap).collect();
+        (frames, stream)
+    }
+
     #[test]
     fn roundtrip_all_kinds_and_values() {
         let records = sample_records();
-        let bytes = log_bytes(&records);
-        let reader = LogReader::new(&bytes).unwrap();
-        let decoded: Vec<LogRecord> = reader.map(|(_, r)| r).collect();
+        let path = log_path("roundtrip");
+        let (frames, stream) = stream(&path, &log_bytes(&records));
+        let decoded: Vec<LogRecord> = frames.into_iter().map(|(_, r)| r).collect();
         assert_eq!(decoded, records);
+        assert!(!stream.tail_torn());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn torn_tail_stops_cleanly_at_every_cut() {
         let records = sample_records();
         let bytes = log_bytes(&records);
-        let mut boundaries: Vec<usize> = vec![LOG_MAGIC.len()];
-        boundaries.extend(LogReader::new(&bytes).unwrap().map(|(off, _)| off));
-        // Cutting anywhere yields exactly the records whose frames fit.
-        for cut in LOG_MAGIC.len()..=bytes.len() {
-            let mut reader = LogReader::new(&bytes[..cut]).unwrap();
-            let got: Vec<LogRecord> = reader.by_ref().map(|(_, r)| r).collect();
-            // The start boundary is not a frame end: subtract it.
-            let expect = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(got.len(), expect, "cut at {cut}");
-            assert_eq!(
-                reader.tail_torn(),
-                cut != bytes.len() && !boundaries.contains(&cut)
-            );
+        // The frame boundaries, from the encoder alone.
+        let mut ends = vec![LOG_MAGIC.len() as u64];
+        for r in &records {
+            ends.push(ends[ends.len() - 1] + encode_frame(r).len() as u64);
         }
+        let path = log_path("cuts");
+        // Cutting anywhere yields exactly the records whose frames end
+        // at or before the cut; the tail is torn iff the cut falls
+        // inside a frame.
+        for cut in LOG_MAGIC.len()..=bytes.len() {
+            let (frames, stream) = stream(&path, &bytes[..cut]);
+            let fit = ends.iter().filter(|&&end| end <= cut as u64).count() - 1;
+            let want: Vec<(u64, LogRecord)> = ends[1..=fit]
+                .iter()
+                .copied()
+                .zip(records[..fit].iter().cloned())
+                .collect();
+            assert_eq!(frames, want, "cut at {cut}");
+            assert_eq!(
+                stream.tail_torn(),
+                !ends.contains(&(cut as u64)),
+                "cut at {cut}"
+            );
+            assert_eq!(stream.offset(), ends[fit], "cut at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
@@ -622,50 +589,27 @@ mod tests {
         let records = sample_records();
         let mut bytes = log_bytes(&records);
         // Flip one byte inside the second frame's body.
-        let first_end = LogReader::new(&bytes).unwrap().next().unwrap().0;
+        let first_end = LOG_MAGIC.len() + encode_frame(&records[0]).len();
         bytes[first_end + 12] ^= 0x40;
-        let mut reader = LogReader::new(&bytes).unwrap();
-        let got: Vec<LogRecord> = reader.by_ref().map(|(_, r)| r).collect();
-        assert_eq!(got.len(), 1, "only the intact prefix survives");
-        assert!(reader.tail_torn());
+        let path = log_path("bitrot");
+        let (frames, stream) = stream(&path, &bytes);
+        assert_eq!(frames.len(), 1, "only the intact prefix survives");
+        assert!(stream.tail_torn());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        assert!(LogReader::new(b"NOTALOG\0rest").is_none());
-        assert!(LogReader::new(b"").is_none());
-    }
-
-    #[test]
-    fn frame_stream_matches_log_reader_at_every_cut() {
-        let records = sample_records();
-        let bytes = log_bytes(&records);
-        let dir = std::env::temp_dir().join(format!("finecc-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        for cut in LOG_MAGIC.len()..=bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let mut reader = LogReader::new(&bytes[..cut]).unwrap();
-            let want: Vec<(usize, LogRecord)> = reader.by_ref().collect();
-            let mut stream = FrameStream::open(&path).unwrap();
-            let mut got = Vec::new();
-            while let Some((off, rec)) = stream.next_record().unwrap() {
-                got.push((off as usize, rec));
-            }
-            assert_eq!(got, want, "cut at {cut}");
-            assert_eq!(stream.tail_torn(), reader.tail_torn(), "cut at {cut}");
-            assert_eq!(stream.offset() as usize, reader.offset(), "cut at {cut}");
+        // Bad magic is an error, not a torn tail; so is a file too short
+        // to hold the magic.
+        let path = log_path("magic");
+        for bytes in [&b"NOTALOG\0rest"[..], b"FC", b""] {
+            std::fs::write(&path, bytes).unwrap();
+            let Err(err) = FrameStream::open(&path) else {
+                panic!("bad magic accepted: {bytes:?}")
+            };
+            assert_eq!(err.offset(), Some(0));
         }
-        // Bad magic is an error, not a torn tail.
-        std::fs::write(&path, b"NOTALOG\0rest").unwrap();
-        let Err(err) = FrameStream::open(&path) else {
-            panic!("bad magic accepted")
-        };
-        assert_eq!(err.offset(), Some(0));
-        // So is a file too short to hold the magic.
-        std::fs::write(&path, b"FC").unwrap();
-        assert!(FrameStream::open(&path).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -12,7 +12,7 @@
 use finecc_chaos::{ChaosConfig, FaultKind, FaultPlan, FaultSpec, Site};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
 use finecc_store::FieldImage;
-use finecc_wal::{DurabilityLevel, LogReader, Wal, WalConfig};
+use finecc_wal::{DurabilityLevel, FrameStream, Wal, WalConfig};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -86,10 +86,12 @@ fn writes(n: usize, pad: usize, ts: u64) -> Vec<FieldImage> {
 /// unique one) in file order, and whether the file ends in a torn
 /// frame.
 fn read_log(dir: &Path) -> (Vec<u64>, bool) {
-    let bytes = LogReader::read_file(&Wal::log_path(dir)).unwrap();
-    let mut reader = LogReader::new(&bytes).unwrap();
-    let seen = reader.by_ref().map(|(_, rec)| rec.order_ts()).collect();
-    (seen, reader.tail_torn())
+    let mut stream = FrameStream::open(&Wal::log_path(dir)).unwrap();
+    let seen = stream
+        .by_ref()
+        .map(|frame| frame.unwrap().1.order_ts())
+        .collect();
+    (seen, stream.tail_torn())
 }
 
 fn log_len(dir: &Path) -> i64 {

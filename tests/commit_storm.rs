@@ -101,32 +101,34 @@ impl Storm {
         // the reader-storm's zero-miss accounting holds).
         let next = (t + 1) % self.fields.len();
         let neighbor = (self.pair_of(next).0, self.fields[next]);
-        let txn = TxnId(self.ids.next());
+        let mut txn = self.heap.session(TxnId(self.ids.next()));
         let mut record = Record {
             session: t as u32,
             op,
-            read_point: self.heap.begin(txn).ts(),
+            read_point: txn.ts(),
             ..Record::default()
         };
         if read_neighbor {
-            let got = self.heap.read(txn, neighbor.0, neighbor.1).unwrap();
-            record.ops.push(Op::Read(neighbor, got.as_int().unwrap()));
+            let got = self.heap.read_as(&mut txn, neighbor.0, neighbor.1);
+            record
+                .ops
+                .push(Op::Read(neighbor, got.unwrap().as_int().unwrap()));
         }
         record
             .ops
             .extend([Op::Write((a, field), v), Op::Write((b, field), v)]);
         let writes = self
             .heap
-            .write(txn, a, field, Value::Int(v))
-            .and_then(|_| self.heap.write(txn, b, field, Value::Int(v)));
+            .write_at(&mut txn, a, field, Value::Int(v))
+            .and_then(|_| self.heap.write_at(&mut txn, b, field, Value::Int(v)));
         let mut refused = false;
         match writes {
-            Ok(_) if commit => match self.heap.commit(txn) {
+            Ok(_) if commit => match self.heap.commit_session(txn) {
                 Ok(ts) => record.commit = Some(ts),
                 Err(_) => refused = true, // rolled back
             },
             Ok(_) | Err(MvccWriteError::Conflict(_)) => {
-                self.heap.abort(txn);
+                self.heap.abort_session(txn);
             }
             Err(e) => panic!("storm write failed: {e}"),
         }

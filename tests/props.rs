@@ -7,7 +7,7 @@ use finecc::lang::{DataAccess, ExecError, Interpreter};
 use finecc::model::{
     ClassId, FieldId, FieldType, Instance, MethodId, Oid, SchemaBuilder, TxnId, Value,
 };
-use finecc::mvcc::{CommitError, IsolationLevel, MvccHeap, MvccWriteError};
+use finecc::mvcc::{CommitError, IsolationLevel, MvccHeap, MvccTxn, MvccWriteError};
 use finecc::runtime::Env;
 use finecc::sim::history::{History, Op, Record};
 use finecc::sim::workload::{generate_env, SchemaGenConfig};
@@ -89,35 +89,35 @@ fn ssi_step_strategy() -> impl Strategy<Value = SsiStep> {
 fn run_slots(level: IsolationLevel, steps: Vec<SsiStep>) -> (Arc<MvccHeap>, History) {
     let (heap, oids, field) = mvcc_fixture(level, 5);
     let int = |v: Value| v.as_int().expect("obj.v is an integer");
-    let mut open: Vec<Option<(TxnId, Record)>> = vec![None; 4];
+    let mut open: Vec<Option<(MvccTxn, Record)>> = (0..4).map(|_| None).collect();
     let mut history = History::default();
     let closing = (0..open.len()).map(SsiStep::Commit);
     for (i, step) in steps.into_iter().chain(closing).enumerate() {
         if let SsiStep::Read { slot, .. } | SsiStep::Write { slot, .. } = step {
             if open[slot].is_none() {
                 // A slot opens at most once per step: the id is unique.
-                let id = TxnId(i as u64 + 1);
+                let txn = heap.session(TxnId(i as u64 + 1));
                 let record = Record {
                     session: slot as u32,
                     op: i as u32,
-                    read_point: heap.begin(id).ts(),
+                    read_point: txn.ts(),
                     ..Record::default()
                 };
-                open[slot] = Some((id, record));
+                open[slot] = Some((txn, record));
             }
         }
         let (slot, commit) = match step {
             SsiStep::Read { slot, oid } => {
-                let (id, record) = open[slot].as_mut().expect("opened above");
-                let v = heap.read(*id, oids[oid], field).expect("object exists");
+                let (txn, record) = open[slot].as_mut().expect("opened above");
+                let v = heap.read_as(txn, oids[oid], field).expect("object exists");
                 record.ops.push(Op::Read((oids[oid], field), int(v)));
                 continue;
             }
             SsiStep::Write { slot, oid } => {
-                let (id, record) = open[slot].as_mut().expect("opened above");
+                let (txn, record) = open[slot].as_mut().expect("opened above");
                 let val = i as i64 + 1;
                 record.ops.push(Op::Write((oids[oid], field), val));
-                match heap.write(*id, oids[oid], field, Value::Int(val)) {
+                match heap.write_at(txn, oids[oid], field, Value::Int(val)) {
                     Ok(_) => continue,
                     // First-updater-wins refusal: the transaction aborts,
                     // like a deadlock victim would.
@@ -128,18 +128,19 @@ fn run_slots(level: IsolationLevel, steps: Vec<SsiStep>) -> (Arc<MvccHeap>, Hist
             SsiStep::Commit(slot) => (slot, true),
             SsiStep::Abort(slot) => (slot, false),
         };
-        let Some((id, mut record)) = open[slot].take() else {
+        let Some((txn, mut record)) = open[slot].take() else {
             continue;
         };
-        record.commit = match commit.then(|| heap.commit(id)) {
-            Some(Ok(ts)) => Some(ts),
-            // Refused by validation, and already rolled back.
-            Some(Err(_)) if level == IsolationLevel::Serializable => None,
-            Some(Err(e)) => panic!("snapshot-level commit is infallible: {e:?}"),
-            None => {
-                heap.abort(id);
-                None
+        record.commit = if commit {
+            match heap.commit_session(txn) {
+                Ok(ts) => Some(ts),
+                // Refused by validation, and already rolled back.
+                Err(_) if level == IsolationLevel::Serializable => None,
+                Err(e) => panic!("snapshot-level commit is infallible: {e:?}"),
             }
+        } else {
+            heap.abort_session(txn);
+            None
         };
         history.txns.push(record);
     }
@@ -546,12 +547,11 @@ proptest! {
         let mut next_id = 1u64;
         let mut run = |writes: &[(usize, i64)], heap: &Arc<MvccHeap>| {
             for &(oid, val) in writes {
-                let id = TxnId(next_id);
+                let mut txn = heap.session(TxnId(next_id));
                 next_id += 1;
-                heap.begin(id);
-                heap.write(id, oids[oid], field, Value::Int(val))
+                heap.write_at(&mut txn, oids[oid], field, Value::Int(val))
                     .expect("serial writers never conflict");
-                heap.commit(id).expect("serial writers never conflict");
+                heap.commit_session(txn).expect("serial writers never conflict");
             }
         };
         run(&prefix, &heap);
@@ -615,22 +615,27 @@ fn ssi_aborts_strictly_fewer_than_naive_read_set_revalidation() {
     let mut naive_aborts = 0u64;
     let mut next_id = 1u64;
     for i in 0..ROUNDS {
-        let reader = TxnId(next_id);
-        let writer = TxnId(next_id + 1);
+        let mut reader = heap.session(TxnId(next_id));
+        let mut writer = heap.session(TxnId(next_id + 1));
         next_id += 2;
-        let r_begin = heap.begin(reader).ts();
-        heap.read(reader, hot, field).expect("object exists");
-        heap.begin(writer);
-        heap.write(writer, hot, field, Value::Int(i as i64))
+        let r_begin = reader.ts();
+        heap.read_as(&mut reader, hot, field)
+            .expect("object exists");
+        heap.write_at(&mut writer, hot, field, Value::Int(i as i64))
             .expect("reader holds no write lock — nothing blocks the writer");
         let w_commit = heap
-            .commit(writer)
+            .commit_session(writer)
             .expect("an incoming edge alone is no dangerous structure");
         // The reader now writes something nobody reads and commits.
-        heap.write(reader, oids[1 + i as usize], field, Value::Int(i as i64))
-            .expect("private object: no conflict");
+        heap.write_at(
+            &mut reader,
+            oids[1 + i as usize],
+            field,
+            Value::Int(i as i64),
+        )
+        .expect("private object: no conflict");
         let r_commit = heap
-            .commit(reader)
+            .commit_session(reader)
             .expect("an outgoing edge alone is no dangerous structure");
         // Naive read-set revalidation aborts this reader: its read of
         // `hot` was overwritten by a commit inside its lifetime.
@@ -690,18 +695,18 @@ fn ssi_verdicts_of_a_fixed_interleaving() {
     let mut next_txn = 0;
     // Per session: the running transaction, its remaining steps and its
     // record so far.
-    let mut sessions: Vec<Option<(TxnId, Vec<Step>, Record)>> = vec![None; 4];
+    let mut sessions: Vec<Option<(MvccTxn, Vec<Step>, Record)>> = (0..4).map(|_| None).collect();
     let mut history = History::default();
     let mut outcomes = [0u64; 3]; // committed, refused, abandoned
     for step in 0..4_000i64 {
         let s = (next() % 4) as usize;
-        let Some((txn, steps, record)) = &mut sessions[s] else {
+        let Some((mut txn, mut steps, mut record)) = sessions[s].take() else {
             next_txn += 1;
-            let txn = TxnId(next_txn);
+            let txn = heap.session(TxnId(next_txn));
             let record = Record {
                 session: s as u32,
                 op: next_txn as u32,
-                read_point: heap.begin(txn).ts(),
+                read_point: txn.ts(),
                 ..Record::default()
             };
             let (f, g) = ((next() % 3) as usize, (next() % 3) as usize);
@@ -719,28 +724,31 @@ fn ssi_verdicts_of_a_fixed_interleaving() {
             sessions[s] = Some((txn, steps, record));
             continue;
         };
-        let txn = *txn;
         let commit = match steps.pop().expect("a session ends at commit or abort") {
             Step::Read(f) => {
                 let (o, field) = fields[f];
-                let v = heap.read(txn, o, field).unwrap();
+                let v = heap.read_as(&mut txn, o, field).unwrap();
                 record.ops.push(Op::Read((o, field), int(v)));
+                sessions[s] = Some((txn, steps, record));
                 continue;
             }
             Step::Write(f) => {
                 let (o, field) = fields[f];
                 record.ops.push(Op::Write((o, field), step));
-                match heap.write(txn, o, field, Value::Int(step)) {
-                    Ok(_) => continue,
+                match heap.write_at(&mut txn, o, field, Value::Int(step)) {
+                    Ok(_) => {
+                        sessions[s] = Some((txn, steps, record));
+                        continue;
+                    }
                     Err(MvccWriteError::Conflict(_)) => {
-                        heap.abort(txn);
+                        heap.abort_session(txn);
                         outcomes[2] += 1;
                         None
                     }
                     Err(e) => panic!("{e}"),
                 }
             }
-            Step::Commit => match heap.commit(txn) {
+            Step::Commit => match heap.commit_session(txn) {
                 Ok(ts) => {
                     outcomes[0] += 1;
                     Some(ts)
@@ -752,15 +760,13 @@ fn ssi_verdicts_of_a_fixed_interleaving() {
                 Err(e) => panic!("{e}"),
             },
             Step::Abort => {
-                heap.abort(txn);
+                heap.abort_session(txn);
                 outcomes[2] += 1;
                 None
             }
         };
-        if let Some((_, _, mut record)) = sessions[s].take() {
-            record.commit = commit;
-            history.txns.push(record);
-        }
+        record.commit = commit;
+        history.txns.push(record);
     }
     assert_eq!(outcomes, [642, 52, 274]);
     let m = heap.stats.snapshot();
@@ -768,7 +774,7 @@ fn ssi_verdicts_of_a_fixed_interleaving() {
     assert_eq!(m.write_conflicts, 197);
     // The sessions still open abort, and the base store is read last.
     for (txn, _, mut record) in sessions.into_iter().flatten() {
-        heap.abort(txn);
+        heap.abort_session(txn);
         record.commit = None;
         history.txns.push(record);
     }

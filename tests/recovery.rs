@@ -28,10 +28,10 @@
 //! Thread count comes from `FINECC_TEST_THREADS` (default 8; CI 16).
 
 use finecc::model::{FieldId, FieldType, Oid, SchemaBuilder, TxnId, Value};
-use finecc::mvcc::{DurabilityLevel, IsolationLevel, MvccHeap, WalConfig};
+use finecc::mvcc::{DurabilityLevel, IsolationLevel, MvccHeap, MvccTxn, WalConfig};
 use finecc::obs::SlotIds;
 use finecc::store::Database;
-use finecc::wal::{LogReader, LogRecord, Wal};
+use finecc::wal::{FrameStream, LogRecord, Wal};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,6 +40,18 @@ fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("finecc-recovery-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The raw image of `dir`'s log, and its intact frames — each record
+/// with the offset just past it.
+fn read_log(dir: &Path) -> (Vec<u8>, Vec<(usize, LogRecord)>) {
+    let path = Wal::log_path(dir);
+    let frames = FrameStream::open(&path).unwrap().map(|frame| {
+        let (end, rec) = frame.unwrap();
+        (end as usize, rec)
+    });
+    let frames = frames.collect();
+    (std::fs::read(path).unwrap(), frames)
 }
 
 /// Materializes a "crashed" copy of a log directory: checkpoints are
@@ -144,8 +156,8 @@ fn fixture(name: &str, isolation: IsolationLevel, objects: usize, fields: usize)
 }
 
 impl Fixture {
-    fn txn(&self) -> TxnId {
-        TxnId(self.ids.next())
+    fn txn(&self) -> MvccTxn {
+        self.heap.session(TxnId(self.ids.next()))
     }
 }
 
@@ -158,8 +170,7 @@ fn assert_prefix_recovery(
     genesis: &BTreeMap<(Oid, FieldId), Value>,
     isolation: IsolationLevel,
 ) {
-    let log_bytes = LogReader::read_file(&Wal::log_path(dir)).unwrap();
-    let parsed: Vec<(usize, LogRecord)> = LogReader::new(&log_bytes).unwrap().collect();
+    let (log_bytes, parsed) = read_log(dir);
     assert!(!parsed.is_empty(), "the workload logged something");
     let crash_dir = dir.with_file_name(format!(
         "{}-crash",
@@ -206,10 +217,10 @@ fn assert_prefix_recovery(
             // and is immediately visible (watermark restored dense —
             // a hole would stall publication forever).
             let (&(oid, field), _) = expected.iter().next().unwrap();
-            let txn = TxnId(u64::MAX - 17);
-            heap.begin(txn);
-            heap.write(txn, oid, field, Value::Int(-999)).unwrap();
-            let ts = heap.commit(txn).unwrap();
+            let mut txn = heap.session(TxnId(u64::MAX - 17));
+            heap.write_at(&mut txn, oid, field, Value::Int(-999))
+                .unwrap();
+            let ts = heap.commit_session(txn).unwrap();
             assert_eq!(ts, expected_ts + 1, "no timestamp reuse, no gap");
             assert_eq!(heap.current_ts(), ts, "published without stalling");
         }
@@ -219,12 +230,13 @@ fn assert_prefix_recovery(
 
 /// One committed transaction writing `value` to `(oid, field)` pairs.
 fn commit_writes(fx: &Fixture, writes: &[(Oid, FieldId)], value: i64) -> u64 {
-    let txn = fx.txn();
-    let t = fx.heap.begin(txn);
+    let mut txn = fx.txn();
     for &(oid, field) in writes {
-        fx.heap.write_at(&t, oid, field, Value::Int(value)).unwrap();
+        fx.heap
+            .write_at(&mut txn, oid, field, Value::Int(value))
+            .unwrap();
     }
-    fx.heap.commit(txn).unwrap()
+    fx.heap.commit_session(txn).unwrap()
 }
 
 #[test]
@@ -242,12 +254,11 @@ fn crash_at_every_record_boundary_recovers_exact_committed_prefix() {
             commit_writes(&fx, &[(o, f)], 10 + round);
             commit_writes(&fx, &[(o, f), (o2, f)], 100 + round);
             // Aborted transaction: writes a sentinel, then rolls back.
-            let txn = fx.txn();
-            let t = fx.heap.begin(txn);
+            let mut txn = fx.txn();
             fx.heap
-                .write_at(&t, o, fx.fields[0], Value::Int(-1))
+                .write_at(&mut txn, o, fx.fields[0], Value::Int(-1))
                 .unwrap();
-            fx.heap.abort(txn);
+            fx.heap.abort_session(txn);
         }
         let genesis = fx.genesis.clone();
         let dir = fx.dir.clone();
@@ -266,15 +277,13 @@ fn ssi_skip_holes_are_restored_not_reused() {
     // Classic write skew: t1 reads o1.f0 writes o2.f1, t2 reads o2.f1
     // writes o1.f0 — at Serializable one of the two is refused at
     // commit after drawing its timestamp, logging a skip record.
-    let (t1, t2) = (fx.txn(), fx.txn());
-    fx.heap.begin(t1);
-    fx.heap.begin(t2);
-    fx.heap.read(t1, o1, fx0).unwrap();
-    fx.heap.read(t2, o2, fx1).unwrap();
-    fx.heap.write(t1, o2, fx1, Value::Int(11)).unwrap();
-    fx.heap.write(t2, o1, fx0, Value::Int(22)).unwrap();
-    let r1 = fx.heap.commit(t1);
-    let r2 = fx.heap.commit(t2);
+    let (mut t1, mut t2) = (fx.txn(), fx.txn());
+    fx.heap.read_as(&mut t1, o1, fx0).unwrap();
+    fx.heap.read_as(&mut t2, o2, fx1).unwrap();
+    fx.heap.write_at(&mut t1, o2, fx1, Value::Int(11)).unwrap();
+    fx.heap.write_at(&mut t2, o1, fx0, Value::Int(22)).unwrap();
+    let r1 = fx.heap.commit_session(t1);
+    let r2 = fx.heap.commit_session(t2);
     // At least one of the pair is refused; the sticky-flag validator
     // may refuse both (the known over-abort, see the ROADMAP's precise
     // SSI item). Every refusal drew a timestamp → logged one skip.
@@ -377,22 +386,21 @@ fn threaded_commit_storm_recovers_acked_commits() {
                 let a = fx.oids[t % fx.oids.len()];
                 let b = fx.oids[(t + 1) % fx.oids.len()];
                 for round in 0..per_thread {
-                    let txn = fx.txn();
-                    let t = fx.heap.begin(txn);
+                    let mut txn = fx.txn();
                     if round % 3 == 2 {
                         fx.heap
-                            .write_at(&t, a, field, Value::Int(round * 2 + 1))
+                            .write_at(&mut txn, a, field, Value::Int(round * 2 + 1))
                             .unwrap();
-                        fx.heap.abort(txn);
+                        fx.heap.abort_session(txn);
                         continue;
                     }
                     fx.heap
-                        .write_at(&t, a, field, Value::Int(round * 2))
+                        .write_at(&mut txn, a, field, Value::Int(round * 2))
                         .unwrap();
                     fx.heap
-                        .write_at(&t, b, field, Value::Int(round * 2))
+                        .write_at(&mut txn, b, field, Value::Int(round * 2))
                         .unwrap();
-                    fx.heap.commit(txn).unwrap();
+                    fx.heap.commit_session(txn).unwrap();
                 }
             });
         }
@@ -403,8 +411,7 @@ fn threaded_commit_storm_recovers_acked_commits() {
     let fields = owned.fields.clone();
     let oids = owned.oids.clone();
     drop(owned); // joins the flusher before the log is read back
-    let log_bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-    let parsed: Vec<(usize, LogRecord)> = LogReader::new(&log_bytes).unwrap().collect();
+    let (log_bytes, parsed) = read_log(&dir);
     let full: Vec<LogRecord> = parsed.iter().map(|(_, r)| r.clone()).collect();
     let expected = oracle(&genesis, &full);
     assert_eq!(
@@ -496,8 +503,7 @@ fn lock_scheme_undo_projection_log_recovers() {
         assert_eq!(recovered.schema().resolve_field(c2, "f4"), Some(f4));
         // Prefix semantics hold for the lock-scheme log too: cutting
         // after the second record recovers exactly two transactions.
-        let log_bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        let parsed: Vec<(usize, LogRecord)> = LogReader::new(&log_bytes).unwrap().collect();
+        let (log_bytes, parsed) = read_log(&dir);
         let crash_dir = tmpdir(&format!("lock-{}-crash", kind.name()));
         crashed_copy(&dir, &crash_dir, &log_bytes, parsed[1].0, &[]);
         let (prefix_db, prefix_info) = recover_database(&crash_dir).unwrap();
@@ -554,9 +560,9 @@ fn two_client_lock_scheme_log_is_in_commit_order_and_recovers() {
         });
         let live = base_state(&db);
         drop(scheme);
-        let log_bytes = LogReader::read_file(&Wal::log_path(&dir)).unwrap();
-        let commit_ts: Vec<u64> = LogReader::new(&log_bytes)
-            .unwrap()
+        let commit_ts: Vec<u64> = read_log(&dir)
+            .1
+            .into_iter()
             .filter_map(|(_, rec)| match rec {
                 LogRecord::Commit { ts, .. } => Some(ts),
                 _ => None,
@@ -583,7 +589,7 @@ fn truncation_keeps_every_frame_at_or_above_any_floor() {
     // pipeline (floor = ckpt_ts < recovery_floor) can never remove a
     // frame recovery could still need.
     use finecc::store::FieldImage;
-    use finecc::wal::{recovery_floor, CheckpointData, LogReader as LR};
+    use finecc::wal::{recovery_floor, CheckpointData};
     let src = tmpdir("floor-prop");
     let mut b = SchemaBuilder::new();
     b.class("p").field("x", FieldType::Int);
@@ -619,11 +625,8 @@ fn truncation_keeps_every_frame_at_or_above_any_floor() {
             }
         }
     }
-    let log_bytes = LR::read_file(&Wal::log_path(&src)).unwrap();
-    let original: Vec<u64> = LR::new(&log_bytes)
-        .unwrap()
-        .map(|(_, r)| r.order_ts())
-        .collect();
+    let (log_bytes, frames) = read_log(&src);
+    let original: Vec<u64> = frames.iter().map(|(_, r)| r.order_ts()).collect();
     assert_eq!(original, (1..=10).collect::<Vec<u64>>());
     let ckpt_ts = 6u64;
     let dst = tmpdir("floor-prop-cut");
@@ -633,10 +636,7 @@ fn truncation_keeps_every_frame_at_or_above_any_floor() {
             let wal = Wal::open(&dst, WalConfig::default()).unwrap();
             wal.truncate_below(floor).unwrap();
         }
-        let kept: Vec<u64> = LR::new(&LR::read_file(&Wal::log_path(&dst)).unwrap())
-            .unwrap()
-            .map(|(_, r)| r.order_ts())
-            .collect();
+        let kept: Vec<u64> = read_log(&dst).1.iter().map(|(_, r)| r.order_ts()).collect();
         let expected: Vec<u64> = original.iter().copied().filter(|&t| t >= floor).collect();
         assert_eq!(kept, expected, "floor {floor}");
         // Every legal pipeline floor (<= ckpt_ts < replay_from) keeps
@@ -834,12 +834,11 @@ fn durable_heap_read_path_takes_no_new_latches() {
     let pin = fx.heap.snapshot(); // pins GC so chains stay warm
     commit_writes(&fx, &[(o, f)], 9);
     let before = fx.heap.stats.snapshot();
-    let txn = fx.txn();
-    let t = fx.heap.begin(txn);
+    let mut txn = fx.txn();
     for _ in 0..100 {
-        assert_eq!(fx.heap.read_as(&t, o, f), Ok(Value::Int(9)));
+        assert_eq!(fx.heap.read_as(&mut txn, o, f), Ok(Value::Int(9)));
     }
-    fx.heap.abort(txn);
+    fx.heap.abort_session(txn);
     let s = fx.heap.stats.snapshot().since(&before);
     assert_eq!(s.read_chain_hits, 100, "every read a chain hit");
     assert_eq!(s.read_base_loads, 0);
