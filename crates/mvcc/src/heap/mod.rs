@@ -1,14 +1,10 @@
-//! The versioned heap: chains, transaction sessions, commit/abort,
-//! reclamation, and — at [`IsolationLevel::Serializable`] — SSI conflict
-//! tracking.
+//! The versioned heap's protocol: transaction sessions, reads, SIREAD
+//! registrations, writes, commit, abort and checkpoints — and, at
+//! [`IsolationLevel::Serializable`], SSI conflict tracking. Version
+//! storage is the `chain` module, the snapshot registry `epoch`,
+//! garbage collection `reclaim`, and the by-id adapter `by_id`.
 //!
 //! # Concurrency architecture
-//!
-//! Version chains are plain data. Each of the 64 chain shards is one
-//! reader/writer latch over an `Oid → Chain` map, and a chain is a
-//! vector of inline version records, newest first. Nothing is published
-//! copy-on-write, so nothing waits out a grace period, and the crate
-//! root forbids `unsafe_code`.
 //!
 //! * **Reads hold the shard latch shared.** A read walks the chain under
 //!   it and, on a miss (no record covers the field), reads the base
@@ -28,51 +24,31 @@
 //!   writer's *status cell* (the `ssi` module's `TxnHandle` — live, its
 //!   commit timestamp, or dead), after Larson et al.'s per-transaction
 //!   end timestamp. Commit is draw → mark → log → publish: the mark is
-//!   one atomic store into the cell (at [`IsolationLevel::Serializable`],
-//!   SSI validation and the store in one step under the cell's lock),
-//!   and it commits every record the writer made without latching a
-//!   chain. A marked record is invisible until publication — its
-//!   timestamp lies above every registered snapshot — and reads as
-//!   committed-after-snapshot to a rival writer. The cell is made at a
-//!   transaction's first write (at `Serializable`, when its session
-//!   starts), so a read-only snapshot transaction allocates none.
+//!   one atomic store into the cell (at `Serializable`, SSI validation
+//!   and the store in one step under the cell's lock), and it commits
+//!   every record the writer made without latching a chain. A marked
+//!   record is invisible until publication, which is in timestamp order
+//!   (the `watermark` module), and reads as committed-after-snapshot to
+//!   a rival writer. A refused commit publishes its timestamp as a
+//!   *skip*. The cell is made at a transaction's first write (at
+//!   `Serializable`, when its session starts).
 //! * **SIREADs ride the chain.** At `Serializable` a chain also lists
-//!   its readers, `(status cell, fields it may read)`, one entry per
-//!   reader, added or widened by [`MvccHeap::register_reads`] under the
-//!   exclusive latch — once per top message, with its transitive access
-//!   vector. A write collects the concurrent readers of its field in the
-//!   critical section of its install and flags them after dropping the
+//!   its readers, one entry per reader, added or widened by
+//!   [`MvccHeap::register_reads`] under the exclusive latch, once per top
+//!   message; a write collects the concurrent readers of its field in
+//!   its install's critical section and flags them after dropping the
 //!   latch (the `ssi` module docs' *Status cells and the per-edge
-//!   protocol*). A chain stays in its shard's map while it holds records
-//!   *or* readers. An extent message's class-granular entries ride a
-//!   *class chain* in the same maps, keyed at the top of the OID space
-//!   ([`MvccHeap::record_class_read`]); a writer probes its object's
-//!   class chain only while the heap counts one.
-//! * **A safe snapshot keeps its reads in its session** (the `ssi`
-//!   module docs' *Safe snapshots*): its registrations go into a safe
-//!   read set, and [`MvccHeap::convert`] registers that set
-//!   and re-walks its chains before the transaction's first write, its
-//!   first class-granular registration, or — through the runtime — its
-//!   first top message whose access vector writes.
-//! * **Publication is in timestamp order** (the crate-private
-//!   `watermark` module): the publisher of a marked (and logged)
-//!   timestamp waits until its predecessor is published, then stores
-//!   it, so `last_committed` only ever covers a contiguous prefix. A
-//!   timestamp whose commit is then refused — by SSI validation or by
-//!   the log — is published as a *skip*, its cell marked dead first.
+//!   protocol*). Extent messages register on class chains
+//!   ([`MvccHeap::record_class_read`]), and a safe snapshot keeps its
+//!   registrations in its session until [`MvccHeap::convert`] (the
+//!   `ssi` module docs' *Class-granular SIREADs* and *Safe snapshots*).
 //! * **The transaction owns its state.** Its snapshot epoch, its
 //!   sorted write set, its read set, its safe read set and its status
-//!   cell live in its
-//!   [`MvccTxn`], after Larson et al.'s transaction object:
-//!   [`MvccHeap::session`] makes one, the reads, writes and
+//!   cell live in its [`MvccTxn`], after Larson et al.'s transaction
+//!   object: [`MvccHeap::session`] makes one, the reads, writes and
 //!   registrations take it `&mut`, and [`MvccHeap::commit_session`] or
-//!   [`MvccHeap::abort_session`] consumes it. Only the transaction's own
-//!   operations ever read that state, so no lock guards it.
-//! * **The epoch table is striped**, each shard on its own cache lines,
-//!   by the registering thread's slot. Each shard publishes its minimum
-//!   in an atomic, so the GC horizon — and the safe test every
-//!   serializable session start makes — takes no lock (see
-//!   `EpochTable`).
+//!   [`MvccHeap::abort_session`] consumes it, so no lock guards it.
+//!   Every commit, refusal and abort ends it through `MvccHeap::end`.
 //!
 //! ## Latch order
 //!
@@ -80,122 +56,52 @@
 //!    Rollback, and a logged commit assembling its redo images, visit
 //!    objects one shard at a time; an unlogged commit takes none.
 //! 2. Under a chain shard, one leaf only: a **base-store shard** (the
-//!    miss read, the write-through, the rollback restore). A first
-//!    write of an object adds it to the write set in the critical
-//!    section of its install, but the write set is the session's own
-//!    memory: the `&mut MvccTxn` every write holds keeps every other
-//!    thread out of it, and commit and abort consume the session, so
-//!    the borrow checker — not a lock — keeps the write set and the
-//!    chains in agreement whenever a commit or an abort walks them.
-//! 3. The **epoch shard**, the **reclaim slot** and the by-id
-//!    adapter's session map are leaves taken under nothing.
+//!    miss read, the write-through, the rollback restore). The write
+//!    set a first write joins is the session's own memory: the borrow
+//!    checker, not a lock, keeps it and the chains in agreement.
+//! 3. The epoch shard, the reclaim slot and the by-id adapter's session
+//!    map are leaves taken under nothing.
 //!
 //! The watermark has no latch. A status cell's flag lock is never taken
-//! under a chain latch: a write clones the cells of the readers it must
-//! flag and flags them after dropping it, and a read records its edges
-//! after dropping its shared latch. A write probes its object's class
-//! chain after dropping the object's chain latch, so it too holds one
-//! chain latch at a time. Chain walks read a record's status with one
-//! atomic load.
-//!
-//! ## Reclamation
-//!
-//! Nothing on the transaction path ever visits every shard; versions
-//! are reclaimed by the threads that made them, a few at a time.
-//!
-//! * **Who queues.** A writer commit appends `(commit_ts, oid)` for
-//!   each object of its write set to the *reclaim queue* of the
-//!   committing thread's slot — a cache-line-padded mutex. The slot
-//!   (`finecc_obs::thread_slot`) is a **locality hint, never a
-//!   correctness assumption**: a transaction begun on one thread,
-//!   written on a second and committed on a third is just as correct.
-//!   At [`IsolationLevel::Serializable`] a commit also queues the
-//!   chains it registered SIREADs on (class chains included), and a
-//!   tracked read-only commit queues those and counts toward the cadence
-//!   below, so a chain only readers kept goes with its readers' batches
-//!   (a safe snapshot, which registered nothing, touches no reclamation
-//!   state).
-//! * **Who prunes.** Every `RECLAIM_EVERY`-th commit of a slot runs one
-//!   bounded batch: it computes [`MvccHeap::gc_horizon`], pops the
-//!   queue's head entries committed at or below it, and prunes exactly
-//!   those chains in place — one exclusive shard latch per entry,
-//!   dropping the records at or below the horizon, the reader entries
-//!   that can yield no edge, and the chain once it is empty. A batch
-//!   prunes its own slot's queue; with budget to spare it looks at one
-//!   other slot (a rotating cursor) and **adopts** that slot's due
-//!   entries only if its owner has run no batch since this slot last
-//!   looked. So an idle or exited thread's versions are still drained
-//!   (`finecc.mvcc.versions_adopted`), while a busy client's queue,
-//!   chains and allocations are its own: when every batch drained a
-//!   rotating slot, two `mvcc` clients on `durable-update` freed each
-//!   other's records (glibc keeps a freed block in the *freeing*
-//!   thread's cache), and committed at 0.63 of `tav`'s rate instead of
-//!   0.82. At `Serializable` every batch also raises the SIREAD pruning
-//!   horizon, check-first.
-//! * **Why a stale horizon is safe.** A horizon, once computed, is a
-//!   valid pruning bound forever: later registrations pin the
-//!   watermark, which only grows (see `EpochTable`).
-//! * **Freeing is dropping.** No reader holds a reference into a chain
-//!   without its shard latch, so a pruned or rolled-back record is
-//!   freed where it is removed.
-//! * **The full sweep.** [`MvccHeap::gc`] is the explicit
-//!   stop-and-sweep for tests and maintenance: every chain of every
-//!   shard, every slot's queue. [`MvccHeap::checkpoint`] ends with one;
-//!   the commit path never calls it.
+//! under a chain latch: a write flags the readers it collected after
+//! dropping it, a read records its edges after dropping its shared
+//! latch, and a write probes its object's class chain after dropping
+//! the object's. Chain walks read a record's status with one atomic
+//! load.
 //!
 //! ## Observability probes
 //!
 //! With an attached `finecc_obs::Obs` handle the commit path times
-//! three consecutive segments into latency histograms — *ts draw* (the
-//! clock `fetch_add` plus the mark, SSI validation included), *WAL ack*
-//! (redo assembly, append, and at `WalSync` the group-commit ack), and
-//! *publish* (the wait for earlier timestamps plus the watermark store) —
-//! plus the commit total. The probes take no lock, and contention
-//! attribution runs after every heap latch is dropped. The **read path
-//! carries no probe**.
+//! three consecutive segments — *ts draw* (the clock plus the mark, SSI
+//! validation included), *WAL ack* (redo assembly, append, and at
+//! `WalSync` the group-commit ack) and *publish* — plus the commit
+//! total. The probes take no lock, contention attribution runs after
+//! every heap latch is dropped, and the **read path carries no probe**.
 
-use crate::ssi::{committed, field_set, Sireads, SsiVerdict, TxnHandle, LIVE};
+mod by_id;
+mod chain;
+mod epoch;
+mod reclaim;
+
+pub use by_id::MvccReadError;
+pub(crate) use epoch::EpochHandle;
+
+use crate::ssi::{field_set, SsiVerdict, TxnHandle};
 use crate::stats::MvccStats;
 use crate::watermark::Watermark;
 use crate::{IsolationLevel, SsiConflict, Ts};
+use chain::VersionRecord;
+use chain::{admit, class_chain, is_class_chain, reconstruct, visible, Chains, FieldWrite};
+use epoch::EpochTable;
 use finecc_model::{ClassId, FieldId, MulMap, Oid, TxnId, Value};
-use finecc_obs::{thread_slot, CachePadded, ContentionKind, ObjKey, Obs, Phase};
+use finecc_obs::{ContentionKind, ObjKey, Obs, Phase};
 use finecc_store::{Database, FieldImage, StoreError};
 use finecc_wal::{CheckpointData, DurabilityLevel, InstanceImage, RecoveryInfo, Wal, WalConfig};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use parking_lot::Mutex;
+use reclaim::RECLAIM_SLOTS;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const SHARD_COUNT: usize = 64;
-
-/// How many mutexes the snapshot-epoch table is sharded over.
-const EPOCH_SHARDS: usize = 16;
-
-/// How many reclaim slots threads are dealt over.
-const RECLAIM_SLOTS: usize = 32;
-
-/// Every how many writer commits of one slot (at `Serializable`, every
-/// how many commits) a reclamation batch runs.
-const RECLAIM_EVERY: u32 = 8;
-
-/// The least number of queue entries a batch may prune; a slot that
-/// queued more than half of this since its last batch gets twice what
-/// it queued, so batches outpace any write-set size.
-const RECLAIM_BATCH: usize = 32;
-
-/// The chain that holds class `c`'s class-granular SIREADs: keyed at the
-/// top of the OID space, which `Database` (counting up from 1) never
-/// allocates.
-fn class_chain(c: ClassId) -> Oid {
-    Oid(u64::MAX - u64::from(c.raw()))
-}
-
-/// Whether `oid` keys a class chain ([`class_chain`]).
-fn is_class_chain(oid: Oid) -> bool {
-    oid.raw() >= u64::MAX - u64::from(u32::MAX)
-}
 
 /// A write was refused because another transaction got to the field
 /// first (first-updater-wins at field granularity — two transactions
@@ -215,17 +121,10 @@ pub struct MvccConflict {
 
 impl std::fmt::Display for MvccConflict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "write-write conflict on {}.{}: ", self.oid, self.field)?;
         match self.pending_in {
-            Some(t) => write!(
-                f,
-                "write-write conflict on {}.{}: pending version of {t}",
-                self.oid, self.field
-            ),
-            None => write!(
-                f,
-                "write-write conflict on {}.{}: committed after this snapshot",
-                self.oid, self.field
-            ),
+            Some(t) => write!(f, "pending version of {t}"),
+            None => f.write_str("committed after this snapshot"),
         }
     }
 }
@@ -243,231 +142,27 @@ pub enum WriteOutcome {
     MergedVersion,
 }
 
-/// One field mutation inside a version record: the value before the
-/// writer's first write of the field (the undo image, what invisible-
-/// version readers reconstruct) and the value after its latest write
-/// (the redo image, what makes chain hits self-contained — readers of
-/// a visible version never consult the base store).
-#[derive(Debug)]
-struct FieldWrite {
-    field: FieldId,
-    before: Value,
-    after: Value,
-}
-
-/// One version record: everything needed to read *at* its writer
-/// (after-images) or *past* its writer (before-images).
-///
-/// Its writer edits `writes` in place under the shard latch held
-/// exclusively. The record carries no timestamp of its own: `owner` is
-/// its writer's status cell, whose one commit mark commits every record
-/// the writer made (see the module docs).
-#[derive(Debug)]
-struct VersionRecord {
-    owner: Arc<TxnHandle>,
-    /// `(field, before, after)` for every field this writer modified.
-    writes: Vec<FieldWrite>,
-}
-
-impl VersionRecord {
-    fn write_of(&self, field: FieldId) -> Option<&FieldWrite> {
-        self.writes.iter().find(|w| w.field == field)
-    }
-
-    /// A further write of `field` by this record's writer: the field's
-    /// after-image is replaced, or the field is added with `before`.
-    fn set(&mut self, field: FieldId, before: Value, after: Value) {
-        match self.writes.iter_mut().find(|w| w.field == field) {
-            Some(w) => w.after = after,
-            None => self.writes.push(FieldWrite {
-                field,
-                before,
-                after,
-            }),
-        }
-    }
-}
-
-/// The version records of one object, ordered by *installation*, newest
-/// first. Invariants:
-///
-/// * each transaction owns at most one record per chain (edited in
-///   place on repeated writes);
-/// * two records that touch a common field are ordered consistently by
-///   install position *and* commit timestamp (field-level
-///   first-updater-wins forbids concurrently pending writers of one
-///   field), so the newest *visible* record of a field carries its
-///   value at the snapshot, and the oldest *invisible* one carries the
-///   value before any invisible writer;
-/// * the base store holds every field's newest (possibly pending)
-///   value — maintained for non-MVCC consumers and chain-miss reads,
-///   never consulted on a chain hit;
-/// * a chain in a shard's map is never empty: it holds a record or a
-///   reader.
-#[derive(Debug, Default)]
-struct Chain {
-    records: Vec<VersionRecord>,
-    /// The SIREAD entries of serializable readers of this object (see
-    /// the module docs).
-    readers: Sireads,
-}
-
-impl Chain {
-    /// The position of the record `owner` made here. Only its owner
-    /// installs or removes it, so the owner's commit or rollback always
-    /// finds it.
-    fn own_at(&self, owner: &TxnHandle) -> usize {
-        self.records
-            .iter()
-            .position(|r| std::ptr::eq(&*r.owner, owner))
-            .expect("a written chain holds its writer's record")
-    }
-
-    fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.readers.is_empty()
-    }
-
-    /// Drops the records no snapshot can read past any more — those
-    /// committed at or below `horizon` — and the reader entries that can
-    /// no longer yield an edge; returns how many records went.
-    fn prune(&mut self, horizon: Ts) -> usize {
-        self.readers.prune(horizon);
-        let len = self.records.len();
-        self.records
-            .retain(|r| committed(r.owner.status()).is_none_or(|c| c > horizon));
-        len - self.records.len()
-    }
-}
-
-/// Whether `rec` is visible at snapshot `ts` to `as_txn`. A writer
-/// marked but not yet published is above every registered snapshot, so
-/// it reads as invisible like a pending one — the mark needs no latch.
-#[inline]
-fn visible(rec: &VersionRecord, ts: Ts, as_txn: Option<TxnId>) -> bool {
-    let status = rec.owner.status();
-    match committed(status) {
-        Some(cts) => cts <= ts,
-        None => status == LIVE && as_txn == Some(rec.owner.txn),
-    }
-}
-
-/// Walks `records` for `field` as of snapshot `ts` (seeing `as_txn`'s
-/// pending writes). Returns the reconstructed value by reference —
-/// `None` is a chain miss (no record touches the field). When
-/// `overwriters` is given, it collects the cells of the writers of
-/// invisible versions stepped past (the read side of SSI's
-/// rw-antidependencies).
-fn reconstruct<'a>(
-    records: &'a [VersionRecord],
-    ts: Ts,
-    as_txn: Option<TxnId>,
-    field: FieldId,
-    mut overwriters: Option<&mut Vec<Arc<TxnHandle>>>,
-) -> Option<&'a Value> {
-    let mut oldest_invisible: Option<&'a Value> = None;
-    for rec in records {
-        let Some(w) = rec.write_of(field) else {
-            continue;
-        };
-        if visible(rec, ts, as_txn) {
-            // Records of one field are newest-first: the first visible
-            // one holds the field's value at this snapshot.
-            return Some(&w.after);
-        }
-        if let Some(ovw) = overwriters.as_deref_mut() {
-            ovw.push(Arc::clone(&rec.owner));
-        }
-        oldest_invisible = Some(&w.before);
-    }
-    // No visible version: the value before the oldest invisible writer
-    // (or a miss if nobody ever wrote the field here).
-    oldest_invisible
-}
-
-/// First-updater-wins admission of `txn`'s write of `field` over an
-/// object's `records`, at field granularity: another transaction with
-/// an uncommitted version of the field (live, or refused and not yet
-/// rolled back), or a version of it committed after `snapshot_ts`,
-/// wins. (A writer marked committed but not yet published by the
-/// watermark behaves exactly like a committed-after-snapshot one here,
-/// which is the correct verdict: it can only publish above this
-/// transaction's snapshot.) Admitted, returns the position of `txn`'s
-/// own pending record, if it has one.
-fn admit(
-    records: &[VersionRecord],
-    snapshot_ts: Ts,
-    txn: TxnId,
-    oid: Oid,
-    field: FieldId,
-) -> Result<Option<usize>, MvccConflict> {
-    let mut own = None;
-    for (i, rec) in records.iter().enumerate() {
-        let status = rec.owner.status();
-        if rec.owner.txn == txn {
-            if status == LIVE {
-                own = Some(i);
-            }
-            continue;
-        }
-        if rec.write_of(field).is_none() {
-            continue;
-        }
-        let pending_in = match committed(status) {
-            None => Some(rec.owner.txn),
-            Some(cts) if cts > snapshot_ts => None,
-            Some(_) => continue,
-        };
-        return Err(MvccConflict {
-            oid,
-            field,
-            pending_in,
-        });
-    }
-    Ok(own)
-}
-
-/// One chain shard: the object→chain map behind its reader/writer
-/// latch, alone on its cache line(s) so two shards' latch words never
-/// share one.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct ChainShard {
-    chains: RwLock<MulMap<Oid, Chain>>,
-}
-
-/// A transaction of the heap, as its session owns it: the id, the
-/// registered snapshot epoch, the objects written, the chains holding
-/// its SIREAD entries, the reads of a safe snapshot, and the status cell. [`MvccHeap::session`] makes
-/// one; only its own operations touch it — reads, writes and
-/// registrations borrow it `&mut`, and [`MvccHeap::commit_session`] or
-/// [`MvccHeap::abort_session`] consumes it — so nothing locks it.
-/// Dropped unended, it keeps its snapshot pinned and its pending
-/// versions installed.
+/// A transaction of the heap, as its session owns it (see the module
+/// docs' *The transaction owns its state*). Dropped unended, it keeps
+/// its snapshot pinned and its pending versions installed.
 #[must_use = "a session ends only through commit_session or abort_session"]
 #[derive(Debug)]
 pub struct MvccTxn {
     id: TxnId,
-    /// The registered snapshot epoch; `epoch.ts` is the snapshot
-    /// timestamp.
+    /// The registered snapshot epoch; `epoch.ts` is the snapshot.
     epoch: EpochHandle,
     /// Objects this transaction installed pending versions on, sorted
-    /// and duplicate-free (write sets are a handful of objects, so
-    /// commit and rollback walk this as is — nothing to hash, collect
-    /// or sort).
+    /// and duplicate-free (a handful: nothing to hash or sort).
     write_set: Vec<Oid>,
-    /// The chains — objects' and classes' — that hold this
-    /// transaction's SIREAD entry, in registration order: queued for
-    /// reclamation at its commit, rid of its entries at its rollback.
+    /// The chains, objects' and classes', that hold this transaction's
+    /// SIREAD entry, in registration order.
     read_set: Vec<Oid>,
-    /// `Some` while the transaction runs on a safe snapshot: the objects
-    /// it has registered reads on and the fields of each (a chain
-    /// reader's field set), none of them on a chain yet (the `ssi`
-    /// module docs' *Safe snapshots*).
+    /// `Some` while the transaction runs on a safe snapshot: the
+    /// `(object, field set)` reads it registered, none on a chain yet.
     safe_reads: Option<Vec<(Oid, u64)>>,
-    /// The transaction's status cell: made when the session starts at
-    /// [`IsolationLevel::Serializable`], at the first write otherwise (a
-    /// read-only snapshot transaction allocates none), and always
-    /// present once `write_set` is non-empty.
+    /// The status cell: made when the session starts at `Serializable`,
+    /// at the first write otherwise, so present once `write_set` is not
+    /// empty.
     cell: Option<Arc<TxnHandle>>,
 }
 
@@ -505,249 +200,45 @@ impl MvccTxn {
     }
 }
 
-/// One thread slot's share of reclamation (see the module docs'
-/// *Reclamation* section).
-#[derive(Debug, Default)]
-struct ReclaimState {
-    /// `(commit_ts, oid)` of every committed write queued through this
-    /// slot and not yet pruned, in queueing order.
-    queue: VecDeque<(Ts, Oid)>,
-    /// Writer commits queued through this slot — the batch cadence.
-    commits: u32,
-    /// Entries queued since this slot's last batch — sizes the next.
-    queued: usize,
-}
-
-impl ReclaimState {
-    /// Moves up to `budget` head entries of the queue committed at or
-    /// below `horizon` into `due`.
-    fn pop_due(&mut self, horizon: Ts, budget: usize, due: &mut Vec<Oid>) {
-        due.reserve(budget.min(self.queue.len()));
-        for _ in 0..budget {
-            match self.queue.front() {
-                Some(&(ts, oid)) if ts <= horizon => due.push(oid),
-                _ => break,
-            }
-            self.queue.pop_front();
-        }
-    }
-}
-
-/// A [`ReclaimState`] behind its mutex, alone on its cache line(s) so
-/// two clients' slots never share one.
-#[derive(Debug)]
-#[repr(align(128))]
-struct ReclaimSlot {
-    state: Mutex<ReclaimState>,
-    /// Batches run for this slot: its owner bumps it, and another
-    /// slot's batch loads it to tell a busy slot from an idle one.
-    batches: AtomicU64,
-    /// Owner-only from here on (relaxed hints). The slot this one's
-    /// next under-budget batch looks at — a rotating cursor.
-    help_next: AtomicUsize,
-    /// Per slot, its `batches` when this one's batches last looked at
-    /// it ([`NEVER_SEEN`] before the first look).
-    seen: [AtomicU64; RECLAIM_SLOTS],
-}
-
-/// What [`ReclaimSlot::seen`] holds for a slot not yet looked at.
-const NEVER_SEEN: u64 = u64::MAX;
-
-impl Default for ReclaimSlot {
-    fn default() -> ReclaimSlot {
-        ReclaimSlot {
-            state: Mutex::default(),
-            batches: AtomicU64::new(0),
-            help_next: AtomicUsize::new(0),
-            seen: std::array::from_fn(|_| AtomicU64::new(NEVER_SEEN)),
-        }
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Chain-shard latch acquisitions made on this thread (each one
-    /// goes through `MvccHeap::shard`).
-    static CHAIN_LATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// A live registration in the sharded epoch table: which shard holds
-/// the entry, and the pinned snapshot timestamp.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EpochHandle {
-    shard: u32,
-    pub(crate) ts: Ts,
-}
-
-/// The snapshot registry: `ts → number of holders` per shard, sharded by
-/// the registering thread's slot so a client's `begin` takes a mutex its
-/// own core touched last (a hint: any thread may use any shard, and
-/// release goes by the handle's shard whichever thread calls it). Each
-/// shard publishes its minimum key in an atomic, stored under the
-/// shard's lock whenever its map changes, so the minimum across shards
-/// — the GC horizon's, and the safe-snapshot test's — is
-/// [`EPOCH_SHARDS`] loads and no lock.
-///
-/// Registration inserts its entry, stores the shard's new minimum, and
-/// then re-reads the watermark: if the watermark moved, it re-registers
-/// at the new value and confirms again. [`MvccHeap::gc_horizon`] reads
-/// the watermark *before* it loads the minima. These accesses are all
-/// `SeqCst`, which closes the registration/GC race: if the scan misses
-/// a registration, its load of that shard's minimum came before the
-/// registration's store, so the registration's confirming re-read came
-/// after the horizon's watermark bound was read — by monotonicity the
-/// pinned timestamp is at or above the bound, hence at or above the
-/// horizon, and the versions it can demand were not reclaimable. A
-/// minimum stored later than the missed one was computed under the
-/// same lock from a map that still holds the entry, so a scan that
-/// loads it cannot miss the registration. Unregistration only raises a
-/// minimum — a scan that still loads the older, lower one is merely
-/// conservative — so its store is `Release`: a scan that loads it also
-/// sees every watermark value the releasing thread had seen (the
-/// safe-snapshot test relies on that: the `ssi` module docs' *Safe
-/// snapshots*).
-#[derive(Debug)]
-struct EpochTable {
-    shards: Box<[CachePadded<EpochShard>]>,
-}
-
-/// What an empty epoch shard publishes as its minimum.
-const NO_EPOCH: Ts = Ts::MAX;
-
-/// `ts → number of holders` behind its lock, and the map's minimum key
-/// published for lock-free scans ([`NO_EPOCH`] while empty).
-#[derive(Debug)]
-struct EpochShard {
-    map: Mutex<BTreeMap<Ts, usize>>,
-    min: AtomicU64,
-}
-
-impl Default for EpochShard {
-    fn default() -> EpochShard {
-        EpochShard {
-            map: Mutex::default(),
-            min: AtomicU64::new(NO_EPOCH),
-        }
-    }
-}
-
-impl EpochShard {
-    /// Publishes `map`'s minimum; called under the shard's lock, so the
-    /// last store always matches the map.
-    fn publish_min(&self, map: &BTreeMap<Ts, usize>, order: Ordering) {
-        let min = map.first_key_value().map_or(NO_EPOCH, |(&ts, _)| ts);
-        self.min.store(min, order);
-    }
-}
-
-/// Drops one holder of the epoch at `ts` from `map`.
-fn release_epoch(map: &mut BTreeMap<Ts, usize>, ts: Ts) {
-    match map.get_mut(&ts) {
-        Some(n) if *n > 1 => *n -= 1,
-        Some(_) => {
-            map.remove(&ts);
-        }
-        None => debug_assert!(false, "unregistering unknown epoch {ts}"),
-    }
-}
-
-impl EpochTable {
-    fn new() -> EpochTable {
-        EpochTable {
-            shards: (0..EPOCH_SHARDS).map(|_| CachePadded::default()).collect(),
-        }
-    }
-
-    /// Registers the current watermark as a live epoch in the calling
-    /// thread's shard, confirmed by a re-read (see the type-level doc).
-    fn register(&self, watermark: &Watermark) -> EpochHandle {
-        let shard = thread_slot() % self.shards.len();
-        let s = &self.shards[shard].0;
-        let mut ts = watermark.get();
-        let mut moved_from = None;
-        loop {
-            {
-                let mut map = s.map.lock();
-                if let Some(old) = moved_from {
-                    release_epoch(&mut map, old);
-                }
-                *map.entry(ts).or_insert(0) += 1;
-                s.publish_min(&map, Ordering::SeqCst);
-            }
-            let now = watermark.get();
-            if now == ts {
-                return EpochHandle {
-                    shard: shard as u32,
-                    ts,
-                };
-            }
-            moved_from = Some(ts);
-            ts = now;
-        }
-    }
-
-    fn unregister(&self, h: EpochHandle) {
-        let s = &self.shards[h.shard as usize].0;
-        let mut map = s.map.lock();
-        release_epoch(&mut map, h.ts);
-        s.publish_min(&map, Ordering::Release);
-    }
-
-    /// The minimum registered snapshot timestamp, from the shards'
-    /// published minima, without a lock. May miss an entry registered
-    /// during the scan; see the type-level doc for why that is safe
-    /// given the caller's watermark bound.
-    fn min_active(&self) -> Option<Ts> {
-        let min = self
-            .shards
-            .iter()
-            .map(|s| s.0.min.load(Ordering::SeqCst))
-            .fold(NO_EPOCH, Ts::min);
-        (min != NO_EPOCH).then_some(min)
-    }
+/// How a transaction ends ([`MvccHeap::end`]).
+enum End {
+    /// Committed at this timestamp (a read-only one at its snapshot's).
+    Commit(Ts),
+    /// Refused by SSI validation, with the timestamp it drew, if any.
+    SsiRefusal(Option<Ts>),
+    /// Refused by the log after drawing this timestamp.
+    LogRefusal(Ts),
+    /// Aborted by its caller.
+    Abort,
 }
 
 /// The multi-version heap over a base [`Database`].
 pub struct MvccHeap {
     base: Arc<Database>,
-    shards: Box<[ChainShard]>,
+    chains: Chains,
     /// Snapshot registry; the minimum active entry is the GC horizon.
     epochs: EpochTable,
-    /// The commit-timestamp allocator. Drawing a timestamp is one
-    /// `fetch_add`; visibility is governed by the watermark, not the
-    /// clock.
+    /// The commit-timestamp allocator (one `fetch_add` per draw);
+    /// visibility is the watermark's.
     clock: AtomicU64,
-    /// Lock-free ordered publication: `last_committed` advances only
-    /// across a contiguous prefix of completed commits.
+    /// Ordered publication: `last_committed` advances only across a
+    /// contiguous prefix of completed commits.
     watermark: Watermark,
     /// Reclaim queues, one per thread slot.
-    reclaim: Box<[ReclaimSlot]>,
-    /// The attached write-ahead log (`None` at
-    /// [`DurabilityLevel::None`] — the pre-durability behavior, with
-    /// zero additional work anywhere). Appends happen only on the
-    /// commit path and on extent events; the snapshot read path never
-    /// touches it.
+    reclaim: Box<[reclaim::ReclaimSlot]>,
+    /// The attached write-ahead log (`None` at [`DurabilityLevel::None`]),
+    /// appended to only by commits and extent events.
     wal: Option<Arc<Wal>>,
     /// Whether the heap runs at [`IsolationLevel::Serializable`]: tracks
     /// SIREADs and validates commits.
     serializable: bool,
-    /// The highest GC horizon a reclamation pass has computed: a
-    /// transaction committed at or below it is concurrent with no live or
-    /// future one, so its SIREAD entries may be dropped. `Relaxed`: every
-    /// value it ever held is a valid bound, and it publishes no other
-    /// data.
+    /// The highest GC horizon a reclamation pass has computed: SIREAD
+    /// entries of a transaction committed at or below it may go.
+    /// `Relaxed`, as every value it held is a valid bound; unpadded, as
+    /// every writer reads it and it is written rarely.
     horizon: AtomicU64,
-    /// How many class chains the shards hold; a writer probes its
-    /// object's class chain only while it is non-zero. Changed only under
-    /// the exclusive latch of the shard that inserts or removes one
-    /// (`Release`), loaded by every serializable writer (`Acquire`; the
-    /// `ssi` module docs' *Class-granular SIREADs* give the ordering the
-    /// probe relies on). Unpadded, like `horizon`: both are read by
-    /// every writer and written rarely.
-    class_chains: AtomicUsize,
-    /// Observability: commit-phase histograms and per-object contention
-    /// attribution. Disabled by default (one branch per probe; the read
-    /// path records nothing per read either way — see the module docs).
+    /// Commit-phase histograms and per-object contention attribution;
+    /// disabled by default (see the module docs).
     obs: Arc<Obs>,
     /// Live counters.
     pub stats: MvccStats,
@@ -768,15 +259,11 @@ impl MvccHeap {
     }
 
     /// Creates a heap with an attached write-ahead log: every writer
-    /// commit appends its *Write*-projection after-images **before**
-    /// its timestamp is published (durable before visible; at
-    /// [`DurabilityLevel::WalSync`] the commit also waits for the group
-    /// fsync). If the log directory holds no checkpoint yet, a genesis
-    /// checkpoint of the base store is written so the directory is
-    /// recoverable from the first commit on. The timestamp clock starts
-    /// above the highest timestamp already in the log, so attaching to
-    /// a directory with history never reuses a timestamp — though the
-    /// usual way to resume a directory is [`MvccHeap::recover`].
+    /// commit appends its redo images **before** its timestamp is published
+    /// (at [`DurabilityLevel::WalSync`] it also waits for the group fsync).
+    /// A directory with no checkpoint gets a genesis checkpoint of the base
+    /// store, and the clock starts above the highest timestamp logged — though
+    /// the usual way to resume a directory is [`MvccHeap::recover`].
     pub fn with_wal(
         base: Arc<Database>,
         isolation: IsolationLevel,
@@ -791,16 +278,12 @@ impl MvccHeap {
         Ok(heap)
     }
 
-    /// Rebuilds a heap from a log directory: newest checkpoint + replay
-    /// of the log's intact prefix in commit-timestamp order (see
-    /// `finecc_wal::recover_database`). The recovered heap resumes with
-    /// the schema, extents, base store, OID allocator **and the
-    /// timestamp clock/watermark** of the previous incarnation —
-    /// including the holes left by SSI-refused commits (skip records),
-    /// so post-recovery commits continue with no timestamp reuse and no
-    /// watermark gap. The reopened log is attached at the same
-    /// directory; a torn final record (crash mid-append) is truncated
-    /// so new appends stay readable.
+    /// Rebuilds a heap from a log directory: newest checkpoint + replay of
+    /// the log's intact prefix (`finecc_wal::recover_database`), resuming the
+    /// schema, extents, base store, OID allocator **and the timestamp
+    /// clock/watermark**, skip records' holes included, so new commits reuse
+    /// no timestamp and leave no gap. The reopened log is attached at the same
+    /// directory, a torn final record truncated.
     pub fn recover(
         dir: impl AsRef<Path>,
         isolation: IsolationLevel,
@@ -823,15 +306,14 @@ impl MvccHeap {
     ) -> MvccHeap {
         MvccHeap {
             base,
-            shards: (0..SHARD_COUNT).map(|_| ChainShard::default()).collect(),
+            chains: Chains::new(),
             epochs: EpochTable::new(),
             clock: AtomicU64::new(base_ts),
             watermark: Watermark::with_base(base_ts),
-            reclaim: (0..RECLAIM_SLOTS).map(|_| ReclaimSlot::default()).collect(),
+            reclaim: (0..RECLAIM_SLOTS).map(|_| Default::default()).collect(),
             wal,
             serializable: isolation == IsolationLevel::Serializable,
             horizon: AtomicU64::new(0),
-            class_chains: AtomicUsize::new(0),
             obs: Arc::new(Obs::disabled()),
             stats: MvccStats::default(),
             by_id: Mutex::default(),
@@ -878,13 +360,10 @@ impl MvccHeap {
         self.wal.as_ref()
     }
 
-    /// Creates a default-initialized instance of `class` through the
-    /// heap, logging the extent event when a write-ahead log is
-    /// attached — the durable counterpart of [`Database::create`].
-    /// (Creation still bypasses the version chains — see the ROADMAP's
-    /// versioned-extents item; objects created directly on the base
-    /// store become durable at the *next checkpoint* rather than
-    /// immediately.)
+    /// Creates a default-initialized instance of `class` through the heap,
+    /// logging the extent event when a log is attached — the durable
+    /// counterpart of [`Database::create`]. (Creation bypasses the version
+    /// chains — see the ROADMAP's versioned-extents item.)
     pub fn create(&self, class: ClassId) -> Oid {
         let oid = self.base.create(class);
         if let Some(wal) = &self.wal {
@@ -906,28 +385,21 @@ impl MvccHeap {
         Ok(())
     }
 
-    /// Writes a **fuzzy checkpoint**: a consistent image of schema +
-    /// base store + live chains at a watermark-consistent timestamp,
-    /// produced without stopping writers — the checkpoint pins a
-    /// snapshot (like any reader) and streams every live object's
-    /// fields through the multi-version read path, so concurrent
-    /// commits keep flowing and the image still reflects exactly the
-    /// state at the pinned timestamp. Objects deleted under the scan
-    /// are skipped (their log records replay idempotently). The file is
-    /// written atomically (temp + rename); recovery replays the log
-    /// only above the returned timestamp. A heap without a write-ahead
-    /// log refuses with [`std::io::ErrorKind::Unsupported`].
+    /// Writes a **fuzzy checkpoint** without stopping writers: it pins
+    /// a snapshot like any reader and streams every live object's fields
+    /// through the multi-version read path, so the image is exactly the
+    /// state at the pinned timestamp. Objects deleted under the scan are
+    /// skipped (their log records replay idempotently). The file is
+    /// written atomically; recovery replays the log only above the
+    /// returned timestamp. A heap without a log refuses with
+    /// [`std::io::ErrorKind::Unsupported`].
     ///
-    /// After the checkpoint is durable (its rename directory-fsynced),
-    /// the maintenance pipeline runs: checkpoints beyond the retention
-    /// count are deleted and the log is truncated below the checkpoint
-    /// timestamp — `floor = ckpt_ts`, never higher, so extent events
-    /// that raced the fuzzy scan at `ckpt_ts` survive and commits below
-    /// it (already in the image) are dropped. Both steps are
-    /// best-effort: a failure leaves a bigger log/extra checkpoint, not
-    /// a durability hole, so the checkpoint itself still succeeds.
-    /// The pass ends with a full [`MvccHeap::gc`] sweep — maintenance
-    /// is where the stop-and-sweep belongs.
+    /// Once the checkpoint is durable, checkpoints beyond the retention
+    /// count are deleted and the log is truncated below `ckpt_ts` (never
+    /// higher, so extent events that raced the scan survive) —
+    /// best-effort, as a failure costs space, not durability — and a
+    /// full [`MvccHeap::gc`] sweep runs: maintenance is where the
+    /// stop-and-sweep belongs.
     pub fn checkpoint(&self) -> std::io::Result<Ts> {
         let Some(wal) = self.wal.as_ref() else {
             return Err(std::io::Error::new(
@@ -981,13 +453,6 @@ impl MvccHeap {
         Ok(ckpt_ts)
     }
 
-    #[inline]
-    fn shard(&self, oid: Oid) -> &ChainShard {
-        #[cfg(test)]
-        CHAIN_LATCHES.with(|n| n.set(n.get() + 1));
-        &self.shards[(oid.raw() as usize) % SHARD_COUNT]
-    }
-
     /// The latest fully published commit timestamp (the watermark).
     pub fn current_ts(&self) -> Ts {
         self.watermark.get()
@@ -1000,9 +465,14 @@ impl MvccHeap {
     pub fn session(&self, txn: TxnId) -> MvccTxn {
         let epoch = self.epochs.register(&self.watermark);
         // SIREAD entries are clones of a reader's cell, so a serializable
-        // transaction needs one from its first read on; one that begins
-        // on a safe snapshot keeps its reads in the session instead.
-        let safe = self.serializable && self.is_safe_snapshot(epoch.ts);
+        // transaction needs one from its first read on. One begins on a
+        // safe snapshot, keeping its reads in the session instead, if no
+        // registered snapshot is older and the watermark has not moved
+        // past its own while the minima were loaded (the `ssi` module
+        // docs' *Safe snapshots*).
+        let safe = self.serializable
+            && self.epochs.min_active().is_none_or(|m| m >= epoch.ts)
+            && self.current_ts() == epoch.ts;
         if safe {
             self.stats.ssi_safe_snapshots.bump();
         }
@@ -1017,19 +487,18 @@ impl MvccHeap {
         }
     }
 
-    /// Whether a serializable transaction whose epoch is registered at
-    /// `ts` begins on a safe snapshot: no registered snapshot is older,
-    /// and the watermark has not moved past `ts` while the minima were
-    /// loaded (the `ssi` module docs' *Safe snapshots*).
-    fn is_safe_snapshot(&self, ts: Ts) -> bool {
-        self.epochs.min_active().is_none_or(|m| m >= ts) && self.current_ts() == ts
-    }
-
     /// The cell a transaction's reads and writes report to at
     /// [`IsolationLevel::Serializable`]; `None` at `Snapshot`.
     #[inline]
     fn tracking<'a>(&self, txn: &'a MvccTxn) -> Option<&'a Arc<TxnHandle>> {
         txn.cell.as_ref().filter(|_| self.serializable)
+    }
+
+    /// [`MvccHeap::tracking`] off a safe snapshot: the cell a read records
+    /// edges for and a read-only commit validates.
+    #[inline]
+    fn tracked_reader<'a>(&self, txn: &'a MvccTxn) -> Option<&'a Arc<TxnHandle>> {
+        self.tracking(txn).filter(|_| !txn.is_safe())
     }
 
     /// The pruning horizon in force: every live or future writer's
@@ -1049,22 +518,17 @@ impl MvccHeap {
         }
     }
 
-    /// Reconstructs `field` of `oid` as of `txn`'s snapshot, seeing its
-    /// own pending writes: [`MvccHeap::register_reads`] of the one field,
-    /// then [`MvccHeap::read_covered`], which holds the object's chain
-    /// shard *shared* across the walk and, on a chain miss, the one
-    /// base-store read. [`crate::Snapshot::read`] is the read outside
-    /// any transaction.
+    /// Reconstructs `field` of `oid` as of `txn`'s snapshot, seeing its own
+    /// pending writes: [`MvccHeap::register_reads`] of the one field, then
+    /// [`MvccHeap::read_covered`]. [`crate::Snapshot::read`] is the read
+    /// outside any transaction.
     ///
-    /// Deletion caveat: [`Database::delete`] bypasses the version layer
-    /// (like creation — see the ROADMAP's versioned-extents item), so a
-    /// read of a *deleted* object answers from whatever it consults: a
-    /// chain hit returns the field's value as of the snapshot (the
-    /// object existed there), while a chain miss surfaces the base
-    /// store's [`StoreError::UnknownOid`]. Until extents are versioned,
-    /// don't use read errors to probe liveness of versioned objects. At
-    /// [`IsolationLevel::Serializable`] an object the base store does
-    /// not hold is refused before anything is registered.
+    /// Deletion caveat: [`Database::delete`] bypasses the version layer, so a
+    /// read of a *deleted* object answers from what it consults: a chain hit
+    /// returns the value as of the snapshot, a miss the base store's
+    /// [`StoreError::UnknownOid`]. At [`IsolationLevel::Serializable`] an
+    /// object the base store does not hold is refused before anything is
+    /// registered.
     pub fn read_as(
         &self,
         txn: &mut MvccTxn,
@@ -1078,19 +542,14 @@ impl MvccHeap {
         self.read_covered(txn, oid, field)
     }
 
-    /// Registers `txn`'s SIREAD on `oid` at
-    /// [`IsolationLevel::Serializable`] (a no-op at `Snapshot`): the
-    /// transaction is about to read some of `fields`, and a concurrent
-    /// writer of any of them meets this one entry, added to the object's
-    /// chain (or widened) under the exclusive latch every install holds
-    /// (the `ssi` module docs' *Status cells and the per-edge
-    /// protocol*), and a new chain joins the session's read set. Must
-    /// run before the reads it covers, which go through
-    /// [`MvccHeap::read_covered`]; the runtime calls it once per top
-    /// message, with the message's transitive access vector. On a safe
-    /// snapshot the entry only joins the session's safe read set
-    /// ([`MvccHeap::convert`]); an OID that keys a class chain registers
-    /// nothing.
+    /// Registers `txn`'s SIREAD on `oid` at [`IsolationLevel::Serializable`]
+    /// (a no-op at `Snapshot`): the transaction is about to read some of
+    /// `fields` through [`MvccHeap::read_covered`], and a concurrent writer of
+    /// any of them meets this one entry on the object's chain; a new chain
+    /// joins the read set. The runtime calls it once per top message, with
+    /// its transitive access vector. On a safe snapshot the entry only joins
+    /// the safe read set ([`MvccHeap::convert`]); an OID that keys a class
+    /// chain registers nothing.
     pub fn register_reads(
         &self,
         txn: &mut MvccTxn,
@@ -1119,31 +578,19 @@ impl MvccHeap {
             return;
         };
         let horizon = self.horizon();
-        let added = {
-            let mut chains = self.shard(oid).chains.write();
-            let chain = chains.entry(oid).or_insert_with(|| {
-                if is_class_chain(oid) {
-                    self.class_chains.fetch_add(1, Ordering::Release);
-                }
-                Chain::default()
-            });
-            chain.readers.add(cell, fields, horizon)
-        };
+        let added = (self.chains.write(oid).or_insert().readers).add(cell, fields, horizon);
         if added {
             txn.read_set.push(oid);
         }
         self.stats.ssi_registrations.bump();
     }
 
-    /// Registers a class-granular SIREAD at
-    /// [`IsolationLevel::Serializable`] (a no-op at `Snapshot`): `txn`
-    /// is about to read some of `fields` of any number of instances of
-    /// `class`, which it then reads through [`MvccHeap::read_covered`].
-    /// A writer of one of them in any instance of `class` meets this one
-    /// entry on the class's chain — the extent message's registration
-    /// (see the `ssi` module docs' *Class-granular SIREADs*). Must run
-    /// before those reads. A transaction on a safe snapshot is converted
-    /// first.
+    /// Registers a class-granular SIREAD at [`IsolationLevel::Serializable`]
+    /// (a no-op at `Snapshot`), converting a safe snapshot first: `txn` is
+    /// about to read some of `fields` of instances of `class` through
+    /// [`MvccHeap::read_covered`], and a writer of one of them meets this one
+    /// entry on the class's chain (the `ssi` module docs' *Class-granular
+    /// SIREADs*).
     pub fn record_class_read(
         &self,
         txn: &mut MvccTxn,
@@ -1156,16 +603,14 @@ impl MvccHeap {
         }
     }
 
-    /// Ends `txn`'s safe snapshot, if it runs on one (the `ssi` module
-    /// docs' *Safe snapshots*): registers every entry of its safe read set
-    /// on its chain, then walks each of those chains again and records an
-    /// edge to every writer of a version invisible to it of a field in
-    /// the entry — what its reads would have recorded had they been
-    /// tracked. Idempotent, and a no-op at
+    /// Ends `txn`'s safe snapshot, if it runs on one (the `ssi` module docs'
+    /// *Safe snapshots*): registers every entry of its safe read set, then
+    /// walks those chains again and records an edge to every writer of a
+    /// version of an entry's field invisible to it — what its reads would
+    /// have recorded had they been tracked. Idempotent; a no-op at
     /// [`IsolationLevel::Snapshot`]. [`MvccHeap::write_at`] and
-    /// [`MvccHeap::record_class_read`] call it; a caller that knows the
-    /// transaction is about to write calls it before the reads that
-    /// precede the write, so those register as they happen.
+    /// [`MvccHeap::record_class_read`] call it, and a caller about to write
+    /// calls it before the reads that precede the write.
     pub fn convert(&self, txn: &mut MvccTxn) {
         let Some(reads) = txn.safe_reads.take() else {
             return;
@@ -1175,10 +620,11 @@ impl MvccHeap {
         }
         let mut overwriters = Vec::new();
         for &(oid, fields) in &reads {
-            if let Some(chain) = self.shard(oid).chains.read().get(&oid) {
+            self.chains.read(oid, |chain| {
                 // Of the records touching a field, the invisible ones are
                 // the newest (see `Chain`): the ones a walk steps past.
-                let invisible = chain.records.iter().filter(|rec| {
+                let records = chain.map_or(&[][..], |c| &c.records);
+                let invisible = records.iter().filter(|rec| {
                     !visible(rec, txn.ts(), Some(txn.id))
                         && rec
                             .writes
@@ -1186,28 +632,24 @@ impl MvccHeap {
                             .any(|w| fields & field_set([w.field]) != 0)
                 });
                 overwriters.extend(invisible.map(|rec| Arc::clone(&rec.owner)));
-            }
+            });
         }
         if let Some(cell) = &txn.cell {
             self.read_edges(cell, &overwriters);
         }
     }
 
-    /// [`MvccHeap::read_as`] by `txn` for a read its registration
-    /// covers — its top message's ([`MvccHeap::register_reads`]) or its
-    /// extent message's ([`MvccHeap::record_class_read`]): no
-    /// registration, but the same chain walk, and at `Serializable` an
-    /// edge for every invisible overwrite it steps past — unless the
-    /// transaction runs on a safe snapshot, whose reads record no edge.
-    /// Registering first is the caller's part.
+    /// [`MvccHeap::read_as`] for a read `txn`'s registration covers —
+    /// [`MvccHeap::register_reads`]' or [`MvccHeap::record_class_read`]'s:
+    /// the same walk, registering nothing, and at `Serializable` an edge for
+    /// every invisible overwrite it steps past (none on a safe snapshot).
     pub fn read_covered(
         &self,
         txn: &MvccTxn,
         oid: Oid,
         field: FieldId,
     ) -> Result<Value, StoreError> {
-        let reader = self.tracking(txn).filter(|_| !txn.is_safe());
-        let reader = reader.map(|cell| &**cell);
+        let reader = self.tracked_reader(txn).map(|cell| &**cell);
         self.walk(txn.ts(), Some(txn.id), oid, field, reader)
     }
 
@@ -1231,24 +673,22 @@ impl MvccHeap {
         // version it steps past.
         let mut overwriters: Vec<Arc<TxnHandle>> = Vec::new();
         let collect = reader.is_some().then_some(&mut overwriters);
-        let (value, hit) = {
-            let chains = self.shard(oid).chains.read();
-            match chains
-                .get(&oid)
-                .and_then(|chain| reconstruct(&chain.records, ts, as_txn, field, collect))
-            {
-                Some(v) => (v.clone(), true),
+        let (value, hit) = self.chains.read(oid, |chain| {
+            match chain.and_then(|chain| reconstruct(&chain.records, ts, as_txn, field, collect)) {
+                Some(v) => Ok((v.clone(), true)),
                 // A miss: no record covers the field, so — under this
                 // latch — no writer holds it pending, and the base
                 // holds its latest committed value.
-                None => (self.base.read(oid, field)?, false),
+                None => self.base.read(oid, field).map(|v| (v, false)),
             }
-        };
-        if hit {
-            self.stats.read_chain_hits.bump();
+        })?;
+        let stats = &self.stats;
+        (if hit {
+            &stats.read_chain_hits
         } else {
-            self.stats.read_base_loads.bump();
-        }
+            &stats.read_base_loads
+        })
+        .bump();
         if let Some(reader) = reader {
             self.read_edges(reader, &overwriters);
         }
@@ -1256,8 +696,7 @@ impl MvccHeap {
     }
 
     /// Records the rw edge `reader ──rw──▶ w` for each writer `w` of an
-    /// invisible version a chain walk stepped past. Runs under no heap
-    /// latch.
+    /// invisible version a chain walk stepped past, under no heap latch.
     fn read_edges(&self, reader: &TxnHandle, overwriters: &[Arc<TxnHandle>]) {
         let edges: u64 = overwriters.iter().map(|w| reader.read_edge(w)).sum();
         if edges > 0 {
@@ -1267,19 +706,13 @@ impl MvccHeap {
 
     /// Writes `field` of `oid` in transaction `txn`, first converting
     /// it if it runs on a safe snapshot ([`MvccHeap::convert`]). Under
-    /// the object's chain-shard latch held exclusively:
-    /// first-updater-wins admission at `txn`'s snapshot, the
-    /// write-through to the base store (its previous value is the
-    /// before-image), then the install — a new pending record pointing
-    /// at the transaction's status cell on the object's first write,
-    /// which also joins the session's write set, an in-place edit of
-    /// the transaction's own record after that — and at
-    /// [`IsolationLevel::Serializable`] the collection of the chain's
-    /// readers of `field` that may overlap `txn`, flagged once the latch
-    /// is dropped. Returns what happened to the chain.
-    ///
-    /// A refused write leaves nothing behind: a conflict or a store
-    /// error is raised before anything changes.
+    /// the object's chain latch held exclusively: first-updater-wins
+    /// admission at `txn`'s snapshot, the base write-through, the
+    /// install (a new record on the object's first write, which joins
+    /// the write set; an in-place edit after that) and, at
+    /// [`IsolationLevel::Serializable`], the collection of the readers
+    /// to flag once the latch is dropped. A refused write — a conflict
+    /// or a store error — leaves nothing behind.
     pub fn write_at(
         &self,
         txn: &mut MvccTxn,
@@ -1294,14 +727,14 @@ impl MvccHeap {
         self.convert(txn);
         // Type/domain validation runs before any latch is taken.
         self.base.check_write(field, &value)?;
-        let mut chains = self.shard(oid).chains.write();
-        let admitted = chains.get(&oid).map_or(Ok(None), |chain| {
+        let mut latched = self.chains.write(oid);
+        let admitted = latched.get().map_or(Ok(None), |chain| {
             admit(&chain.records, snapshot_ts, txn.id, oid, field)
         });
         let own = match admitted {
             Ok(own) => own,
             Err(conflict) => {
-                drop(chains);
+                drop(latched);
                 self.stats.write_conflicts.bump();
                 self.obs
                     .contend(ObjKey::Field(oid.0, field.0), ContentionKind::WwConflict);
@@ -1309,7 +742,7 @@ impl MvccHeap {
             }
         };
         let before = self.base.exchange_unchecked(oid, field, value.clone())?;
-        let chain = chains.entry(oid).or_default();
+        let chain = latched.or_insert();
         let outcome = match own {
             Some(i) => {
                 chain.records[i].set(field, before, value);
@@ -1338,7 +771,7 @@ impl MvccHeap {
                 .readers
                 .overlapping(field, cell, snapshot_ts, horizon, &mut readers);
         }
-        drop(chains);
+        drop(latched);
         if outcome == WriteOutcome::NewVersion {
             self.stats.versions_created.bump();
         }
@@ -1349,18 +782,13 @@ impl MvccHeap {
         // alone. A delete since the write-through leaves no class to
         // probe (deletion bypasses the versions; see `read_as`).
         if let Some(cell) = tracking {
-            if self.class_chains.load(Ordering::Acquire) > 0 {
+            if self.chains.has_class_chains() {
                 if let Ok(class) = self.base.class_of(oid) {
-                    let key = class_chain(class);
-                    let mut chains = self.shard(key).chains.write();
-                    if let Some(chain) = chains.get_mut(&key) {
+                    if let Some(chain) = self.chains.write(class_chain(class)).get_mut() {
                         let horizon = self.horizon();
                         chain
                             .readers
                             .overlapping(field, cell, snapshot_ts, horizon, &mut readers);
-                        if chain.is_empty() {
-                            self.unlink(&mut chains, key);
-                        }
                     }
                 }
             }
@@ -1372,48 +800,22 @@ impl MvccHeap {
         Ok(outcome)
     }
 
-    /// Removes `oid`'s chain, left empty, from its shard's map (held
-    /// exclusively), keeping the count of class chains.
-    fn unlink(&self, chains: &mut MulMap<Oid, Chain>, oid: Oid) {
-        chains.remove(&oid);
-        if is_class_chain(oid) {
-            self.class_chains.fetch_sub(1, Ordering::Release);
-        }
-    }
-
-    /// Attributes an SSI dangerous-structure abort: to the smallest
-    /// OID in the pivot's write set (deterministic, and exactly one
-    /// attribution per abort so registry totals match `ssi_aborts`),
-    /// or unattributed for a read-only victim.
-    fn note_ssi_abort(&self, txn: &MvccTxn) {
-        let key = txn
-            .write_set
-            .first()
-            .map_or(ObjKey::Unattributed, |o| ObjKey::Instance(o.0));
-        self.obs.contend(key, ContentionKind::SsiAbort);
-    }
-
-    /// Commits `txn` in four steps: **draw** the next commit timestamp
-    /// from the atomic clock; **mark** the transaction's status cell
-    /// with it — one store, which every version record of the
-    /// transaction reads as its commit; **log** the redo images of its
-    /// records (when a log is attached); **publish** the timestamp
-    /// through the watermark, once every earlier timestamp is published.
-    /// No chain latch is taken: a marked record is invisible to every
-    /// registered snapshot until the watermark publishes it, after the
-    /// log append — durable before visible. Returns the commit timestamp
-    /// once it is **published**, so any snapshot taken after — this
-    /// session's next transaction's included — observes it. A
+    /// Commits `txn`: **draw** the next commit timestamp, **mark** the
+    /// status cell with it (one store every record of the transaction
+    /// reads as its commit), **log** the redo images when a log is
+    /// attached, and **publish** the timestamp once every earlier one is
+    /// published — durable before visible, and no chain latch taken
+    /// unless the log needs the images. Returns the timestamp once it is
+    /// published, so any snapshot taken after observes it. A
     /// **read-only** transaction serializes at (and returns) its
     /// snapshot timestamp without drawing one.
     ///
-    /// At [`IsolationLevel::Snapshot`] commit is infallible by
-    /// construction. At [`IsolationLevel::Serializable`] the mark is
-    /// dangerous-structure validation and mark in one step; on failure
-    /// the transaction is rolled back (as by
-    /// [`MvccHeap::abort_session`]), its drawn timestamp is published as
-    /// a *skip*, and the [`SsiConflict`] is returned — the caller retries
-    /// on a fresh snapshot. A refused redo append ends the same way with
+    /// At [`IsolationLevel::Snapshot`] commit is infallible. At
+    /// [`IsolationLevel::Serializable`] the mark is SSI validation and
+    /// mark in one step; a refused transaction is rolled back (as by
+    /// [`MvccHeap::abort_session`]), its drawn timestamp published as a
+    /// *skip*, and the [`SsiConflict`] returned — the caller retries on a
+    /// fresh snapshot. A refused redo append ends the same way with
     /// [`CommitError::LogIo`].
     pub fn commit_session(&self, txn: MvccTxn) -> Result<Ts, CommitError> {
         let cell = match &txn.cell {
@@ -1432,9 +834,7 @@ impl MvccHeap {
         if !self.serializable {
             cell.mark(commit_ts);
         } else if let SsiVerdict::Abort(c) = cell.validate_and_commit(commit_ts) {
-            self.note_ssi_abort(&txn);
-            self.stats.ssi_aborts.bump();
-            self.refuse_commit(&txn, commit_ts);
+            self.end(txn, End::SsiRefusal(Some(commit_ts)));
             return Err(c.into());
         }
         phases.lap(Phase::CommitTsDraw);
@@ -1444,20 +844,21 @@ impl MvccHeap {
         if let Some(wal) = &self.wal {
             let mut writes = Vec::with_capacity(txn.write_set.len());
             for &oid in &txn.write_set {
-                let chains = self.shard(oid).chains.read();
-                let chain = chains.get(&oid).expect("written chain exists");
-                let own = &chain.records[chain.own_at(cell)];
-                writes.extend(own.writes.iter().map(|w| FieldImage {
-                    oid,
-                    field: w.field,
-                    value: w.after.clone(),
-                }));
+                self.chains.read(oid, |chain| {
+                    let own = chain.and_then(|chain| chain.own(cell));
+                    let own = own.expect("a written chain holds its writer's record");
+                    writes.extend(own.writes.iter().map(|w| FieldImage {
+                        oid,
+                        field: w.field,
+                        value: w.after.clone(),
+                    }));
+                });
             }
             finecc_chaos::yield_point(finecc_chaos::Site::CommitWalAppend);
             if let Err(e) = wal.append_commit(commit_ts, txn.id, &writes) {
                 // Graceful degradation: the record never reached the
                 // log, so the commit must not happen.
-                self.refuse_commit(&txn, commit_ts);
+                self.end(txn, End::LogRefusal(commit_ts));
                 return Err(CommitError::LogIo(e.to_string()));
             }
         }
@@ -1471,10 +872,7 @@ impl MvccHeap {
         self.watermark.publish(commit_ts);
         phases.lap(Phase::CommitPublish);
         phases.finish(Phase::CommitTotal);
-
-        self.epochs.unregister(txn.epoch);
-        self.stats.commits.bump();
-        self.queue_reclaim(commit_ts, &txn);
+        self.end(txn, End::Commit(commit_ts));
         Ok(commit_ts)
     }
 
@@ -1482,56 +880,68 @@ impl MvccHeap {
     /// its snapshot. At [`IsolationLevel::Serializable`] a tracked one
     /// still validates — its reads can complete a dangerous structure
     /// around a committed pivot (the SI read-only anomaly, Fekete et al.
-    /// 2004) — and queues its SIREADs' chains (see *Reclamation*). One
-    /// that stayed on a safe snapshot registered none and, like a commit
-    /// at `Snapshot`, validates nothing and touches no reclamation state.
+    /// 2004). One that stayed on a safe snapshot registered nothing and,
+    /// like a commit at `Snapshot`, validates nothing.
     fn commit_read_only(&self, txn: MvccTxn) -> Result<Ts, CommitError> {
         let ts = txn.ts();
-        let tracked = self.tracking(&txn).filter(|_| !txn.is_safe());
-        if let Some(cell) = tracked {
+        if let Some(cell) = self.tracked_reader(&txn) {
             if let SsiVerdict::Abort(c) = cell.validate_and_commit(ts) {
-                self.note_ssi_abort(&txn);
-                self.stats.ssi_aborts.bump();
-                self.discard(&txn);
+                self.end(txn, End::SsiRefusal(None));
                 return Err(c.into());
             }
         }
-        self.epochs.unregister(txn.epoch);
-        self.stats.commits.bump();
-        if tracked.is_some() {
-            self.queue_reclaim(ts, &txn);
-        }
+        self.end(txn, End::Commit(ts));
         Ok(ts)
     }
 
-    /// The tail of a writer commit refused after its timestamp was
-    /// drawn (SSI validation, a failed redo append). The cell is marked
-    /// `DEAD` first — a log-refused commit was already marked at
-    /// `commit_ts`. The timestamp must still reach the watermark as a
-    /// *skip*, or the contiguous prefix would stall. The skip is logged
-    /// before it is published so recovery restores the hole, best-effort:
-    /// a lost skip is harmless (a later durable commit covers the frame),
-    /// so a failed append must not escalate a refusal into a panic. Then
-    /// the transaction is rolled back as by [`MvccHeap::abort_session`].
-    /// Like a commit, the refusal returns only once its skip is
-    /// published, so a thread publishes each timestamp it draws before
-    /// it draws again.
-    fn refuse_commit(&self, txn: &MvccTxn, commit_ts: Ts) {
+    /// Aborts `txn`: restores every before-image of its pending records
+    /// into the base store and removes the records. Returns the number of
+    /// objects rolled back.
+    pub fn abort_session(&self, txn: MvccTxn) -> usize {
+        self.end(txn, End::Abort)
+    }
+
+    /// Ends `txn`, releasing its snapshot epoch. A commit counts in
+    /// `commits` and queues its chains for reclamation if it wrote or its
+    /// reads were tracked. Anything else counts in `aborts`: an SSI refusal
+    /// is attributed to the write set's smallest OID (one attribution per
+    /// abort, so registry totals match `ssi_aborts`; none for a read-only
+    /// victim), the cell is marked `DEAD`, a drawn timestamp is logged
+    /// (best-effort: a later durable commit covers a lost skip) and published
+    /// as a *skip*, so the prefix does not stall and a thread publishes each
+    /// timestamp before it draws again, and the writes are rolled back.
+    /// Returns the number of objects rolled back.
+    fn end(&self, txn: MvccTxn, end: End) -> usize {
+        let (ssi, skip) = match end {
+            End::Commit(ts) => {
+                self.epochs.unregister(txn.epoch);
+                self.stats.commits.bump();
+                if !txn.write_set.is_empty() || self.tracked_reader(&txn).is_some() {
+                    self.queue_reclaim(ts, &txn);
+                }
+                return 0;
+            }
+            End::SsiRefusal(skip) => (true, skip),
+            End::LogRefusal(ts) => (false, Some(ts)),
+            End::Abort => (false, None),
+        };
+        if ssi {
+            let first = txn.write_set.first();
+            let key = first.map_or(ObjKey::Unattributed, |o| ObjKey::Instance(o.0));
+            self.obs.contend(key, ContentionKind::SsiAbort);
+            self.stats.ssi_aborts.bump();
+        }
         if let Some(cell) = &txn.cell {
             cell.abort();
         }
-        if let Some(wal) = &self.wal {
-            let _ = wal.append_skip(commit_ts);
+        if let Some(ts) = skip {
+            if let Some(wal) = &self.wal {
+                let _ = wal.append_skip(ts);
+            }
+            self.watermark.publish(ts);
+            self.stats.ts_skips.bump();
         }
-        self.watermark.publish(commit_ts);
-        self.stats.ts_skips.bump();
-        self.discard(txn);
-    }
-
-    /// Rolls the transaction's writes back and ends it (counted in
-    /// `aborts`). Returns the number of objects rolled back.
-    fn discard(&self, txn: &MvccTxn) -> usize {
-        let rolled_back = self.rollback_writes(txn);
+        let rolled_back = self.rollback_writes(&txn);
         // Abort-discarded records count as reclaimed, so created and
         // reclaimed balance once GC has drained the committed history.
         self.stats.versions_reclaimed.add(rolled_back as u64);
@@ -1541,49 +951,29 @@ impl MvccHeap {
     }
 
     /// Removes every record the transaction made and restores its
-    /// before-images into the base store, each object under its shard
-    /// held exclusively — so no reader observes the record gone and
-    /// the base not yet restored, or the reverse. No other live
-    /// transaction wrote these fields (it would have conflicted), so
-    /// restoring is safe; an instance deleted concurrently has nothing
-    /// to restore (same contract as `UndoLog::rollback`). Then drops
-    /// its SIREAD entries, which can yield no edge any more. Returns the
-    /// number of objects rolled back.
+    /// before-images into the base store, each object under its chain latch
+    /// held exclusively, so no reader sees one without the other (no live
+    /// rival wrote these fields, and an instance deleted meanwhile has nothing
+    /// to restore); then drops its SIREAD entries. Returns the number of
+    /// objects rolled back.
     fn rollback_writes(&self, txn: &MvccTxn) -> usize {
         let Some(cell) = &txn.cell else {
             return 0; // no write, so no cell at `Snapshot`
         };
         for &oid in &txn.write_set {
-            let mut chains = self.shard(oid).chains.write();
-            let chain = chains.get_mut(&oid).expect("written chain exists");
-            let at = chain.own_at(cell);
-            for w in chain.records.remove(at).writes {
+            let mut latched = self.chains.write(oid);
+            let own = latched.get_mut().and_then(|chain| chain.take_own(cell));
+            let own = own.expect("a written chain holds its writer's record");
+            for w in own.writes {
                 let _ = self.base.write_unchecked(oid, w.field, w.before);
-            }
-            if chain.is_empty() {
-                self.unlink(&mut chains, oid);
             }
         }
         for &oid in &txn.read_set {
-            let mut chains = self.shard(oid).chains.write();
-            if let Some(chain) = chains.get_mut(&oid) {
+            if let Some(chain) = self.chains.write(oid).get_mut() {
                 chain.readers.remove(cell);
-                if chain.is_empty() {
-                    self.unlink(&mut chains, oid);
-                }
             }
         }
         txn.write_set.len()
-    }
-
-    /// Aborts `txn`: restores every before-image of its pending records
-    /// into the base store and removes the records. Returns the number of
-    /// objects rolled back.
-    pub fn abort_session(&self, txn: MvccTxn) -> usize {
-        if let Some(cell) = &txn.cell {
-            cell.abort();
-        }
-        self.discard(&txn)
     }
 
     /// Opens a standalone read snapshot of the latest committed state.
@@ -1596,235 +986,18 @@ impl MvccHeap {
         self.epochs.unregister(epoch);
     }
 
-    /// The oldest snapshot any reader may still demand. Versions
-    /// committed at or before this horizon can never be reconstructed
-    /// *past* again.
-    ///
-    /// The watermark is read **before** the epoch shards are scanned
-    /// and bounds the result; see `EpochTable`'s docs for why that makes the
-    /// shard-at-a-time scan safe against concurrent registrations.
-    pub fn gc_horizon(&self) -> Ts {
-        let bound = self.current_ts();
-        match self.epochs.min_active() {
-            Some(m) => m.min(bound),
-            None => bound,
-        }
-    }
-
-    /// The calling thread's reclaim slot (a locality hint — see the
-    /// module docs' *Reclamation* section).
-    #[inline]
-    fn my_slot(&self) -> usize {
-        thread_slot() % RECLAIM_SLOTS
-    }
-
-    /// The tail of a writer commit, or of a tracked read-only one:
-    /// queues the write set, and the objects of the read set it does not
-    /// hold, for pruning in the committing thread's slot and, every
-    /// [`RECLAIM_EVERY`]-th commit of that slot, runs one reclamation
-    /// batch.
-    fn queue_reclaim(&self, commit_ts: Ts, txn: &MvccTxn) {
-        let slot = self.my_slot();
-        let read_only = txn
-            .read_set
-            .iter()
-            .filter(|o| txn.write_set.binary_search(o).is_err());
-        let commits = {
-            let mut state = self.reclaim[slot].state.lock();
-            let queued = state.queue.len();
-            let oids = txn.write_set.iter().chain(read_only);
-            state.queue.extend(oids.map(|&oid| (commit_ts, oid)));
-            state.queued += state.queue.len() - queued;
-            state.commits = state.commits.wrapping_add(1);
-            state.commits
-        };
-        if commits.is_multiple_of(RECLAIM_EVERY) {
-            self.reclaim_batch(slot);
-        }
-    }
-
-    /// One bounded reclamation batch on behalf of `slot`: prunes the
-    /// chains its queue's due head entries name (one exclusive shard
-    /// latch each) and spends what budget is left on one other slot,
-    /// adopting its entries only if that slot ran no batch since this
-    /// one last looked. Never visits all shards or slots.
-    fn reclaim_batch(&self, slot: usize) {
-        // The reclamation decision point — outside every latch.
-        finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
-        let horizon = self.gc_horizon();
-        self.raise_horizon(horizon);
-        let mut due = Vec::new();
-        let own = &self.reclaim[slot];
-        own.batches.fetch_add(1, Ordering::Relaxed);
-        let budget = {
-            let mut state = own.state.lock();
-            let budget = RECLAIM_BATCH.max(2 * std::mem::take(&mut state.queued));
-            state.pop_due(horizon, budget, &mut due);
-            budget
-        };
-        if due.len() < budget {
-            // An idle thread's slot must not strand its versions, and a
-            // busy one's queue, chains and allocations are its owner's
-            // alone (see *Reclamation*): adopt another slot's due
-            // entries only if its owner has run no batch since this
-            // slot last looked, and move on to the next slot once this
-            // one has nothing more to give. (A slot locked right now is
-            // in use; the cursor passing over `slot` itself skips it.)
-            let helped = own.help_next.load(Ordering::Relaxed) % RECLAIM_SLOTS;
-            let other = &self.reclaim[helped];
-            let batches = other.batches.load(Ordering::Relaxed);
-            let idle =
-                helped != slot && own.seen[helped].swap(batches, Ordering::Relaxed) == batches;
-            if idle {
-                if let Some(mut state) = other.state.try_lock() {
-                    let before = due.len();
-                    state.pop_due(horizon, budget - due.len(), &mut due);
-                    self.stats.versions_adopted.add((due.len() - before) as u64);
-                }
-            }
-            if due.len() < budget {
-                own.help_next.store(helped + 1, Ordering::Relaxed);
-            }
-        }
-        let mut reclaimed = 0;
-        for &oid in &due {
-            let mut chains = self.shard(oid).chains.write();
-            // An earlier entry of the same object may have pruned the
-            // whole chain already.
-            if let Some(chain) = chains.get_mut(&oid) {
-                reclaimed += chain.prune(horizon);
-                if chain.is_empty() {
-                    self.unlink(&mut chains, oid);
-                }
-            }
-        }
-        if reclaimed > 0 {
-            self.stats.versions_reclaimed.add(reclaimed as u64);
-        }
-    }
-
-    /// The explicit **full sweep** (tests, maintenance — the commit
-    /// path never runs it; see the module docs' *Reclamation* section):
-    /// prunes every chain of every shard at the horizon, records and
-    /// SIREAD entries alike (class chains included), drops the chains
-    /// left empty, and drains every slot's reclaim queue of the entries
-    /// that covers. Returns the number of records reclaimed.
-    pub fn gc(&self) -> usize {
-        // The reclamation decision point — outside every latch.
-        finecc_chaos::yield_point(finecc_chaos::Site::Reclaim);
-        let horizon = self.gc_horizon();
-        self.raise_horizon(horizon);
-        let mut reclaimed = 0;
-        for shard in self.shards.iter() {
-            shard.chains.write().retain(|&oid, chain| {
-                reclaimed += chain.prune(horizon);
-                let empty = chain.is_empty();
-                if empty && is_class_chain(oid) {
-                    self.class_chains.fetch_sub(1, Ordering::Release);
-                }
-                !empty
-            });
-        }
-        self.stats.versions_reclaimed.add(reclaimed as u64);
-        for slot in self.reclaim.iter() {
-            // The sweep pruned whatever these entries name.
-            slot.state.lock().queue.retain(|&(ts, _)| ts > horizon);
-        }
-        reclaimed
-    }
-
-    /// Number of live version records across all chains (diagnostics).
-    /// Takes one shard latch at a time; under concurrent commits the
-    /// total is approximate — a consistent point-in-time count would
-    /// require freezing every shard at once, which diagnostics must
-    /// never do.
+    /// Number of live version records across all chains (diagnostics:
+    /// one shard latch at a time, so approximate under concurrency —
+    /// diagnostics never freeze every shard at once).
     pub fn live_versions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let chains = s.chains.read();
-                chains.values().map(|c| c.records.len()).sum::<usize>()
-            })
-            .sum()
+        self.chains.sum(|_, chain| chain.records.len())
     }
 
     /// Number of live chains — objects', and the class chains of live
     /// class-granular SIREADs (diagnostics; approximate under
     /// concurrency, like [`MvccHeap::live_versions`]).
     pub fn live_chains(&self) -> usize {
-        self.shards.iter().map(|s| s.chains.read().len()).sum()
-    }
-}
-
-/// The by-id adapter: transactions named by [`TxnId`], their sessions
-/// kept in one map. It has no logic of its own — each call takes the
-/// session out of the map, runs the session call, and puts it back — so
-/// the map's lock is taken under nothing, no heap latch or chaos yield
-/// runs under it, and one transaction must not be driven from two
-/// threads at once (the second call would find it unknown). It serves
-/// callers that cannot hold a session, such as the benchmark's bare-heap
-/// probe; everything else holds an [`MvccTxn`].
-impl MvccHeap {
-    /// [`MvccHeap::session`], kept in the adapter's map under `txn`.
-    /// Returns the snapshot timestamp.
-    pub fn begin(&self, txn: TxnId) -> Ts {
-        let session = self.session(txn);
-        let ts = session.ts();
-        let prev = self.by_id.lock().insert(txn, session);
-        debug_assert!(prev.is_none(), "transaction {txn} already registered");
-        ts
-    }
-
-    /// Runs `op` on `txn`'s session, out of the map for the duration.
-    fn with_session<R>(&self, txn: TxnId, op: impl FnOnce(&mut MvccTxn) -> R) -> Option<R> {
-        let mut session = self.by_id.lock().remove(&txn)?;
-        let out = op(&mut session);
-        self.by_id.lock().insert(txn, session);
-        Some(out)
-    }
-
-    /// [`MvccHeap::read_as`] by id; a `txn` the adapter does not hold is
-    /// refused with [`MvccReadError::UnknownTxn`].
-    pub fn read(&self, txn: TxnId, oid: Oid, field: FieldId) -> Result<Value, MvccReadError> {
-        self.with_session(txn, |s| self.read_as(s, oid, field))
-            .ok_or(MvccReadError::UnknownTxn(txn))?
-            .map_err(MvccReadError::Store)
-    }
-
-    /// [`MvccHeap::write_at`] by id; a `txn` the adapter does not hold
-    /// is refused with [`MvccWriteError::UnknownTxn`]. A refused write
-    /// leaves its transaction known.
-    pub fn write(
-        &self,
-        txn: TxnId,
-        oid: Oid,
-        field: FieldId,
-        value: Value,
-    ) -> Result<WriteOutcome, MvccWriteError> {
-        self.with_session(txn, |s| self.write_at(s, oid, field, value))
-            .ok_or(MvccWriteError::UnknownTxn(txn))?
-    }
-
-    /// [`MvccHeap::commit_session`] by id; a `txn` the adapter does not
-    /// hold is refused with [`CommitError::UnknownTxn`] and touches
-    /// nothing.
-    pub fn commit(&self, txn: TxnId) -> Result<Ts, CommitError> {
-        let session = self.by_id.lock().remove(&txn);
-        self.commit_session(session.ok_or(CommitError::UnknownTxn(txn))?)
-    }
-
-    /// [`MvccHeap::abort_session`] by id. Aborting a `txn` the adapter
-    /// does not hold (never begun, or already ended) rolls nothing back
-    /// and returns 0; the call is still counted in `aborts`.
-    pub fn abort(&self, txn: TxnId) -> usize {
-        let session = self.by_id.lock().remove(&txn);
-        match session {
-            Some(session) => self.abort_session(session),
-            None => {
-                self.stats.aborts.bump();
-                0
-            }
-        }
+        self.chains.sum(|_, _| 1)
     }
 }
 
@@ -1861,29 +1034,6 @@ impl std::fmt::Display for MvccWriteError {
 }
 
 impl std::error::Error for MvccWriteError {}
-
-/// Why [`MvccHeap::read`] failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MvccReadError {
-    /// The base store refused the read (unknown OID, field not visible).
-    Store(StoreError),
-    /// The by-id adapter holds no session under this id — never begun,
-    /// or already committed or aborted. Retrying cannot help.
-    UnknownTxn(TxnId),
-}
-
-impl std::fmt::Display for MvccReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MvccReadError::Store(e) => e.fmt(f),
-            MvccReadError::UnknownTxn(t) => {
-                write!(f, "transaction {t} is not registered with the mvcc heap")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MvccReadError {}
 
 /// Why [`MvccHeap::commit_session`] (or the by-id [`MvccHeap::commit`])
 /// refused a transaction. On the first two variants the transaction is
@@ -1927,9 +1077,12 @@ impl std::error::Error for CommitError {}
 
 #[cfg(test)]
 mod tests {
+    use super::reclaim::{RECLAIM_BATCH, RECLAIM_EVERY};
     use super::*;
-    use finecc_model::{ClassId, FieldType, Schema, SchemaBuilder};
+    use finecc_model::{FieldType, Schema, SchemaBuilder};
+    use finecc_obs::thread_slot;
     use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::AtomicUsize;
 
     fn setup() -> (Arc<Schema>, Arc<MvccHeap>, ClassId, FieldId, FieldId) {
         let mut b = SchemaBuilder::new();
@@ -2035,6 +1188,7 @@ mod tests {
         assert_eq!(heap.base().read(o, x), Ok(Value::Int(0)));
         assert_eq!(heap.base().read(o, y), Ok(Value::Int(0)));
         assert_eq!(heap.live_chains(), 0, "aborted chain is removed");
+        heap.chains.check();
     }
 
     #[test]
@@ -2063,6 +1217,7 @@ mod tests {
         assert!(reclaimed >= 3, "got {reclaimed}");
         assert_eq!(heap.live_versions(), 0);
         assert_eq!(heap.base().read(o, x), Ok(Value::Int(30)));
+        heap.chains.check();
     }
 
     #[test]
@@ -2078,9 +1233,9 @@ mod tests {
         // Without a log, commit is draw → mark → publish: the one store
         // into the writer's cell commits every record, so no chain shard
         // is latched, shared or exclusive.
-        let latches = chain_latches();
+        let latches = Chains::latches();
         let ts = heap.commit(TxnId(1)).unwrap();
-        assert_eq!(chain_latches(), latches, "commit latched a chain shard");
+        assert_eq!(Chains::latches(), latches, "commit latched a chain shard");
         let snap_after = heap.snapshot();
         assert!(snap_after.ts() >= ts);
         // The pre-commit snapshot sees no write; the post-commit
@@ -2146,6 +1301,7 @@ mod tests {
         // Every drawn timestamp was published: the watermark drained to
         // the clock and the prefix is contiguous.
         assert_eq!(heap.current_ts(), 400);
+        heap.chains.check();
     }
 
     #[test]
@@ -2222,10 +1378,6 @@ mod tests {
         }
     }
 
-    fn chain_latches() -> u64 {
-        CHAIN_LATCHES.with(|n| n.get())
-    }
-
     /// Every reclaim slot's queue is empty.
     fn slots_are_empty(heap: &MvccHeap) -> bool {
         heap.reclaim
@@ -2235,22 +1387,16 @@ mod tests {
 
     /// Live SIREAD entries: on the objects' chains, and on class chains.
     fn siread_entries(heap: &MvccHeap) -> (usize, usize) {
-        let (mut objects, mut classes) = (0, 0);
-        for shard in heap.shards.iter() {
-            for (&oid, chain) in shard.chains.read().iter() {
-                if is_class_chain(oid) {
-                    classes += chain.readers.len();
-                } else {
-                    objects += chain.readers.len();
-                }
-            }
-        }
-        (objects, classes)
+        let on = |class| {
+            heap.chains
+                .sum(|oid, c| c.readers.len() * usize::from(is_class_chain(oid) == class))
+        };
+        (on(false), on(true))
     }
 
     /// The heap's count of class chains.
     fn class_chains(heap: &MvccHeap) -> usize {
-        heap.class_chains.load(Ordering::Relaxed)
+        heap.chains.class_chain_count()
     }
 
     #[test]
@@ -2381,12 +1527,12 @@ mod tests {
                         let oid = oids[next() as usize % OBJECTS];
                         heap.write_at(&mut txn, oid, x, Value::Int(i as i64))
                             .unwrap();
-                        let before = chain_latches();
+                        let before = Chains::latches();
                         heap.commit_session(txn).unwrap();
                         // An unlogged commit latches no chain itself
                         // (`commit_is_atomic_across_objects`): whatever
                         // it took, its reclamation batch took.
-                        let taken = chain_latches() - before;
+                        let taken = Chains::latches() - before;
                         assert!(
                             taken <= RECLAIM_BATCH as u64,
                             "one commit took {taken} reclamation latches"
@@ -2404,6 +1550,7 @@ mod tests {
             total <= 2 * committed,
             "{total} reclamation latches for {committed} objects"
         );
+        heap.chains.check();
     }
 
     #[test]
@@ -2476,6 +1623,7 @@ mod tests {
         assert_eq!(m.versions_created, m.versions_reclaimed);
         assert_eq!(m.begins, m.commits + m.aborts);
         assert!(slots_are_empty(&heap), "a slot kept a queue entry");
+        heap.chains.check();
     }
 
     #[test]
@@ -2538,6 +1686,7 @@ mod tests {
             adopted >= STRANDED - RECLAIM_EVERY as u64,
             "adopted {adopted}"
         );
+        heap.chains.check();
     }
 
     #[test]
@@ -2575,6 +1724,7 @@ mod tests {
         heap.gc();
         assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
         assert!(slots_are_empty(&heap), "a slot kept a queue entry");
+        heap.chains.check();
     }
 
     #[test]
@@ -2638,6 +1788,7 @@ mod tests {
         assert_eq!(m.versions_created, m.versions_reclaimed);
         assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
         assert!(slots_are_empty(&heap));
+        heap.chains.check();
     }
 
     #[test]
@@ -2736,6 +1887,7 @@ mod tests {
             assert_eq!(heap.stats.snapshot().write_conflicts, 0);
             heap.gc();
             assert_eq!((heap.live_versions(), heap.live_chains()), (0, 0));
+            heap.chains.check();
         }
     }
 
@@ -2869,6 +2021,7 @@ mod tests {
         assert_eq!(siread_entries(&heap), (0, 0));
         assert_eq!(class_chains(&heap), 0);
         assert_eq!(heap.live_chains(), 0);
+        heap.chains.check();
     }
 
     #[test]
@@ -2918,12 +2071,14 @@ mod tests {
             heap.commit_session(txn).unwrap();
         }
         assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
+        heap.chains.check();
         // A rollback drops a class entry, and its chain, too.
         let mut aborted = heap.session(TxnId(100));
         heap.record_class_read(&mut aborted, a, [x]);
         assert_eq!(class_chains(&heap), 1);
         heap.abort_session(aborted);
         assert_eq!((siread_entries(&heap).1, class_chains(&heap)), (0, 0));
+        heap.chains.check();
     }
 
     #[test]
@@ -2947,6 +2102,7 @@ mod tests {
         assert_eq!(class_chains(&heap), 0, "writers stop probing");
         assert_eq!(heap.stats.snapshot().ssi_edges, 0);
         heap.commit(TxnId(3)).unwrap();
+        heap.chains.check();
     }
 
     #[test]
@@ -2975,9 +2131,7 @@ mod tests {
         // its commit, and that batch's pruning of the chain, or the next
         // registration on it, drops it. A transaction's second read
         // widens its entry instead of adding one.
-        let (schema, _, a, x, y) = setup();
-        let db = Arc::new(Database::new(schema));
-        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let (heap, a, x, y) = serializable();
         let o = heap.base().create(a);
         let mut longest = 0;
         for i in 1..=10_000u64 {
@@ -3074,9 +2228,7 @@ mod tests {
         // such as a withdrawal that then finds too little to withdraw.
         const OBJECTS: usize = 1_000;
         const TXNS: u64 = 20_000;
-        let (schema, _, a, x, _) = setup();
-        let db = Arc::new(Database::new(schema));
-        let heap = MvccHeap::with_isolation(db, IsolationLevel::Serializable);
+        let (heap, a, x, _) = serializable();
         let oids: Vec<Oid> = (0..OBJECTS).map(|_| heap.base().create(a)).collect();
         let mut next = rng(20_000);
         let mut most = 0;
@@ -3102,7 +2254,9 @@ mod tests {
         assert_eq!(heap.live_chains(), left + 1);
         heap.abort_session(aborted);
         assert_eq!(heap.live_chains(), left);
+        heap.chains.check();
         heap.gc();
         assert_eq!((heap.live_chains(), siread_entries(&heap)), (0, (0, 0)));
+        heap.chains.check();
     }
 }

@@ -16,8 +16,8 @@
 //!   watermark, the snapshot source, publishes completed commits one
 //!   timestamp at a time, in order. A version record points at its
 //!   writer's status cell, so a commit is one store into that cell, and
-//!   a snapshot never observes half a transaction (see the `heap`
-//!   module's "Concurrency architecture" docs).
+//!   a snapshot never observes half a transaction (see the [`heap`]
+//!   module's *Concurrency architecture* docs).
 //! * **Snapshots** ([`snapshot::Snapshot`]) — first-class read-only
 //!   views: no logical locks, stable for their whole lifetime, and
 //!   registered with the GC so the versions they need stay alive. A
@@ -38,8 +38,8 @@
 //! * **Garbage collection** — active snapshots pin a horizon; versions
 //!   committed at or before the horizon can never be demanded again and
 //!   are pruned from their chains — by the committing threads
-//!   themselves, a small batch every few commits (the `heap` module's
-//!   *Reclamation* section), or all at once by the explicit
+//!   themselves, a small batch every few commits (the heap's private
+//!   `reclaim` module), or all at once by the explicit
 //!   [`MvccHeap::gc`] sweep. A pruned record is freed on the spot.
 //! * **Isolation levels** ([`IsolationLevel`]) — the heap runs at plain
 //!   [`IsolationLevel::Snapshot`] (write skew possible, commit

@@ -119,8 +119,9 @@
 //!   the scan's walk is seen by it, and one that installs after finds
 //!   the class entry.
 //! * **Probing only while one exists.** Writers probe their object's
-//!   class chain only while the heap's count of class chains is
-//!   non-zero, so a write stores to no shared line for it. The count
+//!   class chain only while the chain map's count of class chains (the
+//!   heap's `chain` module) is non-zero, so a write stores to no shared
+//!   line for it. The count
 //!   changes only under the exclusive latch of the shard that inserts a
 //!   class chain (registration) or removes one (once its last entry is
 //!   pruned or rolled back), so it equals the number of class chains in

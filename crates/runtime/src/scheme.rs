@@ -85,8 +85,8 @@ pub trait CcScheme: Send + Sync {
     /// Commits the transaction and returns a commit sequence number that
     /// serializes conflicting transactions. Lock schemes draw it while
     /// locks are still held (strict 2PL), then release all locks; the
-    /// mvcc schemes return the commit timestamp that flipped their
-    /// versions (read-only mvcc transactions serialize at — and return —
+    /// mvcc schemes return the commit timestamp their status cell was
+    /// marked with (read-only mvcc transactions serialize at — and return —
     /// their snapshot timestamp, which is unique only among writers).
     ///
     /// Commit can *fail*: `mvcc-ssi` runs dangerous-structure validation
@@ -175,19 +175,16 @@ impl SchemeKind {
     }
 
     /// Constructs the scheme over an environment with write-ahead
-    /// durability at `level`, logging into `dir`
-    /// ([`DurabilityLevel::None`] simply builds the plain scheme). The
-    /// mvcc kinds wire the log into their heap's commit path (durable
-    /// before visible, fuzzy checkpoints); the lock kinds log their
-    /// undo-projection redo images at commit while still holding their
-    /// 2PL locks, with a quiescent genesis checkpoint written at
-    /// attach. Either way a fresh directory becomes recoverable
-    /// (`finecc_wal::recover_database` / `MvccHeap::recover`) from the
-    /// first commit on. For the lock kinds the directory must be
-    /// fresh — a directory with history belongs to a previous
-    /// incarnation of the store and is rejected (recover it into the
-    /// environment and use [`Env::resume_wal`] instead); the mvcc
-    /// kinds resume through [`finecc_mvcc::MvccHeap::recover`].
+    /// durability at `level`, opening the log in `dir` here for every
+    /// kind ([`DurabilityLevel::None`] builds the plain scheme). The
+    /// mvcc kinds wire it into their heap's commit path (durable before
+    /// visible, fuzzy checkpoints); the lock kinds log their redo images
+    /// at commit while still holding their 2PL locks, after a quiescent
+    /// genesis checkpoint. Either way a fresh directory is recoverable
+    /// from the first commit on. For the lock kinds the directory must
+    /// be fresh — one with history is rejected (recover it into the
+    /// environment and use [`Env::resume_wal`]); the mvcc kinds resume
+    /// through [`finecc_mvcc::MvccHeap::recover`].
     pub fn build_durable(
         self,
         env: Env,
@@ -197,24 +194,16 @@ impl SchemeKind {
         if level == DurabilityLevel::None {
             return Ok(self.build(env));
         }
-        match self {
-            SchemeKind::Mvcc | SchemeKind::MvccSsi => {
-                Ok(Box::new(crate::schemes::mvcc::MvccScheme::with_durability(
-                    env,
-                    self.isolation().expect("mvcc kinds have a level"),
-                    level,
-                    dir,
-                )?))
-            }
-            _ => {
-                let wal = Arc::new(Wal::open_with_obs(
-                    dir,
-                    WalConfig {
-                        level,
-                        ..WalConfig::default()
-                    },
-                    Arc::clone(&env.obs),
-                )?);
+        let config = WalConfig {
+            level,
+            ..WalConfig::default()
+        };
+        let wal = Arc::new(Wal::open_with_obs(dir, config, Arc::clone(&env.obs))?);
+        match self.isolation() {
+            Some(isolation) => Ok(Box::new(crate::schemes::mvcc::MvccScheme::with_wal(
+                env, isolation, wal,
+            )?)),
+            None => {
                 let mut env = env;
                 env.attach_wal(wal)?;
                 Ok(self.build(env))

@@ -59,8 +59,9 @@
 //!   with no older snapshot live registers no SIREAD until its first
 //!   top message whose transitive access vector writes, or its first
 //!   extent message (`finecc_mvcc::ssi`, *Safe snapshots*): its
-//!   registrations only note `(object, fields)` in its own status cell,
-//!   so a read-only transaction that began so writes nothing shared.
+//!   registrations only note `(object, fields)` in its session's safe
+//!   read set, so a read-only transaction that began so writes nothing
+//!   shared.
 //!
 //! Compared per §5.2: every pair the TAV scheme admits, MVCC admits too
 //! (a TAV write-set conflict is a superset of a field write-write
@@ -78,11 +79,9 @@ use crate::txn::Txn;
 use finecc_lang::{DataAccess, ExecError};
 use finecc_model::{ClassId, FieldId, MethodId, Oid, TxnId, Value};
 use finecc_mvcc::{
-    CommitError, DurabilityLevel, IsolationLevel, MvccHeap, MvccTxn, MvccWriteError, SsiConflict,
-    Wal, WalConfig,
+    CommitError, IsolationLevel, MvccHeap, MvccTxn, MvccWriteError, SsiConflict, Wal,
 };
 use finecc_obs::SlotIds;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Snapshot reads + optimistic first-updater-wins writes over the
@@ -116,42 +115,22 @@ impl MvccScheme {
         }
     }
 
-    /// Builds the scheme at the given isolation level with write-ahead
-    /// durability: the heap logs every writer commit's field-granular
-    /// redo images into `dir` **before** publishing its timestamp
-    /// (durable before visible), writes a genesis checkpoint if the
-    /// directory has none, and — at [`DurabilityLevel::WalSync`] —
-    /// holds each commit until the group fsync covers its record.
-    /// [`DurabilityLevel::None`] builds the plain scheme: the snapshot
-    /// read path is identical in every configuration (the log is only
-    /// ever touched at commit).
-    pub fn with_durability(
-        env: Env,
+    /// Builds the scheme at the given isolation level over an open
+    /// write-ahead log ([`crate::SchemeKind::build_durable`] opens it):
+    /// the heap logs every writer commit's redo images **before**
+    /// publishing its timestamp, and writes a genesis checkpoint if the
+    /// directory has none (see [`MvccHeap::with_wal`]).
+    pub fn with_wal(
+        mut env: Env,
         isolation: IsolationLevel,
-        level: DurabilityLevel,
-        dir: impl AsRef<Path>,
+        wal: Arc<Wal>,
     ) -> std::io::Result<MvccScheme> {
-        if level == DurabilityLevel::None {
-            return Ok(MvccScheme::with_isolation(env, isolation));
-        }
-        let wal = Arc::new(Wal::open_with_obs(
-            dir,
-            WalConfig {
-                level,
-                ..WalConfig::default()
-            },
-            Arc::clone(&env.obs),
-        )?);
-        let heap = Arc::new(
-            MvccHeap::with_wal(Arc::clone(&env.db), isolation, Arc::clone(&wal))?
-                .with_obs(Arc::clone(&env.obs)),
-        );
-        let mut env = env;
+        let heap = MvccHeap::with_wal(Arc::clone(&env.db), isolation, Arc::clone(&wal))?;
         // Shared handle: `Env::durability` and the metrics wiring
         // read it uniformly across all six schemes.
         env.wal = Some(wal);
         Ok(MvccScheme {
-            heap,
+            heap: Arc::new(heap.with_obs(Arc::clone(&env.obs))),
             env,
             ids: SlotIds::new(),
         })
@@ -367,8 +346,8 @@ impl CcScheme for MvccScheme {
         // The undo log is unused: rollback state lives in the version
         // chains' before-images. Writers return their fresh (unique)
         // commit timestamp; read-only transactions serialize at — and
-        // return — their snapshot timestamp, skipping the commit lock.
-        // At Serializable the heap validates here and rolls the
+        // return — their snapshot timestamp without drawing one. At
+        // Serializable the heap validates here and rolls the
         // transaction back itself on a dangerous structure.
         txn.undo.clear();
         let session = txn
@@ -424,7 +403,9 @@ impl CcScheme for MvccScheme {
 mod tests {
     use super::*;
     use crate::txn::run_txn;
+    use crate::SchemeKind;
     use finecc_lang::parser::FIGURE1_SOURCE;
+    use finecc_mvcc::DurabilityLevel;
 
     fn setup() -> (MvccScheme, Oid, Oid) {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();
@@ -809,13 +790,9 @@ class savings inherits account {
         let f1 = env.schema.resolve_field(c2, "f1").unwrap();
         let f4 = env.schema.resolve_field(c2, "f4").unwrap();
         let o2 = env.db.create(c2);
-        let s = MvccScheme::with_durability(
-            env,
-            IsolationLevel::Snapshot,
-            DurabilityLevel::WalSync,
-            &dir,
-        )
-        .unwrap();
+        let s = SchemeKind::Mvcc
+            .build_durable(env, DurabilityLevel::WalSync, &dir)
+            .unwrap();
         assert_eq!(s.env().durability(), DurabilityLevel::WalSync);
         let mut txn = s.begin();
         s.send(&mut txn, o2, "m1", &[Value::Int(9)]).unwrap();
@@ -857,13 +834,9 @@ class savings inherits account {
         let env = Env::from_source(FIGURE1_SOURCE).unwrap();
         let c2 = env.schema.class_by_name("c2").unwrap();
         let o2 = env.db.create(c2);
-        let s = MvccScheme::with_durability(
-            env,
-            IsolationLevel::Snapshot,
-            DurabilityLevel::WalSync,
-            &dir,
-        )
-        .unwrap();
+        let s = SchemeKind::Mvcc
+            .build_durable(env, DurabilityLevel::WalSync, &dir)
+            .unwrap();
         for i in 0..4 {
             let mut txn = s.begin();
             s.send(&mut txn, o2, "m1", &[Value::Int(i)]).unwrap();

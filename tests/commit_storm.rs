@@ -34,7 +34,7 @@ use finecc::obs::SlotIds;
 use finecc::sim::history::{History, Op, Record};
 use finecc::store::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 struct Storm {
@@ -193,7 +193,9 @@ enum Readers {
 /// The storm: `threads` writers run at least `rounds` rounds each — on
 /// until every reader has sampled once, or a deadline passes, so what
 /// the readers observe does not depend on which threads the OS started
-/// first. A watermark observer checks `current_ts` stays monotone.
+/// first. Readers are spawned first and start with the writers from one
+/// barrier, so no writer runs ahead of a reader not yet scheduled. A
+/// watermark observer checks `current_ts` stays monotone.
 /// Afterwards the counters must account for every commit and skip, and
 /// the recorded history — writer attempts, reader samples, a final
 /// snapshot and a base-store read of every pair — must pass the history
@@ -231,6 +233,7 @@ fn run_storm(isolation: IsolationLevel, rounds: i64, readers: Readers) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let (storm, validation_aborts) = (&storm, &validation_aborts);
     let (writers_live, readers_sampling) = (&writers_live, &readers_sampling);
+    let start = &Barrier::new(threads + reader_count);
     let (writes, samples): (Vec<Record>, Vec<Record>) = std::thread::scope(|s| {
         s.spawn(move || {
             let mut last = 0;
@@ -241,9 +244,31 @@ fn run_storm(isolation: IsolationLevel, rounds: i64, readers: Readers) {
                 std::thread::yield_now();
             }
         });
+        // Readers sample hot pairs through fresh snapshots for as long
+        // as writers are live, each starting at its own pair, and keep
+        // at most `SAMPLES_PER_READER`: the recorded history stays a
+        // few megabytes however long the storm runs.
+        let samplers: Vec<_> = (0..reader_count)
+            .map(|r| {
+                s.spawn(move || {
+                    start.wait();
+                    let mut out = Vec::new();
+                    while writers_live.load(Ordering::Relaxed) > 0 && out.len() < SAMPLES_PER_READER
+                    {
+                        let (session, op) = ((threads + r) as u32, out.len() as u32);
+                        out.push(storm.sample(session, op, [(r + out.len()) % threads]));
+                        if out.len() == 1 {
+                            readers_sampling.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
         let writers: Vec<_> = (0..threads)
             .map(|t| {
                 s.spawn(move || {
+                    start.wait();
                     let mut out = Vec::new();
                     for round in 0.. {
                         let sampled =
@@ -264,30 +289,10 @@ fn run_storm(isolation: IsolationLevel, rounds: i64, readers: Readers) {
                 })
             })
             .collect();
-        // Readers sample hot pairs through fresh snapshots for as long
-        // as writers are live, each starting at its own pair, and keep
-        // at most `SAMPLES_PER_READER`: the recorded history stays a
-        // few megabytes however long the storm runs.
-        let readers: Vec<_> = (0..reader_count)
-            .map(|r| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    while writers_live.load(Ordering::Relaxed) > 0 && out.len() < SAMPLES_PER_READER
-                    {
-                        let (session, op) = ((threads + r) as u32, out.len() as u32);
-                        out.push(storm.sample(session, op, [(r + out.len()) % threads]));
-                        if out.len() == 1 {
-                            readers_sampling.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
         let join = |hs: Vec<std::thread::ScopedJoinHandle<'_, Vec<Record>>>| -> Vec<Record> {
             hs.into_iter().flat_map(|h| h.join().unwrap()).collect()
         };
-        (join(writers), join(readers))
+        (join(writers), join(samplers))
     });
 
     // Contiguous prefix, fully drained: every drawn timestamp was
