@@ -84,6 +84,14 @@ pub trait ModeSource: Send + Sync {
             _ => self.modes_compatible(res, a.mode, b.mode),
         }
     }
+
+    /// Whether a hierarchical class lock held in raw mode `held` already
+    /// locks `res`, one of the class's instances (or the class itself),
+    /// for raw mode `wanted` (§5.2: `(m, true)` locks every instance
+    /// *for m*). By default only the same mode does.
+    fn covers(&self, _res: &ResourceId, held: u16, wanted: u16) -> bool {
+        held == wanted
+    }
 }
 
 /// The classical 2-mode read/write table, for every resource.
@@ -95,6 +103,12 @@ impl ModeSource for RwSource {
     #[inline]
     fn modes_compatible(&self, _res: &ResourceId, a: u16, b: u16) -> bool {
         a == READ && b == READ
+    }
+
+    /// A write lock covers reads too.
+    #[inline]
+    fn covers(&self, _res: &ResourceId, held: u16, wanted: u16) -> bool {
+        held == WRITE || held == wanted
     }
 }
 
@@ -165,6 +179,19 @@ mod tests {
         let i = ResourceId::Instance(Oid(1), ClassId(0));
         assert!(!s.compatible(&i, LockMode::plain(WRITE), LockMode::plain(READ)));
         assert!(s.compatible(&i, LockMode::plain(READ), LockMode::plain(READ)));
+    }
+
+    #[test]
+    fn a_hierarchical_lock_covers_its_own_mode_and_what_it_implies() {
+        let r = ResourceId::Instance(Oid(1), ClassId(0));
+        assert!(RwSource.covers(&r, WRITE, READ));
+        assert!(RwSource.covers(&r, WRITE, WRITE));
+        assert!(RwSource.covers(&r, READ, READ));
+        assert!(!RwSource.covers(&r, READ, WRITE));
+        let (schema, bodies) = build_schema(FIGURE1_SOURCE).unwrap();
+        let src = CommutSource::new(Arc::new(finecc_core::compile(&schema, &bodies).unwrap()));
+        assert!(src.covers(&r, 2, 2));
+        assert!(!src.covers(&r, 2, 3));
     }
 
     #[test]

@@ -261,20 +261,17 @@ impl MvccHeap {
     /// Creates a heap with an attached write-ahead log: every writer
     /// commit appends its redo images **before** its timestamp is published
     /// (at [`DurabilityLevel::WalSync`] it also waits for the group fsync).
-    /// A directory with no checkpoint gets a genesis checkpoint of the base
-    /// store, and the clock starts above the highest timestamp logged — though
-    /// the usual way to resume a directory is [`MvccHeap::recover`].
+    /// The directory must be fresh ([`Wal::ensure_fresh`]); it gets a
+    /// genesis checkpoint of the base store. A directory with history is
+    /// resumed with [`MvccHeap::recover`].
     pub fn with_wal(
         base: Arc<Database>,
         isolation: IsolationLevel,
         wal: Arc<Wal>,
     ) -> std::io::Result<MvccHeap> {
-        let base_ts = wal.max_logged_ts();
-        let genesis = !wal.has_checkpoint()?;
-        let heap = MvccHeap::build(base, isolation, Some(wal), base_ts);
-        if genesis {
-            heap.checkpoint()?;
-        }
+        wal.ensure_fresh()?;
+        let heap = MvccHeap::build(base, isolation, Some(wal), 0);
+        heap.checkpoint()?;
         Ok(heap)
     }
 
@@ -328,11 +325,6 @@ impl MvccHeap {
         self
     }
 
-    /// The attached observability handle.
-    pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
-    }
-
     /// The base store (authoritative for the newest values).
     pub fn base(&self) -> &Database {
         &self.base
@@ -353,11 +345,6 @@ impl MvccHeap {
         self.wal
             .as_ref()
             .map_or(DurabilityLevel::None, |w| w.level())
-    }
-
-    /// The attached write-ahead log, if any (statistics, checkpoints).
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
     }
 
     /// Creates a default-initialized instance of `class` through the heap,

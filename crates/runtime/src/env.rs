@@ -104,21 +104,13 @@ impl Env {
     /// checkpoints are only consistent at quiescent points (the mvcc
     /// schemes checkpoint fuzzily through their heap instead).
     ///
-    /// A directory with prior history is **rejected**: this
-    /// environment's store was not built from that history, so
-    /// appending to it would interleave two unrelated incarnations
-    /// (colliding OIDs, a checkpoint that contradicts the live state).
-    /// To resume a directory, rebuild the store from it first
+    /// A directory with prior history is **rejected**
+    /// ([`Wal::ensure_fresh`]): this environment's store was not built
+    /// from it. To resume a directory, rebuild the store from it first
     /// (`finecc_wal::recover_database`), install it as [`Env::db`],
     /// and call [`Env::resume_wal`].
     pub fn attach_wal(&mut self, wal: Arc<Wal>) -> std::io::Result<()> {
-        if wal.max_logged_ts() > 0 || wal.has_checkpoint()? {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "log directory has prior history; recover it into the environment \
-                 (finecc_wal::recover_database + Env::resume_wal) or use a fresh directory",
-            ));
-        }
+        wal.ensure_fresh()?;
         self.wal = Some(wal);
         self.write_quiescent_checkpoint()?;
         Ok(())

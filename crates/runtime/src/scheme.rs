@@ -181,10 +181,11 @@ impl SchemeKind {
     /// visible, fuzzy checkpoints); the lock kinds log their redo images
     /// at commit while still holding their 2PL locks, after a quiescent
     /// genesis checkpoint. Either way a fresh directory is recoverable
-    /// from the first commit on. For the lock kinds the directory must
-    /// be fresh — one with history is rejected (recover it into the
-    /// environment and use [`Env::resume_wal`]); the mvcc kinds resume
-    /// through [`finecc_mvcc::MvccHeap::recover`].
+    /// from the first commit on. For every kind the directory must be
+    /// fresh — one with history is rejected
+    /// ([`finecc_wal::Wal::ensure_fresh`]): the lock kinds resume it by
+    /// recovering it into the environment and [`Env::resume_wal`], the
+    /// mvcc kinds through [`finecc_mvcc::MvccHeap::recover`].
     pub fn build_durable(
         self,
         env: Env,
@@ -271,6 +272,26 @@ mod tests {
         // Serializability: everyone but plain mvcc.
         for kind in SchemeKind::ALL {
             assert_eq!(kind.serializable(), kind != SchemeKind::Mvcc, "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_kind_refuses_a_log_directory_with_history() {
+        use finecc_lang::parser::FIGURE1_SOURCE;
+        let env = || Env::from_source(FIGURE1_SOURCE).unwrap();
+        for kind in SchemeKind::ALL {
+            let dir = std::env::temp_dir().join(format!(
+                "finecc-scheme-history-{}-{kind}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let first = kind.build_durable(env(), DurabilityLevel::WalSync, &dir);
+            drop(first.expect("a fresh directory is accepted"));
+            let Err(e) = kind.build_durable(env(), DurabilityLevel::WalSync, &dir) else {
+                panic!("{kind} adopted another incarnation's log");
+            };
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{kind}: {e}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

@@ -37,12 +37,9 @@ impl LockPolicy for FieldLockPolicy {
         class: ClassId,
         _mid: MethodId,
     ) -> Result<(), ExecError> {
-        if !cx.is_covered(class) {
-            // Presence marker: lets extent-level hierarchical locks see
-            // concurrent instance users.
-            cx.lock(ResourceId::Class(class), LockMode::class(READ, false))?;
-        }
-        Ok(())
+        // Presence marker: lets extent-level hierarchical locks see
+        // concurrent instance users.
+        cx.lock(ResourceId::Class(class), LockMode::class(READ, false))
     }
 
     // on_self_message: default no-op — field locks carry the protection.
@@ -52,10 +49,7 @@ impl LockPolicy for FieldLockPolicy {
         oid: Oid,
         field: FieldId,
     ) -> Result<(), ExecError> {
-        if !cx.covers_instance(oid)? {
-            cx.lock(ResourceId::Field(oid, field), LockMode::plain(READ))?;
-        }
-        Ok(())
+        cx.lock(ResourceId::Field(oid, field), LockMode::plain(READ))
     }
 
     fn on_field_write(
@@ -64,12 +58,9 @@ impl LockPolicy for FieldLockPolicy {
         field: FieldId,
     ) -> Result<(), ExecError> {
         let class = cx.class_of(oid)?;
-        if !cx.is_covered(class) {
-            // Possible read→write escalation on this very field.
-            cx.lock(ResourceId::Field(oid, field), LockMode::plain(WRITE))?;
-            cx.lock(ResourceId::Class(class), LockMode::class(WRITE, false))?;
-        }
-        Ok(())
+        // Possible read→write escalation on this very field.
+        cx.lock(ResourceId::Field(oid, field), LockMode::plain(WRITE))?;
+        cx.lock(ResourceId::Class(class), LockMode::class(WRITE, false))
     }
 
     fn on_extent(

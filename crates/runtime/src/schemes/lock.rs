@@ -9,6 +9,17 @@
 //! commit/abort, statistics — and a [`LockPolicy`] is the difference:
 //! `tav`, `rw`, `fieldlock` and `relational` are four implementations
 //! of it, dispatched statically.
+//!
+//! **Coverage is the skeleton's rule, not a policy's.** A hierarchical
+//! class (relation) lock `(m, true)` locks every instance (tuple) of
+//! its class *for m* (§5.2). [`LockAccess::lock`] records each one it
+//! is granted with its mode and skips a later plain or intentional
+//! request only when its class is held hierarchically in a mode that
+//! covers the requested one ([`ModeSource::covers`]: the same mode, or
+//! for the read/write table a write). Any other request — a message an
+//! extent method sends through a reference into its own domain, say —
+//! is locked like any other: a lock the transaction holds is promoted
+//! when a later operation needs more, never assumed to suffice.
 
 use crate::env::Env;
 use crate::scheme::CcScheme;
@@ -105,16 +116,22 @@ pub struct LockAccess<'a, P: LockPolicy> {
     lm: &'a LockManager<P::Source>,
     txn: &'a mut Txn,
     /// Classes (relations, for the relational policy) this operation
-    /// locked hierarchically: their instances need no finer lock. A
+    /// locked hierarchically, each with the mode it was granted in:
+    /// their instances need no finer lock *in a mode it covers*. A
     /// list, not a set: empty outside extent operations, one domain's
     /// classes inside.
-    covered: Vec<ClassId>,
+    covered: Vec<(ClassId, u16)>,
 }
 
 impl<P: LockPolicy> LockAccess<'_, P> {
     /// Requests one lock; a refusal (deadlock victim, timeout) unwinds
-    /// the executing method as a concurrency abort.
+    /// the executing method as a concurrency abort. A plain or
+    /// intentional request that a hierarchical lock of this operation
+    /// already covers in its mode is skipped.
     pub fn lock(&mut self, res: ResourceId, mode: LockMode) -> Result<(), ExecError> {
+        if mode.kind != LockKind::Hierarchical && self.covers(res, mode.mode)? {
+            return Ok(());
+        }
         self.lm
             .acquire(self.txn.id, res, mode)
             .map_err(Env::lock_err)?;
@@ -122,15 +139,36 @@ impl<P: LockPolicy> LockAccess<'_, P> {
             self.txn.held.push((res, mode));
         }
         // A hierarchical lock implicitly locks every instance of its
-        // class (every tuple of its relation).
+        // class (every tuple of its relation) for its mode.
         if let (LockKind::Hierarchical, ResourceId::Class(c) | ResourceId::Relation(c)) =
             (mode.kind, res)
         {
-            if !self.covered.contains(&c) {
-                self.covered.push(c);
+            if !self.covered.contains(&(c, mode.mode)) {
+                self.covered.push((c, mode.mode));
             }
         }
         Ok(())
+    }
+
+    /// `true` when a hierarchical lock of this operation holds `res`'s
+    /// class (relation) in a mode that covers `wanted` (no store lookup
+    /// outside extent operations).
+    fn covers(&self, res: ResourceId, wanted: u16) -> Result<bool, ExecError> {
+        if self.covered.is_empty() {
+            return Ok(false);
+        }
+        let class = match res {
+            ResourceId::Instance(_, c)
+            | ResourceId::Class(c)
+            | ResourceId::Relation(c)
+            | ResourceId::Tuple(c, _) => c,
+            ResourceId::Field(oid, _) => self.class_of(oid)?,
+        };
+        let src = self.lm.source();
+        Ok(self
+            .covered
+            .iter()
+            .any(|&(c, held)| c == class && src.covers(&res, held, wanted)))
     }
 
     /// [`LockAccess::lock`] for a request that probably repeats one
@@ -146,15 +184,10 @@ impl<P: LockPolicy> LockAccess<'_, P> {
         self.lock(res, mode)
     }
 
-    /// `true` when a hierarchical extent lock covers class/relation `c`.
+    /// `true` when this operation holds class `c` hierarchically, in
+    /// any mode: what the read/write baseline escalates on.
     pub fn is_covered(&self, c: ClassId) -> bool {
-        self.covered.contains(&c)
-    }
-
-    /// `true` when a hierarchical extent lock covers `oid`'s class (no
-    /// store lookup outside extent operations).
-    pub fn covers_instance(&self, oid: Oid) -> Result<bool, ExecError> {
-        Ok(!self.covered.is_empty() && self.is_covered(self.class_of(oid)?))
+        self.covered.iter().any(|&(class, _)| class == c)
     }
 
     /// The proper class of an instance.

@@ -118,8 +118,8 @@ impl MvccScheme {
     /// Builds the scheme at the given isolation level over an open
     /// write-ahead log ([`crate::SchemeKind::build_durable`] opens it):
     /// the heap logs every writer commit's redo images **before**
-    /// publishing its timestamp, and writes a genesis checkpoint if the
-    /// directory has none (see [`MvccHeap::with_wal`]).
+    /// publishing its timestamp, after a genesis checkpoint; the
+    /// directory must be fresh (see [`MvccHeap::with_wal`]).
     pub fn with_wal(
         mut env: Env,
         isolation: IsolationLevel,

@@ -111,9 +111,6 @@ impl LockPolicy for RelationalPolicy {
             .tav_of(class, mid)
             .ok_or_else(|| not_understood(class, mid))?;
         for (rel, m) in tuple_plan(cx.env, class, tav) {
-            if cx.is_covered(rel) {
-                continue;
-            }
             cx.lock(ResourceId::Relation(rel), LockMode::class(m, false))?;
             cx.lock(ResourceId::Tuple(rel, oid), LockMode::plain(m))?;
         }

@@ -48,11 +48,9 @@ impl LockPolicy for TavPolicy {
         let idx = table
             .index_of_mid(mid)
             .ok_or_else(|| not_understood(class, mid))?;
-        if !cx.is_covered(class) {
-            let mode = idx as u16;
-            cx.lock(ResourceId::Class(class), LockMode::class(mode, false))?;
-            cx.lock(ResourceId::Instance(oid, class), LockMode::plain(mode))?;
-        }
+        let mode = idx as u16;
+        cx.lock(ResourceId::Class(class), LockMode::class(mode, false))?;
+        cx.lock(ResourceId::Instance(oid, class), LockMode::plain(mode))?;
         cx.undo_projection(oid, table.tav(idx))
     }
 

@@ -50,9 +50,10 @@ pub enum RecoveryError {
     /// Streaming replay popped a record whose timestamp sorts below one
     /// already applied: the log's out-of-order distance exceeded the
     /// reorder window, so a bounded-memory replay cannot order it.
-    /// (Group commit bounds the distance by the batch structure; this
-    /// surfaces only if a log was produced with a larger batch cap than
-    /// the window replaying it.)
+    /// (How the writer draws its timestamps bounds the distance, not
+    /// the size of a group-commit batch — see [`crate::recover`],
+    /// step 3; this surfaces only for a log written by something that
+    /// draws timestamps further ahead than the window.)
     ReorderWindowExceeded {
         /// The log file being replayed.
         file: PathBuf,

@@ -33,13 +33,17 @@
 //! affected batch — each waiter whose LSN falls in the batch gets an
 //! error and its transaction rolls back — and the file is **rewound**
 //! to the batch's start so the on-disk log stays exactly the acked
-//! prefix. When the rewind succeeds the failure is transient: later
-//! batches proceed normally (graceful, batch-granular degradation).
-//! When the rewind itself fails (or a simulated crash fired) the log
-//! is poisoned and every in-flight and future append fails. Either way
-//! the file stays prefix-consistent: batches are written in LSN order
-//! and a torn tail is detected (checksums) and truncated on the next
-//! open.
+//! prefix. When the rewind succeeds and nobody was told the batch's
+//! records were logged, the failure is transient: later batches
+//! proceed normally (graceful, batch-granular degradation). When the
+//! batch held a commit, create or delete record that was acked without
+//! a waiter (at [`DurabilityLevel::Wal`], acked once staged), later
+//! batches would land behind a hole in the acked history, so the log
+//! is poisoned instead — as it is when the rewind itself fails or a
+//! simulated crash fired — and every in-flight and future append
+//! fails. Either way the file stays prefix-consistent: batches are
+//! written in LSN order and a torn tail is detected (checksums) and
+//! truncated on the next open.
 //!
 //! Deterministic testing: [`WalConfig::inline`] — forced on while a
 //! `finecc_chaos` *scheduled* session is installed — starts no flusher
@@ -181,6 +185,9 @@ struct Staging {
     waiters: u32,
     /// One of them needs the batch fsynced, not just written.
     sync: bool,
+    /// A commit, create or delete record of the batch was acked
+    /// without waiting for it: losing the batch poisons the log.
+    unwaited: bool,
     /// The flusher must not sleep out its tick: somebody waits, or
     /// staging is full.
     urgent: bool,
@@ -201,6 +208,7 @@ struct Batch {
     records: u64,
     waiters: u32,
     sync: bool,
+    unwaited: bool,
 }
 
 /// The log file and what only the holder of its latch touches: flush
@@ -330,6 +338,7 @@ impl Shared {
                 records: std::mem::take(&mut st.records),
                 waiters: std::mem::take(&mut st.waiters),
                 sync: std::mem::take(&mut st.sync),
+                unwaited: std::mem::take(&mut st.unwaited),
             }
         };
         let LogFile { file, spare, .. } = &mut *log;
@@ -350,11 +359,13 @@ impl Shared {
         self.acked.notify_all();
     }
 
-    /// Writes (and, if asked, fsyncs) one batch. On failure none of the
-    /// batch's records was acked, so none may survive into recovery:
-    /// the file is rewound to the batch's start. A clean rewind makes
-    /// the failure transient — the next batch proceeds normally; a
-    /// failed rewind, or a simulated crash, poisons the log for good.
+    /// Writes (and, if asked, fsyncs) one batch. On failure the file is
+    /// rewound to the batch's start, so none of its records survives
+    /// into recovery. A clean rewind of a batch none of whose records
+    /// was acked makes the failure transient — the next batch proceeds
+    /// normally; a failed rewind, a simulated crash, or a batch holding
+    /// a record acked without a waiter poisons the log for good (later
+    /// batches would otherwise land behind a hole in what was acked).
     /// An injected crash before the write leaves what a power cut
     /// would: half of the batch's first frame, a torn tail the next
     /// open truncates.
@@ -410,7 +421,7 @@ impl Shared {
             && file.set_len(start_pos).is_ok()
             && file.seek(SeekFrom::Start(start_pos)).is_ok()
             && file.sync_data().is_ok();
-        if crash || !rolled_back {
+        if crash || !rolled_back || batch.unwaited {
             self.failed.store(true, Ordering::Release);
         }
         false
@@ -516,6 +527,7 @@ impl Wal {
                 records: 0,
                 waiters: 0,
                 sync: false,
+                unwaited: false,
                 urgent: false,
                 idle: false,
                 closed: false,
@@ -593,7 +605,9 @@ impl Wal {
     /// fsynced; in inline mode every item, until the flush step this
     /// call runs itself is through. `encode` runs under the staging
     /// latch, after room is assured, so whatever it draws (a commit
-    /// sequence) is in staging order.
+    /// sequence) is in staging order. A `durable` frame nobody waits
+    /// for is acked once staged: the batch it lands in must not fail
+    /// quietly.
     fn append(
         &self,
         len: usize,
@@ -608,6 +622,7 @@ impl Wal {
             // mutex another worker can block on.
             finecc_chaos::yield_point(Site::WalAppend);
         }
+        let record = durable && len > 0;
         let durable = durable && (len == 0 || self.level == DurabilityLevel::WalSync);
         let waits = durable || inline;
         let lsn = {
@@ -638,6 +653,7 @@ impl Wal {
                 st.waiters += 1;
                 st.sync |= durable;
             }
+            st.unwaited |= record && !waits;
             shared.wake_flusher(&mut st, waits && !inline);
             st.end_lsn
         };
@@ -733,6 +749,25 @@ impl Wal {
     /// `true` if the directory holds at least one checkpoint file.
     pub fn has_checkpoint(&self) -> io::Result<bool> {
         Ok(!checkpoint::list(&self.dir)?.is_empty())
+    }
+
+    /// Refuses, with [`io::ErrorKind::InvalidInput`], a directory with
+    /// history — a commit or skip logged before this open, or a checkpoint. A
+    /// store that was not recovered from that history must not append
+    /// to it: the two incarnations would interleave (colliding OIDs, a
+    /// checkpoint that contradicts the live state, new commits replayed
+    /// onto the old base). The one check every scheme's fresh attach
+    /// makes; a directory with history is resumed through recovery
+    /// instead.
+    pub fn ensure_fresh(&self) -> io::Result<()> {
+        if self.max_logged_ts > 0 || self.has_checkpoint()? {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "log directory has prior history; recover it (finecc_wal::recover_database \
+                 + Env::resume_wal, or MvccHeap::recover) or use a fresh directory",
+            ));
+        }
+        Ok(())
     }
 
     /// Applies the retention policy: deletes all but the newest
@@ -1056,6 +1091,41 @@ mod tests {
         let (records, _) = read_log(&dir);
         assert_eq!(records.len(), 1);
         assert!(matches!(records[0], LogRecord::Commit { ts: 2, .. }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_batch_of_unwaited_commits_leaves_no_hole_behind_later_ones() {
+        use finecc_chaos::{ChaosConfig, FaultKind, FaultPlan, FaultSpec, Site};
+        let dir = tmpdir("wal-hole");
+        let handle = finecc_chaos::install(ChaosConfig {
+            faults: FaultPlan::of([FaultSpec::once(Site::WalFlushWrite, 0, FaultKind::IoError)]),
+            ..ChaosConfig::default()
+        });
+        {
+            // At `wal` level a commit is acked once staged, so the
+            // write fault at the flusher's first batch fails a record
+            // its committer was already told is logged.
+            let wal = Wal::open(
+                &dir,
+                WalConfig {
+                    level: DurabilityLevel::Wal,
+                    ..WalConfig::default()
+                },
+            )
+            .unwrap();
+            wal.append_commit(1, TxnId(1), &[image(1, 0, 1)]).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            let second = wal.append_commit(2, TxnId(2), &[image(1, 0, 2)]);
+            let synced = wal.sync();
+            assert!(
+                second.is_err() || synced.is_err(),
+                "the log carried on past a lost acked commit"
+            );
+        }
+        drop(handle);
+        let logged = read_log_timestamps(&dir);
+        assert!([1, 2].starts_with(&logged), "not a prefix: {logged:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

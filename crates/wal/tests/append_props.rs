@@ -5,9 +5,10 @@
 //! acked record exactly once, each thread's records in its program
 //! order, every frame intact, and `log_bytes` equal to what the file
 //! grew by; with write and fsync faults injected into the flusher the
-//! on-disk log must be exactly the acked prefix and exactly the
-//! waiters of a failed batch must have seen an error; and appends
-//! nobody waits on must not wake the flusher.
+//! on-disk log must be exactly the acked records (`wal-sync`) or a
+//! prefix of them in staging order (`wal`) and exactly the waiters of
+//! a failed batch must have seen an error; and appends nobody waits on
+//! must not wake the flusher.
 
 use finecc_chaos::{ChaosConfig, FaultKind, FaultPlan, FaultSpec, Site};
 use finecc_model::{ClassId, FieldId, Oid, TxnId, Value};
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("finecc-wal-props-{}-{name}", std::process::id()));
@@ -259,20 +261,26 @@ fn check_faults(script: &FaultScript) -> Result<(), TestCaseError> {
         },
     )
     .unwrap();
-    // Per thread: each append's timestamp and whether it was acked; a
-    // thread ends its script with a `sync`, whose verdict is kept too.
-    let results: Vec<(Vec<(u64, bool)>, bool)> = std::thread::scope(|s| {
+    // Timestamps are drawn inside the staging latch, so their order is
+    // the staging order. Per thread: each append's timestamp if it was
+    // acked; a thread ends its script with a `sync`, whose verdict is
+    // kept too.
+    let next_ts = AtomicU64::new(1);
+    let results: Vec<(Vec<Option<u64>>, bool)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..script.threads)
             .map(|t| {
-                let wal = &wal;
+                let (wal, next_ts) = (&wal, &next_ts);
                 s.spawn(move || {
                     let appends = (0..script.appends)
                         .map(|i| {
-                            let ts = (1 + t * script.appends + i) as u64;
-                            let acked = wal
-                                .append_commit(ts, TxnId(t as u64), &writes(2, 16, ts))
-                                .is_ok();
-                            (ts, acked)
+                            // Pause for two flush ticks now and then, so that
+                            // one script's records spread over several batches.
+                            if i % 10 == 9 {
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                            let draw = || next_ts.fetch_add(1, Ordering::Relaxed);
+                            wal.append_commit_with(draw, TxnId(t as u64), &writes(2, 16, 0))
+                                .ok()
                         })
                         .collect();
                     (appends, wal.sync().is_ok())
@@ -292,7 +300,7 @@ fn check_faults(script: &FaultScript) -> Result<(), TestCaseError> {
     prop_assert_eq!(on_disk.len(), seen.len(), "a record appears twice");
     let acked: HashSet<u64> = results
         .iter()
-        .flat_map(|(appends, _)| appends.iter().filter(|(_, ok)| *ok).map(|(ts, _)| *ts))
+        .flat_map(|(appends, _)| appends.iter().flatten().copied())
         .collect();
     let refused = script.threads * script.appends - acked.len();
     if script.level == DurabilityLevel::WalSync {
@@ -307,18 +315,17 @@ fn check_faults(script: &FaultScript) -> Result<(), TestCaseError> {
             prop_assert_eq!(refused as u64, stats.append_failures);
         }
     } else {
-        // Nothing waits on a commit: a record is refused only by a
-        // poisoned log, and the disk holds the acked records minus the
-        // failed batches'.
-        prop_assert!(refused == 0 || crashed);
-        prop_assert!(on_disk.is_subset(&acked));
-        let kept = acked.len() as u64 - stats.append_failures;
-        if crashed {
-            // A poisoned log drops what was staged but not yet written
-            // without counting it.
-            prop_assert!(on_disk.len() as u64 <= kept);
-        } else {
-            prop_assert_eq!(on_disk.len() as u64, kept);
+        // A commit is acked once staged, so a failed batch holding one
+        // poisons the log: the disk holds a prefix of the acked records
+        // in staging order, and a record is refused only by a poisoned
+        // log.
+        let newest = seen.iter().copied().max().unwrap_or(0);
+        let prefix: HashSet<u64> = acked.iter().copied().filter(|&ts| ts <= newest).collect();
+        prop_assert_eq!(&on_disk, &prefix);
+        let failed = crashed || stats.append_failures > 0;
+        prop_assert!(refused == 0 || failed);
+        if !failed {
+            prop_assert_eq!(&on_disk, &acked);
         }
         // A `sync` that succeeded was not in a failed batch, so at
         // least one batch after the last failure made it.
@@ -329,7 +336,8 @@ fn check_faults(script: &FaultScript) -> Result<(), TestCaseError> {
     for (appends, _) in &results {
         let order: Vec<usize> = appends
             .iter()
-            .filter_map(|(ts, _)| seen.iter().position(|s| s == ts))
+            .flatten()
+            .filter_map(|ts| seen.iter().position(|s| s == ts))
             .collect();
         prop_assert!(
             order.windows(2).all(|w| w[0] < w[1]),
