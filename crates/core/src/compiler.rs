@@ -391,6 +391,51 @@ class a {
         assert!(t.commute(m2, m4), "disjoint-field writers commute");
     }
 
+    /// A redefinition that calls the definition it replaces through a
+    /// prefix, like the ledger's `savings.deposit`.
+    const PREFIXED: &str = r#"
+class account {
+  fields { id: integer; balance: integer; audit: integer; }
+  method deposit(amt) is balance := balance + amt; send log to self end
+  method log is audit := audit + 1 end
+  method balance_of is return balance end
+}
+class savings inherits account {
+  fields { accrued: integer; }
+  method deposit(amt) is redefined as
+    send account.deposit(amt) to self;
+    accrued := accrued + amt / 10
+  end
+}
+"#;
+
+    /// The mode-indexed lookup the schemes run per message answers what
+    /// the vertex lookup does for every method a class resolves.
+    #[test]
+    fn mode_index_tav_is_the_vertex_tav() {
+        let mut prefixed = 0;
+        for source in [FIGURE1_SOURCE, PREFIXED] {
+            let (s, b) = build_schema(source).unwrap();
+            let comp = compile(&s, &b).unwrap();
+            for ci in s.classes() {
+                let t = comp.class(ci.id);
+                for (name, mid) in &ci.methods {
+                    let idx = t.index_of_mid(*mid).unwrap_or_else(|| {
+                        panic!("{}.{name} has no access mode", ci.name);
+                    });
+                    assert_eq!(
+                        Some(t.tav(idx)),
+                        comp.tav_of(ci.id, *mid),
+                        "{}.{name}",
+                        ci.name
+                    );
+                    prefixed += usize::from(!comp.extraction.psc(*mid).is_empty());
+                }
+            }
+        }
+        assert!(prefixed > 0, "a prefixed redefinition was checked");
+    }
+
     #[test]
     fn total_modes_counts() {
         let (_, comp) = fig1();

@@ -31,6 +31,10 @@ impl LockPolicy for FieldLockPolicy {
         RwSource
     }
 
+    fn new(_: &Env) -> Self {
+        FieldLockPolicy
+    }
+
     fn on_message(
         cx: &mut LockAccess<'_, Self>,
         _oid: Oid,

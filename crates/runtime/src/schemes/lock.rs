@@ -47,7 +47,7 @@ pub enum UndoStyle {
 /// table its lock manager consults, and what it locks at each of the
 /// five events of a transaction's execution. Locks are requested
 /// through the [`LockAccess`] handed to each hook.
-pub trait LockPolicy: Sized {
+pub trait LockPolicy: Sized + Send + Sync {
     /// The lock manager's compatibility table: generated commutativity
     /// matrices or the classical read/write table.
     type Source: ModeSource;
@@ -58,6 +58,11 @@ pub trait LockPolicy: Sized {
 
     /// Builds the compatibility table.
     fn source(env: &Env) -> Self::Source;
+
+    /// Builds the policy, once per scheme: whatever its hooks look up
+    /// per message beyond the compiled schema (the relational tuple
+    /// plans).
+    fn new(env: &Env) -> Self;
 
     /// A message reaches `oid` from the application or through a
     /// reference field; `mid` is the definition late binding resolved.
@@ -113,6 +118,8 @@ pub trait LockPolicy: Sized {
 pub struct LockAccess<'a, P: LockPolicy> {
     /// The scheme's environment.
     pub env: &'a Env,
+    /// The scheme's policy.
+    pub policy: &'a P,
     lm: &'a LockManager<P::Source>,
     txn: &'a mut Txn,
     /// Classes (relations, for the relational policy) this operation
@@ -247,16 +254,19 @@ impl<P: LockPolicy> DataAccess for LockAccess<'_, P> {
 pub struct LockScheme<P: LockPolicy> {
     pub(super) env: Env,
     pub(super) lm: LockManager<P::Source>,
+    pub(super) policy: P,
 }
 
 impl<P: LockPolicy> LockScheme<P> {
     /// Builds the scheme (compiles nothing — the access vectors and
-    /// matrices are already in `env.compiled`).
+    /// matrices are already in `env.compiled`; the policy derives what
+    /// it looks up per message from them here).
     pub fn new(env: Env) -> LockScheme<P> {
         LockScheme {
             lm: LockManager::new(P::source(&env))
                 .with_timeout(env.lock_timeout)
                 .with_obs(Arc::clone(&env.obs)),
+            policy: P::new(&env),
             env,
         }
     }
@@ -269,6 +279,7 @@ impl<P: LockPolicy> LockScheme<P> {
     fn access<'a>(&'a self, txn: &'a mut Txn) -> LockAccess<'a, P> {
         LockAccess {
             env: &self.env,
+            policy: &self.policy,
             lm: &self.lm,
             txn,
             covered: Vec::new(),

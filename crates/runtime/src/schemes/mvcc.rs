@@ -258,7 +258,8 @@ impl DataAccess for MvccAccess<'_> {
         if self.heap.isolation() == IsolationLevel::Snapshot {
             return Ok(());
         }
-        let tav = self.env.compiled.tav_of(class, mid);
+        let table = self.env.compiled.class(class);
+        let tav = table.index_of_mid(mid).map(|idx| table.tav(idx));
         if self.txn.is_safe() && tav.is_none_or(|tav| !tav.is_read_only()) {
             self.heap.convert(self.txn);
         }

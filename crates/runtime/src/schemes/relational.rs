@@ -13,6 +13,12 @@
 //! hierarchy (the FK maintenance the paper invokes to explain why
 //! `T1 ∦ T4` relationally, and why both would run if `m2` spared the key).
 //!
+//! The planner runs once per (class, access mode), when the scheme is
+//! built: like the commutativity matrices, the tuple plan of a message
+//! depends only on the method late binding resolved, so a top message
+//! reads its plan through the receiver's access-mode index and an
+//! extent operation joins the plans of its domain's classes.
+//!
 //! This baseline is what the paper measures itself against: first normal
 //! form acts as a *coarse access vector* (§4.2), so it beats RW on
 //! disjoint-field writers but still misses the inheritance-aware
@@ -29,8 +35,14 @@ use finecc_model::{ClassId, MethodId, Oid};
 use std::collections::BTreeMap;
 
 /// The relational policy: a top message is a query whose statically
-/// analyzed access pattern (its TAV) is locked tuple by tuple.
-pub struct RelationalPolicy;
+/// analyzed access pattern (its TAV) is locked tuple by tuple, through
+/// the tuple plan compiled for its access mode when the scheme was
+/// built.
+pub struct RelationalPolicy {
+    /// `plans[class][mode]`: the tuple plan of access mode `mode` of
+    /// `class`'s compiled table.
+    plans: Vec<Vec<Vec<(ClassId, u16)>>>,
+}
 
 /// Relational decomposition with tuple locking.
 pub type RelationalScheme = LockScheme<RelationalPolicy>;
@@ -61,30 +73,30 @@ fn tuple_plan(env: &Env, class: ClassId, av: &AccessVector) -> Vec<(ClassId, u16
     by_rel.into_iter().map(|(c, m)| (c, rw_mode(m))).collect()
 }
 
-/// The joined relation-lock plan of an extent operation over the
-/// domain rooted at `root`.
-fn extent_plan(env: &Env, root: ClassId, method: &str) -> Result<Vec<(ClassId, u16)>, ExecError> {
-    let mut joined: BTreeMap<ClassId, u16> = BTreeMap::new();
-    for &c in env.schema.domain(root) {
-        let tav = env.compiled.class(c).tav(mode_index(env, c, method)?);
-        for (rel, m) in tuple_plan(env, c, tav) {
-            let e = joined.entry(rel).or_insert(READ);
-            *e = (*e).max(m);
+impl RelationalPolicy {
+    /// The compiled tuple plan of access mode `mode` of `class`:
+    /// `(relation, READ | WRITE)` in relation order.
+    fn plan(&self, class: ClassId, mode: usize) -> &[(ClassId, u16)] {
+        &self.plans[class.index()][mode]
+    }
+
+    /// The joined relation-lock plan of an extent operation over the
+    /// domain rooted at `root`: each relation in the strongest mode any
+    /// domain class's plan locks it in.
+    fn extent_plan(
+        &self,
+        env: &Env,
+        root: ClassId,
+        method: &str,
+    ) -> Result<Vec<(ClassId, u16)>, ExecError> {
+        let mut joined: BTreeMap<ClassId, u16> = BTreeMap::new();
+        for &c in env.schema.domain(root) {
+            for &(rel, m) in self.plan(c, mode_index(env, c, method)?) {
+                let e = joined.entry(rel).or_insert(READ);
+                *e = (*e).max(m);
+            }
         }
-    }
-    Ok(joined.into_iter().collect())
-}
-
-impl LockScheme<RelationalPolicy> {
-    /// The tuple-lock plan of an access vector evaluated on an instance
-    /// of `class`: `(relation, READ | WRITE)` in relation order.
-    pub fn tuple_plan(&self, class: ClassId, av: &AccessVector) -> Vec<(ClassId, u16)> {
-        tuple_plan(&self.env, class, av)
-    }
-
-    #[cfg(test)]
-    fn extent_plan(&self, root: ClassId, method: &str) -> Result<Vec<(ClassId, u16)>, ExecError> {
-        extent_plan(&self.env, root, method)
+        Ok(joined.into_iter().collect())
     }
 }
 
@@ -97,6 +109,20 @@ impl LockPolicy for RelationalPolicy {
         RwSource
     }
 
+    /// Runs the planner over every access mode of every class.
+    fn new(env: &Env) -> Self {
+        let plans = env
+            .compiled
+            .classes()
+            .map(|table| {
+                (0..table.mode_count())
+                    .map(|i| tuple_plan(env, table.class, table.tav(i)))
+                    .collect()
+            })
+            .collect();
+        RelationalPolicy { plans }
+    }
+
     fn on_message(
         cx: &mut LockAccess<'_, Self>,
         oid: Oid,
@@ -104,17 +130,16 @@ impl LockPolicy for RelationalPolicy {
         mid: MethodId,
     ) -> Result<(), ExecError> {
         // The whole top message is the relational "query": its TAV is the
-        // statically analyzed access pattern the planner would lock for.
-        let tav = cx
-            .env
-            .compiled
-            .tav_of(class, mid)
+        // statically analyzed access pattern the planner locked for.
+        let table = cx.env.compiled.class(class);
+        let idx = table
+            .index_of_mid(mid)
             .ok_or_else(|| not_understood(class, mid))?;
-        for (rel, m) in tuple_plan(cx.env, class, tav) {
+        for &(rel, m) in cx.policy.plan(class, idx) {
             cx.lock(ResourceId::Relation(rel), LockMode::class(m, false))?;
             cx.lock(ResourceId::Tuple(rel, oid), LockMode::plain(m))?;
         }
-        cx.undo_projection(oid, tav)
+        cx.undo_projection(oid, table.tav(idx))
     }
 
     // on_self_message: default no-op — the plan covered the whole execution.
@@ -125,7 +150,7 @@ impl LockPolicy for RelationalPolicy {
         method: &str,
         hierarchical: bool,
     ) -> Result<(), ExecError> {
-        for (rel, m) in extent_plan(cx.env, root, method)? {
+        for (rel, m) in cx.policy.extent_plan(cx.env, root, method)? {
             cx.lock(ResourceId::Relation(rel), LockMode::class(m, hierarchical))?;
         }
         Ok(())
@@ -149,18 +174,21 @@ mod tests {
         (RelationalScheme::new(env), o1, o2)
     }
 
+    /// The compiled plan of `method` on `class`.
+    fn compiled_plan(s: &RelationalScheme, class: ClassId, method: &str) -> Vec<(ClassId, u16)> {
+        let idx = s.env().compiled.class(class).index_of(method).unwrap();
+        s.policy.plan(class, idx).to_vec()
+    }
+
     #[test]
     fn key_write_propagates_to_child_relations() {
         // §5.2: "T1 locks one tuple of r1 in write mode and the associated
         // tuple of r2 in write mode too (because f1 … is modified)".
-        let (s, o1, _) = setup();
+        let (s, _, _) = setup();
         let c1 = s.env().schema.class_by_name("c1").unwrap();
         let c2 = s.env().schema.class_by_name("c2").unwrap();
-        let table = s.env().compiled.class(c1);
-        let idx = table.index_of("m1").unwrap();
-        let plan = s.tuple_plan(c1, table.tav(idx));
+        let plan = compiled_plan(&s, c1, "m1");
         assert_eq!(plan, vec![(c1, WRITE), (c2, WRITE)]);
-        let _ = o1;
     }
 
     #[test]
@@ -169,13 +197,62 @@ mod tests {
         let c1 = s.env().schema.class_by_name("c1").unwrap();
         let c2 = s.env().schema.class_by_name("c2").unwrap();
         // m3 reads f2, f3 (both in r1): plan = {r1: READ}.
-        let t1 = s.env().compiled.class(c1);
-        let plan = s.tuple_plan(c1, t1.tav(t1.index_of("m3").unwrap()));
-        assert_eq!(plan, vec![(c1, READ)]);
+        assert_eq!(compiled_plan(&s, c1, "m3"), vec![(c1, READ)]);
         // m4 on c2 touches f5, f6 (both in r2): plan = {r2: WRITE}.
-        let t2 = s.env().compiled.class(c2);
-        let plan = s.tuple_plan(c2, t2.tav(t2.index_of("m4").unwrap()));
-        assert_eq!(plan, vec![(c2, WRITE)]);
+        assert_eq!(compiled_plan(&s, c2, "m4"), vec![(c2, WRITE)]);
+    }
+
+    /// A subclass whose methods touch inherited and own fields: plans
+    /// that span both relations with and without a key write.
+    const TWO_RELATIONS: &str = r#"
+class base {
+  fields { key: integer; a: integer; }
+  method get_a is return a end
+  method set_a(v) is a := v end
+}
+class derived inherits base {
+  fields { b: integer; }
+  method mix(v) is b := a + v end
+  method both(v) is a := v; b := v end
+  method rekey(v) is key := v end
+}
+"#;
+
+    #[test]
+    fn the_compiled_table_is_the_planners() {
+        for source in [FIGURE1_SOURCE, TWO_RELATIONS] {
+            let s = RelationalScheme::new(Env::from_source(source).unwrap());
+            let env = s.env();
+            for table in env.compiled.classes() {
+                assert_eq!(
+                    s.policy.plans[table.class.index()].len(),
+                    table.mode_count()
+                );
+                for i in 0..table.mode_count() {
+                    assert_eq!(
+                        s.policy.plan(table.class, i),
+                        tuple_plan(env, table.class, table.tav(i)),
+                        "{}.{}",
+                        table.class_name,
+                        table.method_names[i]
+                    );
+                }
+            }
+        }
+        // The entries the loop compared: a key write on the root, and
+        // plans over inherited and own relations of the subclass.
+        let (s, _, _) = setup();
+        let c1 = s.env().schema.class_by_name("c1").unwrap();
+        let c2 = s.env().schema.class_by_name("c2").unwrap();
+        assert_eq!(compiled_plan(&s, c2, "m1"), vec![(c1, WRITE), (c2, WRITE)]);
+        let s = RelationalScheme::new(Env::from_source(TWO_RELATIONS).unwrap());
+        let base = s.env().schema.class_by_name("base").unwrap();
+        let derived = s.env().schema.class_by_name("derived").unwrap();
+        let plan = |m| compiled_plan(&s, derived, m);
+        assert_eq!(plan("get_a"), vec![(base, READ)]);
+        assert_eq!(plan("mix"), vec![(base, READ), (derived, WRITE)]);
+        assert_eq!(plan("both"), vec![(base, WRITE), (derived, WRITE)]);
+        assert_eq!(plan("rekey"), vec![(base, WRITE), (derived, WRITE)]);
     }
 
     #[test]
@@ -228,10 +305,10 @@ mod tests {
         let c1 = s.env().schema.class_by_name("c1").unwrap();
         let c2 = s.env().schema.class_by_name("c2").unwrap();
         // m1 over domain(c1): key write in both classes → both relations X.
-        let plan = s.extent_plan(c1, "m1").unwrap();
+        let plan = s.policy.extent_plan(s.env(), c1, "m1").unwrap();
         assert_eq!(plan, vec![(c1, WRITE), (c2, WRITE)]);
         // m3 over domain(c1): reads r1 only.
-        let plan = s.extent_plan(c1, "m3").unwrap();
+        let plan = s.policy.extent_plan(s.env(), c1, "m3").unwrap();
         assert_eq!(plan, vec![(c1, READ)]);
         let _ = c2;
     }

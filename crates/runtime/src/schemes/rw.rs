@@ -65,6 +65,10 @@ impl LockPolicy for RwPolicy {
         RwSource
     }
 
+    fn new(_: &Env) -> Self {
+        RwPolicy
+    }
+
     fn on_message(
         cx: &mut LockAccess<'_, Self>,
         oid: Oid,

@@ -38,6 +38,10 @@ impl LockPolicy for TavPolicy {
         CommutSource::new(Arc::clone(&env.compiled))
     }
 
+    fn new(_: &Env) -> Self {
+        TavPolicy
+    }
+
     fn on_message(
         cx: &mut LockAccess<'_, Self>,
         oid: Oid,
